@@ -1,15 +1,17 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, build, the full test suite under the race detector
-# (the parallel harness runner and the sharded engine depend on -race
-# staying green), a one-iteration benchmark smoke pass, the digest gate
-# at one shard and at two (sharded execution must be bit-identical), and
-# the fuzz targets' committed seed corpora.
+# (the parallel harness runner and the engine's scheduler hand-offs
+# depend on -race staying green), a one-iteration benchmark smoke pass,
+# the digest gates at one, two and four shards (sharded execution must
+# be bit-identical), the cache and fleet gates, the fuzz targets'
+# committed seed corpora, and the conformance corpus. Performance is
+# measured with `go run ./benchmark` (BENCHMARK.json), not from here.
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-warm microbench bench-smoke bench-parallel digest-check cache-check fleet-check profile fuzz-seeds conform
+.PHONY: ci vet build test race microbench bench-smoke digest-check cache-check fleet-check profile fuzz-seeds conform
 
-ci: vet build race bench-smoke digest-check bench-parallel cache-check fleet-check fuzz-seeds conform
+ci: vet build race bench-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
 vet:
 	$(GO) vet ./...
@@ -23,24 +25,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the performance sweep twice — the ideal machine and the
-# pinned contended configuration (4 B/cycle links, 20-cycle agents) —
-# and appends one labelled entry per configuration (seconds per app +
-# output digest + link-bw/occupancy fields) to BENCH_sim.json.
-bench:
-	$(GO) run ./cmd/bench -label "$${BENCH_LABEL:-dev}"
-	$(GO) run ./cmd/bench -label "$${BENCH_LABEL:-dev}-contended" -link-bw 4 -occupancy 20
-
-# bench-warm times the result cache: a cold sweep that populates a
-# fresh cache directory, then a warm sweep served entirely from it
-# (-expect-cached fails if anything simulates). Both append labelled
-# entries to BENCH_sim.json, so the cold-vs-warm speedup is on record.
-bench-warm:
-	rm -rf .bench-cache.tmp
-	$(GO) run ./cmd/bench -cache-dir .bench-cache.tmp -label "$${BENCH_LABEL:-dev}-cold"
-	$(GO) run ./cmd/bench -cache-dir .bench-cache.tmp -label "$${BENCH_LABEL:-dev}-warm" -expect-cached
-	rm -rf .bench-cache.tmp
-
 # microbench runs the per-figure/table Go benchmarks.
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -52,25 +36,18 @@ bench-smoke:
 
 # digest-check runs the bench sweep and compares its output digest to
 # the committed goldens — any drift means simulated results changed.
-# The legacy golden pins the contention-free machine; the contended
-# golden pins the 4 B/cycle, 20-cycle-occupancy configuration. SHARDS
-# > 1 runs each simulation's nodes across that many scheduler
-# goroutines; neither digest may move.
+# One golden pins the contention-free machine; the contended golden pins
+# the 4 B/cycle, 20-cycle-occupancy configuration. Each is checked with
+# every simulation's nodes split across 1, 2 and 4 scheduler shards
+# (SHARDS="n ..." overrides the list): identical output at every count is
+# the determinism guarantee of the windowed engine — window planner and
+# contention model included — and four shards takes the planner's
+# two-smallest base scan off its degenerate 2-shard case.
 digest-check:
-	$(GO) run ./cmd/bench -shards "$${SHARDS:-1}" -check testdata/bench.digest
-	$(GO) run ./cmd/bench -shards "$${SHARDS:-1}" -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
-
-# bench-parallel is the sharded-execution smoke: the same digest gates
-# with every simulation split across two and four scheduler shards.
-# Identical output is the determinism guarantee of the windowed engine —
-# adaptive lookahead planning and contention model included. Four shards
-# exercises the planner's two-smallest base scan off its degenerate
-# 2-shard case and the multi-token grant path.
-bench-parallel:
-	$(GO) run ./cmd/bench -shards 2 -check testdata/bench.digest
-	$(GO) run ./cmd/bench -shards 2 -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
-	$(GO) run ./cmd/bench -shards 4 -check testdata/bench.digest
-	$(GO) run ./cmd/bench -shards 4 -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
+	for s in $${SHARDS:-1 2 4}; do \
+		$(GO) run ./cmd/bench -shards $$s -check testdata/bench.digest || exit 1; \
+		$(GO) run ./cmd/bench -shards $$s -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest || exit 1; \
+	done
 
 # cache-check is the result-cache gate: a cold sweep against the pinned
 # digest populates a fresh cache directory; the warm re-run must produce

@@ -22,7 +22,6 @@ func main() {
 	scaleFlag := flag.String("scale", "reduced", "workload scale: reduced or paper")
 	only := flag.String("only", "", "run a single ablation: blocksize, placement, budget, netlatency, firsttouch, migratory, em3d, software, contention")
 	jobs := flag.Int("j", 0, "parallel simulations per sweep (0 = all cores)")
-	shards := flag.Int("shards", 1, "scheduler goroutines per simulation (1..nodes; results identical at every value)")
 	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle for every sweep (0 = infinite, the paper's model; the contention sweep uses its own grid)")
 	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message for every sweep (0 = unbounded concurrency; the contention sweep uses its own grid)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (\"\" = in-process memory cache only)")
@@ -41,9 +40,6 @@ func main() {
 	}
 	if *jobs < 0 {
 		fail(fmt.Errorf("-j %d: worker count must be >= 0", *jobs))
-	}
-	if nodes := harness.MachineConfig(sc, 0).Nodes; *shards < 1 || *shards > nodes {
-		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (%s scale has %d nodes)", *shards, nodes, sc, nodes))
 	}
 	if *linkBW < 0 {
 		fail(fmt.Errorf("-link-bw %d: link bandwidth must be >= 0 bytes/cycle", *linkBW))
@@ -65,7 +61,6 @@ func main() {
 	defer fleetClose()
 	j := *jobs
 	sp := harness.SimParams{
-		Shards:            *shards,
 		LinkBytesPerCycle: *linkBW,
 		OccupancyCycles:   sim.Time(*occupancy),
 		Cache:             cp,
@@ -130,7 +125,7 @@ func main() {
 	// ignores -link-bw/-occupancy.
 	if *only == "" || *only == "contention" {
 		cells, err := harness.ContentionSweep(harness.ContentionOptions{
-			Scale: sc, Workers: j, Shards: *shards, Cache: cp,
+			Scale: sc, Workers: j, Cache: cp,
 			Exec: exec, PointTimeout: *fleetFlags.PointTimeout,
 		})
 		if err != nil {

@@ -1,26 +1,25 @@
-// Command bench runs the tier-1 simulator benchmarks with a single
-// worker and appends a timing entry to BENCH_sim.json, giving the repo
-// a recorded performance trajectory across PRs.
+// Command bench runs the reduced Figure 3 and Figure 4 sweeps and
+// fingerprints the rendered tables: the digest gate every behaviour-
+// preserving change is checked against.
 //
-// Each entry records the wall-clock seconds of a per-app Figure 3 sweep
-// (reduced scale, one worker — so the number measures simulator speed,
-// not host parallelism) plus the reduced Figure 4 EM3D sweep, and a
-// sha256 digest of the rendered tables. The digest must be identical
-// between entries on the same tree shape: performance work that changes
-// it has changed simulated results, not just speed.
+// It prints the wall-clock seconds of a per-app Figure 3 sweep (reduced
+// scale, one worker by default) plus the reduced Figure 4 EM3D sweep,
+// and a sha256 digest of the rendered tables. With -check the digest is
+// compared to a committed golden file and a mismatch exits 1:
+// performance work that changes it has changed simulated results, not
+// just speed. The timings are for orientation only — performance claims
+// are measured with `go run ./benchmark` (BENCHMARK.json).
 //
 // Usage:
 //
-//	go run ./cmd/bench -label after-heap-rework
-//	go run ./cmd/bench -check testdata/bench.digest   # digest gate, no append
-//	go run ./cmd/bench -cpuprofile cpu.out -label profiled
-//	make bench
+//	go run ./cmd/bench                                 # print digest and timings
+//	go run ./cmd/bench -check testdata/bench.digest   # digest gate
+//	go run ./cmd/bench -cpuprofile cpu.out
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,45 +33,9 @@ import (
 	"github.com/tempest-sim/tempest/internal/sim"
 )
 
-// Entry is one benchmark run. Seconds maps measurement name to
-// wall-clock duration; Digest fingerprints the rendered output.
-type Entry struct {
-	Label      string             `json:"label"`
-	Date       string             `json:"date"`
-	Go         string             `json:"go"`
-	NumCPU     int                `json:"num_cpu"`
-	GoMaxProcs int                `json:"gomaxprocs,omitempty"`
-	Workers    int                `json:"workers"`
-	Shards     int                `json:"shards,omitempty"`
-	LinkBW     int                `json:"link_bw,omitempty"`
-	Occupancy  int64              `json:"occupancy,omitempty"`
-	Seconds    map[string]float64 `json:"seconds"`
-	Digest     string             `json:"digest"`
-	Cache      *CacheSummary      `json:"cache,omitempty"`
-}
-
-// CacheSummary records the result-cache telemetry of one bench run, so
-// cold-versus-warm entries in BENCH_sim.json are self-describing.
-type CacheSummary struct {
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	Stores     uint64  `json:"stores"`
-	Verified   uint64  `json:"verified,omitempty"`
-	Corrupt    uint64  `json:"corrupt,omitempty"`
-	Persistent bool    `json:"persistent,omitempty"`
-	Verify     float64 `json:"verify_fraction,omitempty"`
-}
-
-// File is the BENCH_sim.json shape: newest entry last.
-type File struct {
-	Entries []Entry `json:"entries"`
-}
-
 func main() {
-	out := flag.String("out", "BENCH_sim.json", "benchmark trajectory file to append to")
-	label := flag.String("label", "HEAD", "label for this entry (e.g. a PR or commit name)")
 	jobs := flag.Int("j", 1, "parallel simulations (1 isolates simulator speed from host cores)")
-	shards := flag.Int("shards", 1, "scheduler goroutines per simulation (1..8 reduced-scale nodes; the digest is identical at every value)")
+	shards := flag.Int("shards", 1, "scheduler shards per simulation (1..8 reduced-scale nodes; the digest is identical at every value)")
 	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite; non-zero changes the digest)")
 	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded; non-zero changes the digest)")
 	noDedup := flag.Bool("no-dedup", false, "simulate every Figure 3 point, even ones provably identical to a smaller-cache run")
@@ -80,7 +43,7 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (conflicts with -cache-dir and -cache-verify)")
 	cacheVerify := flag.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1]; a mismatch fails the run")
 	expectCached := flag.Bool("expect-cached", false, "fail unless every simulation was served from the cache (requires -cache-dir; the CI warm-run assertion)")
-	check := flag.String("check", "", "golden digest file: compare instead of appending, exit 1 on mismatch")
+	check := flag.String("check", "", "golden digest file: compare the sweep's digest to it, exit 1 on mismatch")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the sweep to this file")
 	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
@@ -132,8 +95,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	seconds := make(map[string]float64)
-	digest := sha256.New()
+	var total float64
 	var rendered strings.Builder
 
 	// Per-app Figure 3 sweeps: one timing per benchmark so regressions
@@ -159,9 +121,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		seconds["figure3/"+app] = time.Since(start).Seconds()
+		secs := time.Since(start).Seconds()
+		total += secs
 		cells = append(cells, cs...)
-		fmt.Fprintf(os.Stderr, "bench: figure3/%s %.2fs\n", app, seconds["figure3/"+app])
+		fmt.Fprintf(os.Stderr, "bench: figure3/%s %.2fs\n", app, secs)
 	}
 	if err := harness.RenderFigure3(&rendered, cells); err != nil {
 		fail(err)
@@ -184,24 +147,20 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	seconds["figure4/em3d-small"] = time.Since(start).Seconds()
-	fmt.Fprintf(os.Stderr, "bench: figure4/em3d-small %.2fs\n", seconds["figure4/em3d-small"])
+	secs := time.Since(start).Seconds()
+	total += secs
+	fmt.Fprintf(os.Stderr, "bench: figure4/em3d-small %.2fs\n", secs)
 	if err := harness.RenderFigure4(&rendered, pts); err != nil {
 		fail(err)
 	}
 
-	var total float64
-	for _, s := range seconds {
-		total += s
-	}
-	seconds["total"] = total
-	digest.Write([]byte(rendered.String()))
-	sum := hex.EncodeToString(digest.Sum(nil))
+	digest := sha256.Sum256([]byte(rendered.String()))
+	sum := hex.EncodeToString(digest[:])
 
 	// How the engines hosted protocol activations across the whole sweep:
 	// inline steps on the scheduler goroutine versus channel handoffs to a
-	// context goroutine. Simulator mechanics only — results are identical
-	// either way (the digest above proves it per run).
+	// context goroutine. Simulator mechanics only, never simulated
+	// behaviour.
 	ds := sim.FleetDispatchStats()
 	if n := ds.InlineSteps + ds.GoroutineSteps; n > 0 {
 		fmt.Fprintf(os.Stderr,
@@ -223,15 +182,9 @@ func main() {
 	// Result-cache fleet summary: how many simulations this run actually
 	// performed versus served from memoized results. Cache activity
 	// never changes the digest — hits reconstruct bit-identical results.
-	var cacheSummary *CacheSummary
 	if cp.Cache != nil {
 		cs := cp.Cache.Stats()
 		fmt.Fprintf(os.Stderr, "bench: cache: %s\n", cs)
-		cacheSummary = &CacheSummary{
-			Hits: cs.Hits, Misses: cs.Misses, Stores: cs.Stores,
-			Verified: cs.Verified, Corrupt: cs.Corrupt,
-			Persistent: cp.Cache.Persistent(), Verify: *cacheVerify,
-		}
 		if *expectCached && (cs.Misses > 0 || cs.Stores > 0 || cs.Corrupt > 0) {
 			fmt.Fprintf(os.Stderr, "bench: EXPECTED FULLY CACHED RUN but saw %s\n", cs)
 			os.Exit(1)
@@ -250,54 +203,20 @@ func main() {
 		f.Close()
 	}
 
-	if *check != "" {
-		raw, err := os.ReadFile(*check)
-		if err != nil {
-			fail(err)
-		}
-		want := strings.TrimSpace(string(raw))
-		if sum != want {
-			fmt.Fprintf(os.Stderr, "bench: DIGEST MISMATCH\n  golden %s (%s)\n  got    %s\nSimulated results changed. If intentional, regenerate the golden file.\n",
-				want, *check, sum)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: digest ok (%s…) total %.2fs\n", sum[:12], total)
+	if *check == "" {
+		fmt.Fprintf(os.Stderr, "bench: total %.2fs\n", total)
+		fmt.Println(sum)
 		return
 	}
-
-	entry := Entry{
-		Label:      *label,
-		Date:       time.Now().UTC().Format("2006-01-02T15:04:05Z"),
-		Go:         runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    *jobs,
-		Shards:     *shards,
-		LinkBW:     *linkBW,
-		Occupancy:  *occupancy,
-		Seconds:    seconds,
-		Digest:     sum,
-		Cache:      cacheSummary,
-	}
-
-	var f File
-	if raw, err := os.ReadFile(*out); err == nil {
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, &f); err != nil {
-				fail(fmt.Errorf("%s: %w (fix or remove the file)", *out, err))
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		fail(err)
-	}
-	f.Entries = append(f.Entries, entry)
-	raw, err := json.MarshalIndent(&f, "", "  ")
+	raw, err := os.ReadFile(*check)
 	if err != nil {
 		fail(err)
 	}
-	if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
-		fail(err)
+	want := strings.TrimSpace(string(raw))
+	if sum != want {
+		fmt.Fprintf(os.Stderr, "bench: DIGEST MISMATCH\n  golden %s (%s)\n  got    %s\nSimulated results changed. If intentional, regenerate the golden file.\n",
+			want, *check, sum)
+		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: %s total %.2fs digest %s… → %s\n",
-		*label, total, entry.Digest[:12], *out)
+	fmt.Fprintf(os.Stderr, "bench: digest ok (%s…) total %.2fs\n", sum[:12], total)
 }

@@ -24,7 +24,6 @@ func main() {
 	scaleFlag := flag.String("scale", "reduced", "workload scale: reduced or paper")
 	appsFlag := flag.String("apps", "", "comma-separated benchmark subset (default: all five)")
 	jobs := flag.Int("j", 0, "parallel simulations (0 = all cores)")
-	shards := flag.Int("shards", 1, "scheduler goroutines per simulation (1..nodes; results identical at every value)")
 	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)")
 	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
 	noDedup := flag.Bool("no-dedup", false, "simulate every sweep point, even ones provably identical to a smaller-cache run")
@@ -45,9 +44,6 @@ func main() {
 	}
 	if *jobs < 0 {
 		fail(fmt.Errorf("-j %d: worker count must be >= 0", *jobs))
-	}
-	if nodes := harness.MachineConfig(scale, 0).Nodes; *shards < 1 || *shards > nodes {
-		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (%s scale has %d nodes)", *shards, nodes, scale, nodes))
 	}
 	if *linkBW < 0 {
 		fail(fmt.Errorf("-link-bw %d: link bandwidth must be >= 0 bytes/cycle", *linkBW))
@@ -70,7 +66,6 @@ func main() {
 	opts := harness.Fig3Options{
 		Scale:             scale,
 		Workers:           *jobs,
-		Shards:            *shards,
 		LinkBytesPerCycle: *linkBW,
 		OccupancyCycles:   sim.Time(*occupancy),
 		NoDedup:           *noDedup,

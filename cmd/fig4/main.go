@@ -22,7 +22,6 @@ func main() {
 	setFlag := flag.String("set", "large", "data set: small or large (the paper uses large)")
 	pcts := flag.String("pcts", "", "comma-separated remote-edge percentages (default 0..50 step 10)")
 	jobs := flag.Int("j", 0, "parallel simulations (0 = all cores)")
-	shards := flag.Int("shards", 1, "scheduler goroutines per simulation (1..nodes; results identical at every value)")
 	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)")
 	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (\"\" = in-process memory cache only)")
@@ -47,9 +46,6 @@ func main() {
 	if *jobs < 0 {
 		fail(fmt.Errorf("-j %d: worker count must be >= 0", *jobs))
 	}
-	if nodes := harness.MachineConfig(scale, 0).Nodes; *shards < 1 || *shards > nodes {
-		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (%s scale has %d nodes)", *shards, nodes, scale, nodes))
-	}
 	if *linkBW < 0 {
 		fail(fmt.Errorf("-link-bw %d: link bandwidth must be >= 0 bytes/cycle", *linkBW))
 	}
@@ -69,7 +65,7 @@ func main() {
 	}
 	defer fleetClose()
 	opts := harness.Fig4Options{
-		Scale: scale, Set: set, Workers: *jobs, Shards: *shards,
+		Scale: scale, Set: set, Workers: *jobs,
 		LinkBytesPerCycle: *linkBW,
 		OccupancyCycles:   sim.Time(*occupancy),
 		Cache:             cp,

@@ -31,7 +31,6 @@ func main() {
 	scaleFlag := flag.String("scale", "reduced", "workload scale: reduced or paper")
 	cacheKB := flag.Int("cache", 0, "CPU cache size in KB (0 = Table 2 default)")
 	nodes := flag.Int("nodes", 0, "node count (0 = scale default)")
-	shards := flag.Int("shards", 1, "scheduler goroutines per simulation (1..nodes; results identical at every value)")
 	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)")
 	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
 	counters := flag.Bool("counters", false, "dump all event counters")
@@ -80,16 +79,12 @@ func main() {
 	if *nodes > 0 {
 		mcfg.Nodes = *nodes
 	}
-	if *shards < 1 || *shards > mcfg.Nodes {
-		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (the machine has %d nodes)", *shards, mcfg.Nodes, mcfg.Nodes))
-	}
 	if *linkBW < 0 {
 		fail(fmt.Errorf("-link-bw %d: link bandwidth must be >= 0 bytes/cycle", *linkBW))
 	}
 	if *occupancy < 0 {
 		fail(fmt.Errorf("-occupancy %d: agent occupancy must be >= 0 cycles", *occupancy))
 	}
-	mcfg.Shards = *shards
 	mcfg.LinkBytesPerCycle = *linkBW
 	mcfg.OccupancyCycles = sim.Time(*occupancy)
 	cp, err := harness.NewCacheParams(*cacheDir, *noCache, *cacheVerify)

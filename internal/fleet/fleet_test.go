@@ -371,6 +371,23 @@ func TestFleetObservedPointsRejected(t *testing.T) {
 	}
 }
 
+// TestFleetBadMachineConfigRefusedAtSubmit pins where a point whose
+// machine config machine.New would panic on stops: at the coordinator's
+// submit, with no worker attached — it is never leased, so it can never
+// reach (and kill) a worker process.
+func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
+	pt := tinyPoint(43)
+	pt.Cfg.Shards = 99 // 4-node machine
+	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
+	if err == nil || !strings.Contains(err.Error(), "99 shards outside [1, 4 nodes]") {
+		t.Fatalf("coordinator: err = %v, want the point refused for its shard count", err)
+	}
+	if s := co.Stats(); s.Leases != 0 {
+		t.Errorf("refused point was leased %d times", s.Leases)
+	}
+}
+
 func TestFleetHandshakeRejects(t *testing.T) {
 	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
 	cases := []struct {

@@ -17,7 +17,7 @@ func sampleMsgs() []Msg {
 		{Verb: "welcome", Args: []string{"abc123"}},
 		{Verb: "reject", Payload: []byte("no thanks")},
 		{Verb: "ready", Args: []string{"2"}},
-		{Verb: "lease", Args: []string{"1", "0"}, Payload: []byte("tempest-point v1\n")},
+		{Verb: "lease", Args: []string{"1", "0"}, Payload: []byte("tempest-point v2\n")},
 		{Verb: "heartbeat", Args: []string{"7"}},
 		{Verb: "result", Args: []string{"1"}, Payload: []byte("abc")},
 		{Verb: "fail", Args: []string{"2"}, Payload: []byte("oops")},

@@ -55,12 +55,10 @@ func NewCacheParams(dir string, noCache bool, verify float64) (CacheParams, erro
 }
 
 // machineKey contributes the machine configuration's semantic fields to
-// a key. Simulator-mechanics knobs — Shards, FixedWindow,
-// GoroutineDispatch — are deliberately excluded: results are
-// bit-identical for every value (the repo's core determinism claim,
-// enforced by TestParallelDeterminism and the digest gates), which is
-// exactly what makes a result recorded at shards=1 valid for a
-// shards=4 run. Everything that changes simulated behaviour — node
+// a key. Shards is deliberately excluded: results are bit-identical for
+// every value (the repo's core determinism claim, enforced by
+// TestShardedVsSerialEquivalence and the digest gates), which is exactly
+// what makes a result recorded at shards=1 valid for a shards=4 run. Everything that changes simulated behaviour — node
 // count, cache geometry, latencies, the contention knobs, DRAM budget,
 // quantum, seed — is included.
 func machineKey(b *resultcache.KeyBuilder, cfg machine.Config) {
@@ -257,30 +255,4 @@ func cachedRun(cp CacheParams, cfg machine.Config, system System, appName string
 	e := entryFromResult(key, code, system, appName, rr.Res)
 	cp.Cache.Put(e)
 	return rr, e, nil
-}
-
-// RunCached is Run behind the result cache: a hit reconstructs the
-// result without building a machine; a miss simulates and stores. With
-// a nil cache it is exactly Run.
-func RunCached(cp CacheParams, cfg machine.Config, system System, app apps.App) (RunResult, error) {
-	if !cp.enabled() {
-		return Run(cfg, system, app)
-	}
-	appFields, err := appKeyFields(app)
-	if err != nil {
-		return RunResult{}, err
-	}
-	rr, _, err := cachedRun(cp, cfg, system, app.Name(), appFields, nil,
-		func() (RunResult, error) { return Run(cfg, system, app) })
-	return rr, err
-}
-
-// RunEM3DUpdateCached is RunEM3DUpdate behind the result cache.
-func RunEM3DUpdateCached(cp CacheParams, cfg machine.Config, ecfg em3d.Config) (RunResult, error) {
-	if !cp.enabled() {
-		return RunEM3DUpdate(cfg, ecfg)
-	}
-	rr, _, err := cachedRun(cp, cfg, SysUpdate, "em3d-update", em3dKey(ecfg), nil,
-		func() (RunResult, error) { return RunEM3DUpdate(cfg, ecfg) })
-	return rr, err
 }

@@ -36,19 +36,22 @@ func stripEngine(rr RunResult) RunResult {
 	return rr
 }
 
-func TestRunCachedHitSkipsSimulation(t *testing.T) {
-	cp := memCache(t)
+// oceanPoint is the one point these tests memoize: reduced small-set
+// ocean on Stache at 4 KB caches.
+func oceanPoint(shards int) Point {
 	cfg := MachineConfig(ScaleReduced, 4<<10)
+	cfg.Shards = shards
+	return Point{Cfg: cfg, System: SysStache, Bench: "ocean", Scale: ScaleReduced, Set: SetSmall}
+}
+
+func TestRunPointHitSkipsSimulation(t *testing.T) {
+	cp := memCache(t)
 	run := func() RunResult {
-		app, err := MakeApp("ocean", ScaleReduced, SetSmall)
+		pr, err := RunPoint(cp, oceanPoint(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := RunCached(cp, cfg, SysStache, app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rr
+		return pr.RunResult
 	}
 	fresh := run()
 	if s := cp.Cache.Stats(); s.Misses != 1 || s.Stores != 1 || s.Hits != 0 {
@@ -68,39 +71,23 @@ func TestRunCachedHitSkipsSimulation(t *testing.T) {
 // the same machine, and match what that run would have simulated.
 func TestWarmCacheServesAcrossShardCounts(t *testing.T) {
 	cp := memCache(t)
-	cfgFor := func(shards int) func() RunResult {
-		return func() RunResult {
-			cfg := MachineConfig(ScaleReduced, 4<<10)
-			cfg.Shards = shards
-			app, err := MakeApp("ocean", ScaleReduced, SetSmall)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rr, err := RunCached(cp, cfg, SysStache, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rr
-		}
+	if _, err := RunPoint(cp, oceanPoint(1)); err != nil { // warm at shards=1
+		t.Fatal(err)
 	}
-	cfgFor(1)() // warm at shards=1
-	served := cfgFor(2)()
+	served, err := RunPoint(cp, oceanPoint(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s := cp.Cache.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want the shards=2 run to be a pure hit", s)
 	}
 	// The served result must equal an actual shards=2 simulation
 	// (modulo engine.* counters, which describe the host, not the run).
-	app, err := MakeApp("ocean", ScaleReduced, SetSmall)
+	fresh, err := oceanPoint(2).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MachineConfig(ScaleReduced, 4<<10)
-	cfg.Shards = 2
-	fresh, err := Run(cfg, SysStache, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripEngine(fresh), served) {
+	if !reflect.DeepEqual(stripEngine(fresh), served.RunResult) {
 		t.Errorf("shards=1 entry diverges from shards=2 simulation:\nfresh %+v\nserved %+v", stripEngine(fresh), served)
 	}
 }
@@ -122,12 +109,8 @@ func TestCacheVerifyPassAndMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := MakeApp("ocean", ScaleReduced, SetSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, rerr := RunCached(cp, MachineConfig(ScaleReduced, 4<<10), SysStache, app)
-		return cp, rr, rerr
+		pr, rerr := RunPoint(cp, oceanPoint(1))
+		return cp, pr.RunResult, rerr
 	}
 	if _, _, err := warm(0); err != nil {
 		t.Fatal(err)
@@ -176,11 +159,7 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := MakeApp("ocean", ScaleReduced, SetSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunCached(cp1, MachineConfig(ScaleReduced, 4<<10), SysStache, app)
+	want, err := RunPoint(cp1, oceanPoint(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,18 +176,14 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app2, err := MakeApp("ocean", ScaleReduced, SetSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunCached(cp2, MachineConfig(ScaleReduced, 4<<10), SysStache, app2)
+	got, err := RunPoint(cp2, oceanPoint(1))
 	if err != nil {
 		t.Fatalf("damaged entry failed the run: %v", err)
 	}
 	if s := cp2.Cache.Stats(); s.Corrupt != 1 || s.Stores != 1 || s.Hits != 0 {
 		t.Fatalf("stats = %+v, want 1 corrupt fallback re-stored", s)
 	}
-	if !reflect.DeepEqual(stripEngine(want), stripEngine(got)) {
+	if !reflect.DeepEqual(stripEngine(want.RunResult), stripEngine(got.RunResult)) {
 		t.Error("fallback simulation diverges from the original run")
 	}
 	// The overwritten entry is whole again.

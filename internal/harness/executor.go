@@ -146,15 +146,14 @@ func submitPoints(exec Executor, cp CacheParams, workers int, timeout time.Durat
 	})
 }
 
-// RunPoint executes one point through the cache funnel: Observed points
-// go through the differential harness, NoCache (and cache-disabled)
-// points simulate directly, everything else memoizes through cachedRun
-// and publishes any witness aliases the point declares.
+// RunPoint executes one point: Observed points go through the
+// differential harness; everything else goes through the cache funnel
+// (RunPointEntry) and drops the entry.
 func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
-	if err := pt.Validate(); err != nil {
-		return PointResult{}, err
-	}
 	if pt.Observed {
+		if err := pt.Validate(); err != nil {
+			return PointResult{}, err
+		}
 		obs, err := pt.runObserved()
 		if err != nil {
 			return PointResult{}, err
@@ -164,26 +163,15 @@ func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
 			Obs:       &obs,
 		}, nil
 	}
-	if pt.NoCache || !cp.enabled() {
-		rr, err := pt.Simulate()
-		return PointResult{RunResult: rr}, err
-	}
-	name, appFields, extra, err := pt.keyParts()
-	if err != nil {
-		return PointResult{}, err
-	}
-	rr, entry, err := cachedRun(cp, pt.Cfg, pt.System, name, appFields, extra,
-		pt.Simulate)
-	if err != nil {
-		return PointResult{}, err
-	}
-	StoreWitnessAliases(cp.Cache, pt, entry)
-	return PointResult{RunResult: rr, Origin: entry.Origin}, nil
+	pr, _, err := RunPointEntry(cp, pt)
+	return pr, err
 }
 
-// RunPointEntry is RunPoint for executors that also need the point's
-// cache entry — a fleet worker sends the entry over the wire, and the
-// entry must exist even when the worker runs cacheless. Observed points
+// RunPointEntry is the cache funnel: NoCache (and cache-disabled) points
+// simulate directly, everything else memoizes through cachedRun and
+// publishes any witness aliases the point declares. It also returns the
+// point's cache entry — a fleet worker sends the entry over the wire, so
+// the entry exists even when the point ran cacheless. Observed points
 // have no entry form and are rejected.
 func RunPointEntry(cp CacheParams, pt Point) (PointResult, *resultcache.Entry, error) {
 	if err := pt.Validate(); err != nil {
@@ -192,31 +180,26 @@ func RunPointEntry(cp CacheParams, pt Point) (PointResult, *resultcache.Entry, e
 	if pt.Observed {
 		return PointResult{}, nil, errors.New("harness: observed points have no cacheable entry form (run them locally)")
 	}
-	if !pt.NoCache && cp.enabled() {
-		name, appFields, extra, err := pt.keyParts()
-		if err != nil {
-			return PointResult{}, nil, err
-		}
-		rr, entry, err := cachedRun(cp, pt.Cfg, pt.System, name, appFields, extra,
-			pt.Simulate)
-		if err != nil {
-			return PointResult{}, nil, err
-		}
-		StoreWitnessAliases(cp.Cache, pt, entry)
-		return PointResult{RunResult: rr, Origin: entry.Origin}, entry, nil
-	}
-	code := CodeID()
 	name, appFields, extra, err := pt.keyParts()
 	if err != nil {
 		return PointResult{}, nil, err
 	}
-	rr, err := pt.Simulate()
+	if pt.NoCache || !cp.enabled() {
+		rr, err := pt.Simulate()
+		if err != nil {
+			return PointResult{}, nil, err
+		}
+		code := CodeID()
+		entry := entryFromResult(runKey(code, pt.Cfg, pt.System, name, appFields, extra),
+			code, pt.System, name, rr.Res)
+		return PointResult{RunResult: rr}, entry, nil
+	}
+	rr, entry, err := cachedRun(cp, pt.Cfg, pt.System, name, appFields, extra, pt.Simulate)
 	if err != nil {
 		return PointResult{}, nil, err
 	}
-	entry := entryFromResult(runKey(code, pt.Cfg, pt.System, name, appFields, extra),
-		code, pt.System, name, rr.Res)
-	return PointResult{RunResult: rr}, entry, nil
+	StoreWitnessAliases(cp.Cache, pt, entry)
+	return PointResult{RunResult: rr, Origin: entry.Origin}, entry, nil
 }
 
 // StoreWitnessAliases publishes the zero-eviction witness aliases a

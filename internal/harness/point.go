@@ -26,9 +26,9 @@ import (
 // fleet coordinator lease sweep points to remote workers and verify
 // the results against locally computed cache keys.
 type Point struct {
-	// Cfg is the machine configuration, simulator-mechanics knobs
-	// included (those are excluded from the cache key; results are
-	// bit-identical for every value).
+	// Cfg is the machine configuration, the shard count included (it is
+	// excluded from the cache key; results are bit-identical for every
+	// value).
 	Cfg machine.Config
 	// System is the simulated target.
 	System System
@@ -100,10 +100,22 @@ func (pt Point) stacheVariant() bool {
 }
 
 // Validate rejects structurally impossible points before any machine is
-// built, so a fleet coordinator can refuse them at submit time.
+// built, so a fleet coordinator can refuse them at submit time. A point
+// can arrive over the wire, so everything machine.New would panic on is
+// an error here.
 func (pt Point) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("harness: point %s: %s", pt.Label(), fmt.Sprintf(format, args...))
+	}
+	cfg := pt.Cfg.Normalized()
+	if cfg.Nodes < 1 {
+		return bad("%d nodes", cfg.Nodes)
+	}
+	if cfg.Shards < 1 || cfg.Shards > cfg.Nodes {
+		return bad("%d shards outside [1, %d nodes]", cfg.Shards, cfg.Nodes)
+	}
+	if cfg.LinkBytesPerCycle < 0 {
+		return bad("negative link bandwidth %d", cfg.LinkBytesPerCycle)
 	}
 	switch pt.System {
 	case SysDirNNB, SysStache, SysUpdate, SysBlizzard:
@@ -270,7 +282,7 @@ func (pt Point) runObserved() (DiffObservation, error) {
 // pointMagic is the wire-format header; bumping the version makes every
 // older coordinator/worker pairing reject the payload instead of
 // misreading it.
-const pointMagic = "tempest-point v1"
+const pointMagic = "tempest-point v2"
 
 // Encode renders the point's canonical byte form: header, fixed-order
 // lines (optional ones omitted when zero), and a trailing sha256 line —
@@ -279,12 +291,11 @@ const pointMagic = "tempest-point v1"
 func (pt Point) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", pointMagic)
-	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d %d %s %d %s\n",
+	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
 		pt.Cfg.Nodes, pt.Cfg.CacheSize, pt.Cfg.CacheWays, pt.Cfg.BlockSize, pt.Cfg.TLBEntries,
 		pt.Cfg.LocalMissCycles, pt.Cfg.TLBMissCycles, pt.Cfg.NetLatency, pt.Cfg.BarrierLatency,
 		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.MemPagesPerNode, pt.Cfg.Quantum,
-		pt.Cfg.Seed, strconv.FormatBool(pt.Cfg.GoroutineDispatch), pt.Cfg.Shards,
-		strconv.FormatBool(pt.Cfg.FixedWindow))
+		pt.Cfg.Seed, pt.Cfg.Shards)
 	fmt.Fprintf(&b, "system %s\n", pt.System)
 	if pt.Bench != "" {
 		fmt.Fprintf(&b, "bench %s\n", pt.Bench)
@@ -436,8 +447,8 @@ func DecodePoint(data []byte) (Point, error) {
 		return pt, d.fail("missing cfg line")
 	}
 	parts := strings.Split(cfgTok, " ")
-	if len(parts) != 17 {
-		return pt, d.fail(fmt.Sprintf("cfg line has %d fields, want 17", len(parts)))
+	if len(parts) != 15 {
+		return pt, d.fail(fmt.Sprintf("cfg line has %d fields, want 15", len(parts)))
 	}
 	ints := make([]int64, 13)
 	for i := range ints {
@@ -460,17 +471,11 @@ func DecodePoint(data []byte) (Point, error) {
 		return pt, d.fail("cfg seed: " + err.Error())
 	}
 	pt.Cfg.Seed = seed
-	if pt.Cfg.GoroutineDispatch, err = canonBool(parts[14]); err != nil {
-		return pt, d.fail("cfg goroutine-dispatch: " + err.Error())
-	}
-	shards, err := canonInt(parts[15])
+	shards, err := canonInt(parts[14])
 	if err != nil {
 		return pt, d.fail("cfg shards: " + err.Error())
 	}
 	pt.Cfg.Shards = int(shards)
-	if pt.Cfg.FixedWindow, err = canonBool(parts[16]); err != nil {
-		return pt, d.fail("cfg fixed-window: " + err.Error())
-	}
 
 	sysTok, ok := d.optional("system")
 	if !ok {

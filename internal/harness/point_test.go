@@ -25,7 +25,6 @@ func testPoints() []Point {
 	cfg := machine.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.Shards = 2
-	cfg.FixedWindow = true
 	cfg.LinkBytesPerCycle = 4
 	cfg.OccupancyCycles = 20
 	return []Point{
@@ -68,11 +67,10 @@ func TestDecodePointRejectsCorruption(t *testing.T) {
 	// A genuine version skew arrives checksum-valid: the sender summed
 	// its own (newer) encoding.
 	body := enc[:bytes.LastIndex(enc[:len(enc)-1], []byte("\n"))+1]
-	skew := bytes.Replace(body, []byte("tempest-point v1"), []byte("tempest-point v9"), 1)
-	sum := sha256.Sum256(skew)
-	cases["version skew"] = append(skew, []byte("sum "+hex.EncodeToString(sum[:])+"\n")...)
+	skew := bytes.Replace(body, []byte(pointMagic), []byte("tempest-point v9"), 1)
+	cases["version skew"] = withSum(skew)
 	flipped := append([]byte(nil), enc...)
-	flipped[len("tempest-point v1\ncfg ")] ^= 0x01
+	flipped[len(pointMagic+"\ncfg ")] ^= 0x01
 	cases["flipped byte"] = flipped
 	for name, data := range cases {
 		if _, err := DecodePoint(data); err == nil {
@@ -85,6 +83,52 @@ func TestDecodePointRejectsCorruption(t *testing.T) {
 	// with a diagnosis rather than a generic parse error.
 	if _, err := DecodePoint(cases["version skew"]); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Errorf("version skew not diagnosed: %v", err)
+	}
+}
+
+// withSum appends the checksum line a sender would compute over body.
+func withSum(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(body[:len(body):len(body)], []byte("sum "+hex.EncodeToString(sum[:])+"\n")...)
+}
+
+// TestDecodePointV1IsVersionSkew feeds the decoder a well-formed point
+// as a v1 sender encodes it (17-field cfg line with the two mode
+// booleans): a worker or coordinator left on the old format must be told
+// so, not handed a field-count parse error.
+func TestDecodePointV1IsVersionSkew(t *testing.T) {
+	v1 := withSum([]byte("tempest-point v1\n" +
+		"cfg 8 4096 4 32 64 29 25 11 11 0 0 0 0 1 false 1 false\n" +
+		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
+	_, err := DecodePoint(v1)
+	if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
+		t.Fatalf("v1 payload: err = %v, want a version-skew error naming %q", err, pointMagic)
+	}
+}
+
+// TestRunPointRejectsBadMachineConfig is the wire-to-panic regression: a
+// checksum-valid point whose machine config machine.New would panic on
+// (one bad lease payload used to kill a fleet worker) must come back
+// from decode + RunPoint as a structured error naming the point.
+func TestRunPointRejectsBadMachineConfig(t *testing.T) {
+	good := Point{Cfg: MachineConfig(ScaleReduced, 4<<10), System: SysStache,
+		Bench: "ocean", Scale: ScaleReduced, Set: SetSmall, NoCache: true}
+	for name, mutate := range map[string]func(*machine.Config){
+		"shards above nodes": func(c *machine.Config) { c.Shards = 99 },
+		"negative shards":    func(c *machine.Config) { c.Shards = -1 },
+		"negative nodes":     func(c *machine.Config) { c.Nodes = -4 },
+		"negative link bw":   func(c *machine.Config) { c.LinkBytesPerCycle = -1 },
+	} {
+		pt := good
+		mutate(&pt.Cfg)
+		decoded, err := DecodePoint(pt.Encode())
+		if err != nil {
+			t.Fatalf("%s: the wire form itself is well-formed, decode failed: %v", name, err)
+		}
+		_, err = RunPoint(CacheParams{}, decoded)
+		if err == nil || !strings.HasPrefix(err.Error(), "harness: point "+pt.Label()+": ") {
+			t.Errorf("%s: RunPoint err = %v, want a harness: point %s: … error", name, err, pt.Label())
+		}
 	}
 }
 

@@ -63,25 +63,15 @@ type Config struct {
 	Quantum sim.Time
 	// Seed drives random cache replacement.
 	Seed uint64
-	// GoroutineDispatch forces every stepper context (NP dispatch loops)
-	// through its standby goroutine instead of inline dispatch — the
-	// pre-stepper execution model. Results are bit-identical either way;
-	// the flag exists for equivalence tests and A/B measurement.
-	GoroutineDispatch bool
-	// Shards runs the simulation itself in parallel: nodes are
-	// partitioned across this many scheduler goroutines executing
-	// conservative time windows. The engine plans adaptive per-shard
-	// windows bounded below by min(NetLatency, BarrierLatency) cycles —
-	// the machine's cross-node interaction latency floor. Results are
-	// bit-identical for every value. Zero means 1 (serial); values
-	// outside [1, Nodes] are rejected by New.
+	// Shards partitions the nodes across this many scheduler shards,
+	// which the engine advances in conservative time windows: adaptive
+	// per-shard windows bounded below by min(NetLatency, BarrierLatency)
+	// cycles — the machine's cross-node interaction latency floor.
+	// Results are bit-identical for every value, and no value makes a run
+	// faster (one goroutine runs the windows in turn); the determinism
+	// gates and shard-local tracing are what use it. Zero means 1
+	// (serial); values outside [1, Nodes] are rejected by New.
 	Shards int
-	// FixedWindow pins every shard window to the legacy fixed
-	// min(NetLatency, BarrierLatency) lockstep grant instead of the
-	// adaptive per-shard bounds. Results are bit-identical either way;
-	// the flag exists for A/B equivalence tests and overhead
-	// measurement.
-	FixedWindow bool
 }
 
 // DefaultConfig returns the Table 2 parameters: 32 nodes, 256 KB 4-way
@@ -217,10 +207,6 @@ func New(cfg Config) *Machine {
 	if cfg.LinkBytesPerCycle < 0 {
 		panic(fmt.Sprintf("machine: negative link bandwidth %d", cfg.LinkBytesPerCycle))
 	}
-	engOpts := []sim.Option{sim.WithQuantum(cfg.Quantum)}
-	if cfg.GoroutineDispatch {
-		engOpts = append(engOpts, sim.WithGoroutineDispatch())
-	}
 	netCfg := network.Config{
 		Nodes:             cfg.Nodes,
 		Latency:           cfg.NetLatency,
@@ -238,17 +224,14 @@ func New(cfg Config) *Machine {
 	if cfg.BarrierLatency < window {
 		window = cfg.BarrierLatency
 	}
-	engOpts = append(engOpts, sim.WithShards(cfg.Shards, cfg.Nodes, window),
-		// The adaptive planner's lookahead: only the network delivers
+	eng := sim.NewEngine(sim.WithQuantum(cfg.Quantum),
+		sim.WithShards(cfg.Shards, cfg.Nodes, window),
+		// The window planner's lookahead: only the network delivers
 		// cross-shard events (barrier arrivals merge separately), so its
 		// earliest contended delivery — the wire latency — bounds every
 		// cross-shard event's distance, even when the barrier latency
 		// pulls the base window below it.
 		sim.WithCrossShardDelivery(netCfg.MinCrossShardDelivery()))
-	if cfg.FixedWindow {
-		engOpts = append(engOpts, sim.WithFixedWindows())
-	}
-	eng := sim.NewEngine(engOpts...)
 	m := &Machine{
 		Cfg: cfg,
 		Eng: eng,

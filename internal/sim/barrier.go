@@ -7,8 +7,8 @@ import "fmt"
 // arrive, and all are released latency cycles after the last arrival.
 //
 // Under sharded execution the barrier is a cross-shard interaction, so
-// arrivals are staged per shard and folded by the window coordinator at
-// each boundary; the release time — max(arrival times) + latency — and
+// arrivals are staged per shard and folded by the round's merge at each
+// window boundary; the release time — max(arrival times) + latency — and
 // every released context's runnable key are identical to the serial
 // computation, because both are functions of the arrival times alone.
 // The barrier latency must therefore be at least the engine's lookahead
@@ -23,8 +23,8 @@ type Barrier struct {
 	epochs  uint64
 
 	// staged holds this window's arrivals per shard (sharded engines
-	// only; nil on serial engines). Arrivers always park and the
-	// coordinator releases them at a boundary.
+	// only; nil on serial engines). Arrivers always park and the round's
+	// merge releases them at a boundary.
 	staged [][]*Context
 
 	onRelease func(epoch uint64, at Time)
@@ -32,7 +32,7 @@ type Barrier struct {
 
 // NewBarrier returns a barrier for n participants with the given release
 // latency in cycles. On a sharded engine the barrier registers itself
-// with the window coordinator; create barriers before Run.
+// with the window planner; create barriers before Run.
 func NewBarrier(eng *Engine, n int, latency Time) *Barrier {
 	if n <= 0 {
 		panic("sim: barrier requires at least one participant")
@@ -57,7 +57,7 @@ func (b *Barrier) Epochs() uint64 { return b.epochs }
 // is suspended at the barrier, so the callback may inspect simulated
 // state mid-run — the hook exists for invariant checking in tests. It
 // must not advance simulated time. On a sharded engine the callback runs
-// on the coordinator at a window boundary: the release values are
+// in the round's merge at a window boundary: the release values are
 // identical to serial, but other contexts may have run further into the
 // window than they would have at the serial release instant.
 func (b *Barrier) OnRelease(fn func(epoch uint64, at Time)) { b.onRelease = fn }
@@ -66,7 +66,7 @@ func (b *Barrier) OnRelease(fn func(epoch uint64, at Time)) { b.onRelease = fn }
 // arrived, then releases everyone at max(arrival times) + latency.
 func (b *Barrier) Arrive(c *Context) {
 	if b.staged != nil {
-		// Sharded: stage the arrival for the coordinator and park. The
+		// Sharded: stage the arrival for the round's merge and park. The
 		// release (at the boundary) recomputes maxTime from the staged
 		// arrivals, so nothing else is recorded here. The window planner
 		// lower-bounds the release from the non-daemon contexts that have
@@ -105,8 +105,8 @@ func (b *Barrier) Arrive(c *Context) {
 }
 
 // mergeStaged folds one window's staged arrivals into the barrier and,
-// if every participant has arrived, releases them. Called by the window
-// coordinator between windows, conch-held on every shard. At most one
+// if every participant has arrived, releases them. Called by the round's
+// merge between windows, conch-held on every shard. At most one
 // epoch can complete per boundary: an epoch's arrivals all require the
 // previous epoch's release, which itself happens at a boundary.
 func (b *Barrier) mergeStaged() {
@@ -127,8 +127,8 @@ func (b *Barrier) mergeStaged() {
 	}
 	release := b.maxTime + b.latency
 	for _, w := range b.waiting {
-		// Unpark from the coordinator: every shard's conch is parked
-		// here between windows, so pushing the context onto its shard's
+		// Unpark from the merge: the chain goroutine holds every shard's
+		// conch between windows, so pushing the context onto its shard's
 		// runnable heap is safe, and the runnable key (release, prio,
 		// id) matches the serial release exactly. The release time is
 		// never below any limit the planner has granted — every granted

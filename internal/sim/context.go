@@ -1,0 +1,610 @@
+package sim
+
+import "fmt"
+
+// State describes a context's scheduling state.
+type State uint8
+
+// Context scheduling states.
+const (
+	StateNew State = iota
+	StateRunnable
+	StateRunning
+	StateParked
+	StateDone
+)
+
+func (s State) String() string {
+	switch s {
+	case StateNew:
+		return "new"
+	case StateRunnable:
+		return "runnable"
+	case StateRunning:
+		return "running"
+	case StateParked:
+		return "parked"
+	case StateDone:
+		return "done"
+	}
+	return "invalid"
+}
+
+// shutdownSignal is panicked through a context goroutine when the engine
+// tears down daemons after Run completes.
+type shutdownSignal struct{}
+
+// schedUnwind is panicked through suspended stepper frames pinning the
+// root goroutine when a serial run ends first (abort, or quiescence while
+// the step is parked mid-flight): the acting scheduler's final root grant
+// arrives at the pinned frames instead of at Run's re-acquire loop, and
+// they unwind to Run, which reports the outcome. Run recovers it. Sharded
+// runs have no root scheduler — the chain goroutine and its spares are
+// pool-style — so pinned hosts there unwind via shutdownSignal when Run
+// returns instead.
+type schedUnwind struct{}
+
+// Step is a stepper context's body: one run-to-completion dispatch. It
+// returns false when no work is pending, which suspends the context in
+// the parked state (its idle reason) until the next Unpark; returning
+// true immediately runs the next step with no scheduling point between
+// steps.
+type Step func(*Context) bool
+
+// Context is a simulated instruction stream scheduled by an Engine.
+type Context struct {
+	eng  *Engine
+	sh   *shard
+	id   int
+	name string
+
+	time      Time
+	lastYield Time
+	state     State
+	daemon    bool
+	prio      uint8 // tie-break class: compute contexts (0) run before daemons (1)
+
+	parkReason    string
+	pendingUnpark bool
+	pendingAt     Time
+
+	// atBarrier is the sharded barrier this context is waiting at (nil
+	// otherwise). The window planner uses it to tell barrier waiters —
+	// woken only by the barrier's merged release — from contexts that may
+	// still arrive, when lower-bounding the release time.
+	atBarrier *Barrier
+
+	resumeCh chan struct{}
+	body     func(*Context)
+
+	// Stepper state. step is non-nil for stepper contexts; idleReason is
+	// the park reason reported while the stepper has no work. needG marks
+	// a stepper whose current step is suspended mid-flight on a host
+	// goroutine (it must be resumed there, over the channel protocol).
+	// noBlock counts active MustNotBlock sections: Park panics while it is
+	// positive, asserting run-to-completion handlers.
+	step       Step
+	idleReason string
+	needG      bool
+	// rootHosted marks a suspended step whose host goroutine is the root
+	// (the activation was dispatched inline by the root acting as
+	// scheduler, then suspended). Such a step must wait with an ear on
+	// rootWake: if the run ends while its frames pin the root stack, the
+	// final role grant arrives there and unwinds them so Run can finish.
+	rootHosted bool
+	noBlock    int
+	// lazyYield records a LazyYield request: the reschedule happens at
+	// the context's next timing operation, or free of any frame
+	// suspension at the current step's boundary. lazyQuantum records a
+	// deferred quantum force-yield: it materialises only at the step
+	// boundary, because a handler is atomic on the real hardware
+	// (paper §4.2) and deferring the reschedule to the boundary keeps
+	// the handler's shared-state effects on one side of the window.
+	lazyYield   bool
+	lazyQuantum bool
+}
+
+// ID returns the context's creation-order identifier.
+func (c *Context) ID() int { return c.id }
+
+// Name returns the context's diagnostic name.
+func (c *Context) Name() string { return c.name }
+
+// Time returns the context's local clock.
+func (c *Context) Time() Time { return c.time }
+
+// State returns the context's scheduling state.
+func (c *Context) State() State { return c.state }
+
+// Engine returns the engine that owns this context.
+func (c *Context) Engine() *Engine { return c.eng }
+
+// Spawn creates a context on shard 0 that must finish before Run can
+// succeed. Spawning is allowed both before Run and from inside a running
+// context or event; the new context starts at the current shard time.
+func (e *Engine) Spawn(name string, body func(*Context)) *Context {
+	return e.SpawnOn(0, name, body)
+}
+
+// SpawnOn is Spawn for the shard that owns node: the context is the
+// instruction stream of that simulated node, scheduled and clocked with
+// the rest of its shard.
+func (e *Engine) SpawnOn(node int, name string, body func(*Context)) *Context {
+	c := e.spawn(name, false, e.sh[e.ShardOf(node)])
+	c.body = body
+	go c.run()
+	return c
+}
+
+// SpawnDaemon creates a context that services the machine (for example an
+// NP dispatch loop). Run does not wait for daemons to finish; they are
+// torn down after all non-daemon contexts complete and the event queue
+// drains. Daemons lose scheduling ties against regular contexts: a
+// compute processor whose retried bus transaction and a service
+// processor's next handler are due at the same cycle models the bus
+// granting the retried access first, which is what guarantees forward
+// progress in the simulated protocols.
+func (e *Engine) SpawnDaemon(name string, body func(*Context)) *Context {
+	c := e.spawn(name, true, e.sh[0])
+	c.body = body
+	go c.run()
+	return c
+}
+
+// SpawnStepper creates a stepper context on shard 0: step is invoked
+// inline by the scheduler, runs to completion, and returns false to idle
+// the context under the given park reason until the next Unpark.
+func (e *Engine) SpawnStepper(name string, step Step, idleReason string) *Context {
+	c := e.spawn(name, false, e.sh[0])
+	c.step = step
+	c.idleReason = idleReason
+	return c
+}
+
+// SpawnStepperDaemon is SpawnStepper for a daemon context (the NP
+// dispatch loop: torn down at quiescence, loses scheduling ties).
+func (e *Engine) SpawnStepperDaemon(name string, step Step, idleReason string) *Context {
+	return e.SpawnStepperDaemonOn(0, name, step, idleReason)
+}
+
+// SpawnStepperDaemonOn is SpawnStepperDaemon on the shard that owns node.
+func (e *Engine) SpawnStepperDaemonOn(node int, name string, step Step, idleReason string) *Context {
+	c := e.spawn(name, true, e.sh[e.ShardOf(node)])
+	c.step = step
+	c.idleReason = idleReason
+	return c
+}
+
+func (e *Engine) spawn(name string, daemon bool, sh *shard) *Context {
+	if e.started && len(e.sh) > 1 {
+		panic("sim: cannot spawn during a sharded run")
+	}
+	var prio uint8
+	if daemon {
+		prio = 1
+	}
+	c := &Context{
+		eng:       e,
+		sh:        sh,
+		id:        len(e.contexts),
+		name:      name,
+		time:      sh.now,
+		lastYield: sh.now,
+		state:     StateRunnable,
+		daemon:    daemon,
+		prio:      prio,
+		resumeCh:  make(chan struct{}, 1),
+	}
+	e.contexts = append(e.contexts, c)
+	sh.runnable.push(c)
+	return c
+}
+
+func (c *Context) run() {
+	defer c.goroutineExit()
+	// Wait for the first dispatch before touching any simulated state.
+	c.await()
+	c.onDispatched()
+	c.body(c)
+}
+
+// contextPanicError turns a recovered context-body panic into the run's
+// abort error. Error values are wrapped (not flattened to a string) so
+// callers of Engine.Run can unwrap structured failures — e.g. a memory
+// system panicking with a typed protocol error on a user-reachable
+// condition — with errors.As.
+func contextPanicError(name string, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("sim: context %q panicked: %w", name, err)
+	}
+	return fmt.Errorf("sim: context %q panicked: %v", name, r)
+}
+
+// goroutineExit is the shared teardown of a context goroutine: engine
+// shutdown unwinds silently, a body panic is captured as the shard's
+// abort error, and a finished body hands the conch back.
+func (c *Context) goroutineExit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(shutdownSignal); ok {
+			return // engine teardown; nobody is waiting on backCh
+		}
+		c.sh.abort = contextPanicError(c.name, r)
+	}
+	c.state = StateDone
+	// Hand the conch back to the engine, unless the engine is gone.
+	select {
+	case c.sh.backCh <- struct{}{}:
+	case <-c.eng.shutdown:
+	}
+}
+
+// await blocks until the engine dispatches this context, panicking with
+// shutdownSignal if the engine shut down instead.
+func (c *Context) await() {
+	select {
+	case <-c.resumeCh:
+	case <-c.eng.shutdown:
+		panic(shutdownSignal{})
+	}
+}
+
+// runSteps executes step bodies back-to-back — the dispatch loop never
+// reschedules between handlers (paper §5.1) — until the stepper goes
+// idle, then takes the idle boundary exactly as Park would: a pending
+// wakeup converts it into a reschedule, otherwise the context parks
+// under its idle reason. The caller (inline dispatch, or the host
+// goroutine resumed after a mid-step suspension) regains control at the
+// boundary.
+func (c *Context) runSteps() {
+	for {
+		// Re-evaluated each step: a mid-step suspension hands the
+		// scheduler role away, after which this goroutine is a plain
+		// host and later steps of the activation are goroutine steps.
+		if c.sh.inline == c {
+			c.sh.dstats.InlineSteps++
+		} else {
+			c.sh.dstats.GoroutineSteps++
+		}
+		ok := c.step(c)
+		if c.lazyYield || c.lazyQuantum {
+			// A pending reschedule — a Resume or a deferred quantum
+			// force-yield — reached the step boundary: take it by
+			// returning to the scheduler runnable. Neither host suspends
+			// a frame for this, which is what makes dispatch run inline.
+			c.lazyYield = false
+			c.lazyQuantum = false
+			c.needG = false
+			c.rootHosted = false
+			c.state = StateRunnable
+			c.sh.runnable.push(c)
+			return
+		}
+		if ok {
+			continue
+		}
+		if c.pendingUnpark {
+			c.pendingUnpark = false
+			if c.pendingAt > c.time {
+				c.time = c.pendingAt
+			}
+			c.needG = false
+			c.rootHosted = false
+			c.state = StateRunnable
+			c.sh.runnable.push(c)
+			return
+		}
+		c.parkReason = c.idleReason
+		c.state = StateParked
+		c.needG = false
+		c.rootHosted = false
+		if c.sh.inline == c {
+			c.sh.dstats.ParksAvoided++
+		}
+		return
+	}
+}
+
+// Advance charges n cycles of local execution. If the context has run more
+// than the engine quantum past its last scheduling point it yields so that
+// other contexts (and pending events) catch up.
+func (c *Context) Advance(n Time) {
+	c.Sync()
+	c.time += n
+	if c.time-c.lastYield >= c.eng.quantum {
+		if c.step != nil {
+			// Steppers take the forced yield lazily: it materialises at
+			// the next interaction point (the following Advance, a shared
+			// memory or TLB access, an event or unpark) or for free at
+			// the step boundary. Only context-local work sits between the
+			// crossing and the materialisation point, so the scheduling
+			// order other contexts observe is unchanged.
+			c.lazyQuantum = true
+		} else {
+			c.Yield()
+		}
+	}
+}
+
+// AdvanceAtomic charges n cycles without any possibility of yielding. Use
+// inside sections that must not observe interleaved simulated state. A
+// pending LazyYield still materialises on entry — before the atomic
+// section, never inside it.
+func (c *Context) AdvanceAtomic(n Time) {
+	c.Sync()
+	c.time += n
+}
+
+// SyncTo moves the context's clock forward to t if it lags (idle time,
+// charged without yielding). Service processors use it so a queued item
+// is never handled before the simulated instant it was posted.
+func (c *Context) SyncTo(t Time) {
+	c.Sync()
+	if t > c.time {
+		c.time = t
+	}
+}
+
+// Yield reschedules the context, letting every entity with an earlier (or
+// equal, lower-id) clock run first.
+func (c *Context) Yield() {
+	c.checkRunning("Yield")
+	c.state = StateRunnable
+	c.sh.runnable.push(c)
+	c.suspend()
+}
+
+// suspend blocks the calling goroutine until the context is dispatched
+// again; the caller has just made the context runnable (Yield) or parked
+// it (Park). A stepper suspending here is mid-step, so it marks needG:
+// its frames live on this goroutine and the next dispatch must resume it
+// here over the channel protocol. If this goroutine is the acting
+// scheduler (the activation was hosted inline), it first hands the
+// scheduler role to a spare goroutine — bumping schedGen retires the
+// scheduler frames below us once the activation completes — and stays
+// behind as the suspended step's host. Nothing may touch shard state
+// between wakeScheduler and the await: the conch transfers with the wake.
+func (c *Context) suspend() {
+	s := c.sh
+	if c.step != nil {
+		c.needG = true
+	}
+	if s.inline == c {
+		s.dstats.InlineSuspends++
+		s.inline = nil
+		c.rootHosted = s.loopIsRoot
+		s.schedGen++
+		s.wakeScheduler()
+		c.hostAwait()
+		c.onDispatched()
+		return
+	}
+	s.backCh <- struct{}{}
+	c.hostAwait()
+	c.onDispatched()
+}
+
+// hostAwait is await for a suspended step. A step whose frames pin the
+// root goroutine additionally listens on rootWake: if the run ends while
+// it is suspended, the acting scheduler's final role grant arrives here
+// instead of at Run's re-acquire loop, and the frames unwind via
+// schedUnwind so Run can finish.
+func (c *Context) hostAwait() {
+	if !c.rootHosted {
+		c.await()
+		return
+	}
+	select {
+	case <-c.resumeCh:
+	case <-c.sh.rootWake:
+		panic(schedUnwind{})
+	case <-c.eng.shutdown:
+		panic(shutdownSignal{})
+	}
+}
+
+// Sleep advances the local clock by n cycles and yields, modeling an idle
+// wait of known length.
+func (c *Context) Sleep(n Time) {
+	c.Sync()
+	c.time += n
+	c.Yield()
+}
+
+// LazyYield requests a reschedule that takes effect at the context's next
+// timing operation (Advance, SyncTo, Park, scheduling an event, an
+// Unpark) or — most often — at the end of the current step, where it is
+// free of frame suspension: the stepper simply returns to the scheduler
+// runnable. The scheduling order is identical to an immediate Yield
+// whenever the work between the request and the materialisation point is
+// context-local (this context's own protocol state), which is the
+// contract Typhoon's Resume satisfies: handler code after a resume only
+// updates the NP's own bookkeeping before its next timed operation. On
+// non-stepper contexts LazyYield degrades to an immediate Yield.
+func (c *Context) LazyYield() {
+	c.checkRunning("LazyYield")
+	if c.step == nil {
+		c.Yield()
+		return
+	}
+	c.lazyYield = true
+}
+
+// Sync materialises a pending LazyYield at exactly this point, pinning
+// the reschedule's position relative to the caller's subsequent effects.
+// Call it before publishing state that other contexts read without a
+// timing operation in between.
+func (c *Context) Sync() {
+	if c.lazyQuantum {
+		c.lazyQuantum = false
+		c.lazyYield = false // one reschedule satisfies both requests
+		c.Yield()
+	}
+}
+
+// BeginNoBlock opens a MustNotBlock section: until the matching
+// EndNoBlock, a Park on this context panics. Dispatchers wrap
+// run-to-completion handlers (message, fault, bulk-chunk bodies; the
+// hardware directory's atomic coherence action) in one, turning the
+// paper's §5.1 "handlers run to completion" contract into an assertion.
+// Yields are still allowed — quantum and resume yields reschedule without
+// blocking on an external wakeup.
+func (c *Context) BeginNoBlock() { c.noBlock++ }
+
+// EndNoBlock closes the innermost MustNotBlock section.
+func (c *Context) EndNoBlock() { c.noBlock-- }
+
+// Park suspends the context until another entity calls Unpark. The reason
+// string appears in deadlock reports. If an Unpark raced ahead of the
+// Park (the wakeup was issued while the context was still running), Park
+// consumes it and returns immediately.
+func (c *Context) Park(reason string) {
+	c.checkRunning("Park")
+	c.Sync()
+	if c.noBlock > 0 {
+		panic(fmt.Sprintf("sim: context %q parked (%s) inside a MustNotBlock section: run-to-completion handler blocked", c.name, reason))
+	}
+	if c.pendingUnpark {
+		c.pendingUnpark = false
+		if c.pendingAt > c.time {
+			c.time = c.pendingAt
+		}
+		c.Yield() // still reschedule so earlier entities run first
+		return
+	}
+	c.parkReason = reason
+	c.state = StateParked
+	c.suspend()
+}
+
+// Unpark makes a parked context runnable no earlier than simulated time
+// at. Calling Unpark on a context that is not parked records a pending
+// wakeup that its next Park consumes. Unpark must be called while holding
+// the conch of the target's shard — i.e. from a running context or event
+// on the same shard (simulated interactions are node-local; cross-shard
+// wakeups travel as timed events or through a Barrier), or from the
+// round's merge between windows.
+func (c *Context) Unpark(at Time) {
+	c.sh.syncRunning()
+	switch c.state {
+	case StateParked:
+		if at > c.time {
+			c.time = at
+		}
+		c.parkReason = ""
+		c.state = StateRunnable
+		c.sh.runnable.push(c)
+	case StateDone:
+		// Late wakeup for a finished context; ignore.
+	default:
+		c.pendingUnpark = true
+		if at > c.pendingAt {
+			c.pendingAt = at
+		}
+	}
+}
+
+func (c *Context) onDispatched() {
+	c.state = StateRunning
+	c.lastYield = c.time
+	c.sh.running = c
+	c.sh.now = c.time
+}
+
+func (c *Context) checkRunning(op string) {
+	if c.sh.running != c {
+		panic(fmt.Sprintf("sim: %s called on context %q which is not running (state %v)", op, c.name, c.state))
+	}
+}
+
+// dispatch hands the conch to c. A stepper at a boundary runs inline on
+// the acting scheduler goroutine; everything else (goroutine bodies,
+// steppers suspended mid-step on a host goroutine) trades the conch over
+// the single-slot channels. A needG stepper always has a live host
+// goroutine awaiting its resumeCh: the retired scheduler goroutine that
+// stayed behind at the mid-step hand-off.
+func (s *shard) dispatch(c *Context) {
+	if c.step != nil && !c.needG {
+		s.dstats.InlineDispatches++
+		s.dispatchInline(c)
+		s.running = nil
+		return
+	}
+	s.dstats.GoroutineSwitches++
+	if c.step != nil {
+		s.dstats.StepperFallbacks++
+	}
+	c.resumeCh <- struct{}{}
+	<-s.backCh
+	s.running = nil
+}
+
+// dispatchInline runs one stepper activation on the acting scheduler
+// goroutine. A panic in a step body becomes the shard's abort error,
+// exactly as a goroutine body's panic would; schedUnwind and
+// shutdownSignal keep unwinding through the host's frames.
+func (s *shard) dispatchInline(c *Context) {
+	defer func() {
+		s.inline = nil
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case schedUnwind, shutdownSignal:
+				panic(r)
+			}
+			s.abort = contextPanicError(c.name, r)
+			c.state = StateDone
+		}
+	}()
+	c.onDispatched()
+	s.inline = c
+	c.runSteps()
+}
+
+// wakeScheduler hands the scheduler role to a spare goroutine, starting
+// one if the pool is empty. Called conch-held by a goroutine about to
+// become a suspended stepper's host; the conch transfers with the wake.
+func (s *shard) wakeScheduler() {
+	if n := len(s.spareWakes); n > 0 {
+		ch := s.spareWakes[n-1]
+		s.spareWakes = s.spareWakes[:n-1]
+		ch <- struct{}{}
+		return
+	}
+	go s.spareScheduler()
+}
+
+// spareScheduler hosts the scheduler loop whenever the role is handed
+// off. Between turns the goroutine parks in the spare pool; engine
+// shutdown releases it. A shutdownSignal unwinding out of a hosted
+// step's frames (the run finished while the step was still suspended)
+// retires it too.
+func (s *shard) spareScheduler() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(shutdownSignal); !ok {
+				panic(r)
+			}
+		}
+	}()
+	e := s.eng
+	wake := make(chan struct{}, 1)
+	cur := s
+	for {
+		if len(e.sh) > 1 {
+			// Sharded: the woken spare holds cur's role mid-window and
+			// continues the whole chain — cur's window, the rest of the
+			// round's queue, and every following round — until the run
+			// ends or until it too becomes a suspended step's host (drive
+			// reports which shard's pool it joined).
+			if cur = e.drive(cur, wake); cur == nil {
+				return
+			}
+		} else {
+			s.scheduleLoop(wake) // registers wake in the pool before releasing the conch
+		}
+		select {
+		case <-wake:
+		case <-e.shutdown:
+			return
+		}
+	}
+}

@@ -137,21 +137,34 @@ func TestAbortWhileStepperSuspended(t *testing.T) {
 }
 
 // TestStepperHostChoiceInvariance runs an interleaving-sensitive
-// scenario under both stepper hosts — inline dispatch and forced
-// goroutine dispatch — and asserts the observed (context, time) step
+// scenario twice — the services as steppers, where every step of the
+// slow one suspends mid-flight (so it resumes over the needG channel
+// protocol while a spare goroutine holds the scheduler role and keeps
+// dispatching the others inline), and the same services as plain goroutine contexts, which never
+// touch the stepper machinery — and asserts the observed (context, time)
 // sequence is identical: which goroutine hosts a step can never affect
 // simulated results.
 func TestStepperHostChoiceInvariance(t *testing.T) {
-	trace := func(opts ...Option) string {
-		e := NewEngine(opts...)
+	trace := func(steppers bool) (string, DispatchStats) {
+		e := NewEngine()
 		var sb strings.Builder
 		mk := func(name string, work Time) {
-			s := e.SpawnStepperDaemon(name, func(c *Context) bool {
+			body := func(c *Context) {
 				fmt.Fprintf(&sb, "%s@%d ", name, c.Time())
 				c.Advance(work)
 				c.Advance(1)
-				return false
-			}, name+" idle")
+			}
+			var s *Context
+			if steppers {
+				s = e.SpawnStepperDaemon(name, func(c *Context) bool { body(c); return false }, name+" idle")
+			} else {
+				s = e.SpawnDaemon(name, func(c *Context) {
+					for {
+						body(c)
+						c.Park(name + " idle")
+					}
+				})
+			}
 			e.Spawn("drv-"+name, func(c *Context) {
 				for i := 0; i < 8; i++ {
 					s.Unpark(c.Time())
@@ -165,14 +178,18 @@ func TestStepperHostChoiceInvariance(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return sb.String()
+		return sb.String(), e.DispatchStats()
 	}
-	inline := trace()
-	forced := trace(WithGoroutineDispatch())
-	if inline != forced {
-		t.Errorf("step sequences diverge:\n inline: %s\n forced: %s", inline, forced)
+	stepped, ds := trace(true)
+	plain, _ := trace(false)
+	if stepped != plain {
+		t.Errorf("step sequences diverge:\n steppers:   %s\n goroutines: %s", stepped, plain)
 	}
-	if inline == "" {
+	if stepped == "" {
 		t.Fatal("empty trace; scenario exercised nothing")
+	}
+	if ds.InlineSuspends == 0 || ds.StepperFallbacks != ds.InlineSuspends {
+		t.Errorf("suspends = %d, channel resumptions = %d; the scenario must suspend mid-step and resume each over the channel",
+			ds.InlineSuspends, ds.StepperFallbacks)
 	}
 }
