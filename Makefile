@@ -1,6 +1,6 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, build, the full test suite under the race detector
-# (the parallel harness runner and the engine's scheduler hand-offs
+# (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
 # the digest gates at one, two and four shards (sharded execution must
 # be bit-identical), the cache and fleet gates, the fuzz targets'

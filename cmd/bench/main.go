@@ -158,13 +158,13 @@ func main() {
 	sum := hex.EncodeToString(digest[:])
 
 	// How the engines hosted protocol activations across the whole sweep:
-	// inline steps on the scheduler goroutine versus channel handoffs to a
-	// context goroutine. Simulator mechanics only, never simulated
-	// behaviour.
+	// inline steps on the acting scheduler coroutine versus context
+	// switches (a coroutine switch there and back). Simulator mechanics
+	// only, never simulated behaviour.
 	ds := sim.FleetDispatchStats()
 	if n := ds.InlineSteps + ds.GoroutineSteps; n > 0 {
 		fmt.Fprintf(os.Stderr,
-			"bench: dispatch: %d/%d protocol dispatches inline (%.1f%%), %d inline activations (%d suspends, %d parks avoided), %d stepper fallbacks, %d goroutine switches\n",
+			"bench: dispatch: %d/%d protocol dispatches inline (%.1f%%), %d inline activations (%d suspends, %d parks avoided), %d stepper fallbacks, %d context switches\n",
 			ds.InlineSteps, n, 100*float64(ds.InlineSteps)/float64(n),
 			ds.InlineDispatches, ds.InlineSuspends, ds.ParksAvoided,
 			ds.StepperFallbacks, ds.GoroutineSwitches)

@@ -1,3 +1,3 @@
 module github.com/tempest-sim/tempest
 
-go 1.22
+go 1.23

@@ -68,8 +68,8 @@ type Config struct {
 	// per-shard windows bounded below by min(NetLatency, BarrierLatency)
 	// cycles — the machine's cross-node interaction latency floor.
 	// Results are bit-identical for every value, and no value makes a run
-	// faster (one goroutine runs the windows in turn); the determinism
-	// gates and shard-local tracing are what use it. Zero means 1
+	// faster (the windows of a round run one after another); the
+	// determinism gates and shard-local tracing are what use it. Zero means 1
 	// (serial); values outside [1, Nodes] are rejected by New.
 	Shards int
 }

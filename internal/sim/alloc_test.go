@@ -56,3 +56,36 @@ func TestAllocFreeContextScheduling(t *testing.T) {
 		t.Errorf("runnable push/pop cycle allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestAllocFreeParkUnpark asserts a steady-state Park/Unpark round trip
+// between two goroutine contexts — two dispatches, four coroutine
+// switches — allocates nothing: the coroutines exist after the first
+// dispatch, and a switch carries no value worth boxing.
+func TestAllocFreeParkUnpark(t *testing.T) {
+	e := NewEngine()
+	var ping *Context
+	pong := e.SpawnDaemon("pong", func(c *Context) {
+		for {
+			c.Park("pong")
+			ping.Unpark(c.Time())
+		}
+	})
+	allocs := -1.0
+	ping = e.Spawn("ping", func(c *Context) {
+		trip := func() {
+			pong.Unpark(c.Time())
+			c.Park("ping")
+		}
+		trip() // pong's first dispatch creates its coroutine
+		allocs = testing.AllocsPerRun(200, trip)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("Park/Unpark round trip allocates %.1f times per run, want 0", allocs)
+	}
+	if ds := e.DispatchStats(); ds.GoroutineSwitches < 400 {
+		t.Errorf("%d context switches; the measured loop never switched", ds.GoroutineSwitches)
+	}
+}

@@ -127,7 +127,7 @@ func (b *Barrier) mergeStaged() {
 	}
 	release := b.maxTime + b.latency
 	for _, w := range b.waiting {
-		// Unpark from the merge: the chain goroutine holds every shard's
+		// Unpark from the merge: the acting scheduler holds every shard's
 		// conch between windows, so pushing the context onto its shard's
 		// runnable heap is safe, and the runnable key (release, prio,
 		// id) matches the serial release exactly. The release time is

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // State describes a context's scheduling state.
 type State uint8
@@ -30,19 +33,48 @@ func (s State) String() string {
 	return "invalid"
 }
 
-// shutdownSignal is panicked through a context goroutine when the engine
-// tears down daemons after Run completes.
+// shutdownSignal is panicked through a coroutine's suspended frames when
+// the engine stops it at the end of Run: a daemon body parked for good, or
+// a scheduler coroutine still hosting a step that never resumed.
 type shutdownSignal struct{}
 
-// schedUnwind is panicked through suspended stepper frames pinning the
-// root goroutine when a serial run ends first (abort, or quiescence while
-// the step is parked mid-flight): the acting scheduler's final root grant
-// arrives at the pinned frames instead of at Run's re-acquire loop, and
-// they unwind to Run, which reports the outcome. Run recovers it. Sharded
-// runs have no root scheduler — the chain goroutine and its spares are
-// pool-style — so pinned hosts there unwind via shutdownSignal when Run
-// returns instead.
-type schedUnwind struct{}
+// coro is one iter.Pull coroutine. next switches to its body — a direct
+// hand-off that never touches the Go scheduler's run queues — and returns
+// true when the body suspends, false when it has returned; a body panic
+// resurfaces in the caller of next. stop unwinds a suspended body and
+// returns once its goroutine has exited.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// newCoro wraps body in a coroutine. Nothing runs, and no goroutine
+// exists, until the first next.
+func newCoro(body func()) *coro {
+	co := &coro{}
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(shutdownSignal); !ok {
+					panic(r)
+				}
+			}
+		}()
+		body()
+	})
+	return co
+}
+
+// suspend switches back to whoever resumed the coroutine and returns at
+// its next resumption; a stop instead unwinds the suspended frames with
+// shutdownSignal, which newCoro swallows.
+func (co *coro) suspend() {
+	if !co.yield(struct{}{}) {
+		panic(shutdownSignal{})
+	}
+}
 
 // Step is a stepper context's body: one run-to-completion dispatch. It
 // returns false when no work is pending, which suspends the context in
@@ -74,24 +106,20 @@ type Context struct {
 	// still arrive, when lower-bounding the release time.
 	atBarrier *Barrier
 
-	resumeCh chan struct{}
-	body     func(*Context)
+	body func(*Context)
+	// co is the coroutine the context's frames live on. A goroutine
+	// context owns one, created at its first dispatch. A stepper has none
+	// at a step boundary — it dispatches inline — and while suspended
+	// mid-step it borrows the scheduler coroutine that was hosting the
+	// step, to be resumed there.
+	co *coro
 
 	// Stepper state. step is non-nil for stepper contexts; idleReason is
-	// the park reason reported while the stepper has no work. needG marks
-	// a stepper whose current step is suspended mid-flight on a host
-	// goroutine (it must be resumed there, over the channel protocol).
-	// noBlock counts active MustNotBlock sections: Park panics while it is
+	// the park reason reported while the stepper has no work. noBlock
+	// counts active MustNotBlock sections: Park panics while it is
 	// positive, asserting run-to-completion handlers.
 	step       Step
 	idleReason string
-	needG      bool
-	// rootHosted marks a suspended step whose host goroutine is the root
-	// (the activation was dispatched inline by the root acting as
-	// scheduler, then suspended). Such a step must wait with an ear on
-	// rootWake: if the run ends while its frames pin the root stack, the
-	// final role grant arrives there and unwinds them so Run can finish.
-	rootHosted bool
 	noBlock    int
 	// lazyYield records a LazyYield request: the reschedule happens at
 	// the context's next timing operation, or free of any frame
@@ -132,7 +160,6 @@ func (e *Engine) Spawn(name string, body func(*Context)) *Context {
 func (e *Engine) SpawnOn(node int, name string, body func(*Context)) *Context {
 	c := e.spawn(name, false, e.sh[e.ShardOf(node)])
 	c.body = body
-	go c.run()
 	return c
 }
 
@@ -147,7 +174,6 @@ func (e *Engine) SpawnOn(node int, name string, body func(*Context)) *Context {
 func (e *Engine) SpawnDaemon(name string, body func(*Context)) *Context {
 	c := e.spawn(name, true, e.sh[0])
 	c.body = body
-	go c.run()
 	return c
 }
 
@@ -193,17 +219,16 @@ func (e *Engine) spawn(name string, daemon bool, sh *shard) *Context {
 		state:     StateRunnable,
 		daemon:    daemon,
 		prio:      prio,
-		resumeCh:  make(chan struct{}, 1),
 	}
 	e.contexts = append(e.contexts, c)
 	sh.runnable.push(c)
 	return c
 }
 
+// run is a goroutine context's coroutine body, entered at its first
+// dispatch.
 func (c *Context) run() {
-	defer c.goroutineExit()
-	// Wait for the first dispatch before touching any simulated state.
-	c.await()
+	defer c.exit()
 	c.onDispatched()
 	c.body(c)
 }
@@ -220,45 +245,30 @@ func contextPanicError(name string, r any) error {
 	return fmt.Errorf("sim: context %q panicked: %v", name, r)
 }
 
-// goroutineExit is the shared teardown of a context goroutine: engine
-// shutdown unwinds silently, a body panic is captured as the shard's
-// abort error, and a finished body hands the conch back.
-func (c *Context) goroutineExit() {
+// exit ends a context coroutine: a body panic is captured as the shard's
+// abort error, and returning hands the conch back to the dispatcher. An
+// engine stop keeps unwinding to newCoro, leaving the context in the
+// state it was suspended in.
+func (c *Context) exit() {
 	if r := recover(); r != nil {
 		if _, ok := r.(shutdownSignal); ok {
-			return // engine teardown; nobody is waiting on backCh
+			panic(r)
 		}
 		c.sh.abort = contextPanicError(c.name, r)
 	}
 	c.state = StateDone
-	// Hand the conch back to the engine, unless the engine is gone.
-	select {
-	case c.sh.backCh <- struct{}{}:
-	case <-c.eng.shutdown:
-	}
-}
-
-// await blocks until the engine dispatches this context, panicking with
-// shutdownSignal if the engine shut down instead.
-func (c *Context) await() {
-	select {
-	case <-c.resumeCh:
-	case <-c.eng.shutdown:
-		panic(shutdownSignal{})
-	}
 }
 
 // runSteps executes step bodies back-to-back — the dispatch loop never
 // reschedules between handlers (paper §5.1) — until the stepper goes
 // idle, then takes the idle boundary exactly as Park would: a pending
 // wakeup converts it into a reschedule, otherwise the context parks
-// under its idle reason. The caller (inline dispatch, or the host
-// goroutine resumed after a mid-step suspension) regains control at the
-// boundary.
+// under its idle reason. The caller (dispatchInline, on the scheduler
+// coroutine hosting the activation) regains control at the boundary.
 func (c *Context) runSteps() {
 	for {
 		// Re-evaluated each step: a mid-step suspension hands the
-		// scheduler role away, after which this goroutine is a plain
+		// scheduler role away, after which this coroutine is a plain
 		// host and later steps of the activation are goroutine steps.
 		if c.sh.inline == c {
 			c.sh.dstats.InlineSteps++
@@ -273,8 +283,7 @@ func (c *Context) runSteps() {
 			// a frame for this, which is what makes dispatch run inline.
 			c.lazyYield = false
 			c.lazyQuantum = false
-			c.needG = false
-			c.rootHosted = false
+			c.co = nil
 			c.state = StateRunnable
 			c.sh.runnable.push(c)
 			return
@@ -287,16 +296,14 @@ func (c *Context) runSteps() {
 			if c.pendingAt > c.time {
 				c.time = c.pendingAt
 			}
-			c.needG = false
-			c.rootHosted = false
+			c.co = nil
 			c.state = StateRunnable
 			c.sh.runnable.push(c)
 			return
 		}
 		c.parkReason = c.idleReason
 		c.state = StateParked
-		c.needG = false
-		c.rootHosted = false
+		c.co = nil
 		if c.sh.inline == c {
 			c.sh.dstats.ParksAvoided++
 		}
@@ -353,53 +360,26 @@ func (c *Context) Yield() {
 	c.suspend()
 }
 
-// suspend blocks the calling goroutine until the context is dispatched
-// again; the caller has just made the context runnable (Yield) or parked
-// it (Park). A stepper suspending here is mid-step, so it marks needG:
-// its frames live on this goroutine and the next dispatch must resume it
-// here over the channel protocol. If this goroutine is the acting
-// scheduler (the activation was hosted inline), it first hands the
-// scheduler role to a spare goroutine — bumping schedGen retires the
-// scheduler frames below us once the activation completes — and stays
-// behind as the suspended step's host. Nothing may touch shard state
-// between wakeScheduler and the await: the conch transfers with the wake.
+// suspend switches away from the context until it is dispatched again;
+// the caller has just made it runnable (Yield) or parked it (Park). A
+// goroutine context yields on its own coroutine. A stepper suspending
+// here is mid-step, so its frames sit on a scheduler coroutine: if that
+// is the acting scheduler (the activation was hosted inline) the yield
+// lands in Run's trampoline, which resumes another scheduler coroutine to
+// carry on — bumping schedGen retires the scheduler frames below us once
+// the activation completes — and this one stays behind as the step's
+// host; a step resumed on its host yields back to the scheduler that
+// dispatched it, like any goroutine context. The conch moves with every
+// switch.
 func (c *Context) suspend() {
-	s := c.sh
-	if c.step != nil {
-		c.needG = true
-	}
-	if s.inline == c {
+	if s := c.sh; s.inline == c {
 		s.dstats.InlineSuspends++
 		s.inline = nil
-		c.rootHosted = s.loopIsRoot
 		s.schedGen++
-		s.wakeScheduler()
-		c.hostAwait()
-		c.onDispatched()
-		return
+		c.co = c.eng.acting
 	}
-	s.backCh <- struct{}{}
-	c.hostAwait()
+	c.co.suspend()
 	c.onDispatched()
-}
-
-// hostAwait is await for a suspended step. A step whose frames pin the
-// root goroutine additionally listens on rootWake: if the run ends while
-// it is suspended, the acting scheduler's final role grant arrives here
-// instead of at Run's re-acquire loop, and the frames unwind via
-// schedUnwind so Run can finish.
-func (c *Context) hostAwait() {
-	if !c.rootHosted {
-		c.await()
-		return
-	}
-	select {
-	case <-c.resumeCh:
-	case <-c.sh.rootWake:
-		panic(schedUnwind{})
-	case <-c.eng.shutdown:
-		panic(shutdownSignal{})
-	}
 }
 
 // Sleep advances the local clock by n cycles and yields, modeling an idle
@@ -517,13 +497,12 @@ func (c *Context) checkRunning(op string) {
 }
 
 // dispatch hands the conch to c. A stepper at a boundary runs inline on
-// the acting scheduler goroutine; everything else (goroutine bodies,
-// steppers suspended mid-step on a host goroutine) trades the conch over
-// the single-slot channels. A needG stepper always has a live host
-// goroutine awaiting its resumeCh: the retired scheduler goroutine that
-// stayed behind at the mid-step hand-off.
+// the acting scheduler coroutine; everything else (goroutine bodies,
+// steppers suspended mid-step on the scheduler coroutine that hosted
+// them) is one coroutine switch there and one back when it suspends or
+// finishes.
 func (s *shard) dispatch(c *Context) {
-	if c.step != nil && !c.needG {
+	if c.step != nil && c.co == nil {
 		s.dstats.InlineDispatches++
 		s.dispatchInline(c)
 		s.running = nil
@@ -532,22 +511,22 @@ func (s *shard) dispatch(c *Context) {
 	s.dstats.GoroutineSwitches++
 	if c.step != nil {
 		s.dstats.StepperFallbacks++
+	} else if c.co == nil {
+		c.co = newCoro(c.run)
 	}
-	c.resumeCh <- struct{}{}
-	<-s.backCh
+	c.co.next()
 	s.running = nil
 }
 
 // dispatchInline runs one stepper activation on the acting scheduler
-// goroutine. A panic in a step body becomes the shard's abort error,
-// exactly as a goroutine body's panic would; schedUnwind and
-// shutdownSignal keep unwinding through the host's frames.
+// coroutine. A panic in a step body becomes the shard's abort error,
+// exactly as a goroutine body's panic would; shutdownSignal keeps
+// unwinding through the host's frames.
 func (s *shard) dispatchInline(c *Context) {
 	defer func() {
 		s.inline = nil
 		if r := recover(); r != nil {
-			switch r.(type) {
-			case schedUnwind, shutdownSignal:
+			if _, ok := r.(shutdownSignal); ok {
 				panic(r)
 			}
 			s.abort = contextPanicError(c.name, r)
@@ -557,54 +536,4 @@ func (s *shard) dispatchInline(c *Context) {
 	c.onDispatched()
 	s.inline = c
 	c.runSteps()
-}
-
-// wakeScheduler hands the scheduler role to a spare goroutine, starting
-// one if the pool is empty. Called conch-held by a goroutine about to
-// become a suspended stepper's host; the conch transfers with the wake.
-func (s *shard) wakeScheduler() {
-	if n := len(s.spareWakes); n > 0 {
-		ch := s.spareWakes[n-1]
-		s.spareWakes = s.spareWakes[:n-1]
-		ch <- struct{}{}
-		return
-	}
-	go s.spareScheduler()
-}
-
-// spareScheduler hosts the scheduler loop whenever the role is handed
-// off. Between turns the goroutine parks in the spare pool; engine
-// shutdown releases it. A shutdownSignal unwinding out of a hosted
-// step's frames (the run finished while the step was still suspended)
-// retires it too.
-func (s *shard) spareScheduler() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(shutdownSignal); !ok {
-				panic(r)
-			}
-		}
-	}()
-	e := s.eng
-	wake := make(chan struct{}, 1)
-	cur := s
-	for {
-		if len(e.sh) > 1 {
-			// Sharded: the woken spare holds cur's role mid-window and
-			// continues the whole chain — cur's window, the rest of the
-			// round's queue, and every following round — until the run
-			// ends or until it too becomes a suspended step's host (drive
-			// reports which shard's pool it joined).
-			if cur = e.drive(cur, wake); cur == nil {
-				return
-			}
-		} else {
-			s.scheduleLoop(wake) // registers wake in the pool before releasing the conch
-		}
-		select {
-		case <-wake:
-		case <-e.shutdown:
-			return
-		}
-	}
 }

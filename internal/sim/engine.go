@@ -15,19 +15,28 @@
 // direct-execution style of execution-driven simulators.
 //
 // Contexts come in two kinds. A goroutine context (Spawn, SpawnDaemon)
-// hosts an arbitrary body on its own goroutine and trades the conch over
-// a single-slot channel pair. A stepper context (SpawnStepper,
+// hosts an arbitrary body — direct-execution application code — on a
+// coroutine of its own (iter.Pull), created at its first dispatch:
+// dispatching it is one coroutine switch into the body and suspending one
+// switch back, a direct hand-off between two goroutines that never goes
+// through the Go scheduler. A stepper context (SpawnStepper,
 // SpawnStepperDaemon) is a run-to-completion dispatch loop — the WWT
 // lineage's "protocol handlers are events, not threads" — that the
-// scheduler invokes inline on its own goroutine with no channel handoff
-// at all. When an inline-hosted step must suspend mid-flight (a
-// materialised quantum yield, or a blocking wait), the goroutine running
-// the scheduler stays behind as the suspended step's host and hands the
-// scheduler role to a spare goroutine, so the scheduler stack is never
-// pinned and every other stepper keeps dispatching inline; only the
-// resumption of such a suspended step pays a channel handoff. Both hosts
+// scheduler invokes inline as a function call, with no switch at all.
+//
+// The scheduler loop itself runs on scheduler coroutines, resumed from a
+// small trampoline on Run's goroutine. When an inline-hosted step must
+// suspend mid-flight (a materialised quantum yield, or a blocking wait),
+// the acting scheduler coroutine yields to the trampoline with the
+// step's frames still on its stack and stays behind as the step's host;
+// the trampoline resumes an idle scheduler coroutine (or a new one) to
+// carry on, so every other stepper keeps dispatching inline, and
+// whichever scheduler later dispatches the suspended step resumes its
+// host and gets control back when the activation ends. Run stops every
+// coroutine it started before it returns, so an engine leaves no
+// goroutine behind — one that never runs never starts any. All hosts
 // drive the identical state machine (same runnable pushes, same
-// park/unpark transitions, same clock updates), so which goroutine hosts
+// park/unpark transitions, same clock updates), so which coroutine hosts
 // a step cannot affect simulated results.
 //
 // # Sharded execution
@@ -45,16 +54,16 @@
 // latencies). Within its window a shard's nodes cannot be affected by
 // another shard — every cross-shard interaction is a timed event past
 // the granted bound — so the windows of one round are independent of
-// each other. A single chain goroutine runs them one after another in
+// each other. The acting scheduler runs them one after another in
 // shard order, merges cross-shard events (the per-shard outboxes) and
 // barrier arrivals at the boundary, plans the next round's bounds, and
-// repeats (drive/nextRound): no channel operation per round. Running a
-// round's windows on one goroutine per shard was measured and removed —
-// per-round synchronisation cost more than the parallelism returned at
-// this machine size, and whole points already parallelise across
-// workers — so sharding exists for what depends on the partitioned
-// order: the stable event key, shard-local tracing, and the determinism
-// gates.
+// repeats (drive/nextRound); a serial engine is the same loop over one
+// unbounded window. Running a round's windows on one goroutine per shard
+// was measured and removed — per-round synchronisation cost more than
+// the parallelism returned at this machine size, and whole points
+// already parallelise across workers — so sharding exists for what
+// depends on the partitioned order: the stable event key, shard-local
+// tracing, and the determinism gates.
 //
 // Determinism survives sharding because every ordering the simulation can
 // observe is a strict total order independent of the partitioning: events
@@ -112,35 +121,36 @@ func (f funcEvent) Fire() { f() }
 
 // DispatchStats counts how the engine moved control between contexts.
 // Inline dispatches and avoided parks are the stepper win: activations
-// that cost a function call instead of a goroutine switch.
+// that cost a function call instead of a context switch.
 type DispatchStats struct {
 	// InlineDispatches counts stepper activations executed inline on the
-	// scheduler goroutine (zero channel handoffs).
+	// acting scheduler coroutine (zero context switches).
 	InlineDispatches uint64
-	// GoroutineSwitches counts channel dispatches: every goroutine
-	// context activation plus stepper fallbacks.
+	// GoroutineSwitches counts context switches — a coroutine switch into
+	// the dispatched context and one back: every goroutine context
+	// activation plus stepper fallbacks.
 	GoroutineSwitches uint64
-	// StepperFallbacks counts stepper dispatches that went over the
-	// channel protocol: resumptions of a step suspended mid-flight on a
-	// host goroutine.
+	// StepperFallbacks counts stepper dispatches that cost a context
+	// switch: resumptions of a step suspended mid-flight on the scheduler
+	// coroutine that hosted it.
 	StepperFallbacks uint64
 	// ParksAvoided counts idle parks taken inline: the stepper went idle
-	// and suspended without a goroutine parking, and its next activation
-	// needs no goroutine wakeup either.
+	// without suspending any frames, and its next activation needs no
+	// context switch either.
 	ParksAvoided uint64
 	// InlineSteps counts handler steps executed inline (several steps can
 	// run back-to-back within one inline dispatch).
 	InlineSteps uint64
-	// GoroutineSteps counts handler steps executed on a host goroutine
-	// after a mid-step suspension.
+	// GoroutineSteps counts handler steps begun on a host coroutine after
+	// a mid-step suspension.
 	// InlineSteps+GoroutineSteps is the total number of protocol
 	// dispatches (paper §5.1: one step = one message, fault, or bulk
 	// chunk dispatched by the NP loop).
 	GoroutineSteps uint64
 	// InlineSuspends counts inline steps that suspended mid-step (a
 	// materialised quantum yield or a blocking wait): each hands the
-	// scheduler role to a spare goroutine so other steppers keep
-	// dispatching inline.
+	// scheduler role to another scheduler coroutine so other steppers
+	// keep dispatching inline.
 	InlineSuspends uint64
 }
 
@@ -212,9 +222,9 @@ func FleetWindowStats() WindowStats {
 
 // shard is one partition of the simulated machine: a group of origins
 // (nodes) with their own clock, heaps, and conch. A serial engine is one
-// shard; a sharded engine's chain goroutine runs the shards' windows one
-// at a time. All shard fields are owned by whichever goroutine holds the
-// scheduler role (the conch transfers with every channel hand-off).
+// shard; a sharded engine's acting scheduler runs the shards' windows one
+// at a time. All shard fields are owned by whichever coroutine holds the
+// conch, which moves with every coroutine switch.
 type shard struct {
 	eng *Engine
 	id  int
@@ -225,24 +235,15 @@ type shard struct {
 
 	running *Context
 	// inline is the stepper whose activation is currently executing on
-	// the acting scheduler goroutine, nil when none is. It is cleared
-	// the moment such an activation suspends mid-step: the goroutine
-	// hands the scheduler role to a spare (Context.suspend) and stays
-	// behind as the suspended step's host, so the scheduler stack is
-	// never pinned and every other stepper keeps dispatching inline.
+	// the acting scheduler coroutine, nil when none is. It is cleared the
+	// moment such an activation suspends mid-step: the coroutine gives up
+	// the scheduler role (Context.suspend) and stays behind as the
+	// suspended step's host.
 	inline *Context
-	backCh chan struct{}
 
-	// Scheduler-role hand-off state (all mutated only with the conch
-	// held). schedGen increments at each hand-off; a scheduler loop that
+	// schedGen increments at each such hand-off; a scheduler loop that
 	// observes a generation newer than its own has lost the role.
-	// loopIsRoot says whether the acting scheduler is the root goroutine
-	// (the one inside a serial Run); rootWake grants the role back to it.
-	// spareWakes is the pool of parked spare scheduler goroutines.
-	schedGen   uint64
-	loopIsRoot bool
-	rootWake   chan struct{}
-	spareWakes []chan struct{}
+	schedGen uint64
 
 	dstats DispatchStats
 	abort  error // first panic captured from a context on this shard
@@ -315,28 +316,33 @@ type Engine struct {
 	evSeqs    []uint64
 	evSeqAnon uint64
 
-	shutdown chan struct{}
 	started  bool
 	finished bool
 
 	barriers []*Barrier // sharded barriers merged at window boundaries
 
-	// Round state (sharded runs). A single chain goroutine runs every
-	// granted window in shard order, merges, plans, and repeats — zero
-	// channel operations per round; its identity moves through the
-	// spare-scheduler hand-off on mid-step suspension, which is the only
-	// thing that orders accesses to this state. grants/nextGrant are the
-	// current round's grant queue. runDone is closed when the chain finds
-	// nothing left to grant, so Run's goroutine can finish. nonDaemons
-	// and ectScratch are planner scratch built once at Run start (sharded
+	// Scheduler coroutines. acting holds the scheduler role: it runs
+	// drive until the run ends or until a step it hosts inline suspends
+	// mid-flight, which leaves it hosting that step while Run's
+	// trampoline resumes one from idle (or a new one) in its place. A
+	// host whose step has completed parks itself in idle. scheds lists
+	// every one created, so Run can stop them all.
+	acting *coro
+	idle   []*coro
+	scheds []*coro
+
+	// Round state: the current round's grant queue, run in shard order,
+	// with nextGrant the window in progress (so a scheduler coroutine
+	// taking over mid-window continues it). A serial engine has one
+	// round: its single shard's unbounded window. nonDaemons and
+	// ectScratch are planner scratch built once at Run start (sharded
 	// engines forbid mid-run spawns).
 	grants     []*shard
 	nextGrant  int
-	runDone    chan struct{}
 	nonDaemons []*Context
 	ectScratch []Time
 
-	// Window telemetry, written by the chain goroutine and read after Run.
+	// Window telemetry, written by the acting scheduler and read after Run.
 	winGrants, winBatched, winWidthSum uint64
 
 	dstats DispatchStats // folded across shards when Run finishes
@@ -395,10 +401,8 @@ func WithCrossShardDelivery(d Time) Option {
 // NewEngine returns an empty engine.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		quantum:  DefaultQuantum,
-		nshards:  1,
-		shutdown: make(chan struct{}),
-		runDone:  make(chan struct{}),
+		quantum: DefaultQuantum,
+		nshards: 1,
 	}
 	for _, o := range opts {
 		o(e)
@@ -411,18 +415,7 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.sh = make([]*shard, e.nshards)
 	for i := range e.sh {
-		s := &shard{
-			eng: e,
-			id:  i,
-			// Single-slot resume protocol: the conch trade is a pair of
-			// capacity-1 channels, so neither side's send ever blocks (at
-			// most one token is in flight in each direction) and a
-			// dispatch costs one blocking receive per side instead of two
-			// rendezvous.
-			backCh:   make(chan struct{}, 1),
-			rootWake: make(chan struct{}, 1),
-			limit:    infTime,
-		}
+		s := &shard{eng: e, id: i, limit: infTime}
 		s.runnable.a = make([]*Context, 0, 64)
 		s.events.a = make([]evItem, 0, 256)
 		e.sh[i] = s
@@ -481,7 +474,7 @@ func (e *Engine) DispatchStats() DispatchStats {
 }
 
 // WindowStats returns the engine's window-grant counters. Call after Run
-// (the chain goroutine owns the counters while a sharded run is in
+// (the acting scheduler owns the counters while a sharded run is in
 // flight); a serial engine reports all zeros.
 func (e *Engine) WindowStats() WindowStats {
 	return WindowStats{
@@ -586,46 +579,22 @@ func (e *Engine) AfterFrom(delta Time, origin int, fn func()) {
 	e.AtEventFrom(e.NowFor(origin)+delta, origin, funcEvent(fn))
 }
 
-// scheduleLoop is the serial scheduler: one unbounded window. It returns
-// true when the machine aborts or goes quiescent, and false when this
-// goroutine loses the scheduler role to a mid-step suspension (see
-// runWindow).
-//
-// park is the goroutine's spare-pool registration channel, nil for the
-// root goroutine (which re-acquires the role via rootWake instead). It
-// is re-registered before the conch is released, so the pool is only
-// ever mutated conch-held.
-func (s *shard) scheduleLoop(park chan struct{}) (done bool) {
-	if s.runWindow(park) {
-		return false
-	}
-	if park != nil {
-		// A spare observed the end of the run: hand the scheduler role
-		// (and the conch) back to the root goroutine, which finishes Run.
-		s.spareWakes = append(s.spareWakes, park)
-		s.rootWake <- struct{}{}
-	}
-	return true
-}
-
 // runWindow runs the shard's current window: fire due events, dispatch
 // runnable contexts in (time, prio, id) order, both bounded by the
 // shard's window limit (infTime when serial). It returns false when the
 // window is exhausted — nothing left before the limit, the shard went
 // quiescent (serial), or the shard aborted — with the caller still
-// holding the scheduler role. It returns true when this goroutine loses
-// the role instead: a stepper it hosted inline suspended mid-step and
-// handed the role to a spare (Context.suspend); once the suspended
-// activation completes back on this goroutine, the stale frame observes
-// the newer schedGen, re-registers park (nil for the serial root), hands
-// the conch to the acting scheduler, and retires.
-func (s *shard) runWindow(park chan struct{}) (lost bool) {
-	s.loopIsRoot = park == nil
+// holding the scheduler role. It returns true when this coroutine lost
+// the role instead: a stepper it hosted inline suspended mid-step
+// (Context.suspend) and another scheduler coroutine took over; the
+// suspended activation has now completed back here, and the stale frame,
+// observing the newer schedGen, retires.
+func (s *shard) runWindow() (lost bool) {
 	gen := s.schedGen
 	for {
 		if s.abort != nil {
-			// Serial: the run is over. Sharded: retire the window so the
-			// round's merge folds the abort and ends the run.
+			// Retire the window so the round's merge folds the abort and
+			// ends the run.
 			return false
 		}
 		// Run every event that is due before (or at) the next context.
@@ -647,15 +616,23 @@ func (s *shard) runWindow(park chan struct{}) (lost bool) {
 		}
 		s.dispatch(s.runnable.pop())
 		if s.schedGen != gen {
-			// The role moved on while this goroutine hosted a suspended
-			// step; the activation has completed, so hand the conch to
-			// the acting scheduler and retire this frame.
-			if park != nil {
-				s.spareWakes = append(s.spareWakes, park)
-			}
-			s.backCh <- struct{}{}
 			return true
 		}
+	}
+}
+
+// schedule is a scheduler coroutine's body. Resumed by Run's trampoline
+// it holds the scheduler role and drives the run. If it comes back
+// having lost the role — it stayed behind hosting a suspended step, and
+// was resumed by the scheduler that dispatched that step, on whose conch
+// the step has now completed — it parks in the idle pool and yields the
+// conch back to that scheduler, to take the role again when the
+// trampoline next needs one. Returning ends the run.
+func (e *Engine) schedule() {
+	self := e.acting
+	for e.drive() {
+		e.idle = append(e.idle, self)
+		self.suspend()
 	}
 }
 
@@ -668,30 +645,20 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already ran")
 	}
 	e.started = true
-	defer func() {
-		e.finished = true
-		close(e.shutdown) // release daemon goroutines
-		var d DispatchStats
-		for _, s := range e.sh {
-			d.add(s.dstats)
-		}
-		e.dstats = d
-		fleet.inline.Add(d.InlineDispatches)
-		fleet.switches.Add(d.GoroutineSwitches)
-		fleet.fallbacks.Add(d.StepperFallbacks)
-		fleet.parks.Add(d.ParksAvoided)
-		fleet.steps.Add(d.InlineSteps)
-		fleet.gsteps.Add(d.GoroutineSteps)
-		fleet.suspends.Add(d.InlineSuspends)
-		fleet.wgrants.Add(e.winGrants)
-		fleet.wbatched.Add(e.winBatched)
-		fleet.wwidth.Add(e.winWidthSum)
-	}()
+	defer e.finish()
 
-	if len(e.sh) == 1 {
-		e.runSerial()
-	} else {
-		e.runSharded()
+	e.prepareWindows()
+	// The trampoline: resume a scheduler coroutine; each time one yields
+	// here — a step it hosts inline suspended mid-flight, pinning its
+	// stack — hand the role to another, until one returns, ending the run.
+	for more := true; more; {
+		if n := len(e.idle); n > 0 {
+			e.acting, e.idle = e.idle[n-1], e.idle[:n-1]
+		} else {
+			e.acting = newCoro(e.schedule)
+			e.scheds = append(e.scheds, e.acting)
+		}
+		_, more = e.acting.next()
 	}
 
 	if e.abort != nil {
@@ -717,40 +684,34 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// runSerial hosts shard 0's scheduler on the calling (root) goroutine,
-// re-acquiring the role whenever a spare finishes the run while the root
-// stack hosts a suspended step.
-func (e *Engine) runSerial() {
-	s := e.sh[0]
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(schedUnwind); !ok {
-					panic(r)
-				}
-			}
-		}()
-		for {
-			if s.scheduleLoop(nil) {
-				return
-			}
-			// The root goroutine lost the scheduler role to a spare while
-			// hosting a suspended step; the step has completed and the
-			// conch moved on. Wait for the role grant at the end of the
-			// run (or, if another hosted step pins this stack first, the
-			// grant arrives at rootHostAwait and unwinds to here).
-			<-s.rootWake
+// finish tears the run down before Run returns: it stops every context
+// coroutine still suspended (daemons, deadlocked or abandoned bodies),
+// then every scheduler coroutine (idle, or hosting a step that never
+// resumed) — each stop returns once that goroutine has exited — and
+// folds the dispatch and window counters.
+func (e *Engine) finish() {
+	for _, c := range e.contexts {
+		if c.step == nil && c.co != nil {
+			c.co.stop()
 		}
-	}()
-	e.abort = s.abort
-}
-
-// runSharded starts the round chain and waits for it to end. Run's
-// goroutine only waits: the chain may outlive its first goroutine (spares
-// inherit it across mid-step suspensions), and a chain goroutine stuck
-// hosting a never-resuming step at run end must not be Run's own stack.
-func (e *Engine) runSharded() {
-	e.prepareWindows()
-	go e.chainDriver()
-	<-e.runDone
+	}
+	for _, co := range e.scheds {
+		co.stop()
+	}
+	e.finished = true
+	var d DispatchStats
+	for _, s := range e.sh {
+		d.add(s.dstats)
+	}
+	e.dstats = d
+	fleet.inline.Add(d.InlineDispatches)
+	fleet.switches.Add(d.GoroutineSwitches)
+	fleet.fallbacks.Add(d.StepperFallbacks)
+	fleet.parks.Add(d.ParksAvoided)
+	fleet.steps.Add(d.InlineSteps)
+	fleet.gsteps.Add(d.GoroutineSteps)
+	fleet.suspends.Add(d.InlineSuspends)
+	fleet.wgrants.Add(e.winGrants)
+	fleet.wbatched.Add(e.winBatched)
+	fleet.wwidth.Add(e.winWidthSum)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -414,21 +415,79 @@ func TestBarrierReleaseProperty(t *testing.T) {
 	}
 }
 
+// TestNoGoroutineLeakAfterRun: an engine owns no goroutine outside Run.
+// Contexts get their coroutines at first dispatch, and Run stops every
+// coroutine it started before it returns, so the count is back where it
+// was the moment Run returns — nothing exits asynchronously.
 func TestNoGoroutineLeakAfterRun(t *testing.T) {
-	// Daemons parked at shutdown must exit when the engine closes. Their
-	// exits happen asynchronously, so this test only asserts Run returns;
-	// the race detector validates the teardown path.
-	e := NewEngine()
-	for i := 0; i < 8; i++ {
-		e.SpawnDaemon(fmt.Sprintf("d%d", i), func(c *Context) {
-			for {
-				c.Park("idle")
+	parkedDaemon := func(c *Context) {
+		for {
+			c.Park("idle")
+		}
+	}
+	cases := map[string]func(t *testing.T, e *Engine){
+		"daemons parked at the end": func(t *testing.T, e *Engine) {
+			for i := 0; i < 8; i++ {
+				e.SpawnDaemon(fmt.Sprintf("d%d", i), parkedDaemon)
+			}
+			e.Spawn("app", func(c *Context) { c.Advance(1) })
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		},
+		"engine never run": func(t *testing.T, e *Engine) {
+			e.SpawnDaemon("d", parkedDaemon)
+			e.SpawnOn(0, "app", func(c *Context) { c.Advance(1) })
+		},
+		"second Run refused": func(t *testing.T, e *Engine) {
+			e.Spawn("app", func(c *Context) { c.Advance(1) })
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			e.SpawnDaemon("late", parkedDaemon)
+			if err := e.Run(); err == nil {
+				t.Fatal("second Run should fail")
+			}
+		},
+		"daemon stepper suspended mid-step": func(t *testing.T, e *Engine) {
+			// The step's frames pin a scheduler coroutine to the end.
+			e.SpawnStepperDaemon("s", func(c *Context) bool {
+				c.Park("stuck mid-step")
+				return false
+			}, "idle")
+			e.Spawn("app", func(c *Context) { c.Advance(1) })
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		},
+		"event panics on the scheduler": func(t *testing.T, e *Engine) {
+			// Not a context's failure, so not Run's error: the panic
+			// crosses the scheduler coroutine into Run's caller.
+			e.SpawnDaemon("d", parkedDaemon)
+			e.Spawn("app", func(c *Context) { c.Sleep(10) })
+			e.At(5, func() { panic("bad event") })
+			defer func() {
+				if r := recover(); r != "bad event" {
+					t.Errorf("recovered %v, want the event's panic", r)
+				}
+			}()
+			e.Run()
+		},
+		"deadlocked context": func(t *testing.T, e *Engine) {
+			e.Spawn("stuck", func(c *Context) { c.Park("forever") })
+			if err := e.Run(); err == nil {
+				t.Fatal("expected deadlock error")
+			}
+		},
+	}
+	for name, fn := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			fn(t, NewEngine())
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before, %d after", before, after)
 			}
 		})
-	}
-	e.Spawn("app", func(c *Context) { c.Advance(1) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 }
 

@@ -1,15 +1,18 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestStepperDispatchesInline asserts the fast path: a stepper whose
-// steps never suspend runs entirely on the scheduler goroutine — every
-// step inline, every idle park taken without a goroutine switch, and no
-// standby-goroutine fallbacks at all.
+// steps never suspend runs entirely on the acting scheduler coroutine —
+// every step inline, every idle park taken without a context switch, and
+// no fallbacks at all.
 func TestStepperDispatchesInline(t *testing.T) {
 	e := NewEngine()
 	steps := 0
@@ -44,10 +47,10 @@ func TestStepperDispatchesInline(t *testing.T) {
 
 // TestMidStepSuspensionHandsOffScheduler asserts the hand-off: when an
 // inline-hosted step is forced to suspend mid-flight (quantum yield),
-// the scheduler role moves to a spare goroutine and OTHER steppers keep
-// dispatching inline during the suspension — no step ever runs on a
-// standby goroutine, and each suspension costs exactly one channel
-// resumption of the suspended step.
+// the scheduler role moves to another scheduler coroutine and OTHER
+// steppers keep dispatching inline during the suspension — no step ever
+// begins on a non-acting host, and each suspension costs exactly one
+// context switch to resume the suspended step.
 func TestMidStepSuspensionHandsOffScheduler(t *testing.T) {
 	e := NewEngine()
 	aSteps, bSteps := 0, 0
@@ -65,8 +68,8 @@ func TestMidStepSuspensionHandsOffScheduler(t *testing.T) {
 	e.Spawn("driver", func(c *Context) {
 		for i := 0; i < 5; i++ {
 			a.Unpark(c.Time())
-			// While a's suspended frames pin its host goroutine, b's
-			// activations must still be dispatched inline by the spare.
+			// While a's suspended frames pin their host coroutine, b's
+			// activations must still be dispatched inline by its successor.
 			for j := 0; j < 4; j++ {
 				b.Unpark(c.Time())
 				c.Advance(10)
@@ -91,15 +94,15 @@ func TestMidStepSuspensionHandsOffScheduler(t *testing.T) {
 		t.Errorf("inline steps = %d, want %d", ds.InlineSteps, aSteps+bSteps)
 	}
 	if ds.StepperFallbacks != ds.InlineSuspends {
-		t.Errorf("fallbacks = %d, suspends = %d; each suspension should cost exactly one channel resumption",
+		t.Errorf("fallbacks = %d, suspends = %d; each suspension should cost exactly one resuming switch",
 			ds.StepperFallbacks, ds.InlineSuspends)
 	}
 }
 
-// TestQuiescenceWithMidStepParkedDaemon exercises the root-pinned
-// unwind: a daemon stepper parks mid-step and is never unparked, so the
-// run ends while its suspended frames pin a host goroutine. Run must
-// still return cleanly (daemons do not block completion).
+// TestQuiescenceWithMidStepParkedDaemon: a daemon stepper parks mid-step
+// and is never unparked, so the run ends while its suspended frames pin
+// a scheduler coroutine. Run must still return cleanly (daemons do not
+// block completion), stopping that coroutine on the way out.
 func TestQuiescenceWithMidStepParkedDaemon(t *testing.T) {
 	e := NewEngine()
 	s := e.SpawnStepperDaemon("s", func(c *Context) bool {
@@ -115,10 +118,10 @@ func TestQuiescenceWithMidStepParkedDaemon(t *testing.T) {
 	}
 }
 
-// TestAbortWhileStepperSuspended exercises the abort unwind: a context
-// panics while a stepper is suspended mid-step, so the acting scheduler
-// observes the abort and the pinned host frames must be abandoned
-// without deadlocking Run.
+// TestAbortWhileStepperSuspended: a context panics while a stepper is
+// suspended mid-step, so the acting scheduler observes the abort and
+// ends the run; Run must report the panic and unwind the host's pinned
+// frames instead of waiting on them.
 func TestAbortWhileStepperSuspended(t *testing.T) {
 	e := NewEngine()
 	e.SpawnStepperDaemon("s", func(c *Context) bool {
@@ -138,12 +141,12 @@ func TestAbortWhileStepperSuspended(t *testing.T) {
 
 // TestStepperHostChoiceInvariance runs an interleaving-sensitive
 // scenario twice — the services as steppers, where every step of the
-// slow one suspends mid-flight (so it resumes over the needG channel
-// protocol while a spare goroutine holds the scheduler role and keeps
-// dispatching the others inline), and the same services as plain goroutine contexts, which never
-// touch the stepper machinery — and asserts the observed (context, time)
-// sequence is identical: which goroutine hosts a step can never affect
-// simulated results.
+// slow one suspends mid-flight (so it resumes by a switch to its host
+// while another scheduler coroutine holds the role and keeps dispatching
+// the others inline), and the same services as plain goroutine contexts,
+// which never touch the stepper machinery — and asserts the observed
+// (context, time) sequence is identical: which coroutine hosts a step
+// can never affect simulated results.
 func TestStepperHostChoiceInvariance(t *testing.T) {
 	trace := func(steppers bool) (string, DispatchStats) {
 		e := NewEngine()
@@ -189,7 +192,92 @@ func TestStepperHostChoiceInvariance(t *testing.T) {
 		t.Fatal("empty trace; scenario exercised nothing")
 	}
 	if ds.InlineSuspends == 0 || ds.StepperFallbacks != ds.InlineSuspends {
-		t.Errorf("suspends = %d, channel resumptions = %d; the scenario must suspend mid-step and resume each over the channel",
+		t.Errorf("suspends = %d, resumptions = %d; the scenario must suspend mid-step and resume each on its host",
 			ds.InlineSuspends, ds.StepperFallbacks)
+	}
+}
+
+// TestTwoHostsResumedInEitherOrder suspends two steppers mid-step at the
+// same time — each pins the scheduler coroutine that was hosting it, so a
+// third one ends up with the role — and resumes them in the order they
+// suspended in and in the opposite one, on a serial engine and with the
+// two steppers on different shards. Each resumption must land on the
+// right host, each host must hand the conch back to the scheduler that
+// dispatched it, and Run must leave none of the three behind.
+func TestTwoHostsResumedInEitherOrder(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, wakeAt := range [][2]Time{{20, 40}, {40, 20}} {
+			t.Run(fmt.Sprintf("shards=%d/a@%d,b@%d", shards, wakeAt[0], wakeAt[1]), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				e := NewEngine(WithShards(shards, 2, 10))
+				var log []string
+				for node, name := range []string{"a", "b"} {
+					s := e.SpawnStepperDaemonOn(node, name, func(c *Context) bool {
+						c.Park("mid-step") // first activation, t=0: pins the acting scheduler
+						log = append(log, fmt.Sprintf("%s@%d", name, c.Time()))
+						return false
+					}, "idle")
+					e.SpawnOn(node, "wake-"+name, func(c *Context) {
+						c.Sleep(wakeAt[node])
+						s.Unpark(c.Time())
+					})
+				}
+				if err := e.Run(); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				want := []string{"a@20", "b@40"}
+				if wakeAt[0] > wakeAt[1] {
+					want = []string{"b@20", "a@40"}
+				}
+				if !slices.Equal(log, want) {
+					t.Errorf("resumptions = %v, want %v", log, want)
+				}
+				if ds := e.DispatchStats(); ds.InlineSuspends != 2 || ds.StepperFallbacks != 2 {
+					t.Errorf("suspends = %d, fallbacks = %d, want 2 and 2", ds.InlineSuspends, ds.StepperFallbacks)
+				}
+				if len(e.scheds) != 3 {
+					t.Errorf("%d scheduler coroutines, want 3: two pinned hosts and their successor", len(e.scheds))
+				}
+				if len(e.idle) != 2 {
+					t.Errorf("%d idle scheduler coroutines at the end, want both released hosts", len(e.idle))
+				}
+				if after := runtime.NumGoroutine(); after != before {
+					t.Errorf("goroutines: %d before, %d after Run", before, after)
+				}
+			})
+		}
+	}
+}
+
+// protocolError stands in for a memory system's typed failure.
+type protocolError struct{ block int }
+
+func (e *protocolError) Error() string { return fmt.Sprintf("block %d wedged", e.block) }
+
+// TestTypedPanicReachesRunCaller: a body that panics with an error value
+// — on a context coroutine, or in a step hosted on a scheduler coroutine
+// — surfaces from Run wrapped, not flattened, so callers can errors.As it.
+func TestTypedPanicReachesRunCaller(t *testing.T) {
+	spawn := map[string]func(*Engine){
+		"goroutine context": func(e *Engine) {
+			e.Spawn("bomb", func(c *Context) { c.Advance(3); panic(&protocolError{block: 7}) })
+		},
+		"stepper": func(e *Engine) {
+			e.SpawnStepper("bomb", func(c *Context) bool { c.Advance(3); panic(&protocolError{block: 7}) }, "idle")
+		},
+	}
+	for name, fn := range spawn {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			fn(e)
+			err := e.Run()
+			var pe *protocolError
+			if !errors.As(err, &pe) || pe.block != 7 {
+				t.Fatalf("Run = %v, want a wrapped *protocolError for block 7", err)
+			}
+			if !strings.Contains(err.Error(), `"bomb"`) {
+				t.Errorf("error %q does not name the context", err)
+			}
+		})
 	}
 }

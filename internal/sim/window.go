@@ -10,12 +10,18 @@ type outItem struct {
 	it evItem
 }
 
-// prepareWindows builds the planner's scratch state: the non-daemon
-// context list the barrier bound scans, its ect scratch buffer, and the
-// grant queue.
+// prepareWindows sets up round state at Run start. A serial engine gets
+// its one round — the single shard's unbounded window (limit infTime) —
+// queued for good. A sharded engine builds the planner's scratch: the
+// non-daemon context list the barrier bound scans, its ect scratch
+// buffer, and an empty grant queue, so drive plans round zero first.
 // Sharded engines forbid mid-run spawns, so the list is complete at Run
 // start and planning rounds stay allocation-free.
 func (e *Engine) prepareWindows() {
+	if len(e.sh) == 1 {
+		e.grants = e.sh
+		return
+	}
 	for _, c := range e.contexts {
 		if !c.daemon {
 			e.nonDaemons = append(e.nonDaemons, c)
@@ -25,77 +31,42 @@ func (e *Engine) prepareWindows() {
 	e.grants = make([]*shard, 0, len(e.sh))
 }
 
-// chainDriver is a sharded run's initial chain goroutine: it plans round
-// zero and drives windows until the run ends or it
-// becomes a suspended step's host (then it parks in that shard's spare
-// pool like any other retired scheduler and may be woken to drive
-// again). A shutdownSignal unwinding out of a hosted step's frames (the
-// run finished while the step was still suspended) retires it.
-func (e *Engine) chainDriver() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(shutdownSignal); !ok {
-				panic(r)
+// drive is the acting scheduler's loop: run the round's granted windows
+// in shard order, then merge and plan the next round, repeating until
+// the run ends (returns false) or until a mid-step suspension cost this
+// coroutine the scheduler role (returns true; see runWindow). nextGrant
+// moves on only once a window is exhausted, so the scheduler coroutine
+// that takes over continues the interrupted window.
+func (e *Engine) drive() (lost bool) {
+	for {
+		for e.nextGrant < len(e.grants) {
+			if e.grants[e.nextGrant].runWindow() {
+				return true
 			}
-		}
-	}()
-	s := e.nextRound()
-	if s == nil {
-		return
-	}
-	wake := make(chan struct{}, 1)
-	for {
-		if s = e.drive(s, wake); s == nil {
-			return
-		}
-		select {
-		case <-wake:
-		case <-e.shutdown:
-			return
-		}
-	}
-}
-
-// drive is the round chain: run the current shard's window, then the
-// rest of the round's queue in shard order, then merge and plan the next
-// round, repeating until the run ends (returns nil) or until a mid-step
-// suspension hands the chain to a spare (returns the shard whose pool
-// this goroutine joined, so its own wake resumes that shard's window).
-func (e *Engine) drive(s *shard, park chan struct{}) *shard {
-	for {
-		if s.runWindow(park) {
-			return s
-		}
-		if e.nextGrant < len(e.grants) {
-			s = e.grants[e.nextGrant]
 			e.nextGrant++
-			continue
 		}
-		if s = e.nextRound(); s == nil {
-			return nil
+		if !e.nextRound() {
+			return false
 		}
 	}
 }
 
 // nextRound runs one boundary round: merge the finished windows'
 // cross-shard effects, plan the next round, and queue the granted shards
-// for the chain goroutine to run in shard order. It returns the first
-// shard of the new round, or nil after ending the run (quiescence or
-// abort: nothing is grantable, and runDone releases Run). The chain
-// goroutine owns every shard's state the whole time, handing it off only
-// through the spare-scheduler machinery on mid-step suspension.
-func (e *Engine) nextRound() *shard {
+// to run in shard order. It reports false when the run is over: an
+// abort, a serial engine's only window exhausted, or nothing grantable
+// (quiescence). The acting scheduler owns every shard's state throughout.
+func (e *Engine) nextRound() bool {
 	e.mergeBoundary()
-	if e.abort != nil || !e.planRound() {
-		close(e.runDone)
-		return nil
+	if e.abort != nil || len(e.sh) == 1 || !e.planRound() {
+		return false
 	}
-	e.nextGrant = 1
-	return e.grants[0]
+	e.nextGrant = 0
+	return true
 }
 
 // mergeBoundary integrates one round's cross-shard effects while the
-// chain goroutine owns every shard's conch: outbox events are pushed
+// acting scheduler owns every shard's conch: outbox events are pushed
 // into their destination heaps (the stable event key already fixes the
 // fire order, so insertion order is immaterial), completed barriers
 // release their waiters, and shard aborts fold — by shard id, so the
