@@ -2,16 +2,16 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# the digest gates at one, two and four shards (sharded execution must
+# a smoke pass over the seven binaries' command lines, the digest gates at one, two and four shards (sharded execution must
 # be bit-identical), the cache and fleet gates, the fuzz targets'
 # committed seed corpora, and the conformance corpus. Performance is
 # measured with `go run ./benchmark` (BENCHMARK.json), not from here.
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke digest-check cache-check fleet-check profile fuzz-seeds conform
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile fuzz-seeds conform loc
 
-ci: vet build race bench-smoke digest-check cache-check fleet-check fuzz-seeds conform
+ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
 vet:
 	$(GO) vet ./...
@@ -33,6 +33,13 @@ microbench:
 # iteration: catches bit-rotted benchmark code without paying for timing.
 bench-smoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
+
+# cli-smoke builds all seven binaries once, runs one real simulation
+# through the shared flag block (on the system a private switch in
+# typhoon-sim used to refuse), and gives every sweep binary one bad
+# shared flag: it must exit 2 and name the flag on stderr.
+cli-smoke:
+	bash scripts/cli_smoke.sh
 
 # digest-check runs the bench sweep and compares its output digest to
 # the committed goldens — any drift means simulated results changed.
@@ -78,7 +85,7 @@ profile:
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/
+	$(GO) test -run='^Fuzz' ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/
 
 # conform is the trace-replay conformance gate: verify the committed
 # corpus (manifest, decode, standalone replay, tag-machine check), then
@@ -90,3 +97,11 @@ conform:
 	$(GO) run ./cmd/conform
 	$(GO) run ./cmd/conform -diff -shards 1
 	$(GO) run -race ./cmd/conform -diff -shards 2
+
+# loc prints non-test Go lines for the sweep plumbing against the
+# protocols it exercises — the ratio ROADMAP.md quotes.
+loc:
+	@for d in internal/harness internal/fleet internal/resultcache internal/conform cmd \
+			internal/stache internal/typhoon internal/dirnnb internal/blizzard; do \
+		printf '%-22s %5d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done | awk '{print; if (NR <= 5) p += $$2; else q += $$2} END {printf "plumbing %d : protocols %d\n", p, q}'

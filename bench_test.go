@@ -82,9 +82,9 @@ func BenchmarkTable3DataSets(b *testing.B) {
 func benchFig3(b *testing.B, app string) {
 	for i := 0; i < b.N; i++ {
 		cells, err := harness.Figure3(harness.Fig3Options{
-			Scale:   harness.ScaleReduced,
-			Apps:    []string{app},
-			Workers: 1,
+			Scale:     harness.ScaleReduced,
+			Apps:      []string{app},
+			SimParams: harness.SimParams{Workers: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -107,10 +107,10 @@ func BenchmarkFigure3EM3D(b *testing.B)   { benchFig3(b, "em3d") }
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts, err := harness.Figure4(harness.Fig4Options{
-			Scale:   harness.ScaleReduced,
-			Set:     harness.SetSmall,
-			Pcts:    []int{0, 20, 50},
-			Workers: 1,
+			Scale:     harness.ScaleReduced,
+			Set:       harness.SetSmall,
+			Pcts:      []int{0, 20, 50},
+			SimParams: harness.SimParams{Workers: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -133,7 +133,7 @@ func metricName(label string) string {
 
 func BenchmarkAblationBlockSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationBlockSize(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationBlockSize(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 
 func BenchmarkAblationPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationPlacement(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationPlacement(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 
 func BenchmarkAblationStacheBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationStacheBudget(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationStacheBudget(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkAblationStacheBudget(b *testing.B) {
 
 func BenchmarkAblationNetLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationNetLatency(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationNetLatency(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkSimBarrierThroughput(b *testing.B) {
 // update protocol, in network messages and cycles.
 func BenchmarkAblationEM3DProtocols(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationEM3DProtocols(harness.ScaleReduced, 30, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationEM3DProtocols(harness.ScaleReduced, 30, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkAblationEM3DProtocols(b *testing.B) {
 // extension on MP3D's scattered read-modify-write pattern.
 func BenchmarkAblationMigratory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationMigratory(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationMigratory(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkAblationMigratory(b *testing.B) {
 // implementation — the paper's §2 portability claim, priced.
 func BenchmarkAblationSoftwareTempest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationSoftwareTempest(harness.ScaleReduced, harness.SimParams{Shards: 1}, 1)
+		rows, err := harness.AblationSoftwareTempest(harness.ScaleReduced, harness.SimParams{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,54 +34,34 @@ import (
 )
 
 func main() {
-	jobs := flag.Int("j", 1, "parallel simulations (1 isolates simulator speed from host cores)")
 	shards := flag.Int("shards", 1, "scheduler shards per simulation (1..8 reduced-scale nodes; the digest is identical at every value)")
-	linkBW := flag.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite; non-zero changes the digest)")
-	occupancy := flag.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded; non-zero changes the digest)")
 	noDedup := flag.Bool("no-dedup", false, "simulate every Figure 3 point, even ones provably identical to a smaller-cache run")
-	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (\"\" = in-process memory cache only)")
-	noCache := flag.Bool("no-cache", false, "disable the result cache entirely (conflicts with -cache-dir and -cache-verify)")
-	cacheVerify := flag.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1]; a mismatch fails the run")
 	expectCached := flag.Bool("expect-cached", false, "fail unless every simulation was served from the cache (requires -cache-dir; the CI warm-run assertion)")
 	check := flag.String("check", "", "golden digest file: compare the sweep's digest to it, exit 1 on mismatch")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the sweep to this file")
-	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
+	// -j defaults to 1 to isolate simulator speed from host cores; the
+	// contention flags change the digest.
+	shared := fleet.Register(flag.CommandLine, fleet.Defaults{Jobs: 1, Scale: harness.ScaleReduced})
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
 	}
-	if *jobs < 1 {
-		fail(fmt.Errorf("-j %d: worker count must be >= 1", *jobs))
-	}
 	if nodes := harness.MachineConfig(harness.ScaleReduced, 0).Nodes; *shards < 1 || *shards > nodes {
 		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (the reduced scale has %d nodes)", *shards, nodes, nodes))
 	}
-	if *linkBW < 0 {
-		fail(fmt.Errorf("-link-bw %d: link bandwidth must be >= 0 bytes/cycle", *linkBW))
-	}
-	if *occupancy < 0 {
-		fail(fmt.Errorf("-occupancy %d: agent occupancy must be >= 0 cycles", *occupancy))
-	}
-	cp, err := harness.NewCacheParams(*cacheDir, *noCache, *cacheVerify)
+	sp, done, err := shared.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	if *expectCached && *cacheDir == "" {
+	defer done()
+	sp.Shards = *shards
+	cache := sp.Cache.Cache
+	if *expectCached && (cache == nil || !cache.Persistent()) {
 		fail(fmt.Errorf("-expect-cached needs -cache-dir: only a persistent cache can serve a whole run"))
 	}
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "bench: result cache at %s (verify fraction %g)\n", *cacheDir, *cacheVerify)
-	}
-	exec, fleetClose, err := fleetFlags.Executor(cp, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
-	})
-	if err != nil {
-		fail(err)
-	}
-	defer fleetClose()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -104,19 +84,11 @@ func main() {
 	for _, app := range harness.BenchNames {
 		start := time.Now()
 		cs, err := harness.Figure3(harness.Fig3Options{
-			Scale:             harness.ScaleReduced,
-			Apps:              []string{app},
-			Workers:           *jobs,
-			Shards:            *shards,
-			LinkBytesPerCycle: *linkBW,
-			OccupancyCycles:   sim.Time(*occupancy),
-			NoDedup:           *noDedup,
-			Cache:             cp,
-			Exec:              exec,
-			PointTimeout:      *fleetFlags.PointTimeout,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
-			},
+			Scale:     shared.Scale,
+			Apps:      []string{app},
+			SimParams: sp,
+			NoDedup:   *noDedup,
+			Logf:      shared.Logf,
 		})
 		if err != nil {
 			fail(err)
@@ -133,16 +105,10 @@ func main() {
 	// Reduced Figure 4: the EM3D remote-edge sweep on the small set.
 	start := time.Now()
 	pts, err := harness.Figure4(harness.Fig4Options{
-		Scale:             harness.ScaleReduced,
-		Set:               harness.SetSmall,
-		Pcts:              []int{0, 20, 50},
-		Workers:           *jobs,
-		Shards:            *shards,
-		LinkBytesPerCycle: *linkBW,
-		OccupancyCycles:   sim.Time(*occupancy),
-		Cache:             cp,
-		Exec:              exec,
-		PointTimeout:      *fleetFlags.PointTimeout,
+		Scale:     shared.Scale,
+		Set:       harness.SetSmall,
+		Pcts:      []int{0, 20, 50},
+		SimParams: sp,
 	})
 	if err != nil {
 		fail(err)
@@ -182,8 +148,8 @@ func main() {
 	// Result-cache fleet summary: how many simulations this run actually
 	// performed versus served from memoized results. Cache activity
 	// never changes the digest — hits reconstruct bit-identical results.
-	if cp.Cache != nil {
-		cs := cp.Cache.Stats()
+	if cache != nil {
+		cs := cache.Stats()
 		fmt.Fprintf(os.Stderr, "bench: cache: %s\n", cs)
 		if *expectCached && (cs.Misses > 0 || cs.Stores > 0 || cs.Corrupt > 0) {
 			fmt.Fprintf(os.Stderr, "bench: EXPECTED FULLY CACHED RUN but saw %s\n", cs)

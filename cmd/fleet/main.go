@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"github.com/tempest-sim/tempest/internal/fleet"
-	"github.com/tempest-sim/tempest/internal/harness"
 )
 
 func main() {
@@ -69,9 +68,7 @@ func fail(role string, err error) {
 func coordinator(args []string) {
 	fs := flag.NewFlagSet("fleet coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "", "address to listen on (required)")
-	cacheDir := fs.String("cache-dir", "", "persistent result-cache directory (\"\" = in-process memory cache only)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache entirely")
-	cacheVerify := fs.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1]")
+	cache := fleet.RegisterCache(fs)
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "lease time-to-live without a heartbeat before a point is re-queued")
 	maxAttempts := fs.Int("max-attempts", 5, "lease budget per point before the sweep fails")
 	quiet := fs.Bool("quiet", false, "suppress lifecycle logging")
@@ -79,7 +76,7 @@ func coordinator(args []string) {
 	if *addr == "" {
 		fail("coordinator", fmt.Errorf("-addr is required"))
 	}
-	cp, err := harness.NewCacheParams(*cacheDir, *noCache, *cacheVerify)
+	cp, err := cache.Resolve()
 	if err != nil {
 		fail("coordinator", err)
 	}
@@ -103,10 +100,7 @@ func coordinator(args []string) {
 	}()
 	err = co.Serve(ln)
 	co.Close()
-	s := co.Stats()
-	fmt.Fprintf(os.Stderr,
-		"fleet coordinator: %d workers, %d leases (%d reassigned, %d expired, %d rejected, %d duplicate), %d cache hits, %d completed, %d failed\n",
-		s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.CacheHits, s.Completed, s.Failed)
+	fmt.Fprintf(os.Stderr, "fleet coordinator: %s\n", co.Stats())
 	if err != nil {
 		fail("coordinator", err)
 	}
@@ -116,9 +110,7 @@ func worker(args []string) {
 	fs := flag.NewFlagSet("fleet worker", flag.ExitOnError)
 	addr := fs.String("addr", "", "coordinator address to connect to (required)")
 	jobs := fs.Int("j", 1, "concurrent leases to run (0 = all cores)")
-	cacheDir := fs.String("cache-dir", "", "persistent result-cache directory (share the coordinator's to compose warm caches)")
-	noCache := fs.Bool("no-cache", false, "disable the result cache entirely")
-	cacheVerify := fs.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1]")
+	cache := fleet.RegisterCache(fs) // share the coordinator's -cache-dir to compose warm caches
 	connectTimeout := fs.Duration("connect-timeout", 30*time.Second, "how long to retry the initial dial (workers often start before the coordinator)")
 	dieAfter := fs.Int("die-after-leases", 0, "fault-injection hook: exit(1) immediately after receiving the Nth lease (0 = never)")
 	quiet := fs.Bool("quiet", false, "suppress lifecycle logging")
@@ -126,10 +118,13 @@ func worker(args []string) {
 	if *addr == "" {
 		fail("worker", fmt.Errorf("-addr is required"))
 	}
-	if *jobs <= 0 {
+	if err := fleet.CheckJobs(*jobs); err != nil {
+		fail("worker", err)
+	}
+	if *jobs == 0 {
 		*jobs = runtime.NumCPU()
 	}
-	cp, err := harness.NewCacheParams(*cacheDir, *noCache, *cacheVerify)
+	cp, err := cache.Resolve()
 	if err != nil {
 		fail("worker", err)
 	}

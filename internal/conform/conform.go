@@ -45,6 +45,8 @@
 package conform
 
 import (
+	"github.com/tempest-sim/tempest/internal/apps/em3d"
+	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/machine"
 )
@@ -94,6 +96,25 @@ func (p Pair) Config() machine.Config {
 		cfg.OccupancyCycles = ContendedOccupancy
 	}
 	return cfg
+}
+
+// Point is the sweep point a pair records and diffs: Config at the given
+// shard count running the committed tiny workload — big enough to
+// exercise misses, invalidations, writebacks, and update traffic on
+// every node, small enough that a recorded trace stays a few hundred
+// kilobytes.
+func (p Pair) Point(shards int) harness.Point {
+	pt := harness.Point{Cfg: p.Config(), System: p.System, Bench: p.App}
+	pt.Cfg.Shards = shards
+	switch p.App {
+	case "em3d":
+		c := em3d.Tiny()
+		pt.EM3D = &c
+	case "ocean":
+		c := ocean.Tiny()
+		pt.Ocean = &c
+	}
+	return pt
 }
 
 // CorpusPairs lists the committed corpus: every protocol × app pair of

@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/tempest-sim/tempest/internal/harness"
@@ -27,47 +26,13 @@ type DiffMutation struct {
 // handler bug shows up as Typhoon runs diverging from the hardware
 // reference.
 func RunDifferential(app string, shards int, mut *DiffMutation) error {
-	systems := harness.DiffSystemsFor(app)
-	if mut == nil {
-		// The unmutated matrix is a plain sweep: route it through the
-		// executor as Observed points (local-only — the observation
-		// carries live machine state no fleet backend can ship).
-		points := make([]harness.Point, len(systems))
-		for i, sys := range systems {
-			cfg := Pair{App: app, System: sys}.Config()
-			cfg.Shards = shards
-			pt := harness.Point{Cfg: cfg, System: sys, Bench: app, Observed: true, NoCache: true}
-			w := harness.TinyWorkload()
-			if app == "em3d" {
-				c := w.EM3D
-				pt.EM3D = &c
-			} else {
-				c := w.Ocean
-				pt.Ocean = &c
-			}
-			points[i] = pt
-		}
-		prs, err := harness.LocalExecutor{Workers: 1}.Submit(context.Background(), harness.Batch{Points: points})
-		if err != nil {
-			return fmt.Errorf("conform: differential %s: %w", app, err)
-		}
-		results := make([]harness.DiffObservation, len(prs))
-		for i, pr := range prs {
-			results[i] = *pr.Obs
-		}
-		return harness.CompareObservations(results)
-	}
 	var results []harness.DiffObservation
-	for _, sys := range systems {
-		p := Pair{App: app, System: sys}
-		cfg := p.Config()
-		cfg.Shards = shards
-		opt := harness.DiffOptions{}
-		if sys != harness.SysDirNNB {
-			opt.Mutate = mut.Mutate
-			opt.SkipVerify = mut.SkipVerify
+	for _, sys := range harness.DiffSystemsFor(app) {
+		var opt harness.DiffOptions
+		if mut != nil && sys != harness.SysDirNNB {
+			opt.Mutate, opt.SkipVerify = mut.Mutate, mut.SkipVerify
 		}
-		obs, err := harness.RunObserved(cfg, sys, app, harness.TinyWorkload(), opt)
+		obs, err := harness.RunObserved(Pair{App: app, System: sys}.Point(shards), opt)
 		if err != nil {
 			return fmt.Errorf("conform: differential %s under %s: %w", app, sys, err)
 		}

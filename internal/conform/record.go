@@ -27,10 +27,10 @@ type RecordOptions struct {
 // tracer overflowed is refused — a truncated trace must never become a
 // corpus file.
 func Record(p Pair, opt RecordOptions) (*Stream, error) {
-	cfg := p.Config()
-	cfg.Shards = opt.Shards
+	pt := p.Point(opt.Shards)
+	cfg := pt.Cfg
 	tr := trace.New(0)
-	obs, err := harness.RunObserved(cfg, p.System, p.App, harness.TinyWorkload(), harness.DiffOptions{
+	obs, err := harness.RunObserved(pt, harness.DiffOptions{
 		Mutate:     opt.Mutate,
 		SkipVerify: opt.SkipVerify,
 		Tracer:     tr,

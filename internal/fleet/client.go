@@ -30,11 +30,6 @@ var _ harness.Executor = (*Client)(nil)
 
 // Submit implements harness.Executor.
 func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
-	for _, pt := range batch.Points {
-		if pt.Observed {
-			return nil, errf("submit", "", pt.Label(), "observed points are local-only; run them without -fleet")
-		}
-	}
 	dialTmo := cl.DialTimeout
 	if dialTmo == 0 {
 		dialTmo = 10 * time.Second
@@ -61,26 +56,11 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 	}
 	br := bufio.NewReader(conn)
 	code := harness.CodeID()
-	if err := send(Msg{Verb: "hello", Args: []string{Proto, "client", code}}); err != nil {
+	if err := hello(send, br, "client", code, cl.Addr); err != nil {
 		return nil, err
 	}
-	m, err := ReadMsg(br)
-	if err != nil {
-		return nil, errf("handshake", cl.Addr, "", "reading welcome: %v", err)
-	}
-	switch m.Verb {
-	case "welcome":
-	case "reject":
-		return nil, errf("handshake", cl.Addr, "", "rejected: %s", m.Payload)
-	default:
-		return nil, errf("handshake", cl.Addr, "", "expected welcome, got %s", m.Verb)
-	}
-	var tmoMS uint64
-	if batch.PointTimeout > 0 {
-		tmoMS = uint64((batch.PointTimeout + time.Millisecond - 1) / time.Millisecond)
-	}
 	n := len(batch.Points)
-	if err := send(Msg{Verb: "submit", Args: []string{strconv.Itoa(n), fu(tmoMS)}}); err != nil {
+	if err := send(Msg{Verb: "submit", Args: []string{strconv.Itoa(n), fu(timeoutMS(batch.PointTimeout))}}); err != nil {
 		return nil, err
 	}
 	for i, pt := range batch.Points {
@@ -132,7 +112,7 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 					"result does not verify: key %s code %.12s (want key %s code %.12s)",
 					entry.Key, entry.Code, key, code)
 			}
-			results[i] = harness.PointResult{RunResult: harness.ResultFromEntry(entry), Origin: entry.Origin}
+			results[i] = pointResult(entry)
 			got[i] = true
 		case "perr":
 			return nil, errf("submit", cl.Addr, "", "%s", m.Payload)

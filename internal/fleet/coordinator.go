@@ -61,6 +61,12 @@ type Stats struct {
 	Failed    uint64
 }
 
+// String renders the counters as the one-line fleet summary.
+func (s Stats) String() string {
+	return fmt.Sprintf("%d workers, %d leases (%d reassigned, %d expired, %d rejected, %d duplicate), %d cache hits, %d completed, %d failed",
+		s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.CacheHits, s.Completed, s.Failed)
+}
+
 const (
 	taskPending = iota
 	taskLeased
@@ -201,116 +207,39 @@ func (c *Coordinator) Close() error {
 // executor contract — results slotted by index, groups sequential in
 // submission order, first failure fails the batch.
 func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
-	results, _, err := c.submit(ctx, batch)
-	return results, err
-}
-
-// submit is Submit plus the per-point cache entries, which the protocol
-// server ships to remote clients.
-func (c *Coordinator) submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, []*resultcache.Entry, error) {
-	pts := batch.Points
-	results := make([]harness.PointResult, len(pts))
-	entries := make([]*resultcache.Entry, len(pts))
-
-	// Chain points exactly as LocalExecutor does: a Group is one
-	// sequential chain (so earlier points' entries and witness aliases
-	// serve later ones); ungrouped points are independent.
-	type chainSpec struct {
-		idxs  []int
-		label string
-	}
-	var chains []chainSpec
-	groupAt := make(map[string]int)
-	for i, pt := range pts {
-		if pt.Group == "" {
-			chains = append(chains, chainSpec{idxs: []int{i}, label: pt.Label()})
-			continue
-		}
-		gi, ok := groupAt[pt.Group]
-		if !ok {
-			gi = len(chains)
-			groupAt[pt.Group] = gi
-			chains = append(chains, chainSpec{label: pt.Group})
-		}
-		chains[gi].idxs = append(chains[gi].idxs, i)
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var mu sync.Mutex
-	done := 0
-	errs := make([]error, len(chains))
-	var wg sync.WaitGroup
-	for ci := range chains {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			for _, i := range chains[ci].idxs {
-				pr, e, err := c.runOne(cctx, pts[i], batch.PointTimeout)
-				if err != nil {
-					errs[ci] = err
-					cancel()
-					return
-				}
-				results[i] = pr
-				entries[i] = e
-				if batch.Progress != nil {
-					mu.Lock()
-					done++
-					batch.Progress(done, len(pts))
-					mu.Unlock()
-				}
-			}
-		}(ci)
-	}
-	wg.Wait()
-	if err := joinChainErrors(errs); err != nil {
-		return nil, nil, err
-	}
-	return results, entries, nil
-}
-
-// joinChainErrors folds per-chain failures into one error, dropping the
-// cancellations that fail-fast induced in sibling chains when a real
-// failure exists.
-func joinChainErrors(errs []error) error {
-	var real, canceled []error
-	seen := make(map[string]bool)
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if errors.Is(e, context.Canceled) {
-			canceled = append(canceled, e)
-			continue
-		}
-		if !seen[e.Error()] {
-			seen[e.Error()] = true
-			real = append(real, e)
-		}
-	}
-	if len(real) > 0 {
-		return errors.Join(real...)
-	}
-	if len(canceled) > 0 {
-		return canceled[0]
-	}
-	return nil
-}
-
-// runOne resolves one point: cache hit, dedup against an in-flight
-// identical point, or a fresh task leased to the fleet.
-func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time.Duration) (harness.PointResult, *resultcache.Entry, error) {
-	if err := pt.Validate(); err != nil {
-		return harness.PointResult{}, nil, err
-	}
-	if pt.Observed {
-		return harness.PointResult{}, nil,
-			errf("submit", "", pt.Label(), "observed points are local-only; run them without a fleet")
-	}
-	key, err := harness.PointKey(c.code, pt)
+	entries, err := c.submit(ctx, batch)
 	if err != nil {
-		return harness.PointResult{}, nil, err
+		return nil, err
+	}
+	results := make([]harness.PointResult, len(entries))
+	for i, e := range entries {
+		results[i] = pointResult(e)
+	}
+	return results, nil
+}
+
+// pointResult rebuilds a sweep result from a verified entry.
+func pointResult(e *resultcache.Entry) harness.PointResult {
+	return harness.PointResult{RunResult: harness.ResultFromEntry(e), Origin: e.Origin}
+}
+
+// submit resolves the batch to its per-point cache entries — what the
+// protocol server ships to remote clients and Submit turns into
+// results. Chains wait on remote workers, not on local cores, so all of
+// them are in flight at once.
+func (c *Coordinator) submit(ctx context.Context, batch harness.Batch) ([]*resultcache.Entry, error) {
+	return harness.RunChains(ctx, batch, len(batch.Points),
+		func(ctx context.Context, pt harness.Point) (*resultcache.Entry, error) {
+			return c.runOne(ctx, pt, batch.PointTimeout)
+		})
+}
+
+// runOne resolves one point to its entry: cache hit, dedup against an
+// in-flight identical point, or a fresh task leased to the fleet.
+func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time.Duration) (*resultcache.Entry, error) {
+	key, err := harness.PointKey(c.code, pt) // validates the point
+	if err != nil {
+		return nil, err
 	}
 	cp := c.opts.Cache
 	if cp.Cache != nil && !pt.NoCache {
@@ -318,17 +247,13 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 			c.mu.Lock()
 			c.stats.CacheHits++
 			c.mu.Unlock()
-			return harness.PointResult{RunResult: harness.ResultFromEntry(entry), Origin: entry.Origin}, entry, nil
+			return entry, nil
 		}
-	}
-	var tmoMS uint64
-	if timeout > 0 {
-		tmoMS = uint64((timeout + time.Millisecond - 1) / time.Millisecond)
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return harness.PointResult{}, nil, errf("submit", "", pt.Label(), "coordinator closed")
+		return nil, errf("submit", "", pt.Label(), "coordinator closed")
 	}
 	var t *task
 	if !pt.NoCache {
@@ -337,7 +262,7 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 	if t == nil {
 		t = &task{
 			key: key, pt: pt, enc: pt.Encode(), label: pt.Label(),
-			noCache: pt.NoCache, timeoutMS: tmoMS,
+			noCache: pt.NoCache, timeoutMS: timeoutMS(timeout),
 			state: taskPending, queued: true,
 			doneCh: make(chan struct{}),
 		}
@@ -351,16 +276,21 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 	c.wakeUp()
 	select {
 	case <-ctx.Done():
-		return harness.PointResult{}, nil, ctx.Err()
+		return nil, ctx.Err()
 	case <-t.doneCh:
 	}
 	c.mu.Lock()
-	entry, terr := t.entry, t.err
-	c.mu.Unlock()
-	if terr != nil {
-		return harness.PointResult{}, nil, terr
+	defer c.mu.Unlock()
+	return t.entry, t.err
+}
+
+// timeoutMS is a point timeout as the wire carries it: whole
+// milliseconds, rounded up so a sub-millisecond limit stays a limit.
+func timeoutMS(d time.Duration) uint64 {
+	if d <= 0 {
+		return 0
 	}
-	return harness.PointResult{RunResult: harness.ResultFromEntry(entry), Origin: entry.Origin}, entry, nil
+	return uint64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
 // --- scheduler ---
@@ -845,7 +775,7 @@ func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, nam
 			send(Msg{Verb: "prog", Args: []string{strconv.Itoa(done), strconv.Itoa(total)}})
 		},
 	}
-	_, entries, err := c.submit(context.Background(), batch)
+	entries, err := c.submit(context.Background(), batch)
 	if err != nil {
 		send(Msg{Verb: "perr", Args: []string{"0"}, Payload: []byte(err.Error())})
 		return errf("serve", name, "", "batch failed: %v", err)

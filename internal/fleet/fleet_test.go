@@ -354,23 +354,6 @@ func TestFleetMaxAttemptsExhausted(t *testing.T) {
 	}
 }
 
-func TestFleetObservedPointsRejected(t *testing.T) {
-	pt := tinyPoint(41)
-	pt.Observed = true
-	pt.NoCache = true
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
-	if _, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}}); err == nil ||
-		!strings.Contains(err.Error(), "local-only") {
-		t.Errorf("coordinator: %v", err)
-	}
-	// The client rejects before even dialing.
-	cl := &Client{Addr: "127.0.0.1:1"}
-	if _, err := cl.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}}); err == nil ||
-		!strings.Contains(err.Error(), "local-only") {
-		t.Errorf("client: %v", err)
-	}
-}
-
 // TestFleetBadMachineConfigRefusedAtSubmit pins where a point whose
 // machine config machine.New would panic on stops: at the coordinator's
 // submit, with no worker attached — it is never leased, so it can never
@@ -385,6 +368,32 @@ func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 	}
 	if s := co.Stats(); s.Leases != 0 {
 		t.Errorf("refused point was leased %d times", s.Leases)
+	}
+}
+
+// TestFleetSetupFailureFailsLeaseNotWorker is the twin for a point that
+// is fine on its face — it passes submit and is leased — but cannot be
+// set up (a DRAM budget its home pages do not fit): the worker answers
+// the lease with a fail naming the point and the phase, and is still
+// there to run the next lease.
+func TestFleetSetupFailureFailsLeaseNotWorker(t *testing.T) {
+	bad := tinyPoint(44)
+	bad.Cfg.MemPagesPerNode = 1
+	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	startWorker(t, co, WorkerOptions{})
+	_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{bad}})
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Op != "run" || !strings.Contains(fe.Msg, "harness: "+bad.Label()+": setup: ") {
+		t.Fatalf("err = %v, want the worker's fail reply naming the point and the set-up phase", err)
+	}
+	good := tinyPoint(45)
+	got, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{good}})
+	if err != nil {
+		t.Fatalf("the worker did not survive the bad lease: %v", err)
+	}
+	sameRun(t, good.Label(), got[0].RunResult, localBaseline(t, []harness.Point{good})[0].RunResult)
+	if s := co.Stats(); s.Workers != 1 || s.Leases != 2 || s.Failed != 1 || s.Completed != 1 || s.Reassigned != 0 {
+		t.Errorf("stats = %+v, want one worker serving both leases: one failed, one completed", s)
 	}
 }
 
@@ -468,29 +477,6 @@ func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	}
 	if s := co2.Stats(); s.Leases != 1 || s.CacheHits != 1 {
 		t.Errorf("grouped pair should lease once then hit the cache: %+v", s)
-	}
-}
-
-// TestFleetPointTimeout: the coordinator forwards the batch's point
-// timeout; the worker enforces it and the sweep fails with an error
-// naming the point.
-func TestFleetPointTimeout(t *testing.T) {
-	ecfg := em3d.Tiny()
-	ecfg.Iters = 100000 // long enough to trip a 1ms budget reliably
-	cfg := machine.DefaultConfig()
-	cfg.Nodes = 4
-	pt := harness.Point{Cfg: cfg, System: harness.SysStache, EM3D: &ecfg}
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
-	startWorker(t, co, WorkerOptions{})
-	_, err := co.Submit(context.Background(), harness.Batch{
-		Points:       []harness.Point{pt},
-		PointTimeout: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("timeout did not fire")
-	}
-	if !strings.Contains(err.Error(), pt.Label()) || !strings.Contains(err.Error(), "timeout") {
-		t.Errorf("error should name the point and the timeout: %v", err)
 	}
 }
 

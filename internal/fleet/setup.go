@@ -53,8 +53,7 @@ func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	}
 }
 
-// NewExecutor wires the -fleet/-workers-addr flag pair every binary
-// exposes into an executor:
+// NewExecutor wires the -fleet/-workers-addr flag pair into an executor:
 //
 //   - -fleet addr: ship batches to the remote coordinator at addr.
 //   - -workers-addr addr: run an embedded coordinator here, listening
@@ -64,32 +63,27 @@ func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 //
 // The returned closer releases whatever was started; call it when the
 // sweep finishes.
-func NewExecutor(fleetAddr, workersAddr string, cp harness.CacheParams, logf func(string, ...any)) (harness.Executor, func() error, error) {
-	noop := func() error { return nil }
+func NewExecutor(fleetAddr, workersAddr string, cp harness.CacheParams, logf func(string, ...any)) (harness.Executor, func(), error) {
 	switch {
 	case fleetAddr != "" && workersAddr != "":
 		return nil, nil, fmt.Errorf("fleet: -fleet and -workers-addr are mutually exclusive (be a client or a coordinator, not both)")
 	case fleetAddr != "":
-		return &Client{Addr: fleetAddr, Logf: logf}, noop, nil
+		return &Client{Addr: fleetAddr, Logf: logf}, func() {}, nil
 	case workersAddr != "":
 		co := NewCoordinator(CoordinatorOptions{Cache: cp, Logf: logf})
 		ln, err := Listen(workersAddr)
 		if err != nil {
 			co.Close()
-			return nil, nil, fmt.Errorf("fleet: listen %s: %w", workersAddr, err)
+			return nil, nil, fmt.Errorf("fleet: -workers-addr: listen %s: %w", workersAddr, err)
 		}
 		go co.Serve(ln)
-		closer := func() error {
+		return co, func() {
 			ln.Close()
 			co.Close()
 			if logf != nil {
-				s := co.Stats()
-				logf("fleet: %d workers, %d leases (%d reassigned, %d expired, %d rejected, %d duplicate), %d cache hits, %d completed, %d failed",
-					s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.CacheHits, s.Completed, s.Failed)
+				logf("fleet: %s", co.Stats())
 			}
-			return nil
-		}
-		return co, closer, nil
+		}, nil
 	}
-	return nil, noop, nil
+	return nil, func() {}, nil
 }

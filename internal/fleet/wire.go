@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"github.com/tempest-sim/tempest/internal/resultcache"
 )
 
 // Proto is the protocol version string exchanged in the handshake.
@@ -149,20 +151,14 @@ func readLine(r *bufio.Reader) (string, error) {
 	}
 }
 
-// canonUint parses a canonical decimal: digits only, no leading zeros
-// (except "0" itself), within cap.
+// canonUint parses a canonical decimal token (resultcache.CanonUint)
+// that must not exceed limit.
 func canonUint(s string, limit uint64) (uint64, error) {
-	if s == "" || (len(s) > 1 && s[0] == '0') {
-		return 0, fmt.Errorf("non-canonical integer %q", s)
+	v, err := resultcache.CanonUint(s)
+	if err == nil && v > limit {
+		err = fmt.Errorf("%d exceeds cap %d", v, limit)
 	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("non-canonical integer %q", s)
-	}
-	if v > limit {
-		return 0, fmt.Errorf("%d exceeds cap %d", v, limit)
-	}
-	return v, nil
+	return v, err
 }
 
 // ReadMsg decodes the next message from r. Decoding is total: every

@@ -65,19 +65,8 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opts WorkerOptions)
 	}
 	br := bufio.NewReader(conn)
 	code := harness.CodeID()
-	if err := send(Msg{Verb: "hello", Args: []string{Proto, "worker", code}}); err != nil {
-		return errf("handshake", "", "", "writing hello: %v", err)
-	}
-	m, err := ReadMsg(br)
-	if err != nil {
-		return errf("handshake", "", "", "reading welcome: %v", err)
-	}
-	switch m.Verb {
-	case "welcome":
-	case "reject":
-		return errf("handshake", "", "", "rejected: %s", m.Payload)
-	default:
-		return errf("handshake", "", "", "expected welcome, got %s", m.Verb)
+	if err := hello(send, br, "worker", code, ""); err != nil {
+		return err
 	}
 	if err := send(Msg{Verb: "ready", Args: []string{fu(uint64(opts.Slots))}}); err != nil {
 		return errf("handshake", "", "", "writing ready: %v", err)
@@ -154,29 +143,31 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opts WorkerOptions)
 	}
 }
 
-// runLeased runs one leased point, enforcing the coordinator's
-// per-point timeout. A timed-out simulation is abandoned on its own
-// goroutine, exactly as the local executor abandons one.
+// hello is the connecting peer's half of the handshake: announce the
+// protocol version, role and code digest, and require a welcome. peer
+// names the coordinator in errors.
+func hello(send func(Msg) error, br *bufio.Reader, role, code, peer string) error {
+	if err := send(Msg{Verb: "hello", Args: []string{Proto, role, code}}); err != nil {
+		return errf("handshake", peer, "", "writing hello: %v", err)
+	}
+	m, err := ReadMsg(br)
+	if err != nil {
+		return errf("handshake", peer, "", "reading welcome: %v", err)
+	}
+	switch m.Verb {
+	case "welcome":
+		return nil
+	case "reject":
+		return errf("handshake", peer, "", "rejected: %s", m.Payload)
+	}
+	return errf("handshake", peer, "", "expected welcome, got %s", m.Verb)
+}
+
+// runLeased runs one leased point under the coordinator's per-point
+// timeout and returns its entry.
 func runLeased(cp harness.CacheParams, pt harness.Point, tmo time.Duration) (*resultcache.Entry, error) {
-	if tmo <= 0 {
+	return harness.RunWithTimeout(pt, tmo, func() (*resultcache.Entry, error) {
 		_, entry, err := harness.RunPointEntry(cp, pt)
 		return entry, err
-	}
-	type outcome struct {
-		entry *resultcache.Entry
-		err   error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		_, entry, err := harness.RunPointEntry(cp, pt)
-		ch <- outcome{entry, err}
-	}()
-	timer := time.NewTimer(tmo)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.entry, o.err
-	case <-timer.C:
-		return nil, &harness.PointTimeoutError{Point: pt.Label(), Timeout: tmo}
-	}
+	})
 }

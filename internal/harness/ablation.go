@@ -17,10 +17,9 @@ type AblationRow struct {
 	Extra  map[string]uint64
 }
 
-// Every ablation takes the SimParams for the simulations themselves
-// (shard count, link bandwidth, agent occupancy — applied to every
-// system, plus the cache/executor/timeout policy) and a workers count
-// for the local pool (<= 0 = all cores); each configuration is one
+// Every ablation takes the sweep's SimParams (shard count, link
+// bandwidth and agent occupancy applied to every system, plus the
+// pool/cache/executor/timeout policy); each configuration is one
 // independent sweep point, and the row order is fixed by the sweep
 // definition regardless of completion order. Rows are bit-identical
 // at every shard and worker count.
@@ -35,12 +34,12 @@ type ablationPoint struct {
 
 // runAblation submits an ablation's points and folds the results into
 // rows.
-func runAblation(sp SimParams, workers int, aps []ablationPoint) ([]AblationRow, error) {
+func runAblation(sp SimParams, aps []ablationPoint) ([]AblationRow, error) {
 	points := make([]Point, len(aps))
 	for i := range aps {
 		points[i] = aps[i].pt
 	}
-	results, err := submitPoints(sp.Exec, sp.Cache, workers, sp.PointTimeout, points, nil)
+	results, err := SubmitPoints(sp, points)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +67,12 @@ func netMsgs(res machine.Result) uint64 {
 // (the paper fixes 32 bytes but defines blocks as 32-128 bytes, §2.4):
 // larger blocks amortise handler overhead against false sharing and
 // wasted transfer.
-func AblationBlockSize(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
 	var aps []ablationPoint
 	for _, bs := range []int{32, 64, 128} {
 		cfg := MachineConfig(scale, 0)
 		cfg.BlockSize = bs
-		sp.apply(&cfg)
+		sp.Apply(&cfg)
 		aps = append(aps, ablationPoint{
 			pt:    Point{Cfg: cfg, System: SysStache, Bench: "em3d", Scale: scale, Set: SetSmall},
 			label: fmt.Sprintf("block=%dB", bs),
@@ -82,17 +81,17 @@ func AblationBlockSize(scale Scale, sp SimParams, workers int) ([]AblationRow, e
 			},
 		})
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationPlacement quantifies paper §6's discussion that careful data
 // placement recovers much of DirNNB's disadvantage: Ocean under DirNNB
 // with the naive round-robin placement of a shared malloc versus
 // owner-aligned bands, against Typhoon/Stache which needs no placement.
-func AblationPlacement(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
 	cacheKB := 4
 	mcfg := MachineConfig(scale, cacheKB<<10)
-	sp.apply(&mcfg)
+	sp.Apply(&mcfg)
 	ocfg := ocean.Small()
 	if scale != ScalePaper {
 		ocfg.N = 66
@@ -116,7 +115,7 @@ func AblationPlacement(scale Scale, sp SimParams, workers int) ([]AblationRow, e
 			label: c.label,
 		})
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationStacheBudget sweeps the per-node stache-page budget to expose
@@ -124,10 +123,10 @@ func AblationPlacement(scale Scale, sp SimParams, workers int) ([]AblationRow, e
 // ample memory; a tight budget makes them common). budget=0 is exactly
 // the plain Stache run — the zero key field is dropped, so it shares a
 // cache entry with other sweeps' runs.
-func AblationStacheBudget(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationStacheBudget(scale Scale, sp SimParams) ([]AblationRow, error) {
 	ecfg := EM3DConfig(scale, SetSmall)
 	mcfg := MachineConfig(scale, 0)
-	sp.apply(&mcfg)
+	sp.Apply(&mcfg)
 	var aps []ablationPoint
 	for _, budget := range []int{0, 16, 4, 2} {
 		label := "unbounded"
@@ -142,35 +141,35 @@ func AblationStacheBudget(scale Scale, sp SimParams, workers int) ([]AblationRow
 			},
 		})
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationNetLatency sweeps the network latency (Table 2's 11 cycles is
 // "probably optimistic for future systems" and deliberately favours
 // DirNNB; this quantifies the sensitivity the paper mentions).
-func AblationNetLatency(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
 	var aps []ablationPoint
 	for _, lat := range []sim.Time{11, 44, 88} {
 		for _, sys := range []System{SysDirNNB, SysStache} {
 			cfg := MachineConfig(scale, 4<<10)
 			cfg.NetLatency = lat
-			sp.apply(&cfg)
+			sp.Apply(&cfg)
 			aps = append(aps, ablationPoint{
 				pt:    Point{Cfg: cfg, System: sys, Bench: "ocean", Scale: scale, Set: SetSmall},
 				label: fmt.Sprintf("net=%d/%s", lat, sys),
 			})
 		}
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationFirstTouch compares DirNNB's default round-robin placement
 // with first-touch page placement on MP3D (paper §6 cites Stenstrom et
 // al.'s first-touch result). First touch lands each particle page on the
 // node that initialises it — its owner.
-func AblationFirstTouch(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationFirstTouch(scale Scale, sp SimParams) ([]AblationRow, error) {
 	mcfg := MachineConfig(scale, 4<<10)
-	sp.apply(&mcfg)
+	sp.Apply(&mcfg)
 	var aps []ablationPoint
 	for _, sys := range []System{SysDirNNB, SysStache} {
 		aps = append(aps, ablationPoint{
@@ -189,7 +188,7 @@ func AblationFirstTouch(scale Scale, sp SimParams, workers int) ([]AblationRow, 
 		pt:    Point{Cfg: mcfg, System: SysDirNNB, Ocean: &c},
 		label: "first-touch/dirnnb",
 	})
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // RenderAblation prints an ablation sweep.
@@ -210,11 +209,11 @@ func RenderAblation(w io.Writer, title string, rows []AblationRow) error {
 // per remote datum per iteration, check-in annotations cut that to
 // three by replacing the invalidation round trip, and the custom update
 // protocol reaches the minimum of one.
-func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams) ([]AblationRow, error) {
 	ecfg := EM3DConfig(scale, SetSmall)
 	ecfg.PctRemote = pctRemote
 	mcfg := MachineConfig(scale, 0)
-	sp.apply(&mcfg)
+	sp.Apply(&mcfg)
 
 	msgExtra := func(rr RunResult) map[string]uint64 {
 		return map[string]uint64{"net-messages": netMsgs(rr.Res)}
@@ -229,7 +228,7 @@ func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams, workers int
 		// Custom update protocol.
 		{pt: Point{Cfg: mcfg, System: SysUpdate, EM3D: &ecfg}, label: "typhoon-update", extra: msgExtra},
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationMigratory measures the migratory-sharing optimisation (a
@@ -237,9 +236,9 @@ func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams, workers int
 // scattered read-modify-writes are the pattern it targets. mig=false
 // drops the key field — the plain run shares its entry with any other
 // Stache/mp3d sweep at this configuration.
-func AblationMigratory(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationMigratory(scale Scale, sp SimParams) ([]AblationRow, error) {
 	mcfg := MachineConfig(scale, 64<<10)
-	sp.apply(&mcfg)
+	sp.Apply(&mcfg)
 	var aps []ablationPoint
 	for _, mig := range []bool{false, true} {
 		label := "stache/plain"
@@ -257,7 +256,7 @@ func AblationMigratory(scale Scale, sp SimParams, workers int) ([]AblationRow, e
 			},
 		})
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }
 
 // AblationSoftwareTempest runs the same benchmark and the same
@@ -265,12 +264,12 @@ func AblationMigratory(scale Scale, sp SimParams, workers int) ([]AblationRow, e
 // implementation (the paper's announced "native version for existing
 // machines", later published as Blizzard), quantifying what Typhoon's
 // custom hardware buys.
-func AblationSoftwareTempest(scale Scale, sp SimParams, workers int) ([]AblationRow, error) {
+func AblationSoftwareTempest(scale Scale, sp SimParams) ([]AblationRow, error) {
 	var aps []ablationPoint
 	for _, name := range []string{"ocean", "em3d"} {
 		for _, software := range []bool{false, true} {
 			cfg := MachineConfig(scale, 16<<10)
-			sp.apply(&cfg)
+			sp.Apply(&cfg)
 			sys, label := SysStache, name+"/typhoon"
 			if software {
 				sys, label = SysBlizzard, name+"/software"
@@ -281,5 +280,5 @@ func AblationSoftwareTempest(scale Scale, sp SimParams, workers int) ([]Ablation
 			})
 		}
 	}
-	return runAblation(sp, workers, aps)
+	return runAblation(sp, aps)
 }

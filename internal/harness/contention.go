@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stats"
@@ -59,7 +58,10 @@ type ContentionCell struct {
 	DirAgentWait, TyphAgentWait uint64
 }
 
-// ContentionOptions selects the sweep's extent.
+// ContentionOptions selects the sweep's extent; the embedded SimParams
+// is its execution policy (its two contention knobs are overridden per
+// point by the grid). The contention knobs are cache-key fields, so
+// every sweep point has its own entry.
 type ContentionOptions struct {
 	Scale Scale
 	// Apps are the benchmarks to sweep; nil = em3d and ocean (the two
@@ -70,20 +72,7 @@ type ContentionOptions struct {
 	// CacheKB is the CPU cache size; <= 0 means 4 (the most
 	// traffic-intensive Figure 3 point, where contention bites hardest).
 	CacheKB int
-	// Workers sizes the worker pool; <= 0 uses all cores.
-	Workers int
-	// Shards is machine.Config.Shards for every run; results are
-	// bit-identical at every value, contention included.
-	Shards int
-	// Cache supplies a shared result cache (zero value = no caching).
-	// The contention knobs are key fields, so every sweep point has its
-	// own entry.
-	Cache CacheParams
-	// Exec, when non-nil, runs the sweep's points on that backend
-	// instead of the in-process pool.
-	Exec Executor
-	// PointTimeout, when > 0, bounds each point's wall-clock run.
-	PointTimeout time.Duration
+	SimParams
 }
 
 // ContentionSweep reruns a Figure-3-style comparison across contention
@@ -109,14 +98,14 @@ func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
 		for _, pt := range points {
 			for _, sys := range []System{SysDirNNB, SysStache} {
 				cfg := MachineConfig(opts.Scale, cacheKB<<10)
-				cfg.Shards = opts.Shards
-				cfg.LinkBytesPerCycle = pt.LinkBytesPerCycle
-				cfg.OccupancyCycles = pt.OccupancyCycles
+				sp := opts.SimParams
+				sp.LinkBytesPerCycle, sp.OccupancyCycles = pt.LinkBytesPerCycle, pt.OccupancyCycles
+				sp.Apply(&cfg)
 				pts = append(pts, Point{Cfg: cfg, System: sys, Bench: name, Scale: opts.Scale, Set: SetSmall})
 			}
 		}
 	}
-	results, err := submitPoints(opts.Exec, opts.Cache, opts.Workers, opts.PointTimeout, pts, nil)
+	results, err := SubmitPoints(opts.SimParams, pts)
 	if err != nil {
 		return nil, err
 	}

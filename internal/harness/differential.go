@@ -4,20 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/apps"
-	"github.com/tempest-sim/tempest/internal/apps/em3d"
-	"github.com/tempest-sim/tempest/internal/apps/ocean"
-	"github.com/tempest-sim/tempest/internal/blizzard"
-	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/sim"
-	"github.com/tempest-sim/tempest/internal/stache"
 	"github.com/tempest-sim/tempest/internal/trace"
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
@@ -56,19 +50,6 @@ func DiffSystemsFor(app string) []System {
 		out = append(out, SysUpdate)
 	}
 	return out
-}
-
-// DiffWorkload sizes the differential matrix's applications.
-type DiffWorkload struct {
-	EM3D  em3d.Config
-	Ocean ocean.Config
-}
-
-// TinyWorkload is the committed-corpus scale: big enough to exercise
-// misses, invalidations, writebacks, and update traffic on every node,
-// small enough that a recorded trace stays a few hundred kilobytes.
-func TinyWorkload() DiffWorkload {
-	return DiffWorkload{EM3D: em3d.Tiny(), Ocean: ocean.Tiny()}
 }
 
 // DiffOptions tunes one observed run.
@@ -114,48 +95,24 @@ type DiffObservation struct {
 	Res         machine.Result
 }
 
-// RunObserved executes app under system with observation enabled and
+// RunObserved is the funnel with the differential harness's
+// instruments attached: it runs the point with observation enabled and
 // per-barrier checkpoints, verifying the result (unless opt.SkipVerify)
 // and returning the observation. The machine config is used as given —
 // the matrix re-runs it at several shard counts.
-func RunObserved(cfg machine.Config, system System, app string, w DiffWorkload, opt DiffOptions) (obs DiffObservation, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			var derr *dirnnb.Error
-			var nerr *network.Error
-			if e, ok := r.(error); ok && (errors.As(e, &derr) || errors.As(e, &nerr)) {
-				err = fmt.Errorf("harness: observed %s on %s: %w", app, system, e)
-				return
-			}
-			panic(r)
-		}
-	}()
-	m := machine.New(cfg)
+func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
+	if err := pt.Validate(); err != nil {
+		return DiffObservation{}, err
+	}
 	var topts []typhoon.Option
 	if opt.Tracer != nil {
 		topts = append(topts, typhoon.WithTracer(opt.Tracer))
 	}
-	var st *stache.Protocol
-	var tsys *typhoon.System
-	var dsys *dirnnb.System
-	var upd *em3d.UpdateProtocol
-	switch system {
-	case SysDirNNB:
-		dsys = dirnnb.New(m)
-	case SysStache:
-		st = stache.New()
-		tsys = typhoon.New(m, st, topts...)
-	case SysBlizzard:
-		tsys, st = blizzard.NewStache(m, blizzard.Config{}, topts...)
-	case SysUpdate:
-		if app != "em3d" {
-			return DiffObservation{}, fmt.Errorf("harness: %s is em3d-only", SysUpdate)
-		}
-		upd = em3d.NewUpdateProtocol()
-		tsys = typhoon.New(m, upd, topts...)
-	default:
-		return DiffObservation{}, fmt.Errorf("harness: unknown system %q", system)
+	in, err := pt.install(topts...)
+	if err != nil {
+		return DiffObservation{}, err
 	}
+	m := in.m
 	if tr := opt.Tracer; tr != nil {
 		// The network-level taps exist for every system, DirNNB included:
 		// together they record the complete message stream (issue time and
@@ -163,7 +120,7 @@ func RunObserved(cfg machine.Config, system System, app string, w DiffWorkload, 
 		// time on the receiving agent), which is what the conformance
 		// replay re-issues standalone. Both taps run on the node's shard,
 		// so per-node tracer buffers capture race-free at any shard count.
-		tr.Prepare(cfg.Nodes)
+		tr.Prepare(len(m.Procs))
 		m.Net.OnSend = func(p *network.Packet, issued, extra sim.Time) {
 			tr.Emit(trace.Event{T: issued, Node: p.Src, Kind: trace.KNetSend, VA: mem.VA(extra),
 				Aux: trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())})
@@ -172,37 +129,25 @@ func RunObserved(cfg machine.Config, system System, app string, w DiffWorkload, 
 			tr.Emit(trace.Event{T: p.DeliveredAt, Node: p.Dst, Kind: trace.KNetArrive,
 				Aux: trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())})
 		}
-		for i := 0; i < cfg.Nodes; i++ {
-			core := agentCore(tsys, dsys, i)
-			node := i
-			core.OnDispatch = func(pkt *network.Packet, start, end sim.Time) {
+		for node := range m.Procs {
+			in.agentCore(node).OnDispatch = func(pkt *network.Packet, start, end sim.Time) {
 				tr.Emit(trace.Event{T: start, Node: node, Kind: trace.KNetDeliver, VA: mem.VA(end - start),
 					Aux: trace.PackMsg(pkt.Handler, pkt.Src, pkt.Dst, uint8(pkt.VNet), pkt.PayloadBytes())})
 			}
 		}
 	}
 	if opt.Mutate != nil {
-		if tsys == nil {
-			return DiffObservation{}, fmt.Errorf("harness: cannot mutate %s (no Typhoon system)", system)
+		if in.tsys == nil {
+			return DiffObservation{}, fmt.Errorf("harness: %s: cannot mutate %s (no Typhoon system)", pt.Label(), pt.System)
 		}
-		opt.Mutate(tsys)
+		opt.Mutate(in.tsys)
 	}
-	var a apps.App
-	switch app {
-	case "em3d":
-		if system == SysUpdate {
-			a = em3d.NewUpdateApp(w.EM3D, upd)
-		} else {
-			a = em3d.New(w.EM3D)
-		}
-	case "ocean":
-		a = ocean.New(w.Ocean)
-	default:
-		return DiffObservation{}, fmt.Errorf("harness: differential app %q not supported (want em3d or ocean)", app)
+	app, err := pt.makeApp(in)
+	if err != nil {
+		return DiffObservation{}, err
 	}
 	m.EnableObservation()
-	a.Setup(m)
-	obs = DiffObservation{System: system, App: app}
+	obs := DiffObservation{System: pt.System, App: pt.workload()}
 	// The release callback runs with every participant parked at the
 	// barrier (and, sharded, with the coordinator holding every conch),
 	// so reading each processor's observation here is the deterministic
@@ -214,45 +159,33 @@ func RunObserved(cfg machine.Config, system System, app string, w DiffWorkload, 
 		}
 		obs.Epochs = append(obs.Epochs, row)
 	})
-	res, err := m.Run(a.Body)
-	if err != nil {
-		return DiffObservation{}, fmt.Errorf("harness: observed %s on %s: %w", app, system, err)
+	if obs.Res, err = pt.execute(in, app, opt.SkipVerify); err != nil {
+		return DiffObservation{}, err
 	}
-	if st != nil {
-		if err := st.CheckInvariants(); err != nil {
-			return DiffObservation{}, fmt.Errorf("harness: observed %s on %s: %w", app, system, err)
-		}
-	}
-	if !opt.SkipVerify {
-		if err := a.Verify(m); err != nil {
-			return DiffObservation{}, fmt.Errorf("harness: observed %s on %s: %w", app, system, err)
-		}
-	}
-	obs.Res = res
 	// machine.Run recorded each processor's final observation in the
 	// result (observation was enabled above) — the same records the
 	// result cache stores.
-	obs.FinalProcs = res.ObsHashes
-	obs.FinalOps = res.ObsOps
+	obs.FinalProcs = obs.Res.ObsHashes
+	obs.FinalOps = obs.Res.ObsOps
 	obs.MemDigest = SharedMemoryDigest(m)
 	switch {
-	case dsys != nil:
-		obs.ProtoDigest = dsys.StateDigest()
-	case upd != nil:
-		obs.ProtoDigest, obs.TagsDigest = upd.StateDigest(), tsys.StateDigest()
+	case in.dsys != nil:
+		obs.ProtoDigest = in.dsys.StateDigest()
+	case in.upd != nil:
+		obs.ProtoDigest, obs.TagsDigest = in.upd.StateDigest(), in.tsys.StateDigest()
 	default:
-		obs.ProtoDigest, obs.TagsDigest = st.StateDigest(), tsys.StateDigest()
+		obs.ProtoDigest, obs.TagsDigest = in.st.StateDigest(), in.tsys.StateDigest()
 	}
 	return obs, nil
 }
 
 // agentCore returns node's protocol-agent core for whichever system is
 // attached — the unified agent layer every delivery dispatches through.
-func agentCore(tsys *typhoon.System, dsys *dirnnb.System, node int) *agent.Core {
-	if dsys != nil {
-		return dsys.AgentCore(node)
+func (in installed) agentCore(node int) *agent.Core {
+	if in.dsys != nil {
+		return in.dsys.AgentCore(node)
 	}
-	return tsys.NP(node).Core()
+	return in.tsys.NP(node).Core()
 }
 
 // SharedMemoryDigest hashes the coherent contents of every shared

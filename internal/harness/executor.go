@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -32,9 +31,6 @@ type PointResult struct {
 	// uncached) simulation, a tag like "witness:4K" for an alias served
 	// from the zero-eviction dedup machinery.
 	Origin string
-	// Obs carries the full observation for Observed points, nil
-	// otherwise.
-	Obs *DiffObservation
 }
 
 // Executor runs a batch of sweep points. Implementations must preserve
@@ -62,56 +58,53 @@ type LocalExecutor struct {
 
 // Submit implements Executor.
 func (ex LocalExecutor) Submit(ctx context.Context, batch Batch) ([]PointResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pts := batch.Points
-	results := make([]PointResult, len(pts))
+	return RunChains(ctx, batch, ex.Workers, func(_ context.Context, pt Point) (PointResult, error) {
+		return RunWithTimeout(pt, batch.PointTimeout, func() (PointResult, error) {
+			return RunPoint(ex.Cache, pt)
+		})
+	})
+}
 
-	// Group points into jobs: points sharing a Group form one job in
-	// first-appearance order and run sequentially within it.
-	type jobSpec struct {
-		idxs  []int
-		label string
-	}
-	var specs []jobSpec
+// RunChains is the scheduler behind every Executor: it owns the three
+// invariants of the contract so a backend supplies only how one point
+// runs. Points sharing a Group form one chain, in first-appearance
+// order, and run sequentially within it; ungrouped points are singleton
+// chains. Up to workers chains (<= 0 = all cores) run at once on the
+// RunAll pool, which brings fail-fast cancellation of the context run
+// sees and the joined error naming each failed chain. Results are
+// slotted by point index and batch.Progress calls are serialized.
+func RunChains[R any](ctx context.Context, batch Batch, workers int,
+	run func(ctx context.Context, pt Point) (R, error)) ([]R, error) {
+	pts := batch.Points
+	results := make([]R, len(pts))
+	var chains [][]int
 	groupAt := make(map[string]int)
 	for i, pt := range pts {
-		if pt.Group == "" {
-			specs = append(specs, jobSpec{idxs: []int{i}, label: pt.Label()})
-			continue
+		ci, ok := groupAt[pt.Group]
+		if pt.Group == "" || !ok {
+			ci = len(chains)
+			chains = append(chains, nil)
+			if pt.Group != "" {
+				groupAt[pt.Group] = ci
+			}
 		}
-		gi, ok := groupAt[pt.Group]
-		if !ok {
-			gi = len(specs)
-			groupAt[pt.Group] = gi
-			specs = append(specs, jobSpec{label: pt.Group})
-		}
-		specs[gi].idxs = append(specs[gi].idxs, i)
+		chains[ci] = append(chains[ci], i)
 	}
 
 	var mu sync.Mutex
 	done := 0
-	jobs := make([]Job[struct{}], len(specs))
-	for si := range specs {
-		spec := specs[si]
-		jobs[si] = func(jctx context.Context) (struct{}, error) {
-			for _, i := range spec.idxs {
+	jobs := make([]Job[struct{}], len(chains))
+	for ci, idxs := range chains {
+		jobs[ci] = func(jctx context.Context) (struct{}, error) {
+			for _, i := range idxs {
 				if err := jctx.Err(); err != nil {
 					return struct{}{}, err
 				}
-				pt := pts[i]
-				pr, err := runJob(jctx, func(context.Context) (PointResult, error) {
-					return RunPoint(ex.Cache, pt)
-				}, batch.PointTimeout)
+				r, err := run(jctx, pts[i])
 				if err != nil {
-					var pte *PointTimeoutError
-					if errors.As(err, &pte) && pte.Point == "" {
-						pte.Point = pt.Label()
-					}
 					return struct{}{}, err
 				}
-				results[i] = pr
+				results[i] = r
 				if batch.Progress != nil {
 					mu.Lock()
 					done++
@@ -122,9 +115,15 @@ func (ex LocalExecutor) Submit(ctx context.Context, batch Batch) ([]PointResult,
 			return struct{}{}, nil
 		}
 	}
-	_, err := RunAllOpts(jobs, RunOptions{
-		Workers: ex.Workers,
-		Label:   func(i int) string { return specs[i].label },
+	_, err := RunAllOpts(ctx, jobs, RunOptions{
+		Workers: workers,
+		Label: func(ci int) string {
+			first := pts[chains[ci][0]]
+			if first.Group != "" {
+				return first.Group
+			}
+			return first.Label()
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -132,37 +131,23 @@ func (ex LocalExecutor) Submit(ctx context.Context, batch Batch) ([]PointResult,
 	return results, nil
 }
 
-// submitPoints routes a sweep's points through its configured executor,
+// SubmitPoints runs a sweep's points on its configured executor,
 // defaulting to the in-process pool.
-func submitPoints(exec Executor, cp CacheParams, workers int, timeout time.Duration,
-	points []Point, progress func(done, total int)) ([]PointResult, error) {
+func SubmitPoints(sp SimParams, points []Point) ([]PointResult, error) {
+	exec := sp.Exec
 	if exec == nil {
-		exec = LocalExecutor{Workers: workers, Cache: cp}
+		exec = LocalExecutor{Workers: sp.Workers, Cache: sp.Cache}
 	}
 	return exec.Submit(context.Background(), Batch{
 		Points:       points,
-		Progress:     progress,
-		PointTimeout: timeout,
+		Progress:     sp.Progress,
+		PointTimeout: sp.PointTimeout,
 	})
 }
 
-// RunPoint executes one point: Observed points go through the
-// differential harness; everything else goes through the cache funnel
-// (RunPointEntry) and drops the entry.
+// RunPoint executes one point through the cache funnel (RunPointEntry)
+// and drops the entry.
 func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
-	if pt.Observed {
-		if err := pt.Validate(); err != nil {
-			return PointResult{}, err
-		}
-		obs, err := pt.runObserved()
-		if err != nil {
-			return PointResult{}, err
-		}
-		return PointResult{
-			RunResult: RunResult{System: obs.System, App: obs.App, Res: obs.Res},
-			Obs:       &obs,
-		}, nil
-	}
 	pr, _, err := RunPointEntry(cp, pt)
 	return pr, err
 }
@@ -171,14 +156,10 @@ func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
 // simulate directly, everything else memoizes through cachedRun and
 // publishes any witness aliases the point declares. It also returns the
 // point's cache entry — a fleet worker sends the entry over the wire, so
-// the entry exists even when the point ran cacheless. Observed points
-// have no entry form and are rejected.
+// the entry exists even when the point ran cacheless.
 func RunPointEntry(cp CacheParams, pt Point) (PointResult, *resultcache.Entry, error) {
 	if err := pt.Validate(); err != nil {
 		return PointResult{}, nil, err
-	}
-	if pt.Observed {
-		return PointResult{}, nil, errors.New("harness: observed points have no cacheable entry form (run them locally)")
 	}
 	name, appFields, extra, err := pt.keyParts()
 	if err != nil {

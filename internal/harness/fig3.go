@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -52,45 +51,26 @@ type Fig3Cell struct {
 	Relative float64
 }
 
-// Fig3Options selects the sweep's extent.
+// Fig3Options selects the sweep's extent; the embedded SimParams is its
+// execution policy.
 type Fig3Options struct {
 	Scale   Scale
 	Apps    []string     // nil = all five
 	Configs []Fig3Config // nil = the paper's five
-	// Workers sizes the local worker pool; <= 0 uses all cores. Results
-	// are bit-identical at every worker count. Ignored when Exec is set.
-	Workers int
-	// Shards runs each simulation's nodes across this many scheduler
-	// goroutines (machine.Config.Shards; <= 0 means 1) for every system,
-	// DirNNB included. Results are bit-identical at every value.
-	Shards int
-	// LinkBytesPerCycle and OccupancyCycles enable the contention model
-	// (machine.Config fields of the same names) on every sweep point.
-	// Zero values reproduce the paper's infinite-bandwidth,
-	// unbounded-concurrency machine — the pinned goldens' configuration.
-	LinkBytesPerCycle int
-	OccupancyCycles   sim.Time
+	// SimParams.Cache supplies a shared result cache. When nil (and
+	// NoDedup is off) the sweep uses a private in-process cache, which
+	// preserves the historical zero-eviction dedup behaviour exactly:
+	// clean points are stored once and aliased to every larger cache
+	// size they are provably identical at.
+	SimParams
 	// NoDedup bypasses the result cache for this sweep: every point
 	// simulates, including the redundant ones a zero-eviction witness
 	// would otherwise serve — e.g. to demonstrate the equivalence
 	// itself, or to time the uncached sweep.
 	NoDedup bool
-	// Cache supplies a shared result cache. When nil (and NoDedup is
-	// off) the sweep uses a private in-process cache, which preserves
-	// the historical zero-eviction dedup behaviour exactly: clean
-	// points are stored once and aliased to every larger cache size
-	// they are provably identical at.
-	Cache CacheParams
-	// Exec, when non-nil, runs the sweep's points on that backend (e.g.
-	// a fleet coordinator or client) instead of the in-process pool.
-	Exec Executor
-	// PointTimeout, when > 0, bounds each point's wall-clock run.
-	PointTimeout time.Duration
 	// Logf, when non-nil, receives one line per reused sweep point after
 	// the sweep completes, in deterministic sweep order.
 	Logf func(format string, args ...any)
-	// Progress, when non-nil, is called after each sweep point finishes.
-	Progress func(done, total int)
 }
 
 // fig3Systems is the pair every Figure 3 cell compares.
@@ -141,7 +121,7 @@ func Fig3Points(scale Scale, names []string, configs []Fig3Config, sp SimParams,
 			group := fmt.Sprintf("fig3/%s/%s", name, sys)
 			for i, fc := range configs {
 				cfg := MachineConfig(scale, fc.CacheKB<<10)
-				sp.apply(&cfg)
+				sp.Apply(&cfg)
 				pt := Point{
 					Cfg:     cfg,
 					System:  sys,
@@ -181,19 +161,17 @@ func Figure3(opts Fig3Options) ([]Fig3Cell, error) {
 	if configs == nil {
 		configs = Fig3Configs(opts.Scale)
 	}
-	sp := SimParams{Shards: opts.Shards, LinkBytesPerCycle: opts.LinkBytesPerCycle, OccupancyCycles: opts.OccupancyCycles}
-	cp := opts.Cache
-	if cp.Cache == nil && !opts.NoDedup {
+	sp := opts.SimParams
+	if sp.Cache.Cache == nil && !opts.NoDedup {
 		// Private in-process cache: exactly the historical dedup scope
 		// (one sweep), served through the one shared mechanism.
 		c, err := resultcache.New(resultcache.Options{})
 		if err != nil {
 			return nil, err
 		}
-		cp.Cache = c
+		sp.Cache.Cache = c
 	}
-	points := Fig3Points(opts.Scale, names, configs, sp, opts.NoDedup)
-	results, err := submitPoints(opts.Exec, cp, opts.Workers, opts.PointTimeout, points, opts.Progress)
+	results, err := SubmitPoints(sp, Fig3Points(opts.Scale, names, configs, sp, opts.NoDedup))
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
-	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
 
@@ -19,34 +17,15 @@ type Fig4Point struct {
 	DirNNB, Stache, Update float64
 }
 
-// Fig4Options selects the sweep.
+// Fig4Options selects the sweep; the embedded SimParams is its
+// execution policy.
 type Fig4Options struct {
 	Scale Scale
 	// Set selects the data set; the paper uses the large set.
 	Set DataSet
 	// Pcts are the remote-edge percentages; nil = 0..50 step 10.
 	Pcts []int
-	// Workers sizes the local worker pool; <= 0 uses all cores. Results
-	// are bit-identical at every worker count. Ignored when Exec is set.
-	Workers int
-	// Shards runs each simulation's nodes across this many scheduler
-	// goroutines (machine.Config.Shards; <= 0 means 1) for every system,
-	// DirNNB included. Results are bit-identical at every value.
-	Shards int
-	// LinkBytesPerCycle and OccupancyCycles enable the contention model
-	// (machine.Config fields of the same names) on every sweep point;
-	// zero values reproduce the paper's contention-free machine.
-	LinkBytesPerCycle int
-	OccupancyCycles   sim.Time
-	// Cache supplies a shared result cache (zero value = no caching).
-	Cache CacheParams
-	// Exec, when non-nil, runs the sweep's points on that backend
-	// instead of the in-process pool.
-	Exec Executor
-	// PointTimeout, when > 0, bounds each point's wall-clock run.
-	PointTimeout time.Duration
-	// Progress, when non-nil, is called after each simulation finishes.
-	Progress func(done, total int)
+	SimParams
 }
 
 // fig4Systems is the series order of Figure 4.
@@ -66,9 +45,7 @@ func Figure4(opts Fig4Options) ([]Fig4Point, error) {
 		set = SetLarge
 	}
 	mcfg := MachineConfig(opts.Scale, 0)
-	mcfg.Shards = opts.Shards
-	mcfg.LinkBytesPerCycle = opts.LinkBytesPerCycle
-	mcfg.OccupancyCycles = opts.OccupancyCycles
+	opts.Apply(&mcfg)
 	var points []Point
 	for _, pct := range pcts {
 		for _, sys := range fig4Systems {
@@ -77,7 +54,7 @@ func Figure4(opts Fig4Options) ([]Fig4Point, error) {
 			points = append(points, Point{Cfg: mcfg, System: sys, EM3D: &ecfg})
 		}
 	}
-	results, err := submitPoints(opts.Exec, opts.Cache, opts.Workers, opts.PointTimeout, points, opts.Progress)
+	results, err := SubmitPoints(opts.SimParams, points)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,139 @@
+package harness
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/tempest-sim/tempest/internal/apps/em3d"
+	"github.com/tempest-sim/tempest/internal/apps/ocean"
+	"github.com/tempest-sim/tempest/internal/machine"
+)
+
+// setupFailureSystems are the Typhoon-based ways to run tiny em3d: the
+// systems whose set-up failures used to leave RunPointEntry as string
+// panics while DirNNB (TestDirNNBSetupErrorSurfaced) returned an error.
+func setupFailureSystems() map[string]Point {
+	ecfg := em3d.Tiny()
+	cfg := machine.DefaultConfig()
+	cfg.Nodes = 4
+	cfg.CacheSize = 8 << 10
+	return map[string]Point{
+		"typhoon-stache": {Cfg: cfg, System: SysStache, EM3D: &ecfg},
+		"typhoon-update": {Cfg: cfg, System: SysUpdate, EM3D: &ecfg},
+		"check-in":       {Cfg: cfg, System: SysStache, EM3D: &ecfg, CheckIn: true},
+		"page-budget":    {Cfg: cfg, System: SysStache, EM3D: &ecfg, StacheMaxPages: 4},
+		"blizzard":       {Cfg: cfg, System: SysBlizzard, EM3D: &ecfg},
+	}
+}
+
+// setupFailureCases are wire-legal mutations of a runnable point that no
+// machine can be set up for: DRAM budgets the workload does not fit,
+// impossible cache/block/TLB geometry, degenerate workloads.
+func setupFailureCases() map[string]func(*Point) {
+	cases := map[string]func(*Point){
+		"tlb=-1":        func(pt *Point) { pt.Cfg.TLBEntries = -1 },
+		"em3d-zero":     func(pt *Point) { pt.EM3D = &em3d.Config{} },
+		"em3d-negative": func(pt *Point) { c := *pt.EM3D; c.Degree = -3; pt.EM3D = &c },
+	}
+	for _, n := range []int{1, 2, 4} {
+		cases[fmt.Sprintf("mempages=%d", n)] = func(pt *Point) { pt.Cfg.MemPagesPerNode = n }
+	}
+	for _, n := range []int{48, -32, 8192} {
+		cases[fmt.Sprintf("block=%d", n)] = func(pt *Point) { pt.Cfg.BlockSize = n }
+	}
+	for _, n := range []int{-1, 100} {
+		cases[fmt.Sprintf("cache=%d", n)] = func(pt *Point) { pt.Cfg.CacheSize = n }
+	}
+	for _, n := range []int{-1, 3} {
+		cases[fmt.Sprintf("ways=%d", n)] = func(pt *Point) { pt.Cfg.CacheWays = n }
+	}
+	return cases
+}
+
+// TestSetupFailuresAreErrors is the wire-to-panic regression for
+// everything before m.Run: each case arrives as a checksum-valid point,
+// and decode + RunPointEntry must answer with an error that names the
+// point — from Validate for what is wrong on its face, from the
+// funnel's set-up phase for what only building the machine discovers —
+// never a panic that takes the worker down.
+func TestSetupFailuresAreErrors(t *testing.T) {
+	run := func(t *testing.T, pt Point) {
+		t.Helper()
+		pt.NoCache = true
+		decoded, err := DecodePoint(pt.Encode())
+		if err != nil {
+			t.Fatalf("the wire form itself is well-formed, decode failed: %v", err)
+		}
+		_, _, err = RunPointEntry(CacheParams{}, decoded)
+		if err == nil {
+			t.Fatal("impossible point ran")
+		}
+		// Validate rejections read "harness: point <label>: …"; the funnel's
+		// "harness: <label>: <phase>: …" (a budget a little less tight
+		// fails later still, inside the run, with the same prefix).
+		if msg := err.Error(); !strings.HasPrefix(msg, "harness: point "+pt.Label()+": ") &&
+			!strings.HasPrefix(msg, "harness: "+pt.Label()+": ") {
+			t.Errorf("error does not name the point: %v", err)
+		}
+	}
+	for sysName, base := range setupFailureSystems() {
+		for name, mutate := range setupFailureCases() {
+			t.Run(sysName+"/"+name, func(t *testing.T) {
+				pt := base
+				mutate(&pt)
+				run(t, pt)
+			})
+		}
+	}
+	cfg := machine.DefaultConfig()
+	cfg.Nodes = 4
+	for name, c := range map[string]ocean.Config{"ocean-zero": {}, "ocean-negative": {N: -6, Iters: 1}} {
+		t.Run(name, func(t *testing.T) { run(t, Point{Cfg: cfg, System: SysStache, Ocean: &c}) })
+	}
+}
+
+// TestSimulateMatchesRunObserved pins that the funnel's two entries are
+// the same run: for every (app, system) of the differential matrix at
+// the tiny scale, the observed run's instruments must not move a cycle,
+// a packet or a simulated-event counter.
+func TestSimulateMatchesRunObserved(t *testing.T) {
+	ecfg, ocfg := em3d.Tiny(), ocean.Tiny()
+	cfg := machine.DefaultConfig()
+	cfg.Nodes = 4
+	cfg.CacheSize = 8 << 10
+	for _, app := range DiffApps {
+		for _, sys := range DiffSystemsFor(app) {
+			t.Run(app+"/"+string(sys), func(t *testing.T) {
+				pt := Point{Cfg: cfg, System: sys, EM3D: &ecfg}
+				if app == "ocean" {
+					pt = Point{Cfg: cfg, System: sys, Ocean: &ocfg}
+				}
+				plain, err := pt.Simulate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				obs, err := RunObserved(pt, DiffOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if obs.App != app {
+					t.Errorf("observation names app %q, want %q", obs.App, app)
+				}
+				if plain.Res.Cycles != obs.Res.Cycles || plain.Res.ROICycles != obs.Res.ROICycles {
+					t.Errorf("cycles: Simulate %d/%d, RunObserved %d/%d",
+						plain.Res.Cycles, plain.Res.ROICycles, obs.Res.Cycles, obs.Res.ROICycles)
+				}
+				if plain.Res.Net != obs.Res.Net {
+					t.Errorf("network stats: Simulate %+v, RunObserved %+v", plain.Res.Net, obs.Res.Net)
+				}
+				a := stripEngine(plain).Res.Counters.Snapshot()
+				b := stripEngine(RunResult{Res: obs.Res}).Res.Counters.Snapshot()
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("counters: Simulate %v, RunObserved %v", a, b)
+				}
+			})
+		}
+	}
+}

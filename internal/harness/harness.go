@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -16,13 +15,8 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/mp3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
-	"github.com/tempest-sim/tempest/internal/blizzard"
-	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
-	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/sim"
-	"github.com/tempest-sim/tempest/internal/stache"
-	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
 // System selects the simulated target.
@@ -41,77 +35,6 @@ type RunResult struct {
 	System System
 	App    string
 	Res    machine.Result
-}
-
-// Run executes app on the given system and verifies the result. When
-// system is SysUpdate the app must be an *em3d.UpdateApp placeholder
-// built by the caller via BuildUpdate. All systems — DirNNB included,
-// now that the directory is a per-node protocol agent — honour
-// cfg.Shards as given.
-func Run(cfg machine.Config, system System, app apps.App) (result RunResult, err error) {
-	// DirNNB reports user-reachable failures (a page fault outside the
-	// shared address space, a home node out of frames) as *dirnnb.Error
-	// panics, and the network reports its own (oversized payload,
-	// wrapped-negative SendAfter delay from bad config math) as
-	// *network.Error. Setup-time ones unwind to here; run-time ones are
-	// wrapped into m.Run's error by the engine's context recovery.
-	// Surface both as errors so a sweep reports the failing point
-	// instead of crashing.
-	defer func() {
-		if r := recover(); r != nil {
-			var derr *dirnnb.Error
-			var nerr *network.Error
-			if e, ok := r.(error); ok && (errors.As(e, &derr) || errors.As(e, &nerr)) {
-				err = fmt.Errorf("harness: %s on %s: %w", app.Name(), system, e)
-				return
-			}
-			panic(r)
-		}
-	}()
-	m := machine.New(cfg)
-	var st *stache.Protocol
-	switch system {
-	case SysDirNNB:
-		dirnnb.New(m)
-	case SysStache:
-		st = stache.New()
-		typhoon.New(m, st)
-	case SysBlizzard:
-		_, st = blizzard.NewStache(m, blizzard.Config{})
-	default:
-		return RunResult{}, fmt.Errorf("harness: unknown system %q (want dirnnb, typhoon-stache, or blizzard; the custom protocol runs via RunEM3DUpdate)", system)
-	}
-	app.Setup(m)
-	res, err := m.Run(app.Body)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s on %s: %w", app.Name(), system, err)
-	}
-	if st != nil {
-		if err := st.CheckInvariants(); err != nil {
-			return RunResult{}, fmt.Errorf("harness: %s on %s: %w", app.Name(), system, err)
-		}
-	}
-	if err := app.Verify(m); err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s on %s: %w", app.Name(), system, err)
-	}
-	return RunResult{System: system, App: app.Name(), Res: res}, nil
-}
-
-// RunEM3DUpdate executes EM3D under the custom delayed-update protocol.
-func RunEM3DUpdate(cfg machine.Config, ecfg em3d.Config) (RunResult, error) {
-	m := machine.New(cfg)
-	upd := em3d.NewUpdateProtocol()
-	typhoon.New(m, upd)
-	app := em3d.NewUpdateApp(ecfg, upd)
-	app.Setup(m)
-	res, err := m.Run(app.Body)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: em3d-update: %w", err)
-	}
-	if err := app.Verify(m); err != nil {
-		return RunResult{}, fmt.Errorf("harness: em3d-update: %w", err)
-	}
-	return RunResult{System: SysUpdate, App: app.Name(), Res: res}, nil
 }
 
 // Scale selects workload sizes.
@@ -252,13 +175,18 @@ func MachineConfig(scale Scale, cacheBytes int) machine.Config {
 	return cfg
 }
 
-// SimParams carries the simulator-level knobs every sweep threads into
-// machine.Config: scheduler sharding and the contention model. The zero
-// value is the legacy configuration — serial, infinite bandwidth, no
-// agent occupancy — under which every pinned golden was produced.
-// Results are bit-identical at every Shards value for any contention
-// setting.
+// SimParams is the one sweep-policy struct: the simulator-level knobs
+// every sweep threads into machine.Config (scheduler sharding and the
+// contention model) plus how the sweep's points are executed (pool
+// size, cache, backend, timeout, progress). The zero value is the
+// legacy configuration — serial, infinite bandwidth, no agent
+// occupancy, all cores, no cache — under which every pinned golden was
+// produced. Results are bit-identical at every Shards and Workers value
+// for any contention setting.
 type SimParams struct {
+	// Workers sizes the in-process worker pool; <= 0 uses all cores.
+	// Ignored when Exec is set.
+	Workers int
 	// Shards is machine.Config.Shards (<= 0 means 1).
 	Shards int
 	// LinkBytesPerCycle is machine.Config.LinkBytesPerCycle: per-port
@@ -268,21 +196,23 @@ type SimParams struct {
 	// service occupancy per message (0 = unbounded concurrency).
 	OccupancyCycles sim.Time
 	// Cache threads the result cache through the sweep (zero value =
-	// no caching). Not a machine knob — apply ignores it; the run
-	// funnels consult it.
+	// no caching).
 	Cache CacheParams
 	// Exec, when non-nil, runs sweep points on that backend (e.g. a
-	// fleet coordinator or client) instead of the in-process pool. Not
-	// a machine knob — apply ignores it.
+	// fleet coordinator or client) instead of the in-process pool.
 	Exec Executor
 	// PointTimeout, when > 0, bounds each sweep point's wall-clock run;
 	// a point that exceeds it fails the sweep with a structured
-	// *PointTimeoutError naming the point. Not a machine knob.
+	// *PointTimeoutError naming the point.
 	PointTimeout time.Duration
+	// Progress, when non-nil, is called after each sweep point
+	// completes with the number done so far and the total.
+	Progress func(done, total int)
 }
 
-// apply copies the params onto a machine config.
-func (p SimParams) apply(cfg *machine.Config) {
+// Apply copies the machine knobs onto a machine config — the only place
+// sweep policy reaches a machine.Config.
+func (p SimParams) Apply(cfg *machine.Config) {
 	cfg.Shards = p.Shards
 	cfg.LinkBytesPerCycle = p.LinkBytesPerCycle
 	cfg.OccupancyCycles = p.OccupancyCycles

@@ -134,7 +134,7 @@ func TestAblationBlockSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationBlockSize(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationBlockSize(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAblationPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationPlacement(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationPlacement(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAblationStacheBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationStacheBudget(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationStacheBudget(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAblationNetLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationNetLatency(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationNetLatency(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAblationEM3DProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationEM3DProtocols(ScaleReduced, 30, SimParams{Shards: 1}, 0)
+	rows, err := AblationEM3DProtocols(ScaleReduced, 30, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestAblationMigratory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationMigratory(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationMigratory(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestAblationSoftwareTempest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationSoftwareTempest(ScaleReduced, SimParams{Shards: 1}, 0)
+	rows, err := AblationSoftwareTempest(ScaleReduced, SimParams{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

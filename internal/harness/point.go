@@ -2,20 +2,15 @@ package harness
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
-	"github.com/tempest-sim/tempest/internal/stache"
-	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
 // Point is one serializable sweep point: the machine configuration, the
@@ -57,11 +52,6 @@ type Point struct {
 	// NoCache bypasses the result cache for this point: no lookup, no
 	// store, no witness aliases (the -no-dedup path).
 	NoCache bool
-	// Observed runs the point through RunObserved (differential matrix)
-	// instead of the plain funnel. Observed points are local-only: their
-	// results carry live machine state digests and are not cacheable, so
-	// the fleet rejects them.
-	Observed bool
 	// Group names the sequential unit this point belongs to: points
 	// sharing a group run in submission order on one worker (the Figure
 	// 3 per-(benchmark, system) ascending cache-size order that lets
@@ -85,6 +75,14 @@ func (pt Point) appName() string {
 		return "em3d-update"
 	case pt.CheckIn:
 		return "em3d-checkin"
+	}
+	return pt.workload()
+}
+
+// workload names the benchmark the point runs, whichever way it was
+// selected.
+func (pt Point) workload() string {
+	switch {
 	case pt.EM3D != nil:
 		return "em3d"
 	case pt.Ocean != nil:
@@ -93,29 +91,24 @@ func (pt Point) appName() string {
 	return pt.Bench
 }
 
-// stacheVariant reports whether the point needs a hand-built Stache
-// protocol instead of the standard Run path.
+// stacheVariant reports whether the point sets a Stache-only knob.
 func (pt Point) stacheVariant() bool {
 	return pt.CheckIn || pt.StacheMaxPages > 0 || pt.StacheMigratory
 }
 
-// Validate rejects structurally impossible points before any machine is
-// built, so a fleet coordinator can refuse them at submit time. A point
-// can arrive over the wire, so everything machine.New would panic on is
-// an error here.
+// Validate rejects points that are wrong on their face, before any
+// machine is built, so a fleet coordinator can refuse them at submit
+// time: a machine configuration machine.Config.Validate refuses, an
+// unknown system, scale or data set, and contradictory app or variant
+// selections. What only building the machine can discover — a DRAM
+// budget the workload does not fit, a degenerate workload geometry —
+// is the funnel's set-up phase's to report (Point.setup).
 func (pt Point) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("harness: point %s: %s", pt.Label(), fmt.Sprintf(format, args...))
 	}
-	cfg := pt.Cfg.Normalized()
-	if cfg.Nodes < 1 {
-		return bad("%d nodes", cfg.Nodes)
-	}
-	if cfg.Shards < 1 || cfg.Shards > cfg.Nodes {
-		return bad("%d shards outside [1, %d nodes]", cfg.Shards, cfg.Nodes)
-	}
-	if cfg.LinkBytesPerCycle < 0 {
-		return bad("negative link bandwidth %d", cfg.LinkBytesPerCycle)
+	if err := pt.Cfg.Validate(); err != nil {
+		return bad("%v", err)
 	}
 	switch pt.System {
 	case SysDirNNB, SysStache, SysUpdate, SysBlizzard:
@@ -137,21 +130,20 @@ func (pt Point) Validate() error {
 	if pt.StacheMaxPages < 0 {
 		return bad("negative stache page budget %d", pt.StacheMaxPages)
 	}
-	if pt.Observed && pt.stacheVariant() {
-		return bad("observed runs do not support stache variants")
+	if pt.EM3D == nil && pt.Ocean == nil {
+		// A Bench point sizes its workload from Scale and Set; an unknown
+		// value must not silently run the reduced small set.
+		if !ValidBench(pt.Bench) {
+			return bad("unknown benchmark %q", pt.Bench)
+		}
+		if _, err := ParseScale(string(pt.Scale)); err != nil {
+			return bad("%v", err)
+		}
+		if _, err := ParseDataSet(string(pt.Set)); err != nil {
+			return bad("%v", err)
+		}
 	}
 	return nil
-}
-
-// makeApp builds the application instance for the standard run paths.
-func (pt Point) makeApp() (apps.App, error) {
-	switch {
-	case pt.EM3D != nil:
-		return em3d.New(*pt.EM3D), nil
-	case pt.Ocean != nil:
-		return ocean.New(*pt.Ocean), nil
-	}
-	return MakeApp(pt.Bench, pt.Scale, pt.Set)
 }
 
 // keyParts resolves the cache-key ingredients: the app name, the app's
@@ -167,7 +159,7 @@ func (pt Point) keyParts() (appName string, appFields, extra []resultcache.Field
 		appName = "em3d-checkin"
 		appFields = em3dKey(*pt.EM3D)
 	default:
-		app, err := pt.makeApp()
+		app, err := pt.makeApp(installed{})
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -208,75 +200,6 @@ func CodeID() string {
 		return code
 	}
 	return "in-memory"
-}
-
-// Simulate runs the point and verifies the result — the one execution
-// path every executor backend funnels into.
-func (pt Point) Simulate() (RunResult, error) {
-	if err := pt.Validate(); err != nil {
-		return RunResult{}, err
-	}
-	if pt.System == SysUpdate {
-		return RunEM3DUpdate(pt.Cfg, *pt.EM3D)
-	}
-	if pt.stacheVariant() {
-		return pt.runStacheVariant()
-	}
-	app, err := pt.makeApp()
-	if err != nil {
-		return RunResult{}, err
-	}
-	return Run(pt.Cfg, pt.System, app)
-}
-
-// runStacheVariant is Run for points that need a hand-built Stache
-// protocol (page budget, migratory sharing, the check-in app). The
-// post-run invariant check runs here exactly as in the standard path.
-func (pt Point) runStacheVariant() (RunResult, error) {
-	m := machine.New(pt.Cfg)
-	var sopts []stache.Option
-	if pt.StacheMaxPages > 0 {
-		sopts = append(sopts, stache.WithMaxPages(pt.StacheMaxPages))
-	}
-	if pt.StacheMigratory {
-		sopts = append(sopts, stache.WithMigratory())
-	}
-	st := stache.New(sopts...)
-	typhoon.New(m, st)
-	var app apps.App
-	if pt.CheckIn {
-		app = em3d.NewCheckInApp(*pt.EM3D, st)
-	} else {
-		var err error
-		if app, err = pt.makeApp(); err != nil {
-			return RunResult{}, err
-		}
-	}
-	app.Setup(m)
-	res, err := m.Run(app.Body)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: %w", pt.Label(), err)
-	}
-	if err := app.Verify(m); err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: %w", pt.Label(), err)
-	}
-	if err := st.CheckInvariants(); err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s: %w", pt.Label(), err)
-	}
-	return RunResult{System: SysStache, App: app.Name(), Res: res}, nil
-}
-
-// runObserved executes an Observed point through the differential
-// harness.
-func (pt Point) runObserved() (DiffObservation, error) {
-	var w DiffWorkload
-	if pt.EM3D != nil {
-		w.EM3D = *pt.EM3D
-	}
-	if pt.Ocean != nil {
-		w.Ocean = *pt.Ocean
-	}
-	return RunObserved(pt.Cfg, pt.System, pt.Bench, w, DiffOptions{})
 }
 
 // pointMagic is the wire-format header; bumping the version makes every
@@ -325,9 +248,6 @@ func (pt Point) Encode() []byte {
 	if pt.NoCache {
 		fmt.Fprintf(&b, "nocache true\n")
 	}
-	if pt.Observed {
-		fmt.Fprintf(&b, "observed true\n")
-	}
 	if pt.Group != "" {
 		fmt.Fprintf(&b, "group %s\n", pt.Group)
 	}
@@ -338,9 +258,7 @@ func (pt Point) Encode() []byte {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	sum := sha256.Sum256(b.Bytes())
-	fmt.Fprintf(&b, "sum %s\n", hex.EncodeToString(sum[:]))
-	return b.Bytes()
+	return resultcache.Seal(&b)
 }
 
 // pointDecoder walks the canonical line sequence.
@@ -375,25 +293,6 @@ func (d *pointDecoder) optional(name string) (string, bool) {
 	return v, true
 }
 
-// canonInt parses a canonical base-10 int64 (no leading zeros, no "+",
-// no "-0").
-func canonInt(tok string) (int64, error) {
-	v, err := strconv.ParseInt(tok, 10, 64)
-	if err != nil || strconv.FormatInt(v, 10) != tok {
-		return 0, fmt.Errorf("%q is not a canonical integer", tok)
-	}
-	return v, nil
-}
-
-// canonUint is canonInt for uint64.
-func canonUint(tok string) (uint64, error) {
-	v, err := strconv.ParseUint(tok, 10, 64)
-	if err != nil || strconv.FormatUint(v, 10) != tok {
-		return 0, fmt.Errorf("%q is not a canonical unsigned integer", tok)
-	}
-	return v, nil
-}
-
 // canonBool parses "true" or "false".
 func canonBool(tok string) (bool, error) {
 	switch tok {
@@ -412,35 +311,11 @@ func canonBool(tok string) (bool, error) {
 func DecodePoint(data []byte) (Point, error) {
 	var pt Point
 	d := &pointDecoder{}
-	text := string(data)
-	if len(text) == 0 || !strings.HasSuffix(text, "\n") {
-		return pt, d.fail("truncated point: missing trailing newline")
+	lines, err := resultcache.Unseal(data, pointMagic, "point")
+	if err != nil {
+		return pt, d.fail(err.Error())
 	}
-	body := text[:len(text)-1]
-	cut := strings.LastIndex(body, "\n")
-	last := body[cut+1:]
-	sumTok, ok := strings.CutPrefix(last, "sum ")
-	if !ok {
-		return pt, d.fail("truncated point: missing checksum line")
-	}
-	payload := data[:cut+1]
-	want := sha256.Sum256(payload)
-	if sumTok != hex.EncodeToString(want[:]) {
-		return pt, d.fail("checksum mismatch: point bytes corrupted")
-	}
-	d.lines = strings.Split(string(payload), "\n")
-	d.lines = d.lines[:len(d.lines)-1]
-	if len(d.lines) == 0 || d.lines[0] != pointMagic {
-		first := ""
-		if len(d.lines) > 0 {
-			first = d.lines[0]
-		}
-		if strings.HasPrefix(first, "tempest-point ") {
-			return pt, d.fail(fmt.Sprintf("version skew: point format %q, want %q", first, pointMagic))
-		}
-		return pt, d.fail("not a sweep point (bad magic line)")
-	}
-	d.pos = 1
+	d.lines = lines
 
 	cfgTok, ok := d.optional("cfg")
 	if !ok {
@@ -452,7 +327,7 @@ func DecodePoint(data []byte) (Point, error) {
 	}
 	ints := make([]int64, 13)
 	for i := range ints {
-		v, err := canonInt(parts[i])
+		v, err := resultcache.CanonInt(parts[i])
 		if err != nil {
 			return pt, d.fail("cfg: " + err.Error())
 		}
@@ -466,12 +341,12 @@ func DecodePoint(data []byte) (Point, error) {
 		LinkBytesPerCycle: int(ints[9]), OccupancyCycles: sim.Time(ints[10]),
 		MemPagesPerNode: int(ints[11]), Quantum: sim.Time(ints[12]),
 	}
-	seed, err := canonUint(parts[13])
+	seed, err := resultcache.CanonUint(parts[13])
 	if err != nil {
 		return pt, d.fail("cfg seed: " + err.Error())
 	}
 	pt.Cfg.Seed = seed
-	shards, err := canonInt(parts[14])
+	shards, err := resultcache.CanonInt(parts[14])
 	if err != nil {
 		return pt, d.fail("cfg shards: " + err.Error())
 	}
@@ -499,13 +374,13 @@ func DecodePoint(data []byte) (Point, error) {
 		var c em3d.Config
 		vals := make([]int64, 5)
 		for i := range vals {
-			if vals[i], err = canonInt(parts[i]); err != nil {
+			if vals[i], err = resultcache.CanonInt(parts[i]); err != nil {
 				return pt, d.fail("em3d: " + err.Error())
 			}
 		}
 		c.TotalNodes, c.Degree, c.PctRemote = int(vals[0]), int(vals[1]), int(vals[2])
 		c.RemoteReuse, c.Iters = int(vals[3]), int(vals[4])
-		if c.Seed, err = canonUint(parts[5]); err != nil {
+		if c.Seed, err = resultcache.CanonUint(parts[5]); err != nil {
 			return pt, d.fail("em3d seed: " + err.Error())
 		}
 		pt.EM3D = &c
@@ -516,11 +391,11 @@ func DecodePoint(data []byte) (Point, error) {
 			return pt, d.fail(fmt.Sprintf("ocean line has %d fields, want 3", len(parts)))
 		}
 		var c ocean.Config
-		n, err := canonInt(parts[0])
+		n, err := resultcache.CanonInt(parts[0])
 		if err != nil {
 			return pt, d.fail("ocean: " + err.Error())
 		}
-		iters, err := canonInt(parts[1])
+		iters, err := resultcache.CanonInt(parts[1])
 		if err != nil {
 			return pt, d.fail("ocean: " + err.Error())
 		}
@@ -545,7 +420,7 @@ func DecodePoint(data []byte) (Point, error) {
 		return pt, err
 	}
 	if v, ok := d.optional("stache.max_pages"); ok {
-		n, err := canonInt(v)
+		n, err := resultcache.CanonInt(v)
 		if err != nil || n == 0 {
 			return pt, d.fail("stache.max_pages: non-canonical value")
 		}
@@ -557,15 +432,12 @@ func DecodePoint(data []byte) (Point, error) {
 	if err := boolLine("nocache", &pt.NoCache); err != nil {
 		return pt, err
 	}
-	if err := boolLine("observed", &pt.Observed); err != nil {
-		return pt, err
-	}
 	if v, ok := d.optional("group"); ok {
 		pt.Group = v
 	}
 	if v, ok := d.optional("witness"); ok {
 		for _, tok := range strings.Split(v, " ") {
-			kb, err := canonInt(tok)
+			kb, err := resultcache.CanonInt(tok)
 			if err != nil || kb <= 0 {
 				return pt, d.fail("witness: non-canonical cache size")
 			}

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +35,7 @@ func testPoints() []Point {
 		{Cfg: cfg, System: SysStache, Bench: "mp3d", Scale: ScaleReduced, Set: SetSmall, StacheMigratory: true},
 		{Cfg: cfg, System: SysUpdate, EM3D: &ecfg},
 		{Cfg: cfg, System: SysBlizzard, Bench: "em3d", Scale: ScaleReduced, Set: SetSmall, NoCache: true},
-		{Cfg: cfg, System: SysDirNNB, Ocean: &ocfg, Observed: true, NoCache: true, Bench: "ocean"},
+		{Cfg: cfg, System: SysDirNNB, Ocean: &ocfg, NoCache: true, Bench: "ocean"},
 	}
 }
 
@@ -92,15 +91,19 @@ func withSum(body []byte) []byte {
 	return append(body[:len(body):len(body)], []byte("sum "+hex.EncodeToString(sum[:])+"\n")...)
 }
 
+// v1Payload is a well-formed point as a v1 sender encodes it.
+func v1Payload() []byte {
+	return withSum([]byte("tempest-point v1\n" +
+		"cfg 8 4096 4 32 64 29 25 11 11 0 0 0 0 1 false 1 false\n" +
+		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
+}
+
 // TestDecodePointV1IsVersionSkew feeds the decoder a well-formed point
 // as a v1 sender encodes it (17-field cfg line with the two mode
 // booleans): a worker or coordinator left on the old format must be told
 // so, not handed a field-count parse error.
 func TestDecodePointV1IsVersionSkew(t *testing.T) {
-	v1 := withSum([]byte("tempest-point v1\n" +
-		"cfg 8 4096 4 32 64 29 25 11 11 0 0 0 0 1 false 1 false\n" +
-		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
-	_, err := DecodePoint(v1)
+	_, err := DecodePoint(v1Payload())
 	if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
 		t.Fatalf("v1 payload: err = %v, want a version-skew error naming %q", err, pointMagic)
 	}
@@ -143,6 +146,9 @@ func TestPointValidate(t *testing.T) {
 		{Cfg: cfg, System: SysDirNNB, Bench: "ocean", StacheMigratory: true},
 		{Cfg: cfg, System: SysStache, Bench: "em3d", CheckIn: true},
 		{Cfg: cfg, System: SysStache, EM3D: &ecfg, StacheMaxPages: -1},
+		{Cfg: cfg, System: SysStache, Bench: "ocean", Scale: "huge", Set: SetSmall},
+		{Cfg: cfg, System: SysStache, Bench: "ocean", Scale: ScaleReduced, Set: "medium"},
+		{Cfg: cfg, System: SysStache, Bench: "nope", Scale: ScaleReduced, Set: SetSmall},
 	}
 	for i, pt := range bad {
 		if err := pt.Validate(); err == nil {
@@ -223,33 +229,6 @@ func TestRunAllAggregatesSlowSecondFailure(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "job 1") {
 		t.Errorf("joined error should name both jobs: %v", err)
-	}
-}
-
-// TestRunAllPointTimeout is the satellite-2 contract: a hung job fails
-// the sweep with a structured error naming the point, and the rest of
-// the sweep is not wedged.
-func TestRunAllPointTimeout(t *testing.T) {
-	hung := make(chan struct{})
-	t.Cleanup(func() { close(hung) })
-	jobs := []Job[int]{
-		func(context.Context) (int, error) { return 1, nil },
-		func(context.Context) (int, error) { <-hung; return 0, nil },
-	}
-	_, err := RunAllOpts(jobs, RunOptions{
-		Workers:      2,
-		PointTimeout: 20 * time.Millisecond,
-		Label:        func(i int) string { return fmt.Sprintf("point-%d", i) },
-	})
-	var pte *PointTimeoutError
-	if !errors.As(err, &pte) {
-		t.Fatalf("err = %v, want *PointTimeoutError", err)
-	}
-	if pte.Point != "point-1" {
-		t.Errorf("timeout names %q, want point-1", pte.Point)
-	}
-	if !strings.Contains(err.Error(), "point-1") || !strings.Contains(err.Error(), "timeout") {
-		t.Errorf("error should name the point and the timeout: %v", err)
 	}
 }
 

@@ -29,15 +29,6 @@ type Job[T any] func(ctx context.Context) (T, error)
 type RunOptions struct {
 	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is called after each job completes with
-	// the number done so far and the total. Calls are serialized (never
-	// concurrent) but arrive in completion order, not job order.
-	Progress func(done, total int)
-	// PointTimeout, when > 0, bounds each job's wall-clock run. A job
-	// that exceeds it fails with a *PointTimeoutError; the simulation
-	// goroutine is abandoned (a machine run cannot be interrupted
-	// mid-flight) and its eventual result discarded.
-	PointTimeout time.Duration
 	// Label, when non-nil, names job i in errors; the default is
 	// "job <i>".
 	Label func(i int) string
@@ -47,19 +38,14 @@ type RunOptions struct {
 // per-point timeout. The abandoned simulation keeps running on its own
 // goroutine until it finishes; its result is discarded.
 type PointTimeoutError struct {
-	// Point names the timed-out sweep point (a Point.Label or a job
-	// label).
+	// Point names the timed-out sweep point (a Point.Label).
 	Point string
 	// Timeout is the limit that was exceeded.
 	Timeout time.Duration
 }
 
 func (e *PointTimeoutError) Error() string {
-	p := e.Point
-	if p == "" {
-		p = "point"
-	}
-	return fmt.Sprintf("%s: no result within the %v point timeout (simulation abandoned)", p, e.Timeout)
+	return fmt.Sprintf("%s: no result within the %v point timeout (simulation abandoned)", e.Point, e.Timeout)
 }
 
 // RunAll executes every job on a pool of workers goroutines (<= 0 uses
@@ -70,12 +56,12 @@ func (e *PointTimeoutError) Error() string {
 // errors from other in-flight jobs are aggregated via errors.Join, so a
 // slow second failure is never silently dropped.
 func RunAll[T any](jobs []Job[T], workers int) ([]T, error) {
-	return RunAllOpts(jobs, RunOptions{Workers: workers})
+	return RunAllOpts(context.Background(), jobs, RunOptions{Workers: workers})
 }
 
-// RunAllOpts is RunAll with progress, per-point timeout, and labelling
-// options.
-func RunAllOpts[T any](jobs []Job[T], opts RunOptions) ([]T, error) {
+// RunAllOpts is RunAll under a caller's context (cancelling it stops
+// the pool like a job failure does) with labelled errors.
+func RunAllOpts[T any](parent context.Context, jobs []Job[T], opts RunOptions) ([]T, error) {
 	n := len(jobs)
 	results := make([]T, n)
 	workers := opts.Workers
@@ -85,17 +71,13 @@ func RunAllOpts[T any](jobs []Job[T], opts RunOptions) ([]T, error) {
 	if workers > n {
 		workers = n
 	}
-	if n == 0 {
-		return results, nil
-	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	var (
 		mu   sync.Mutex
 		errs map[int]error
-		done int
 	)
 	feed := make(chan int)
 	go func() {
@@ -121,13 +103,9 @@ func RunAllOpts[T any](jobs []Job[T], opts RunOptions) ([]T, error) {
 				if ctx.Err() != nil {
 					continue
 				}
-				res, err := runJob(ctx, jobs[i], opts.PointTimeout)
-				mu.Lock()
+				res, err := jobs[i](ctx)
 				if err != nil {
-					var pte *PointTimeoutError
-					if errors.As(err, &pte) && pte.Point == "" {
-						pte.Point = jobLabel(opts.Label, i)
-					}
+					mu.Lock()
 					if errs == nil {
 						errs = make(map[int]error)
 					}
@@ -137,11 +115,6 @@ func RunAllOpts[T any](jobs []Job[T], opts RunOptions) ([]T, error) {
 					continue
 				}
 				results[i] = res
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, n)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
@@ -149,40 +122,39 @@ func RunAllOpts[T any](jobs []Job[T], opts RunOptions) ([]T, error) {
 	if len(errs) > 0 {
 		return nil, joinJobErrors(errs, opts.Label)
 	}
+	if err := parent.Err(); err != nil {
+		return nil, err
+	}
 	return results, nil
 }
 
-// runJob executes one job, enforcing the per-point timeout when one is
-// set. On timeout the job's goroutine is abandoned — it keeps running
-// until the simulation completes and then discards its result into the
-// buffered channel — because a machine run cannot be interrupted.
-func runJob[T any](ctx context.Context, job Job[T], timeout time.Duration) (T, error) {
+// RunWithTimeout runs f, the simulation of pt, under the per-point
+// timeout (<= 0 = none). On timeout f's goroutine is abandoned — a
+// machine run cannot be interrupted; it finishes and discards its result
+// into the buffered channel — and the caller gets a *PointTimeoutError
+// naming the point. Both executor backends bound a point here: the
+// local pool around RunPoint, a fleet worker around its lease.
+func RunWithTimeout[T any](pt Point, timeout time.Duration, f func() (T, error)) (T, error) {
 	if timeout <= 0 {
-		return job(ctx)
+		return f()
 	}
-	jctx, cancel := context.WithTimeout(ctx, timeout)
 	type outcome struct {
 		v   T
 		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		defer cancel()
-		v, err := job(jctx)
+		v, err := f()
 		ch <- outcome{v, err}
 	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case o := <-ch:
 		return o.v, o.err
-	case <-jctx.Done():
-		if ctx.Err() == nil && errors.Is(jctx.Err(), context.DeadlineExceeded) {
-			var zero T
-			return zero, &PointTimeoutError{Timeout: timeout}
-		}
-		// The shared context was cancelled (another job failed): keep
-		// the historical behaviour of waiting for the in-flight run.
-		o := <-ch
-		return o.v, o.err
+	case <-timer.C:
+		var zero T
+		return zero, &PointTimeoutError{Point: pt.Label(), Timeout: timeout}
 	}
 }
 

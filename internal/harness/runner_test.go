@@ -84,32 +84,6 @@ func TestRunAllCancelsContextOnFailure(t *testing.T) {
 	}
 }
 
-func TestRunAllProgress(t *testing.T) {
-	const n = 17
-	jobs := make([]Job[int], n)
-	for i := range jobs {
-		jobs[i] = func(context.Context) (int, error) { return i, nil }
-	}
-	var calls []int
-	_, err := RunAllOpts(jobs, RunOptions{Workers: 4, Progress: func(done, total int) {
-		if total != n {
-			t.Errorf("total = %d, want %d", total, n)
-		}
-		calls = append(calls, done)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != n {
-		t.Fatalf("progress calls = %d, want %d", len(calls), n)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress done sequence broken at %d: %v", i, calls)
-		}
-	}
-}
-
 // TestParallelDeterminism is the tentpole's correctness contract: every
 // figure and sweep produces bit-identical results at any worker count,
 // because results are slotted by job index and each simulated machine is
@@ -166,11 +140,11 @@ func TestParallelDeterminism(t *testing.T) {
 			name string
 			run  func(workers int) ([]AblationRow, error)
 		}{
-			{"blocksize", func(w int) ([]AblationRow, error) { return AblationBlockSize(ScaleReduced, SimParams{Shards: 1}, w) }},
+			{"blocksize", func(w int) ([]AblationRow, error) { return AblationBlockSize(ScaleReduced, SimParams{Workers: w}) }},
 			{"em3d-protocols", func(w int) ([]AblationRow, error) {
-				return AblationEM3DProtocols(ScaleReduced, 30, SimParams{Shards: 1}, w)
+				return AblationEM3DProtocols(ScaleReduced, 30, SimParams{Workers: w})
 			}},
-			{"netlatency", func(w int) ([]AblationRow, error) { return AblationNetLatency(ScaleReduced, SimParams{Shards: 1}, w) }},
+			{"netlatency", func(w int) ([]AblationRow, error) { return AblationNetLatency(ScaleReduced, SimParams{Workers: w}) }},
 		} {
 			a, err := tc.run(1)
 			if err != nil {
@@ -206,10 +180,10 @@ func TestParallelDeterminism(t *testing.T) {
 		// sweep served entirely from the warm cache must all render
 		// bit-identical cells.
 		base := Fig3Options{
-			Scale:   ScaleReduced,
-			Apps:    []string{"appbt"},
-			Configs: []Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}},
-			Workers: 4,
+			Scale:     ScaleReduced,
+			Apps:      []string{"appbt"},
+			Configs:   []Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}},
+			SimParams: SimParams{Workers: 4},
 		}
 		cp, err := NewCacheParams("", false, 0)
 		if err != nil {
@@ -250,10 +224,10 @@ func TestParallelDeterminism(t *testing.T) {
 // or a partial result.
 func TestFigure3ErrorPropagates(t *testing.T) {
 	_, err := Figure3(Fig3Options{
-		Scale:   ScaleReduced,
-		Apps:    []string{"ocean", "nope"},
-		Configs: []Fig3Config{{SetSmall, 4}},
-		Workers: 4,
+		Scale:     ScaleReduced,
+		Apps:      []string{"ocean", "nope"},
+		Configs:   []Fig3Config{{SetSmall, 4}},
+		SimParams: SimParams{Workers: 4},
 	})
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v, want unknown-benchmark error", err)

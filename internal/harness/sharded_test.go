@@ -40,7 +40,8 @@ func TestShardedVsSerialEquivalence(t *testing.T) {
 		{"em3d-update", func(t *testing.T, shards int) machine.Result {
 			cfg := MachineConfig(ScaleReduced, 16<<10)
 			cfg.Shards = shards
-			rr, err := RunEM3DUpdate(cfg, EM3DConfig(ScaleReduced, SetSmall))
+			ecfg := EM3DConfig(ScaleReduced, SetSmall)
+			rr, err := Point{Cfg: cfg, System: SysUpdate, EM3D: &ecfg}.Simulate()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,7 +70,7 @@ type Config struct {
 	// Results are bit-identical for every value, and no value makes a run
 	// faster (the windows of a round run one after another); the
 	// determinism gates and shard-local tracing are what use it. Zero means 1
-	// (serial); values outside [1, Nodes] are rejected by New.
+	// (serial); values outside [1, Nodes] are rejected by Validate.
 	Shards int
 }
 
@@ -134,6 +134,32 @@ func (c *Config) applyDefaults() {
 func (c Config) Normalized() Config {
 	c.applyDefaults()
 	return c
+}
+
+// Validate reports why New would refuse the configuration (defaults
+// applied first): the node/shard relationship, the contention knobs and
+// the cache, block and TLB geometry the per-node components insist on.
+// Configurations arrive over the wire (harness.Point), so callers ask
+// here instead of finding out from a panic.
+func (c Config) Validate() error {
+	c.applyDefaults()
+	switch bs := c.BlockSize; {
+	case c.Nodes < 1:
+		return fmt.Errorf("%d nodes", c.Nodes)
+	case c.Shards < 1 || c.Shards > c.Nodes:
+		return fmt.Errorf("%d shards outside [1, %d nodes]", c.Shards, c.Nodes)
+	case c.LinkBytesPerCycle < 0:
+		return fmt.Errorf("negative link bandwidth %d", c.LinkBytesPerCycle)
+	case bs < 8 || bs > mem.PageSize || bs&(bs-1) != 0:
+		return fmt.Errorf("block size %d is not a power of two in [8, %d]", bs, mem.PageSize)
+	case c.CacheSize < 1 || c.CacheWays < 1 || c.CacheSize%bs != 0 || c.CacheSize/bs%c.CacheWays != 0:
+		return fmt.Errorf("cache size %d not divisible into %d-way sets of %d-byte blocks", c.CacheSize, c.CacheWays, bs)
+	case c.TLBEntries < 1:
+		return fmt.Errorf("%d TLB entries", c.TLBEntries)
+	case c.MemPagesPerNode < 0:
+		return fmt.Errorf("negative DRAM budget of %d pages per node", c.MemPagesPerNode)
+	}
+	return nil
 }
 
 // MemSystem is the pluggable memory system behind the CPU cache: the
@@ -201,11 +227,8 @@ type Machine struct {
 // SetMemSystem before allocating shared segments or running.
 func New(cfg Config) *Machine {
 	cfg.applyDefaults()
-	if cfg.Shards < 1 || cfg.Shards > cfg.Nodes {
-		panic(fmt.Sprintf("machine: %d shards outside [1, %d nodes]", cfg.Shards, cfg.Nodes))
-	}
-	if cfg.LinkBytesPerCycle < 0 {
-		panic(fmt.Sprintf("machine: negative link bandwidth %d", cfg.LinkBytesPerCycle))
+	if err := cfg.Validate(); err != nil {
+		panic("machine: " + err.Error())
 	}
 	netCfg := network.Config{
 		Nodes:             cfg.Nodes,

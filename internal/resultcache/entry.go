@@ -2,11 +2,8 @@ package resultcache
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/tempest-sim/tempest/internal/network"
@@ -98,9 +95,7 @@ func (e *Entry) Encode() []byte {
 		fmt.Fprintf(&b, "net %d %d %d %d %d\n", i, v.Packets, v.PayloadBytes, v.QueueingCycles, v.MaxQueueDepth)
 	}
 	fmt.Fprintf(&b, "netlocal %d\n", e.Net.LocalSends)
-	sum := sha256.Sum256(b.Bytes())
-	fmt.Fprintf(&b, "sum %s\n", hex.EncodeToString(sum[:]))
-	return b.Bytes()
+	return Seal(&b)
 }
 
 // decoder walks the canonical line sequence, failing with a structured
@@ -124,12 +119,12 @@ func (d *decoder) next() (string, bool) {
 	return d.lines[d.pos], true
 }
 
-// uint parses a canonical base-10 uint64 token (no signs, no leading
-// zeros except "0" itself).
+// uint parses a canonical base-10 uint64 token (CanonUint), naming the
+// field in the error.
 func (d *decoder) uint(tok, what string) (uint64, error) {
-	v, err := strconv.ParseUint(tok, 10, 64)
-	if err != nil || strconv.FormatUint(v, 10) != tok {
-		return 0, d.fail(fmt.Sprintf("%s %q is not a canonical unsigned integer", what, tok))
+	v, err := CanonUint(tok)
+	if err != nil {
+		return 0, d.fail(what + " " + err.Error())
 	}
 	return v, nil
 }
@@ -145,52 +140,11 @@ func Decode(data []byte) (*Entry, error) {
 
 func decode(data []byte, path string) (*Entry, error) {
 	d := &decoder{path: path}
-	// The checksum line covers every byte before it; locate it first so
-	// corruption anywhere is caught before field parsing.
-	if len(data) == 0 {
-		return nil, d.fail("empty entry")
+	lines, err := Unseal(data, entryMagic, "entry")
+	if err != nil {
+		return nil, d.fail(err.Error())
 	}
-	text := string(data)
-	if !strings.HasSuffix(text, "\n") {
-		return nil, d.fail("truncated entry: missing trailing newline")
-	}
-	body := text[:len(text)-1]
-	cut := strings.LastIndex(body, "\n")
-	last := body[cut+1:] // final line, without its newline
-	sumTok, ok := strings.CutPrefix(last, "sum ")
-	if !ok {
-		// Distinguish the two decode-failure families tests care about:
-		// a recognisable header with no checksum is truncation; anything
-		// else on the first line is version skew or corruption.
-		if strings.HasPrefix(text, entryMagic+"\n") {
-			return nil, d.fail("truncated entry: missing checksum line")
-		}
-		first, _, _ := strings.Cut(text, "\n")
-		if strings.HasPrefix(first, "tempest-resultcache ") {
-			return nil, d.fail(fmt.Sprintf("version skew: entry format %q, want %q", first, entryMagic))
-		}
-		return nil, d.fail("not a result-cache entry (bad magic line)")
-	}
-	payload := data[:cut+1]
-	want := sha256.Sum256(payload)
-	if sumTok != hex.EncodeToString(want[:]) {
-		return nil, d.fail("checksum mismatch: entry bytes corrupted")
-	}
-
-	d.lines = strings.Split(string(payload), "\n")
-	d.lines = d.lines[:len(d.lines)-1] // drop empty tail after final \n
-
-	if len(d.lines) == 0 || d.lines[0] != entryMagic {
-		first := ""
-		if len(d.lines) > 0 {
-			first = d.lines[0]
-		}
-		if strings.HasPrefix(first, "tempest-resultcache ") {
-			return nil, d.fail(fmt.Sprintf("version skew: entry format %q, want %q", first, entryMagic))
-		}
-		return nil, d.fail("not a result-cache entry (bad magic line)")
-	}
-	d.pos = 1
+	d.lines = lines
 
 	e := &Entry{Counters: make(map[string]uint64)}
 	// Required headers, in order; values are the rest of the line.
