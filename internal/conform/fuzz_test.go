@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/harness"
+	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/trace"
 )
 
@@ -18,8 +19,8 @@ func seedStream() *Stream {
 	msg10 := trace.PackMsg(18, 1, 0, 1, 4)
 	return &Stream{
 		App: "em3d", System: "dirnnb", Workload: "tiny",
-		Nodes: 2, CacheSize: 8 << 10, CacheWays: 2, BlockSize: 32, TLBEntries: 16,
-		LocalMissCycles: 10, TLBMissCycles: 25, NetLatency: 11, BarrierLatency: 11,
+		Cfg: machine.Config{Nodes: 2, CacheSize: 8 << 10, CacheWays: 2, BlockSize: 32, TLBEntries: 16,
+			LocalMissCycles: 10, TLBMissCycles: 25, NetLatency: 11, BarrierLatency: 11},
 		Events: []trace.Event{
 			{T: 5, Node: 0, Kind: trace.KNetSend, VA: 1, Aux: msg01},
 			{T: 17, Node: 0, Kind: trace.KNetArrive, Aux: msg10},
@@ -43,8 +44,11 @@ func seedStream() *Stream {
 const fuzzReplayLimit = 512
 
 // FuzzStream is the trace-mutating fuzz target: whatever bytes arrive,
-// decoding yields either a structured *DecodeError or a stream that
-// round-trips byte-identically; and every decoded stream may be fed to
+// decoding yields either a structured *DecodeError or a stream whose
+// encoding is exactly those bytes (one spelling per stream — the
+// committed seeds with "nodes +2", "cache 08192", "proto 0xFF", a
+// double-spaced counter line and a re-padded event line all decoded
+// before this was pinned); and every decoded stream may be fed to
 // the replayer and the tag checker, which must return errors — never
 // panic, never diverge silently into wrong results. (Semantic
 // divergence is impossible by construction: replay only ever compares
@@ -72,17 +76,12 @@ func FuzzStream(f *testing.F) {
 			}
 			return
 		}
-		enc := s.Encode()
-		s2, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a valid stream failed: %v", err)
-		}
-		if !bytes.Equal(enc, s2.Encode()) {
-			t.Fatal("encode/decode round trip is not byte-identical")
+		if enc := s.Encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted non-canonical input:\n in  %q\n out %q", data, enc)
 		}
 		// Replay and the tag checker accept arbitrary decoded streams
 		// and must fail structurally, not panic.
-		if len(s.Events) <= fuzzReplayLimit && s.Nodes <= 8 {
+		if len(s.Events) <= fuzzReplayLimit && s.Cfg.Nodes <= 8 {
 			_ = Replay(s)
 		}
 		_ = CheckTagMachine(s)

@@ -112,7 +112,7 @@ func TestReplayRejectsMalformedStream(t *testing.T) {
 
 	s = base()
 	ev = &s.Events[findKind(t, s, trace.KNetSend, 0)]
-	ev.Node = (ev.Node + 1) % s.Nodes // send recorded on the wrong node
+	ev.Node = (ev.Node + 1) % s.Cfg.Nodes // send recorded on the wrong node
 	wantErr(t, Replay(s), "src")
 }
 

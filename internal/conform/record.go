@@ -28,7 +28,6 @@ type RecordOptions struct {
 // corpus file.
 func Record(p Pair, opt RecordOptions) (*Stream, error) {
 	pt := p.Point(opt.Shards)
-	cfg := pt.Cfg
 	tr := trace.New(0)
 	obs, err := harness.RunObserved(pt, harness.DiffOptions{
 		Mutate:     opt.Mutate,
@@ -42,27 +41,16 @@ func Record(p Pair, opt RecordOptions) (*Stream, error) {
 		return nil, fmt.Errorf("conform: record %s: tracer truncated (%d events dropped) — raise trace.Tracer.Max, never commit a partial stream", p.Name(), tr.Dropped())
 	}
 	s := &Stream{
-		App:               p.App,
-		System:            string(p.System),
-		Workload:          "tiny",
-		Nodes:             cfg.Nodes,
-		CacheSize:         cfg.CacheSize,
-		CacheWays:         cfg.CacheWays,
-		BlockSize:         cfg.BlockSize,
-		TLBEntries:        cfg.TLBEntries,
-		LocalMissCycles:   cfg.LocalMissCycles,
-		TLBMissCycles:     cfg.TLBMissCycles,
-		NetLatency:        cfg.NetLatency,
-		BarrierLatency:    cfg.BarrierLatency,
-		LinkBytesPerCycle: cfg.LinkBytesPerCycle,
-		OccupancyCycles:   cfg.OccupancyCycles,
-		Seed:              cfg.Seed,
-		Events:            nodeMajorEvents(tr, cfg.Nodes),
-		Cycles:            obs.Res.Cycles,
-		ROICycles:         obs.Res.ROICycles,
-		MemDigest:         obs.MemDigest,
-		ProtoDigest:       obs.ProtoDigest,
-		TagsDigest:        obs.TagsDigest,
+		App:         p.App,
+		System:      string(p.System),
+		Workload:    "tiny",
+		Cfg:         p.Config(),
+		Events:      nodeMajorEvents(tr, pt.Cfg.Nodes),
+		Cycles:      obs.Res.Cycles,
+		ROICycles:   obs.Res.ROICycles,
+		MemDigest:   obs.MemDigest,
+		ProtoDigest: obs.ProtoDigest,
+		TagsDigest:  obs.TagsDigest,
 	}
 	// Counters, name-sorted, minus the engine.* scheduler mechanics:
 	// those measure how the host executed the simulation (window counts,

@@ -162,13 +162,13 @@ type replayPlan struct {
 // structured error before the engine can see it.
 func plan(s *Stream) (*replayPlan, error) {
 	p := &replayPlan{
-		sends:    make([][]trace.Event, s.Nodes),
-		arrivals: make([][]arrival, s.Nodes),
-		delivs:   make([][]delivery, s.Nodes),
+		sends:    make([][]trace.Event, s.Cfg.Nodes),
+		arrivals: make([][]arrival, s.Cfg.Nodes),
+		delivs:   make([][]delivery, s.Cfg.Nodes),
 	}
 	for i, ev := range s.Events {
-		if ev.Node < 0 || ev.Node >= s.Nodes {
-			return nil, fmt.Errorf("conform: replay: event %d on node %d, stream has %d nodes", i, ev.Node, s.Nodes)
+		if ev.Node < 0 || ev.Node >= s.Cfg.Nodes {
+			return nil, fmt.Errorf("conform: replay: event %d on node %d, stream has %d nodes", i, ev.Node, s.Cfg.Nodes)
 		}
 		if ev.T < 0 || ev.T > maxReplayTime {
 			return nil, fmt.Errorf("conform: replay: event %d at cycle %d outside [0, %d]", i, ev.T, maxReplayTime)
@@ -180,8 +180,8 @@ func plan(s *Stream) (*replayPlan, error) {
 			if src != ev.Node {
 				return nil, fmt.Errorf("conform: replay: event %d: send recorded on node %d but packed src is %d", i, ev.Node, src)
 			}
-			if dst >= s.Nodes {
-				return nil, fmt.Errorf("conform: replay: event %d: destination %d outside the %d-node machine", i, dst, s.Nodes)
+			if dst >= s.Cfg.Nodes {
+				return nil, fmt.Errorf("conform: replay: event %d: destination %d outside the %d-node machine", i, dst, s.Cfg.Nodes)
 			}
 			if bytes < packetMinBytes || bytes > network.MaxPayloadBytes {
 				return nil, fmt.Errorf("conform: replay: event %d: payload %d bytes outside [%d, %d]", i, bytes, packetMinBytes, network.MaxPayloadBytes)
@@ -194,16 +194,16 @@ func plan(s *Stream) (*replayPlan, error) {
 			if dst != ev.Node {
 				return nil, fmt.Errorf("conform: replay: event %d: arrival recorded on node %d but packed dst is %d", i, ev.Node, dst)
 			}
-			if src >= s.Nodes {
-				return nil, fmt.Errorf("conform: replay: event %d: source %d outside the %d-node machine", i, src, s.Nodes)
+			if src >= s.Cfg.Nodes {
+				return nil, fmt.Errorf("conform: replay: event %d: source %d outside the %d-node machine", i, src, s.Cfg.Nodes)
 			}
 			p.arrivals[ev.Node] = append(p.arrivals[ev.Node], arrival{at: ev.T, m: m})
 		case trace.KNetDeliver:
 			if dst != ev.Node {
 				return nil, fmt.Errorf("conform: replay: event %d: dispatch recorded on node %d but packed dst is %d", i, ev.Node, dst)
 			}
-			if src >= s.Nodes {
-				return nil, fmt.Errorf("conform: replay: event %d: source %d outside the %d-node machine", i, src, s.Nodes)
+			if src >= s.Cfg.Nodes {
+				return nil, fmt.Errorf("conform: replay: event %d: source %d outside the %d-node machine", i, src, s.Cfg.Nodes)
 			}
 			if uint64(ev.VA) > uint64(maxReplayDelay) {
 				return nil, fmt.Errorf("conform: replay: event %d: service time %d beyond limit", i, ev.VA)
@@ -235,20 +235,20 @@ func Replay(s *Stream) (err error) {
 	if s.Truncated {
 		return errors.New("conform: refusing to replay a truncated stream (at least one node's tail is missing)")
 	}
-	if s.Nodes <= 0 || s.Nodes > maxStreamNodes {
-		return fmt.Errorf("conform: replay: %d nodes outside [1, %d]", s.Nodes, maxStreamNodes)
+	if s.Cfg.Nodes <= 0 || s.Cfg.Nodes > maxStreamNodes {
+		return fmt.Errorf("conform: replay: %d nodes outside [1, %d]", s.Cfg.Nodes, maxStreamNodes)
 	}
 	// The decoder parses times as unsigned, so a hostile header can smuggle
 	// a negative sim.Time through the uint64 cast; bound every value the
 	// replayed network and agents consume.
-	if s.NetLatency < 0 || s.NetLatency > maxReplayDelay {
-		return fmt.Errorf("conform: replay: net latency %d outside [0, %d]", s.NetLatency, maxReplayDelay)
+	if s.Cfg.NetLatency < 0 || s.Cfg.NetLatency > maxReplayDelay {
+		return fmt.Errorf("conform: replay: net latency %d outside [0, %d]", s.Cfg.NetLatency, maxReplayDelay)
 	}
-	if s.LinkBytesPerCycle < 0 {
-		return fmt.Errorf("conform: replay: negative link bandwidth %d", s.LinkBytesPerCycle)
+	if s.Cfg.LinkBytesPerCycle < 0 {
+		return fmt.Errorf("conform: replay: negative link bandwidth %d", s.Cfg.LinkBytesPerCycle)
 	}
-	if s.OccupancyCycles < 0 || s.OccupancyCycles > maxReplayDelay {
-		return fmt.Errorf("conform: replay: occupancy %d outside [0, %d]", s.OccupancyCycles, maxReplayDelay)
+	if s.Cfg.OccupancyCycles < 0 || s.Cfg.OccupancyCycles > maxReplayDelay {
+		return fmt.Errorf("conform: replay: occupancy %d outside [0, %d]", s.Cfg.OccupancyCycles, maxReplayDelay)
 	}
 	pl, err := plan(s)
 	if err != nil {
@@ -269,27 +269,27 @@ func Replay(s *Stream) (err error) {
 	}()
 	eng := sim.NewEngine()
 	net := network.New(eng, network.Config{
-		Nodes:             s.Nodes,
-		Latency:           s.NetLatency,
-		LinkBytesPerCycle: s.LinkBytesPerCycle,
+		Nodes:             s.Cfg.Nodes,
+		Latency:           s.Cfg.NetLatency,
+		LinkBytesPerCycle: s.Cfg.LinkBytesPerCycle,
 	})
 	rs := &replayState{}
 	strict := s.System == "dirnnb"
-	cores := make([]*replayCore, s.Nodes)
-	eps := make([]*replayEndpoint, s.Nodes)
+	cores := make([]*replayCore, s.Cfg.Nodes)
+	eps := make([]*replayEndpoint, s.Cfg.Nodes)
 	// Agents first, then drivers, in node order: contexts must exist
 	// before Run and their creation order feeds scheduler tie-breaking.
-	for i := 0; i < s.Nodes; i++ {
+	for i := 0; i < s.Cfg.Nodes; i++ {
 		rn := &replayCore{node: i, strict: strict, exp: pl.delivs[i], rs: rs}
 		for j, d := range rn.exp {
 			rn.byVNet[d.m.vnet&1] = append(rn.byVNet[d.m.vnet&1], j)
 		}
-		rn.core = agent.Spawn(eng, net, i, fmt.Sprintf("replay-agent%d", i), "replay idle", s.OccupancyCycles, rn, nil)
+		rn.core = agent.Spawn(eng, net, i, fmt.Sprintf("replay-agent%d", i), "replay idle", s.Cfg.OccupancyCycles, rn, nil)
 		cores[i] = rn
 		eps[i] = &replayEndpoint{node: i, exp: pl.arrivals[i], rs: rs}
 	}
 	net.OnDeliver = func(p *network.Packet) { eps[p.Dst].deliver(p) }
-	for i := 0; i < s.Nodes; i++ {
+	for i := 0; i < s.Cfg.Nodes; i++ {
 		node := i
 		script := pl.sends[i]
 		eng.SpawnOn(node, fmt.Sprintf("replay-driver%d", node), func(c *sim.Context) {
@@ -318,7 +318,7 @@ func Replay(s *Stream) (err error) {
 		return fmt.Errorf("conform: replay: %w", rerr)
 	}
 	var waits, waitCycles uint64
-	for i := 0; i < s.Nodes; i++ {
+	for i := 0; i < s.Cfg.Nodes; i++ {
 		if eps[i].cur < len(eps[i].exp) {
 			e := eps[i].exp[eps[i].cur]
 			rs.errs = append(rs.errs, fmt.Sprintf("node %d: only %d of %d recorded arrivals replayed (next expected: cycle %d %v)",

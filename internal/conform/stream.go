@@ -1,23 +1,23 @@
 package conform
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/trace"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // streamMagic is the format's first line; the trailing v1 is the format
 // version — any incompatible change to the layout below must bump it.
 const streamMagic = "tempest-conform-trace v1"
 
-// Decode limits: a hostile or corrupted header must not make Decode
-// allocate unboundedly. The committed corpus sits far below all three.
+// Decode limits on the counts a header may claim. The committed corpus
+// sits far below all three.
 const (
 	maxStreamEvents   = 1 << 22
 	maxStreamCounters = 1 << 16
@@ -46,19 +46,11 @@ type Stream struct {
 	App      string // "em3d" or "ocean"
 	System   string // harness.System name
 	Workload string // "tiny" (the only committed scale)
-	// Header: the machine configuration, mirroring machine.Config.
-	Nodes             int
-	CacheSize         int
-	CacheWays         int
-	BlockSize         int
-	TLBEntries        int
-	LocalMissCycles   sim.Time
-	TLBMissCycles     sim.Time
-	NetLatency        sim.Time
-	BarrierLatency    sim.Time
-	LinkBytesPerCycle int
-	OccupancyCycles   sim.Time
-	Seed              uint64
+	// Header: the machine configuration the run was recorded under. The
+	// stream carries every field but MemPagesPerNode, Quantum (no corpus
+	// pair sets either) and Shards (a runtime choice: results are
+	// bit-identical at every shard count); those stay zero.
+	Cfg machine.Config
 	// Truncated records the tracer's cap flag. Record refuses to emit a
 	// truncated stream; the field exists so Replay can refuse one that
 	// was hand-assembled or corrupted into claiming truncation.
@@ -83,26 +75,6 @@ type Stream struct {
 	TagsDigest  uint64    // typhoon.System.StateDigest (0 for dirnnb)
 }
 
-// MachineConfig rebuilds the machine configuration the stream was
-// recorded under (shards are a runtime choice, not part of the trace:
-// results are bit-identical at every shard count).
-func (s *Stream) MachineConfig() machine.Config {
-	return machine.Config{
-		Nodes:             s.Nodes,
-		CacheSize:         s.CacheSize,
-		CacheWays:         s.CacheWays,
-		BlockSize:         s.BlockSize,
-		TLBEntries:        s.TLBEntries,
-		LocalMissCycles:   s.LocalMissCycles,
-		TLBMissCycles:     s.TLBMissCycles,
-		NetLatency:        s.NetLatency,
-		BarrierLatency:    s.BarrierLatency,
-		LinkBytesPerCycle: s.LinkBytesPerCycle,
-		OccupancyCycles:   s.OccupancyCycles,
-		Seed:              s.Seed,
-	}
-}
-
 // Counter returns a footer counter by name (zero when absent, matching
 // stats.Counters.Get).
 func (s *Stream) Counter(name string) uint64 {
@@ -123,18 +95,19 @@ func (s *Stream) Encode() []byte {
 	fmt.Fprintf(&b, "app %s\n", s.App)
 	fmt.Fprintf(&b, "system %s\n", s.System)
 	fmt.Fprintf(&b, "workload %s\n", s.Workload)
-	fmt.Fprintf(&b, "nodes %d\n", s.Nodes)
-	fmt.Fprintf(&b, "cache %d\n", s.CacheSize)
-	fmt.Fprintf(&b, "ways %d\n", s.CacheWays)
-	fmt.Fprintf(&b, "block %d\n", s.BlockSize)
-	fmt.Fprintf(&b, "tlb %d\n", s.TLBEntries)
-	fmt.Fprintf(&b, "localmiss %d\n", s.LocalMissCycles)
-	fmt.Fprintf(&b, "tlbmiss %d\n", s.TLBMissCycles)
-	fmt.Fprintf(&b, "netlat %d\n", s.NetLatency)
-	fmt.Fprintf(&b, "barlat %d\n", s.BarrierLatency)
-	fmt.Fprintf(&b, "linkbw %d\n", s.LinkBytesPerCycle)
-	fmt.Fprintf(&b, "occupancy %d\n", s.OccupancyCycles)
-	fmt.Fprintf(&b, "seed %d\n", s.Seed)
+	c := &s.Cfg
+	fmt.Fprintf(&b, "nodes %d\n", c.Nodes)
+	fmt.Fprintf(&b, "cache %d\n", c.CacheSize)
+	fmt.Fprintf(&b, "ways %d\n", c.CacheWays)
+	fmt.Fprintf(&b, "block %d\n", c.BlockSize)
+	fmt.Fprintf(&b, "tlb %d\n", c.TLBEntries)
+	fmt.Fprintf(&b, "localmiss %d\n", c.LocalMissCycles)
+	fmt.Fprintf(&b, "tlbmiss %d\n", c.TLBMissCycles)
+	fmt.Fprintf(&b, "netlat %d\n", c.NetLatency)
+	fmt.Fprintf(&b, "barlat %d\n", c.BarrierLatency)
+	fmt.Fprintf(&b, "linkbw %d\n", c.LinkBytesPerCycle)
+	fmt.Fprintf(&b, "occupancy %d\n", c.OccupancyCycles)
+	fmt.Fprintf(&b, "seed %d\n", c.Seed)
 	fmt.Fprintf(&b, "truncated %d\n", boolDigit(s.Truncated))
 	fmt.Fprintf(&b, "events %d\n", len(s.Events))
 	for _, e := range s.Events {
@@ -174,210 +147,73 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("conform: stream line %d: %s", e.Line, e.Msg)
 }
 
-// decoder walks the stream line by line, tracking position for errors.
-type decoder struct {
-	sc   *bufio.Scanner
-	line int
-	err  *DecodeError
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = &DecodeError{Line: d.line, Msg: fmt.Sprintf(format, args...)}
-	}
-}
-
-// next returns the next line, or "" after failing at EOF.
-func (d *decoder) next() string {
-	if d.err != nil {
-		return ""
-	}
-	if !d.sc.Scan() {
-		if err := d.sc.Err(); err != nil {
-			d.fail("read: %v", err)
-		} else {
-			d.line++
-			d.fail("unexpected end of stream")
-		}
-		return ""
-	}
-	d.line++
-	return d.sc.Text()
-}
-
-// field consumes a "key value" line and returns the value.
-func (d *decoder) field(key string) string {
-	line := d.next()
-	if d.err != nil {
-		return ""
-	}
-	val, ok := strings.CutPrefix(line, key+" ")
-	if !ok || val == "" || strings.ContainsAny(val, " \t") {
-		d.fail("want %q line, got %q", key+" <value>", line)
-		return ""
-	}
-	return val
-}
-
-func (d *decoder) intField(key string) int {
-	v, err := strconv.ParseInt(d.field(key), 10, 64)
-	if err != nil && d.err == nil {
-		d.fail("%s: %v", key, err)
-	}
-	return int(v)
-}
-
-func (d *decoder) uintField(key string) uint64 {
-	v, err := strconv.ParseUint(d.field(key), 10, 64)
-	if err != nil && d.err == nil {
-		d.fail("%s: %v", key, err)
-	}
-	return v
-}
-
-func (d *decoder) timeField(key string) sim.Time { return sim.Time(d.uintField(key)) }
-
 // Decode parses a stream, returning a *DecodeError for any deviation
 // from the format — wrong magic, out-of-order keys, unparseable events,
-// counts that disagree with the lines present, or trailing garbage.
+// counts that disagree with the lines present, a number or an event line
+// not spelled the way Encode spells it, or trailing garbage — so a
+// decoded stream re-encodes to exactly the bytes read. Below is the
+// stream's field list over the shared reader (DESIGN.md "Text formats").
 func Decode(data []byte) (*Stream, error) {
-	d := &decoder{sc: bufio.NewScanner(bytes.NewReader(data))}
-	d.sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if magic := d.next(); d.err == nil && magic != streamMagic {
-		d.fail("bad magic %q (want %q)", magic, streamMagic)
-	}
+	r := wiretext.NewReader(string(data), "stream")
+	cycles := func(key string) sim.Time { return sim.Time(r.Line(key).Uint()) }
+	r.Line(streamMagic)
 	s := &Stream{}
-	s.App = d.field("app")
-	s.System = d.field("system")
-	s.Workload = d.field("workload")
-	s.Nodes = d.intField("nodes")
-	s.CacheSize = d.intField("cache")
-	s.CacheWays = d.intField("ways")
-	s.BlockSize = d.intField("block")
-	s.TLBEntries = d.intField("tlb")
-	s.LocalMissCycles = d.timeField("localmiss")
-	s.TLBMissCycles = d.timeField("tlbmiss")
-	s.NetLatency = d.timeField("netlat")
-	s.BarrierLatency = d.timeField("barlat")
-	s.LinkBytesPerCycle = d.intField("linkbw")
-	s.OccupancyCycles = d.timeField("occupancy")
-	s.Seed = d.uintField("seed")
-	switch d.intField("truncated") {
-	case 0:
-	case 1:
-		s.Truncated = true
-	default:
-		d.fail("truncated: want 0 or 1")
+	s.App = r.Line("app").Token()
+	s.System = r.Line("system").Token()
+	s.Workload = r.Line("workload").Token()
+	c := &s.Cfg
+	if c.Nodes = r.Line("nodes").Int(); c.Nodes <= 0 || c.Nodes > maxStreamNodes {
+		r.Failf("nodes %d outside [1, %d]", c.Nodes, maxStreamNodes)
 	}
-	if d.err == nil && (s.Nodes <= 0 || s.Nodes > maxStreamNodes) {
-		d.fail("nodes %d outside [1, %d]", s.Nodes, maxStreamNodes)
-	}
-	nev := d.intField("events")
-	if d.err == nil && (nev < 0 || nev > maxStreamEvents) {
-		d.fail("event count %d outside [0, %d]", nev, maxStreamEvents)
-	}
-	if d.err == nil {
-		s.Events = make([]trace.Event, 0, nev)
-		for i := 0; i < nev; i++ {
-			line := d.next()
-			if d.err != nil {
-				break
-			}
-			e, err := trace.ParseEvent(line)
-			if err != nil {
-				d.fail("event %d: %v", i, err)
-				break
-			}
-			s.Events = append(s.Events, e)
+	c.CacheSize = r.Line("cache").Int()
+	c.CacheWays = r.Line("ways").Int()
+	c.BlockSize = r.Line("block").Int()
+	c.TLBEntries = r.Line("tlb").Int()
+	c.LocalMissCycles = cycles("localmiss")
+	c.TLBMissCycles = cycles("tlbmiss")
+	c.NetLatency = cycles("netlat")
+	c.BarrierLatency = cycles("barlat")
+	c.LinkBytesPerCycle = r.Line("linkbw").Int()
+	c.OccupancyCycles = cycles("occupancy")
+	c.Seed = r.Line("seed").Uint()
+	s.Truncated = r.Line("truncated").UintMax(1) == 1
+	// Events and counters are appended as their lines are read, so a
+	// hostile count costs nothing until the lines are really there.
+	nev := r.Line("events").UintMax(maxStreamEvents)
+	for i := uint64(0); i < nev && r.Err() == nil; i++ {
+		e, err := trace.ParseEvent(r.Raw("event"))
+		if err != nil {
+			r.Failf("event %d: %v", i, err)
 		}
+		s.Events = append(s.Events, e)
 	}
-	s.Cycles = d.timeField("cycles")
-	s.ROICycles = d.timeField("roi")
-	nctr := d.intField("counters")
-	if d.err == nil && (nctr < 0 || nctr > maxStreamCounters) {
-		d.fail("counter count %d outside [0, %d]", nctr, maxStreamCounters)
-	}
-	if d.err == nil {
-		s.Counters = make([]Counter, 0, nctr)
-		for i := 0; i < nctr; i++ {
-			line := d.next()
-			if d.err != nil {
-				break
-			}
-			f := strings.Fields(line)
-			if len(f) != 3 || f[0] != "counter" {
-				d.fail("want \"counter <name> <value>\", got %q", line)
-				break
-			}
-			v, err := strconv.ParseUint(f[2], 10, 64)
-			if err != nil {
-				d.fail("counter %s: %v", f[1], err)
-				break
-			}
-			if i > 0 && s.Counters[i-1].Name >= f[1] {
-				d.fail("counter %q out of sorted order", f[1])
-				break
-			}
-			s.Counters = append(s.Counters, Counter{Name: f[1], Value: v})
+	s.Cycles = cycles("cycles")
+	s.ROICycles = cycles("roi")
+	nctr := r.Line("counters").UintMax(maxStreamCounters)
+	for i := uint64(0); i < nctr && r.Err() == nil; i++ {
+		ctr := Counter{Name: r.Line("counter").Token(), Value: r.Uint()}
+		if i > 0 && s.Counters[i-1].Name >= ctr.Name {
+			r.Failf("counter %q out of sorted order", ctr.Name)
 		}
+		s.Counters = append(s.Counters, ctr)
 	}
-	if d.err == nil {
-		s.Obs = make([]ObsRow, 0, s.Nodes)
-		for i := 0; i < s.Nodes; i++ {
-			line := d.next()
-			if d.err != nil {
-				break
-			}
-			f := strings.Fields(line)
-			var bad bool
-			if len(f) != 4 || f[0] != "obs" || f[1] != strconv.Itoa(i) {
-				bad = true
-			}
-			var hash, ops uint64
-			if !bad {
-				h, ok1 := strings.CutPrefix(f[2], "0x")
-				var err1, err2 error
-				hash, err1 = strconv.ParseUint(h, 16, 64)
-				ops, err2 = strconv.ParseUint(f[3], 10, 64)
-				bad = !ok1 || err1 != nil || err2 != nil
-			}
-			if bad {
-				d.fail("want \"obs %d 0x<hash> <ops>\", got %q", i, line)
-				break
-			}
-			s.Obs = append(s.Obs, ObsRow{Node: i, Hash: hash, Ops: ops})
+	for i := 0; i < c.Nodes && r.Err() == nil; i++ {
+		if n := r.Line("obs").Int(); n != i {
+			r.Failf("obs row for node %d, want node %d", n, i)
 		}
+		s.Obs = append(s.Obs, ObsRow{Node: i, Hash: r.Hex(), Ops: r.Uint()})
 	}
-	s.MemDigest = d.field("mem")
-	if d.err == nil {
-		if len(s.MemDigest) != 64 || strings.Trim(s.MemDigest, "0123456789abcdef") != "" {
-			d.fail("mem: want 64 lowercase hex digits, got %q", s.MemDigest)
-		}
+	s.MemDigest = r.Line("mem").Token()
+	if len(s.MemDigest) != 64 || strings.Trim(s.MemDigest, "0123456789abcdef") != "" {
+		r.Failf("mem: want 64 lowercase hex digits, got %q", s.MemDigest)
 	}
-	s.ProtoDigest = d.hexField("proto")
-	s.TagsDigest = d.hexField("tags")
-	if line := d.next(); d.err == nil && line != "end" {
-		d.fail("want \"end\", got %q", line)
-	}
-	if d.err == nil && d.sc.Scan() {
-		d.line++
-		d.fail("trailing data after \"end\": %q", d.sc.Text())
-	}
-	if d.err != nil {
-		return nil, d.err
+	s.ProtoDigest = r.Line("proto").Hex()
+	s.TagsDigest = r.Line("tags").Hex()
+	r.Line("end")
+	r.End()
+	var werr *wiretext.Error
+	if errors.As(r.Err(), &werr) {
+		return nil, &DecodeError{Line: werr.Line, Msg: werr.Msg}
 	}
 	return s, nil
-}
-
-func (d *decoder) hexField(key string) uint64 {
-	val, ok := strings.CutPrefix(d.field(key), "0x")
-	if d.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseUint(val, 16, 64)
-	if !ok || err != nil {
-		d.fail("%s: want 0x<hex>", key)
-		return 0
-	}
-	return v
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/resultcache"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // Client is the harness.Executor that ships a batch to a remote
@@ -87,14 +88,14 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 		switch m.Verb {
 		case "prog":
 			if batch.Progress != nil {
-				done, err1 := canonUint(m.Args[0], uint64(n))
-				total, err2 := canonUint(m.Args[1], uint64(n))
+				done, err1 := wiretext.CanonUint(m.Args[0], uint64(n))
+				total, err2 := wiretext.CanonUint(m.Args[1], uint64(n))
 				if err1 == nil && err2 == nil {
 					batch.Progress(int(done), int(total))
 				}
 			}
 		case "done":
-			i, err := canonUint(m.Args[0], uint64(n)-1)
+			i, err := wiretext.CanonUint(m.Args[0], uint64(n)-1)
 			if err != nil {
 				return nil, errf("read", cl.Addr, "", "bad result index %q", m.Args[0])
 			}

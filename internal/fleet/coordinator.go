@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/resultcache"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // CoordinatorOptions configures a Coordinator.
@@ -119,13 +121,17 @@ type workerConn struct {
 // harness.Executor, so any sweep runs on a fleet by setting its Exec.
 // All submissions — local Submit calls and remote protocol clients —
 // share one task table: identical concurrent points dedup to one lease.
+// The table holds unsettled tasks only (all of them in all, the
+// cacheable ones also by key in tasks): a settled task is forgotten, so
+// a later submission of its point is served by the cache or leased
+// afresh, and a late result still reaches it through its lease.
 type Coordinator struct {
 	opts CoordinatorOptions
 	code string
 
 	mu       sync.Mutex
 	tasks    map[resultcache.Key]*task
-	all      []*task
+	all      map[*task]struct{}
 	queue    []*task
 	workers  []*workerConn
 	leases   map[uint64]*lease
@@ -156,6 +162,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		opts:   opts,
 		code:   harness.CodeID(),
 		tasks:  make(map[resultcache.Key]*task),
+		all:    make(map[*task]struct{}),
 		leases: make(map[uint64]*lease),
 		wake:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
@@ -189,10 +196,8 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	close(c.quit)
-	for _, t := range c.all {
-		if t.state == taskPending || t.state == taskLeased {
-			c.failLocked(t, errf("submit", "", t.label, "coordinator closed"))
-		}
+	for t := range c.all {
+		c.failLocked(t, errf("submit", "", t.label, "coordinator closed"))
 	}
 	workers := append([]*workerConn(nil), c.workers...)
 	c.mu.Unlock()
@@ -269,7 +274,7 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 		if !pt.NoCache {
 			c.tasks[key] = t
 		}
-		c.all = append(c.all, t)
+		c.all[t] = struct{}{}
 		c.queue = append(c.queue, t)
 	}
 	c.mu.Unlock()
@@ -434,6 +439,16 @@ func (c *Coordinator) failLocked(t *task, err error) {
 	t.err = err
 	t.state = taskFailed
 	c.stats.Failed++
+	c.settledLocked(t)
+}
+
+// settledLocked releases a settled task's waiters and drops it from the
+// task table.
+func (c *Coordinator) settledLocked(t *task) {
+	if c.tasks[t.key] == t {
+		delete(c.tasks, t.key)
+	}
+	delete(c.all, t)
 	close(t.doneCh)
 }
 
@@ -447,7 +462,7 @@ func (c *Coordinator) completeLocked(t *task, entry *resultcache.Entry) {
 	t.entry = entry
 	t.state = taskDone
 	c.stats.Completed++
-	close(t.doneCh)
+	c.settledLocked(t)
 }
 
 // sendLocked queues a message on a worker's writer; a full queue means
@@ -677,7 +692,7 @@ func (c *Coordinator) serveWorker(conn io.ReadWriteCloser, br *bufio.Reader, nam
 		var herr error
 		switch m.Verb {
 		case "ready":
-			n, err := canonUint(m.Args[0], 1024)
+			n, err := wiretext.CanonUint(m.Args[0], 1024)
 			if err != nil || n == 0 {
 				herr = errf("serve", w.name, "", "bad slot count %q", m.Args[0])
 				break
@@ -687,14 +702,14 @@ func (c *Coordinator) serveWorker(conn io.ReadWriteCloser, br *bufio.Reader, nam
 			c.mu.Unlock()
 			c.wakeUp()
 		case "heartbeat":
-			id, err := canonUint(m.Args[0], ^uint64(0))
+			id, err := wiretext.CanonUint(m.Args[0], math.MaxUint64)
 			if err != nil {
 				herr = errf("serve", w.name, "", "bad heartbeat id %q", m.Args[0])
 				break
 			}
 			c.heartbeat(w, id)
 		case "result", "fail":
-			id, err := canonUint(m.Args[0], ^uint64(0))
+			id, err := wiretext.CanonUint(m.Args[0], math.MaxUint64)
 			if err != nil {
 				herr = errf("serve", w.name, "", "bad lease id %q", m.Args[0])
 				break
@@ -736,15 +751,15 @@ func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, nam
 	if m.Verb != "submit" {
 		return errf("serve", name, "", "expected submit, got %s", m.Verb)
 	}
-	n, err := canonUint(m.Args[0], 1<<20)
+	n, err := wiretext.CanonUint(m.Args[0], 1<<20)
 	if err != nil {
 		return errf("serve", name, "", "bad batch size %q", m.Args[0])
 	}
-	tmoMS, err := canonUint(m.Args[1], ^uint64(0))
+	tmoMS, err := wiretext.CanonUint(m.Args[1], math.MaxUint64)
 	if err != nil {
 		return errf("serve", name, "", "bad timeout %q", m.Args[1])
 	}
-	pts := make([]harness.Point, n)
+	var pts []harness.Point // grown as points arrive, never sized from the peer's n
 	for i := uint64(0); i < n; i++ {
 		m, err := ReadMsg(br)
 		if err != nil {
@@ -753,7 +768,7 @@ func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, nam
 		if m.Verb != "point" {
 			return errf("serve", name, "", "expected point %d, got %s", i, m.Verb)
 		}
-		if idx, err := canonUint(m.Args[0], n-1); err != nil || idx != i {
+		if idx, err := wiretext.CanonUint(m.Args[0], n-1); err != nil || idx != i {
 			return errf("serve", name, "", "out-of-order point %s (want %d)", m.Args[0], i)
 		}
 		pt, err := harness.DecodePoint(m.Payload)
@@ -762,7 +777,7 @@ func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, nam
 			send(Msg{Verb: "perr", Args: []string{fu(i)}, Payload: []byte(e.Msg)})
 			return e
 		}
-		pts[i] = pt
+		pts = append(pts, pt)
 	}
 	if m, err := ReadMsg(br); err != nil || m.Verb != "end" {
 		return errf("serve", name, "", "expected end (err=%v)", err)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -45,6 +46,16 @@ func fastOpts(cp harness.CacheParams) CoordinatorOptions {
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
 	}
+}
+
+// steadyOpts is fastOpts for the tests that count the leases granted to
+// healthy workers: its TTL is out of reach of scheduling noise. Under
+// -race on two processors a 10 ms heartbeat has been seen 61 ms late,
+// which expires a 60 ms lease and leases the point a second time.
+func steadyOpts(cp harness.CacheParams) CoordinatorOptions {
+	opts := fastOpts(cp)
+	opts.LeaseTTL = time.Minute
+	return opts
 }
 
 func newTestCoordinator(t *testing.T, opts CoordinatorOptions) *Coordinator {
@@ -327,7 +338,7 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 // error naming the point.
 func TestFleetMaxAttemptsExhausted(t *testing.T) {
 	pt := tinyPoint(31)
-	opts := fastOpts(memCache(t))
+	opts := steadyOpts(memCache(t))
 	opts.MaxAttempts = 2
 	co := newTestCoordinator(t, opts)
 	for i := 0; i < 2; i++ {
@@ -352,6 +363,62 @@ func TestFleetMaxAttemptsExhausted(t *testing.T) {
 	if !strings.Contains(err.Error(), "gave up after 2 attempts") || !strings.Contains(err.Error(), pt.Label()) {
 		t.Errorf("error should name the point and the exhausted budget: %v", err)
 	}
+	// The failure was the fleet's, not the point's: once a healthy worker
+	// joins, the same point must lease afresh instead of being answered
+	// with the stale error — the task table forgets settled tasks.
+	tableEmpty(t, co)
+	leased := co.Stats().Leases
+	startWorker(t, co, WorkerOptions{})
+	res, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
+	if err != nil {
+		t.Fatalf("resubmission with a healthy worker attached: %v", err)
+	}
+	if got := co.Stats().Leases; got != leased+1 {
+		t.Errorf("resubmission granted %d leases, want 1", got-leased)
+	}
+	sameRun(t, pt.Label(), res[0].RunResult, localBaseline(t, []harness.Point{pt})[0].RunResult)
+	tableEmpty(t, co)
+}
+
+// tableEmpty asserts the coordinator holds no task once every
+// submission has settled.
+func tableEmpty(t *testing.T, co *Coordinator) {
+	t.Helper()
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if len(co.tasks) != 0 || len(co.all) != 0 {
+		t.Errorf("settled coordinator still holds %d keyed / %d total tasks", len(co.tasks), len(co.all))
+	}
+}
+
+// TestFleetSubmitCountIsNotAnAllocation: the batch size a client
+// announces is a claim, not data. A peer that sends "submit 1048576 0"
+// and hangs up gets a structured error at once, and the coordinator has
+// not sized anything from the number (it used to make a 276 MB slice).
+func TestFleetSubmitCountIsNotAnAllocation(t *testing.T) {
+	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	a, b := net.Pipe()
+	served := make(chan error, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() { served <- co.ServeConn(a) }()
+	b.SetDeadline(time.Now().Add(10 * time.Second))
+	s := &script{t: t, conn: b, br: bufio.NewReader(b)}
+	s.send(Msg{Verb: "hello", Args: []string{Proto, "client", harness.CodeID()}})
+	if m := s.read(); m.Verb != "welcome" {
+		t.Fatalf("handshake: got %s, want welcome", m.Verb)
+	}
+	s.send(Msg{Verb: "submit", Args: []string{"1048576", "0"}})
+	b.Close()
+	err := <-served
+	runtime.ReadMemStats(&after)
+	var fe *Error
+	if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "reading point 0") {
+		t.Fatalf("err = %v, want a *fleet.Error about the missing first point", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("serving a 20-byte submit line allocated %d MB", grew>>20)
+	}
 }
 
 // TestFleetBadMachineConfigRefusedAtSubmit pins where a point whose
@@ -359,15 +426,20 @@ func TestFleetMaxAttemptsExhausted(t *testing.T) {
 // submit, with no worker attached — it is never leased, so it can never
 // reach (and kill) a worker process.
 func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
-	pt := tinyPoint(43)
-	pt.Cfg.Shards = 99 // 4-node machine
 	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
-	_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
-	if err == nil || !strings.Contains(err.Error(), "99 shards outside [1, 4 nodes]") {
-		t.Fatalf("coordinator: err = %v, want the point refused for its shard count", err)
+	for want, mutate := range map[string]func(*machine.Config){
+		"99 shards outside [1, 4 nodes]":       func(c *machine.Config) { c.Shards = 99 }, // 4-node machine
+		"network latency of 4294967297 cycles": func(c *machine.Config) { c.NetLatency = machine.MaxCycles + 1 },
+	} {
+		pt := tinyPoint(43)
+		mutate(&pt.Cfg)
+		_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("coordinator: err = %v, want the point refused for %q", err, want)
+		}
 	}
 	if s := co.Stats(); s.Leases != 0 {
-		t.Errorf("refused point was leased %d times", s.Leases)
+		t.Errorf("refused points were leased %d times", s.Leases)
 	}
 }
 
@@ -457,7 +529,7 @@ func TestFleetCacheHitsServeWithoutLeasing(t *testing.T) {
 // cache hit instead.
 func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	pt := tinyPoint(61)
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	co := newTestCoordinator(t, steadyOpts(memCache(t)))
 	startWorker(t, co, WorkerOptions{Slots: 2})
 	got, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt, pt}})
 	if err != nil {
@@ -470,7 +542,7 @@ func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 
 	g := tinyPoint(62)
 	g.Group = "seq"
-	co2 := newTestCoordinator(t, fastOpts(memCache(t)))
+	co2 := newTestCoordinator(t, steadyOpts(memCache(t)))
 	startWorker(t, co2, WorkerOptions{Slots: 2})
 	if _, err := co2.Submit(context.Background(), harness.Batch{Points: []harness.Point{g, g}}); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"io"
 	"strconv"
 
-	"github.com/tempest-sim/tempest/internal/resultcache"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // Proto is the protocol version string exchanged in the handshake.
@@ -69,20 +69,6 @@ type Msg struct {
 	Payload []byte
 }
 
-// validToken reports whether s may appear as a wire token: non-empty,
-// no separators, no control bytes.
-func validToken(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] <= ' ' || s[i] == 0x7f {
-			return false
-		}
-	}
-	return true
-}
-
 // Encode renders the message in canonical wire form. It panics on a
 // message this package could not itself have produced (unknown verb,
 // wrong arity, invalid token) — encoding is always of locally built
@@ -101,7 +87,7 @@ func (m Msg) Encode() []byte {
 	var b bytes.Buffer
 	b.WriteString(m.Verb)
 	for _, a := range m.Args {
-		if !validToken(a) {
+		if !wiretext.ValidToken(a) {
 			panic(fmt.Sprintf("fleet: encode: invalid %s argument %q", m.Verb, a))
 		}
 		b.WriteByte(' ')
@@ -151,16 +137,6 @@ func readLine(r *bufio.Reader) (string, error) {
 	}
 }
 
-// canonUint parses a canonical decimal token (resultcache.CanonUint)
-// that must not exceed limit.
-func canonUint(s string, limit uint64) (uint64, error) {
-	v, err := resultcache.CanonUint(s)
-	if err == nil && v > limit {
-		err = fmt.Errorf("%d exceeds cap %d", v, limit)
-	}
-	return v, err
-}
-
 // ReadMsg decodes the next message from r. Decoding is total: every
 // input yields a Msg, a structured *Error, or io.EOF / io.ErrUnexpectedEOF
 // at stream end — never a panic. A returned Msg re-encodes to exactly
@@ -173,30 +149,30 @@ func ReadMsg(r *bufio.Reader) (Msg, error) {
 		}
 		return Msg{}, errf("decode", "", "", "read: %v", err)
 	}
-	toks := splitTokens(line)
-	if toks == nil {
-		return Msg{}, errf("decode", "", "", "malformed line %q", line)
+	// The line's field list (DESIGN.md "Text formats"): the verb, the
+	// arguments its spec counts, a capped payload length if it carries
+	// one, and nothing after.
+	tr := wiretext.OneLine(line, "message")
+	m := Msg{Verb: tr.Token()}
+	spec, ok := verbs[m.Verb]
+	if !ok && tr.Err() == nil {
+		return Msg{}, errf("decode", "", "", "unknown verb %q", m.Verb)
 	}
-	spec, ok := verbs[toks[0]]
-	if !ok {
-		return Msg{}, errf("decode", "", "", "unknown verb %q", toks[0])
-	}
-	want := spec.args
-	if spec.payload {
-		want++
-	}
-	if len(toks)-1 != want {
-		return Msg{}, errf("decode", "", "", "%s takes %d tokens, got %d", toks[0], want, len(toks)-1)
-	}
-	m := Msg{Verb: toks[0]}
 	if spec.args > 0 {
-		m.Args = toks[1 : 1+spec.args]
+		m.Args = make([]string, spec.args)
+		for i := range m.Args {
+			m.Args[i] = tr.Token()
+		}
+	}
+	var n uint64
+	if spec.payload {
+		n = tr.UintMax(maxPayload)
+	}
+	tr.End()
+	if err := tr.Err(); err != nil {
+		return Msg{}, errf("decode", "", "", "%v", err)
 	}
 	if spec.payload {
-		n, err := canonUint(toks[len(toks)-1], maxPayload)
-		if err != nil {
-			return Msg{}, errf("decode", "", "", "%s payload length: %v", toks[0], err)
-		}
 		m.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, m.Payload); err != nil {
 			return Msg{}, io.ErrUnexpectedEOF
@@ -205,36 +181,8 @@ func ReadMsg(r *bufio.Reader) (Msg, error) {
 		case err != nil:
 			return Msg{}, io.ErrUnexpectedEOF
 		case b != '\n':
-			return Msg{}, errf("decode", "", "", "%s payload not newline-terminated", toks[0])
+			return Msg{}, errf("decode", "", "", "%s payload not newline-terminated", m.Verb)
 		}
 	}
 	return m, nil
-}
-
-// splitTokens splits a line on single spaces, rejecting empty or
-// invalid tokens (doubled/leading/trailing spaces, control bytes).
-func splitTokens(line string) []string {
-	if line == "" {
-		return nil
-	}
-	var toks []string
-	for len(line) > 0 {
-		i := 0
-		for i < len(line) && line[i] != ' ' {
-			i++
-		}
-		tok := line[:i]
-		if !validToken(tok) {
-			return nil
-		}
-		toks = append(toks, tok)
-		if i == len(line) {
-			break
-		}
-		line = line[i+1:]
-		if line == "" { // trailing space
-			return nil
-		}
-	}
-	return toks
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"io"
+	"math"
 	"sync"
 	"time"
 
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/resultcache"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // WorkerOptions configures RunWorker.
@@ -89,11 +91,11 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opts WorkerOptions)
 		}
 		switch m.Verb {
 		case "lease":
-			id, err := canonUint(m.Args[0], ^uint64(0))
+			id, err := wiretext.CanonUint(m.Args[0], math.MaxUint64)
 			if err != nil {
 				return errf("lease", "", "", "bad lease id %q", m.Args[0])
 			}
-			tmoMS, err := canonUint(m.Args[1], ^uint64(0))
+			tmoMS, err := wiretext.CanonUint(m.Args[1], math.MaxUint64)
 			if err != nil {
 				return errf("lease", "", "", "bad timeout %q", m.Args[1])
 			}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // Point is one serializable sweep point: the machine configuration, the
@@ -258,194 +258,73 @@ func (pt Point) Encode() []byte {
 		}
 		fmt.Fprintf(&b, "\n")
 	}
-	return resultcache.Seal(&b)
+	return wiretext.Seal(&b)
 }
 
-// pointDecoder walks the canonical line sequence.
-type pointDecoder struct {
-	lines []string
-	pos   int
-}
-
-func (d *pointDecoder) fail(msg string) error {
-	return fmt.Errorf("harness: decode point: %s", msg)
-}
-
-// peek returns the current line without consuming it.
-func (d *pointDecoder) peek() (string, bool) {
-	if d.pos >= len(d.lines) {
-		return "", false
-	}
-	return d.lines[d.pos], true
-}
-
-// optional consumes "<name> <value>" if the current line carries name.
-func (d *pointDecoder) optional(name string) (string, bool) {
-	l, ok := d.peek()
-	if !ok {
-		return "", false
-	}
-	v, ok := strings.CutPrefix(l, name+" ")
-	if !ok || v == "" {
-		return "", false
-	}
-	d.pos++
-	return v, true
-}
-
-// canonBool parses "true" or "false".
-func canonBool(tok string) (bool, error) {
-	switch tok {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, fmt.Errorf("%q is not a boolean", tok)
-}
-
-// DecodePoint parses a canonical point. Decode is total: every failure
-// — bad magic, checksum mismatch, malformed or out-of-order fields,
-// trailing bytes — is a structured error, never a panic, and a valid
-// payload re-encodes byte-identically.
+// DecodePoint parses a canonical point: the field list below over the
+// shared reader (DESIGN.md "Text formats"). Decode is total: every
+// failure — bad magic, checksum mismatch, malformed or out-of-order
+// fields, trailing bytes — is a structured error, never a panic, and a
+// valid payload re-encodes byte-identically. Cycle counts and seeds are
+// unsigned on the wire, like the sim.Time and uint64 they decode to.
 func DecodePoint(data []byte) (Point, error) {
 	var pt Point
-	d := &pointDecoder{}
-	lines, err := resultcache.Unseal(data, pointMagic, "point")
-	if err != nil {
-		return pt, d.fail(err.Error())
+	r := wiretext.Unseal(data, pointMagic, "point")
+	cycles := func() sim.Time { return sim.Time(r.Uint()) }
+	c := &pt.Cfg
+	r.Line("cfg")
+	c.Nodes, c.CacheSize, c.CacheWays, c.BlockSize, c.TLBEntries = r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
+	c.LocalMissCycles, c.TLBMissCycles, c.NetLatency, c.BarrierLatency = cycles(), cycles(), cycles(), cycles()
+	c.LinkBytesPerCycle, c.OccupancyCycles, c.MemPagesPerNode, c.Quantum = r.Int(), cycles(), r.Int(), cycles()
+	c.Seed, c.Shards = r.Uint(), r.Int()
+	pt.System = System(r.Line("system").Rest())
+	if r.Optional("bench") {
+		pt.Bench = r.Rest()
 	}
-	d.lines = lines
-
-	cfgTok, ok := d.optional("cfg")
-	if !ok {
-		return pt, d.fail("missing cfg line")
+	if r.Optional("scale") {
+		pt.Scale = Scale(r.Rest())
 	}
-	parts := strings.Split(cfgTok, " ")
-	if len(parts) != 15 {
-		return pt, d.fail(fmt.Sprintf("cfg line has %d fields, want 15", len(parts)))
+	if r.Optional("set") {
+		pt.Set = DataSet(r.Rest())
 	}
-	ints := make([]int64, 13)
-	for i := range ints {
-		v, err := resultcache.CanonInt(parts[i])
-		if err != nil {
-			return pt, d.fail("cfg: " + err.Error())
+	if r.Optional("em3d") {
+		pt.EM3D = &em3d.Config{TotalNodes: r.Int(), Degree: r.Int(), PctRemote: r.Int(),
+			RemoteReuse: r.Int(), Iters: r.Int(), Seed: r.Uint()}
+	}
+	if r.Optional("ocean") {
+		pt.Ocean = &ocean.Config{N: r.Int(), Iters: r.Int(), OwnerPlaced: r.Bool()}
+	}
+	// A line the encoder omits at its zero value may not spell the zero.
+	flag := func(key string) bool {
+		set := r.Optional(key)
+		if set && !r.Bool() {
+			r.Failf("%s false is not canonical (false is omitted)", key)
 		}
-		ints[i] = v
+		return set
 	}
-	pt.Cfg = machine.Config{
-		Nodes: int(ints[0]), CacheSize: int(ints[1]), CacheWays: int(ints[2]),
-		BlockSize: int(ints[3]), TLBEntries: int(ints[4]),
-		LocalMissCycles: sim.Time(ints[5]), TLBMissCycles: sim.Time(ints[6]),
-		NetLatency: sim.Time(ints[7]), BarrierLatency: sim.Time(ints[8]),
-		LinkBytesPerCycle: int(ints[9]), OccupancyCycles: sim.Time(ints[10]),
-		MemPagesPerNode: int(ints[11]), Quantum: sim.Time(ints[12]),
-	}
-	seed, err := resultcache.CanonUint(parts[13])
-	if err != nil {
-		return pt, d.fail("cfg seed: " + err.Error())
-	}
-	pt.Cfg.Seed = seed
-	shards, err := resultcache.CanonInt(parts[14])
-	if err != nil {
-		return pt, d.fail("cfg shards: " + err.Error())
-	}
-	pt.Cfg.Shards = int(shards)
-
-	sysTok, ok := d.optional("system")
-	if !ok {
-		return pt, d.fail("missing system line")
-	}
-	pt.System = System(sysTok)
-	if v, ok := d.optional("bench"); ok {
-		pt.Bench = v
-	}
-	if v, ok := d.optional("scale"); ok {
-		pt.Scale = Scale(v)
-	}
-	if v, ok := d.optional("set"); ok {
-		pt.Set = DataSet(v)
-	}
-	if v, ok := d.optional("em3d"); ok {
-		parts := strings.Split(v, " ")
-		if len(parts) != 6 {
-			return pt, d.fail(fmt.Sprintf("em3d line has %d fields, want 6", len(parts)))
+	pt.CheckIn = flag("checkin")
+	if r.Optional("stache.max_pages") {
+		if pt.StacheMaxPages = r.Int(); pt.StacheMaxPages == 0 {
+			r.Failf("stache.max_pages 0 is not canonical (zero is omitted)")
 		}
-		var c em3d.Config
-		vals := make([]int64, 5)
-		for i := range vals {
-			if vals[i], err = resultcache.CanonInt(parts[i]); err != nil {
-				return pt, d.fail("em3d: " + err.Error())
+	}
+	pt.StacheMigratory = flag("stache.migratory")
+	pt.NoCache = flag("nocache")
+	if r.Optional("group") {
+		pt.Group = r.Rest()
+	}
+	if r.Optional("witness") {
+		for more := true; more; more = r.More() {
+			kb := r.Int()
+			if kb <= 0 {
+				r.Failf("witness: cache size %d KB is not positive", kb)
 			}
-		}
-		c.TotalNodes, c.Degree, c.PctRemote = int(vals[0]), int(vals[1]), int(vals[2])
-		c.RemoteReuse, c.Iters = int(vals[3]), int(vals[4])
-		if c.Seed, err = resultcache.CanonUint(parts[5]); err != nil {
-			return pt, d.fail("em3d seed: " + err.Error())
-		}
-		pt.EM3D = &c
-	}
-	if v, ok := d.optional("ocean"); ok {
-		parts := strings.Split(v, " ")
-		if len(parts) != 3 {
-			return pt, d.fail(fmt.Sprintf("ocean line has %d fields, want 3", len(parts)))
-		}
-		var c ocean.Config
-		n, err := resultcache.CanonInt(parts[0])
-		if err != nil {
-			return pt, d.fail("ocean: " + err.Error())
-		}
-		iters, err := resultcache.CanonInt(parts[1])
-		if err != nil {
-			return pt, d.fail("ocean: " + err.Error())
-		}
-		c.N, c.Iters = int(n), int(iters)
-		if c.OwnerPlaced, err = canonBool(parts[2]); err != nil {
-			return pt, d.fail("ocean owner-placed: " + err.Error())
-		}
-		pt.Ocean = &c
-	}
-	boolLine := func(name string, dst *bool) error {
-		v, ok := d.optional(name)
-		if !ok {
-			return nil
-		}
-		if v != "true" {
-			return d.fail(fmt.Sprintf("%s line must be %q, got %q (false is omitted)", name, "true", v))
-		}
-		*dst = true
-		return nil
-	}
-	if err := boolLine("checkin", &pt.CheckIn); err != nil {
-		return pt, err
-	}
-	if v, ok := d.optional("stache.max_pages"); ok {
-		n, err := resultcache.CanonInt(v)
-		if err != nil || n == 0 {
-			return pt, d.fail("stache.max_pages: non-canonical value")
-		}
-		pt.StacheMaxPages = int(n)
-	}
-	if err := boolLine("stache.migratory", &pt.StacheMigratory); err != nil {
-		return pt, err
-	}
-	if err := boolLine("nocache", &pt.NoCache); err != nil {
-		return pt, err
-	}
-	if v, ok := d.optional("group"); ok {
-		pt.Group = v
-	}
-	if v, ok := d.optional("witness"); ok {
-		for _, tok := range strings.Split(v, " ") {
-			kb, err := resultcache.CanonInt(tok)
-			if err != nil || kb <= 0 {
-				return pt, d.fail("witness: non-canonical cache size")
-			}
-			pt.WitnessKB = append(pt.WitnessKB, int(kb))
+			pt.WitnessKB = append(pt.WitnessKB, kb)
 		}
 	}
-	if l, ok := d.peek(); ok {
-		return pt, d.fail(fmt.Sprintf("unexpected line %q", l))
+	r.End()
+	if err := r.Err(); err != nil {
+		return Point{}, fmt.Errorf("harness: decode point: %v", err)
 	}
 	return pt, nil
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
+	"github.com/tempest-sim/tempest/internal/sim"
 )
 
 // testPoints is a representative spread of the point space: every app
@@ -121,6 +122,15 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 		"negative shards":    func(c *machine.Config) { c.Shards = -1 },
 		"negative nodes":     func(c *machine.Config) { c.Nodes = -4 },
 		"negative link bw":   func(c *machine.Config) { c.LinkBytesPerCycle = -1 },
+		// A cycle count of 2^64−1 is −1 on wrapped arithmetic: it used to
+		// run to a verified result (or the engine's deadlock report) when
+		// built in process, and to fail decode when sent over the wire.
+		"wrapped local miss":      func(c *machine.Config) { c.LocalMissCycles = ^sim.Time(0) },
+		"wrapped tlb miss":        func(c *machine.Config) { c.TLBMissCycles = ^sim.Time(0) },
+		"wrapped net latency":     func(c *machine.Config) { c.NetLatency = ^sim.Time(0) },
+		"wrapped barrier latency": func(c *machine.Config) { c.BarrierLatency = ^sim.Time(0) },
+		"wrapped occupancy":       func(c *machine.Config) { c.OccupancyCycles = ^sim.Time(0) },
+		"quantum above the bound": func(c *machine.Config) { c.Quantum = machine.MaxCycles + 1 },
 	} {
 		pt := good
 		mutate(&pt.Cfg)

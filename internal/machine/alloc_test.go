@@ -12,7 +12,7 @@ import (
 // the paper, so an allocation here would dwarf everything else the
 // simulator does.
 func TestAllocFreeCacheHit(t *testing.T) {
-	m, _ := newFlat(Config{Nodes: 1, CacheSize: 4096, Seed: 1, Quantum: 1 << 62})
+	m, _ := newFlat(Config{Nodes: 1, CacheSize: 4096, Seed: 1, Quantum: MaxCycles})
 	va := m.AllocPrivate(0, mem.PageSize)
 
 	var allocs float64

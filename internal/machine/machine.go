@@ -136,13 +136,32 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// MaxCycles bounds every cycle-valued Config field. It sits far above
+// any latency a sweep uses (88 cycles at most) and far below where
+// simulated-time arithmetic wraps: a latency of 2^64−1 cycles is −1 on
+// wrapped arithmetic, and a run on it still verifies.
+const MaxCycles sim.Time = 1 << 32
+
 // Validate reports why New would refuse the configuration (defaults
-// applied first): the node/shard relationship, the contention knobs and
-// the cache, block and TLB geometry the per-node components insist on.
-// Configurations arrive over the wire (harness.Point), so callers ask
-// here instead of finding out from a panic.
+// applied first): the node/shard relationship, the contention knobs,
+// the cycle counts' upper bound and the cache, block and TLB geometry
+// the per-node components insist on. Configurations arrive over the
+// wire (harness.Point), so callers ask here instead of finding out from
+// a panic.
 func (c Config) Validate() error {
 	c.applyDefaults()
+	for _, f := range [...]struct {
+		name string
+		v    sim.Time
+	}{
+		{"local miss", c.LocalMissCycles}, {"TLB miss", c.TLBMissCycles},
+		{"network latency", c.NetLatency}, {"barrier latency", c.BarrierLatency},
+		{"occupancy", c.OccupancyCycles}, {"quantum", c.Quantum},
+	} {
+		if f.v > MaxCycles {
+			return fmt.Errorf("%s of %d cycles exceeds %d", f.name, f.v, MaxCycles)
+		}
+	}
 	switch bs := c.BlockSize; {
 	case c.Nodes < 1:
 		return fmt.Errorf("%d nodes", c.Nodes)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/cache"
 	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stats"
 	"github.com/tempest-sim/tempest/internal/vm"
 )
@@ -216,4 +217,31 @@ type retrySys struct{ flatSys }
 func (s *retrySys) ServiceMiss(p *Proc, va mem.VA, pa mem.PA, pte vm.PTE, write, upgrade bool) cache.LineState {
 	p.Ctx.Advance(1)
 	return cache.LineInvalid
+}
+
+// TestValidateBoundsCycleFields: a cycle count arrives unsigned, so a
+// wrapped −1 is 2^64−1 — a value the engine's arithmetic runs to a
+// verified result on. Every cycle-valued field is refused above
+// MaxCycles and accepted at it.
+func TestValidateBoundsCycleFields(t *testing.T) {
+	fields := map[string]func(*Config) *sim.Time{
+		"LocalMissCycles": func(c *Config) *sim.Time { return &c.LocalMissCycles },
+		"TLBMissCycles":   func(c *Config) *sim.Time { return &c.TLBMissCycles },
+		"NetLatency":      func(c *Config) *sim.Time { return &c.NetLatency },
+		"BarrierLatency":  func(c *Config) *sim.Time { return &c.BarrierLatency },
+		"OccupancyCycles": func(c *Config) *sim.Time { return &c.OccupancyCycles },
+		"Quantum":         func(c *Config) *sim.Time { return &c.Quantum },
+	}
+	for name, field := range fields {
+		for _, tc := range []struct {
+			v  sim.Time
+			ok bool
+		}{{MaxCycles, true}, {MaxCycles + 1, false}, {^sim.Time(0), false}} {
+			cfg := DefaultConfig()
+			*field(&cfg) = tc.v
+			if err := cfg.Validate(); (err == nil) != tc.ok {
+				t.Errorf("%s = %d: Validate() = %v, want ok=%v", name, tc.v, err, tc.ok)
+			}
+		}
+	}
 }

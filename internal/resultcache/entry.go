@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/tempest-sim/tempest/internal/network"
+	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
 // entryMagic is the format header; bumping the version invalidates
@@ -39,6 +39,8 @@ type Entry struct {
 	// Code is the code digest the key was computed with.
 	Code string
 	// System and App identify the run for reconstruction and reports.
+	// Like Code they must be non-empty: Decode refuses an empty value on
+	// any line, so an entry encoded without one does not read back.
 	System, App string
 	// Origin is the entry's provenance: empty for a fresh simulation,
 	// or a derivation note (e.g. "witness:4K" for a Figure 3
@@ -95,38 +97,7 @@ func (e *Entry) Encode() []byte {
 		fmt.Fprintf(&b, "net %d %d %d %d %d\n", i, v.Packets, v.PayloadBytes, v.QueueingCycles, v.MaxQueueDepth)
 	}
 	fmt.Fprintf(&b, "netlocal %d\n", e.Net.LocalSends)
-	return Seal(&b)
-}
-
-// decoder walks the canonical line sequence, failing with a structured
-// *Error on the first non-canonical byte.
-type decoder struct {
-	lines []string
-	pos   int
-	path  string
-}
-
-func (d *decoder) fail(msg string) *Error {
-	return &Error{Op: "decode", Path: d.path, Msg: msg}
-}
-
-// next returns the current line without consuming it ("" when
-// exhausted, with ok=false).
-func (d *decoder) next() (string, bool) {
-	if d.pos >= len(d.lines) {
-		return "", false
-	}
-	return d.lines[d.pos], true
-}
-
-// uint parses a canonical base-10 uint64 token (CanonUint), naming the
-// field in the error.
-func (d *decoder) uint(tok, what string) (uint64, error) {
-	v, err := CanonUint(tok)
-	if err != nil {
-		return 0, d.fail(what + " " + err.Error())
-	}
-	return v, nil
+	return wiretext.Seal(&b)
 }
 
 // Decode parses a canonical entry. Every failure is a structured
@@ -138,161 +109,50 @@ func Decode(data []byte) (*Entry, error) {
 	return decode(data, "")
 }
 
+// decode is the entry's field list over the shared reader (DESIGN.md
+// "Text formats"): fixed-order lines, obs and net rows numbered in
+// order, counters strictly ascending by name.
 func decode(data []byte, path string) (*Entry, error) {
-	d := &decoder{path: path}
-	lines, err := Unseal(data, entryMagic, "entry")
-	if err != nil {
-		return nil, d.fail(err.Error())
-	}
-	d.lines = lines
-
+	r := wiretext.Unseal(data, entryMagic, "entry")
 	e := &Entry{Counters: make(map[string]uint64)}
-	// Required headers, in order; values are the rest of the line.
-	take := func(prefix string) (string, error) {
-		l, ok := d.next()
-		if !ok {
-			return "", d.fail(fmt.Sprintf("truncated entry: missing %q line", prefix))
+	var err error
+	if e.Key, err = ParseKey(r.Line("key").Token()); err != nil {
+		r.Failf("%v", err)
+	}
+	e.Code = r.Line("code").Rest()
+	e.System = r.Line("system").Rest()
+	e.App = r.Line("app").Rest()
+	if r.Optional("origin") {
+		e.Origin = r.Rest()
+	}
+	e.Cycles = r.Line("cycles").Uint()
+	e.ROI = r.Line("roi").Uint()
+	for r.Optional("obs") {
+		if idx := r.Uint(); idx != uint64(len(e.Obs)) {
+			r.Failf("obs index %d out of order (want %d)", idx, len(e.Obs))
 		}
-		v, ok := strings.CutPrefix(l, prefix+" ")
-		if !ok {
-			return "", d.fail(fmt.Sprintf("expected %q line, got %q", prefix, l))
-		}
-		d.pos++
-		return v, nil
+		e.Obs = append(e.Obs, ObsRecord{Hash: r.Uint(), Ops: r.Uint()})
 	}
-	keyTok, err := take("key")
-	if err != nil {
-		return nil, err
-	}
-	if e.Key, err = ParseKey(keyTok); err != nil {
-		return nil, d.fail(err.Error())
-	}
-	if e.Code, err = take("code"); err != nil {
-		return nil, err
-	}
-	if e.System, err = take("system"); err != nil {
-		return nil, err
-	}
-	if e.App, err = take("app"); err != nil {
-		return nil, err
-	}
-	if l, ok := d.next(); ok {
-		if v, isOrigin := strings.CutPrefix(l, "origin "); isOrigin {
-			if v == "" {
-				return nil, d.fail("empty origin line is not canonical")
-			}
-			e.Origin = v
-			d.pos++
-		}
-	}
-	tok, err := take("cycles")
-	if err != nil {
-		return nil, err
-	}
-	if e.Cycles, err = d.uint(tok, "cycles"); err != nil {
-		return nil, err
-	}
-	if tok, err = take("roi"); err != nil {
-		return nil, err
-	}
-	if e.ROI, err = d.uint(tok, "roi"); err != nil {
-		return nil, err
-	}
-	// Observation records: "obs <index> <hash> <ops>", indexes 0..n-1.
-	for {
-		l, ok := d.next()
-		if !ok {
-			break
-		}
-		v, isObs := strings.CutPrefix(l, "obs ")
-		if !isObs {
-			break
-		}
-		parts := strings.Split(v, " ")
-		if len(parts) != 3 {
-			return nil, d.fail(fmt.Sprintf("malformed obs line %q", l))
-		}
-		idx, err := d.uint(parts[0], "obs index")
-		if err != nil {
-			return nil, err
-		}
-		if idx != uint64(len(e.Obs)) {
-			return nil, d.fail(fmt.Sprintf("obs index %d out of order (want %d)", idx, len(e.Obs)))
-		}
-		var o ObsRecord
-		if o.Hash, err = d.uint(parts[1], "obs hash"); err != nil {
-			return nil, err
-		}
-		if o.Ops, err = d.uint(parts[2], "obs ops"); err != nil {
-			return nil, err
-		}
-		e.Obs = append(e.Obs, o)
-		d.pos++
-	}
-	// Counters: "counter <name> <value>", strictly ascending names.
 	prev := ""
-	for {
-		l, ok := d.next()
-		if !ok {
-			break
-		}
-		v, isCtr := strings.CutPrefix(l, "counter ")
-		if !isCtr {
-			break
-		}
-		name, valTok, found := strings.Cut(v, " ")
-		if !found || name == "" || strings.Contains(valTok, " ") {
-			return nil, d.fail(fmt.Sprintf("malformed counter line %q", l))
-		}
+	for r.Optional("counter") {
+		name := r.Token()
 		if prev != "" && name <= prev {
-			return nil, d.fail(fmt.Sprintf("counter %q out of sorted order (after %q)", name, prev))
+			r.Failf("counter %q out of sorted order (after %q)", name, prev)
 		}
 		prev = name
-		val, err := d.uint(valTok, "counter value")
-		if err != nil {
-			return nil, err
-		}
-		e.Counters[name] = val
-		d.pos++
+		e.Counters[name] = r.Uint()
 	}
-	// Per-VNet traffic: exactly one line per virtual network, in order.
 	for i := range e.Net.VNets {
-		l, ok := d.next()
-		if !ok {
-			return nil, d.fail("truncated entry: missing net line")
+		if idx := r.Line("net").Uint(); idx != uint64(i) {
+			r.Failf("net vnet %d out of order (want %d)", idx, i)
 		}
-		v, isNet := strings.CutPrefix(l, "net ")
-		if !isNet {
-			return nil, d.fail(fmt.Sprintf("expected net line, got %q", l))
-		}
-		parts := strings.Split(v, " ")
-		if len(parts) != 5 {
-			return nil, d.fail(fmt.Sprintf("malformed net line %q", l))
-		}
-		idx, err := d.uint(parts[0], "net vnet")
-		if err != nil {
-			return nil, err
-		}
-		if idx != uint64(i) {
-			return nil, d.fail(fmt.Sprintf("net vnet %d out of order (want %d)", idx, i))
-		}
-		vs := &e.Net.VNets[i]
-		for j, dst := range []*uint64{&vs.Packets, &vs.PayloadBytes, &vs.QueueingCycles, &vs.MaxQueueDepth} {
-			if *dst, err = d.uint(parts[j+1], "net field"); err != nil {
-				return nil, err
-			}
-		}
-		d.pos++
+		v := &e.Net.VNets[i]
+		v.Packets, v.PayloadBytes, v.QueueingCycles, v.MaxQueueDepth = r.Uint(), r.Uint(), r.Uint(), r.Uint()
 	}
-	tok, err = take("netlocal")
-	if err != nil {
-		return nil, err
-	}
-	if e.Net.LocalSends, err = d.uint(tok, "netlocal"); err != nil {
-		return nil, err
-	}
-	if l, ok := d.next(); ok {
-		return nil, d.fail(fmt.Sprintf("unexpected line %q after netlocal", l))
+	e.Net.LocalSends = r.Line("netlocal").Uint()
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, &Error{Op: "decode", Path: path, Msg: err.Error()}
 	}
 	return e, nil
 }

@@ -169,6 +169,24 @@ func TestDecodeRejectsNonCanonicalForms(t *testing.T) {
 	}
 }
 
+// An empty value has no spelling: Encode writes "code \n" for an entry
+// built without one, and Decode refuses it like any other empty line
+// rather than accept a field no producer writes.
+func TestDecodeRefusesEmptyIdentityField(t *testing.T) {
+	for _, field := range []string{"code", "system", "app"} {
+		e := sampleEntry()
+		switch field {
+		case "code":
+			e.Code = ""
+		case "system":
+			e.System = ""
+		case "app":
+			e.App = ""
+		}
+		decodeErr(t, e.Encode(), "empty "+field+" line")
+	}
+}
+
 func TestWithKey(t *testing.T) {
 	e := sampleEntry()
 	k2 := NewKey().Str("other", "key").Sum()

@@ -46,8 +46,10 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // ParseEvent parses one Event.String line back into an Event. The format
-// is the committed-corpus event encoding, so String and ParseEvent must
-// stay exact inverses (see the round-trip tests and FuzzTraceParse).
+// is the committed-corpus event encoding, so String and ParseEvent are
+// exact inverses: a line is accepted only if the event it parses to
+// prints as that line again — column padding, digit spelling and all
+// (see the round-trip tests and FuzzTraceParse).
 func ParseEvent(line string) (Event, error) {
 	f := strings.Fields(line)
 	if len(f) != 5 {
@@ -85,5 +87,10 @@ func ParseEvent(line string) (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("trace: bad aux field %q in %q: %v", f[4], line, err)
 	}
-	return Event{T: sim.Time(t), Node: int(node), Kind: kind, VA: mem.VA(va), Aux: aux}, nil
+	e := Event{T: sim.Time(t), Node: int(node), Kind: kind, VA: mem.VA(va), Aux: aux}
+	var buf [96]byte
+	if string(e.appendText(buf[:0])) != line {
+		return Event{}, fmt.Errorf("trace: event line %q is not in canonical form %q", line, e.String())
+	}
+	return e, nil
 }

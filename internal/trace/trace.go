@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -108,8 +109,30 @@ type Event struct {
 	Aux uint64
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("%10d node%-3d %-12s va=%#x aux=%d", e.T, e.Node, e.Kind, e.VA, e.Aux)
+// String is the event's one text form, the committed-corpus line
+// "%10d node%-3d %-12s va=%#x aux=%d".
+func (e Event) String() string { return string(e.appendText(make([]byte, 0, 64))) }
+
+// appendText is String without fmt: ParseEvent formats every line it
+// accepts, and from a stack buffer that costs no allocation.
+func (e Event) appendText(b []byte) []byte {
+	var num [20]byte
+	t := strconv.AppendUint(num[:0], uint64(e.T), 10)
+	b = append(padTo(b, len(b)+10-len(t)), t...)
+	at := len(b)
+	b = padTo(strconv.AppendInt(append(b, " node"...), int64(e.Node), 10), at+8)
+	at = len(b)
+	b = padTo(append(append(b, ' '), e.Kind.String()...), at+13)
+	b = strconv.AppendUint(append(b, " va=0x"...), uint64(e.VA), 16)
+	return strconv.AppendUint(append(b, " aux="...), e.Aux, 10)
+}
+
+// padTo appends spaces until b is n bytes long.
+func padTo(b []byte, n int) []byte {
+	for len(b) < n {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // nodeBuf is one node's capture buffer. A node's events are appended by

@@ -1,4 +1,4 @@
-package resultcache
+package wiretext
 
 import (
 	"math"
@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// TestCanonIntegers pins the one canonical spelling per value that all
-// three text formats (entries, sweep points, fleet messages) parse with:
-// exactly what strconv.Format* produces, nothing else.
+// TestCanonIntegers pins the one canonical spelling per value that
+// every text format parses with: exactly what strconv.Format* produces,
+// nothing else.
 func TestCanonIntegers(t *testing.T) {
 	for _, tok := range []string{"0", "7", "10", "18446744073709551615"} {
-		if v, err := CanonUint(tok); err != nil || strconv.FormatUint(v, 10) != tok {
+		if v, err := CanonUint(tok, math.MaxUint64); err != nil || strconv.FormatUint(v, 10) != tok {
 			t.Errorf("CanonUint(%q) = %d, %v", tok, v, err)
 		}
 	}
 	for _, tok := range []string{"", "00", "07", "+7", "-7", "-0", "1_0", "0x10", " 7", "7 ", "18446744073709551616"} {
-		if v, err := CanonUint(tok); err == nil {
+		if v, err := CanonUint(tok, math.MaxUint64); err == nil {
 			t.Errorf("CanonUint(%q) = %d, want an error", tok, v)
 		}
 	}
