@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile fuzz-seeds fuzz-burst conform loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss fuzz-seeds fuzz-burst conform loc
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
@@ -81,6 +81,16 @@ fleet-check:
 profile:
 	$(GO) run ./cmd/bench -check testdata/bench.digest -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof <file>)"
+
+# profile-hit / profile-miss profile one workload instead of the whole
+# sweep: the point sets of the repo benchmark's hit_path and miss_path
+# (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath), on
+# one processor as the benchmark runs them. Inspect with
+# `go tool pprof harness.test cpu-hit.prof`.
+profile-hit:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsHitPath$$' -benchtime 20x -cpuprofile cpu-hit.prof ./internal/harness
+profile-miss:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPath$$' -benchtime 20x -cpuprofile cpu-miss.prof ./internal/harness
 
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).

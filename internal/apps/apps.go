@@ -9,6 +9,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
@@ -201,25 +202,57 @@ type MemIO interface {
 // processor's kernel in program order through one Backdoor and compare
 // the overlay against the simulated memory.
 type Backdoor struct {
-	M       *machine.Machine
-	overlay map[mem.VA]uint64
+	M *machine.Machine
+	// pages is the overlay, indexed by a shared page's distance from
+	// vm.SharedBase; a page gets its array at the first write into it.
+	pages []*overlayPage
+}
+
+const wordsPerPage = mem.PageSize / 8
+
+// overlayPage holds the replayed value of every aligned word of one
+// page, and which of them the replay has written.
+type overlayPage struct {
+	vals    [wordsPerPage]uint64
+	written [wordsPerPage / 64]uint64
 }
 
 // NewBackdoor returns an empty-overlay backdoor for m.
-func NewBackdoor(m *machine.Machine) *Backdoor {
-	return &Backdoor{M: m, overlay: make(map[mem.VA]uint64)}
+func NewBackdoor(m *machine.Machine) *Backdoor { return &Backdoor{M: m} }
+
+// overlayIndex locates va's word in the overlay: its page's index (past
+// any table for a private address) and the word's index in the page.
+func overlayIndex(va mem.VA) (page, word uint64) {
+	if va%8 != 0 {
+		panic(fmt.Sprintf("apps: Backdoor access to unaligned address %#x", va))
+	}
+	return va.VPN() - vm.SharedBase.VPN(), va.PageOffset() / 8
 }
 
 // ReadU64 implements MemIO.
 func (b *Backdoor) ReadU64(va mem.VA) uint64 {
-	if v, ok := b.overlay[va]; ok {
-		return v
+	if i, w := overlayIndex(va); i < uint64(len(b.pages)) && b.pages[i] != nil {
+		if pg := b.pages[i]; pg.written[w/64]>>(w%64)&1 != 0 {
+			return pg.vals[w]
+		}
 	}
 	return ReadBackU64(b.M, va)
 }
 
 // WriteU64 implements MemIO.
-func (b *Backdoor) WriteU64(va mem.VA, v uint64) { b.overlay[va] = v }
+func (b *Backdoor) WriteU64(va mem.VA, v uint64) {
+	i, w := overlayIndex(va)
+	if i >= uint64(len(b.pages)) {
+		b.M.VM.Home(va) // panics unless va is allocated shared memory
+		b.pages = slices.Grow(b.pages, int(i)+1-len(b.pages))[:i+1]
+	}
+	if b.pages[i] == nil {
+		b.pages[i] = new(overlayPage)
+	}
+	pg := b.pages[i]
+	pg.vals[w] = v
+	pg.written[w/64] |= 1 << (w % 64)
+}
 
 // ReadF64 implements MemIO.
 func (b *Backdoor) ReadF64(va mem.VA) float64 {
@@ -227,9 +260,7 @@ func (b *Backdoor) ReadF64(va mem.VA) float64 {
 }
 
 // WriteF64 implements MemIO.
-func (b *Backdoor) WriteF64(va mem.VA, v float64) {
-	b.overlay[va] = math.Float64bits(v)
-}
+func (b *Backdoor) WriteF64(va mem.VA, v float64) { b.WriteU64(va, math.Float64bits(v)) }
 
 // Compute implements MemIO as a no-op.
 func (b *Backdoor) Compute(int) {}

@@ -11,6 +11,7 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
+	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/stache"
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
@@ -155,5 +156,88 @@ func TestBackdoorOverlay(t *testing.T) {
 	}
 	if err := b.Expect(a.At(0, 0), "x"); err == nil {
 		t.Fatal("Expect should fail after divergent overlay write")
+	}
+}
+
+// TestBackdoorOverlayAcrossPages: the overlay is one value array per
+// page with a written-bitmap. Words on both sides of page boundaries,
+// written in an order that grows the page table backwards and forwards,
+// must read back what was written; their unwritten neighbours — in a
+// page the overlay holds and in pages it never saw — must still read the
+// simulated memory; and nothing may reach that memory.
+func TestBackdoorOverlayAcrossPages(t *testing.T) {
+	const perProc = 3 * mem.PageSize / 8 // three pages of words per processor
+	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096})
+	dirnnb.New(m)
+	a := apps.NewDistArray(m, "x", perProc, 8, 0)
+	// The simulated run leaves a value in words 0, 1, 122, 123, 244, ...
+	// (processor p writes every 122nd word from p) and zero elsewhere.
+	simulated := func(i int) uint64 {
+		if i%122 < 2 {
+			return 0xABCD_0000 + uint64(i)
+		}
+		return 0
+	}
+	if _, err := m.Run(func(p *machine.Proc) {
+		for i := p.ID(); i < 2*perProc; i += 122 {
+			p.WriteU64(a.AtGlobal(i), simulated(i))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	b := apps.NewBackdoor(m)
+	const wpp = mem.PageSize / 8
+	written := map[int]uint64{}
+	// Last word of page 3, first of page 4, both ends of page 1, then
+	// page 5's end and page 0's start; zero is a value like any other.
+	for n, i := range []int{4*wpp - 1, 4 * wpp, wpp, 2*wpp - 1, 6*wpp - 1, 0, 4*wpp + 64} {
+		v := uint64(n) * 0x1111
+		b.WriteU64(a.AtGlobal(i), v)
+		written[i] = v
+	}
+	for i := 0; i < 2*perProc; i++ {
+		want, ok := written[i]
+		if !ok {
+			want = simulated(i)
+		}
+		if got := b.ReadU64(a.AtGlobal(i)); got != want {
+			t.Fatalf("word %d (page %d): backdoor read %#x, want %#x (written: %v)", i, i/wpp, got, want, ok)
+		}
+		if got := apps.ReadBackU64(m, a.AtGlobal(i)); got != simulated(i) {
+			t.Fatalf("word %d: simulated memory is %#x, want %#x", i, got, simulated(i))
+		}
+	}
+	if err := b.ExpectU64(a.AtGlobal(0), "x"); err == nil {
+		t.Error("ExpectU64 passed after a divergent write")
+	}
+	if err := b.ExpectU64(a.AtGlobal(1), "x"); err != nil {
+		t.Errorf("ExpectU64 on an unwritten word: %v", err)
+	}
+}
+
+// TestBackdoorRefusesStrayAddresses: the overlay is indexed by address,
+// so a write outside allocated shared memory, or to an unaligned word,
+// must be refused rather than sized from or aliased onto a neighbour.
+func TestBackdoorRefusesStrayAddresses(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096})
+	dirnnb.New(m)
+	a := apps.NewDistArray(m, "x", 4, 8, 0)
+	priv := m.AllocPrivate(0, mem.PageSize)
+	b := apps.NewBackdoor(m)
+	for name, va := range map[string]mem.VA{
+		"private":            priv,
+		"past the segment":   a.Seg.End() + 1<<40,
+		"unaligned":          a.At(0, 0) + 4,
+		"below every region": 8,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WriteU64 to a %s address (%#x) did not panic", name, va)
+				}
+			}()
+			b.WriteU64(va, 1)
+		}()
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -256,30 +257,128 @@ func TestTLBFlushAndCounters(t *testing.T) {
 	}
 }
 
-// Property: the TLB never holds more than its capacity and a lookup
-// immediately after a miss hits.
-func TestTLBCapacityProperty(t *testing.T) {
-	f := func(pages []uint16) bool {
-		tlb := NewTLB(16)
-		resident := 0
-		for _, p := range pages {
-			tlb.Lookup(uint64(p))
-			if !tlb.Contains(uint64(p)) {
-				return false
-			}
-			resident = 0
-			for pn := uint64(0); pn <= 0xFFFF; pn += 1 {
-				_ = pn
-				break // counting all pages is too slow; rely on index size
-			}
-			_ = resident
-			if len(tlb.index) > 16 {
-				return false
-			}
+// The two shapes of key the simulator gives a TLB: consecutive shared
+// VPNs (CPU and NP TLBs) and frame base addresses, node<<40 | frame<<12,
+// spread over four nodes (the RTLB).
+func vpnKey(i int) uint64       { return 0x4000_0000_0 + uint64(i) }
+func frameBaseKey(i int) uint64 { return uint64(i%4)<<40 | uint64(i/4)<<12 }
+
+// refTLB is the TLB's specification written the obvious way: a slice of
+// slots scanned on every operation, FIFO pointer and all.
+type refTLB struct {
+	slots        []uint64
+	valid        []bool
+	fifo         int
+	hits, misses uint64
+}
+
+func (r *refTLB) find(pn uint64) int {
+	for i, s := range r.slots {
+		if r.valid[i] && s == pn {
+			return i
 		}
+	}
+	return -1
+}
+
+func (r *refTLB) lookup(pn uint64) bool {
+	if r.find(pn) >= 0 {
+		r.hits++
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+	r.misses++
+	r.slots[r.fifo], r.valid[r.fifo] = pn, true
+	r.fifo = (r.fifo + 1) % len(r.slots)
+	return false
+}
+
+func (r *refTLB) invalidate(pn uint64) {
+	if i := r.find(pn); i >= 0 {
+		r.valid[i] = false
+	}
+}
+
+// TestTLBMatchesReferenceModel drives the TLB and the naive model above
+// with the same random Lookup/Contains/InvalidateEntry/Flush sequence
+// and compares, after every operation, the return value, both counters
+// and the residency of every page in the universe. The universes are
+// the two shapes of key the simulator uses — small consecutive VPNs
+// (CPU and NP TLBs) and frame base addresses, node<<40 | frame<<12
+// (the RTLB) — plus keys that differ only above bit 40. Contains may
+// repair a hint, so each sequence also runs with the residency sweep
+// only every 97th operation, leaving stale hints in place in between.
+func TestTLBMatchesReferenceModel(t *testing.T) {
+	universes := map[string]func(i int) uint64{
+		"vpn":        vpnKey,
+		"frame-base": frameBaseKey,
+		"node-only":  func(i int) uint64 { return uint64(i) << 40 },
+	}
+	for _, capacity := range []int{1, 2, 16, 64} {
+		for name, key := range universes {
+			for _, sweepEvery := range []int{1, 97} {
+				testTLBAgainstModel(t, name, capacity, sweepEvery, key)
+			}
+		}
+	}
+}
+
+func testTLBAgainstModel(t *testing.T, name string, capacity, sweepEvery int, key func(int) uint64) {
+	universe := make([]uint64, 2*capacity+3)
+	for i := range universe {
+		universe[i] = key(i)
+	}
+	tlb := NewTLB(capacity)
+	ref := &refTLB{slots: make([]uint64, capacity), valid: make([]bool, capacity)}
+	rng := rand.New(rand.NewSource(int64(capacity)))
+	for step := 0; step < 4000; step++ {
+		pn := universe[rng.Intn(len(universe))]
+		what := "Lookup"
+		switch op := rng.Intn(100); {
+		case op < 70:
+			if got, want := tlb.Lookup(pn), ref.lookup(pn); got != want {
+				t.Fatalf("%s/%d step %d: Lookup(%#x) = %v, model says %v", name, capacity, step, pn, got, want)
+			}
+		case op < 80:
+			what = "Contains"
+			if got, want := tlb.Contains(pn), ref.find(pn) >= 0; got != want {
+				t.Fatalf("%s/%d step %d: Contains(%#x) = %v, model says %v", name, capacity, step, pn, got, want)
+			}
+		case op < 98:
+			what = "InvalidateEntry"
+			tlb.InvalidateEntry(pn)
+			ref.invalidate(pn)
+		default:
+			what = "Flush"
+			tlb.Flush()
+			clear(ref.valid)
+		}
+		if tlb.Hits() != ref.hits || tlb.Misses() != ref.misses {
+			t.Fatalf("%s/%d step %d after %s(%#x): hits/misses %d/%d, model says %d/%d",
+				name, capacity, step, what, pn, tlb.Hits(), tlb.Misses(), ref.hits, ref.misses)
+		}
+		if step%sweepEvery != 0 {
+			continue
+		}
+		for _, q := range universe {
+			if got, want := tlb.Contains(q), ref.find(q) >= 0; got != want {
+				t.Fatalf("%s/%d step %d after %s(%#x): Contains(%#x) = %v, model says %v",
+					name, capacity, step, what, pn, q, got, want)
+			}
+		}
+	}
+}
+
+// TestTLBHintSpreadsFrameBaseKeys pins the one thing the model test
+// cannot see: that the hint is worth having for RTLB keys. Their low
+// twelve bits are zero, so a hint indexed by the key's low bits would
+// put every resident page in one bucket and turn every hit into a scan.
+func TestTLBHintSpreadsFrameBaseKeys(t *testing.T) {
+	tlb := NewTLB(64)
+	buckets := map[*uint16]bool{}
+	for i := 0; i < 64; i++ {
+		buckets[tlb.bucket(frameBaseKey(i))] = true
+	}
+	if len(buckets) < 48 {
+		t.Errorf("64 frame-base keys share %d hint buckets, want at least 48", len(buckets))
 	}
 }

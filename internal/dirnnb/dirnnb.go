@@ -27,6 +27,7 @@ package dirnnb
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/cache"
@@ -150,7 +151,11 @@ type nodeState struct {
 	node int
 	core *agent.Core
 
-	dir     map[mem.PA]*entry // keyed by block-aligned PA homed here
+	// dir[f] holds the entries of the blocks in this node's frame f, in
+	// block order. A frame's array is allocated by the first entryFor in
+	// it (private and untouched frames stay nil), and an entry whose
+	// sharers is nil has never been asked for.
+	dir     [][]entry
 	txns    map[uint64]*txn
 	nextTxn uint64
 
@@ -188,7 +193,6 @@ func New(m *machine.Machine) *System {
 		ns := &nodeState{
 			sys:    s,
 			node:   i,
-			dir:    make(map[mem.PA]*entry),
 			txns:   make(map[uint64]*txn),
 			claims: make(map[uint64]*claim),
 		}
@@ -292,13 +296,50 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 	// unpark, so the caller's retry succeeds.
 }
 
-func (ns *nodeState) entryFor(block mem.PA) *entry {
-	e, ok := ns.dir[block]
-	if !ok {
-		e = &entry{owner: -1, sharers: newNodeSet(ns.sys.m.Cfg.Nodes)}
-		ns.dir[block] = e
+// find returns block's directory entry, or nil if none was ever asked
+// for.
+func (ns *nodeState) find(block mem.PA) *entry {
+	f := block.Offset() / mem.PageSize
+	if f >= uint64(len(ns.dir)) || ns.dir[f] == nil {
+		return nil
+	}
+	e := &ns.dir[f][ns.sys.m.Mems[ns.node].BlockIndex(block)]
+	if e.sharers == nil {
+		return nil
 	}
 	return e
+}
+
+// entryFor returns block's directory entry, creating it (no owner, no
+// sharers) on first use.
+func (ns *nodeState) entryFor(block mem.PA) *entry {
+	if e := ns.find(block); e != nil {
+		return e
+	}
+	mm := ns.sys.m.Mems[ns.node]
+	f := int(block.Offset() / mem.PageSize)
+	if f >= len(ns.dir) {
+		ns.dir = slices.Grow(ns.dir, f+1-len(ns.dir))[:f+1]
+	}
+	if ns.dir[f] == nil {
+		ns.dir[f] = make([]entry, mm.BlocksPerPage())
+	}
+	e := &ns.dir[f][mm.BlockIndex(block)]
+	e.owner, e.sharers = -1, newNodeSet(ns.sys.m.Cfg.Nodes)
+	return e
+}
+
+// eachEntry visits every directory entry this node has ever been asked
+// for, in ascending PA order — the order the dense tables are laid out in.
+func (ns *nodeState) eachEntry(visit func(mem.PA, *entry)) {
+	bs := uint64(ns.sys.m.Cfg.BlockSize)
+	for f, blocks := range ns.dir {
+		for i := range blocks {
+			if e := &blocks[i]; e.sharers != nil {
+				visit(mem.MakePA(ns.node, uint64(f)*mem.PageSize+uint64(i)*bs), e)
+			}
+		}
+	}
 }
 
 // coherTarget is one remote cache a coherence action must reach.
@@ -567,7 +608,7 @@ func (s *System) Evicted(p *machine.Proc, victim mem.PA, state cache.LineState) 
 
 // applyEvict removes node's residency from the victim's directory entry.
 func (ns *nodeState) applyEvict(victim mem.PA, node int) {
-	if e, ok := ns.dir[victim]; ok {
+	if e := ns.find(victim); e != nil {
 		e.sharers.remove(node)
 		if e.owner == node {
 			e.owner = -1

@@ -247,11 +247,11 @@ func TestEvictionChargesReplacementAndCleansDirectory(t *testing.T) {
 	// segment is homed on node 0, so its entries live in node 0's slice
 	// of the directory.
 	owners := 0
-	for _, e := range s.nodes[0].dir {
+	s.nodes[0].eachEntry(func(_ mem.PA, e *entry) {
 		if e.owner == 1 {
 			owners++
 		}
-	}
+	})
 	if owners != 4 {
 		t.Errorf("node 1 owns %d blocks in directory, want 4 after eviction", owners)
 	}
@@ -311,5 +311,68 @@ func TestDeterministicRuns(t *testing.T) {
 	a, b := exec(), exec()
 	if a != b {
 		t.Fatalf("nondeterministic: %d vs %d cycles", a, b)
+	}
+}
+
+// TestDirectoryEntriesInPAOrder pins what StateDigest relies on since the
+// directory became per-frame arrays: walking them yields exactly the
+// blocks a processor has asked the home for — not their untouched
+// neighbours in the same frame, nothing for private frames — in strictly
+// ascending PA order, however scattered the order they were created in.
+func TestDirectoryEntriesInPAOrder(t *testing.T) {
+	m, s := newM(t, 2)
+	// A private frame first, so node 0's shared frames do not start at
+	// frame 0, and another between the two segments.
+	m.AllocPrivate(0, mem.PageSize)
+	segA := m.AllocShared("a", 3*mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)
+	m.AllocPrivate(0, mem.PageSize)
+	own := m.AllocPrivate(1, mem.PageSize)
+	segB := m.AllocShared("b", 2*mem.PageSize, vm.RoundRobin{}, vm.ModeUser)
+	touched := []mem.VA{
+		segB.At(mem.PageSize + 96), segA.At(2*mem.PageSize + 4064), segA.At(32), segB.At(8),
+		segA.At(2 * mem.PageSize), segA.At(0), segA.At(40), // the last shares segA.At(32)'s block
+	}
+	run(t, m, func(p *machine.Proc) {
+		if p.ID() != 1 {
+			return
+		}
+		p.WriteU64(own, 1) // node 1's private page: no directory entry
+		for _, va := range touched {
+			p.WriteU64(va, uint64(va))
+		}
+	})
+	want := map[mem.PA]bool{}
+	for _, va := range touched {
+		pa, _, ok := m.VM.Translate(1, va)
+		if !ok {
+			t.Fatalf("%#x not mapped", va)
+		}
+		want[m.Mems[pa.Node()].BlockBase(pa)] = true
+	}
+	if len(want) != 6 {
+		t.Fatalf("touched %d distinct blocks, want 6", len(want))
+	}
+	got := 0
+	for _, ns := range s.nodes {
+		last := mem.PA(0)
+		ns.eachEntry(func(pa mem.PA, e *entry) {
+			got++
+			if pa.Node() != ns.node || !want[pa] {
+				t.Errorf("node %d lists an entry for %#x, which nobody asked it for", ns.node, pa)
+			}
+			if pa <= last && last != 0 {
+				t.Errorf("node %d: entry %#x follows %#x", ns.node, pa, last)
+			}
+			last = pa
+			if e.owner != 1 {
+				t.Errorf("entry %#x: owner %d, want the writer, node 1", pa, e.owner)
+			}
+		})
+	}
+	if got != len(want) {
+		t.Errorf("the directory lists %d entries, want %d", got, len(want))
+	}
+	if a, b := s.StateDigest(), s.StateDigest(); a != b {
+		t.Errorf("StateDigest is not repeatable: %#x then %#x", a, b)
 	}
 }

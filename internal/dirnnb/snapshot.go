@@ -14,12 +14,12 @@ import (
 func (s *System) AgentCore(node int) *agent.Core { return s.nodes[node].core }
 
 // StateDigest folds the directory's full coherence state — every home's
-// per-block entries (owner, sharers), in-flight transactions, and
-// first-touch claims — into one hash, visiting nodes in order and map
-// keys sorted so the value is independent of map iteration order. Equal
-// digests mean equal directory state. Call only while the machine is
-// not running; the conformance suite records it after Run as part of a
-// trace's footer.
+// per-block entries (owner, sharers) in ascending PA order, in-flight
+// transactions, and first-touch claims — into one hash, visiting nodes
+// in order and map keys sorted so the value is independent of map
+// iteration order. Equal digests mean equal directory state. Call only
+// while the machine is not running; the conformance suite records it
+// after Run as part of a trace's footer.
 func (s *System) StateDigest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -31,20 +31,14 @@ func (s *System) StateDigest() uint64 {
 	}
 	for _, ns := range s.nodes {
 		w(uint64(ns.node))
-		blocks := make([]mem.PA, 0, len(ns.dir))
-		for pa := range ns.dir {
-			blocks = append(blocks, pa)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, pa := range blocks {
-			e := ns.dir[pa]
+		ns.eachEntry(func(pa mem.PA, e *entry) {
 			w(uint64(pa))
 			w(uint64(uint32(e.owner)) + 1)
 			for _, m := range e.sharers.members() {
 				w(uint64(m) + 1)
 			}
 			w(^uint64(0)) // sharer-list terminator
-		}
+		})
 		// In-flight transactions and claims are keyed by monotonically
 		// assigned IDs / VPNs; sort for determinism. A quiescent machine
 		// (post-Run) has none, but a digest taken at a barrier must not

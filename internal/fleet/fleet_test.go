@@ -430,6 +430,7 @@ func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 	for want, mutate := range map[string]func(*machine.Config){
 		"99 shards outside [1, 4 nodes]":       func(c *machine.Config) { c.Shards = 99 }, // 4-node machine
 		"network latency of 4294967297 cycles": func(c *machine.Config) { c.NetLatency = machine.MaxCycles + 1 },
+		"1099511627776 TLB entries outside":    func(c *machine.Config) { c.TLBEntries = 1 << 40 },
 	} {
 		pt := tinyPoint(43)
 		mutate(&pt.Cfg)

@@ -131,6 +131,11 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 		"wrapped barrier latency": func(c *machine.Config) { c.BarrierLatency = ^sim.Time(0) },
 		"wrapped occupancy":       func(c *machine.Config) { c.OccupancyCycles = ^sim.Time(0) },
 		"quantum above the bound": func(c *machine.Config) { c.Quantum = machine.MaxCycles + 1 },
+		// Geometry machine.New allocates from: these used to reach make,
+		// where a refusal is an OOM kill, not a panic setup recovers.
+		"a trillion nodes":       func(c *machine.Config) { c.Nodes, c.Shards = 1<<40, 1 },
+		"a petabyte cache":       func(c *machine.Config) { c.CacheSize = 1 << 50 },
+		"a trillion TLB entries": func(c *machine.Config) { c.TLBEntries = 1 << 40 },
 	} {
 		pt := good
 		mutate(&pt.Cfg)

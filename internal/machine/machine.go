@@ -142,10 +142,26 @@ func (c Config) Normalized() Config {
 // wrapped arithmetic, and a run on it still verifies.
 const MaxCycles sim.Time = 1 << 32
 
+// MaxNodes, MaxCacheBytes and MaxTLBEntries bound the geometry New
+// allocates from: per node, one cache line record per block of
+// CacheSize and a few words per TLB entry (three TLBs on a Typhoon
+// node). Configurations arrive over the wire, and an allocation the
+// host cannot satisfy is a kill no recover turns into an error reply.
+// Each is 8× or more what the paper and any committed sweep use (32
+// nodes, 256 KB, 64 entries); a machine at all three bounds costs the
+// host about 0.6 GB at the default block size, four times that at the
+// smallest.
+const (
+	MaxNodes      = 256
+	MaxCacheBytes = 4 << 20
+	MaxTLBEntries = 1 << 12
+)
+
 // Validate reports why New would refuse the configuration (defaults
 // applied first): the node/shard relationship, the contention knobs,
-// the cycle counts' upper bound and the cache, block and TLB geometry
-// the per-node components insist on. Configurations arrive over the
+// the upper bounds on cycle counts and on the geometry New allocates
+// from, and the cache, block and TLB geometry the per-node components
+// insist on. Configurations arrive over the
 // wire (harness.Point), so callers ask here instead of finding out from
 // a panic.
 func (c Config) Validate() error {
@@ -163,8 +179,8 @@ func (c Config) Validate() error {
 		}
 	}
 	switch bs := c.BlockSize; {
-	case c.Nodes < 1:
-		return fmt.Errorf("%d nodes", c.Nodes)
+	case c.Nodes < 1 || c.Nodes > MaxNodes:
+		return fmt.Errorf("%d nodes outside [1, %d]", c.Nodes, MaxNodes)
 	case c.Shards < 1 || c.Shards > c.Nodes:
 		return fmt.Errorf("%d shards outside [1, %d nodes]", c.Shards, c.Nodes)
 	case c.LinkBytesPerCycle < 0:
@@ -173,8 +189,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("block size %d is not a power of two in [8, %d]", bs, mem.PageSize)
 	case c.CacheSize < 1 || c.CacheWays < 1 || c.CacheSize%bs != 0 || c.CacheSize/bs%c.CacheWays != 0:
 		return fmt.Errorf("cache size %d not divisible into %d-way sets of %d-byte blocks", c.CacheSize, c.CacheWays, bs)
-	case c.TLBEntries < 1:
-		return fmt.Errorf("%d TLB entries", c.TLBEntries)
+	case c.CacheSize > MaxCacheBytes:
+		return fmt.Errorf("cache size %d exceeds %d bytes", c.CacheSize, MaxCacheBytes)
+	case c.TLBEntries < 1 || c.TLBEntries > MaxTLBEntries:
+		return fmt.Errorf("%d TLB entries outside [1, %d]", c.TLBEntries, MaxTLBEntries)
 	case c.MemPagesPerNode < 0:
 		return fmt.Errorf("negative DRAM budget of %d pages per node", c.MemPagesPerNode)
 	}
@@ -292,7 +310,6 @@ func New(cfg Config) *Machine {
 		m.Procs = append(m.Procs, &Proc{
 			m: m, node: i,
 			tlb: m.TLBs[i], cc: m.Caches[i], pt: m.VM.Table(i),
-			trGen: ^uint64(0), // no cached translation yet
 		})
 	}
 	return m

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/cache"
@@ -241,6 +242,37 @@ func TestValidateBoundsCycleFields(t *testing.T) {
 			*field(&cfg) = tc.v
 			if err := cfg.Validate(); (err == nil) != tc.ok {
 				t.Errorf("%s = %d: Validate() = %v, want ok=%v", name, tc.v, err, tc.ok)
+			}
+		}
+	}
+}
+
+// TestValidateBoundsGeometry: New sizes allocations from Nodes,
+// CacheSize and TLBEntries, and all three arrive over the wire. Each is
+// accepted at its bound and refused above it by an error naming the
+// field — before New gets to ask the host for the memory.
+func TestValidateBoundsGeometry(t *testing.T) {
+	for _, f := range []struct {
+		name  string
+		field func(*Config) *int
+		max   int
+	}{
+		{"nodes", func(c *Config) *int { return &c.Nodes }, MaxNodes},
+		{"cache size", func(c *Config) *int { return &c.CacheSize }, MaxCacheBytes},
+		{"TLB entries", func(c *Config) *int { return &c.TLBEntries }, MaxTLBEntries},
+	} {
+		for _, tc := range []struct {
+			v  int
+			ok bool
+		}{{f.max, true}, {f.max + f.max, false}, {1 << 40, false}, {1 << 50, false}} {
+			cfg := DefaultConfig()
+			*f.field(&cfg) = tc.v
+			err := cfg.Validate()
+			if (err == nil) != tc.ok {
+				t.Errorf("%s = %d: Validate() = %v, want ok=%v", f.name, tc.v, err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %d: error %q does not name the field", f.name, tc.v, err)
 			}
 		}
 	}

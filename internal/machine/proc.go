@@ -47,14 +47,6 @@ type Proc struct {
 	cc  *cache.Cache
 	pt  *vm.PageTable
 
-	// One-entry translation cache, valid while the page table's
-	// generation is unchanged. It only skips the page-table map lookup —
-	// the TLB model (and its statistics) still sees every reference — so
-	// timing and counters are bit-identical with or without a hit.
-	trVPN uint64
-	trGen uint64 // page-table generation trPTE was read at
-	trPTE vm.PTE
-
 	// roiStart/roiEnd are this processor's ROI marks; Run folds the
 	// per-processor maxima, so the result matches the old machine-global
 	// max while each mark is written only by its own context (shard).
@@ -147,20 +139,8 @@ func (p *Proc) access(va mem.VA, write bool) mem.PA {
 			p.Stats.TLBMisses++
 			p.Ctx.Advance(cfg.TLBMissCycles)
 		}
-		var pte vm.PTE
-		if g := p.pt.Gen(); p.trGen == g && p.trVPN == vpn {
-			pte = p.trPTE
-		} else {
-			var ok bool
-			pte, ok = p.pt.Lookup(vpn)
-			if !ok {
-				p.Stats.PageFaults++
-				p.m.Sys.PageFault(p, va, write)
-				continue
-			}
-			p.trGen, p.trVPN, p.trPTE = g, vpn, pte
-		}
-		if write && !pte.Writable {
+		pte, ok := p.pt.Lookup(vpn)
+		if !ok || write && !pte.Writable {
 			p.Stats.PageFaults++
 			p.m.Sys.PageFault(p, va, write)
 			continue

@@ -121,8 +121,12 @@ type Memory struct {
 	blockSize int
 	maxFrames int
 
-	frames   map[uint64]*Frame // keyed by frame base offset
-	nextOff  uint64
+	// frames is indexed by frame number (offset / PageSize); offsets are
+	// handed out densely from zero, so it is as long as the high-water
+	// mark of live frames. A freed frame's slot is nil until freeOffs
+	// (LIFO) hands its offset out again.
+	frames   []*Frame
+	inUse    int
 	freeOffs []uint64
 }
 
@@ -153,7 +157,6 @@ func New(node int, cfg Config) *Memory {
 		node:      node,
 		blockSize: bs,
 		maxFrames: max,
-		frames:    make(map[uint64]*Frame),
 	}
 }
 
@@ -167,7 +170,7 @@ func (m *Memory) BlockSize() int { return m.blockSize }
 func (m *Memory) BlocksPerPage() int { return PageSize / m.blockSize }
 
 // FramesInUse returns the number of allocated frames.
-func (m *Memory) FramesInUse() int { return len(m.frames) }
+func (m *Memory) FramesInUse() int { return m.inUse }
 
 // MaxFrames returns the frame budget.
 func (m *Memory) MaxFrames() int { return m.maxFrames }
@@ -185,7 +188,7 @@ var ErrOutOfFrames = fmt.Errorf("mem: out of physical frames")
 // AllocFrame allocates a zeroed frame with every block tagged
 // initialTag and returns its physical base address.
 func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
-	if len(m.frames) >= m.maxFrames {
+	if m.inUse >= m.maxFrames {
 		return 0, ErrOutOfFrames
 	}
 	var off uint64
@@ -193,8 +196,8 @@ func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
 		off = m.freeOffs[n-1]
 		m.freeOffs = m.freeOffs[:n-1]
 	} else {
-		off = m.nextOff
-		m.nextOff += PageSize
+		off = uint64(len(m.frames)) * PageSize
+		m.frames = append(m.frames, nil)
 	}
 	f := &Frame{
 		Data: make([]byte, PageSize),
@@ -206,27 +209,30 @@ func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
 			f.Tags[i] = initialTag
 		}
 	}
-	m.frames[off] = f
+	m.frames[off/PageSize] = f
+	m.inUse++
 	return MakePA(m.node, off), nil
 }
 
 // FreeFrame releases a frame back to the pool.
 func (m *Memory) FreeFrame(pa PA) {
-	off := pa.FrameBase().Offset()
-	if _, ok := m.frames[off]; !ok {
+	if m.Frame(pa) == nil {
 		panic(fmt.Sprintf("mem: FreeFrame of unallocated frame %#x on node %d", pa, m.node))
 	}
-	delete(m.frames, off)
+	off := pa.FrameBase().Offset()
+	m.frames[off/PageSize] = nil
+	m.inUse--
 	m.freeOffs = append(m.freeOffs, off)
 }
 
 // Frame returns the frame containing pa, or nil if unallocated or owned
 // by another node.
 func (m *Memory) Frame(pa PA) *Frame {
-	if pa.Node() != m.node {
+	fn := pa.Offset() / PageSize
+	if pa.Node() != m.node || fn >= uint64(len(m.frames)) {
 		return nil
 	}
-	return m.frames[pa.FrameBase().Offset()]
+	return m.frames[fn]
 }
 
 func (m *Memory) mustFrame(pa PA) *Frame {

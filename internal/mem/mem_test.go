@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -294,5 +295,108 @@ func TestTagIsolationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFramePoolMatchesMapModel drives the frame pool with a random
+// alloc/free sequence beside the model it replaced — a map of live
+// offsets, a bump pointer and a LIFO free list — and demands the same
+// physical address from every allocation: PAs index the caches, so the
+// order frames are reused in is part of a run's determinism. Along the
+// way Frame must find exactly the live frames, FramesInUse must agree,
+// and the budget must refuse the allocation past it.
+func TestFramePoolMatchesMapModel(t *testing.T) {
+	const node, budget = 5, 24
+	m := New(node, Config{MaxFrames: budget})
+	live := map[uint64]bool{}
+	var nextOff uint64
+	var freeOffs []uint64
+	var everSeen []PA
+
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 5000; step++ {
+		if rng.Intn(5) < 3 { // allocate
+			pa, err := m.AllocFrame(TagReadOnly)
+			if len(live) == budget {
+				if err != ErrOutOfFrames {
+					t.Fatalf("step %d: alloc at the budget: %#x, %v", step, pa, err)
+				}
+				continue
+			}
+			var off uint64
+			if n := len(freeOffs); n > 0 {
+				off, freeOffs = freeOffs[n-1], freeOffs[:n-1]
+			} else {
+				off, nextOff = nextOff, nextOff+PageSize
+			}
+			if err != nil || pa != MakePA(node, off) {
+				t.Fatalf("step %d: alloc = %#x, %v; the map model hands out %#x", step, pa, err, MakePA(node, off))
+			}
+			live[off] = true
+			everSeen = append(everSeen, pa)
+		} else if len(everSeen) > 0 { // free a live frame
+			pa := everSeen[rng.Intn(len(everSeen))]
+			if !live[pa.Offset()] {
+				continue
+			}
+			m.FreeFrame(pa + PA(rng.Intn(PageSize))) // any address in the frame names it
+			delete(live, pa.Offset())
+			freeOffs = append(freeOffs, pa.Offset())
+		}
+		if m.FramesInUse() != len(live) {
+			t.Fatalf("step %d: FramesInUse = %d, want %d", step, m.FramesInUse(), len(live))
+		}
+		for _, pa := range everSeen {
+			if got := m.Frame(pa+8) != nil; got != live[pa.Offset()] {
+				t.Fatalf("step %d: Frame(%#x) found = %v, live = %v", step, pa, got, live[pa.Offset()])
+			}
+		}
+	}
+	if f := m.Frame(MakePA(node, nextOff)); f != nil {
+		t.Errorf("Frame of the never-allocated offset %#x = %p", nextOff, f)
+	}
+	if f := m.Frame(MakePA(node, 1<<39)); f != nil {
+		t.Errorf("Frame far past the pool = %p", f)
+	}
+	for _, pa := range everSeen {
+		if f := m.Frame(MakePA(node+1, pa.Offset())); f != nil {
+			t.Fatalf("Frame of node %d's address %#x resolved on node %d", node+1, pa.Offset(), node)
+		}
+	}
+}
+
+func TestFreeUnallocatedFramePanics(t *testing.T) {
+	m := New(0, Config{})
+	pa, _ := m.AllocFrame(TagReadWrite)
+	m.FreeFrame(pa)
+	for name, bad := range map[string]PA{"freed twice": pa, "never allocated": pa + PageSize, "another node's": MakePA(1, 0)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FreeFrame of a frame %s did not panic", name)
+				}
+			}()
+			m.FreeFrame(bad)
+		}()
+	}
+	if m.FramesInUse() != 0 {
+		t.Errorf("FramesInUse = %d after refused frees", m.FramesInUse())
+	}
+}
+
+// BenchmarkFrameLookup times Frame, the lookup under every simulated
+// data access, cycling over 256 live frames.
+func BenchmarkFrameLookup(b *testing.B) {
+	m := New(3, Config{})
+	pas := make([]PA, 256)
+	for i := range pas {
+		pas[i], _ = m.AllocFrame(TagReadWrite)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Frame(pas[i%len(pas)]+PA(i%PageSize)) == nil {
+			b.Fatal("live frame not found")
+		}
 	}
 }

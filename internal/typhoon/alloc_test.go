@@ -71,7 +71,7 @@ func TestAllocFreeFaultDispatch(t *testing.T) {
 			p.ReadU64(seg.At(uint64(next * mem.DefaultBlockSize)))
 			next++
 		}
-		read() // warm the TLB and translation cache
+		read() // warm the TLB
 		allocs = testing.AllocsPerRun(100, read)
 	}); err != nil {
 		t.Fatal(err)

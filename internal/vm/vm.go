@@ -10,6 +10,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 )
@@ -48,50 +49,80 @@ type PTE struct {
 	Mode int
 }
 
-// PageTable is one node's virtual-to-physical mapping.
+// PageTable is one node's virtual-to-physical mapping: one dense table
+// per address-space region, indexed by the page's distance from the
+// region base, so a Lookup is a bounds check and a load. A table grows
+// on Map to the highest VPN mapped so far and never past what the owning
+// System has reserved.
 type PageTable struct {
-	node    int
-	entries map[uint64]PTE
-	gen     uint64 // bumped on every Map/Unmap; validates cached translations
+	sys    *System
+	node   int
+	priv   []slot // from PrivateBase
+	shared []slot // from SharedBase
+	mapped int
 }
 
-// NewPageTable returns an empty table for node.
-func NewPageTable(node int) *PageTable {
-	return &PageTable{node: node, entries: make(map[uint64]PTE)}
+type slot struct {
+	pte PTE
+	ok  bool
+}
+
+// region returns the table covering vpn and vpn's index in it; an
+// address below the region's base wraps to an index past any table.
+func (pt *PageTable) region(vpn uint64) (*[]slot, uint64) {
+	if vpn >= SharedBase.VPN() {
+		return &pt.shared, vpn - SharedBase.VPN()
+	}
+	return &pt.priv, vpn - PrivateBase.VPN()
 }
 
 // Lookup returns the PTE for a virtual page number.
 func (pt *PageTable) Lookup(vpn uint64) (PTE, bool) {
-	e, ok := pt.entries[vpn]
-	return e, ok
+	tbl, i := pt.region(vpn)
+	if i >= uint64(len(*tbl)) {
+		return PTE{}, false
+	}
+	s := (*tbl)[i]
+	return s.pte, s.ok
 }
 
 // Map installs (or replaces) a translation. Protocol code remaps stache
 // pages with it (paper §3: "these pages can be remapped or unmapped and
-// freed").
+// freed"). The page must lie in a range the System has handed out
+// (AllocShared, or AllocPrivate on this node): the tables are sized by
+// the VPNs mapped into them, so a stray one is refused, not grown to.
 func (pt *PageTable) Map(vpn uint64, e PTE) {
-	pt.gen++
-	pt.entries[vpn] = e
+	tbl, i := pt.region(vpn)
+	reserved := pt.sys.nextVA.VPN() - SharedBase.VPN()
+	if tbl == &pt.priv {
+		reserved = pt.sys.nextPriv[pt.node].VPN() - PrivateBase.VPN()
+	}
+	if i >= reserved {
+		panic(fmt.Sprintf("vm: Map of VPN %#x on node %d, outside every reserved range", vpn, pt.node))
+	}
+	if n := int(i) + 1; n > len(*tbl) {
+		*tbl = slices.Grow(*tbl, n-len(*tbl))[:n]
+	}
+	s := &(*tbl)[i]
+	if !s.ok {
+		pt.mapped++
+	}
+	*s = slot{e, true}
 }
 
 // Unmap removes a translation, returning the old entry.
 func (pt *PageTable) Unmap(vpn uint64) (PTE, bool) {
-	e, ok := pt.entries[vpn]
+	e, ok := pt.Lookup(vpn)
 	if ok {
-		pt.gen++
-		delete(pt.entries, vpn)
+		tbl, i := pt.region(vpn)
+		(*tbl)[i] = slot{}
+		pt.mapped--
 	}
 	return e, ok
 }
 
-// Gen returns the table's generation, which advances on every Map and
-// Unmap. A caller that caches a Lookup result may keep using it while
-// the generation is unchanged — the basis of the processors' one-entry
-// translation caches.
-func (pt *PageTable) Gen() uint64 { return pt.gen }
-
 // Mapped returns the number of live translations.
-func (pt *PageTable) Mapped() int { return len(pt.entries) }
+func (pt *PageTable) Mapped() int { return pt.mapped }
 
 // Placement assigns shared pages to home nodes.
 type Placement interface {
@@ -165,7 +196,9 @@ type System struct {
 	nextVA   mem.VA
 	nextPriv []mem.VA
 	segs     []*Segment
-	homes    map[uint64]int // shared VPN -> home node (-1 = first touch pending)
+	// homes is the home node of every allocated shared page (-1 = first
+	// touch pending), indexed by the page's distance from SharedBase.
+	homes []int
 }
 
 // NewSystem returns an address-space manager for n nodes.
@@ -173,10 +206,9 @@ func NewSystem(n int) *System {
 	s := &System{
 		nodes:  n,
 		nextVA: SharedBase,
-		homes:  make(map[uint64]int),
 	}
 	for i := 0; i < n; i++ {
-		s.tables = append(s.tables, NewPageTable(i))
+		s.tables = append(s.tables, &PageTable{sys: s, node: i})
 		s.nextPriv = append(s.nextPriv, PrivateBase)
 	}
 	return s
@@ -207,7 +239,6 @@ func (s *System) AllocShared(name string, size uint64, place Placement, mode int
 	seg := &Segment{Name: name, Base: base, Size: size, Mode: mode, Place: place}
 	s.segs = append(s.segs, seg)
 	for i := 0; i < pages; i++ {
-		vpn := (base + mem.VA(i*mem.PageSize)).VPN()
 		home := place.HomeFor(i, s.nodes)
 		if _, blocked := place.(Blocked); blocked {
 			// Contiguous runs of ceil(pages/nodes) pages per node.
@@ -217,7 +248,7 @@ func (s *System) AllocShared(name string, size uint64, place Placement, mode int
 				home = s.nodes - 1
 			}
 		}
-		s.homes[vpn] = home
+		s.homes = append(s.homes, home)
 	}
 	return seg
 }
@@ -225,27 +256,26 @@ func (s *System) AllocShared(name string, size uint64, place Placement, mode int
 // Home returns the home node of a shared page, or -1 if the page is
 // first-touch and unclaimed. It panics for addresses outside the shared
 // segment.
-func (s *System) Home(va mem.VA) int {
-	home, ok := s.homes[va.VPN()]
-	if !ok {
+func (s *System) Home(va mem.VA) int { return *s.home(va) }
+
+// home returns va's slot in the home table; a private address wraps to
+// an index past it.
+func (s *System) home(va mem.VA) *int {
+	i := va.VPN() - SharedBase.VPN()
+	if i >= uint64(len(s.homes)) {
 		panic(fmt.Sprintf("vm: %#x is not an allocated shared address", va))
 	}
-	return home
+	return &s.homes[i]
 }
 
 // ClaimHome resolves a first-touch page to the given node. It returns the
 // now-current home (an earlier claimant wins races).
 func (s *System) ClaimHome(va mem.VA, node int) int {
-	vpn := va.VPN()
-	home, ok := s.homes[vpn]
-	if !ok {
-		panic(fmt.Sprintf("vm: %#x is not an allocated shared address", va))
+	home := s.home(va)
+	if *home == -1 {
+		*home = node
 	}
-	if home == -1 {
-		s.homes[vpn] = node
-		return node
-	}
-	return home
+	return *home
 }
 
 // AllocPrivate reserves size bytes of node-private address space and maps

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -119,22 +121,126 @@ func TestHomeOfUnallocatedPanics(t *testing.T) {
 }
 
 func TestPageTableMapUnmap(t *testing.T) {
-	pt := NewPageTable(0)
-	pte := PTE{PA: mem.MakePA(0, 0x3000), Writable: true, Mode: 5}
-	pt.Map(7, pte)
-	got, ok := pt.Lookup(7)
-	if !ok || got != pte {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
+	s := NewSystem(2)
+	priv, err := s.AllocPrivate(1, 3*mem.PageSize, mem.New(1, mem.Config{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	old, ok := pt.Unmap(7)
-	if !ok || old != pte {
+	seg := s.AllocShared("a", 8*mem.PageSize, nil, ModeUser)
+	pt := s.Table(1)
+	if pt.Mapped() != 3 {
+		t.Fatalf("Mapped = %d after a 3-page private allocation", pt.Mapped())
+	}
+	pte := PTE{PA: mem.MakePA(0, 0x3000), Writable: true, Mode: 5}
+	mapAndCheck := func(vpn uint64, wantMapped int) {
+		t.Helper()
+		pt.Map(vpn, pte)
+		if got, ok := pt.Lookup(vpn); !ok || got != pte {
+			t.Fatalf("Lookup(%#x) = %+v, %v", vpn, got, ok)
+		}
+		if _, ok := s.Table(0).Lookup(vpn); ok {
+			t.Fatalf("node 0 sees node 1's mapping of %#x", vpn)
+		}
+		if pt.Mapped() != wantMapped {
+			t.Fatalf("Mapped = %d after mapping %#x, want %d", pt.Mapped(), vpn, wantMapped)
+		}
+	}
+	// The last shared page grows the shared table past seven unmapped
+	// slots; the next Map lands inside it; the private one replaces what
+	// AllocPrivate installed.
+	mapAndCheck(seg.At(7*mem.PageSize).VPN(), 4)
+	mapAndCheck(seg.At(2*mem.PageSize).VPN(), 5)
+	mapAndCheck(priv.VPN()+2, 5)
+	for page := uint64(0); page < 8; page++ {
+		if _, ok := pt.Lookup(seg.At(page * mem.PageSize).VPN()); ok != (page == 2 || page == 7) {
+			t.Fatalf("shared page %d: mapped = %v", page, ok)
+		}
+	}
+	vpn := seg.At(7 * mem.PageSize).VPN()
+	pt.Map(vpn, PTE{PA: pte.PA, Mode: 6}) // a remap replaces, it does not add
+	if got, _ := pt.Lookup(vpn); got.Mode != 6 || got.Writable || pt.Mapped() != 5 {
+		t.Fatalf("after remap: Lookup = %+v, Mapped = %d", got, pt.Mapped())
+	}
+	old, ok := pt.Unmap(vpn)
+	if !ok || old.Mode != 6 {
 		t.Fatal("Unmap did not return old entry")
 	}
-	if _, ok := pt.Lookup(7); ok {
+	if _, ok := pt.Lookup(vpn); ok {
 		t.Fatal("entry survived unmap")
 	}
-	if _, ok := pt.Unmap(7); ok {
-		t.Fatal("double unmap reported success")
+	if _, ok := pt.Unmap(vpn); ok || pt.Mapped() != 4 {
+		t.Fatalf("double unmap: ok = %v, Mapped = %d", ok, pt.Mapped())
+	}
+	// Addresses no table covers: below, between and beyond the regions.
+	for _, vpn := range []uint64{0, 7, PrivateBase.VPN() - 1, priv.VPN() + 3, SharedBase.VPN() - 1, seg.End().VPN(), ^uint64(0) >> 12} {
+		if _, ok := pt.Lookup(vpn); ok {
+			t.Errorf("Lookup(%#x) found a translation", vpn)
+		}
+		if _, ok := pt.Unmap(vpn); ok {
+			t.Errorf("Unmap(%#x) found a translation", vpn)
+		}
+	}
+}
+
+// TestMapOutsideReservedRangesPanics: the tables are indexed by VPN, so
+// a Map the System never reserved must be refused by name — not answered
+// by growing a table to wherever the VPN points.
+func TestMapOutsideReservedRangesPanics(t *testing.T) {
+	s := NewSystem(2)
+	if _, err := s.AllocPrivate(0, mem.PageSize, mem.New(0, mem.Config{})); err != nil {
+		t.Fatal(err)
+	}
+	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
+	for name, tc := range map[string]struct {
+		node int
+		vpn  uint64
+	}{
+		"below the private heap":        {0, 7},
+		"past node 0's private heap":    {0, PrivateBase.VPN() + 1},
+		"node 1 has no private heap":    {1, PrivateBase.VPN()},
+		"between the regions":           {0, SharedBase.VPN() - 1},
+		"past the last shared segment":  {0, seg.End().VPN()},
+		"far past it (2^40 pages away)": {0, SharedBase.VPN() + 1<<40},
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("VPN %#x", tc.vpn)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("%s: Map(%#x) panicked with %v, want a panic naming %s", name, tc.vpn, r, want)
+				}
+			}()
+			s.Table(tc.node).Map(tc.vpn, PTE{})
+		}()
+		if n := s.Table(tc.node).Mapped(); n != 1-tc.node {
+			t.Errorf("%s: Mapped = %d after the refused Map", name, n)
+		}
+	}
+}
+
+// TestHomePanicsOutsideSharedAllocations: the home table is a slice
+// over the shared segment; a private or unallocated address must still
+// be refused with the message the map gave.
+func TestHomePanicsOutsideSharedAllocations(t *testing.T) {
+	s := NewSystem(2)
+	seg := s.AllocShared("a", 2*mem.PageSize, FirstTouch{}, ModeUser)
+	for _, va := range []mem.VA{0, PrivateBase, SharedBase - 8, seg.End(), seg.End() + 1<<40} {
+		for name, call := range map[string]func(){
+			"Home":      func() { s.Home(va) },
+			"ClaimHome": func() { s.ClaimHome(va, 1) },
+		} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("vm: %#x is not an allocated shared address", va)
+					if r := recover(); r != want {
+						t.Errorf("%s(%#x) panicked with %v, want %q", name, va, r, want)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+	if got := s.ClaimHome(seg.At(mem.PageSize+8), 1); got != 1 || s.Home(seg.At(mem.PageSize)) != 1 || s.Home(seg.Base) != -1 {
+		t.Errorf("ClaimHome = %d, homes now %d/%d", got, s.Home(seg.Base), s.Home(seg.At(mem.PageSize)))
 	}
 }
 
@@ -238,5 +344,33 @@ func TestAllocationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPageTableLookup times Lookup, which every simulated reference
+// performs, cycling over 256 mapped shared pages with a private page
+// every eighth lookup.
+func BenchmarkPageTableLookup(b *testing.B) {
+	s := NewSystem(1)
+	priv, err := s.AllocPrivate(0, mem.PageSize, mem.New(0, mem.Config{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg := s.AllocShared("a", 256*mem.PageSize, nil, ModeUser)
+	pt := s.Table(0)
+	vpns := make([]uint64, 256)
+	for i := range vpns {
+		vpns[i] = seg.Base.VPN() + uint64(i)
+		pt.Map(vpns[i], PTE{PA: mem.MakePA(0, uint64(i)*mem.PageSize), Writable: true, Mode: ModeUser})
+		if i%8 == 7 {
+			vpns[i] = priv.VPN()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := pt.Lookup(vpns[i%len(vpns)]); !ok {
+			b.Fatal("mapped page not found")
+		}
 	}
 }
