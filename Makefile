@@ -68,11 +68,12 @@ cache-check:
 	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest -expect-cached -cache-verify 1.0
 	rm -rf .cache-check.tmp
 
-# fleet-check is the distributed-sweep gate: the reduced bench sweep
-# through a fleet coordinator and two local workers over a unix socket,
-# with one worker killed mid-run, must reproduce the committed digest —
-# lease reassignment, result verification, and remote group sequencing
-# all on the hook.
+# fleet-check is the distributed-sweep gate, one leg per role: the
+# reduced bench sweep as a client (-fleet) of a fleet coordinator and two
+# local workers over a unix socket, with one worker killed mid-run, and
+# again with the coordinator embedded in bench (-workers-addr), must
+# reproduce the committed digest — lease reassignment, result
+# verification, and the client's group sequencing all on the hook.
 fleet-check:
 	bash scripts/fleet_check.sh
 

@@ -30,7 +30,6 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
-	"github.com/tempest-sim/tempest/internal/sim"
 )
 
 func main() {
@@ -123,28 +122,6 @@ func main() {
 	digest := sha256.Sum256([]byte(rendered.String()))
 	sum := hex.EncodeToString(digest[:])
 
-	// How the engines hosted protocol activations across the whole sweep:
-	// inline steps on the acting scheduler coroutine versus context
-	// switches (a coroutine switch there and back). Simulator mechanics
-	// only, never simulated behaviour.
-	ds := sim.FleetDispatchStats()
-	if n := ds.InlineSteps + ds.GoroutineSteps; n > 0 {
-		fmt.Fprintf(os.Stderr,
-			"bench: dispatch: %d/%d protocol dispatches inline (%.1f%%), %d inline activations (%d suspends, %d parks avoided), %d stepper fallbacks, %d context switches\n",
-			ds.InlineSteps, n, 100*float64(ds.InlineSteps)/float64(n),
-			ds.InlineDispatches, ds.InlineSuspends, ds.ParksAvoided,
-			ds.StepperFallbacks, ds.GoroutineSwitches)
-	}
-	// How the sharded engines granted execution windows (zero when every
-	// run was serial): adaptive lookahead batches several base windows
-	// into one grant, so fewer, wider grants mean less coordination per
-	// simulated cycle. Scheduler mechanics only, like the dispatch line.
-	if ws := sim.FleetWindowStats(); ws.Grants > 0 {
-		fmt.Fprintf(os.Stderr,
-			"bench: windows: %d grants, %d batched (%.1f%%), mean width %.1f cycles\n",
-			ws.Grants, ws.Batched, 100*float64(ws.Batched)/float64(ws.Grants),
-			float64(ws.WidthCycles)/float64(ws.Grants))
-	}
 	// Result-cache fleet summary: how many simulations this run actually
 	// performed versus served from memoized results. Cache activity
 	// never changes the digest — hits reconstruct bit-identical results.

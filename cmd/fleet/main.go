@@ -1,12 +1,13 @@
 // Command fleet runs the distributed-sweep roles of the lease-based
-// fleet protocol (tempest-fleet/1).
+// fleet protocol (tempest-fleet/2).
 //
 // A coordinator owns the sweep state: it accepts workers and remote
 // clients, leases sweep points, heartbeats the leases, reassigns work
 // when a worker dies or stalls, verifies every result against the
 // point's canonical cache key, and serves warm-cache hits without
 // leasing at all. A worker connects to a coordinator and simulates
-// whatever it is leased.
+// whatever it is leased, one lease per connection: -j N is N
+// connections from one process, sharing its cache.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -109,7 +111,7 @@ func coordinator(args []string) {
 func worker(args []string) {
 	fs := flag.NewFlagSet("fleet worker", flag.ExitOnError)
 	addr := fs.String("addr", "", "coordinator address to connect to (required)")
-	jobs := fs.Int("j", 1, "concurrent leases to run (0 = all cores)")
+	jobs := fs.Int("j", 1, "concurrent leases to run, one connection each (0 = all cores)")
 	cache := fleet.RegisterCache(fs) // share the coordinator's -cache-dir to compose warm caches
 	connectTimeout := fs.Duration("connect-timeout", 30*time.Second, "how long to retry the initial dial (workers often start before the coordinator)")
 	dieAfter := fs.Int("die-after-leases", 0, "fault-injection hook: exit(1) immediately after receiving the Nth lease (0 = never)")
@@ -128,25 +130,33 @@ func worker(args []string) {
 	if err != nil {
 		fail("worker", err)
 	}
-	conn, err := fleet.DialRetry(*addr, *connectTimeout)
-	if err != nil {
-		fail("worker", err)
-	}
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	if *quiet {
 		logf = nil
 	}
-	opts := fleet.WorkerOptions{Cache: cp, Slots: *jobs, Logf: logf}
+	opts := fleet.WorkerOptions{Cache: cp, Logf: logf}
 	if *dieAfter > 0 {
-		n := *dieAfter
-		opts.OnLease = func(count int) {
-			if count >= n {
-				fmt.Fprintf(os.Stderr, "fleet worker: dying after lease %d (injected)\n", count)
+		var leases atomic.Int64 // across the process's connections
+		opts.OnLease = func(int) {
+			if n := leases.Add(1); n >= int64(*dieAfter) {
+				fmt.Fprintf(os.Stderr, "fleet worker: dying after lease %d (injected)\n", n)
 				os.Exit(1)
 			}
 		}
 	}
-	if err := fleet.RunWorker(context.Background(), conn, opts); err != nil {
-		fail("worker", err)
+	// One connection per concurrent lease; the first to fail ends the
+	// process, and an orderly close reaches all of them together.
+	errs := make(chan error, *jobs)
+	for i := 0; i < *jobs; i++ {
+		conn, err := fleet.DialRetry(*addr, *connectTimeout)
+		if err != nil {
+			fail("worker", err)
+		}
+		go func() { errs <- fleet.RunWorker(context.Background(), conn, opts) }()
+	}
+	for i := 0; i < *jobs; i++ {
+		if err := <-errs; err != nil {
+			fail("worker", err)
+		}
 	}
 }

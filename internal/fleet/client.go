@@ -3,16 +3,14 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"strconv"
+	"sync"
 	"time"
 
 	"github.com/tempest-sim/tempest/internal/harness"
-	"github.com/tempest-sim/tempest/internal/resultcache"
-	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
-// Client is the harness.Executor that ships a batch to a remote
-// coordinator (-fleet addr). Every returned entry is re-verified
+// Client is the harness.Executor that leases a batch's points to a
+// remote coordinator (-fleet addr). Every returned entry is re-verified
 // locally against the point's canonical key before it becomes a result
 // — the client does not have to trust the coordinator any more than
 // the coordinator trusts its workers.
@@ -29,7 +27,11 @@ type Client struct {
 
 var _ harness.Executor = (*Client)(nil)
 
-// Submit implements harness.Executor.
+// Submit implements harness.Executor. The client is to the coordinator
+// what the coordinator is to a worker, minus the one-at-a-time rule: it
+// runs the batch's chains itself (harness.RunChains, so group order,
+// progress and fail-fast are the local pool's), and a point runs by
+// sending its lease and waiting for the answer that carries its id.
 func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
 	dialTmo := cl.DialTimeout
 	if dialTmo == 0 {
@@ -37,19 +39,15 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 	}
 	conn, err := DialRetry(cl.Addr, dialTmo)
 	if err != nil {
-		return nil, errf("dial", cl.Addr, "", "%v", err)
+		return nil, err
 	}
 	defer conn.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
+	var wmu sync.Mutex
 	send := func(m Msg) error {
+		wmu.Lock()
+		defer wmu.Unlock()
 		if _, err := conn.Write(m.Encode()); err != nil {
 			return errf("write", cl.Addr, "", "%v", err)
 		}
@@ -60,73 +58,88 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 	if err := hello(send, br, "client", code, cl.Addr); err != nil {
 		return nil, err
 	}
-	n := len(batch.Points)
-	if err := send(Msg{Verb: "submit", Args: []string{strconv.Itoa(n), fu(timeoutMS(batch.PointTimeout))}}); err != nil {
-		return nil, err
-	}
-	for i, pt := range batch.Points {
-		if err := send(Msg{Verb: "point", Args: []string{strconv.Itoa(i)}, Payload: pt.Encode()}); err != nil {
-			return nil, err
-		}
-	}
-	if err := send(Msg{Verb: "end"}); err != nil {
-		return nil, err
-	}
 	if cl.Logf != nil {
-		cl.Logf("fleet: submitted %d points to %s", n, cl.Addr)
+		cl.Logf("fleet: leasing %d points to %s", len(batch.Points), cl.Addr)
 	}
-	results := make([]harness.PointResult, n)
-	got := make([]bool, n)
-	for {
-		m, err := ReadMsg(br)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
+
+	// One reader hands each answer to the chain waiting on its id. An
+	// answer nobody waits for, like a lost connection, ends the batch.
+	var (
+		mu      sync.Mutex
+		nextID  uint64
+		waiting = make(map[string]chan Msg) // by lease id token
+		lost    error                       // why the reader stopped; written before dead closes
+	)
+	dead := make(chan struct{})
+	defer func() { // join the reader: it ends with the connection
+		conn.Close()
+		<-dead
+	}()
+	go func() {
+		defer close(dead)
+		for {
+			m, err := ReadMsg(br)
+			if err != nil {
+				lost = errf("read", cl.Addr, "", "connection lost mid-batch: %v", err)
+				return
 			}
-			return nil, errf("read", cl.Addr, "", "connection lost mid-batch: %v", err)
+			var ch chan Msg
+			if m.Verb == "result" || m.Verb == "fail" {
+				mu.Lock()
+				ch = waiting[m.Args[0]]
+				delete(waiting, m.Args[0])
+				mu.Unlock()
+			}
+			if ch == nil {
+				lost = errf("read", cl.Addr, "", "unexpected %s %v from coordinator", m.Verb, m.Args)
+				return
+			}
+			ch <- m
 		}
-		switch m.Verb {
-		case "prog":
-			if batch.Progress != nil {
-				done, err1 := wiretext.CanonUint(m.Args[0], uint64(n))
-				total, err2 := wiretext.CanonUint(m.Args[1], uint64(n))
-				if err1 == nil && err2 == nil {
-					batch.Progress(int(done), int(total))
+	}()
+	tmo := fu(timeoutMS(batch.PointTimeout))
+	results, err := harness.RunChains(ctx, batch, len(batch.Points),
+		func(ctx context.Context, pt harness.Point) (harness.PointResult, error) {
+			key, err := harness.PointKey(code, pt) // validates the point
+			if err != nil {
+				return harness.PointResult{}, err
+			}
+			ch := make(chan Msg, 1)
+			mu.Lock()
+			nextID++
+			id := fu(nextID)
+			waiting[id] = ch
+			mu.Unlock()
+			if err := send(Msg{Verb: "lease", Args: []string{id, tmo}, Payload: pt.Encode()}); err != nil {
+				return harness.PointResult{}, err
+			}
+			select {
+			case <-ctx.Done():
+				return harness.PointResult{}, ctx.Err()
+			case <-dead:
+				return harness.PointResult{}, lost
+			case m := <-ch:
+				if m.Verb == "fail" {
+					return harness.PointResult{}, errf("submit", cl.Addr, pt.Label(), "%s", m.Payload)
 				}
-			}
-		case "done":
-			i, err := wiretext.CanonUint(m.Args[0], uint64(n)-1)
-			if err != nil {
-				return nil, errf("read", cl.Addr, "", "bad result index %q", m.Args[0])
-			}
-			pt := batch.Points[i]
-			entry, err := resultcache.Decode(m.Payload)
-			if err != nil {
-				return nil, errf("verify", cl.Addr, pt.Label(), "corrupt result entry: %v", err)
-			}
-			key, err := harness.PointKey(code, pt)
-			if err != nil {
-				return nil, err
-			}
-			if entry.Key != key || entry.Code != code {
-				return nil, errf("verify", cl.Addr, pt.Label(),
-					"result does not verify: key %s code %.12s (want key %s code %.12s)",
-					entry.Key, entry.Code, key, code)
-			}
-			results[i] = pointResult(entry)
-			got[i] = true
-		case "perr":
-			return nil, errf("submit", cl.Addr, "", "%s", m.Payload)
-		case "complete":
-			for i := range got {
-				if !got[i] {
-					return nil, errf("read", cl.Addr, batch.Points[i].Label(), "batch completed without this point's result")
+				entry, verr := verified(m.Payload, key, code, cl.Addr, pt.Label())
+				if verr != nil {
+					return harness.PointResult{}, verr
 				}
+				return pointResult(entry), nil
 			}
-			send(Msg{Verb: "bye"}) // best effort
-			return results, nil
-		default:
-			return nil, errf("read", cl.Addr, "", "unexpected %s from coordinator", m.Verb)
-		}
+		})
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
+	select {
+	case <-dead: // a failure of the link, not of the chain that noticed it
+		return nil, lost
+	default:
+	}
+	if err != nil {
+		return nil, err
+	}
+	send(Msg{Verb: "bye"}) // best effort
+	return results, nil
 }

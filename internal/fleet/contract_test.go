@@ -13,9 +13,10 @@ import (
 )
 
 // TestExecutorContract runs one table of harness.Executor's promises
-// against both backends — the in-process pool and a coordinator with one
-// worker — so neither can drift from the contract the sweeps rely on
-// (both schedule through harness.RunChains; the per-point half differs).
+// against all three backends — the in-process pool, a coordinator with
+// two workers, and a client leasing to such a coordinator over a unix
+// socket — so none can drift from the contract the sweeps rely on (all
+// three schedule through harness.RunChains; the per-point half differs).
 func TestExecutorContract(t *testing.T) {
 	backends := []struct {
 		name string
@@ -26,8 +27,13 @@ func TestExecutorContract(t *testing.T) {
 		}},
 		{"coordinator", func(t *testing.T, cp harness.CacheParams) harness.Executor {
 			co := newTestCoordinator(t, fastOpts(cp))
-			startWorker(t, co, WorkerOptions{Slots: 2})
+			startWorkers(t, co, 2)
 			return co
+		}},
+		{"client", func(t *testing.T, cp harness.CacheParams) harness.Executor {
+			co := newTestCoordinator(t, fastOpts(cp))
+			startWorkers(t, co, 2)
+			return &Client{Addr: serveOnSocket(t, co), DialTimeout: -1}
 		}},
 	}
 	cases := []struct {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -25,23 +26,22 @@ type CoordinatorOptions struct {
 	// included, so distributed and local sweeps share one store.
 	Cache harness.CacheParams
 	// LeaseTTL bounds how long a lease may go without a heartbeat before
-	// its point is re-queued (default 10s).
+	// its point is re-queued (default 10s). It also sets the re-lease
+	// delay after a failed attempt: LeaseTTL/100 << (attempt-1), capped at
+	// LeaseTTL/2 — 100ms … 5s at the default.
 	LeaseTTL time.Duration
 	// MaxAttempts caps how many leases one point may consume across
 	// worker losses, expiries, and rejections before the sweep fails
 	// (default 5).
 	MaxAttempts int
-	// BackoffBase/BackoffCap shape the re-lease delay after a failed
-	// attempt: base << (attempt-1), capped (defaults 100ms / 5s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Logf, when non-nil, receives fleet lifecycle events.
 	Logf func(format string, args ...any)
 }
 
 // Stats counts coordinator events; read a snapshot with Coordinator.Stats.
 type Stats struct {
-	// Workers is the total number of worker connections ever accepted.
+	// Workers is the total number of worker connections ever accepted (a
+	// worker process running -j N is N of them).
 	Workers uint64
 	// Leases counts leases granted (including re-leases).
 	Leases uint64
@@ -69,82 +69,54 @@ func (s Stats) String() string {
 		s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.CacheHits, s.Completed, s.Failed)
 }
 
-const (
-	taskPending = iota
-	taskLeased
-	taskDone
-	taskFailed
-)
-
-// task is one sweep point's lifecycle on the coordinator.
+// task is one sweep point's lifecycle on the coordinator. It is in
+// exactly one place: the pending queue (or on its way back there behind
+// a backoff timer), held by the worker connection it is leased to, or
+// settled.
 type task struct {
 	key       resultcache.Key
 	pt        harness.Point
 	enc       []byte
 	label     string
-	noCache   bool
 	timeoutMS uint64
 
-	state     int
-	attempts  int
-	notBefore time.Time
-	queued    bool
-	entry     *resultcache.Entry
-	err       error
-	doneCh    chan struct{}
-}
-
-// lease is one grant of a task to a worker. It stays registered until
-// the worker answers or vanishes — even past expiry — so a late valid
-// result from a slow worker is still usable when the point is not yet
-// settled.
-type lease struct {
-	id       uint64
-	t        *task
-	w        *workerConn
-	deadline time.Time
-	expired  bool
-}
-
-// workerConn is one connected worker.
-type workerConn struct {
-	name     string
-	conn     io.ReadWriteCloser
-	out      chan []byte
-	quit     chan struct{}
-	slots    int
-	inflight int
-	gone     bool
+	attempts int
+	settled  bool
+	entry    *resultcache.Entry // entry and err are written once, before done closes
+	err      error
+	done     chan struct{}
 }
 
 // Coordinator leases sweep points to workers and implements
 // harness.Executor, so any sweep runs on a fleet by setting its Exec.
-// All submissions — local Submit calls and remote protocol clients —
+// All submissions — local Submit calls and remote clients' leases —
 // share one task table: identical concurrent points dedup to one lease.
-// The table holds unsettled tasks only (all of them in all, the
-// cacheable ones also by key in tasks): a settled task is forgotten, so
+// The table holds unsettled tasks only (the cacheable ones by key in
+// tasks, the runnable ones in pending): a settled task is forgotten, so
 // a later submission of its point is served by the cache or leased
-// afresh, and a late result still reaches it through its lease.
+// afresh, and a late result still reaches it through the connection
+// that holds its lease.
+//
+// There is no scheduler: a worker connection carries one lease at a
+// time, and the goroutine serving it (serveWorker) takes the next
+// pending task whenever its worker is free.
 type Coordinator struct {
 	opts CoordinatorOptions
 	code string
 
-	mu       sync.Mutex
-	tasks    map[resultcache.Key]*task
-	all      map[*task]struct{}
-	queue    []*task
-	workers  []*workerConn
-	leases   map[uint64]*lease
-	nextID   uint64
-	nWorkers int
-	stats    Stats
-	closed   bool
+	mu      sync.Mutex
+	tasks   map[resultcache.Key]*task
+	pending []*task
+	nextID  uint64
+	conns   int
+	stats   Stats
 
-	wake chan struct{}
-	quit chan struct{}
+	work    chan struct{} // one token: pending may be non-empty
+	quit    chan struct{}
+	closing sync.Once
 }
 
-// NewCoordinator builds a coordinator and starts its scheduler.
+// NewCoordinator builds a coordinator.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 10 * time.Second
@@ -152,23 +124,13 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 5
 	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 100 * time.Millisecond
+	return &Coordinator{
+		opts:  opts,
+		code:  harness.CodeID(),
+		tasks: make(map[resultcache.Key]*task),
+		work:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
 	}
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = 5 * time.Second
-	}
-	c := &Coordinator{
-		opts:   opts,
-		code:   harness.CodeID(),
-		tasks:  make(map[resultcache.Key]*task),
-		all:    make(map[*task]struct{}),
-		leases: make(map[uint64]*lease),
-		wake:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-	}
-	go c.scheduler()
-	return c
 }
 
 var _ harness.Executor = (*Coordinator)(nil)
@@ -186,41 +148,29 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Close shuts the coordinator down: pending points fail, workers are
-// disconnected, the scheduler stops. Safe to call more than once.
+// Close shuts the coordinator down: waiting submissions fail with
+// "coordinator closed" and every connection's goroutine returns, which
+// disconnects its peer. Safe to call more than once.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	close(c.quit)
-	for t := range c.all {
-		c.failLocked(t, errf("submit", "", t.label, "coordinator closed"))
-	}
-	workers := append([]*workerConn(nil), c.workers...)
-	c.mu.Unlock()
-	for _, w := range workers {
-		w.conn.Close()
-	}
+	c.closing.Do(func() { close(c.quit) })
 	return nil
 }
 
 // Submit implements harness.Executor: the batch's points are leased to
 // the connected workers (cache hits short-circuit), honouring the
 // executor contract — results slotted by index, groups sequential in
-// submission order, first failure fails the batch.
+// submission order, first failure fails the batch. Chains wait on
+// remote workers, not on local cores, so all of them are in flight at
+// once.
 func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
-	entries, err := c.submit(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]harness.PointResult, len(entries))
-	for i, e := range entries {
-		results[i] = pointResult(e)
-	}
-	return results, nil
+	return harness.RunChains(ctx, batch, len(batch.Points),
+		func(ctx context.Context, pt harness.Point) (harness.PointResult, error) {
+			entry, err := c.runOne(ctx, pt, timeoutMS(batch.PointTimeout))
+			if err != nil {
+				return harness.PointResult{}, err
+			}
+			return pointResult(entry), nil
+		})
 }
 
 // pointResult rebuilds a sweep result from a verified entry.
@@ -228,20 +178,9 @@ func pointResult(e *resultcache.Entry) harness.PointResult {
 	return harness.PointResult{RunResult: harness.ResultFromEntry(e), Origin: e.Origin}
 }
 
-// submit resolves the batch to its per-point cache entries — what the
-// protocol server ships to remote clients and Submit turns into
-// results. Chains wait on remote workers, not on local cores, so all of
-// them are in flight at once.
-func (c *Coordinator) submit(ctx context.Context, batch harness.Batch) ([]*resultcache.Entry, error) {
-	return harness.RunChains(ctx, batch, len(batch.Points),
-		func(ctx context.Context, pt harness.Point) (*resultcache.Entry, error) {
-			return c.runOne(ctx, pt, batch.PointTimeout)
-		})
-}
-
 // runOne resolves one point to its entry: cache hit, dedup against an
-// in-flight identical point, or a fresh task leased to the fleet.
-func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time.Duration) (*resultcache.Entry, error) {
+// in-flight identical point, or a fresh task for the next free worker.
+func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, tmoMS uint64) (*resultcache.Entry, error) {
 	key, err := harness.PointKey(c.code, pt) // validates the point
 	if err != nil {
 		return nil, err
@@ -256,10 +195,6 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 		}
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errf("submit", "", pt.Label(), "coordinator closed")
-	}
 	var t *task
 	if !pt.NoCache {
 		t = c.tasks[key]
@@ -267,26 +202,22 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, timeout time
 	if t == nil {
 		t = &task{
 			key: key, pt: pt, enc: pt.Encode(), label: pt.Label(),
-			noCache: pt.NoCache, timeoutMS: timeoutMS(timeout),
-			state: taskPending, queued: true,
-			doneCh: make(chan struct{}),
+			timeoutMS: tmoMS, done: make(chan struct{}),
 		}
 		if !pt.NoCache {
 			c.tasks[key] = t
 		}
-		c.all[t] = struct{}{}
-		c.queue = append(c.queue, t)
+		c.enqueueLocked(t)
 	}
 	c.mu.Unlock()
-	c.wakeUp()
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-t.doneCh:
+	case <-c.quit:
+		return nil, errf("submit", "", t.label, "coordinator closed")
+	case <-t.done:
+		return t.entry, t.err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return t.entry, t.err
 }
 
 // timeoutMS is a point timeout as the wire carries it: whole
@@ -298,293 +229,136 @@ func timeoutMS(d time.Duration) uint64 {
 	return uint64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
-// --- scheduler ---
+// --- the task table ---
 
-func (c *Coordinator) wakeUp() {
+// enqueueLocked makes a task runnable and leaves the token that wakes a
+// free worker connection.
+func (c *Coordinator) enqueueLocked(t *task) {
+	c.pending = append(c.pending, t)
+	c.signal()
+}
+
+func (c *Coordinator) signal() {
 	select {
-	case c.wake <- struct{}{}:
+	case c.work <- struct{}{}:
 	default:
 	}
 }
 
-func (c *Coordinator) scheduler() {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-c.wake:
-		case <-timer.C:
-		}
-		c.mu.Lock()
-		next := c.scheduleLocked(time.Now())
+// grant hands the next pending task to a free worker connection as a
+// new lease, passing the token on while more tasks wait.
+func (c *Coordinator) grant(name string) (*task, string) {
+	c.mu.Lock()
+	if len(c.pending) == 0 {
 		c.mu.Unlock()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(next)
+		return nil, ""
 	}
-}
-
-// scheduleLocked expires stale leases, assigns runnable tasks to free
-// worker slots, and returns how long the scheduler may sleep.
-func (c *Coordinator) scheduleLocked(now time.Time) time.Duration {
-	// Expire leases whose heartbeat lapsed: the point goes back in the
-	// queue; the lease record stays so a late result is still honoured.
-	for _, l := range c.leases {
-		if !l.expired && now.After(l.deadline) {
-			l.expired = true
-			c.stats.Expired++
-			c.logf("fleet: lease %d (%s) on %s expired; re-queueing", l.id, l.t.label, l.w.name)
-			c.requeueLocked(l.t, now, "lease expired")
-		}
+	t := c.pending[0]
+	c.pending = slices.Delete(c.pending, 0, 1)
+	if len(c.pending) > 0 {
+		c.signal()
 	}
-	// Compact settled tasks out of the queue, then assign.
-	live := c.queue[:0]
-	for _, t := range c.queue {
-		if t.state == taskDone || t.state == taskFailed {
-			t.queued = false
-			continue
-		}
-		live = append(live, t)
-	}
-	c.queue = live
-	for {
-		ti := -1
-		for i, t := range c.queue {
-			if t.state == taskPending && !t.notBefore.After(now) {
-				ti = i
-				break
-			}
-		}
-		if ti < 0 {
-			break
-		}
-		var w *workerConn
-		for _, cand := range c.workers {
-			if !cand.gone && cand.inflight < cand.slots {
-				w = cand
-				break
-			}
-		}
-		if w == nil {
-			break
-		}
-		t := c.queue[ti]
-		c.queue = append(c.queue[:ti], c.queue[ti+1:]...)
-		t.queued = false
-		c.leaseLocked(t, w, now)
-	}
-	// Sleep until the next deadline in play.
-	next := time.Hour
-	for _, l := range c.leases {
-		if !l.expired {
-			if d := l.deadline.Sub(now); d < next {
-				next = d
-			}
-		}
-	}
-	for _, t := range c.queue {
-		if t.state == taskPending && t.notBefore.After(now) {
-			if d := t.notBefore.Sub(now); d < next {
-				next = d
-			}
-		}
-	}
-	if next < time.Millisecond {
-		next = time.Millisecond
-	}
-	return next
-}
-
-func (c *Coordinator) leaseLocked(t *task, w *workerConn, now time.Time) {
-	c.nextID++
-	l := &lease{id: c.nextID, t: t, w: w, deadline: now.Add(c.opts.LeaseTTL)}
-	c.leases[l.id] = l
-	t.state = taskLeased
 	t.attempts++
-	w.inflight++
+	c.nextID++
 	c.stats.Leases++
-	c.logf("fleet: lease %d: %s -> %s (attempt %d)", l.id, t.label, w.name, t.attempts)
-	c.sendLocked(w, Msg{Verb: "lease", Args: []string{fu(l.id), fu(t.timeoutMS)}, Payload: t.enc})
+	id, attempt := fu(c.nextID), t.attempts
+	c.mu.Unlock()
+	c.logf("fleet: lease %s: %s -> %s (attempt %d)", id, t.label, name, attempt)
+	return t, id
 }
 
-// requeueLocked puts an unsettled task back in the queue with backoff,
-// failing it once its lease budget is exhausted.
-func (c *Coordinator) requeueLocked(t *task, now time.Time, why string) {
-	if t.state == taskDone || t.state == taskFailed {
+// requeueLocked sends an unsettled task whose lease came to nothing back
+// to pending after a backoff, failing it once its lease budget is spent.
+func (c *Coordinator) requeueLocked(t *task, why string) {
+	if t.settled {
 		return
 	}
 	if t.attempts >= c.opts.MaxAttempts {
-		c.failLocked(t, errf("lease", "", t.label, "gave up after %d attempts (%s)", t.attempts, why))
+		c.settleLocked(t, nil, errf("lease", "", t.label, "gave up after %d attempts (%s)", t.attempts, why))
 		return
 	}
-	t.state = taskPending
-	backoff := c.opts.BackoffBase << uint(t.attempts-1)
-	if backoff > c.opts.BackoffCap || backoff <= 0 {
-		backoff = c.opts.BackoffCap
-	}
-	t.notBefore = now.Add(backoff)
-	if !t.queued {
-		t.queued = true
-		c.queue = append(c.queue, t)
-	}
+	backoff := min(c.opts.LeaseTTL/100<<min(t.attempts-1, 6), c.opts.LeaseTTL/2) // <<6 is past the cap
+	time.AfterFunc(backoff, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !t.settled { // a late result may have settled it meanwhile
+			c.enqueueLocked(t)
+		}
+	})
 }
 
-func (c *Coordinator) failLocked(t *task, err error) {
-	t.err = err
-	t.state = taskFailed
-	c.stats.Failed++
-	c.settledLocked(t)
-}
-
-// settledLocked releases a settled task's waiters and drops it from the
-// task table.
-func (c *Coordinator) settledLocked(t *task) {
+// settleLocked releases a task's waiters with its verified entry or its
+// error and drops it from the table; an entry feeds the coordinator
+// cache and publishes the point's witness aliases.
+func (c *Coordinator) settleLocked(t *task, entry *resultcache.Entry, err error) {
+	if err != nil {
+		c.stats.Failed++
+	} else {
+		c.stats.Completed++
+		if cp := c.opts.Cache; cp.Cache != nil && !t.pt.NoCache {
+			cp.Cache.Put(entry)
+			harness.StoreWitnessAliases(cp.Cache, t.pt, entry)
+		}
+	}
+	t.entry, t.err, t.settled = entry, err, true
 	if c.tasks[t.key] == t {
 		delete(c.tasks, t.key)
 	}
-	delete(c.all, t)
-	close(t.doneCh)
+	if i := slices.Index(c.pending, t); i >= 0 { // settled by a late result while re-queued
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+	close(t.done)
 }
 
-// completeLocked settles a task with its verified entry, feeding the
-// coordinator cache and publishing the point's witness aliases.
-func (c *Coordinator) completeLocked(t *task, entry *resultcache.Entry) {
-	if cp := c.opts.Cache; cp.Cache != nil && !t.noCache {
-		cp.Cache.Put(entry)
-		harness.StoreWitnessAliases(cp.Cache, t.pt, entry)
-	}
-	t.entry = entry
-	t.state = taskDone
-	c.stats.Completed++
-	c.settledLocked(t)
-}
-
-// sendLocked queues a message on a worker's writer; a full queue means
-// the worker stopped draining and is dropped.
-func (c *Coordinator) sendLocked(w *workerConn, m Msg) {
-	select {
-	case w.out <- m.Encode():
-	default:
-		c.markGoneLocked(w, "write queue overflow")
-	}
-}
-
-// markGoneLocked removes a worker and re-queues everything it held.
-func (c *Coordinator) markGoneLocked(w *workerConn, why string) {
-	if w.gone {
-		return
-	}
-	w.gone = true
-	for i, cand := range c.workers {
-		if cand == w {
-			c.workers = append(c.workers[:i], c.workers[i+1:]...)
-			break
-		}
-	}
-	now := time.Now()
-	for id, l := range c.leases {
-		if l.w != w {
-			continue
-		}
-		delete(c.leases, id)
-		if l.t.state == taskDone || l.t.state == taskFailed {
-			continue
-		}
-		c.stats.Reassigned++
-		c.requeueLocked(l.t, now, "worker lost: "+why)
-	}
-	close(w.quit)
-	w.conn.Close()
-	c.logf("fleet: %s gone (%s)", w.name, why)
-	c.wakeLocked()
-}
-
-func (c *Coordinator) wakeLocked() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (c *Coordinator) dropWorker(w *workerConn, why string) {
-	c.mu.Lock()
-	c.markGoneLocked(w, why)
-	c.mu.Unlock()
-}
-
-// --- worker-facing protocol ---
-
-// handleResult verifies and settles a completed lease. A non-nil error
-// drops the worker: it shipped bytes that failed decode or digest
-// verification, and an untrustworthy worker gets no more leases.
-func (c *Coordinator) handleResult(w *workerConn, id uint64, payload []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.leases[id]
-	if !ok || l.w != w {
-		return errf("result", w.name, "", "unknown lease %d", id)
-	}
-	delete(c.leases, id)
-	w.inflight--
-	t := l.t
-	defer c.wakeLocked()
+// verified decodes a remote result and holds it to the canonical check:
+// the entry must carry exactly the key the receiver derived for the
+// point, under the receiver's code digest. Anything else is a divergent
+// simulation or a mixed build. Coordinator and client both verify here.
+func verified(payload []byte, key resultcache.Key, code, peer, label string) (*resultcache.Entry, *Error) {
 	entry, err := resultcache.Decode(payload)
 	if err != nil {
-		c.stats.Rejected++
-		c.requeueLocked(t, time.Now(), "corrupt result")
-		return errf("verify", w.name, t.label, "corrupt result entry: %v", err)
+		return nil, errf("verify", peer, label, "corrupt result entry: %v", err)
 	}
-	// The canonical key/digest check: the entry must carry exactly the
-	// key this coordinator derived for the point, under the same code
-	// digest. Anything else is a divergent simulation or a mixed build.
-	if entry.Key != t.key || entry.Code != c.code {
-		c.stats.Rejected++
-		c.requeueLocked(t, time.Now(), "divergent result")
-		return errf("verify", w.name, t.label, "result does not verify: key %s code %.12s (want key %s code %.12s)",
-			entry.Key, entry.Code, t.key, c.code)
+	if entry.Key != key || entry.Code != code {
+		return nil, errf("verify", peer, label, "result does not verify: key %s code %.12s (want key %s code %.12s)",
+			entry.Key, entry.Code, key, code)
 	}
-	if t.state == taskDone || t.state == taskFailed {
-		c.stats.Duplicates++
-		return nil
-	}
-	c.completeLocked(t, entry)
-	return nil
+	return entry, nil
 }
 
-// handleFail settles a lease whose point failed on the worker. A
-// simulation failure is deterministic — every worker would fail the
-// same way — so it is terminal, not retried.
-func (c *Coordinator) handleFail(w *workerConn, id uint64, payload []byte) error {
+// answer settles a lease with the worker's result or fail. A worker's
+// fail is terminal — a simulation failure is deterministic, every worker
+// would fail the same way. A non-nil return drops the worker: it shipped
+// bytes that failed decode or digest verification, and an untrustworthy
+// worker gets no more leases. held is false once the lease has expired
+// (its point is already back in the queue): a late valid answer still
+// settles an unsettled point and is a duplicate on a settled one.
+func (c *Coordinator) answer(name string, t *task, held bool, m Msg) error {
+	var (
+		entry   *resultcache.Entry
+		failure error
+		verr    *Error
+	)
+	if m.Verb == "fail" {
+		failure = errf("run", name, t.label, "%s", m.Payload)
+	} else {
+		entry, verr = verified(m.Payload, t.key, c.code, name, t.label)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l, ok := c.leases[id]
-	if !ok || l.w != w {
-		return errf("fail", w.name, "", "unknown lease %d", id)
-	}
-	delete(c.leases, id)
-	w.inflight--
-	t := l.t
-	defer c.wakeLocked()
-	if t.state == taskDone || t.state == taskFailed {
+	switch {
+	case verr != nil:
+		c.stats.Rejected++
+		if held {
+			c.requeueLocked(t, verr.Msg)
+		}
+		return verr
+	case t.settled:
 		c.stats.Duplicates++
-		return nil
+	default:
+		c.settleLocked(t, entry, failure)
 	}
-	c.failLocked(t, errf("run", w.name, t.label, "%s", payload))
 	return nil
-}
-
-func (c *Coordinator) heartbeat(w *workerConn, id uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l, ok := c.leases[id]; ok && l.w == w && !l.expired {
-		l.deadline = time.Now().Add(c.opts.LeaseTTL)
-	}
 }
 
 // --- connection serving ---
@@ -636,8 +410,8 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 		return errf("handshake", "", "", "writing welcome: %v", err)
 	}
 	c.mu.Lock()
-	c.nWorkers++
-	name := fmt.Sprintf("%s-%d", role, c.nWorkers)
+	c.conns++
+	name := fmt.Sprintf("%s-%d", role, c.conns)
 	c.mu.Unlock()
 	// Unix-socket peers have empty (or "@"-anonymous) remote addresses;
 	// only a real address adds information to the name.
@@ -652,159 +426,174 @@ func (c *Coordinator) ServeConn(conn io.ReadWriteCloser) error {
 	return c.serveClient(conn, br, name)
 }
 
+// serveWorker is one worker slot's scheduler. The connection carries one
+// lease at a time: take the next pending task, write the lease, wait for
+// the answer, the heartbeat deadline or the connection's end, repeat. A
+// reader goroutine feeds the loop, so an idle worker's disconnect is
+// noticed at once (and costs no point an attempt).
 func (c *Coordinator) serveWorker(conn io.ReadWriteCloser, br *bufio.Reader, name string) error {
-	w := &workerConn{name: name, conn: conn, out: make(chan []byte, 256), quit: make(chan struct{})}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errf("serve", name, "", "coordinator closed")
-	}
-	c.workers = append(c.workers, w)
 	c.stats.Workers++
 	c.mu.Unlock()
 	c.logf("fleet: %s connected", name)
+	msgs, readErr, done := make(chan Msg), make(chan error, 1), make(chan struct{})
+	defer close(done)
 	go func() {
 		for {
-			select {
-			case <-w.quit:
+			m, err := ReadMsg(br)
+			if err != nil {
+				readErr <- err
 				return
-			case b := <-w.out:
-				if _, err := conn.Write(b); err != nil {
-					c.dropWorker(w, "write: "+err.Error())
-					return
-				}
+			}
+			select {
+			case msgs <- m:
+			case <-done:
+				return
 			}
 		}
 	}()
+
+	var (
+		t    *task  // the connection's lease; nil while the worker is idle
+		id   string // its id token: the log handle, and a cross-check on every answer
+		held bool   // false once the lease expired and its point was re-queued
+	)
+	ttl := time.NewTimer(time.Hour)
+	ttl.Stop()
+	defer ttl.Stop()
+	// gone ends the connection; a point it still holds goes back in the queue.
+	gone := func(why string) {
+		c.mu.Lock()
+		if t != nil && held && !t.settled {
+			c.stats.Reassigned++
+			c.requeueLocked(t, "worker lost: "+why)
+		}
+		c.mu.Unlock()
+		c.logf("fleet: %s gone (%s)", name, why)
+	}
 	for {
-		m, err := ReadMsg(br)
-		if err != nil {
-			why := "disconnected"
-			if err != io.EOF {
-				why = "read: " + err.Error()
-			}
-			c.dropWorker(w, why)
+		work := c.work
+		if t != nil {
+			work = nil
+		}
+		select {
+		case <-c.quit:
+			return nil
+		case err := <-readErr:
 			if err == io.EOF {
+				gone("disconnected")
 				return nil
 			}
+			gone("read: " + err.Error())
 			return err
-		}
-		var herr error
-		switch m.Verb {
-		case "ready":
-			n, err := wiretext.CanonUint(m.Args[0], 1024)
-			if err != nil || n == 0 {
-				herr = errf("serve", w.name, "", "bad slot count %q", m.Args[0])
-				break
+		case <-work:
+			if t, id = c.grant(name); t == nil {
+				continue
 			}
+			held = true
+			if _, err := conn.Write(Msg{Verb: "lease", Args: []string{id, fu(t.timeoutMS)}, Payload: t.enc}.Encode()); err != nil {
+				gone("write: " + err.Error())
+				return err
+			}
+			ttl.Reset(c.opts.LeaseTTL)
+		case <-ttl.C:
+			// The heartbeat lapsed: the point goes back in the queue, and
+			// the connection keeps waiting — a slow worker's late result
+			// is still honoured, and it gets no second lease meanwhile.
+			held = false
+			c.logf("fleet: lease %s (%s) on %s expired; re-queueing", id, t.label, name)
 			c.mu.Lock()
-			w.slots = int(n)
+			c.stats.Expired++
+			c.requeueLocked(t, "lease expired")
 			c.mu.Unlock()
-			c.wakeUp()
-		case "heartbeat":
-			id, err := wiretext.CanonUint(m.Args[0], math.MaxUint64)
-			if err != nil {
-				herr = errf("serve", w.name, "", "bad heartbeat id %q", m.Args[0])
-				break
+		case m := <-msgs:
+			var herr error
+			switch m.Verb {
+			case "heartbeat", "result", "fail":
+				switch {
+				case t == nil || m.Args[0] != id:
+					herr = errf(m.Verb, name, "", "unknown lease %q", m.Args[0])
+				case m.Verb == "heartbeat":
+					if held {
+						ttl.Reset(c.opts.LeaseTTL)
+					}
+				default:
+					ttl.Stop()
+					herr = c.answer(name, t, held, m)
+					t = nil
+				}
+			case "bye":
+				gone("bye")
+				return nil
+			default:
+				herr = errf("serve", name, "", "unexpected %s from a worker", m.Verb)
 			}
-			c.heartbeat(w, id)
-		case "result", "fail":
-			id, err := wiretext.CanonUint(m.Args[0], math.MaxUint64)
-			if err != nil {
-				herr = errf("serve", w.name, "", "bad lease id %q", m.Args[0])
-				break
+			if herr != nil {
+				c.logf("fleet: dropping %s: %v", name, herr)
+				gone(herr.Error())
+				return herr
 			}
-			if m.Verb == "result" {
-				herr = c.handleResult(w, id, m.Payload)
-			} else {
-				herr = c.handleFail(w, id, m.Payload)
-			}
-		case "bye":
-			c.dropWorker(w, "bye")
-			return nil
-		default:
-			herr = errf("serve", w.name, "", "unexpected %s from a worker", m.Verb)
-		}
-		if herr != nil {
-			c.logf("fleet: dropping %s: %v", w.name, herr)
-			c.dropWorker(w, herr.Error())
-			return herr
 		}
 	}
 }
 
-// serveClient receives a remote batch, runs it through submit (sharing
-// the task table and cache with every other submission), and streams
-// back progress, per-point entries, and completion.
+// serveClient is the same exchange facing the other way: each lease a
+// client sends is resolved through runOne (sharing the task table and
+// the cache with every other submission) and answered with result or
+// fail as it finishes. A client may have any number outstanding; chain
+// order, progress and fail-fast are the client's business. When it hangs
+// up its waits are cancelled; points already tabled run to completion.
 func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, name string) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var wmu sync.Mutex
-	send := func(m Msg) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := conn.Write(m.Encode())
-		return err
+	for {
+		m, err := ReadMsg(br)
+		if err == io.EOF || err == nil && m.Verb == "bye" {
+			return nil
+		}
+		if err != nil {
+			return errf("serve", name, "", "read: %v", err)
+		}
+		if m.Verb != "lease" {
+			return errf("serve", name, "", "unexpected %s from a client", m.Verb)
+		}
+		tmoMS, err := leaseTimeout(m)
+		if err != nil {
+			return err
+		}
+		go func() {
+			out := answerTo(m, func(pt harness.Point) (*resultcache.Entry, error) { return c.runOne(ctx, pt, tmoMS) })
+			wmu.Lock()
+			defer wmu.Unlock()
+			conn.Write(out.Encode())
+		}()
 	}
-	m, err := ReadMsg(br)
+}
+
+// answerTo is the receiving half of the one exchange, the same on a
+// worker and on a coordinator serving a client: decode the lease's point,
+// run it, and answer with its entry as a result or its error as a fail.
+func answerTo(lease Msg, run func(harness.Point) (*resultcache.Entry, error)) Msg {
+	pt, err := harness.DecodePoint(lease.Payload)
+	var entry *resultcache.Entry
+	if err == nil {
+		entry, err = run(pt)
+	}
 	if err != nil {
-		return errf("serve", name, "", "reading submit: %v", err)
+		return Msg{Verb: "fail", Args: lease.Args[:1], Payload: []byte(err.Error())}
 	}
-	if m.Verb != "submit" {
-		return errf("serve", name, "", "expected submit, got %s", m.Verb)
-	}
-	n, err := wiretext.CanonUint(m.Args[0], 1<<20)
-	if err != nil {
-		return errf("serve", name, "", "bad batch size %q", m.Args[0])
-	}
+	return Msg{Verb: "result", Args: lease.Args[:1], Payload: entry.Encode()}
+}
+
+// leaseTimeout decodes a lease line's per-point timeout. The line's id
+// is the sender's token: the receiver echoes it and never reads it.
+func leaseTimeout(m Msg) (uint64, error) {
 	tmoMS, err := wiretext.CanonUint(m.Args[1], math.MaxUint64)
 	if err != nil {
-		return errf("serve", name, "", "bad timeout %q", m.Args[1])
+		return 0, errf("lease", "", "", "bad timeout %q", m.Args[1])
 	}
-	var pts []harness.Point // grown as points arrive, never sized from the peer's n
-	for i := uint64(0); i < n; i++ {
-		m, err := ReadMsg(br)
-		if err != nil {
-			return errf("serve", name, "", "reading point %d: %v", i, err)
-		}
-		if m.Verb != "point" {
-			return errf("serve", name, "", "expected point %d, got %s", i, m.Verb)
-		}
-		if idx, err := wiretext.CanonUint(m.Args[0], n-1); err != nil || idx != i {
-			return errf("serve", name, "", "out-of-order point %s (want %d)", m.Args[0], i)
-		}
-		pt, err := harness.DecodePoint(m.Payload)
-		if err != nil {
-			e := errf("serve", name, "", "point %d: %v", i, err)
-			send(Msg{Verb: "perr", Args: []string{fu(i)}, Payload: []byte(e.Msg)})
-			return e
-		}
-		pts = append(pts, pt)
-	}
-	if m, err := ReadMsg(br); err != nil || m.Verb != "end" {
-		return errf("serve", name, "", "expected end (err=%v)", err)
-	}
-	c.logf("fleet: %s submitted %d points", name, n)
-	batch := harness.Batch{
-		Points:       pts,
-		PointTimeout: time.Duration(tmoMS) * time.Millisecond,
-		Progress: func(done, total int) {
-			send(Msg{Verb: "prog", Args: []string{strconv.Itoa(done), strconv.Itoa(total)}})
-		},
-	}
-	entries, err := c.submit(context.Background(), batch)
-	if err != nil {
-		send(Msg{Verb: "perr", Args: []string{"0"}, Payload: []byte(err.Error())})
-		return errf("serve", name, "", "batch failed: %v", err)
-	}
-	for i, e := range entries {
-		if err := send(Msg{Verb: "done", Args: []string{strconv.Itoa(i)}, Payload: e.Encode()}); err != nil {
-			return errf("serve", name, "", "writing result %d: %v", i, err)
-		}
-	}
-	if err := send(Msg{Verb: "complete"}); err != nil {
-		return errf("serve", name, "", "writing complete: %v", err)
-	}
-	ReadMsg(br) // wait for bye or EOF; content irrelevant
-	return nil
+	return tmoMS, nil
 }
 
 // fu formats a uint64 wire token.

@@ -1,10 +1,13 @@
-// Package fleet distributes sweep points across worker processes: a
-// coordinator leases points to workers over a versioned line protocol,
-// heartbeats the leases, reassigns points on worker loss or lease
-// expiry, retries with capped backoff, deduplicates double-completions
-// (first valid result per point key wins), and verifies every remote
-// result against the result cache's canonical key/digest machinery
-// before accepting it. The coordinator implements harness.Executor, so
+// Package fleet distributes sweep points across worker processes. The
+// protocol has one exchange — a lease answered by a result or a fail —
+// and it runs on both links: a client leases points to a coordinator,
+// which leases them to workers, one lease per worker connection at a
+// time. The coordinator heartbeats the leases, reassigns points on
+// worker loss or lease expiry, retries with capped backoff,
+// deduplicates double-completions (first valid result per point key
+// wins), and verifies every remote result against the result cache's
+// canonical key/digest machinery before accepting it, as the client
+// does again. Coordinator and Client implement harness.Executor, so
 // every sweep runs on a fleet exactly as it runs on the in-process
 // pool — bit-identically, by the repo's determinism guarantee.
 package fleet

@@ -8,7 +8,6 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,12 +39,7 @@ func memCache(t *testing.T) harness.CacheParams {
 
 // fastOpts is a coordinator tuned for test-speed fault handling.
 func fastOpts(cp harness.CacheParams) CoordinatorOptions {
-	return CoordinatorOptions{
-		Cache:       cp,
-		LeaseTTL:    60 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  5 * time.Millisecond,
-	}
+	return CoordinatorOptions{Cache: cp, LeaseTTL: 60 * time.Millisecond} // re-lease delay 0.6 ms … 30 ms
 }
 
 // steadyOpts is fastOpts for the tests that count the leases granted to
@@ -68,6 +62,14 @@ func newTestCoordinator(t *testing.T, opts CoordinatorOptions) *Coordinator {
 	return co
 }
 
+// startWorkers attaches n in-process workers — a worker running n slots.
+func startWorkers(t *testing.T, co *Coordinator, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		startWorker(t, co, WorkerOptions{})
+	}
+}
+
 // startWorker attaches an in-process worker over a pipe.
 func startWorker(t *testing.T, co *Coordinator, opts WorkerOptions) {
 	t.Helper()
@@ -79,6 +81,27 @@ func startWorker(t *testing.T, co *Coordinator, opts WorkerOptions) {
 	t.Cleanup(cancel)
 	go co.ServeConn(a)
 	go RunWorker(ctx, b, opts)
+}
+
+// serveOnSocket serves the coordinator on a unix socket for the test's
+// duration and returns the address a Client dials.
+func serveOnSocket(t *testing.T, co *Coordinator) string {
+	t.Helper()
+	ln, sock := listenTemp(t)
+	go co.Serve(ln)
+	return sock
+}
+
+// listenTemp listens on a unix socket that lives as long as the test.
+func listenTemp(t *testing.T) (net.Listener, string) {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "fleet.sock")
+	ln, err := Listen(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln, sock
 }
 
 // script is a hand-driven protocol peer for fault injection.
@@ -261,7 +284,6 @@ func TestFleetFaultPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			co := newTestCoordinator(t, fastOpts(memCache(t)))
 			s := connectScript(t, co, "worker")
-			s.send(Msg{Verb: "ready", Args: []string{"1"}})
 			// The scripted worker must hold a lease before the healthy
 			// worker joins, so the injected fault is actually exercised.
 			leased := make(chan struct{})
@@ -282,7 +304,7 @@ func TestFleetFaultPaths(t *testing.T) {
 				results <- err
 			}()
 			<-leased
-			startWorker(t, co, WorkerOptions{Slots: 2})
+			startWorkers(t, co, 2)
 			if err := <-results; err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +323,6 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	pt := tinyPoint(21)
 	co := newTestCoordinator(t, fastOpts(memCache(t)))
 	s := connectScript(t, co, "worker")
-	s.send(Msg{Verb: "ready", Args: []string{"1"}})
 	done := make(chan error, 1)
 	go func() {
 		_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
@@ -333,6 +354,80 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	}
 }
 
+// TestFleetLateResultSettlesUnsettledPoint is the other half: the lease
+// expires with no other worker attached, so the point is still unsettled
+// when the slow worker's valid result arrives on the connection that
+// kept waiting for it. The result settles the point — it is not a
+// duplicate, and the point is not leased a second time.
+func TestFleetLateResultSettlesUnsettledPoint(t *testing.T) {
+	pt := tinyPoint(22)
+	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	s := connectScript(t, co, "worker")
+	type outcome struct {
+		res []harness.PointResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}})
+		done <- outcome{res, err}
+	}()
+	m := s.read()
+	if m.Verb != "lease" {
+		t.Fatalf("got %s, want lease", m.Verb)
+	}
+	waitFor(t, "lease expiry", func() bool { return co.Stats().Expired >= 1 })
+	_, entry, err := harness.RunPointEntry(harness.CacheParams{}, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.send(Msg{Verb: "result", Args: []string{m.Args[0]}, Payload: entry.Encode()})
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	sameRun(t, pt.Label(), o.res[0].RunResult, localBaseline(t, []harness.Point{pt})[0].RunResult)
+	if s := co.Stats(); s.Leases != 1 || s.Expired != 1 || s.Duplicates != 0 || s.Completed != 1 {
+		t.Errorf("stats = %+v, want one lease, expired once, settled by its own late result", s)
+	}
+	tableEmpty(t, co)
+}
+
+// TestFleetIdleDisconnectCostsNoAttempt: a connected worker that never
+// held a lease hangs up. Nothing is reassigned, and the next point
+// leases exactly once, to the worker that is still there.
+func TestFleetIdleDisconnectCostsNoAttempt(t *testing.T) {
+	pt := tinyPoint(23)
+	opts := steadyOpts(memCache(t))
+	noticed := make(chan struct{}, 1)
+	opts.Logf = func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "gone (disconnected)") {
+			select {
+			case noticed <- struct{}{}:
+			default: // the healthy worker's own goodbye, at cleanup
+			}
+		}
+	}
+	co := NewCoordinator(opts)
+	t.Cleanup(func() { co.Close() })
+	idle := connectScript(t, co, "worker")
+	waitFor(t, "idle worker accepted", func() bool { return co.Stats().Workers == 1 })
+	idle.conn.Close()
+	select { // noticed at once: no lease has to bounce off the dead connection first
+	case <-noticed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the idle worker's disconnect went unnoticed with no work pending")
+	}
+	startWorker(t, co, WorkerOptions{})
+	if _, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt}}); err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Stats(); s.Workers != 2 || s.Leases != 1 || s.Reassigned != 0 || s.Completed != 1 {
+		t.Errorf("stats = %+v, want one lease to the healthy worker and nothing reassigned", s)
+	}
+	tableEmpty(t, co)
+}
+
 // TestFleetMaxAttemptsExhausted: every worker returns garbage, so the
 // point burns its lease budget and the sweep fails with a structured
 // error naming the point.
@@ -343,7 +438,6 @@ func TestFleetMaxAttemptsExhausted(t *testing.T) {
 	co := newTestCoordinator(t, opts)
 	for i := 0; i < 2; i++ {
 		s := connectScript(t, co, "worker")
-		s.send(Msg{Verb: "ready", Args: []string{"1"}})
 		go func(s *script) {
 			m, err := ReadMsg(s.br)
 			if err != nil || m.Verb != "lease" {
@@ -386,38 +480,8 @@ func tableEmpty(t *testing.T, co *Coordinator) {
 	t.Helper()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if len(co.tasks) != 0 || len(co.all) != 0 {
-		t.Errorf("settled coordinator still holds %d keyed / %d total tasks", len(co.tasks), len(co.all))
-	}
-}
-
-// TestFleetSubmitCountIsNotAnAllocation: the batch size a client
-// announces is a claim, not data. A peer that sends "submit 1048576 0"
-// and hangs up gets a structured error at once, and the coordinator has
-// not sized anything from the number (it used to make a 276 MB slice).
-func TestFleetSubmitCountIsNotAnAllocation(t *testing.T) {
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
-	a, b := net.Pipe()
-	served := make(chan error, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	go func() { served <- co.ServeConn(a) }()
-	b.SetDeadline(time.Now().Add(10 * time.Second))
-	s := &script{t: t, conn: b, br: bufio.NewReader(b)}
-	s.send(Msg{Verb: "hello", Args: []string{Proto, "client", harness.CodeID()}})
-	if m := s.read(); m.Verb != "welcome" {
-		t.Fatalf("handshake: got %s, want welcome", m.Verb)
-	}
-	s.send(Msg{Verb: "submit", Args: []string{"1048576", "0"}})
-	b.Close()
-	err := <-served
-	runtime.ReadMemStats(&after)
-	var fe *Error
-	if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "reading point 0") {
-		t.Fatalf("err = %v, want a *fleet.Error about the missing first point", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
-		t.Errorf("serving a 20-byte submit line allocated %d MB", grew>>20)
+	if len(co.tasks) != 0 || len(co.pending) != 0 {
+		t.Errorf("settled coordinator still holds %d keyed / %d pending tasks", len(co.tasks), len(co.pending))
 	}
 }
 
@@ -531,7 +595,7 @@ func TestFleetCacheHitsServeWithoutLeasing(t *testing.T) {
 func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	pt := tinyPoint(61)
 	co := newTestCoordinator(t, steadyOpts(memCache(t)))
-	startWorker(t, co, WorkerOptions{Slots: 2})
+	startWorkers(t, co, 2)
 	got, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt, pt}})
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +608,7 @@ func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	g := tinyPoint(62)
 	g.Group = "seq"
 	co2 := newTestCoordinator(t, steadyOpts(memCache(t)))
-	startWorker(t, co2, WorkerOptions{Slots: 2})
+	startWorkers(t, co2, 2)
 	if _, err := co2.Submit(context.Background(), harness.Batch{Points: []harness.Point{g, g}}); err != nil {
 		t.Fatal(err)
 	}
@@ -566,13 +630,15 @@ func TestFleetClientEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { closer() })
 	co := exec.(*Coordinator)
-	wconn, err := DialRetry(sock, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go RunWorker(ctx, wconn, WorkerOptions{Slots: 2, HeartbeatEvery: 10 * time.Millisecond})
+	for i := 0; i < 2; i++ {
+		wconn, err := DialRetry(sock, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go RunWorker(ctx, wconn, WorkerOptions{HeartbeatEvery: 10 * time.Millisecond})
+	}
 
 	var progressed atomic.Int32
 	cl := &Client{Addr: sock}
@@ -591,6 +657,152 @@ func TestFleetClientEndToEnd(t *testing.T) {
 	}
 	if s := co.Stats(); s.Completed != uint64(len(pts)) {
 		t.Errorf("stats: %+v", s)
+	}
+}
+
+// scriptedCoordinator accepts one client on a unix socket, completes the
+// handshake and hands the connection to serve.
+func scriptedCoordinator(t *testing.T, serve func(s *script)) string {
+	t.Helper()
+	ln, sock := listenTemp(t)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		s := &script{t: t, conn: conn, br: bufio.NewReader(conn)}
+		if m, err := ReadMsg(s.br); err != nil || m.Verb != "hello" {
+			return
+		}
+		conn.Write(Msg{Verb: "welcome", Args: []string{harness.CodeID()}}.Encode())
+		serve(s)
+	}()
+	return sock
+}
+
+// TestClientRejectsAnswerItNeverLeased: an answer carrying an id the
+// client never issued ends the batch with a structured error — the chain
+// whose lease is outstanding does not wait for ever.
+func TestClientRejectsAnswerItNeverLeased(t *testing.T) {
+	sock := scriptedCoordinator(t, func(s *script) {
+		if m, err := ReadMsg(s.br); err != nil || m.Verb != "lease" {
+			return
+		}
+		s.conn.Write(Msg{Verb: "fail", Args: []string{"999"}, Payload: []byte("not yours")}.Encode())
+		ReadMsg(s.br) // hold the connection open until the client hangs up
+	})
+	_, err := (&Client{Addr: sock, DialTimeout: -1}).Submit(context.Background(),
+		harness.Batch{Points: []harness.Point{tinyPoint(74), tinyPoint(75)}})
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Op != "read" || !strings.Contains(fe.Msg, "unexpected fail [999]") {
+		t.Fatalf("err = %v, want a *fleet.Error about the unexpected answer", err)
+	}
+}
+
+// TestClientFailNamesThePoint: a fail for one lease fails the batch, and
+// the error carries that point's label and the coordinator's text.
+func TestClientFailNamesThePoint(t *testing.T) {
+	pts := []harness.Point{tinyPoint(76), tinyPoint(77), tinyPoint(78)}
+	bad := pts[1]
+	sock := scriptedCoordinator(t, func(s *script) {
+		for {
+			m, err := ReadMsg(s.br)
+			if err != nil || m.Verb != "lease" {
+				return
+			}
+			if pt, err := harness.DecodePoint(m.Payload); err == nil && pt.EM3D.Seed == bad.EM3D.Seed {
+				s.conn.Write(Msg{Verb: "fail", Args: m.Args[:1], Payload: []byte("boom")}.Encode())
+			}
+		}
+	})
+	res, err := (&Client{Addr: sock, DialTimeout: -1}).Submit(context.Background(), harness.Batch{Points: pts})
+	var fe *Error
+	if res != nil || !errors.As(err, &fe) || fe.Op != "submit" || fe.Point != bad.Label() || fe.Msg != "boom" {
+		t.Fatalf("res = %v, err = %v, want no results and a *fleet.Error for %s saying boom", res, err, bad.Label())
+	}
+}
+
+// TestFleetClientHangupLeavesNoTask: a client leases three points and
+// hangs up with none answered. Its waits are cancelled; the points run
+// to completion on the one worker and the table drains.
+func TestFleetClientHangupLeavesNoTask(t *testing.T) {
+	co := newTestCoordinator(t, steadyOpts(memCache(t)))
+	s := connectScript(t, co, "client")
+	for i, seed := range []uint64{84, 85, 86} {
+		s.send(Msg{Verb: "lease", Args: []string{fu(uint64(i + 1)), "0"}, Payload: tinyPoint(seed).Encode()})
+	}
+	waitFor(t, "the client's points to be tabled", func() bool {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return len(co.tasks) == 3
+	})
+	s.conn.Close()
+	startWorker(t, co, WorkerOptions{})
+	waitFor(t, "the abandoned points to finish", func() bool { return co.Stats().Completed == 3 })
+	if s := co.Stats(); s.Leases != 3 || s.Failed != 0 {
+		t.Errorf("stats = %+v, want three leases, none failed", s)
+	}
+	tableEmpty(t, co)
+}
+
+// TestListenRefusesLiveSocket: a second Listen on a unix path a
+// coordinator is serving is an error naming the address (it used to
+// unlink the file and strand the first coordinator with its workers); a
+// socket file nothing answers on is still cleared.
+func TestListenRefusesLiveSocket(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "fleet.sock")
+	ln, err := Listen(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // the live coordinator: accept whatever probes it
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	if ln2, err := Listen(sock); err == nil {
+		ln2.Close()
+		t.Fatal("a second Listen took over a live coordinator's socket")
+	} else if !strings.Contains(err.Error(), sock) {
+		t.Errorf("error does not name the address: %v", err)
+	}
+	if conn, err := Dial(sock); err != nil {
+		t.Fatalf("the first listener is no longer reachable: %v", err)
+	} else {
+		conn.Close()
+	}
+	// A killed run leaves the file behind: keep it across Close.
+	ln.(*net.UnixListener).SetUnlinkOnClose(false)
+	ln.Close()
+	ln3, err := Listen(sock)
+	if err != nil {
+		t.Fatalf("stale socket file not cleared: %v", err)
+	}
+	ln3.Close()
+}
+
+// TestDialErrors: the dial failure is one *Error, not one wrapped in
+// another, and a single attempt is not described by a negative duration.
+func TestDialErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nobody.sock")
+	for name, tc := range map[string]struct {
+		timeout time.Duration
+		want    string
+	}{
+		"single attempt": {-1, "fleet: dial " + missing + ": no coordinator: dial unix"},
+		"deadline":       {time.Millisecond, "fleet: dial " + missing + ": no coordinator after 1ms: dial unix"},
+	} {
+		_, err := (&Client{Addr: missing, DialTimeout: tc.timeout}).Submit(context.Background(), harness.Batch{})
+		var fe *Error
+		if !errors.As(err, &fe) || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q…", name, err, tc.want)
+		}
 	}
 }
 

@@ -21,11 +21,16 @@ func network(addr string) string {
 }
 
 // Listen opens the coordinator's listener, clearing a stale socket file
-// left by a killed run.
+// left by a killed run — one nothing answers on. A socket a live
+// coordinator is serving is refused, not stolen from under its workers.
 func Listen(addr string) (net.Listener, error) {
 	nw := network(addr)
 	if nw == "unix" {
 		if fi, err := os.Stat(addr); err == nil && fi.Mode()&os.ModeSocket != 0 {
+			if conn, err := Dial(addr); err == nil {
+				conn.Close()
+				return nil, fmt.Errorf("listen unix %s: a live coordinator is already serving this socket", addr)
+			}
 			os.Remove(addr)
 		}
 	}
@@ -38,13 +43,17 @@ func Dial(addr string) (net.Conn, error) {
 }
 
 // DialRetry dials until the coordinator is listening or the deadline
-// passes — workers typically start in parallel with the coordinator.
+// passes — workers typically start in parallel with the coordinator. A
+// timeout <= 0 is a single attempt.
 func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		conn, err := Dial(addr)
 		if err == nil {
 			return conn, nil
+		}
+		if timeout <= 0 {
+			return nil, errf("dial", addr, "", "no coordinator: %v", err)
 		}
 		if time.Now().After(deadline) {
 			return nil, errf("dial", addr, "", "no coordinator after %v: %v", timeout, err)
@@ -55,7 +64,7 @@ func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 
 // NewExecutor wires the -fleet/-workers-addr flag pair into an executor:
 //
-//   - -fleet addr: ship batches to the remote coordinator at addr.
+//   - -fleet addr: lease the sweep's points to the remote coordinator at addr.
 //   - -workers-addr addr: run an embedded coordinator here, listening
 //     for workers (and remote clients) on addr; the sweep's own points
 //     go straight onto its task table.
@@ -74,7 +83,7 @@ func NewExecutor(fleetAddr, workersAddr string, cp harness.CacheParams, logf fun
 		ln, err := Listen(workersAddr)
 		if err != nil {
 			co.Close()
-			return nil, nil, fmt.Errorf("fleet: -workers-addr: listen %s: %w", workersAddr, err)
+			return nil, nil, fmt.Errorf("fleet: -workers-addr: %w", err)
 		}
 		go co.Serve(ln)
 		return co, func() {

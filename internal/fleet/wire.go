@@ -13,7 +13,7 @@ import (
 // Proto is the protocol version string exchanged in the handshake.
 // Any mismatch is rejected before work is leased: a mixed-version
 // fleet fails loudly at connect time, never silently mid-sweep.
-const Proto = "tempest-fleet/1"
+const Proto = "tempest-fleet/2"
 
 // Wire format: one message is a single line of space-separated tokens
 //
@@ -37,28 +37,24 @@ type verbSpec struct {
 	payload bool
 }
 
-// verbs is the full protocol vocabulary.
+// verbs is the full protocol vocabulary. After the handshake there is one
+// exchange — a lease answered by a result or a fail — and it runs on
+// both links: a client leases points to the coordinator exactly as the
+// coordinator leases them to a worker.
 //
-//	worker → coordinator: hello, ready, heartbeat, result, fail, bye
-//	coordinator → worker: welcome, reject, lease, bye
-//	client → coordinator: hello, submit, point, end, bye
-//	coordinator → client: welcome, reject, prog, done, perr, complete
+//	connecting peer → coordinator: hello, then bye to close in order
+//	coordinator → connecting peer: welcome or reject
+//	client → coordinator → worker: lease
+//	worker → coordinator → client: result, fail
+//	worker → coordinator:          heartbeat
 var verbs = map[string]verbSpec{
 	"hello":     {args: 3, payload: false}, // hello <proto> <role> <code>
 	"welcome":   {args: 1, payload: false}, // welcome <code>
 	"reject":    {args: 0, payload: true},  // reject <len> + reason
-	"ready":     {args: 1, payload: false}, // ready <slots>
 	"lease":     {args: 2, payload: true},  // lease <id> <timeout-ms> <len> + point
 	"heartbeat": {args: 1, payload: false}, // heartbeat <id>
 	"result":    {args: 1, payload: true},  // result <id> <len> + cache entry
 	"fail":      {args: 1, payload: true},  // fail <id> <len> + error text
-	"submit":    {args: 2, payload: false}, // submit <n> <timeout-ms>
-	"point":     {args: 1, payload: true},  // point <index> <len> + point
-	"end":       {args: 0, payload: false}, // end (batch fully sent)
-	"prog":      {args: 2, payload: false}, // prog <done> <total>
-	"done":      {args: 1, payload: true},  // done <index> <len> + cache entry
-	"perr":      {args: 1, payload: true},  // perr <index> <len> + error text
-	"complete":  {args: 0, payload: false}, // complete (batch finished)
 	"bye":       {args: 0, payload: false}, // bye (orderly close)
 }
 

@@ -16,18 +16,10 @@ func sampleMsgs() []Msg {
 		{Verb: "hello", Args: []string{Proto, "worker", "abc123"}},
 		{Verb: "welcome", Args: []string{"abc123"}},
 		{Verb: "reject", Payload: []byte("no thanks")},
-		{Verb: "ready", Args: []string{"2"}},
 		{Verb: "lease", Args: []string{"1", "0"}, Payload: []byte("tempest-point v2\n")},
 		{Verb: "heartbeat", Args: []string{"7"}},
 		{Verb: "result", Args: []string{"1"}, Payload: []byte("abc")},
 		{Verb: "fail", Args: []string{"2"}, Payload: []byte("oops")},
-		{Verb: "submit", Args: []string{"3", "1000"}},
-		{Verb: "point", Args: []string{"0"}, Payload: []byte("hi")},
-		{Verb: "end"},
-		{Verb: "prog", Args: []string{"1", "3"}},
-		{Verb: "done", Args: []string{"0"}, Payload: []byte{}},
-		{Verb: "perr", Args: []string{"0"}, Payload: []byte("bad")},
-		{Verb: "complete"},
 		{Verb: "bye"},
 	}
 }
@@ -60,17 +52,17 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"unknown verb":       "frobnicate 1\n",
-		"missing args":       "hello tempest-fleet/1\n",
-		"extra args":         "end now\n",
-		"double space":       "ready  2\n",
-		"trailing space":     "ready 2 \n",
-		"leading space":      " ready 2\n",
+		"missing args":       "hello tempest-fleet/2\n",
+		"extra args":         "bye now\n",
+		"double space":       "heartbeat  2\n",
+		"trailing space":     "heartbeat 2 \n",
+		"leading space":      " heartbeat 2\n",
 		"noncanonical len":   "result 1 03\nabc\n",
 		"negative length":    "result 1 -3\nabc\n",
 		"huge payload":       "result 1 999999999999\n",
 		"unterminated":       "result 1 3\nabcX",
-		"carriage return":    "ready 2\r\n",
-		"oversized line":     "ready " + strings.Repeat("9", maxLine) + "\n",
+		"carriage return":    "heartbeat 2\r\n",
+		"oversized line":     "heartbeat " + strings.Repeat("9", maxLine) + "\n",
 		"empty line":         "\n",
 		"payload no newline": "result 1 3\nab",
 	}
@@ -87,6 +79,37 @@ func TestWireRejectsMalformed(t *testing.T) {
 	}
 }
 
+// edgeLines sit on the boundaries of the eight verbs' specs: an empty
+// payload, a payload one byte over the cap, an id no uint64 holds (ids
+// are tokens to the codec), and lines one token short or long.
+var edgeLines = []string{
+	"lease 1 0 0\n\n",
+	"result 1 16777217\n",
+	"heartbeat 18446744073709551616\n",
+	"hello tempest-fleet/2 worker\n",
+	"welcome\n",
+	"bye bye\n",
+	"fail 2 4\noops",
+	"reject 0\n\n",
+}
+
+// TestWireVocabulary pins the verb count: the protocol is a handshake,
+// one verb pair, a heartbeat and a close. A line of any tempest-fleet/1
+// verb this protocol dropped is an unknown verb, not a near miss.
+func TestWireVocabulary(t *testing.T) {
+	if len(verbs) != 8 {
+		t.Errorf("verbs has %d entries, want 8", len(verbs))
+	}
+	for _, line := range []string{"ready 2\n", "submit 3 1000\n", "point 0 2\nhi\n", "end\n",
+		"prog 1 3\n", "done 0 0\n\n", "perr 0 3\nbad\n", "complete\n"} {
+		_, err := ReadMsg(bufio.NewReader(strings.NewReader(line)))
+		var fe *Error
+		if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "unknown verb") {
+			t.Errorf("%q: err = %v, want an unknown-verb *Error", line, err)
+		}
+	}
+}
+
 func TestErrorFormat(t *testing.T) {
 	e := errf("verify", "worker-1", "em3d/typhoon-stache/4K", "key mismatch")
 	for _, want := range []string{"fleet:", "verify", "worker-1", "em3d/typhoon-stache/4K", "key mismatch"} {
@@ -99,7 +122,9 @@ func TestErrorFormat(t *testing.T) {
 // FuzzFleetMessage pins that decoding is total: arbitrary bytes produce
 // either a structured *Error (or clean EOF), or a message whose
 // canonical re-encoding is exactly the bytes consumed — never a panic,
-// never a lossy parse.
+// never a lossy parse. The corpus under testdata keeps one line of each
+// tempest-fleet/1 verb this protocol dropped (ready, submit, point, end,
+// prog, done-empty, perr, complete): they seed the unknown-verb path.
 func FuzzFleetMessage(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(m.Encode())
@@ -107,7 +132,10 @@ func FuzzFleetMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("frobnicate 1\n"))
 	f.Add([]byte("result 1 99\nabc\n"))
-	f.Add([]byte("ready 007\n"))
+	f.Add([]byte("heartbeat 007\n"))
+	for _, edge := range edgeLines {
+		f.Add([]byte(edge))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMsg(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {

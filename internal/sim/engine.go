@@ -88,7 +88,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Time is a simulated clock value in processor cycles.
@@ -186,38 +185,6 @@ func (w *WindowStats) add(o WindowStats) {
 	w.Grants += o.Grants
 	w.Batched += o.Batched
 	w.WidthCycles += o.WidthCycles
-}
-
-// fleet aggregates dispatch stats across every engine in the process
-// (atomically, so parallel harness workers may fold concurrently);
-// cmd/bench reports it after a sweep.
-var fleet struct {
-	inline, switches, fallbacks, parks, steps, gsteps, suspends atomic.Uint64
-	wgrants, wbatched, wwidth                                   atomic.Uint64
-}
-
-// FleetDispatchStats returns the process-wide dispatch totals across all
-// engines that have finished Run.
-func FleetDispatchStats() DispatchStats {
-	return DispatchStats{
-		InlineDispatches:  fleet.inline.Load(),
-		GoroutineSwitches: fleet.switches.Load(),
-		StepperFallbacks:  fleet.fallbacks.Load(),
-		ParksAvoided:      fleet.parks.Load(),
-		InlineSteps:       fleet.steps.Load(),
-		GoroutineSteps:    fleet.gsteps.Load(),
-		InlineSuspends:    fleet.suspends.Load(),
-	}
-}
-
-// FleetWindowStats returns the process-wide window-grant totals across
-// all engines that have finished Run.
-func FleetWindowStats() WindowStats {
-	return WindowStats{
-		Grants:      fleet.wgrants.Load(),
-		Batched:     fleet.wbatched.Load(),
-		WidthCycles: fleet.wwidth.Load(),
-	}
 }
 
 // shard is one partition of the simulated machine: a group of origins
@@ -688,7 +655,7 @@ func (e *Engine) Run() error {
 // coroutine still suspended (daemons, deadlocked or abandoned bodies),
 // then every scheduler coroutine (idle, or hosting a step that never
 // resumed) — each stop returns once that goroutine has exited — and
-// folds the dispatch and window counters.
+// folds the shards' dispatch counters.
 func (e *Engine) finish() {
 	for _, c := range e.contexts {
 		if c.step == nil && c.co != nil {
@@ -704,14 +671,4 @@ func (e *Engine) finish() {
 		d.add(s.dstats)
 	}
 	e.dstats = d
-	fleet.inline.Add(d.InlineDispatches)
-	fleet.switches.Add(d.GoroutineSwitches)
-	fleet.fallbacks.Add(d.StepperFallbacks)
-	fleet.parks.Add(d.ParksAvoided)
-	fleet.steps.Add(d.InlineSteps)
-	fleet.gsteps.Add(d.GoroutineSteps)
-	fleet.suspends.Add(d.InlineSuspends)
-	fleet.wgrants.Add(e.winGrants)
-	fleet.wbatched.Add(e.winBatched)
-	fleet.wwidth.Add(e.winWidthSum)
 }
