@@ -2,10 +2,11 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the seven binaries' command lines, the digest gates at one, two and four shards (sharded execution must
-# be bit-identical), the cache and fleet gates, the fuzz targets'
-# committed seed corpora, and the conformance corpus. Performance is
-# measured with `go run ./benchmark` (BENCHMARK.json), not from here.
+# a smoke pass over the seven binaries' command lines, the two digest
+# gates (ideal and contended machine), the cache and fleet gates, the
+# fuzz targets' committed seed corpora, and the conformance corpus.
+# Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
+# from here.
 
 GO ?= go
 
@@ -37,24 +38,18 @@ bench-smoke:
 # cli-smoke builds all seven binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse), and gives every sweep binary one bad
-# shared flag: it must exit 2 and name the flag on stderr.
+# shared flag — and bench and conform the removed sharding flag: each
+# must exit 2 and name the flag on stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
 # digest-check runs the bench sweep and compares its output digest to
 # the committed goldens — any drift means simulated results changed.
 # One golden pins the contention-free machine; the contended golden pins
-# the 4 B/cycle, 20-cycle-occupancy configuration. Each is checked with
-# every simulation's nodes split across 1, 2 and 4 scheduler shards
-# (SHARDS="n ..." overrides the list): identical output at every count is
-# the determinism guarantee of the windowed engine — window planner and
-# contention model included — and four shards takes the planner's
-# two-smallest base scan off its degenerate 2-shard case.
+# the 4 B/cycle, 20-cycle-occupancy configuration. Two runs.
 digest-check:
-	for s in $${SHARDS:-1 2 4}; do \
-		$(GO) run ./cmd/bench -shards $$s -check testdata/bench.digest || exit 1; \
-		$(GO) run ./cmd/bench -shards $$s -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest || exit 1; \
-	done
+	$(GO) run ./cmd/bench -check testdata/bench.digest
+	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
 
 # cache-check is the result-cache gate: a cold sweep against the pinned
 # digest populates a fresh cache directory; the warm re-run must produce
@@ -113,22 +108,24 @@ fuzz-burst:
 
 # conform is the trace-replay conformance gate: verify the committed
 # corpus (manifest, decode, standalone replay, tag-machine check), then
-# run the differential protocol matrix at one shard and — under the race
-# detector — at two. `go run ./cmd/conform -record` re-records the
-# corpus on the full machine; it is covered by the package's
-# re-record tests under `make race`, so the gate here stays fast.
+# run the differential protocol matrix once, under the race detector.
+# `go run ./cmd/conform -record` re-records the corpus on the full
+# machine; it is covered by the package's re-record tests under
+# `make race`, so the gate here stays fast.
 conform:
 	$(GO) run ./cmd/conform
-	$(GO) run ./cmd/conform -diff -shards 1
-	$(GO) run -race ./cmd/conform -diff -shards 2
+	$(GO) run -race ./cmd/conform -diff
 
-# loc prints non-test Go lines for the sweep plumbing against the
-# protocols it exercises — the ratio ROADMAP.md quotes. The text reader
-# the plumbing's formats share and the event-line parser count as
+# loc prints non-test Go lines in three groups — the sweep plumbing, the
+# protocols it exercises, and the engine under both (scheduler, network,
+# agents, machine, tracer) — the figures ROADMAP.md quotes. The text
+# reader the plumbing's formats share and the event-line parser count as
 # plumbing, so moving lines into them cannot read as a reduction.
 loc:
 	@for d in internal/harness internal/fleet internal/resultcache internal/conform cmd \
 			internal/wiretext internal/trace/parse.go \
-			internal/stache internal/typhoon internal/dirnnb internal/blizzard; do \
+			internal/stache internal/typhoon internal/dirnnb internal/blizzard \
+			internal/sim internal/network internal/agent internal/machine internal/trace/trace.go; do \
 		printf '%-24s %5d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-	done | awk '{print; if (NR <= 7) p += $$2; else q += $$2} END {printf "plumbing %d : protocols %d\n", p, q}'
+	done | awk '{print; if (NR <= 7) p += $$2; else if (NR <= 11) q += $$2; else e += $$2} \
+		END {printf "plumbing %d : protocols %d : engine %d\n", p, q, e}'

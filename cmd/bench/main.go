@@ -33,7 +33,6 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 1, "scheduler shards per simulation (1..8 reduced-scale nodes; the digest is identical at every value)")
 	noDedup := flag.Bool("no-dedup", false, "simulate every Figure 3 point, even ones provably identical to a smaller-cache run")
 	expectCached := flag.Bool("expect-cached", false, "fail unless every simulation was served from the cache (requires -cache-dir; the CI warm-run assertion)")
 	check := flag.String("check", "", "golden digest file: compare the sweep's digest to it, exit 1 on mismatch")
@@ -48,15 +47,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
 	}
-	if nodes := harness.MachineConfig(harness.ScaleReduced, 0).Nodes; *shards < 1 || *shards > nodes {
-		fail(fmt.Errorf("-shards %d: shard count must be in [1, %d] (the reduced scale has %d nodes)", *shards, nodes, nodes))
-	}
 	sp, done, err := shared.Resolve()
 	if err != nil {
 		fail(err)
 	}
 	defer done()
-	sp.Shards = *shards
 	cache := sp.Cache.Cache
 	if *expectCached && (cache == nil || !cache.Persistent()) {
 		fail(fmt.Errorf("-expect-cached needs -cache-dir: only a persistent cache can serve a whole run"))

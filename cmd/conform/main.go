@@ -20,7 +20,7 @@
 //	go run ./cmd/conform                      # manifest + decode + replay + tag check
 //	go run ./cmd/conform -record              # re-record and compare to committed corpus
 //	go run ./cmd/conform -record -update      # regenerate corpus and manifest
-//	go run ./cmd/conform -diff -shards 2      # differential matrix, two shards
+//	go run ./cmd/conform -diff                # differential matrix
 //	make conform
 package main
 
@@ -37,7 +37,6 @@ func main() {
 	record := flag.Bool("record", false, "re-record every corpus pair and compare to the committed streams")
 	update := flag.Bool("update", false, "with -record: rewrite the corpus and manifest from the fresh recordings")
 	diff := flag.Bool("diff", false, "run the differential protocol matrix instead of the corpus checks")
-	shards := flag.Int("shards", 1, "scheduler shard count for -record and -diff runs (results are identical at every value)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -47,22 +46,19 @@ func main() {
 	if *update && !*record {
 		fail(fmt.Errorf("-update only applies with -record"))
 	}
-	if *shards < 1 {
-		fail(fmt.Errorf("-shards %d: shard count must be >= 1", *shards))
-	}
 
 	switch {
 	case *diff:
 		for _, app := range conform.DiffApps() {
-			if err := conform.RunDifferential(app, *shards, nil); err != nil {
+			if err := conform.RunDifferential(app, nil); err != nil {
 				fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "conform: differential %s ok (%d shards)\n", app, *shards)
+			fmt.Fprintf(os.Stderr, "conform: differential %s ok\n", app)
 		}
 
 	case *record:
 		for _, p := range conform.CorpusPairs() {
-			got, err := conform.Record(p, conform.RecordOptions{Shards: *shards})
+			got, err := conform.Record(p, conform.RecordOptions{})
 			if err != nil {
 				fail(err)
 			}

@@ -10,11 +10,10 @@
 // loop models a software NP executing handlers and a hardware directory
 // state machine — they differ only in what a message dispatch costs.
 //
-// The layer is what makes the protocols shard-safe by construction.
-// An agent runs on its node's shard and touches only node-local state;
-// everything between nodes travels through internal/network as events
-// with the engine's stable key, so a protocol built on agents is
-// deterministic at any shard count without protocol-specific locking.
+// An agent touches only node-local state; everything between nodes
+// travels through internal/network as events with the engine's stable
+// key, so a protocol built on agents is deterministic without
+// protocol-specific ordering rules.
 package agent
 
 import (
@@ -77,8 +76,8 @@ type Core struct {
 	// OnDispatch, when non-nil, observes every completed message dispatch:
 	// start is the cycle the dispatcher began (after delivery and any
 	// occupancy wait) and end the agent's clock when it returned. It runs
-	// on the agent's shard, before the packet is freed, so the callback
-	// may read the packet but must not retain it. Set before Engine.Run
+	// before the packet is freed, so the callback may read the packet but
+	// must not retain it. Set before Engine.Run
 	// (the conformance recorder's tap); the dispatch path pays a nil
 	// check otherwise.
 	OnDispatch func(pkt *network.Packet, start, end sim.Time)
@@ -88,14 +87,13 @@ type Core struct {
 // parking as idleReason) whose step drains the node's endpoint through
 // disp, interleaved with work when non-nil. occ is the agent's service
 // occupancy per message dispatch (machine.Config.OccupancyCycles; zero
-// models infinite concurrency). All agents must be spawned before
-// Engine.Run — on sharded engines contexts cannot be created mid-run —
-// and in a deterministic order, since context identity feeds the
-// scheduler's tie-breaking.
+// models infinite concurrency). Agents must be spawned in a
+// deterministic order, since context identity feeds the scheduler's
+// tie-breaking.
 func Spawn(eng *sim.Engine, net *network.Network, node int, name, idleReason string, occ sim.Time, disp Dispatcher, work Work) *Core {
 	co := &Core{node: node, net: net, Ep: net.Endpoint(node), disp: disp, work: work, occ: occ}
 	co.Ep.Notify = co.notify
-	co.Ctx = eng.SpawnStepperDaemonOn(node, name, co.step, idleReason)
+	co.Ctx = eng.SpawnStepperDaemon(name, co.step, idleReason)
 	return co
 }
 
@@ -133,10 +131,7 @@ func (co *Core) OccStats() (waits, waitCycles uint64) {
 // deliver services one delivered packet: sync to the delivery instant,
 // wait out any residual occupancy, dispatch, recycle. Everything here —
 // the occupancy wait included — only moves the agent's local clock
-// forward from the delivery time, so busy-until state never lets a
-// reply leave earlier than the network's minimum cross-shard delivery
-// promises: the engine's adaptive window bounds stay sound with the
-// occupancy model enabled.
+// forward from the delivery time.
 func (co *Core) deliver(c *sim.Context, pkt *network.Packet) {
 	c.SyncTo(pkt.DeliveredAt) // the agent was waiting, not time-travelling
 	if co.occ > 0 && co.busyUntil > c.Time() {

@@ -46,7 +46,7 @@ func TestOccupancyAccounting(t *testing.T) {
 	net := network.New(eng, network.Config{Nodes: 2, Latency: latency})
 	disp := &fixedCostDispatcher{cost: cost}
 	core := Spawn(eng, net, 1, "agent1", "idle", occ, disp, nil)
-	eng.SpawnOn(0, "sender", func(c *sim.Context) {
+	eng.Spawn("sender", func(c *sim.Context) {
 		for i := 0; i < 3; i++ {
 			net.SendAfter(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 1}, sim.Time(i))
 		}
@@ -84,7 +84,7 @@ func TestOccupancyLongDispatch(t *testing.T) {
 	net := network.New(eng, network.Config{Nodes: 2, Latency: latency})
 	disp := &fixedCostDispatcher{cost: cost}
 	core := Spawn(eng, net, 1, "agent1", "idle", occ, disp, nil)
-	eng.SpawnOn(0, "sender", func(c *sim.Context) {
+	eng.Spawn("sender", func(c *sim.Context) {
 		net.SendAfter(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 1}, 0)
 		net.SendAfter(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 1}, 1)
 	})
@@ -116,7 +116,7 @@ func TestZeroOccupancy(t *testing.T) {
 	net := network.New(eng, network.Config{Nodes: 2, Latency: 11})
 	disp := &fixedCostDispatcher{cost: 0}
 	core := Spawn(eng, net, 1, "agent1", "idle", 0, disp, nil)
-	eng.SpawnOn(0, "sender", func(c *sim.Context) {
+	eng.Spawn("sender", func(c *sim.Context) {
 		for i := 0; i < 3; i++ {
 			net.SendAfter(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 1}, sim.Time(i))
 		}

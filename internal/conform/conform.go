@@ -98,14 +98,13 @@ func (p Pair) Config() machine.Config {
 	return cfg
 }
 
-// Point is the sweep point a pair records and diffs: Config at the given
-// shard count running the committed tiny workload — big enough to
+// Point is the sweep point a pair records and diffs: Config running the
+// committed tiny workload — big enough to
 // exercise misses, invalidations, writebacks, and update traffic on
 // every node, small enough that a recorded trace stays a few hundred
 // kilobytes.
-func (p Pair) Point(shards int) harness.Point {
+func (p Pair) Point() harness.Point {
 	pt := harness.Point{Cfg: p.Config(), System: p.System, Bench: p.App}
-	pt.Cfg.Shards = shards
 	switch p.App {
 	case "em3d":
 		c := em3d.Tiny()

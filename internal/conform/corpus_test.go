@@ -101,13 +101,11 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestReRecordMatchesCorpus re-runs a cross-section of the corpus on
-// the full machine — at one scheduler shard and at two — and demands
-// the fresh recording be byte-identical to the committed stream. This
-// is the full-fidelity conformance check (it covers the NP dispatch
-// timing the standalone replay deliberately leaves to it) and the
-// shard-determinism guarantee in one: traces, counters, digests and all
-// may not move with the shard count. The remaining pairs are covered by
-// `make conform` (cmd/conform -record).
+// the full machine and demands the fresh recording be byte-identical to
+// the committed stream. This is the full-fidelity conformance check (it
+// covers the NP dispatch timing the standalone replay deliberately
+// leaves to it): traces, counters, digests and all. The remaining pairs
+// are covered by `make conform` (cmd/conform -record).
 func TestReRecordMatchesCorpus(t *testing.T) {
 	pairs := []Pair{
 		{App: "em3d", System: "dirnnb"},
@@ -116,36 +114,31 @@ func TestReRecordMatchesCorpus(t *testing.T) {
 		{App: "em3d", System: "typhoon-stache", Contended: true},
 	}
 	for _, p := range pairs {
-		for _, shards := range []int{1, 2} {
-			p, shards := p, shards
-			t.Run(p.Name()+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				t.Parallel()
-				want := loadCorpus(t, p)
-				got, err := Record(p, RecordOptions{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := CompareStreams(want, got); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			t.Parallel()
+			want := loadCorpus(t, p)
+			got, err := Record(p, RecordOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CompareStreams(want, got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestDifferentialMatrix runs every app under every protocol and
-// asserts identical application-visible memory semantics; shard count
-// two exercises the parallel scheduler under the same assertion.
+// asserts identical application-visible memory semantics.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, app := range DiffApps() {
-		for _, shards := range []int{1, 2} {
-			app, shards := app, shards
-			t.Run(app+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				t.Parallel()
-				if err := RunDifferential(app, shards, nil); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		app := app
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			if err := RunDifferential(app, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

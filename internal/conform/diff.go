@@ -25,14 +25,14 @@ type DiffMutation struct {
 // matrix (DirNNB has no Typhoon system and runs unmutated), so a
 // handler bug shows up as Typhoon runs diverging from the hardware
 // reference.
-func RunDifferential(app string, shards int, mut *DiffMutation) error {
+func RunDifferential(app string, mut *DiffMutation) error {
 	var results []harness.DiffObservation
 	for _, sys := range harness.DiffSystemsFor(app) {
 		var opt harness.DiffOptions
 		if mut != nil && sys != harness.SysDirNNB {
 			opt.Mutate, opt.SkipVerify = mut.Mutate, mut.SkipVerify
 		}
-		obs, err := harness.RunObserved(Pair{App: app, System: sys}.Point(shards), opt)
+		obs, err := harness.RunObserved(Pair{App: app, System: sys}.Point(), opt)
 		if err != nil {
 			return fmt.Errorf("conform: differential %s under %s: %w", app, sys, err)
 		}

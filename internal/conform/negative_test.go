@@ -181,7 +181,7 @@ func TestDifferentialCatchesInjectedBug(t *testing.T) {
 			})
 		},
 	}
-	if err := RunDifferential("em3d", 1, mut); err == nil {
+	if err := RunDifferential("em3d", mut); err == nil {
 		t.Fatal("corrupted data replies went undetected by the differential matrix")
 	}
 }

@@ -11,11 +11,6 @@ import (
 
 // RecordOptions tunes a recording run.
 type RecordOptions struct {
-	// Shards is the scheduler shard count to record under. Results —
-	// and therefore streams — are bit-identical at every value; the
-	// recheck tests exploit that by recording the same pair at several
-	// counts and demanding byte-equal streams.
-	Shards int
 	// Mutate and SkipVerify pass through to harness.DiffOptions: the
 	// negative tests inject a protocol bug and watch the suite catch it.
 	Mutate     func(*typhoon.System)
@@ -27,7 +22,7 @@ type RecordOptions struct {
 // tracer overflowed is refused — a truncated trace must never become a
 // corpus file.
 func Record(p Pair, opt RecordOptions) (*Stream, error) {
-	pt := p.Point(opt.Shards)
+	pt := p.Point()
 	tr := trace.New(0)
 	obs, err := harness.RunObserved(pt, harness.DiffOptions{
 		Mutate:     opt.Mutate,
@@ -53,9 +48,8 @@ func Record(p Pair, opt RecordOptions) (*Stream, error) {
 		TagsDigest:  obs.TagsDigest,
 	}
 	// Counters, name-sorted, minus the engine.* scheduler mechanics:
-	// those measure how the host executed the simulation (window counts,
-	// wakeups), not what the simulated machine did, and they may differ
-	// across shard counts while every simulated result is bit-identical.
+	// those measure how the host executed the simulation (inline steps,
+	// context switches), not what the simulated machine did.
 	for _, name := range obs.Res.Counters.Names() {
 		if strings.HasPrefix(name, "engine.") {
 			continue
@@ -82,8 +76,7 @@ func nodeMajorEvents(tr *trace.Tracer, nodes int) []trace.Event {
 }
 
 // CompareStreams demands byte-identical recordings: the full-machine
-// re-record conformance check (and the shards-equivalence check) both
-// reduce to it. The error pinpoints the first divergence — header
+// re-record conformance check reduces to it. The error pinpoints the first divergence — header
 // field, event index, or footer line — so a protocol or engine change
 // that moves one message shows up as that message, not as a blob diff.
 func CompareStreams(want, got *Stream) error {

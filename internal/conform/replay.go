@@ -277,8 +277,8 @@ func Replay(s *Stream) (err error) {
 	strict := s.System == "dirnnb"
 	cores := make([]*replayCore, s.Cfg.Nodes)
 	eps := make([]*replayEndpoint, s.Cfg.Nodes)
-	// Agents first, then drivers, in node order: contexts must exist
-	// before Run and their creation order feeds scheduler tie-breaking.
+	// Agents first, then drivers, in node order: creation order feeds
+	// scheduler tie-breaking.
 	for i := 0; i < s.Cfg.Nodes; i++ {
 		rn := &replayCore{node: i, strict: strict, exp: pl.delivs[i], rs: rs}
 		for j, d := range rn.exp {
@@ -292,7 +292,7 @@ func Replay(s *Stream) (err error) {
 	for i := 0; i < s.Cfg.Nodes; i++ {
 		node := i
 		script := pl.sends[i]
-		eng.SpawnOn(node, fmt.Sprintf("replay-driver%d", node), func(c *sim.Context) {
+		eng.Spawn(fmt.Sprintf("replay-driver%d", node), func(c *sim.Context) {
 			for _, ev := range script {
 				// Reproduce the recorded call order and departure cycle.
 				// The driver stays at time zero and encodes each send's

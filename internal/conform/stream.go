@@ -48,8 +48,7 @@ type Stream struct {
 	Workload string // "tiny" (the only committed scale)
 	// Header: the machine configuration the run was recorded under. The
 	// stream carries every field but MemPagesPerNode, Quantum (no corpus
-	// pair sets either) and Shards (a runtime choice: results are
-	// bit-identical at every shard count); those stay zero.
+	// pair sets either) and the one inert field; those stay zero.
 	Cfg machine.Config
 	// Truncated records the tracer's cap flag. Record refuses to emit a
 	// truncated stream; the field exists so Replay can refuse one that

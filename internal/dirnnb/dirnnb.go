@@ -11,7 +11,7 @@
 // node's agent owns the directory entries for the blocks homed there and
 // every coherence action — lookup, invalidation, recall, fill, eviction
 // notice, first-touch page claim — is a message delivered to the owning
-// node's shard through internal/network. The agents charge no occupancy
+// node through internal/network. The agents charge no occupancy
 // of their own (a hardware state machine, not a software NP); the
 // Table 2 terms are composed onto the messages as send-side delays, so
 // the end-to-end cost a requesting processor observes is exactly the
@@ -21,7 +21,7 @@
 // at the home, but at the home's clock (one network latency after the
 // request issued) rather than instantaneously at the requester's, and
 // remote cache invalidations land one further hop later. Both shifts are
-// deterministic and identical at every shard count.
+// deterministic.
 package dirnnb
 
 import (
@@ -125,7 +125,7 @@ type claim struct {
 	waiters []int
 }
 
-// hotStats is a node's counter block (plain fields on the node's shard,
+// hotStats is a node's counter block (plain node-local fields,
 // delta-folded into the system counters at report time).
 type hotStats struct {
 	privateMisses    uint64
@@ -144,8 +144,8 @@ type hotStats struct {
 // nodeState is one node's slice of the protocol: its directory (for
 // blocks homed here), in-flight transactions, first-touch arbitration
 // state (for pages it arbitrates), and the reply slot its own parked
-// processor waits on. Everything is touched only from the node's shard —
-// by its agent or its CPU.
+// processor waits on. Everything is node-local: touched only by its
+// agent or its CPU.
 type nodeState struct {
 	sys  *System
 	node int
@@ -185,8 +185,7 @@ var _ agent.Dispatcher = (*nodeState)(nil)
 
 // New attaches a DirNNB memory system to m. One directory agent is
 // spawned per node (before the compute processors, in node order, so
-// context identity is deterministic); the system runs at any shard
-// count.
+// context identity is deterministic).
 func New(m *machine.Machine) *System {
 	s := &System{m: m, c: stats.NewCounters()}
 	for i := 0; i < m.Cfg.Nodes; i++ {
@@ -365,9 +364,9 @@ type evalOut struct {
 	targets []coherTarget
 }
 
-// evaluate runs one atomic directory evaluation at block's home — on the
-// home's shard: from the home agent for remote requesters, or directly
-// from the CPU when the requester is the home. Directory bookkeeping
+// evaluate runs one atomic directory evaluation at block's home: from
+// the home agent for remote requesters, or directly from the CPU when
+// the requester is the home. Directory bookkeeping
 // (including the requester's new state) applies immediately; remote
 // cache copies are touched via the returned targets. The counter bumps
 // and the latency terms mirror the pre-agent atomic model exactly.
@@ -525,8 +524,8 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	cfg := &s.m.Cfg
 
 	if req == home {
-		// Local requester: the CPU is on the home's shard and evaluates
-		// the directory directly, like the hardware it shares a bus with.
+		// Local requester: the CPU is on the home node and evaluates the
+		// directory directly, like the hardware it shares a bus with.
 		out := s.evaluate(home, block, req, write, upgrade)
 		if len(out.targets) == 0 {
 			// No remote copies to chase: the whole action is synchronous.

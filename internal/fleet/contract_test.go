@@ -82,13 +82,13 @@ func TestExecutorContract(t *testing.T) {
 		}},
 		{"fail-fast", func(t *testing.T, exec harness.Executor) {
 			bad := tinyPoint(112)
-			bad.Cfg.Shards = 99
+			bad.Cfg.BlockSize = 48
 			pts := []harness.Point{tinyPoint(111), bad, tinyPoint(113), tinyPoint(114)}
 			got, err := exec.Submit(context.Background(), harness.Batch{Points: pts})
 			if err == nil || got != nil {
 				t.Fatalf("got %d results, err %v; want no results and an error", len(got), err)
 			}
-			if !strings.Contains(err.Error(), "99 shards outside [1, 4 nodes]") {
+			if !strings.Contains(err.Error(), "block size 48 is not a power of two") {
 				t.Errorf("error does not carry the failure: %v", err)
 			}
 			if strings.Contains(err.Error(), context.Canceled.Error()) {

@@ -492,7 +492,7 @@ func tableEmpty(t *testing.T, co *Coordinator) {
 func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
 	for want, mutate := range map[string]func(*machine.Config){
-		"99 shards outside [1, 4 nodes]":       func(c *machine.Config) { c.Shards = 99 }, // 4-node machine
+		"block size 48 is not a power of two":  func(c *machine.Config) { c.BlockSize = 48 },
 		"network latency of 4294967297 cycles": func(c *machine.Config) { c.NetLatency = machine.MaxCycles + 1 },
 		"1099511627776 TLB entries outside":    func(c *machine.Config) { c.TLBEntries = 1 << 40 },
 	} {

@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
@@ -17,12 +19,12 @@ type AblationRow struct {
 	Extra  map[string]uint64
 }
 
-// Every ablation takes the sweep's SimParams (shard count, link
-// bandwidth and agent occupancy applied to every system, plus the
+// Every ablation takes the sweep's SimParams (link bandwidth and agent
+// occupancy applied to every system, plus the
 // pool/cache/executor/timeout policy); each configuration is one
 // independent sweep point, and the row order is fixed by the sweep
 // definition regardless of completion order. Rows are bit-identical
-// at every shard and worker count.
+// at every worker count.
 
 // ablationPoint pairs a sweep point with its presentation: the row
 // label and the counters the row reports.
@@ -164,8 +166,8 @@ func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
 }
 
 // AblationFirstTouch compares DirNNB's default round-robin placement
-// with first-touch page placement on MP3D (paper §6 cites Stenstrom et
-// al.'s first-touch result). First touch lands each particle page on the
+// with first-touch page placement on Ocean (paper §6 cites Stenstrom et
+// al.'s first-touch result). First touch lands each grid page on the
 // node that initialises it — its owner.
 func AblationFirstTouch(scale Scale, sp SimParams) ([]AblationRow, error) {
 	mcfg := MachineConfig(scale, 4<<10)
@@ -191,13 +193,14 @@ func AblationFirstTouch(scale Scale, sp SimParams) ([]AblationRow, error) {
 	return runAblation(sp, aps)
 }
 
-// RenderAblation prints an ablation sweep.
+// RenderAblation prints an ablation sweep, each row's notes in name
+// order so that two runs of one sweep can be diffed.
 func RenderAblation(w io.Writer, title string, rows []AblationRow) error {
 	t := &stats.Table{Title: title, Header: []string{"config", "cycles", "notes"}}
 	for _, r := range rows {
 		notes := ""
-		for k, v := range r.Extra {
-			notes += fmt.Sprintf("%s=%d ", k, v)
+		for _, k := range slices.Sorted(maps.Keys(r.Extra)) {
+			notes += fmt.Sprintf("%s=%d ", k, r.Extra[k])
 		}
 		t.AddRow(r.Label, stats.D(uint64(r.Cycles)), notes)
 	}

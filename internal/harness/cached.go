@@ -55,12 +55,9 @@ func NewCacheParams(dir string, noCache bool, verify float64) (CacheParams, erro
 }
 
 // machineKey contributes the machine configuration's semantic fields to
-// a key. Shards is deliberately excluded: results are bit-identical for
-// every value (the repo's core determinism claim, enforced by
-// TestShardedVsSerialEquivalence and the digest gates), which is exactly
-// what makes a result recorded at shards=1 valid for a shards=4 run. Everything that changes simulated behaviour — node
-// count, cache geometry, latencies, the contention knobs, DRAM budget,
-// quantum, seed — is included.
+// a key: everything that changes simulated behaviour — node count, cache
+// geometry, latencies, the contention knobs, DRAM budget, quantum, seed.
+// The one inert field is not among them (TestShardsFieldIsInert).
 func machineKey(b *resultcache.KeyBuilder, cfg machine.Config) {
 	cfg = cfg.Normalized()
 	b.Int("m.nodes", int64(cfg.Nodes))
@@ -161,9 +158,7 @@ func codeDigestFor(c *resultcache.Cache) (string, error) {
 
 // entryFromResult converts a run into its cached form. Counters under
 // the engine. prefix are stripped: they describe how this host ran the
-// simulation (dispatch hosting, window grants vary with the shard
-// count), not what was simulated, and a cached result must be valid
-// for any shard count.
+// simulation (dispatch hosting), not what was simulated.
 func entryFromResult(key resultcache.Key, code string, system System, appName string, res machine.Result) *resultcache.Entry {
 	e := &resultcache.Entry{
 		Key:      key,

@@ -38,16 +38,15 @@ func stripEngine(rr RunResult) RunResult {
 
 // oceanPoint is the one point these tests memoize: reduced small-set
 // ocean on Stache at 4 KB caches.
-func oceanPoint(shards int) Point {
+func oceanPoint() Point {
 	cfg := MachineConfig(ScaleReduced, 4<<10)
-	cfg.Shards = shards
 	return Point{Cfg: cfg, System: SysStache, Bench: "ocean", Scale: ScaleReduced, Set: SetSmall}
 }
 
 func TestRunPointHitSkipsSimulation(t *testing.T) {
 	cp := memCache(t)
 	run := func() RunResult {
-		pr, err := RunPoint(cp, oceanPoint(1))
+		pr, err := RunPoint(cp, oceanPoint())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,32 +62,6 @@ func TestRunPointHitSkipsSimulation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripEngine(fresh), hit) {
 		t.Errorf("cache hit diverges from the simulation it memoizes:\nfresh %+v\nhit   %+v", stripEngine(fresh), hit)
-	}
-}
-
-// TestWarmCacheServesAcrossShardCounts is the key's shard-invariance
-// contract: a result recorded at shards=1 must serve a shards=2 run of
-// the same machine, and match what that run would have simulated.
-func TestWarmCacheServesAcrossShardCounts(t *testing.T) {
-	cp := memCache(t)
-	if _, err := RunPoint(cp, oceanPoint(1)); err != nil { // warm at shards=1
-		t.Fatal(err)
-	}
-	served, err := RunPoint(cp, oceanPoint(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := cp.Cache.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want the shards=2 run to be a pure hit", s)
-	}
-	// The served result must equal an actual shards=2 simulation
-	// (modulo engine.* counters, which describe the host, not the run).
-	fresh, err := oceanPoint(2).Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripEngine(fresh), served.RunResult) {
-		t.Errorf("shards=1 entry diverges from shards=2 simulation:\nfresh %+v\nserved %+v", stripEngine(fresh), served)
 	}
 }
 
@@ -109,7 +82,7 @@ func TestCacheVerifyPassAndMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, rerr := RunPoint(cp, oceanPoint(1))
+		pr, rerr := RunPoint(cp, oceanPoint())
 		return cp, pr.RunResult, rerr
 	}
 	if _, _, err := warm(0); err != nil {
@@ -159,7 +132,7 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunPoint(cp1, oceanPoint(1))
+	want, err := RunPoint(cp1, oceanPoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +149,7 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPoint(cp2, oceanPoint(1))
+	got, err := RunPoint(cp2, oceanPoint())
 	if err != nil {
 		t.Fatalf("damaged entry failed the run: %v", err)
 	}

@@ -98,8 +98,7 @@ type DiffObservation struct {
 // RunObserved is the funnel with the differential harness's
 // instruments attached: it runs the point with observation enabled and
 // per-barrier checkpoints, verifying the result (unless opt.SkipVerify)
-// and returning the observation. The machine config is used as given —
-// the matrix re-runs it at several shard counts.
+// and returning the observation. The machine config is used as given.
 func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	if err := pt.Validate(); err != nil {
 		return DiffObservation{}, err
@@ -118,8 +117,7 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 		// together they record the complete message stream (issue time and
 		// SendAfter delay on the sending node, dispatch start and service
 		// time on the receiving agent), which is what the conformance
-		// replay re-issues standalone. Both taps run on the node's shard,
-		// so per-node tracer buffers capture race-free at any shard count.
+		// replay re-issues standalone.
 		tr.Prepare(len(m.Procs))
 		m.Net.OnSend = func(p *network.Packet, issued, extra sim.Time) {
 			tr.Emit(trace.Event{T: issued, Node: p.Src, Kind: trace.KNetSend, VA: mem.VA(extra),
@@ -149,9 +147,8 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	m.EnableObservation()
 	obs := DiffObservation{System: pt.System, App: pt.workload()}
 	// The release callback runs with every participant parked at the
-	// barrier (and, sharded, with the coordinator holding every conch),
-	// so reading each processor's observation here is the deterministic
-	// machine-wide checkpoint — identical at any shard count.
+	// barrier, so reading each processor's observation here is the
+	// deterministic machine-wide checkpoint.
 	m.Bar.OnRelease(func(epoch uint64, at sim.Time) {
 		row := make([]uint64, len(m.Procs))
 		for i, p := range m.Procs {

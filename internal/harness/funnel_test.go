@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,7 +9,10 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
+	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
+	"github.com/tempest-sim/tempest/internal/network"
+	"github.com/tempest-sim/tempest/internal/sim"
 )
 
 // setupFailureSystems are the Typhoon-based ways to run tiny em3d: the
@@ -135,5 +139,56 @@ func TestSimulateMatchesRunObserved(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// badSendApp is a degenerate benchmark whose body performs one send
+// with a wrapped-negative delay — the classic uint64 underflow a
+// protocol's timing math can produce.
+type badSendApp struct{ m *machine.Machine }
+
+func (a *badSendApp) Name() string             { return "bad-send" }
+func (a *badSendApp) Setup(m *machine.Machine) { a.m = m }
+func (a *badSendApp) Body(p *machine.Proc) {
+	if p.ID() == 0 {
+		var base sim.Time
+		a.m.Net.SendAfter(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest}, base-5)
+	}
+}
+func (a *badSendApp) Verify(*machine.Machine) error { return nil }
+
+// TestNetworkErrorSurfaced asserts a *network.Error panic from inside a
+// simulated context unwinds through the engine into Run's error — the
+// same structured-failure contract TestDirNNBSetupErrorSurfaced pins
+// for setup-time panics.
+func TestNetworkErrorSurfaced(t *testing.T) {
+	cfg := MachineConfig(ScaleReduced, 16<<10)
+	_, err := Run(cfg, SysDirNNB, &badSendApp{})
+	var nerr *network.Error
+	if !errors.As(err, &nerr) {
+		t.Fatalf("err = %v, want *network.Error", err)
+	}
+	if nerr.Op != "send-after" {
+		t.Errorf("Op = %q, want send-after", nerr.Op)
+	}
+}
+
+// TestDirNNBSetupErrorSurfaced drives DirNNB out of frames at segment
+// setup and asserts Run reports a structured *dirnnb.Error instead of
+// crashing the sweep.
+func TestDirNNBSetupErrorSurfaced(t *testing.T) {
+	a, err := MakeApp("ocean", ScaleReduced, SetSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MachineConfig(ScaleReduced, 16<<10)
+	cfg.MemPagesPerNode = 1 // far too small for ocean's grids
+	_, err = Run(cfg, SysDirNNB, a)
+	var derr *dirnnb.Error
+	if !errors.As(err, &derr) {
+		t.Fatalf("err = %v, want *dirnnb.Error", err)
+	}
+	if derr.Op != "alloc-frame" {
+		t.Errorf("Op = %q, want alloc-frame", derr.Op)
 	}
 }

@@ -6,14 +6,23 @@ import (
 	"testing"
 )
 
-// retiredObservedPayload is a v2 point carrying the "observed true"
+// retiredObservedPayload is a point carrying the "observed true"
 // directive line the format briefly defined: no wire ever carried it
 // (both fleet ends refused such points), and the decoder now treats it
 // like any other unknown line.
 func retiredObservedPayload() []byte {
 	return withSum([]byte(pointMagic + "\n" +
-		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1 1\n" +
+		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1\n" +
 		"system dirnnb\nbench ocean\nocean 18 2 false\nnocache true\nobserved true\n"))
+}
+
+// shardsTokenPayload is a well-formed point whose cfg line ends in the
+// shard count that v3 dropped: under the v2 magic it is what a v2 sender
+// encodes, under the current magic its 15th token is trailing data.
+func shardsTokenPayload(magic string) []byte {
+	return withSum([]byte(magic + "\n" +
+		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1 2\n" +
+		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
 }
 
 // FuzzDecodePoint feeds DecodePoint arbitrary bytes — it parses lease
@@ -28,6 +37,8 @@ func FuzzDecodePoint(f *testing.F) {
 	}
 	f.Add(v1Payload())
 	f.Add(retiredObservedPayload())
+	f.Add(shardsTokenPayload("tempest-point v2")) // testdata: retired-v2-magic
+	f.Add(shardsTokenPayload(pointMagic))         // testdata: retired-shards-token
 	for _, base := range setupFailureSystems() {
 		for _, mutate := range setupFailureCases() {
 			pt := base

@@ -176,18 +176,18 @@ func MachineConfig(scale Scale, cacheBytes int) machine.Config {
 }
 
 // SimParams is the one sweep-policy struct: the simulator-level knobs
-// every sweep threads into machine.Config (scheduler sharding and the
-// contention model) plus how the sweep's points are executed (pool
+// every sweep threads into machine.Config (the contention model) plus
+// how the sweep's points are executed (pool
 // size, cache, backend, timeout, progress). The zero value is the
 // legacy configuration — serial, infinite bandwidth, no agent
 // occupancy, all cores, no cache — under which every pinned golden was
-// produced. Results are bit-identical at every Shards and Workers value
-// for any contention setting.
+// produced. Results are bit-identical at every Workers value for any
+// contention setting.
 type SimParams struct {
 	// Workers sizes the in-process worker pool; <= 0 uses all cores.
 	// Ignored when Exec is set.
 	Workers int
-	// Shards is machine.Config.Shards (<= 0 means 1).
+	// Inert: kept because benchmark/ names the field; the PR that retires the `sharded` workload deletes it.
 	Shards int
 	// LinkBytesPerCycle is machine.Config.LinkBytesPerCycle: per-port
 	// link bandwidth of the contention model (0 = infinite).

@@ -134,7 +134,7 @@ func TestAblationBlockSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationBlockSize(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationBlockSize(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAblationPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationPlacement(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationPlacement(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAblationStacheBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationStacheBudget(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationStacheBudget(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAblationNetLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationNetLatency(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationNetLatency(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAblationEM3DProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationEM3DProtocols(ScaleReduced, 30, SimParams{Shards: 1})
+	rows, err := AblationEM3DProtocols(ScaleReduced, 30, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestAblationMigratory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationMigratory(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationMigratory(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,33 @@ func TestAblationMigratory(t *testing.T) {
 	}
 }
 
+// TestRenderAblationNotesInNameOrder: a row's notes come from a map
+// (the migratory sweep has two keys per row), so rendering must sort
+// them or one sweep prints differently from run to run.
+func TestRenderAblationNotesInNameOrder(t *testing.T) {
+	rows := []AblationRow{{Label: "on", Cycles: 7, Extra: map[string]uint64{"upgrades": 3, "migratory-grants": 5}}}
+	var first string
+	for i := 0; i < 50; i++ {
+		var b bytes.Buffer
+		if err := RenderAblation(&b, "t", rows); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b.String()
+			if !strings.Contains(first, "migratory-grants=5 upgrades=3") {
+				t.Fatalf("notes not in name order:\n%s", first)
+			}
+		} else if b.String() != first {
+			t.Fatalf("render %d differs from the first:\n%s\n%s", i, b.String(), first)
+		}
+	}
+}
+
 func TestAblationSoftwareTempest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationSoftwareTempest(ScaleReduced, SimParams{Shards: 1})
+	rows, err := AblationSoftwareTempest(ScaleReduced, SimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}

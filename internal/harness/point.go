@@ -21,9 +21,7 @@ import (
 // fleet coordinator lease sweep points to remote workers and verify
 // the results against locally computed cache keys.
 type Point struct {
-	// Cfg is the machine configuration, the shard count included (it is
-	// excluded from the cache key; results are bit-identical for every
-	// value).
+	// Cfg is the machine configuration.
 	Cfg machine.Config
 	// System is the simulated target.
 	System System
@@ -205,7 +203,7 @@ func CodeID() string {
 // pointMagic is the wire-format header; bumping the version makes every
 // older coordinator/worker pairing reject the payload instead of
 // misreading it.
-const pointMagic = "tempest-point v2"
+const pointMagic = "tempest-point v3"
 
 // Encode renders the point's canonical byte form: header, fixed-order
 // lines (optional ones omitted when zero), and a trailing sha256 line —
@@ -214,11 +212,11 @@ const pointMagic = "tempest-point v2"
 func (pt Point) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", pointMagic)
-	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
+	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
 		pt.Cfg.Nodes, pt.Cfg.CacheSize, pt.Cfg.CacheWays, pt.Cfg.BlockSize, pt.Cfg.TLBEntries,
 		pt.Cfg.LocalMissCycles, pt.Cfg.TLBMissCycles, pt.Cfg.NetLatency, pt.Cfg.BarrierLatency,
 		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.MemPagesPerNode, pt.Cfg.Quantum,
-		pt.Cfg.Seed, pt.Cfg.Shards)
+		pt.Cfg.Seed)
 	fmt.Fprintf(&b, "system %s\n", pt.System)
 	if pt.Bench != "" {
 		fmt.Fprintf(&b, "bench %s\n", pt.Bench)
@@ -276,7 +274,7 @@ func DecodePoint(data []byte) (Point, error) {
 	c.Nodes, c.CacheSize, c.CacheWays, c.BlockSize, c.TLBEntries = r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
 	c.LocalMissCycles, c.TLBMissCycles, c.NetLatency, c.BarrierLatency = cycles(), cycles(), cycles(), cycles()
 	c.LinkBytesPerCycle, c.OccupancyCycles, c.MemPagesPerNode, c.Quantum = r.Int(), cycles(), r.Int(), cycles()
-	c.Seed, c.Shards = r.Uint(), r.Int()
+	c.Seed = r.Uint()
 	pt.System = System(r.Line("system").Rest())
 	if r.Optional("bench") {
 		pt.Bench = r.Rest()

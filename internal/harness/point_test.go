@@ -24,7 +24,6 @@ func testPoints() []Point {
 	ocfg := ocean.Tiny()
 	cfg := machine.DefaultConfig()
 	cfg.Nodes = 4
-	cfg.Shards = 2
 	cfg.LinkBytesPerCycle = 4
 	cfg.OccupancyCycles = 20
 	return []Point{
@@ -101,12 +100,20 @@ func v1Payload() []byte {
 
 // TestDecodePointV1IsVersionSkew feeds the decoder a well-formed point
 // as a v1 sender encodes it (17-field cfg line with the two mode
-// booleans): a worker or coordinator left on the old format must be told
-// so, not handed a field-count parse error.
+// booleans) and as a v2 sender does (15 fields, the shard count last): a
+// worker or coordinator left on an old format must be told so, not
+// handed a field-count parse error. The v2 cfg line under the current
+// magic is a parse error, and names its line.
 func TestDecodePointV1IsVersionSkew(t *testing.T) {
-	_, err := DecodePoint(v1Payload())
-	if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
-		t.Fatalf("v1 payload: err = %v, want a version-skew error naming %q", err, pointMagic)
+	for name, payload := range map[string][]byte{"v1": v1Payload(), "v2": shardsTokenPayload("tempest-point v2")} {
+		_, err := DecodePoint(payload)
+		if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
+			t.Fatalf("%s payload: err = %v, want a version-skew error naming %q", name, err, pointMagic)
+		}
+	}
+	_, err := DecodePoint(shardsTokenPayload(pointMagic))
+	if err == nil || !strings.Contains(err.Error(), "point line 2: malformed cfg line") {
+		t.Fatalf("15-token cfg line: err = %v, want a parse error naming line 2", err)
 	}
 }
 
@@ -118,10 +125,10 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 	good := Point{Cfg: MachineConfig(ScaleReduced, 4<<10), System: SysStache,
 		Bench: "ocean", Scale: ScaleReduced, Set: SetSmall, NoCache: true}
 	for name, mutate := range map[string]func(*machine.Config){
-		"shards above nodes": func(c *machine.Config) { c.Shards = 99 },
-		"negative shards":    func(c *machine.Config) { c.Shards = -1 },
-		"negative nodes":     func(c *machine.Config) { c.Nodes = -4 },
-		"negative link bw":   func(c *machine.Config) { c.LinkBytesPerCycle = -1 },
+		"block size 48":    func(c *machine.Config) { c.BlockSize = 48 },
+		"negative DRAM":    func(c *machine.Config) { c.MemPagesPerNode = -1 },
+		"negative nodes":   func(c *machine.Config) { c.Nodes = -4 },
+		"negative link bw": func(c *machine.Config) { c.LinkBytesPerCycle = -1 },
 		// A cycle count of 2^64−1 is −1 on wrapped arithmetic: it used to
 		// run to a verified result (or the engine's deadlock report) when
 		// built in process, and to fail decode when sent over the wire.
@@ -133,7 +140,7 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 		"quantum above the bound": func(c *machine.Config) { c.Quantum = machine.MaxCycles + 1 },
 		// Geometry machine.New allocates from: these used to reach make,
 		// where a refusal is an OOM kill, not a panic setup recovers.
-		"a trillion nodes":       func(c *machine.Config) { c.Nodes, c.Shards = 1<<40, 1 },
+		"a trillion nodes":       func(c *machine.Config) { c.Nodes = 1 << 40 },
 		"a petabyte cache":       func(c *machine.Config) { c.CacheSize = 1 << 50 },
 		"a trillion TLB entries": func(c *machine.Config) { c.TLBEntries = 1 << 40 },
 	} {
@@ -292,6 +299,51 @@ func TestLocalExecutorMatchesDirectRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[i].RunResult, want) {
 			t.Errorf("point %d: executor result differs from direct Run", i)
+		}
+	}
+}
+
+// TestShardsFieldIsInert pins what is left of machine.Config.Shards: a
+// name benchmark/ still sets (SimParams.Apply copies it) and nothing
+// reads. One reduced point at three values keys, encodes and simulates
+// identically, engine.* dispatch counters included, so the benchmark's
+// `sharded` workload stays a true, if redundant, check until it is
+// retired.
+func TestShardsFieldIsInert(t *testing.T) {
+	at := func(shards int) Point {
+		cfg := MachineConfig(ScaleReduced, 4<<10)
+		SimParams{Shards: shards}.Apply(&cfg)
+		if cfg.Shards != shards {
+			t.Fatalf("SimParams.Apply left Cfg.Shards = %d, want %d", cfg.Shards, shards)
+		}
+		return Point{Cfg: cfg, System: SysStache, Bench: "em3d", Scale: ScaleReduced, Set: SetSmall}
+	}
+	base := at(0)
+	baseKey, err := PointKey("code", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRun, err := base.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseRun.Res.Counters.Get("engine.inline_steps") == 0 {
+		t.Fatal("the run reports no engine.* counters; the comparison below would be vacuous")
+	}
+	for _, shards := range []int{2, 8} {
+		pt := at(shards)
+		if key, err := PointKey("code", pt); err != nil || key != baseKey {
+			t.Errorf("shards=%d: key %s (err %v), want %s", shards, key, err, baseKey)
+		}
+		if !bytes.Equal(pt.Encode(), base.Encode()) {
+			t.Errorf("shards=%d: the field reached the wire:\n%s", shards, pt.Encode())
+		}
+		run, err := pt.Simulate()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(run, baseRun) {
+			t.Errorf("shards=%d: result differs from shards=0:\n%+v\n%+v", shards, run.Res, baseRun.Res)
 		}
 	}
 }

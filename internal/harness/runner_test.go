@@ -204,9 +204,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("cache on != cache off:\n%+v\n%+v", a, b)
 		}
-		warm := cached
-		warm.Shards = 2 // the warm entries were recorded at shards=1
-		c, err := Figure3(warm)
+		c, err := Figure3(cached) // warm
 		if err != nil {
 			t.Fatal(err)
 		}

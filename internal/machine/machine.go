@@ -63,14 +63,7 @@ type Config struct {
 	Quantum sim.Time
 	// Seed drives random cache replacement.
 	Seed uint64
-	// Shards partitions the nodes across this many scheduler shards,
-	// which the engine advances in conservative time windows: adaptive
-	// per-shard windows bounded below by min(NetLatency, BarrierLatency)
-	// cycles — the machine's cross-node interaction latency floor.
-	// Results are bit-identical for every value, and no value makes a run
-	// faster (the windows of a round run one after another); the
-	// determinism gates and shard-local tracing are what use it. Zero means 1
-	// (serial); values outside [1, Nodes] are rejected by Validate.
+	// Inert: kept because benchmark/ names the field; the PR that retires the `sharded` workload deletes it.
 	Shards int
 }
 
@@ -123,9 +116,6 @@ func (c *Config) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 }
 
 // Normalized returns the configuration with defaults applied — the
@@ -158,12 +148,11 @@ const (
 )
 
 // Validate reports why New would refuse the configuration (defaults
-// applied first): the node/shard relationship, the contention knobs,
-// the upper bounds on cycle counts and on the geometry New allocates
-// from, and the cache, block and TLB geometry the per-node components
-// insist on. Configurations arrive over the
-// wire (harness.Point), so callers ask here instead of finding out from
-// a panic.
+// applied first): the node count, the contention knobs, the upper
+// bounds on cycle counts and on the geometry New allocates from, and the
+// cache, block and TLB geometry the per-node components insist on.
+// Configurations arrive over the wire (harness.Point), so callers ask
+// here instead of finding out from a panic.
 func (c Config) Validate() error {
 	c.applyDefaults()
 	for _, f := range [...]struct {
@@ -181,8 +170,6 @@ func (c Config) Validate() error {
 	switch bs := c.BlockSize; {
 	case c.Nodes < 1 || c.Nodes > MaxNodes:
 		return fmt.Errorf("%d nodes outside [1, %d]", c.Nodes, MaxNodes)
-	case c.Shards < 1 || c.Shards > c.Nodes:
-		return fmt.Errorf("%d shards outside [1, %d nodes]", c.Shards, c.Nodes)
 	case c.LinkBytesPerCycle < 0:
 		return fmt.Errorf("negative link bandwidth %d", c.LinkBytesPerCycle)
 	case bs < 8 || bs > mem.PageSize || bs&(bs-1) != 0:
@@ -272,26 +259,7 @@ func New(cfg Config) *Machine {
 		Latency:           cfg.NetLatency,
 		LinkBytesPerCycle: cfg.LinkBytesPerCycle,
 	}
-	// The lookahead window: nodes interact only through the network and
-	// the barrier, so the smallest cross-node interaction latency bounds
-	// how far one shard can run without seeing another shard's effects.
-	// The network term is its earliest possible contended delivery —
-	// which the contention model keeps at the wire latency, since port
-	// queueing only ever pushes a delivery later (see
-	// network.Config.MinCrossShardDelivery); sim's window-safety
-	// assertion enforces the claim at run time.
-	window := netCfg.MinCrossShardDelivery()
-	if cfg.BarrierLatency < window {
-		window = cfg.BarrierLatency
-	}
-	eng := sim.NewEngine(sim.WithQuantum(cfg.Quantum),
-		sim.WithShards(cfg.Shards, cfg.Nodes, window),
-		// The window planner's lookahead: only the network delivers
-		// cross-shard events (barrier arrivals merge separately), so its
-		// earliest contended delivery — the wire latency — bounds every
-		// cross-shard event's distance, even when the barrier latency
-		// pulls the base window below it.
-		sim.WithCrossShardDelivery(netCfg.MinCrossShardDelivery()))
+	eng := sim.NewEngine(sim.WithQuantum(cfg.Quantum))
 	m := &Machine{
 		Cfg: cfg,
 		Eng: eng,
@@ -387,7 +355,7 @@ func (m *Machine) Run(body func(*Proc)) (Result, error) {
 	m.ran = true
 	for _, p := range m.Procs {
 		p := p
-		p.Ctx = m.Eng.SpawnOn(p.node, fmt.Sprintf("cpu%d", p.node), func(c *sim.Context) {
+		p.Ctx = m.Eng.Spawn(fmt.Sprintf("cpu%d", p.node), func(c *sim.Context) {
 			body(p)
 		})
 	}
@@ -433,9 +401,7 @@ func (m *Machine) Run(body func(*Proc)) (Result, error) {
 	// Engine dispatch counters: how protocol activations were hosted.
 	// These describe simulator mechanics, not simulated behaviour —
 	// equivalence tests that compare across dispatch hosts (inline vs
-	// goroutine) exclude them, while the serial-vs-sharded tests compare
-	// them too, since each shard's sub-schedule is the serial schedule
-	// restricted to its nodes.
+	// goroutine) exclude them.
 	ds := m.Eng.DispatchStats()
 	res.Counters.Add("engine.inline_dispatches", ds.InlineDispatches)
 	res.Counters.Add("engine.inline_steps", ds.InlineSteps)
@@ -444,17 +410,5 @@ func (m *Machine) Run(body func(*Proc)) (Result, error) {
 	res.Counters.Add("engine.goroutine_switches", ds.GoroutineSwitches)
 	res.Counters.Add("engine.stepper_fallbacks", ds.StepperFallbacks)
 	res.Counters.Add("engine.parks_avoided", ds.ParksAvoided)
-	// Window-grant counters: how the sharded scheduler batched execution
-	// windows. Unlike the dispatch counters above — identical for every
-	// shard count — these depend on the shard count and window planner by
-	// nature (a serial run grants none), so equivalence tests skip the
-	// engine.window. prefix when comparing counter maps.
-	ws := m.Eng.WindowStats()
-	res.Counters.Add("engine.window.grants", ws.Grants)
-	res.Counters.Add("engine.window.batched", ws.Batched)
-	res.Counters.Add("engine.window.width_cycles", ws.WidthCycles)
-	if ws.Grants > 0 {
-		res.Counters.Add("engine.window.mean_width", ws.WidthCycles/ws.Grants)
-	}
 	return res, nil
 }

@@ -53,9 +53,8 @@ func (m *Machine) EnableObservation() {
 // Observation returns the processor's current observation hash and the
 // number of operations folded into it (zero values when observation is
 // not enabled). Each processor's observation is written only by its own
-// context, so mid-run reads are safe exactly where reading its memory
-// would be: from the same shard, or machine-wide at a barrier release
-// (sim.Barrier.OnRelease, every context parked).
+// context; a mid-run read of every processor's is coherent at a barrier
+// release (sim.Barrier.OnRelease, every context parked).
 func (p *Proc) Observation() (hash, ops uint64) {
 	if p.obs == nil {
 		return 0, 0

@@ -49,7 +49,7 @@ type Proc struct {
 
 	// roiStart/roiEnd are this processor's ROI marks; Run folds the
 	// per-processor maxima, so the result matches the old machine-global
-	// max while each mark is written only by its own context (shard).
+	// max while each mark is written only by its own context.
 	roiStart, roiEnd sim.Time
 
 	// obs, when non-nil, accumulates the processor's application-visible

@@ -108,16 +108,13 @@ func (p *Packet) PayloadBytes() int {
 // enqueues the packet at its destination, and wakes the receiver. Using
 // the packet itself as the event avoids a closure allocation per send.
 // DeliveredAt is fixed at send time (the time the delivery event fires
-// at), so Fire never consults a global clock — under sharded execution
-// the packet may fire on a different shard than it was sent from.
+// at), so Fire never consults a global clock.
 //
 // Under the finite-bandwidth model a remote packet fires twice: the
 // first firing, at head arrival, claims the destination ejection port
 // (FIFO behind whatever is draining through it — arrivals in the same
-// cycle are ordered by the engine's stable event key, so the claim order
-// is identical at every shard count) and reschedules the packet for when
-// the port has drained it; the second firing enqueues it. Both firings
-// and the port state are owned by the destination's shard.
+// cycle are ordered by the engine's stable event key) and reschedules the
+// packet for when the port has drained it; the second firing enqueues it.
 func (p *Packet) Fire() {
 	dst := p.dst
 	if p.linkOcc > 0 && !p.ejected {
@@ -125,13 +122,12 @@ func (p *Packet) Fire() {
 		start := arr
 		if busy := dst.ejBusy[p.VNet]; busy > start {
 			start = busy
-			net := dst.net
-			net.sh[net.eng.ShardOf(dst.node)].stats.VNets[p.VNet].QueueingCycles += uint64(start - arr)
+			dst.net.stats.VNets[p.VNet].QueueingCycles += uint64(start - arr)
 		}
 		dst.ejBusy[p.VNet] = start + p.linkOcc
 		p.ejected = true
 		p.DeliveredAt = start + p.linkOcc
-		dst.net.eng.AtEventFromTo(p.DeliveredAt, dst.node, dst.node, p)
+		dst.net.eng.AtEventFrom(p.DeliveredAt, dst.node, p)
 		return
 	}
 	p.ejected = false
@@ -219,10 +215,9 @@ type Endpoint struct {
 	// injBusy/ejBusy are the per-VNet port-free times of the finite-
 	// bandwidth model: a packet occupies its source injection port and
 	// destination ejection port for its serialisation time, and later
-	// packets queue FIFO behind it. injBusy is touched at send time on
-	// the sender's shard; ejBusy at arrival time on the receiver's shard
-	// — both node-local, so the model is shard-safe by construction.
-	// Unused (always zero) with infinite bandwidth.
+	// packets queue FIFO behind it. injBusy is touched at send time,
+	// ejBusy at arrival time. Unused (always zero) with infinite
+	// bandwidth.
 	injBusy [numVNets]sim.Time
 	ejBusy  [numVNets]sim.Time
 	// Notify is invoked (while holding the conch) whenever a packet is
@@ -265,42 +260,21 @@ type Network struct {
 	// OnSend, when non-nil, observes every injected packet (the pooled
 	// copy, before it can fire) at issue time: issued is the sender's
 	// clock when Send/SendAfter was called and extra the SendAfter delay,
-	// so issued+extra is the packet's SentAt. The callback runs on the
-	// sender's shard while holding the conch; it must not retain the
-	// packet. Set before Engine.Run (the conformance recorder's tap) —
-	// the hot path pays a nil check otherwise.
+	// so issued+extra is the packet's SentAt. The callback runs while
+	// holding the conch; it must not retain the packet. Set before
+	// Engine.Run (the conformance recorder's tap) — the hot path pays a
+	// nil check otherwise.
 	OnSend func(p *Packet, issued, extra sim.Time)
 	// OnDeliver, when non-nil, observes every packet as it is enqueued
 	// at its destination endpoint — after the wire latency and, with
 	// finite bandwidth, the ejection-port serialisation, so
-	// p.DeliveredAt is final. It runs on the destination's shard during
-	// event processing and must not retain the packet. Set before
-	// Engine.Run (the conformance recorder's arrival tap).
+	// p.DeliveredAt is final. It runs during event processing and must
+	// not retain the packet. Set before Engine.Run (the conformance
+	// recorder's arrival tap).
 	OnDeliver func(p *Packet)
-	// sh holds the per-shard dataplane state: traffic counters (bumped at
-	// send time, on the sender's shard) and the pooled-packet free list
-	// (packets are allocated on the sender's shard and freed on the
-	// receiver's, so each list is touched only under its shard's conch).
-	// One entry on a serial engine.
-	sh []netShard
-}
 
-// netShard is one shard's slice of the network state.
-type netShard struct {
 	stats Stats
 	free  *Packet // LIFO free list of pooled packets
-}
-
-func (s *Stats) add(o Stats) {
-	for v := range s.VNets {
-		s.VNets[v].Packets += o.VNets[v].Packets
-		s.VNets[v].PayloadBytes += o.VNets[v].PayloadBytes
-		s.VNets[v].QueueingCycles += o.VNets[v].QueueingCycles
-		if o.VNets[v].MaxQueueDepth > s.VNets[v].MaxQueueDepth {
-			s.VNets[v].MaxQueueDepth = o.VNets[v].MaxQueueDepth
-		}
-	}
-	s.LocalSends += o.LocalSends
 }
 
 // Config configures a Network.
@@ -317,24 +291,6 @@ type Config struct {
 	// infinite bandwidth (the paper's simplification; legacy behaviour).
 	LinkBytesPerCycle int
 }
-
-// MinCrossShardDelivery returns the earliest a packet sent now can take
-// effect on another node: the wire latency to the head's arrival. The
-// contention model only ever adds delay after that point (injection
-// waits push the whole timeline later; ejection serialisation is charged
-// on the destination's shard after the head arrives), so the bound — and
-// with it the conservative shard window — is the same with or without
-// finite bandwidth.
-//
-// This is also the earliest-send bound the engine's adaptive window
-// planner consumes (sim.WithCrossShardDelivery): every cross-shard
-// delivery the network schedules lands at least this far past the
-// sender's clock, so a shard whose peers have nothing pending before
-// time T cannot be affected before T + MinCrossShardDelivery. The
-// engine's window-safety assertion re-checks the claim on every
-// cross-shard event, so a timing-model change that broke it would fail
-// loudly rather than corrupt determinism.
-func (c Config) MinCrossShardDelivery() sim.Time { return c.Latency }
 
 // New builds a network.
 func New(eng *sim.Engine, cfg Config) *Network {
@@ -353,7 +309,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		latency:      cfg.Latency,
 		localLatency: ll,
 		linkBW:       cfg.LinkBytesPerCycle,
-		sh:           make([]netShard, eng.Shards()),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n.endpoints = append(n.endpoints, &Endpoint{node: i, net: n})
@@ -367,15 +322,10 @@ func (n *Network) Endpoint(node int) *Endpoint { return n.endpoints[node] }
 // Latency returns the configured end-to-end latency.
 func (n *Network) Latency() sim.Time { return n.latency }
 
-// Stats returns a copy of the traffic counters, summed across shards
-// (MaxQueueDepth folds by max, over the endpoints' receive-ring
-// high-water marks). During a sharded run only the calling shard's slice
-// is coherent; the full sum is for after Run (or between windows).
+// Stats returns a copy of the traffic counters, with MaxQueueDepth
+// taken over the endpoints' receive-ring high-water marks.
 func (n *Network) Stats() Stats {
-	s := n.sh[0].stats
-	for i := 1; i < len(n.sh); i++ {
-		s.add(n.sh[i].stats)
-	}
+	s := n.stats
 	for _, ep := range n.endpoints {
 		for v := range ep.queues {
 			if hw := uint64(ep.queues[v].hw); hw > s.VNets[v].MaxQueueDepth {
@@ -386,10 +336,10 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
-// alloc takes a packet from the given shard's free list, or mints one.
-func (n *Network) alloc(sh *netShard) *Packet {
-	if p := sh.free; p != nil {
-		sh.free = p.next
+// alloc takes a packet from the free list, or mints one.
+func (n *Network) alloc() *Packet {
+	if p := n.free; p != nil {
+		n.free = p.next
 		p.next = nil
 		return p
 	}
@@ -402,19 +352,14 @@ func (n *Network) alloc(sh *netShard) *Packet {
 // packets the pool did not produce (caller-constructed packets) and
 // packets still in flight, so over-freeing is harmless but aliasing a
 // freed payload is not.
-// Free runs on the receiver, so the packet joins the free list of the
-// destination node's shard; its next reuse is by a sender on that same
-// shard. Reuse order therefore stays a pure function of simulated
-// history under any shard count.
 func (n *Network) Free(p *Packet) {
 	if p == nil || !p.pooled || p.dst != nil {
 		return
 	}
-	sh := &n.sh[n.eng.ShardOf(p.Dst)]
 	p.Args = nil
 	p.Data = nil
-	p.next = sh.free
-	sh.free = p
+	p.next = n.free
+	n.free = p
 }
 
 // maxSendDelay bounds SendAfter's extra. sim.Time is unsigned, so
@@ -449,12 +394,9 @@ func (n *Network) Send(p *Packet) {
 // to a response without suspending: the agent stays available for other
 // messages while the modeled hardware is busy, and the delay composes
 // with the wire latency exactly as a synchronous Advance before Send
-// would. The head of a remote packet never crosses shards sooner than
-// one full network latency (≥ one conservative window) in the future —
-// injection waits and extra only push it later — so SendAfter is
-// cross-shard safe for any extra. A wrapped-negative extra (unsigned
-// underflow in caller arithmetic) panics with an *Error instead of
-// silently scheduling the delivery ~2^64 cycles out.
+// would. A wrapped-negative extra (unsigned underflow in caller
+// arithmetic) panics with an *Error instead of silently scheduling the
+// delivery ~2^64 cycles out.
 func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 	if p.Dst < 0 || p.Dst >= len(n.endpoints) {
 		panic(&Error{Op: "send", Node: p.Src,
@@ -468,21 +410,20 @@ func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 		panic(&Error{Op: "send-after", Node: p.Src,
 			Msg: fmt.Sprintf("delay %d wrapped negative (unsigned underflow in delay arithmetic)", extra)})
 	}
-	sh := &n.sh[n.eng.ShardOf(p.Src)]
 	lat := n.latency
 	local := p.Src == p.Dst
 	if local {
 		lat = n.localLatency
-		sh.stats.LocalSends++
+		n.stats.LocalSends++
 	}
-	sh.stats.VNets[p.VNet].Packets++
-	sh.stats.VNets[p.VNet].PayloadBytes += uint64(p.PayloadBytes())
+	n.stats.VNets[p.VNet].Packets++
+	n.stats.VNets[p.VNet].PayloadBytes += uint64(p.PayloadBytes())
 
-	q := n.alloc(sh)
+	q := n.alloc()
 	q.Src, q.Dst, q.VNet, q.Handler = p.Src, p.Dst, p.VNet, p.Handler
 	q.Args = append(q.argStore[:0], p.Args...)
 	q.Data = append(q.dataStore[:0], p.Data...)
-	issued := n.eng.NowFor(p.Src)
+	issued := n.eng.Now()
 	q.SentAt = issued + extra
 	if n.OnSend != nil {
 		n.OnSend(q, issued, extra)
@@ -494,7 +435,7 @@ func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 		q.linkOcc = sim.Time((q.PayloadBytes() + n.linkBW - 1) / n.linkBW)
 		src := n.endpoints[p.Src]
 		if busy := src.injBusy[p.VNet]; busy > start {
-			sh.stats.VNets[p.VNet].QueueingCycles += uint64(busy - start)
+			n.stats.VNets[p.VNet].QueueingCycles += uint64(busy - start)
 			start = busy
 		}
 		src.injBusy[p.VNet] = start + q.linkOcc
@@ -507,5 +448,5 @@ func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 	// queueing. With infinite bandwidth it is the final delivery time.
 	q.DeliveredAt = start + lat
 	q.dst = n.endpoints[p.Dst]
-	n.eng.AtEventFromTo(q.DeliveredAt, q.Src, q.Dst, q)
+	n.eng.AtEventFrom(q.DeliveredAt, q.Src, q)
 }

@@ -343,7 +343,7 @@ func TestInjectionPortQueueing(t *testing.T) {
 // TestEjectionPortContention: two nodes send to the same destination in
 // the same cycle. The heads arrive together and contend for one ejection
 // port; the stable event key (origin 0 before origin 1 at equal time)
-// breaks the tie, so node 0's packet drains first at every shard count.
+// breaks the tie, so node 0's packet drains first.
 func TestEjectionPortContention(t *testing.T) {
 	runWith(t, func(eng *sim.Engine) (*Network, func(*sim.Context)) {
 		n := New(eng, Config{Nodes: 3, Latency: 11, LinkBytesPerCycle: 4})
@@ -385,64 +385,4 @@ func TestVNetPortsIndependent(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestContentionDeliveryAcrossShards runs one send schedule — including
-// SendAfter delays that land inside, at, and past the window boundary —
-// serially and on two shards, and requires identical delivery times and
-// stats. This is the packet-level version of the harness equivalence
-// suite's contended cases.
-func TestContentionDeliveryAcrossShards(t *testing.T) {
-	type delivery struct {
-		h  uint32
-		at sim.Time
-	}
-	run := func(shards int) ([]delivery, Stats) {
-		var opts []sim.Option
-		opts = append(opts, sim.WithShards(shards, 2, 11))
-		eng := sim.NewEngine(opts...)
-		n := New(eng, Config{Nodes: 2, Latency: 11, LinkBytesPerCycle: 4})
-		var got []delivery
-		ep := n.Endpoint(1)
-		ep.Notify = func(at sim.Time) {
-			p := ep.Dequeue()
-			got = append(got, delivery{p.Handler, p.DeliveredAt})
-			n.Free(p)
-		}
-		eng.SpawnOn(0, "sender", func(c *sim.Context) {
-			for i, extra := range []sim.Time{0, 3, 10, 11, 12, 25, 0} {
-				n.SendAfter(&Packet{Src: 0, Dst: 1, VNet: VNetRequest, Handler: uint32(i), Args: []uint64{uint64(i)}}, extra)
-				c.Advance(2)
-				c.Yield()
-			}
-			c.Sleep(100)
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return got, n.Stats()
-	}
-	serial, serialStats := run(1)
-	sharded, shardedStats := run(2)
-	if len(serial) == 0 {
-		t.Fatal("no deliveries")
-	}
-	if !slicesEqual(serial, sharded) {
-		t.Errorf("deliveries differ:\nserial:  %v\nsharded: %v", serial, sharded)
-	}
-	if serialStats != shardedStats {
-		t.Errorf("stats differ:\nserial:  %+v\nsharded: %+v", serialStats, shardedStats)
-	}
-}
-
-func slicesEqual[T comparable](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -27,11 +27,9 @@ type ObsRecord struct {
 // entry — Decode rejects any non-canonical byte, so decode→re-encode
 // is the identity on valid entries).
 //
-// Engine-mechanics counters (the "engine." prefix: dispatch hosting
-// and window grants) are deliberately absent: they describe how the
-// recording host ran the simulation, not what was simulated, and they
-// are the one counter group that legitimately varies with the shard
-// count a result was produced at. The cache stores simulated results
+// Engine-mechanics counters (the "engine." prefix: dispatch hosting)
+// are deliberately absent: they describe how the recording host ran the
+// simulation, not what was simulated. The cache stores simulated results
 // only.
 type Entry struct {
 	// Key is the content address the entry is stored under.

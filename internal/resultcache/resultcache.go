@@ -1,6 +1,6 @@
 // Package resultcache is a content-addressed store for simulation
-// results. Every run in this repo is bit-deterministic at any
-// worker/shard count, so a simulation's output is a pure function of
+// results. Every run in this repo is bit-deterministic at any worker
+// count, so a simulation's output is a pure function of
 // its canonicalized input (machine configuration, system, application
 // parameters, and a digest of the simulator sources); that function is
 // safe to memoize. The cache is two-tier — an in-memory LRU always,

@@ -16,13 +16,13 @@ func TestAllocFreeEventScheduling(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		e.AtEvent(Time(i), ev)
 	}
-	for e.sh[0].events.len() > 0 {
-		e.sh[0].events.pop()
+	for e.events.len() > 0 {
+		e.events.pop()
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
-		e.AtEvent(e.sh[0].now+100, ev)
-		it := e.sh[0].events.pop()
+		e.AtEvent(e.now+100, ev)
+		it := e.events.pop()
 		it.ev.Fire()
 	})
 	if allocs != 0 {
@@ -45,10 +45,10 @@ func TestAllocFreeContextScheduling(t *testing.T) {
 	}
 	push := func() {
 		for _, c := range ctxs {
-			e.sh[0].runnable.push(c)
+			e.runnable.push(c)
 		}
-		for e.sh[0].runnable.len() > 0 {
-			e.sh[0].runnable.pop()
+		for e.runnable.len() > 0 {
+			e.runnable.pop()
 		}
 	}
 	push() // reach high-water capacity

@@ -86,7 +86,6 @@ type Step func(*Context) bool
 // Context is a simulated instruction stream scheduled by an Engine.
 type Context struct {
 	eng  *Engine
-	sh   *shard
 	id   int
 	name string
 
@@ -99,12 +98,6 @@ type Context struct {
 	parkReason    string
 	pendingUnpark bool
 	pendingAt     Time
-
-	// atBarrier is the sharded barrier this context is waiting at (nil
-	// otherwise). The window planner uses it to tell barrier waiters —
-	// woken only by the barrier's merged release — from contexts that may
-	// still arrive, when lower-bounding the release time.
-	atBarrier *Barrier
 
 	body func(*Context)
 	// co is the coroutine the context's frames live on. A goroutine
@@ -127,7 +120,7 @@ type Context struct {
 	// deferred quantum force-yield: it materialises only at the step
 	// boundary, because a handler is atomic on the real hardware
 	// (paper §4.2) and deferring the reschedule to the boundary keeps
-	// the handler's shared-state effects on one side of the window.
+	// the handler's shared-state effects on one side of the reschedule.
 	lazyYield   bool
 	lazyQuantum bool
 }
@@ -147,18 +140,11 @@ func (c *Context) State() State { return c.state }
 // Engine returns the engine that owns this context.
 func (c *Context) Engine() *Engine { return c.eng }
 
-// Spawn creates a context on shard 0 that must finish before Run can
-// succeed. Spawning is allowed both before Run and from inside a running
-// context or event; the new context starts at the current shard time.
+// Spawn creates a context that must finish before Run can succeed.
+// Spawning is allowed both before Run and from inside a running context
+// or event; the new context starts at the current engine time.
 func (e *Engine) Spawn(name string, body func(*Context)) *Context {
-	return e.SpawnOn(0, name, body)
-}
-
-// SpawnOn is Spawn for the shard that owns node: the context is the
-// instruction stream of that simulated node, scheduled and clocked with
-// the rest of its shard.
-func (e *Engine) SpawnOn(node int, name string, body func(*Context)) *Context {
-	c := e.spawn(name, false, e.sh[e.ShardOf(node)])
+	c := e.spawn(name, false)
 	c.body = body
 	return c
 }
@@ -172,16 +158,16 @@ func (e *Engine) SpawnOn(node int, name string, body func(*Context)) *Context {
 // granting the retried access first, which is what guarantees forward
 // progress in the simulated protocols.
 func (e *Engine) SpawnDaemon(name string, body func(*Context)) *Context {
-	c := e.spawn(name, true, e.sh[0])
+	c := e.spawn(name, true)
 	c.body = body
 	return c
 }
 
-// SpawnStepper creates a stepper context on shard 0: step is invoked
-// inline by the scheduler, runs to completion, and returns false to idle
-// the context under the given park reason until the next Unpark.
+// SpawnStepper creates a stepper context: step is invoked inline by the
+// scheduler, runs to completion, and returns false to idle the context
+// under the given park reason until the next Unpark.
 func (e *Engine) SpawnStepper(name string, step Step, idleReason string) *Context {
-	c := e.spawn(name, false, e.sh[0])
+	c := e.spawn(name, false)
 	c.step = step
 	c.idleReason = idleReason
 	return c
@@ -190,38 +176,29 @@ func (e *Engine) SpawnStepper(name string, step Step, idleReason string) *Contex
 // SpawnStepperDaemon is SpawnStepper for a daemon context (the NP
 // dispatch loop: torn down at quiescence, loses scheduling ties).
 func (e *Engine) SpawnStepperDaemon(name string, step Step, idleReason string) *Context {
-	return e.SpawnStepperDaemonOn(0, name, step, idleReason)
-}
-
-// SpawnStepperDaemonOn is SpawnStepperDaemon on the shard that owns node.
-func (e *Engine) SpawnStepperDaemonOn(node int, name string, step Step, idleReason string) *Context {
-	c := e.spawn(name, true, e.sh[e.ShardOf(node)])
+	c := e.spawn(name, true)
 	c.step = step
 	c.idleReason = idleReason
 	return c
 }
 
-func (e *Engine) spawn(name string, daemon bool, sh *shard) *Context {
-	if e.started && len(e.sh) > 1 {
-		panic("sim: cannot spawn during a sharded run")
-	}
+func (e *Engine) spawn(name string, daemon bool) *Context {
 	var prio uint8
 	if daemon {
 		prio = 1
 	}
 	c := &Context{
 		eng:       e,
-		sh:        sh,
 		id:        len(e.contexts),
 		name:      name,
-		time:      sh.now,
-		lastYield: sh.now,
+		time:      e.now,
+		lastYield: e.now,
 		state:     StateRunnable,
 		daemon:    daemon,
 		prio:      prio,
 	}
 	e.contexts = append(e.contexts, c)
-	sh.runnable.push(c)
+	e.runnable.push(c)
 	return c
 }
 
@@ -245,7 +222,7 @@ func contextPanicError(name string, r any) error {
 	return fmt.Errorf("sim: context %q panicked: %v", name, r)
 }
 
-// exit ends a context coroutine: a body panic is captured as the shard's
+// exit ends a context coroutine: a body panic is captured as the run's
 // abort error, and returning hands the conch back to the dispatcher. An
 // engine stop keeps unwinding to newCoro, leaving the context in the
 // state it was suspended in.
@@ -254,7 +231,7 @@ func (c *Context) exit() {
 		if _, ok := r.(shutdownSignal); ok {
 			panic(r)
 		}
-		c.sh.abort = contextPanicError(c.name, r)
+		c.eng.abort = contextPanicError(c.name, r)
 	}
 	c.state = StateDone
 }
@@ -270,10 +247,10 @@ func (c *Context) runSteps() {
 		// Re-evaluated each step: a mid-step suspension hands the
 		// scheduler role away, after which this coroutine is a plain
 		// host and later steps of the activation are goroutine steps.
-		if c.sh.inline == c {
-			c.sh.dstats.InlineSteps++
+		if c.eng.inline == c {
+			c.eng.dstats.InlineSteps++
 		} else {
-			c.sh.dstats.GoroutineSteps++
+			c.eng.dstats.GoroutineSteps++
 		}
 		ok := c.step(c)
 		if c.lazyYield || c.lazyQuantum {
@@ -285,7 +262,7 @@ func (c *Context) runSteps() {
 			c.lazyQuantum = false
 			c.co = nil
 			c.state = StateRunnable
-			c.sh.runnable.push(c)
+			c.eng.runnable.push(c)
 			return
 		}
 		if ok {
@@ -298,14 +275,14 @@ func (c *Context) runSteps() {
 			}
 			c.co = nil
 			c.state = StateRunnable
-			c.sh.runnable.push(c)
+			c.eng.runnable.push(c)
 			return
 		}
 		c.parkReason = c.idleReason
 		c.state = StateParked
 		c.co = nil
-		if c.sh.inline == c {
-			c.sh.dstats.ParksAvoided++
+		if c.eng.inline == c {
+			c.eng.dstats.ParksAvoided++
 		}
 		return
 	}
@@ -356,7 +333,7 @@ func (c *Context) SyncTo(t Time) {
 func (c *Context) Yield() {
 	c.checkRunning("Yield")
 	c.state = StateRunnable
-	c.sh.runnable.push(c)
+	c.eng.runnable.push(c)
 	c.suspend()
 }
 
@@ -372,11 +349,11 @@ func (c *Context) Yield() {
 // dispatched it, like any goroutine context. The conch moves with every
 // switch.
 func (c *Context) suspend() {
-	if s := c.sh; s.inline == c {
-		s.dstats.InlineSuspends++
-		s.inline = nil
-		s.schedGen++
-		c.co = c.eng.acting
+	if e := c.eng; e.inline == c {
+		e.dstats.InlineSuspends++
+		e.inline = nil
+		e.schedGen++
+		c.co = e.acting
 	}
 	c.co.suspend()
 	c.onDispatched()
@@ -459,12 +436,9 @@ func (c *Context) Park(reason string) {
 // Unpark makes a parked context runnable no earlier than simulated time
 // at. Calling Unpark on a context that is not parked records a pending
 // wakeup that its next Park consumes. Unpark must be called while holding
-// the conch of the target's shard — i.e. from a running context or event
-// on the same shard (simulated interactions are node-local; cross-shard
-// wakeups travel as timed events or through a Barrier), or from the
-// round's merge between windows.
+// the conch — i.e. from a running context or event.
 func (c *Context) Unpark(at Time) {
-	c.sh.syncRunning()
+	c.eng.syncRunning()
 	switch c.state {
 	case StateParked:
 		if at > c.time {
@@ -472,7 +446,7 @@ func (c *Context) Unpark(at Time) {
 		}
 		c.parkReason = ""
 		c.state = StateRunnable
-		c.sh.runnable.push(c)
+		c.eng.runnable.push(c)
 	case StateDone:
 		// Late wakeup for a finished context; ignore.
 	default:
@@ -486,12 +460,12 @@ func (c *Context) Unpark(at Time) {
 func (c *Context) onDispatched() {
 	c.state = StateRunning
 	c.lastYield = c.time
-	c.sh.running = c
-	c.sh.now = c.time
+	c.eng.running = c
+	c.eng.now = c.time
 }
 
 func (c *Context) checkRunning(op string) {
-	if c.sh.running != c {
+	if c.eng.running != c {
 		panic(fmt.Sprintf("sim: %s called on context %q which is not running (state %v)", op, c.name, c.state))
 	}
 }
@@ -501,39 +475,39 @@ func (c *Context) checkRunning(op string) {
 // steppers suspended mid-step on the scheduler coroutine that hosted
 // them) is one coroutine switch there and one back when it suspends or
 // finishes.
-func (s *shard) dispatch(c *Context) {
+func (e *Engine) dispatch(c *Context) {
 	if c.step != nil && c.co == nil {
-		s.dstats.InlineDispatches++
-		s.dispatchInline(c)
-		s.running = nil
+		e.dstats.InlineDispatches++
+		e.dispatchInline(c)
+		e.running = nil
 		return
 	}
-	s.dstats.GoroutineSwitches++
+	e.dstats.GoroutineSwitches++
 	if c.step != nil {
-		s.dstats.StepperFallbacks++
+		e.dstats.StepperFallbacks++
 	} else if c.co == nil {
 		c.co = newCoro(c.run)
 	}
 	c.co.next()
-	s.running = nil
+	e.running = nil
 }
 
 // dispatchInline runs one stepper activation on the acting scheduler
-// coroutine. A panic in a step body becomes the shard's abort error,
+// coroutine. A panic in a step body becomes the run's abort error,
 // exactly as a goroutine body's panic would; shutdownSignal keeps
 // unwinding through the host's frames.
-func (s *shard) dispatchInline(c *Context) {
+func (e *Engine) dispatchInline(c *Context) {
 	defer func() {
-		s.inline = nil
+		e.inline = nil
 		if r := recover(); r != nil {
 			if _, ok := r.(shutdownSignal); ok {
 				panic(r)
 			}
-			s.abort = contextPanicError(c.name, r)
+			e.abort = contextPanicError(c.name, r)
 			c.state = StateDone
 		}
 	}()
 	c.onDispatched()
-	s.inline = c
+	e.inline = c
 	c.runSteps()
 }

@@ -4,9 +4,8 @@
 // it hosts one context per simulated instruction stream (a compute
 // processor's thread, a network-interface processor's dispatch loop) and
 // interleaves them in global cycle order. Exactly one context runs at a
-// time per shard (cooperative "conch" scheduling), so simulated state
-// needs no locking and every run of the same configuration is
-// bit-identical.
+// time (cooperative "conch" scheduling), so simulated state needs no
+// locking and every run of the same configuration is bit-identical.
 //
 // Contexts account for their own local time with Advance and interact with
 // the rest of the machine only at explicit points: Yield, Park/Unpark, and
@@ -39,41 +38,12 @@
 // park/unpark transitions, same clock updates), so which coroutine hosts
 // a step cannot affect simulated results.
 //
-// # Sharded execution
-//
-// With WithShards the engine partitions its origins (simulated nodes)
-// across shards, each with its own clock, runnable heap, and event heap,
-// and advances them in conservative time windows. Each round grants
-// every shard a window up to an adaptive per-shard bound — the earliest
-// instant anything another shard does from here on could possibly affect
-// it, derived from the other shards' earliest pending items plus the
-// guaranteed cross-shard delivery latency (WithCrossShardDelivery) and a
-// lower bound on the next barrier release (see planRound) — and never
-// narrower than the lockstep window [M, M+W), W the configured base
-// lookahead (for the paper's machine, the 11-cycle network and barrier
-// latencies). Within its window a shard's nodes cannot be affected by
-// another shard — every cross-shard interaction is a timed event past
-// the granted bound — so the windows of one round are independent of
-// each other. The acting scheduler runs them one after another in
-// shard order, merges cross-shard events (the per-shard outboxes) and
-// barrier arrivals at the boundary, plans the next round's bounds, and
-// repeats (drive/nextRound); a serial engine is the same loop over one
-// unbounded window. Running a round's windows on one goroutine per shard
-// was measured and removed — per-round synchronisation cost more than
-// the parallelism returned at this machine size, and whole points
-// already parallelise across workers — so sharding exists for what
-// depends on the partitioned order: the stable event key, shard-local
-// tracing, and the determinism gates.
-//
-// Determinism survives sharding because every ordering the simulation can
-// observe is a strict total order independent of the partitioning: events
-// carry the stable key (time, origin, per-origin sequence), whose
-// components depend only on the originating node's own history, and
-// runnable contexts order by (time, prio, id). Merging a window's
-// cross-shard events is therefore plain heap insertion — the key already
-// fixes the fire order — and a run's results are bit-identical for every
-// shard count, which the harness equivalence tests and the digest gate
-// assert.
+// Determinism rests on every ordering the simulation can observe being a
+// strict total order: events carry the stable key (time, origin,
+// per-origin sequence), whose components depend only on the originating
+// node's own history, and runnable contexts order by (time, prio, id).
+// The bench digests and the conformance corpus are functions of that
+// order.
 //
 // Scheduling is allocation-free on the steady-state path: runnable
 // contexts and pending events live in index-based 4-ary min-heaps over
@@ -93,8 +63,7 @@ import (
 // Time is a simulated clock value in processor cycles.
 type Time uint64
 
-// infTime is the unreachable "no bound" time: the serial window limit and
-// the empty-heap sentinel.
+// infTime is the unreachable "no bound" time: the empty-heap sentinel.
 const infTime = Time(^uint64(0))
 
 // DefaultQuantum bounds how far a context may run ahead of its last yield
@@ -153,48 +122,12 @@ type DispatchStats struct {
 	InlineSuspends uint64
 }
 
-func (d *DispatchStats) add(o DispatchStats) {
-	d.InlineDispatches += o.InlineDispatches
-	d.GoroutineSwitches += o.GoroutineSwitches
-	d.StepperFallbacks += o.StepperFallbacks
-	d.ParksAvoided += o.ParksAvoided
-	d.InlineSteps += o.InlineSteps
-	d.GoroutineSteps += o.GoroutineSteps
-	d.InlineSuspends += o.InlineSuspends
-}
-
-// WindowStats counts how the sharded scheduler granted execution
-// windows. All zero on a serial engine (no windows exist); the counters
-// describe scheduler mechanics, like DispatchStats, never simulated
-// behaviour.
-type WindowStats struct {
-	// Grants counts per-shard window grants: each round grants every
-	// shard with work inside its bound one window.
-	Grants uint64
-	// Batched counts grants at least two base windows wide — rounds
-	// where the planner handed a shard multiple lockstep windows in one
-	// grant.
-	Batched uint64
-	// WidthCycles is the total granted width in simulated cycles (the
-	// distance from each granted shard's next pending item to its
-	// bound); WidthCycles/Grants is the mean granted width.
-	WidthCycles uint64
-}
-
-func (w *WindowStats) add(o WindowStats) {
-	w.Grants += o.Grants
-	w.Batched += o.Batched
-	w.WidthCycles += o.WidthCycles
-}
-
-// shard is one partition of the simulated machine: a group of origins
-// (nodes) with their own clock, heaps, and conch. A serial engine is one
-// shard; a sharded engine's acting scheduler runs the shards' windows one
-// at a time. All shard fields are owned by whichever coroutine holds the
-// conch, which moves with every coroutine switch.
-type shard struct {
-	eng *Engine
-	id  int
+// Engine schedules contexts and timed events in global cycle order. All
+// of its fields are owned by whichever coroutine holds the conch, which
+// moves with every coroutine switch.
+type Engine struct {
+	quantum  Time
+	contexts []*Context
 
 	now      Time
 	runnable ctxHeap
@@ -213,80 +146,20 @@ type shard struct {
 	schedGen uint64
 
 	dstats DispatchStats
-	abort  error // first panic captured from a context on this shard
-
-	// Windowed-execution state. limit is the current window's end (items
-	// at or past it wait for a later window; infTime in serial mode).
-	// base is the shard's earliest pending item as of the last boundary
-	// (planning state). outbox stages events destined for other shards.
-	limit  Time
-	base   Time
-	outbox []outItem
-}
-
-// clock returns the shard's current time: the running context's local
-// clock, or the shard clock when an event (or nothing) is executing.
-func (s *shard) clock() Time {
-	if s.running != nil {
-		return s.running.time
-	}
-	return s.now
-}
-
-// syncRunning materialises the running context's pending LazyYield, for
-// engine entry points that are invoked on a different receiver than the
-// caller (Unpark on a target context, AtEvent on the engine).
-func (s *shard) syncRunning() {
-	if r := s.running; r != nil {
-		r.Sync()
-	}
-}
-
-// nextTime returns the earliest pending item on the shard: the head of
-// the runnable heap or the event heap, whichever is due first.
-func (s *shard) nextTime() Time {
-	t := infTime
-	if s.runnable.len() > 0 {
-		t = s.runnable.a[0].time
-	}
-	if s.events.len() > 0 && s.events.a[0].t < t {
-		t = s.events.a[0].t
-	}
-	return t
-}
-
-// Engine schedules contexts and timed events in global cycle order.
-type Engine struct {
-	quantum Time
-	window  Time // base cross-shard lookahead; the minimum window width
-	// minDelivery is the guaranteed minimum latency of a cross-shard
-	// event (WithCrossShardDelivery): every AtEventFromTo crossing a
-	// shard boundary fires at least this many cycles after the caller's
-	// clock. It is the lookahead LA of the window planner; defaults to
-	// window.
-	minDelivery Time
-	origins     int // number of event origins (simulated nodes)
-	nshards     int
-	contexts    []*Context
-	sh          []*shard
+	abort  error // first panic captured from a context
 
 	// Event tie-break state. Events carry a stable key (time, origin,
 	// per-origin sequence): evSeqs[i] counts events scheduled by origin i
 	// (a simulated node), and evSeqAnon counts origin-less events
 	// (AtEvent/At/After — engine tests and other non-node callers, which
 	// sort before every node origin at equal times). The key is a pure
-	// function of each origin's own scheduling history, so the merged
-	// fire order is independent of how origins are partitioned across
-	// shards — unlike a global insertion sequence, which would encode the
-	// interleaving of the whole machine. Under sharding each element is
-	// written only by the shard that owns its origin.
+	// function of each origin's own scheduling history — unlike a global
+	// insertion sequence, which would encode the interleaving of the
+	// whole machine.
 	evSeqs    []uint64
 	evSeqAnon uint64
 
-	started  bool
-	finished bool
-
-	barriers []*Barrier // sharded barriers merged at window boundaries
+	started bool
 
 	// Scheduler coroutines. acting holds the scheduler role: it runs
 	// drive until the run ends or until a step it hosts inline suspends
@@ -297,24 +170,15 @@ type Engine struct {
 	acting *coro
 	idle   []*coro
 	scheds []*coro
+}
 
-	// Round state: the current round's grant queue, run in shard order,
-	// with nextGrant the window in progress (so a scheduler coroutine
-	// taking over mid-window continues it). A serial engine has one
-	// round: its single shard's unbounded window. nonDaemons and
-	// ectScratch are planner scratch built once at Run start (sharded
-	// engines forbid mid-run spawns).
-	grants     []*shard
-	nextGrant  int
-	nonDaemons []*Context
-	ectScratch []Time
-
-	// Window telemetry, written by the acting scheduler and read after Run.
-	winGrants, winBatched, winWidthSum uint64
-
-	dstats DispatchStats // folded across shards when Run finishes
-
-	abort error // first shard abort, folded by shard id
+// syncRunning materialises the running context's pending LazyYield, for
+// engine entry points that are invoked on a different receiver than the
+// caller (Unpark on a target context, AtEvent on the engine).
+func (e *Engine) syncRunning() {
+	if r := e.running; r != nil {
+		r.Sync()
+	}
 }
 
 // Option configures an Engine.
@@ -329,209 +193,77 @@ func WithQuantum(q Time) Option {
 	}
 }
 
-// WithShards partitions origins 0..origins-1 across the given number of
-// shards (contiguous ranges, ShardOf) and advances them in conservative
-// time windows of at least the given lookahead: window must be a
-// lower bound on the latency of every cross-shard interaction (for the
-// paper's machine, min(network latency, barrier latency) = 11 cycles).
-// One shard keeps fully serial execution and is always valid.
-func WithShards(shards, origins int, window Time) Option {
-	return func(e *Engine) {
-		if shards < 1 {
-			panic("sim: WithShards requires at least one shard")
-		}
-		if shards > 1 {
-			if origins < shards {
-				panic("sim: WithShards requires at least one origin per shard")
-			}
-			if window < 1 {
-				panic("sim: WithShards requires a positive lookahead window")
-			}
-		}
-		e.nshards, e.origins, e.window = shards, origins, window
-	}
-}
-
-// WithCrossShardDelivery declares the guaranteed minimum latency of
-// cross-shard events: every AtEventFromTo that crosses a shard boundary
-// fires at least d cycles after the scheduling clock. The window
-// planner uses it as its lookahead — larger d means longer
-// uninterrupted windows. d must hold for every cross-shard interaction
-// (for the paper's machine, the network's base latency: contention and
-// occupancy only delay delivery further); the window-safety check in
-// AtEventFromTo fails loudly on any violation. Values below the base
-// window are ignored (the base window is always a valid lookahead).
-func WithCrossShardDelivery(d Time) Option {
-	return func(e *Engine) { e.minDelivery = d }
-}
-
 // NewEngine returns an empty engine.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{
-		quantum: DefaultQuantum,
-		nshards: 1,
-	}
+	e := &Engine{quantum: DefaultQuantum}
 	for _, o := range opts {
 		o(e)
 	}
-	if e.minDelivery < e.window {
-		e.minDelivery = e.window
-	}
-	if e.origins > 0 {
-		e.evSeqs = make([]uint64, e.origins)
-	}
-	e.sh = make([]*shard, e.nshards)
-	for i := range e.sh {
-		s := &shard{eng: e, id: i, limit: infTime}
-		s.runnable.a = make([]*Context, 0, 64)
-		s.events.a = make([]evItem, 0, 256)
-		e.sh[i] = s
-	}
+	e.runnable.a = make([]*Context, 0, 64)
+	e.events.a = make([]evItem, 0, 256)
 	return e
-}
-
-// Shards returns the engine's shard count.
-func (e *Engine) Shards() int { return len(e.sh) }
-
-// ShardOf returns the shard that owns origin (a simulated node):
-// contiguous ranges, so a node's processor and network interface — and
-// every origin a machine keeps node-local state for — land together.
-func (e *Engine) ShardOf(origin int) int {
-	if len(e.sh) == 1 {
-		return 0
-	}
-	if origin < 0 || origin >= e.origins {
-		panic(fmt.Sprintf("sim: origin %d out of range [0,%d)", origin, e.origins))
-	}
-	return origin * len(e.sh) / e.origins
 }
 
 // Now returns the global clock: the local time of the entity (context or
 // event) that is currently executing, including any cycles the running
-// context has accumulated since it was dispatched. A sharded engine has
-// no single clock — use NowFor with the acting origin instead.
+// context has accumulated since it was dispatched.
 func (e *Engine) Now() Time {
-	if len(e.sh) > 1 {
-		panic("sim: Now is ambiguous under sharded execution; use NowFor(origin)")
+	if e.running != nil {
+		return e.running.time
 	}
-	return e.sh[0].clock()
-}
-
-// NowFor returns the clock of the shard that owns origin: the local time
-// of that shard's running context or firing event. Callers must be
-// executing on origin's shard (node-local code always is).
-func (e *Engine) NowFor(origin int) Time {
-	return e.sh[e.ShardOf(origin)].clock()
+	return e.now
 }
 
 // Quantum returns the engine's run-ahead quantum.
 func (e *Engine) Quantum() Time { return e.quantum }
 
-// DispatchStats returns the engine's dispatch counters so far, summed
-// across shards.
-func (e *Engine) DispatchStats() DispatchStats {
-	if e.finished {
-		return e.dstats
-	}
-	var d DispatchStats
-	for _, s := range e.sh {
-		d.add(s.dstats)
-	}
-	return d
-}
-
-// WindowStats returns the engine's window-grant counters. Call after Run
-// (the acting scheduler owns the counters while a sharded run is in
-// flight); a serial engine reports all zeros.
-func (e *Engine) WindowStats() WindowStats {
-	return WindowStats{
-		Grants:      e.winGrants,
-		Batched:     e.winBatched,
-		WidthCycles: e.winWidthSum,
-	}
-}
+// DispatchStats returns the engine's dispatch counters so far.
+func (e *Engine) DispatchStats() DispatchStats { return e.dstats }
 
 // AtEvent schedules ev to fire at absolute simulated time t. Events run
 // on the scheduler, may not block, and execute before any context whose
 // clock is later than t. Equal-time events fire in a deterministic
 // order: origin-less events (this method) in scheduling order, before
-// any origin-keyed event (AtEventFrom) at the same time. Origin-less
-// events live on shard 0 and require a serial engine.
+// any origin-keyed event (AtEventFrom) at the same time.
 func (e *Engine) AtEvent(t Time, ev Event) {
-	if len(e.sh) > 1 {
-		panic("sim: origin-less events require a serial engine; use AtEventFrom")
-	}
-	s := e.sh[0]
-	s.syncRunning()
-	if now := s.clock(); t < now {
-		t = now
-	}
+	t = e.eventTime(t)
 	e.evSeqAnon++
-	s.events.push(evItem{t: t, key: packedKey(-1, e.evSeqAnon), ev: ev})
+	e.events.push(evItem{t: t, key: packedKey(-1, e.evSeqAnon), ev: ev})
 }
 
 // AtEventFrom schedules ev to fire at absolute simulated time t on behalf
-// of origin (a simulated node), on origin's own shard. Equal-time events
-// order by the stable key (origin, per-origin sequence) — a function of
-// the origin's own scheduling history only, which is what makes sharded
-// execution meet the serial fire order exactly. The caller must be
-// executing on origin's shard.
+// of origin (a simulated node). Equal-time events order by the stable key
+// (origin, per-origin sequence) — a function of the origin's own
+// scheduling history only.
 func (e *Engine) AtEventFrom(t Time, origin int, ev Event) {
-	e.AtEventFromTo(t, origin, origin, ev)
-}
-
-// AtEventFromTo is AtEventFrom with the event fired on the shard that
-// owns dest (the node whose state ev mutates): a cross-shard event is
-// staged in the origin shard's outbox and merged into dest's heap at the
-// next window boundary. t must be at least the cross-shard delivery
-// lookahead (WithCrossShardDelivery; at minimum one base window) in the
-// future whenever dest lives on another shard — true by construction for
-// network packets, whose base latency bounds the lookahead from above
-// while contention only delays delivery further.
-func (e *Engine) AtEventFromTo(t Time, origin, dest int, ev Event) {
-	s := e.sh[e.ShardOf(origin)]
-	s.syncRunning()
-	if now := s.clock(); t < now {
-		t = now
-	}
+	t = e.eventTime(t)
 	if origin >= len(e.evSeqs) {
-		// Serial engines without WithShards size the table on demand;
-		// sharded engines pre-size it (ShardOf bounds origin).
 		e.evSeqs = append(e.evSeqs, make([]uint64, origin+1-len(e.evSeqs))...)
 	}
 	e.evSeqs[origin]++
-	it := evItem{t: t, key: packedKey(origin, e.evSeqs[origin]), ev: ev}
-	if ds := e.ShardOf(dest); ds != s.id {
-		// Window-safety invariant: a cross-shard event is staged in the
-		// outbox and merged only at the next window boundary, so one
-		// scheduled below the destination shard's granted bound would be
-		// delivered late — silently, and differently at different shard
-		// counts. That means the caller's lookahead claim (e.g. the
-		// network latency bounding the planner's lookahead) is broken;
-		// fail loudly instead of corrupting determinism, naming the
-		// event's stable (time, origin, seq) key, both shards, and the
-		// granted bounds so the broken bound is debuggable from the panic
-		// alone. Limits are infTime on a serial engine, so the check only
-		// bites under sharded execution, where it matters.
-		if d := e.sh[ds]; t < d.limit {
-			panic(fmt.Sprintf(
-				"sim: cross-shard event (time %d, origin %d, seq %d) from shard %d to node %d on shard %d lands inside the current window (granted bound %d, origin shard's bound %d, base window %d, delivery lookahead %d): lookahead too small for the scheduling horizon",
-				t, origin, e.evSeqs[origin], s.id, dest, ds, d.limit, s.limit, e.window, e.minDelivery))
-		}
-		s.outbox = append(s.outbox, outItem{sh: int32(ds), it: it})
-	} else {
-		s.events.push(it)
+	e.events.push(evItem{t: t, key: packedKey(origin, e.evSeqs[origin]), ev: ev})
+}
+
+// eventTime clamps a new event's time to the current time. It first
+// materialises the running context's pending yield — before the event
+// takes its sequence number, which another context of the same origin
+// may advance during that yield.
+func (e *Engine) eventTime(t Time) Time {
+	e.syncRunning()
+	if now := e.Now(); t < now {
+		return now
 	}
+	return t
 }
 
 // AfterEvent schedules ev to fire delta cycles after the current global
 // time.
 func (e *Engine) AfterEvent(delta Time, ev Event) { e.AtEvent(e.Now()+delta, ev) }
 
-// AfterEventFrom schedules ev delta cycles after origin's current shard
-// time, on origin's shard.
+// AfterEventFrom schedules ev delta cycles after the current global time
+// on behalf of origin.
 func (e *Engine) AfterEventFrom(delta Time, origin int, ev Event) {
-	e.AtEventFrom(e.NowFor(origin)+delta, origin, ev)
+	e.AtEventFrom(e.Now()+delta, origin, ev)
 }
 
 // At schedules fn to run at absolute simulated time t.
@@ -540,52 +272,46 @@ func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcEvent(fn)) }
 // After schedules fn delta cycles after the current global time.
 func (e *Engine) After(delta Time, fn func()) { e.AtEvent(e.Now()+delta, funcEvent(fn)) }
 
-// AfterFrom schedules fn delta cycles after origin's current shard time,
-// on origin's shard.
+// AfterFrom schedules fn delta cycles after the current global time on
+// behalf of origin.
 func (e *Engine) AfterFrom(delta Time, origin int, fn func()) {
-	e.AtEventFrom(e.NowFor(origin)+delta, origin, funcEvent(fn))
+	e.AtEventFrom(e.Now()+delta, origin, funcEvent(fn))
 }
 
-// runWindow runs the shard's current window: fire due events, dispatch
-// runnable contexts in (time, prio, id) order, both bounded by the
-// shard's window limit (infTime when serial). It returns false when the
-// window is exhausted — nothing left before the limit, the shard went
-// quiescent (serial), or the shard aborted — with the caller still
-// holding the scheduler role. It returns true when this coroutine lost
-// the role instead: a stepper it hosted inline suspended mid-step
-// (Context.suspend) and another scheduler coroutine took over; the
-// suspended activation has now completed back here, and the stale frame,
-// observing the newer schedGen, retires.
-func (s *shard) runWindow() (lost bool) {
-	gen := s.schedGen
-	for {
-		if s.abort != nil {
-			// Retire the window so the round's merge folds the abort and
-			// ends the run.
-			return false
-		}
+// drive is the acting scheduler's loop: fire due events and dispatch
+// runnable contexts in (time, prio, id) order. It returns false when the
+// run is over — the machine went quiescent or a context aborted it — with
+// the caller still holding the scheduler role. It returns true when this
+// coroutine lost the role instead: a stepper it hosted inline suspended
+// mid-step (Context.suspend) and another scheduler coroutine took over;
+// the suspended activation has now completed back here, and the stale
+// frame, observing the newer schedGen, retires.
+func (e *Engine) drive() (lost bool) {
+	gen := e.schedGen
+	for e.abort == nil {
 		// Run every event that is due before (or at) the next context.
 		nextCtx := infTime
-		if s.runnable.len() > 0 {
-			nextCtx = s.runnable.a[0].time
+		if e.runnable.len() > 0 {
+			nextCtx = e.runnable.a[0].time
 		}
-		if s.events.len() > 0 && s.events.a[0].t <= nextCtx && s.events.a[0].t < s.limit {
-			ev := s.events.pop()
-			if ev.t > s.now {
-				s.now = ev.t
+		if e.events.len() > 0 && e.events.a[0].t <= nextCtx {
+			ev := e.events.pop()
+			if ev.t > e.now {
+				e.now = ev.t
 			}
-			s.running = nil
+			e.running = nil
 			ev.ev.Fire()
 			continue
 		}
-		if nextCtx >= s.limit {
-			return false
+		if e.runnable.len() == 0 {
+			return false // quiescent
 		}
-		s.dispatch(s.runnable.pop())
-		if s.schedGen != gen {
+		e.dispatch(e.runnable.pop())
+		if e.schedGen != gen {
 			return true
 		}
 	}
+	return false
 }
 
 // schedule is a scheduler coroutine's body. Resumed by Run's trampoline
@@ -614,7 +340,6 @@ func (e *Engine) Run() error {
 	e.started = true
 	defer e.finish()
 
-	e.prepareWindows()
 	// The trampoline: resume a scheduler coroutine; each time one yields
 	// here — a step it hosts inline suspended mid-flight, pinning its
 	// stack — hand the role to another, until one returns, ending the run.
@@ -632,12 +357,6 @@ func (e *Engine) Run() error {
 		return e.abort
 	}
 	var waiting []string
-	var now Time
-	for _, s := range e.sh {
-		if s.now > now {
-			now = s.now
-		}
-	}
 	for _, c := range e.contexts {
 		if c.daemon || c.state == StateDone {
 			continue
@@ -646,7 +365,7 @@ func (e *Engine) Run() error {
 	}
 	if len(waiting) > 0 {
 		sort.Strings(waiting)
-		return fmt.Errorf("sim: deadlock at cycle %d; blocked contexts: %s", now, strings.Join(waiting, ", "))
+		return fmt.Errorf("sim: deadlock at cycle %d; blocked contexts: %s", e.now, strings.Join(waiting, ", "))
 	}
 	return nil
 }
@@ -654,8 +373,7 @@ func (e *Engine) Run() error {
 // finish tears the run down before Run returns: it stops every context
 // coroutine still suspended (daemons, deadlocked or abandoned bodies),
 // then every scheduler coroutine (idle, or hosting a step that never
-// resumed) — each stop returns once that goroutine has exited — and
-// folds the shards' dispatch counters.
+// resumed); each stop returns once that goroutine has exited.
 func (e *Engine) finish() {
 	for _, c := range e.contexts {
 		if c.step == nil && c.co != nil {
@@ -665,10 +383,4 @@ func (e *Engine) finish() {
 	for _, co := range e.scheds {
 		co.stop()
 	}
-	e.finished = true
-	var d DispatchStats
-	for _, s := range e.sh {
-		d.add(s.dstats)
-	}
-	e.dstats = d
 }

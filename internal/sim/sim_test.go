@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -437,7 +436,7 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) {
 		},
 		"engine never run": func(t *testing.T, e *Engine) {
 			e.SpawnDaemon("d", parkedDaemon)
-			e.SpawnOn(0, "app", func(c *Context) { c.Advance(1) })
+			e.Spawn("app", func(c *Context) { c.Advance(1) })
 		},
 		"second Run refused": func(t *testing.T, e *Engine) {
 			e.Spawn("app", func(c *Context) { c.Advance(1) })
@@ -569,43 +568,5 @@ func TestSyncToNeverMovesBackward(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCrossShardWindowSafety exercises the window-safety invariant: an
-// event scheduled onto another shard inside the current lookahead window
-// would be merged a boundary too late and silently corrupt determinism,
-// so AtEventFromTo must refuse it loudly instead.
-func TestCrossShardWindowSafety(t *testing.T) {
-	e := NewEngine(WithShards(2, 2, 10))
-	e.SpawnOn(0, "offender", func(c *Context) {
-		// Origin 0 lives on shard 0, origin 1 on shard 1. A delivery one
-		// cycle out is inside the 10-cycle window — illegal lookahead.
-		e.AtEventFromTo(c.Time()+1, 0, 1, funcEvent(func() {}))
-	})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("cross-shard event inside the window must abort the run")
-	}
-	if !strings.Contains(err.Error(), "inside the current window") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestCrossShardAtWindowLimitAllowed pins the boundary case: an event
-// exactly one full window out (t == limit) is legal — it lands in the
-// next window's merge.
-func TestCrossShardAtWindowLimitAllowed(t *testing.T) {
-	e := NewEngine(WithShards(2, 2, 10))
-	var fired bool
-	e.SpawnOn(0, "sender", func(c *Context) {
-		e.AtEventFromTo(10, 0, 1, funcEvent(func() { fired = true }))
-	})
-	e.SpawnOn(1, "keepalive", func(c *Context) { c.Sleep(40) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("window-limit event never fired")
 	}
 }

@@ -200,52 +200,49 @@ func TestStepperHostChoiceInvariance(t *testing.T) {
 // TestTwoHostsResumedInEitherOrder suspends two steppers mid-step at the
 // same time — each pins the scheduler coroutine that was hosting it, so a
 // third one ends up with the role — and resumes them in the order they
-// suspended in and in the opposite one, on a serial engine and with the
-// two steppers on different shards. Each resumption must land on the
+// suspended in and in the opposite one. Each resumption must land on the
 // right host, each host must hand the conch back to the scheduler that
 // dispatched it, and Run must leave none of the three behind.
 func TestTwoHostsResumedInEitherOrder(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		for _, wakeAt := range [][2]Time{{20, 40}, {40, 20}} {
-			t.Run(fmt.Sprintf("shards=%d/a@%d,b@%d", shards, wakeAt[0], wakeAt[1]), func(t *testing.T) {
-				before := runtime.NumGoroutine()
-				e := NewEngine(WithShards(shards, 2, 10))
-				var log []string
-				for node, name := range []string{"a", "b"} {
-					s := e.SpawnStepperDaemonOn(node, name, func(c *Context) bool {
-						c.Park("mid-step") // first activation, t=0: pins the acting scheduler
-						log = append(log, fmt.Sprintf("%s@%d", name, c.Time()))
-						return false
-					}, "idle")
-					e.SpawnOn(node, "wake-"+name, func(c *Context) {
-						c.Sleep(wakeAt[node])
-						s.Unpark(c.Time())
-					})
-				}
-				if err := e.Run(); err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				want := []string{"a@20", "b@40"}
-				if wakeAt[0] > wakeAt[1] {
-					want = []string{"b@20", "a@40"}
-				}
-				if !slices.Equal(log, want) {
-					t.Errorf("resumptions = %v, want %v", log, want)
-				}
-				if ds := e.DispatchStats(); ds.InlineSuspends != 2 || ds.StepperFallbacks != 2 {
-					t.Errorf("suspends = %d, fallbacks = %d, want 2 and 2", ds.InlineSuspends, ds.StepperFallbacks)
-				}
-				if len(e.scheds) != 3 {
-					t.Errorf("%d scheduler coroutines, want 3: two pinned hosts and their successor", len(e.scheds))
-				}
-				if len(e.idle) != 2 {
-					t.Errorf("%d idle scheduler coroutines at the end, want both released hosts", len(e.idle))
-				}
-				if after := runtime.NumGoroutine(); after != before {
-					t.Errorf("goroutines: %d before, %d after Run", before, after)
-				}
-			})
-		}
+	for _, wakeAt := range [][2]Time{{20, 40}, {40, 20}} {
+		t.Run(fmt.Sprintf("a@%d,b@%d", wakeAt[0], wakeAt[1]), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			var log []string
+			for node, name := range []string{"a", "b"} {
+				s := e.SpawnStepperDaemon(name, func(c *Context) bool {
+					c.Park("mid-step") // first activation, t=0: pins the acting scheduler
+					log = append(log, fmt.Sprintf("%s@%d", name, c.Time()))
+					return false
+				}, "idle")
+				e.Spawn("wake-"+name, func(c *Context) {
+					c.Sleep(wakeAt[node])
+					s.Unpark(c.Time())
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			want := []string{"a@20", "b@40"}
+			if wakeAt[0] > wakeAt[1] {
+				want = []string{"b@20", "a@40"}
+			}
+			if !slices.Equal(log, want) {
+				t.Errorf("resumptions = %v, want %v", log, want)
+			}
+			if ds := e.DispatchStats(); ds.InlineSuspends != 2 || ds.StepperFallbacks != 2 {
+				t.Errorf("suspends = %d, fallbacks = %d, want 2 and 2", ds.InlineSuspends, ds.StepperFallbacks)
+			}
+			if len(e.scheds) != 3 {
+				t.Errorf("%d scheduler coroutines, want 3: two pinned hosts and their successor", len(e.scheds))
+			}
+			if len(e.idle) != 2 {
+				t.Errorf("%d idle scheduler coroutines at the end, want both released hosts", len(e.idle))
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before, %d after Run", before, after)
+			}
+		})
 	}
 }
 

@@ -81,7 +81,7 @@ type nodeState struct {
 
 	// hot holds the node's protocol counters. Counting per node (each
 	// bump happens on the node's own CPU or NP context) keeps the hot
-	// path shard-local under sharded execution; fold sums the nodes.
+	// path node-local; fold sums the nodes.
 	hot hotStats
 }
 

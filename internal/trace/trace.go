@@ -5,12 +5,10 @@
 // nil check.
 //
 // Events are captured in per-node buffers: every emission names the node
-// it happened on, and all of a node's emitters (its CPU, its protocol
-// agent) execute on that node's shard, so capture is race-free at any
-// shard count without locks. The global stream is reconstructed on
-// demand by a deterministic merge keyed the same way the sharded engine
-// orders simultaneous events — (time, node, per-node emission order) —
-// so a sharded run's merged trace is identical to the serial run's.
+// it happened on. The global stream is reconstructed on demand by a
+// deterministic merge keyed the same way the engine orders simultaneous
+// events — (time, node, per-node emission order) — which is the order
+// the committed conformance corpus is recorded in.
 package trace
 
 import (
@@ -135,8 +133,8 @@ func padTo(b []byte, n int) []byte {
 	return b
 }
 
-// nodeBuf is one node's capture buffer. A node's events are appended by
-// that node's contexts only, so the buffer is shard-local state.
+// nodeBuf is one node's capture buffer: node-local state, appended to by
+// that node's contexts only.
 type nodeBuf struct {
 	events  []Event
 	dropped uint64
@@ -144,13 +142,11 @@ type nodeBuf struct {
 
 // Tracer collects events up to a cap (oldest kept), with an optional
 // filter. The cap is divided evenly across the node buffers (at least
-// one event per node), so which events survive a tight cap does not
-// depend on the shard count.
+// one event per node).
 //
 // Cap behaviour at the buffer boundary: when a node's buffer reaches its
-// per-node share of Max, every later emission for that node — including
-// mid-window ones under sharded execution — is counted in Dropped and
-// discarded; the events already captured are kept (oldest-kept policy).
+// per-node share of Max, every later emission for that node is counted
+// in Dropped and discarded; the events already captured are kept (oldest-kept policy).
 // The merged stream is then a prefix per node, not a prefix in global
 // time: other nodes keep recording, so the merge interleaves complete
 // and truncated nodes. Consumers that need a complete stream (replay,
@@ -159,9 +155,8 @@ type nodeBuf struct {
 //
 // A Tracer belongs to exactly one simulated machine: call Prepare with
 // the machine's node count before the run (typhoon.New does this for
-// attached tracers), after which Emit is safe from all of the machine's
-// shards because each emission lands in its node's buffer. Events,
-// Dropped, CountByKind, Dump, and Reset inspect or clear all buffers at
+// attached tracers), so the per-node cap is final before the first
+// emission. Events, Dropped, CountByKind, Dump, and Reset inspect or clear all buffers at
 // once and must only run while the machine is not (single-goroutine use
 // before or after Run). When the harness runs machines in parallel
 // (harness.RunAll), attach a separate Tracer to each machine. Reset lets
@@ -182,9 +177,8 @@ type Tracer struct {
 func New(max int) *Tracer { return &Tracer{Max: max} }
 
 // Prepare sizes the tracer for a machine with the given node count. It
-// must be called before a sharded run — growing the buffer table during
-// one would race — and before any emission whose retention should be
-// governed by the final per-node cap. Prepare never shrinks, so a
+// must be called before any emission whose retention should be governed
+// by the final per-node cap. Prepare never shrinks, so a
 // tracer reused across sequential runs keeps its buffers.
 func (t *Tracer) Prepare(nodes int) {
 	for len(t.bufs) < nodes {
@@ -208,7 +202,7 @@ func (t *Tracer) perNodeCap() int {
 }
 
 // Emit records one event into its node's buffer. Emitting for a node
-// beyond the prepared count grows the table — single-goroutine use only.
+// beyond the prepared count grows the table.
 func (t *Tracer) Emit(e Event) {
 	if t.Filter != nil && !t.Filter(e) {
 		return
@@ -226,7 +220,7 @@ func (t *Tracer) Emit(e Event) {
 
 // mergeKey orders the merged stream: time, then node, then the node's
 // emission order — the same shape as the engine's stable event key, and
-// like it a total order that no shard count can disturb.
+// like it a strict total order.
 type mergeKey struct {
 	t    sim.Time
 	node int

@@ -216,49 +216,3 @@ func TestTracerPerMachineParallel(t *testing.T) {
 		}
 	}
 }
-
-// TestTracerShardedVsSerial is the tracer's shard-equivalence proof: one
-// traced benchmark at 1, 2, and 4 shards must produce byte-identical
-// merged event streams (and identical drop accounting). Each node's
-// events are captured on that node's shard; the deterministic
-// (time, node, emission order) merge reconstructs the serial order. Run
-// under -race this is also the memory-safety proof for shard-local
-// capture.
-func TestTracerShardedVsSerial(t *testing.T) {
-	runTraced := func(shards int) []trace.Event {
-		app, err := harness.MakeApp("em3d", harness.ScaleReduced, harness.SetSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := harness.MachineConfig(harness.ScaleReduced, 16<<10)
-		cfg.Shards = shards
-		m := machine.New(cfg)
-		tr := trace.New(0)
-		typhoon.New(m, stache.New(), typhoon.WithTracer(tr))
-		app.Setup(m)
-		if _, err := m.Run(app.Body); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Dropped() != 0 {
-			t.Fatalf("shards=%d: %d events dropped with an unbounded cap", shards, tr.Dropped())
-		}
-		out := make([]trace.Event, len(tr.Events()))
-		copy(out, tr.Events())
-		return out
-	}
-	serial := runTraced(1)
-	if len(serial) == 0 {
-		t.Fatal("serial run traced no events")
-	}
-	for _, shards := range []int{2, 4} {
-		sharded := runTraced(shards)
-		if len(sharded) != len(serial) {
-			t.Fatalf("shards=%d: %d events, serial %d", shards, len(sharded), len(serial))
-		}
-		for i := range serial {
-			if sharded[i] != serial[i] {
-				t.Fatalf("shards=%d: event %d = %+v, serial %+v", shards, i, sharded[i], serial[i])
-			}
-		}
-	}
-}

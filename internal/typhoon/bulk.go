@@ -74,7 +74,7 @@ func (s *System) BulkTransfer(p *machine.Proc, dst int, srcVA, dstVA mem.VA, n i
 	s.M.Eng.AfterFrom(1, p.ID(), func() {
 		np.bulk = append(np.bulk, bt)
 		np.bulkDone[dst] = append(np.bulkDone[dst], bt)
-		np.ctx.Unpark(s.M.Eng.NowFor(np.node))
+		np.ctx.Unpark(s.M.Eng.Now())
 	})
 	return &Bulk{np: np, bt: bt}
 }

@@ -28,8 +28,8 @@ type npHot struct {
 	bulkPackets   uint64
 	// pageFaults counts the node's user-level page faults. It lives in
 	// the NP's hot stats (though the fault runs on the CPU) so the count
-	// stays node-local — shard-local under sharded execution — instead
-	// of contending on the system-wide counter map.
+	// stays node-local instead of contending on the system-wide counter
+	// map.
 	pageFaults uint64
 }
 

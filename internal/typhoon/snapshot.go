@@ -17,7 +17,7 @@ func (np *NP) Core() *agent.Core { return np.core }
 // into one order-independent-of-nothing hash: segments, nodes, and pages
 // are visited in a fixed order, so equal digests mean equal tag state.
 // It must only be called while the machine is not running (protocol
-// state is shard-local mid-run); the conformance suite records it after
+// state is node-local mid-run); the conformance suite records it after
 // Run as part of a trace's footer.
 func (s *System) StateDigest() uint64 {
 	h := fnv.New64a()

@@ -165,8 +165,8 @@ type System struct {
 	c         *stats.Counters
 	foldHooks []func(*stats.Counters)
 	// fragSeqs[src] numbers fragment streams per source node (reassembly
-	// is keyed by {src, stream}, so per-source numbering is exact) — a
-	// global counter would be written from every shard.
+	// is keyed by {src, stream}, so per-source numbering is exact), which
+	// keeps the numbering node-local.
 	fragSeqs []uint64
 }
 
@@ -187,8 +187,8 @@ func New(m *machine.Machine, proto Protocol, opts ...Option) *System {
 	}
 	if s.tracer != nil {
 		// Size the tracer's per-node buffers up front: every emit is
-		// node-local (shard-local under sharded execution) and the merged
-		// stream is reconstructed deterministically at read time.
+		// node-local and the merged stream is reconstructed
+		// deterministically at read time.
 		s.tracer.Prepare(m.Cfg.Nodes)
 	}
 	m.PerRefOverhead = s.software.CheckOverhead
@@ -270,8 +270,8 @@ func (s *System) RegisterHandler(id uint32, h Handler) {
 // the conformance suite's negative tests wrap a Stache handler to
 // corrupt payloads and charge extra cycles, proving the replay and
 // differential layers catch a buggy protocol. Like RegisterHandler it
-// must be called before Engine.Run: the handler table is read from
-// every shard once messages flow. Wrapping an unregistered ID panics.
+// must be called before Engine.Run: the handler table is read by every
+// node once messages flow. Wrapping an unregistered ID panics.
 func (s *System) WrapHandler(id uint32, wrap func(Handler) Handler) {
 	h, ok := s.handlers[id]
 	if !ok {

@@ -36,5 +36,8 @@ refuse -occupancy typhoon-sim -occupancy -20
 refuse -cache-dir bench -no-cache -cache-dir "$tmp/cache"
 refuse -j fleet worker -addr "$tmp/none.sock" -j -3
 refuse -nodes typhoon-sim -nodes -3
+# The removed sharded-execution flag is an undefined flag, not an ignored one.
+refuse "flag provided but not defined: -shards" bench -shards 2
+refuse "flag provided but not defined: -shards" conform -shards 2
 
-echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags refused with exit 2"
+echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags and the removed one refused with exit 2"
