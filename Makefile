@@ -6,11 +6,12 @@
 # gates (ideal and contended machine), the cache and fleet gates, the
 # fuzz targets' committed seed corpora, and the conformance corpus.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
-# from here.
+# from here; `make profile-hit`, `profile-miss` and `profile-large` put
+# one of its simulating workloads under the CPU profiler.
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss fuzz-seeds fuzz-burst conform loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-large fuzz-seeds fuzz-burst conform loc
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
@@ -38,8 +39,9 @@ bench-smoke:
 # cli-smoke builds all seven binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse), and gives every sweep binary one bad
-# shared flag — and bench and conform the removed sharding flag: each
-# must exit 2 and name the flag on stderr.
+# shared flag — typhoon-sim also a cache whose set count is not a power
+# of two, bench and conform the removed sharding flag: each must exit 2
+# and name the flag (or the rule) on stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
@@ -78,15 +80,18 @@ profile:
 	$(GO) run ./cmd/bench -check testdata/bench.digest -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof <file>)"
 
-# profile-hit / profile-miss profile one workload instead of the whole
-# sweep: the point sets of the repo benchmark's hit_path and miss_path
-# (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath), on
-# one processor as the benchmark runs them. Inspect with
+# profile-hit / profile-miss / profile-large profile one workload instead
+# of the whole sweep: the point sets of the repo benchmark's hit_path,
+# miss_path and fig_large (internal/harness BenchmarkPointsHitPath /
+# BenchmarkPointsMissPath / BenchmarkPointsFigLarge), on one processor as
+# the benchmark runs them. Inspect with
 # `go tool pprof harness.test cpu-hit.prof`.
 profile-hit:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsHitPath$$' -benchtime 20x -cpuprofile cpu-hit.prof ./internal/harness
 profile-miss:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPath$$' -benchtime 20x -cpuprofile cpu-miss.prof ./internal/harness
+profile-large:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsFigLarge$$' -benchtime 10x -cpuprofile cpu-large.prof ./internal/harness
 
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).

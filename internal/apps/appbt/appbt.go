@@ -191,7 +191,7 @@ func (a *App) Verify(m *machine.Machine) error {
 		for y := 0; y < N; y++ {
 			for x := 0; x < N; x++ {
 				for c := 0; c < Comp; c++ {
-					if err := b.Expect(a.at(src, x, y, z, c), fmt.Sprintf("appbt u[%d][%d][%d].%d", x, y, z, c)); err != nil {
+					if err := b.Expect(a.at(src, x, y, z, c), "appbt u[%d][%d][%d].%d", x, y, z, c); err != nil {
 						return err
 					}
 				}

@@ -266,21 +266,33 @@ func (b *Backdoor) WriteF64(va mem.VA, v float64) { b.WriteU64(va, math.Float64b
 func (b *Backdoor) Compute(int) {}
 
 // Expect compares the replayed float64 at va with the simulated value.
-func (b *Backdoor) Expect(va mem.VA, what string) error {
+// format and args name the word; they are rendered only on a mismatch,
+// so a Verify over every word of a result formats nothing when it passes.
+func (b *Backdoor) Expect(va mem.VA, format string, args ...int) error {
 	want := b.ReadF64(va)
 	got := ReadBackF64(b.M, va)
 	if !ApproxEqual(got, want, 1e-12) {
-		return fmt.Errorf("%s at %#x: simulated %v, replay %v", what, va, got, want)
+		return fmt.Errorf("%s at %#x: simulated %v, replay %v", label(format, args), va, got, want)
 	}
 	return nil
 }
 
 // ExpectU64 compares the replayed uint64 at va with the simulated value.
-func (b *Backdoor) ExpectU64(va mem.VA, what string) error {
+func (b *Backdoor) ExpectU64(va mem.VA, format string, args ...int) error {
 	want := b.ReadU64(va)
 	got := ReadBackU64(b.M, va)
 	if got != want {
-		return fmt.Errorf("%s at %#x: simulated %d, replay %d", what, va, got, want)
+		return fmt.Errorf("%s at %#x: simulated %d, replay %d", label(format, args), va, got, want)
 	}
 	return nil
+}
+
+// label renders an Expect's name for the word that failed. The indices
+// are ints, not ...any, so that a caller boxes nothing on the passing path.
+func label(format string, args []int) string {
+	boxed := make([]any, len(args))
+	for i, a := range args {
+		boxed[i] = a
+	}
+	return fmt.Sprintf(format, boxed...)
 }

@@ -1,6 +1,8 @@
 package apps_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/apps"
@@ -156,6 +158,79 @@ func TestBackdoorOverlay(t *testing.T) {
 	}
 	if err := b.Expect(a.At(0, 0), "x"); err == nil {
 		t.Fatal("Expect should fail after divergent overlay write")
+	}
+}
+
+// TestExpectMismatchMessage pins the text of a failed comparison, which
+// is all a user sees of a wrong result, and that a passing comparison —
+// one per word of every verified result — formats and allocates nothing.
+func TestExpectMismatchMessage(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096})
+	dirnnb.New(m)
+	a := apps.NewDistArray(m, "x", 600, 8, 0)
+	if _, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 0 {
+			p.WriteF64(a.At(0, 0), 3.5)
+			p.WriteU64(a.At(0, 1), 7)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b := apps.NewBackdoor(m)
+	b.WriteF64(a.At(0, 0), 9.0)
+	b.WriteU64(a.At(0, 1), 8)
+	if err, want := b.Expect(a.At(0, 0), "ocean grid%d[%d][%d]", 1, 300, 511),
+		"ocean grid1[300][511] at 0x400000000000: simulated 3.5, replay 9"; err == nil || err.Error() != want {
+		t.Errorf("Expect: %v, want %q", err, want)
+	}
+	if err, want := b.ExpectU64(a.At(0, 1), "flag %d", 1),
+		"flag 1 at 0x400000000008: simulated 7, replay 8"; err == nil || err.Error() != want {
+		t.Errorf("ExpectU64: %v, want %q", err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 2; i < 600; i++ {
+			if b.Expect(a.At(0, i), "barnes body %d word %d", 1000+i, i) != nil || b.ExpectU64(a.At(0, i), "w %d", 1000+i) != nil {
+				t.Fatal("a matching word was refused")
+			}
+		}
+	}); n != 0 {
+		t.Errorf("matching Expect/ExpectU64 allocate %v times per 598 words, want 0", n)
+	}
+}
+
+// TestVerifyNamesTheFirstWrongWord: every application's Verify reports a
+// wrong result by the name of the first word it checks — after a run
+// whose whole shared memory is overwritten with NaN, that is word zero.
+func TestVerifyNamesTheFirstWrongWord(t *testing.T) {
+	first := map[string]string{
+		"appbt":  "appbt u[0][0][0].0 at 0x",
+		"barnes": "barnes body 0 word 0 at 0x",
+		"mp3d":   "mp3d particle 0.0 word 0 at 0x",
+		"ocean":  "ocean grid0[0][0] at 0x",
+	}
+	for _, app := range tiny() {
+		want, ok := first[app.Name()]
+		if !ok {
+			continue // em3d compares whole arrays, not named words
+		}
+		m := machine.New(machine.Config{Nodes: 4, CacheSize: 4096, Seed: 1})
+		dirnnb.New(m)
+		app.Setup(m)
+		if _, err := m.Run(app.Body); err != nil {
+			t.Fatalf("%s: Run: %v", app.Name(), err)
+		}
+		for _, seg := range m.VM.Segments() {
+			for va := seg.Base; va < seg.End(); va += 8 {
+				home := m.VM.Home(va)
+				if pa, _, ok := m.VM.Translate(home, va); ok {
+					m.Mems[home].WriteF64(pa, math.NaN())
+				}
+			}
+		}
+		err := app.Verify(m)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), ": simulated NaN, replay ") {
+			t.Errorf("%s: Verify = %v, want %q…: simulated NaN, replay …", app.Name(), err, want)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@
 package barnes
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/tempest-sim/tempest/internal/apps"
@@ -388,7 +387,7 @@ func (a *App) Verify(m *machine.Machine) error {
 	}
 	for g := 0; g < a.per*a.nodes; g++ {
 		for w := 0; w < 7; w++ {
-			if err := b.Expect(a.bodyAt(g, w), fmt.Sprintf("barnes body %d word %d", g, w)); err != nil {
+			if err := b.Expect(a.bodyAt(g, w), "barnes body %d word %d", g, w); err != nil {
 				return err
 			}
 		}

@@ -202,7 +202,7 @@ func (a *App) Verify(m *machine.Machine) error {
 	for proc := 0; proc < a.nodes; proc++ {
 		for k := 0; k < a.per; k++ {
 			for w := 0; w < partWords; w++ {
-				if err := b.Expect(a.partAt(proc, k, w), fmt.Sprintf("mp3d particle %d.%d word %d", proc, k, w)); err != nil {
+				if err := b.Expect(a.partAt(proc, k, w), "mp3d particle %d.%d word %d", proc, k, w); err != nil {
 					return err
 				}
 			}

@@ -156,7 +156,7 @@ func (a *App) Verify(m *machine.Machine) error {
 	for i := 0; i < a.cfg.N; i++ {
 		for j := 0; j < a.cfg.N; j++ {
 			for g := 0; g < 2; g++ {
-				if err := b.Expect(a.at(g, i, j), fmt.Sprintf("ocean grid%d[%d][%d]", g, i, j)); err != nil {
+				if err := b.Expect(a.at(g, i, j), "ocean grid%d[%d][%d]", g, i, j); err != nil {
 					return err
 				}
 			}

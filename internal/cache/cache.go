@@ -8,6 +8,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 )
@@ -36,9 +38,27 @@ func (s LineState) String() string {
 	return fmt.Sprintf("LineState(%d)", uint8(s))
 }
 
-type line struct {
-	tag   uint64 // block number (pa / blockSize)
-	state LineState
+// line is one cache line in one word: block<<stateBits | state, where
+// block is pa >> blockShift. LineInvalid is 0 and an empty way is the
+// zero word. Physical addresses stay below 2^48 (mem.MakePA is
+// node<<40 | offset and machine.MaxNodes is 256), so the shift cannot
+// lose a bit.
+type line uint64
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
+
+// holds returns the state in which l holds the block whose key
+// (block<<stateBits) is given: LineInvalid if l is empty or holds
+// another block. No resident word equals a key, because its state bits
+// are not zero.
+func (l line) holds(key line) LineState {
+	if d := l ^ key; d <= stateMask {
+		return LineState(d)
+	}
+	return LineInvalid
 }
 
 // Stats counts cache events.
@@ -51,18 +71,22 @@ type Stats struct {
 	Invals      uint64 // external invalidations that hit
 }
 
-// Cache is a set-associative cache with random replacement.
+// Cache is a set-associative cache with random replacement. Block size
+// and set count are powers of two: a set is found by a shift and a mask
+// and is ways consecutive words (32 bytes at Table 2's four ways).
 type Cache struct {
-	blockSize int
-	ways      int
-	numSets   int
-	sets      []line // numSets * ways, row-major
-	rng       uint64
-	stats     Stats
+	blockShift uint
+	setMask    uint64 // number of sets - 1
+	ways       int
+	sets       []line // (setMask+1) * ways, row-major
+	rng        uint64
+	stats      Stats
 }
 
 // New returns a cache of size bytes with the given associativity and
-// block size. Size must divide evenly into sets.
+// block size. Size must divide evenly into a power-of-two number of sets
+// of power-of-two blocks; machine.Config.Validate refuses other
+// geometries with an error, the panic is for callers that bypass it.
 func New(size, ways, blockSize int, seed uint64) *Cache {
 	if size <= 0 || ways <= 0 || blockSize <= 0 {
 		panic("cache: size, ways and blockSize must be positive")
@@ -71,15 +95,18 @@ func New(size, ways, blockSize int, seed uint64) *Cache {
 	if numSets == 0 || size%(ways*blockSize) != 0 {
 		panic(fmt.Sprintf("cache: size %d not divisible into %d-way sets of %d-byte blocks", size, ways, blockSize))
 	}
+	if blockSize&(blockSize-1) != 0 || numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets of %d-byte blocks: both must be powers of two", numSets, blockSize))
+	}
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
 	return &Cache{
-		blockSize: blockSize,
-		ways:      ways,
-		numSets:   numSets,
-		sets:      make([]line, numSets*ways),
-		rng:       seed,
+		blockShift: uint(bits.TrailingZeros(uint(blockSize))),
+		setMask:    uint64(numSets - 1),
+		ways:       ways,
+		sets:       make([]line, numSets*ways),
+		rng:        seed,
 	}
 }
 
@@ -87,14 +114,28 @@ func New(size, ways, blockSize int, seed uint64) *Cache {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // BlockSize returns the line size in bytes.
-func (c *Cache) BlockSize() int { return c.blockSize }
+func (c *Cache) BlockSize() int { return 1 << c.blockShift }
 
 // Size returns the cache capacity in bytes.
-func (c *Cache) Size() int { return c.numSets * c.ways * c.blockSize }
+func (c *Cache) Size() int { return len(c.sets) << c.blockShift }
 
-func (c *Cache) index(pa mem.PA) (setBase int, tag uint64) {
-	block := uint64(pa) / uint64(c.blockSize)
-	return int(block%uint64(c.numSets)) * c.ways, block
+// index returns the ways of the set pa's block maps to and the block's key.
+func (c *Cache) index(pa mem.PA) (set []line, key line) {
+	block := uint64(pa) >> c.blockShift
+	base := int(block&c.setMask) * c.ways
+	return c.sets[base : base+c.ways], line(block << stateBits)
+}
+
+// find returns index(pa) and the way holding pa's block in a valid state,
+// or -1.
+func (c *Cache) find(pa mem.PA) (set []line, key line, way int) {
+	set, key = c.index(pa)
+	for w, l := range set {
+		if l.holds(key) != LineInvalid {
+			return set, key, w
+		}
+	}
+	return set, key, -1
 }
 
 func (c *Cache) next() uint64 {
@@ -111,13 +152,13 @@ func (c *Cache) next() uint64 {
 // whether the line is present in Shared state so a write needs only a bus
 // upgrade rather than a full miss.
 func (c *Cache) Probe(pa mem.PA, write bool) (hit, upgrade bool) {
-	base, tag := c.index(pa)
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state == LineInvalid || l.tag != tag {
+	set, key := c.index(pa)
+	for _, l := range set {
+		st := l.holds(key)
+		if st == LineInvalid {
 			continue
 		}
-		if write && l.state == LineShared {
+		if write && st == LineShared {
 			c.stats.Upgrades++
 			return false, true
 		}
@@ -130,11 +171,10 @@ func (c *Cache) Probe(pa mem.PA, write bool) (hit, upgrade bool) {
 
 // Lookup returns the state of pa's line without touching statistics.
 func (c *Cache) Lookup(pa mem.PA) LineState {
-	base, tag := c.index(pa)
-	for w := 0; w < c.ways; w++ {
-		l := c.sets[base+w]
-		if l.state != LineInvalid && l.tag == tag {
-			return l.state
+	set, key := c.index(pa)
+	for _, l := range set {
+		if st := l.holds(key); st != LineInvalid {
+			return st
 		}
 	}
 	return LineInvalid
@@ -147,105 +187,72 @@ func (c *Cache) Fill(pa mem.PA, state LineState) (victim mem.PA, victimState Lin
 	if state == LineInvalid {
 		panic("cache: Fill with LineInvalid")
 	}
-	base, tag := c.index(pa)
 	// Reuse an existing or invalid way first.
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state != LineInvalid && l.tag == tag {
-			l.state = state
-			return 0, LineInvalid
+	set, key, w := c.find(pa)
+	if w < 0 {
+		w = slices.Index(set, 0)
+	}
+	if w < 0 {
+		// Random replacement.
+		w = int(c.next() % uint64(c.ways))
+		victim = mem.PA(uint64(set[w]>>stateBits) << c.blockShift)
+		victimState = LineState(set[w] & stateMask)
+		c.stats.Evictions++
+		if victimState == LineExclusive {
+			c.stats.DirtyEvicts++
 		}
 	}
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state == LineInvalid {
-			l.tag = tag
-			l.state = state
-			return 0, LineInvalid
-		}
-	}
-	// Random replacement.
-	w := int(c.next() % uint64(c.ways))
-	l := &c.sets[base+w]
-	victim = mem.PA(l.tag * uint64(c.blockSize))
-	victimState = l.state
-	c.stats.Evictions++
-	if victimState == LineExclusive {
-		c.stats.DirtyEvicts++
-	}
-	l.tag = tag
-	l.state = state
+	set[w] = key | line(state)
 	return victim, victimState
 }
 
 // Upgrade promotes pa's line to Exclusive. It panics if the line is not
 // resident (the caller must have probed first).
 func (c *Cache) Upgrade(pa mem.PA) {
-	base, tag := c.index(pa)
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state != LineInvalid && l.tag == tag {
-			l.state = LineExclusive
-			return
-		}
+	set, key, w := c.find(pa)
+	if w < 0 {
+		panic(fmt.Sprintf("cache: Upgrade of non-resident block %#x", pa))
 	}
-	panic(fmt.Sprintf("cache: Upgrade of non-resident block %#x", pa))
+	set[w] = key | line(LineExclusive)
 }
 
 // Downgrade demotes pa's line to Shared if resident (a remote read of an
 // exclusively held block). It returns the previous state.
 func (c *Cache) Downgrade(pa mem.PA) LineState {
-	base, tag := c.index(pa)
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state != LineInvalid && l.tag == tag {
-			prev := l.state
-			l.state = LineShared
-			return prev
-		}
+	set, key, w := c.find(pa)
+	if w < 0 {
+		return LineInvalid
 	}
-	return LineInvalid
+	prev := set[w].holds(key)
+	set[w] = key | line(LineShared)
+	return prev
 }
 
 // Invalidate removes pa's line and returns its previous state. Typhoon's
 // invalidate tag operation and DirNNB's invalidation messages use it.
 func (c *Cache) Invalidate(pa mem.PA) LineState {
-	base, tag := c.index(pa)
-	for w := 0; w < c.ways; w++ {
-		l := &c.sets[base+w]
-		if l.state != LineInvalid && l.tag == tag {
-			prev := l.state
-			l.state = LineInvalid
-			c.stats.Invals++
-			return prev
-		}
+	set, key, w := c.find(pa)
+	if w < 0 {
+		return LineInvalid
 	}
-	return LineInvalid
+	prev := set[w].holds(key)
+	set[w] = 0
+	c.stats.Invals++
+	return prev
 }
 
 // InvalidatePage removes every line belonging to pa's physical page and
 // returns how many lines were dropped (Stache page replacement).
 func (c *Cache) InvalidatePage(pa mem.PA) int {
-	first := uint64(pa.FrameBase()) / uint64(c.blockSize)
-	n := mem.PageSize / c.blockSize
 	dropped := 0
-	for b := uint64(0); b < uint64(n); b++ {
-		block := first + b
-		base := int(block%uint64(c.numSets)) * c.ways
-		for w := 0; w < c.ways; w++ {
-			l := &c.sets[base+w]
-			if l.state != LineInvalid && l.tag == block {
-				l.state = LineInvalid
-				dropped++
-			}
+	for b := mem.PA(0); b < mem.PageSize; b += 1 << c.blockShift {
+		if set, _, w := c.find(pa.FrameBase() + b); w >= 0 {
+			set[w] = 0
+			dropped++
 		}
 	}
 	return dropped
 }
 
 // Flush empties the cache.
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i].state = LineInvalid
-	}
-}
+func (c *Cache) Flush() { clear(c.sets) }

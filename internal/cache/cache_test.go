@@ -182,12 +182,22 @@ func TestCapacityObserved(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(100, 3, 32, 1)
+	for _, g := range [][3]int{
+		{100, 3, 32},   // not divisible into sets
+		{12288, 4, 32}, // 96 sets: not a power of two
+		{9216, 3, 32},  // 96 sets of three ways
+		{6144, 4, 48},  // 32 sets of 48-byte blocks
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d, %d): expected panic", g[0], g[1], g[2])
+				}
+			}()
+			New(g[0], g[1], g[2], 1)
+		}()
+	}
+	New(3072, 3, 32, 1) // 32 sets of three ways is fine
 }
 
 // Property: a resident block stays resident across fills that map to

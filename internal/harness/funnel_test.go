@@ -53,6 +53,9 @@ func setupFailureCases() map[string]func(*Point) {
 	for _, n := range []int{-1, 3} {
 		cases[fmt.Sprintf("ways=%d", n)] = func(pt *Point) { pt.Cfg.CacheWays = n }
 	}
+	// Sizes that divide evenly into 96 sets, which no shift and mask index.
+	cases["cache=12288"] = func(pt *Point) { pt.Cfg.CacheSize = 12288 }
+	cases["ways=3,cache=9216"] = func(pt *Point) { pt.Cfg.CacheWays, pt.Cfg.CacheSize = 3, 9216 }
 	return cases
 }
 
@@ -63,7 +66,7 @@ func setupFailureCases() map[string]func(*Point) {
 // funnel's set-up phase for what only building the machine discovers —
 // never a panic that takes the worker down.
 func TestSetupFailuresAreErrors(t *testing.T) {
-	run := func(t *testing.T, pt Point) {
+	run := func(t *testing.T, pt Point) error {
 		t.Helper()
 		pt.NoCache = true
 		decoded, err := DecodePoint(pt.Encode())
@@ -81,13 +84,22 @@ func TestSetupFailuresAreErrors(t *testing.T) {
 			!strings.HasPrefix(msg, "harness: "+pt.Label()+": ") {
 			t.Errorf("error does not name the point: %v", err)
 		}
+		return err
+	}
+	// The cases whose wording is the user's only explanation of a rule.
+	wantSuffix := map[string]string{
+		"cache=12288":       "makes 96 sets, which is not a power of two",
+		"ways=3,cache=9216": "makes 96 sets, which is not a power of two",
 	}
 	for sysName, base := range setupFailureSystems() {
 		for name, mutate := range setupFailureCases() {
 			t.Run(sysName+"/"+name, func(t *testing.T) {
 				pt := base
 				mutate(&pt)
-				run(t, pt)
+				err := run(t, pt)
+				if want, ok := wantSuffix[name]; ok && !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("error %q does not end in %q", err, want)
+				}
 			})
 		}
 	}

@@ -2,23 +2,30 @@ package harness
 
 import "testing"
 
-// benchPoints runs the reduced small-set Figure 3 points at one cache
-// size through RunPoint, uncached — the point sets of the repo
-// benchmark's hit_path (64 KB: the data fits, so the machine/cache
-// reference path does the work) and miss_path (4 KB: network, agents
-// and protocol handlers do) workloads. They exist so one workload can be
-// profiled (`make profile-hit`, `make profile-miss`); claims are still
-// measured by `go run ./benchmark`.
-func benchPoints(b *testing.B, cacheKB int) {
+// fig3BenchPoints returns the reduced Figure 3 points of the named
+// benchmarks on one data set at one cache size, both systems each.
+func fig3BenchPoints(b *testing.B, names []string, set DataSet, cacheKB int) []Point {
 	var pts []Point
-	for _, pt := range Fig3Points(ScaleReduced, BenchNames, Fig3Configs(ScaleReduced), SimParams{}, true) {
-		if pt.Set == SetSmall && pt.Cfg.CacheSize == cacheKB<<10 {
+	for _, pt := range Fig3Points(ScaleReduced, names, Fig3Configs(ScaleReduced), SimParams{}, true) {
+		if pt.Set == set && pt.Cfg.CacheSize == cacheKB<<10 {
 			pts = append(pts, pt)
 		}
 	}
-	if len(pts) != 2*len(BenchNames) {
-		b.Fatalf("%d small-set %d KB points, want one per benchmark and system", len(pts), cacheKB)
+	if len(pts) != 2*len(names) {
+		b.Fatalf("%d %s-set %d KB points, want one per benchmark and system", len(pts), set, cacheKB)
 	}
+	return pts
+}
+
+// benchPoints runs a point set through RunPoint, uncached. The three
+// sets are those of the repo benchmark's hit_path (small set at 64 KB:
+// the data fits, so the machine/cache reference path does the work),
+// miss_path (4 KB: network, agents and protocol handlers do) and
+// fig_large (the long large-set points plus the Figure 4 triple, where
+// 32 nodes' cache models no longer fit the host's) workloads. They exist
+// so one workload can be profiled (`make profile-hit`, `profile-miss`,
+// `profile-large`); claims are still measured by `go run ./benchmark`.
+func benchPoints(b *testing.B, pts []Point) {
 	var refs uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -34,5 +41,20 @@ func benchPoints(b *testing.B, cacheKB int) {
 	b.ReportMetric(float64(refs)/1e6/b.Elapsed().Seconds(), "Mrefs/s")
 }
 
-func BenchmarkPointsHitPath(b *testing.B)  { benchPoints(b, 64) }
-func BenchmarkPointsMissPath(b *testing.B) { benchPoints(b, 4) }
+func BenchmarkPointsHitPath(b *testing.B) {
+	benchPoints(b, fig3BenchPoints(b, BenchNames, SetSmall, 64))
+}
+
+func BenchmarkPointsMissPath(b *testing.B) {
+	benchPoints(b, fig3BenchPoints(b, BenchNames, SetSmall, 4))
+}
+
+func BenchmarkPointsFigLarge(b *testing.B) {
+	pts := fig3BenchPoints(b, []string{"appbt", "ocean", "em3d"}, SetLarge, 64)
+	for _, sys := range []System{SysDirNNB, SysStache, SysUpdate} {
+		ecfg := EM3DConfig(ScaleReduced, SetSmall)
+		ecfg.PctRemote = 20
+		pts = append(pts, Point{Cfg: MachineConfig(ScaleReduced, 0), System: sys, EM3D: &ecfg, NoCache: true})
+	}
+	benchPoints(b, pts)
+}

@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/tempest-sim/tempest/internal/cache"
 	"github.com/tempest-sim/tempest/internal/mem"
@@ -133,13 +134,13 @@ func (c Config) Normalized() Config {
 const MaxCycles sim.Time = 1 << 32
 
 // MaxNodes, MaxCacheBytes and MaxTLBEntries bound the geometry New
-// allocates from: per node, one cache line record per block of
+// allocates from: per node, one cache line word per block of
 // CacheSize and a few words per TLB entry (three TLBs on a Typhoon
 // node). Configurations arrive over the wire, and an allocation the
 // host cannot satisfy is a kill no recover turns into an error reply.
 // Each is 8× or more what the paper and any committed sweep use (32
 // nodes, 256 KB, 64 entries); a machine at all three bounds costs the
-// host about 0.6 GB at the default block size, four times that at the
+// host about 0.3 GB at the default block size, four times that at the
 // smallest.
 const (
 	MaxNodes      = 256
@@ -178,6 +179,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache size %d not divisible into %d-way sets of %d-byte blocks", c.CacheSize, c.CacheWays, bs)
 	case c.CacheSize > MaxCacheBytes:
 		return fmt.Errorf("cache size %d exceeds %d bytes", c.CacheSize, MaxCacheBytes)
+	case bits.OnesCount(uint(c.CacheSize/bs/c.CacheWays)) != 1:
+		return fmt.Errorf("cache size %d in %d-way sets of %d-byte blocks makes %d sets, which is not a power of two",
+			c.CacheSize, c.CacheWays, bs, c.CacheSize/bs/c.CacheWays)
 	case c.TLBEntries < 1 || c.TLBEntries > MaxTLBEntries:
 		return fmt.Errorf("%d TLB entries outside [1, %d]", c.TLBEntries, MaxTLBEntries)
 	case c.MemPagesPerNode < 0:

@@ -277,3 +277,48 @@ func TestValidateBoundsGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateWantsPowerOfTwoSets: the cache finds a set by shift and
+// mask, so a geometry whose set count is not a power of two is refused
+// here, by an error naming the three numbers and the count they make —
+// whatever the associativity.
+func TestValidateWantsPowerOfTwoSets(t *testing.T) {
+	for _, tc := range []struct {
+		size, ways, block int
+		want              string // "" = accepted
+	}{
+		{12 << 10, 4, 32, "cache size 12288 in 4-way sets of 32-byte blocks makes 96 sets, which is not a power of two"},
+		{9216, 3, 32, "cache size 9216 in 3-way sets of 32-byte blocks makes 96 sets, which is not a power of two"},
+		{3072, 3, 32, ""}, // 32 sets of three ways
+		{4096, 4, 1024, ""},
+		{64 << 10, 4, 32, ""},
+	} {
+		cfg := DefaultConfig()
+		cfg.CacheSize, cfg.CacheWays, cfg.BlockSize = tc.size, tc.ways, tc.block
+		switch err := cfg.Validate(); {
+		case tc.want == "" && err != nil:
+			t.Errorf("%d/%d/%d: Validate() = %v, want accepted", tc.size, tc.ways, tc.block, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%d/%d/%d: Validate() = %v, want %q", tc.size, tc.ways, tc.block, err, tc.want)
+		}
+	}
+}
+
+// TestCacheLineHoldsTheLargestPA: a cache line is one word, block<<2 |
+// state, which is lossless only while no physical address reaches 2^48
+// over the smallest block. The largest address MaxNodes allows comes
+// back from an eviction as the block it went in as.
+func TestCacheLineHoldsTheLargestPA(t *testing.T) {
+	top := mem.MakePA(MaxNodes-1, 1<<40-1)
+	if top >= 1<<48 {
+		t.Fatalf("largest PA %#x needs more than 48 bits", top)
+	}
+	c := cache.New(8, 1, 8, 1) // one 8-byte line: the next fill evicts
+	c.Fill(top, cache.LineExclusive)
+	if st := c.Lookup(top); st != cache.LineExclusive {
+		t.Fatalf("Lookup(%#x) = %v after Fill", top, st)
+	}
+	if victim, st := c.Fill(0, cache.LineShared); victim != top&^7 || st != cache.LineExclusive {
+		t.Fatalf("evicted (%#x, %v), want (%#x, Exclusive)", victim, st, top&^7)
+	}
+}

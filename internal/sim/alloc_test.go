@@ -60,7 +60,8 @@ func TestAllocFreeContextScheduling(t *testing.T) {
 // TestAllocFreeParkUnpark asserts a steady-state Park/Unpark round trip
 // between two goroutine contexts — two dispatches, four coroutine
 // switches — allocates nothing: the coroutines exist after the first
-// dispatch, and a switch carries no value worth boxing.
+// dispatch, a switch carries no value worth boxing, and a park reason
+// with operands is only rendered by a deadlock report.
 func TestAllocFreeParkUnpark(t *testing.T) {
 	e := NewEngine()
 	var ping *Context
@@ -72,9 +73,11 @@ func TestAllocFreeParkUnpark(t *testing.T) {
 	})
 	allocs := -1.0
 	ping = e.Spawn("ping", func(c *Context) {
+		trips := 0
 		trip := func() {
 			pong.Unpark(c.Time())
-			c.Park("ping")
+			trips++
+			c.Park("ping %d of %d", trips, 201) // operands are stored, not formatted
 		}
 		trip() // pong's first dispatch creates its coroutine
 		allocs = testing.AllocsPerRun(200, trip)

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Barrier models a hardware barrier network (the CM-5-style control
 // network both simulated machines in the paper use): n participants
 // arrive, and all are released latency cycles after the last arrival.
@@ -62,5 +60,5 @@ func (b *Barrier) Arrive(c *Context) {
 		return
 	}
 	b.waiting = append(b.waiting, c)
-	c.Park(fmt.Sprintf("barrier(%d/%d)", len(b.waiting), b.n))
+	c.Park("barrier(%d/%d)", len(b.waiting), b.n)
 }

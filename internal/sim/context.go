@@ -95,7 +95,7 @@ type Context struct {
 	daemon    bool
 	prio      uint8 // tie-break class: compute contexts (0) run before daemons (1)
 
-	parkReason    string
+	park          parkReason
 	pendingUnpark bool
 	pendingAt     Time
 
@@ -278,7 +278,7 @@ func (c *Context) runSteps() {
 			c.eng.runnable.push(c)
 			return
 		}
-		c.parkReason = c.idleReason
+		c.park = parkReason{format: c.idleReason}
 		c.state = StateParked
 		c.co = nil
 		if c.eng.inline == c {
@@ -410,15 +410,44 @@ func (c *Context) BeginNoBlock() { c.noBlock++ }
 // EndNoBlock closes the innermost MustNotBlock section.
 func (c *Context) EndNoBlock() { c.noBlock-- }
 
-// Park suspends the context until another entity calls Unpark. The reason
-// string appears in deadlock reports. If an Unpark raced ahead of the
-// Park (the wakeup was issued while the context was still running), Park
-// consumes it and returns immediately.
-func (c *Context) Park(reason string) {
+// parkReason is why a context is parked: a format and up to two integer
+// operands, rendered only when a deadlock report or a MustNotBlock panic
+// asks for the text. Parks are on the miss and barrier paths; those are
+// not.
+type parkReason struct {
+	format string
+	args   [2]int
+	n      int
+}
+
+func makeParkReason(format string, args []int) parkReason {
+	r := parkReason{format: format}
+	if len(args) > len(r.args) {
+		panic("sim: a park reason takes at most two operands")
+	}
+	r.n = copy(r.args[:], args)
+	return r
+}
+
+func (r parkReason) String() string {
+	if r.n == 0 {
+		return r.format
+	}
+	return fmt.Sprintf(r.format, []any{r.args[0], r.args[1]}[:r.n]...)
+}
+
+// Park suspends the context until another entity calls Unpark. The
+// reason appears in deadlock reports and is rendered only there: a
+// constant string, or a format with up to two integer operands
+// ("lock %d", id). If an Unpark raced ahead of the Park (the wakeup was
+// issued while the context was still running), Park consumes it and
+// returns immediately.
+func (c *Context) Park(reason string, args ...int) {
 	c.checkRunning("Park")
 	c.Sync()
+	r := makeParkReason(reason, args)
 	if c.noBlock > 0 {
-		panic(fmt.Sprintf("sim: context %q parked (%s) inside a MustNotBlock section: run-to-completion handler blocked", c.name, reason))
+		panic(fmt.Sprintf("sim: context %q parked (%s) inside a MustNotBlock section: run-to-completion handler blocked", c.name, r))
 	}
 	if c.pendingUnpark {
 		c.pendingUnpark = false
@@ -428,7 +457,7 @@ func (c *Context) Park(reason string) {
 		c.Yield() // still reschedule so earlier entities run first
 		return
 	}
-	c.parkReason = reason
+	c.park = r
 	c.state = StateParked
 	c.suspend()
 }
@@ -444,7 +473,7 @@ func (c *Context) Unpark(at Time) {
 		if at > c.time {
 			c.time = at
 		}
-		c.parkReason = ""
+		c.park = parkReason{}
 		c.state = StateRunnable
 		c.eng.runnable.push(c)
 	case StateDone:

@@ -361,7 +361,7 @@ func (e *Engine) Run() error {
 		if c.daemon || c.state == StateDone {
 			continue
 		}
-		waiting = append(waiting, fmt.Sprintf("%s@%d(%s: %s)", c.name, c.time, c.state, c.parkReason))
+		waiting = append(waiting, fmt.Sprintf("%s@%d(%s: %s)", c.name, c.time, c.state, c.park))
 	}
 	if len(waiting) > 0 {
 		sort.Strings(waiting)

@@ -162,6 +162,28 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportText pins the deadlock message: every blocked context
+// by name, time, state and park reason, sorted — a barrier one arriver
+// short renders its arrival count, a constant reason prints as given, a
+// format with one operand as tsync's fetch-and-add gives it.
+func TestDeadlockReportText(t *testing.T) {
+	e := NewEngine()
+	bar := NewBarrier(e, 2, 11)
+	e.Spawn("cpu0", func(c *Context) {
+		c.Advance(5)
+		bar.Arrive(c)
+	})
+	e.Spawn("cpu1", func(c *Context) {
+		c.Advance(9)
+		c.Park("await pong")
+	})
+	e.Spawn("cpu2", func(c *Context) { c.Park("fetch-add %d", 2) })
+	const want = "sim: deadlock at cycle 0; blocked contexts: cpu0@5(parked: barrier(1/2)), cpu1@9(parked: await pong), cpu2@0(parked: fetch-add 2)"
+	if err := e.Run(); err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+}
+
 func TestDaemonDoesNotBlockCompletion(t *testing.T) {
 	e := NewEngine()
 	e.SpawnDaemon("np", func(c *Context) {

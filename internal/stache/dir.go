@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 )
 
@@ -62,16 +63,21 @@ const (
 // implementation degrades to a bit vector (the paper's overflow scheme).
 const maxPointers = 6
 
-// sharerSet is the paper's hybrid sharer representation.
+// sharerSet is the paper's hybrid sharer representation: a count and six
+// one-byte pointers, and past six sharers a bit vector. It is 16 bytes
+// and a blockDir 56; a home page carries 128 of those at 32-byte blocks.
 type sharerSet struct {
 	n        int8
-	ptrs     [maxPointers]int16
-	overflow []uint64 // nil until more than maxPointers sharers
+	ptrs     [maxPointers]uint8
+	overflow *[machine.MaxNodes / 64]uint64 // nil until more than maxPointers sharers
 }
+
+// A node number must fit a one-byte pointer.
+const _ = uint8(machine.MaxNodes - 1)
 
 func (s *sharerSet) usingOverflow() bool { return s.overflow != nil }
 
-func (s *sharerSet) add(node, totalNodes int) {
+func (s *sharerSet) add(node int) {
 	if s.has(node) {
 		return
 	}
@@ -80,14 +86,13 @@ func (s *sharerSet) add(node, totalNodes int) {
 		return
 	}
 	if int(s.n) < maxPointers {
-		s.ptrs[s.n] = int16(node)
+		s.ptrs[s.n] = uint8(node)
 		s.n++
 		return
 	}
 	// Overflow: convert the pointers to a bit vector (§3).
-	s.overflow = make([]uint64, (totalNodes+63)/64)
-	for i := int8(0); i < s.n; i++ {
-		p := int(s.ptrs[i])
+	s.overflow = new([machine.MaxNodes / 64]uint64)
+	for _, p := range s.ptrs[:s.n] {
 		s.overflow[p/64] |= 1 << (p % 64)
 	}
 	s.overflow[node/64] |= 1 << (node % 64)
@@ -99,7 +104,7 @@ func (s *sharerSet) remove(node int) {
 		return
 	}
 	for i := int8(0); i < s.n; i++ {
-		if s.ptrs[i] == int16(node) {
+		if int(s.ptrs[i]) == node {
 			s.n--
 			s.ptrs[i] = s.ptrs[s.n]
 			return
@@ -112,7 +117,7 @@ func (s *sharerSet) has(node int) bool {
 		return s.overflow[node/64]&(1<<(node%64)) != 0
 	}
 	for i := int8(0); i < s.n; i++ {
-		if s.ptrs[i] == int16(node) {
+		if int(s.ptrs[i]) == node {
 			return true
 		}
 	}

@@ -246,7 +246,7 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 				d.pendDirty = false
 				d.waiting.clear()
 				for _, s := range d.sharers.members() {
-					d.waiting.add(s, st.nodes())
+					d.waiting.add(s)
 					st.per[np.Node()].hot.invalsSent++
 					np.Charge(2)
 					np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
@@ -269,11 +269,11 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 		np.DowngradeCPU(va)
 		np.SetTag(va, mem.TagReadOnly)
 		d.state = dirShared
-		d.sharers.add(r, st.nodes())
+		d.sharers.add(r)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirShared:
-		d.sharers.add(r, st.nodes())
+		d.sharers.add(r)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirExclusive:
@@ -323,7 +323,7 @@ func (st *Protocol) serveExclusive(np *typhoon.NP, pkt *network.Packet, upgrade 
 		d.pendDirty = false
 		d.waiting.clear()
 		for _, s := range d.sharers.members() {
-			d.waiting.add(s, st.nodes())
+			d.waiting.add(s)
 			st.per[np.Node()].hot.invalsSent++
 			np.Charge(2)
 			np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
@@ -384,7 +384,7 @@ func (st *Protocol) startRecall(np *typhoon.NP, va mem.VA, d *blockDir, synth me
 	}
 	d.owner = -1
 	d.waiting.clear()
-	d.waiting.add(owner, st.nodes())
+	d.waiting.add(owner)
 	np.MemRef(synth, true)
 	st.per[np.Node()].hot.invalsSent++
 	np.Charge(costHomeRespExtra)
@@ -400,7 +400,7 @@ func (st *Protocol) startHomeInvalidate(np *typhoon.NP, va mem.VA, d *blockDir, 
 	d.pendDirty = false
 	d.waiting.clear()
 	for _, s := range d.sharers.members() {
-		d.waiting.add(s, st.nodes())
+		d.waiting.add(s)
 		st.per[np.Node()].hot.invalsSent++
 		np.Charge(2)
 		np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
@@ -453,9 +453,9 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		// The downgraded ex-owner keeps a read-only copy (unless its
 		// writeback told us it dropped the page instead).
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner), st.nodes())
+			d.sharers.add(int(d.pendOwner))
 		}
-		d.sharers.add(r, st.nodes())
+		d.sharers.add(r)
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
@@ -481,7 +481,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 	case pendHomeRead:
 		d.state = dirShared
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner), st.nodes())
+			d.sharers.add(int(d.pendOwner))
 		}
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
@@ -657,5 +657,3 @@ func (st *Protocol) nack(np *typhoon.NP, r int, va mem.VA) {
 	np.Charge(2)
 	np.SendReply(r, HNack, []uint64{uint64(va)}, nil)
 }
-
-func (st *Protocol) nodes() int { return st.m.Cfg.Nodes }

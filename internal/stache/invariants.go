@@ -18,10 +18,13 @@ import (
 // page replacement leaves only harmless extra invalidations), but a node
 // holding a copy must be known to the directory.
 func (st *Protocol) CheckInvariants() error {
+	// One pair of block buffers for the whole audit: the home copy and
+	// the read-only copy being compared with it.
+	homeData, data := make([]byte, st.bs), make([]byte, st.bs)
 	for _, seg := range st.m.VM.Segments() {
 		for off := uint64(0); off < uint64(seg.Pages())*mem.PageSize; off += uint64(st.bs) {
 			va := seg.Base + mem.VA(off)
-			if err := st.checkBlock(va); err != nil {
+			if err := st.checkBlock(va, homeData, data); err != nil {
 				return fmt.Errorf("segment %q block %#x: %w", seg.Name, va, err)
 			}
 		}
@@ -29,7 +32,7 @@ func (st *Protocol) CheckInvariants() error {
 	return nil
 }
 
-func (st *Protocol) checkBlock(va mem.VA) error {
+func (st *Protocol) checkBlock(va mem.VA, homeData, data []byte) error {
 	home := st.m.VM.Home(va)
 	homePA, _, ok := st.m.VM.Translate(home, va)
 	if !ok {
@@ -46,7 +49,6 @@ func (st *Protocol) checkBlock(va mem.VA) error {
 		return fmt.Errorf("directory still Busy (pend=%d) at quiescence", d.pend)
 	}
 	homeTag := homeMem.Tag(homePA)
-	homeData := make([]byte, st.bs)
 	homeMem.ReadBlock(homePA, homeData)
 
 	writers := 0
@@ -72,7 +74,6 @@ func (st *Protocol) checkBlock(va mem.VA) error {
 			if d.state != dirShared || !d.sharers.has(n) {
 				return fmt.Errorf("node %d holds ReadOnly copy but directory is %v / not listed", n, d.state)
 			}
-			data := make([]byte, st.bs)
 			st.m.Mems[n].ReadBlock(pa, data)
 			if !bytes.Equal(data, homeData) {
 				return fmt.Errorf("node %d ReadOnly copy differs from home data", n)

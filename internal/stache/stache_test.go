@@ -2,6 +2,7 @@ package stache
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
@@ -371,15 +372,27 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestDirectoryEntrySize: a home page carries one blockDir per block
+// (128 at 32-byte blocks), allocated whenever a page gets a home, so the
+// sharer set keeps the paper's one-byte pointers.
+func TestDirectoryEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(sharerSet{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(sharerSet{}) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(blockDir{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(blockDir{}) = %d, want 56", got)
+	}
+}
+
 func TestSharerSetOverflowTransition(t *testing.T) {
 	var s sharerSet
 	for n := 0; n < 6; n++ {
-		s.add(n, 32)
+		s.add(n)
 	}
 	if s.usingOverflow() {
 		t.Fatal("six sharers should fit the pointers")
 	}
-	s.add(6, 32)
+	s.add(6)
 	if !s.usingOverflow() {
 		t.Fatal("seventh sharer must trigger overflow")
 	}

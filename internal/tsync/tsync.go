@@ -82,7 +82,7 @@ func (m *Manager) Acquire(p *machine.Proc, id int) {
 	m.sys.Send(p, network.VNetRequest, m.lockHome(id), m.base+0,
 		[]uint64{uint64(id), uint64(node)}, nil)
 	for !m.granted[node] {
-		p.Ctx.Park(fmt.Sprintf("lock %d", id))
+		p.Ctx.Park("lock %d", id)
 	}
 	m.waiter[node] = nil
 }
@@ -105,7 +105,7 @@ func (m *Manager) FetchAdd(p *machine.Proc, id int, delta uint64) uint64 {
 	m.sys.Send(p, network.VNetRequest, m.lockHome(id), m.base+3,
 		[]uint64{uint64(id), uint64(node), delta}, nil)
 	for !m.granted[node] {
-		p.Ctx.Park(fmt.Sprintf("fetch-add %d", id))
+		p.Ctx.Park("fetch-add %d", id)
 	}
 	m.waiter[node] = nil
 	return m.fetched[node]

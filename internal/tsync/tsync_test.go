@@ -69,6 +69,22 @@ func TestRacyBaselineLosesUpdates(t *testing.T) {
 	}
 }
 
+// TestDeadlockNamesTheLock: a lock never released ends the run as a
+// deadlock whose report names the lock each blocked processor waits for.
+func TestDeadlockNamesTheLock(t *testing.T) {
+	m, mgr, _ := newM(t, 3)
+	_, err := m.Run(func(p *machine.Proc) {
+		if p.ID() > 0 {
+			p.Compute(50 * p.ID())
+		}
+		mgr.Acquire(p, 3) // processor 0 gets it and never lets go
+	})
+	const want = "sim: deadlock at cycle 118; blocked contexts: cpu1@57(parked: lock 3), cpu2@107(parked: lock 3)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+}
+
 // TestLockFIFOFairness: waiters are granted in arrival order.
 func TestLockFIFOFairness(t *testing.T) {
 	const nodes = 5

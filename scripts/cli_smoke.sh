@@ -36,8 +36,10 @@ refuse -occupancy typhoon-sim -occupancy -20
 refuse -cache-dir bench -no-cache -cache-dir "$tmp/cache"
 refuse -j fleet worker -addr "$tmp/none.sock" -j -3
 refuse -nodes typhoon-sim -nodes -3
+# 12 KB of 4-way 32-byte blocks is 96 sets; the cache indexes by shift and mask.
+refuse "power of two" typhoon-sim -cache 12
 # The removed sharded-execution flag is an undefined flag, not an ignored one.
 refuse "flag provided but not defined: -shards" bench -shards 2
 refuse "flag provided but not defined: -shards" conform -shards 2
 
-echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags and the removed one refused with exit 2"
+echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the removed flag refused with exit 2"
