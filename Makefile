@@ -6,12 +6,13 @@
 # gates (ideal and contended machine), the cache and fleet gates, the
 # fuzz targets' committed seed corpora, and the conformance corpus.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
-# from here; `make profile-hit`, `profile-miss` and `profile-large` put
-# one of its simulating workloads under the CPU profiler.
+# from here; `make profile-hit`, `profile-miss`, `profile-contended` and
+# `profile-large` put one of its simulating workloads under the CPU
+# profiler.
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-large fuzz-seeds fuzz-burst conform loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst conform loc
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
@@ -80,30 +81,35 @@ profile:
 	$(GO) run ./cmd/bench -check testdata/bench.digest -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "profiles written: cpu.prof mem.prof (go tool pprof <file>)"
 
-# profile-hit / profile-miss / profile-large profile one workload instead
-# of the whole sweep: the point sets of the repo benchmark's hit_path,
-# miss_path and fig_large (internal/harness BenchmarkPointsHitPath /
-# BenchmarkPointsMissPath / BenchmarkPointsFigLarge), on one processor as
-# the benchmark runs them. Inspect with
+# profile-hit / profile-miss / profile-contended / profile-large profile
+# one workload instead of the whole sweep: the point sets of the repo
+# benchmark's hit_path, miss_path, miss_path_contended and fig_large
+# (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath /
+# BenchmarkPointsMissPathContended / BenchmarkPointsFigLarge), on one
+# processor as the benchmark runs them. Inspect with
 # `go tool pprof harness.test cpu-hit.prof`.
 profile-hit:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsHitPath$$' -benchtime 20x -cpuprofile cpu-hit.prof ./internal/harness
 profile-miss:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPath$$' -benchtime 20x -cpuprofile cpu-miss.prof ./internal/harness
+profile-contended:
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPathContended$$' -benchtime 20x -cpuprofile cpu-contended.prof ./internal/harness
 profile-large:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsFigLarge$$' -benchtime 10x -cpuprofile cpu-large.prof ./internal/harness
 
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
+	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
 
 # fuzz-burst runs the fuzzing engine for ten seconds on each of the five
-# text-format targets and on the reader under them. It is not part of
-# `make ci`, which stays deterministic: run it after touching a decoder
-# or internal/wiretext, and commit any finding under the target's
-# testdata/fuzz directory once it is fixed.
+# text-format targets, on the reader under them and on the scheduler's
+# queue. It is not part of `make ci`, which stays deterministic: run it
+# after touching a decoder, internal/wiretext or internal/sim's
+# calendar, and commit any finding under the target's testdata/fuzz
+# directory once it is fixed.
 fuzz-burst:
+	$(GO) test -run='^$$' -fuzz='^FuzzCalendar$$' -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheEntry$$' -fuzztime=10s ./internal/resultcache/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePoint$$' -fuzztime=10s ./internal/harness/
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/conform/

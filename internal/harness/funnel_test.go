@@ -185,6 +185,40 @@ func TestNetworkErrorSurfaced(t *testing.T) {
 	}
 }
 
+// badDeliveryApp sends one well-formed packet whose delivery trips a
+// panicking tap: the failure happens under a packet's Fire, on the
+// scheduler, with no context running.
+type badDeliveryApp struct{ badSendApp }
+
+func (a *badDeliveryApp) Setup(m *machine.Machine) {
+	a.m = m
+	m.Net.OnDeliver = func(p *network.Packet) {
+		panic(&network.Error{Op: "deliver", Node: p.Dst, Msg: "tap refused the packet"})
+	}
+}
+func (a *badDeliveryApp) Body(p *machine.Proc) {
+	if p.ID() == 0 {
+		a.m.Net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest})
+	}
+}
+
+// TestEventPanicFailsThePoint: a panic under an event used to escape
+// Engine.Run raw, past execute (which calls m.Run outside setup's
+// recover) and into the sweep or fleet worker. It is the point's error
+// now, labelled like every other, with the cause still structured.
+func TestEventPanicFailsThePoint(t *testing.T) {
+	cfg := MachineConfig(ScaleReduced, 16<<10)
+	_, err := Run(cfg, SysDirNNB, &badDeliveryApp{})
+	var nerr *network.Error
+	if !errors.As(err, &nerr) || nerr.Op != "deliver" {
+		t.Fatalf("err = %v, want the tap's *network.Error", err)
+	}
+	label := Point{Cfg: cfg, System: SysDirNNB, Bench: "bad-send"}.Label()
+	if want := "harness: " + label + ": sim: event at cycle "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %q, want prefix %q", err, want)
+	}
+}
+
 // TestDirNNBSetupErrorSurfaced drives DirNNB out of frames at segment
 // setup and asserts Run reports a structured *dirnnb.Error instead of
 // crashing the sweep.

@@ -34,7 +34,7 @@ func TestAllocFreePacketCycle(t *testing.T) {
 			net.Free(q)
 		}
 		for i := 0; i < 64; i++ {
-			cycle() // warm the free list, receive ring, and event heap
+			cycle() // warm the free lists and the receive ring
 		}
 		allocs = testing.AllocsPerRun(100, cycle)
 	})

@@ -376,8 +376,8 @@ const maxSendDelay = sim.Time(1) << 62
 // finite-bandwidth model. Messages from one node to its own NP
 // short-circuit the network (paper §5.1) and bypass the ports. Send
 // panics with an *Error if the payload exceeds the twenty-word limit —
-// protocol code must packetise larger transfers — or if the destination
-// is not a node of this machine.
+// protocol code must packetise larger transfers — or if the source or
+// the destination is not a node of this machine.
 //
 // Send copies p — the caller's packet is not retained and may be reused
 // (or live on the caller's stack) immediately.
@@ -398,6 +398,10 @@ func (n *Network) Send(p *Packet) {
 // arithmetic) panics with an *Error instead of silently scheduling the
 // delivery ~2^64 cycles out.
 func (n *Network) SendAfter(p *Packet, extra sim.Time) {
+	if p.Src < 0 || p.Src >= len(n.endpoints) {
+		panic(&Error{Op: "send", Node: p.Src,
+			Msg: fmt.Sprintf("source node %d outside [0, %d)", p.Src, len(n.endpoints))})
+	}
 	if p.Dst < 0 || p.Dst >= len(n.endpoints) {
 		panic(&Error{Op: "send", Node: p.Src,
 			Msg: fmt.Sprintf("destination node %d outside [0, %d)", p.Dst, len(n.endpoints))})

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +269,54 @@ func TestInvalidDestinationRejected(t *testing.T) {
 			n.Send(&Packet{Src: 0, Dst: 7, VNet: VNetRequest})
 		}
 	})
+}
+
+// TestInvalidSourceRejected: Src becomes the delivery event's origin and,
+// with finite bandwidth, indexes the injection port, so a source outside
+// the machine is refused where a destination is — as a structured error
+// the engine wraps into the run error, under both bandwidth models.
+func TestInvalidSourceRejected(t *testing.T) {
+	for _, bw := range []int{0, 4} {
+		for src, want := range map[int]string{
+			-3:      "source node -3 outside [0, 2)",
+			7:       "source node 7 outside [0, 2)",
+			1 << 33: "source node 8589934592 outside [0, 2)",
+		} {
+			eng := sim.NewEngine()
+			n := New(eng, Config{Nodes: 2, Latency: 11, LinkBytesPerCycle: bw})
+			eng.Spawn("driver", func(c *sim.Context) {
+				n.Send(&Packet{Src: src, Dst: 1, VNet: VNetRequest})
+			})
+			var nerr *Error
+			if err := eng.Run(); !errors.As(err, &nerr) {
+				t.Errorf("link-bw %d, Src %d: Run: %v, want a *network.Error", bw, src, err)
+			} else if nerr.Op != "send" || nerr.Node != src || nerr.Msg != want {
+				t.Errorf("link-bw %d, Src %d: %+v, want Msg %q", bw, src, *nerr, want)
+			}
+		}
+	}
+}
+
+// TestDeliveryTapPanicIsRunError: a packet fires as an event, so a
+// structured error panicked under it — here from the OnDeliver tap — must
+// come out of Engine.Run wrapped, not take down Run's caller.
+func TestDeliveryTapPanicIsRunError(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, Config{Nodes: 2, Latency: 11})
+	n.OnDeliver = func(p *Packet) {
+		panic(&Error{Op: "deliver", Node: p.Dst, Msg: "tap refused the packet"})
+	}
+	eng.Spawn("driver", func(c *sim.Context) {
+		n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest})
+	})
+	err := eng.Run()
+	var nerr *Error
+	if !errors.As(err, &nerr) || nerr.Op != "deliver" || nerr.Node != 1 {
+		t.Fatalf("Run: %v, want the tap's *network.Error", err)
+	}
+	if want := "sim: event at cycle 11 panicked: network: deliver on node 1: tap refused the packet"; err.Error() != want {
+		t.Errorf("Run: %q, want %q", err, want)
+	}
 }
 
 // TestSendAfterZeroExtra pins the extra=0 edge: SendAfter(p, 0) must be

@@ -3,27 +3,27 @@ package sim
 import "testing"
 
 // TestAllocFreeEventScheduling asserts the engine's core scheduling
-// cycle — AtEvent push, heap pop, Fire — allocates nothing once the heap
-// slice has reached its high-water capacity. This is the property the
-// 4-ary index heaps exist for: container/heap's interface{} Push boxed
-// an allocation onto every scheduled event.
+// cycle — AtEvent push, queue pop, Fire — allocates nothing once the
+// event free list has reached its high-water size: a popped entry is
+// released to the list and the next AtEvent takes it back.
 func TestAllocFreeEventScheduling(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	ev := funcEvent(func() { fired++ }) // one closure, hoisted out of the measured loop
 
-	// Warm the heap past any plausible steady-state depth.
+	// Warm the free list past any plausible steady-state depth.
 	for i := 0; i < 1024; i++ {
 		e.AtEvent(Time(i), ev)
 	}
-	for e.events.len() > 0 {
-		e.events.pop()
+	for e.queue.n > 0 {
+		e.queue.release(e.queue.pop())
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
 		e.AtEvent(e.now+100, ev)
-		it := e.events.pop()
+		it := e.queue.pop()
 		it.ev.Fire()
+		e.queue.release(it)
 	})
 	if allocs != 0 {
 		t.Errorf("event schedule/dispatch cycle allocates %.1f times per run, want 0", allocs)
@@ -37,21 +37,22 @@ func TestAllocFreeEventScheduling(t *testing.T) {
 // and popping it back off the run queue allocates nothing.
 func TestAllocFreeContextScheduling(t *testing.T) {
 	e := NewEngine()
-	// Contexts are heap nodes only; never dispatch them, just exercise
-	// the runnable heap with enough of them to reach steady capacity.
+	// Contexts are queue entries only; never dispatch them, just exercise
+	// the queue with enough of them to cover every bucket walk.
 	ctxs := make([]*Context, 128)
 	for i := range ctxs {
 		ctxs[i] = &Context{eng: e, id: i, time: Time(i)}
+		ctxs[i].ent = entry{rank: ctxRank(0, i), ctx: ctxs[i]}
 	}
 	push := func() {
 		for _, c := range ctxs {
-			e.runnable.push(c)
+			c.makeRunnable()
 		}
-		for e.runnable.len() > 0 {
-			e.runnable.pop()
+		for e.queue.n > 0 {
+			e.queue.pop()
 		}
 	}
-	push() // reach high-water capacity
+	push()
 	if allocs := testing.AllocsPerRun(50, push); allocs != 0 {
 		t.Errorf("runnable push/pop cycle allocates %.1f times per run, want 0", allocs)
 	}

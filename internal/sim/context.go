@@ -91,9 +91,9 @@ type Context struct {
 
 	time      Time
 	lastYield Time
+	ent       entry // the context's place in the engine's queue while runnable
 	state     State
 	daemon    bool
-	prio      uint8 // tie-break class: compute contexts (0) run before daemons (1)
 
 	park          parkReason
 	pendingUnpark bool
@@ -142,7 +142,7 @@ func (c *Context) Engine() *Engine { return c.eng }
 
 // Spawn creates a context that must finish before Run can succeed.
 // Spawning is allowed both before Run and from inside a running context
-// or event; the new context starts at the current engine time.
+// or event; the new context starts at the current engine time, Now.
 func (e *Engine) Spawn(name string, body func(*Context)) *Context {
 	c := e.spawn(name, false)
 	c.body = body
@@ -183,23 +183,30 @@ func (e *Engine) SpawnStepperDaemon(name string, step Step, idleReason string) *
 }
 
 func (e *Engine) spawn(name string, daemon bool) *Context {
-	var prio uint8
+	var prio uint8 // tie-break class: compute contexts (0) run before daemons (1)
 	if daemon {
 		prio = 1
 	}
+	now := e.Now()
 	c := &Context{
 		eng:       e,
 		id:        len(e.contexts),
 		name:      name,
-		time:      e.now,
-		lastYield: e.now,
-		state:     StateRunnable,
+		time:      now,
+		lastYield: now,
 		daemon:    daemon,
-		prio:      prio,
 	}
+	c.ent = entry{rank: ctxRank(prio, c.id), ctx: c}
 	e.contexts = append(e.contexts, c)
-	e.runnable.push(c)
+	c.makeRunnable()
 	return c
+}
+
+// makeRunnable queues the context for dispatch at its local time.
+func (c *Context) makeRunnable() {
+	c.state = StateRunnable
+	c.ent.t = c.time
+	c.eng.queue.push(&c.ent)
 }
 
 // run is a goroutine context's coroutine body, entered at its first
@@ -210,16 +217,20 @@ func (c *Context) run() {
 	c.body(c)
 }
 
-// contextPanicError turns a recovered context-body panic into the run's
-// abort error. Error values are wrapped (not flattened to a string) so
-// callers of Engine.Run can unwrap structured failures — e.g. a memory
-// system panicking with a typed protocol error on a user-reachable
-// condition — with errors.As.
-func contextPanicError(name string, r any) error {
+// panicError turns a panic recovered from who — a context body or an
+// event — into the run's abort error. Error values are wrapped (not
+// flattened to a string) so callers of Engine.Run can unwrap structured
+// failures — e.g. a memory system panicking with a typed protocol error
+// on a user-reachable condition — with errors.As.
+func panicError(who string, r any) error {
 	if err, ok := r.(error); ok {
-		return fmt.Errorf("sim: context %q panicked: %w", name, err)
+		return fmt.Errorf("sim: %s panicked: %w", who, err)
 	}
-	return fmt.Errorf("sim: context %q panicked: %v", name, r)
+	return fmt.Errorf("sim: %s panicked: %v", who, r)
+}
+
+func contextPanicError(name string, r any) error {
+	return panicError(fmt.Sprintf("context %q", name), r)
 }
 
 // exit ends a context coroutine: a body panic is captured as the run's
@@ -261,8 +272,7 @@ func (c *Context) runSteps() {
 			c.lazyYield = false
 			c.lazyQuantum = false
 			c.co = nil
-			c.state = StateRunnable
-			c.eng.runnable.push(c)
+			c.makeRunnable()
 			return
 		}
 		if ok {
@@ -274,8 +284,7 @@ func (c *Context) runSteps() {
 				c.time = c.pendingAt
 			}
 			c.co = nil
-			c.state = StateRunnable
-			c.eng.runnable.push(c)
+			c.makeRunnable()
 			return
 		}
 		c.park = parkReason{format: c.idleReason}
@@ -332,8 +341,7 @@ func (c *Context) SyncTo(t Time) {
 // equal, lower-id) clock run first.
 func (c *Context) Yield() {
 	c.checkRunning("Yield")
-	c.state = StateRunnable
-	c.eng.runnable.push(c)
+	c.makeRunnable()
 	c.suspend()
 }
 
@@ -474,8 +482,7 @@ func (c *Context) Unpark(at Time) {
 			c.time = at
 		}
 		c.park = parkReason{}
-		c.state = StateRunnable
-		c.eng.runnable.push(c)
+		c.makeRunnable()
 	case StateDone:
 		// Late wakeup for a finished context; ignore.
 	default:

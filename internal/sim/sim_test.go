@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -101,6 +102,82 @@ func TestEventsRunBeforeLaterContexts(t *testing.T) {
 	}
 	if len(trace) != 2 || trace[0] != "ev@5" || trace[1] != "ctx@10" {
 		t.Fatalf("trace = %v", trace)
+	}
+}
+
+// TestQueueOrderIsEventsThenComputeThenDaemons pins the class order of
+// the scheduler's one queue through the public API: on one cycle events
+// fire first — origin-less ones, then by origin — then compute contexts,
+// then daemons, whatever order they were created or scheduled in.
+func TestQueueOrderIsEventsThenComputeThenDaemons(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	log := func(what string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%d", what, e.Now())) }
+	}
+	twice := func(what string) func(*Context) {
+		return func(c *Context) {
+			log(what)()
+			c.Sleep(40)
+			log(what)()
+		}
+	}
+	// Created in the reverse of the order they must run in, so neither
+	// context id nor insertion order can produce it.
+	e.SpawnDaemon("daemon", twice("daemon"))
+	e.Spawn("compute", twice("compute"))
+	for _, at := range []Time{40, 0} {
+		e.AtEventFrom(at, 2, funcEvent(log("node2")))
+		e.AtEventFrom(at, 0, funcEvent(log("node0")))
+		e.At(at, log("anon"))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := "[anon@0 node0@0 node2@0 compute@0 daemon@0 anon@40 node0@40 node2@40 compute@40 daemon@40]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+}
+
+// TestEventPanicIsRunError: a panic under an event aborts the run with an
+// error naming the cycle, like a context's names the context — also when
+// a scheduler coroutine is pinned under a suspended step — and an error
+// value stays reachable with errors.As.
+func TestEventPanicIsRunError(t *testing.T) {
+	e := NewEngine()
+	e.At(5, func() { panic("boom") })
+	if err := e.Run(); err == nil || err.Error() != "sim: event at cycle 5 panicked: boom" {
+		t.Fatalf("Run: %v", err)
+	}
+
+	e = NewEngine()
+	e.SpawnStepperDaemon("np", func(c *Context) bool { c.Park("mid-step"); return false }, "idle")
+	e.Spawn("app", func(c *Context) { c.Sleep(20) })
+	e.AtEventFrom(9, 3, funcEvent(func() { panic(&protocolError{block: 7}) }))
+	err := e.Run()
+	var pe *protocolError
+	if !errors.As(err, &pe) || pe.block != 7 {
+		t.Fatalf("Run: %v, want a wrapped *protocolError for block 7", err)
+	}
+	if want := "sim: event at cycle 9 panicked: block 7 wedged"; err.Error() != want {
+		t.Errorf("Run: %q, want %q", err, want)
+	}
+}
+
+// TestAtEventFromRefusesBadOrigin: the origin is an index and a field of
+// the event's rank; one that is neither names itself in the panic.
+func TestAtEventFromRefusesBadOrigin(t *testing.T) {
+	for _, origin := range []int{-3, maxOrigins - 1, 1 << 33} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("sim: event origin %d outside [0, %d)", origin, maxOrigins-1)
+				if r := recover(); r != want {
+					t.Errorf("origin %d: panic %v, want %q", origin, r, want)
+				}
+			}()
+			NewEngine().AtEventFrom(0, origin, funcEvent(func() {}))
+		}()
 	}
 }
 
@@ -243,6 +320,27 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 	if childTime < 7 {
 		t.Fatalf("child started at %d, want >= 7", childTime)
+	}
+}
+
+// TestSpawnMidRunStartsAtNow: a context spawned by a running context
+// starts at the spawner's clock, not at the time the spawner was last
+// dispatched.
+func TestSpawnMidRunStartsAtNow(t *testing.T) {
+	e := NewEngine()
+	var now, childTime Time
+	e.Spawn("parent", func(c *Context) {
+		c.Advance(10)
+		c.Yield()
+		c.Advance(50)
+		now = e.Now()
+		e.Spawn("child", func(c2 *Context) { childTime = c2.Time() })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if now != 60 || childTime != 60 {
+		t.Fatalf("spawned with Now() = %d, child started at %d; want 60 and 60", now, childTime)
 	}
 }
 
@@ -482,17 +580,14 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) {
 			}
 		},
 		"event panics on the scheduler": func(t *testing.T, e *Engine) {
-			// Not a context's failure, so not Run's error: the panic
-			// crosses the scheduler coroutine into Run's caller.
+			// The run aborts with the event's panic as its error; the
+			// daemon and the sleeping app are stopped all the same.
 			e.SpawnDaemon("d", parkedDaemon)
 			e.Spawn("app", func(c *Context) { c.Sleep(10) })
 			e.At(5, func() { panic("bad event") })
-			defer func() {
-				if r := recover(); r != "bad event" {
-					t.Errorf("recovered %v, want the event's panic", r)
-				}
-			}()
-			e.Run()
+			if err := e.Run(); err == nil || err.Error() != "sim: event at cycle 5 panicked: bad event" {
+				t.Errorf("Run: %v, want the event's panic", err)
+			}
 		},
 		"deadlocked context": func(t *testing.T, e *Engine) {
 			e.Spawn("stuck", func(c *Context) { c.Park("forever") })
