@@ -41,8 +41,9 @@ bench-smoke:
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse), and gives every sweep binary one bad
 # shared flag — typhoon-sim also a cache whose set count is not a power
-# of two, bench and conform the removed sharding flag: each must exit 2
-# and name the flag (or the rule) on stderr.
+# of two, bench and conform the removed sharding flag, fig3 and bench the
+# removed -no-dedup: each must exit 2 and name the flag (or the rule) on
+# stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
@@ -71,7 +72,7 @@ cache-check:
 # local workers over a unix socket, with one worker killed mid-run, and
 # again with the coordinator embedded in bench (-workers-addr), must
 # reproduce the committed digest — lease reassignment, result
-# verification, and the client's group sequencing all on the hook.
+# verification, and the client's own point scheduling all on the hook.
 fleet-check:
 	bash scripts/fleet_check.sh
 

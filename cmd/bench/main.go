@@ -33,7 +33,6 @@ import (
 )
 
 func main() {
-	noDedup := flag.Bool("no-dedup", false, "simulate every Figure 3 point, even ones provably identical to a smaller-cache run")
 	expectCached := flag.Bool("expect-cached", false, "fail unless every simulation was served from the cache (requires -cache-dir; the CI warm-run assertion)")
 	check := flag.String("check", "", "golden digest file: compare the sweep's digest to it, exit 1 on mismatch")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -81,8 +80,6 @@ func main() {
 			Scale:     shared.Scale,
 			Apps:      []string{app},
 			SimParams: sp,
-			NoDedup:   *noDedup,
-			Logf:      shared.Logf,
 		})
 		if err != nil {
 			fail(err)

@@ -21,7 +21,6 @@ import (
 
 func main() {
 	appsFlag := flag.String("apps", "", "comma-separated benchmark subset (default: all five)")
-	noDedup := flag.Bool("no-dedup", false, "simulate every sweep point, even ones provably identical to a smaller-cache run")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
 	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
 	flag.Parse()
@@ -50,14 +49,10 @@ func main() {
 		Scale:     shared.Scale,
 		Apps:      apps,
 		SimParams: sp,
-		NoDedup:   *noDedup,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
 	}
 	if *progress {
 		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rfig3: %d/%d benchmark/system sweeps", done, total)
+			fmt.Fprintf(os.Stderr, "\rfig3: %d/%d points", done, total)
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}

@@ -29,9 +29,9 @@ var _ harness.Executor = (*Client)(nil)
 
 // Submit implements harness.Executor. The client is to the coordinator
 // what the coordinator is to a worker, minus the one-at-a-time rule: it
-// runs the batch's chains itself (harness.RunChains, so group order,
-// progress and fail-fast are the local pool's), and a point runs by
-// sending its lease and waiting for the answer that carries its id.
+// schedules the batch's points itself (harness.RunPoints, so progress
+// and fail-fast are the local pool's), and a point runs by sending its
+// lease and waiting for the answer that carries its id.
 func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
 	dialTmo := cl.DialTimeout
 	if dialTmo == 0 {
@@ -62,7 +62,7 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 		cl.Logf("fleet: leasing %d points to %s", len(batch.Points), cl.Addr)
 	}
 
-	// One reader hands each answer to the chain waiting on its id. An
+	// One reader hands each answer to the point waiting on its id. An
 	// answer nobody waits for, like a lost connection, ends the batch.
 	var (
 		mu      sync.Mutex
@@ -98,7 +98,7 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 		}
 	}()
 	tmo := fu(timeoutMS(batch.PointTimeout))
-	results, err := harness.RunChains(ctx, batch, len(batch.Points),
+	results, err := harness.RunPoints(ctx, batch, len(batch.Points),
 		func(ctx context.Context, pt harness.Point) (harness.PointResult, error) {
 			key, err := harness.PointKey(code, pt) // validates the point
 			if err != nil {
@@ -133,7 +133,7 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 		return nil, ctx.Err()
 	}
 	select {
-	case <-dead: // a failure of the link, not of the chain that noticed it
+	case <-dead: // a failure of the link, not of the point that noticed it
 		return nil, lost
 	default:
 	}

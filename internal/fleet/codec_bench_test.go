@@ -21,7 +21,7 @@ import (
 func benchPoint() harness.Point {
 	c := em3d.Tiny()
 	return harness.Point{Cfg: harness.MachineConfig(harness.ScaleReduced, 4<<10),
-		System: harness.SysStache, EM3D: &c, Group: "fig4/em3d", WitnessKB: []int{16, 64}}
+		System: harness.SysStache, EM3D: &c}
 }
 
 func benchEntry(b *testing.B) []byte {
@@ -57,7 +57,7 @@ func BenchmarkPointDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink = pt.Group
+		sink = pt.EM3D
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // against all three backends — the in-process pool, a coordinator with
 // two workers, and a client leasing to such a coordinator over a unix
 // socket — so none can drift from the contract the sweeps rely on (all
-// three schedule through harness.RunChains; the per-point half differs).
+// three schedule through harness.RunPoints; the per-point half differs).
 func TestExecutorContract(t *testing.T) {
 	backends := []struct {
 		name string
@@ -59,45 +59,27 @@ func TestExecutorContract(t *testing.T) {
 				sameRun(t, pt.Label(), got[i].RunResult, want)
 			}
 		}},
-		{"group-order", func(t *testing.T, exec harness.Executor) {
-			// A Figure 3 chain: the 64K point is served by the witness
-			// alias of the eviction-free 16K run only if that run finished
-			// (and published its aliases) before the 64K point started.
-			pts := harness.Fig3Points(harness.ScaleReduced, []string{"appbt"},
-				[]harness.Fig3Config{{Set: harness.SetSmall, CacheKB: 16}, {Set: harness.SetSmall, CacheKB: 64}},
-				harness.SimParams{}, false)
-			got, err := exec.Submit(context.Background(), harness.Batch{Points: pts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, pt := range pts {
-				want := ""
-				if pt.Cfg.CacheSize == 64<<10 {
-					want = "witness:16K"
-				}
-				if got[i].Origin != want {
-					t.Errorf("%s: origin %q, want %q", pt.Label(), got[i].Origin, want)
-				}
-			}
-		}},
 		{"fail-fast", func(t *testing.T, exec harness.Executor) {
-			bad := tinyPoint(112)
-			bad.Cfg.BlockSize = 48
-			pts := []harness.Point{tinyPoint(111), bad, tinyPoint(113), tinyPoint(114)}
-			got, err := exec.Submit(context.Background(), harness.Batch{Points: pts})
-			if err == nil || got != nil {
-				t.Fatalf("got %d results, err %v; want no results and an error", len(got), err)
-			}
-			if !strings.Contains(err.Error(), "block size 48 is not a power of two") {
-				t.Errorf("error does not carry the failure: %v", err)
-			}
-			if strings.Contains(err.Error(), context.Canceled.Error()) {
-				t.Errorf("sibling cancellations leaked into the error: %v", err)
+			invalid, unbuildable := tinyPoint(112), tinyPoint(115)
+			invalid.Cfg.BlockSize = 48
+			unbuildable.Cfg.MemPagesPerNode = 1
+			for bad, want := range map[*harness.Point]string{
+				&invalid:     "harness: point " + invalid.Label() + ": block size 48 is not a power of two in [8, 4096]",
+				&unbuildable: "harness: " + unbuildable.Label() + ": setup: stache: home 0 out of frames: mem: out of physical frames",
+			} {
+				pts := []harness.Point{tinyPoint(111), *bad, tinyPoint(113), tinyPoint(114)}
+				got, err := exec.Submit(context.Background(), harness.Batch{Points: pts})
+				if err == nil || got != nil {
+					t.Fatalf("got %d results, err %v; want no results and an error", len(got), err)
+				}
+				checkPointError(t, exec, err, *bad, want)
+				if strings.Contains(err.Error(), context.Canceled.Error()) {
+					t.Errorf("sibling cancellations leaked into the error: %v", err)
+				}
 			}
 		}},
 		{"progress", func(t *testing.T, exec harness.Executor) {
 			pts := []harness.Point{tinyPoint(121), tinyPoint(122), tinyPoint(123)}
-			pts[1].Group, pts[2].Group = "g", "g"
 			var mu sync.Mutex
 			var calls []int
 			_, err := exec.Submit(context.Background(), harness.Batch{Points: pts, Progress: func(done, total int) {
@@ -133,9 +115,7 @@ func TestExecutorContract(t *testing.T) {
 			if err == nil {
 				t.Fatal("timeout did not fire")
 			}
-			if !strings.Contains(err.Error(), pt.Label()+": no result within the 1ms point timeout") {
-				t.Errorf("error should name the point and the timeout: %v", err)
-			}
+			checkPointError(t, exec, err, pt, pt.Label()+": no result within the 1ms point timeout (simulation abandoned)")
 		}},
 	}
 	for _, b := range backends {
@@ -144,5 +124,21 @@ func TestExecutorContract(t *testing.T) {
 				tc.run(t, b.new(t, memCache(t)))
 			})
 		}
+	}
+}
+
+// checkPointError holds a failed batch's error to its point's own text:
+// exactly that text from the in-process pool, and that text after the
+// fleet's "fleet: run …" framing from the other two. The scheduler adds
+// no name of its own: an error that opens "harness: <label>: " names the
+// point nowhere else.
+func checkPointError(t *testing.T, exec harness.Executor, err error, pt harness.Point, want string) {
+	t.Helper()
+	msg := err.Error()
+	if _, local := exec.(harness.LocalExecutor); local && msg != want || !strings.HasSuffix(msg, want) {
+		t.Errorf("error = %q, want %q", msg, want)
+	}
+	if strings.HasPrefix(msg, "harness: "+pt.Label()+": ") && strings.Count(msg, pt.Label()) > 1 {
+		t.Errorf("error names the point twice: %q", msg)
 	}
 }

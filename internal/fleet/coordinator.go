@@ -22,8 +22,8 @@ import (
 type CoordinatorOptions struct {
 	// Cache is the coordinator's result cache. Hits are served directly
 	// at submit time — a warm cache means points never lease at all —
-	// and every accepted remote result is stored back, witness aliases
-	// included, so distributed and local sweeps share one store.
+	// and every accepted remote result is stored back, so distributed and
+	// local sweeps share one store.
 	Cache harness.CacheParams
 	// LeaseTTL bounds how long a lease may go without a heartbeat before
 	// its point is re-queued (default 10s). It also sets the re-lease
@@ -75,7 +75,7 @@ func (s Stats) String() string {
 // settled.
 type task struct {
 	key       resultcache.Key
-	pt        harness.Point
+	noCache   bool // never tabled by key, never stored
 	enc       []byte
 	label     string
 	timeoutMS uint64
@@ -158,12 +158,11 @@ func (c *Coordinator) Close() error {
 
 // Submit implements harness.Executor: the batch's points are leased to
 // the connected workers (cache hits short-circuit), honouring the
-// executor contract — results slotted by index, groups sequential in
-// submission order, first failure fails the batch. Chains wait on
-// remote workers, not on local cores, so all of them are in flight at
-// once.
+// executor contract — results slotted by index, first failure fails the
+// batch. Points wait on remote workers, not on local cores, so all of
+// them are in flight at once.
 func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
-	return harness.RunChains(ctx, batch, len(batch.Points),
+	return harness.RunPoints(ctx, batch, len(batch.Points),
 		func(ctx context.Context, pt harness.Point) (harness.PointResult, error) {
 			entry, err := c.runOne(ctx, pt, timeoutMS(batch.PointTimeout))
 			if err != nil {
@@ -175,7 +174,7 @@ func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harnes
 
 // pointResult rebuilds a sweep result from a verified entry.
 func pointResult(e *resultcache.Entry) harness.PointResult {
-	return harness.PointResult{RunResult: harness.ResultFromEntry(e), Origin: e.Origin}
+	return harness.PointResult{RunResult: harness.ResultFromEntry(e)}
 }
 
 // runOne resolves one point to its entry: cache hit, dedup against an
@@ -201,7 +200,7 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, tmoMS uint64
 	}
 	if t == nil {
 		t = &task{
-			key: key, pt: pt, enc: pt.Encode(), label: pt.Label(),
+			key: key, noCache: pt.NoCache, enc: pt.Encode(), label: pt.Label(),
 			timeoutMS: tmoMS, done: make(chan struct{}),
 		}
 		if !pt.NoCache {
@@ -289,15 +288,14 @@ func (c *Coordinator) requeueLocked(t *task, why string) {
 
 // settleLocked releases a task's waiters with its verified entry or its
 // error and drops it from the table; an entry feeds the coordinator
-// cache and publishes the point's witness aliases.
+// cache.
 func (c *Coordinator) settleLocked(t *task, entry *resultcache.Entry, err error) {
 	if err != nil {
 		c.stats.Failed++
 	} else {
 		c.stats.Completed++
-		if cp := c.opts.Cache; cp.Cache != nil && !t.pt.NoCache {
+		if cp := c.opts.Cache; cp.Cache != nil && !t.noCache {
 			cp.Cache.Put(entry)
-			harness.StoreWitnessAliases(cp.Cache, t.pt, entry)
 		}
 	}
 	t.entry, t.err, t.settled = entry, err, true
@@ -540,8 +538,8 @@ func (c *Coordinator) serveWorker(conn io.ReadWriteCloser, br *bufio.Reader, nam
 // serveClient is the same exchange facing the other way: each lease a
 // client sends is resolved through runOne (sharing the task table and
 // the cache with every other submission) and answered with result or
-// fail as it finishes. A client may have any number outstanding; chain
-// order, progress and fail-fast are the client's business. When it hangs
+// fail as it finishes. A client may have any number outstanding;
+// progress and fail-fast are the client's business. When it hangs
 // up its waits are cancelled; points already tabled run to completion.
 func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, name string) error {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -588,10 +588,8 @@ func TestFleetCacheHitsServeWithoutLeasing(t *testing.T) {
 	}
 }
 
-// TestFleetDedupsConcurrentIdenticalPoints: two ungrouped identical
-// points in one batch share a single lease (in-flight dedup by point
-// key); a grouped identical pair runs sequentially, so the second is a
-// cache hit instead.
+// TestFleetDedupsConcurrentIdenticalPoints: two identical points in one
+// batch share a single lease (in-flight dedup by point key).
 func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	pt := tinyPoint(61)
 	co := newTestCoordinator(t, steadyOpts(memCache(t)))
@@ -604,17 +602,6 @@ func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 		t.Errorf("identical points should share one lease: %+v", s)
 	}
 	sameRun(t, "dedup pair", got[0].RunResult, got[1].RunResult)
-
-	g := tinyPoint(62)
-	g.Group = "seq"
-	co2 := newTestCoordinator(t, steadyOpts(memCache(t)))
-	startWorkers(t, co2, 2)
-	if _, err := co2.Submit(context.Background(), harness.Batch{Points: []harness.Point{g, g}}); err != nil {
-		t.Fatal(err)
-	}
-	if s := co2.Stats(); s.Leases != 1 || s.CacheHits != 1 {
-		t.Errorf("grouped pair should lease once then hit the cache: %+v", s)
-	}
 }
 
 // TestFleetClientEndToEnd exercises the full remote-submission path
@@ -683,7 +670,7 @@ func scriptedCoordinator(t *testing.T, serve func(s *script)) string {
 }
 
 // TestClientRejectsAnswerItNeverLeased: an answer carrying an id the
-// client never issued ends the batch with a structured error — the chain
+// client never issued ends the batch with a structured error — the point
 // whose lease is outstanding does not wait for ever.
 func TestClientRejectsAnswerItNeverLeased(t *testing.T) {
 	sock := scriptedCoordinator(t, func(s *script) {

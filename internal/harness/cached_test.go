@@ -183,36 +183,3 @@ func TestNewCacheParamsValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestFig3WitnessMatchesSimulation pins the zero-eviction witness: the
-// sweep with the cache (and its witness aliases) must render exactly
-// the cells a dedup-free sweep simulates point by point.
-func TestFig3WitnessMatchesSimulation(t *testing.T) {
-	// appbt/small is eviction-free from 16K up, so the 64K points are
-	// served by the 16K witness rather than simulated.
-	base := Fig3Options{
-		Scale:   ScaleReduced,
-		Apps:    []string{"appbt"},
-		Configs: []Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}},
-	}
-	cached := base
-	cached.Cache = memCache(t)
-	nodedup := base
-	nodedup.NoDedup = true
-	a, err := Figure3(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Figure3(nodedup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("cached sweep != simulated sweep:\n%+v\n%+v", a, b)
-	}
-	// The 16K run is clean on both systems; each 64K point must be a
-	// witness-alias hit, not a simulation.
-	if s := cached.Cache.Cache.Stats(); s.Hits != 2 {
-		t.Errorf("want 2 witness hits (64K on both systems), got stats %+v", s)
-	}
-}

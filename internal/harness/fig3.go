@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
@@ -56,92 +55,31 @@ type Fig3Cell struct {
 type Fig3Options struct {
 	Scale   Scale
 	Apps    []string     // nil = all five
-	Configs []Fig3Config // nil = the paper's five
-	// SimParams.Cache supplies a shared result cache. When nil (and
-	// NoDedup is off) the sweep uses a private in-process cache, which
-	// preserves the historical zero-eviction dedup behaviour exactly:
-	// clean points are stored once and aliased to every larger cache
-	// size they are provably identical at.
+	Configs []Fig3Config // nil = Fig3Configs(Scale): five at paper scale, four reduced
 	SimParams
-	// NoDedup bypasses the result cache for this sweep: every point
-	// simulates, including the redundant ones a zero-eviction witness
-	// would otherwise serve — e.g. to demonstrate the equivalence
-	// itself, or to time the uncached sweep.
-	NoDedup bool
-	// Logf, when non-nil, receives one line per reused sweep point after
-	// the sweep completes, in deterministic sweep order.
-	Logf func(format string, args ...any)
 }
 
 // fig3Systems is the pair every Figure 3 cell compares.
 var fig3Systems = []System{SysDirNNB, SysStache}
 
-// fig3Witness is the alias-origin tag format: "witness:<kb>K" marks an
-// entry derived from the zero-eviction run at <kb> KB rather than
-// simulated at its own cache size.
-func fig3Witness(kb int) string { return fmt.Sprintf("witness:%dK", kb) }
-
-// parseFig3Witness extracts the witness cache size from an entry
-// origin, or 0 when the origin is not a witness tag.
-func parseFig3Witness(origin string) int {
-	var kb int
-	if n, err := fmt.Sscanf(origin, "witness:%dK", &kb); n == 1 && err == nil {
-		return kb
-	}
-	return 0
-}
-
-// Fig3Points builds the sweep's point list: one point per (benchmark,
-// system, config) cell, in that nesting order. Points of one
-// (benchmark, system) pair share a Group so the cache sizes of one data
-// set run sequentially in the given (ascending) order, and each point
-// declares the larger cache sizes a clean run of it provably also
-// covers (WitnessKB) — how the zero-eviction dedup survives any
-// executor backend.
-//
-// The zero-eviction witness is one layer of the result cache: the CPU
-// cache indexes sets by block % numSets and consults its replacement
-// RNG only when a fill finds no free way. A run that performed zero
-// evictions machine-wide therefore never drew from the RNG, and at any
-// larger cache whose set count is a multiple of the witness's (same
-// ways and block size — cache sizes here are powers of two), each set
-// holds a subset of the blocks of the set it refines, so it can never
-// overflow either. By induction over the event schedule the two runs
-// are bit-identical: same hits, misses, upgrades, protocol traffic,
-// and cycle counts. The sweep exploits this by storing a clean run's
-// entry under the derived keys of every larger multiple cache size
-// (origin "witness:<kb>K"), so the later points are ordinary cache
-// hits — one reuse mechanism, in-process and on-disk alike.
-// EXPERIMENTS.md's observation that appbt and ocean render identical
-// rows at 16K/64K/256K is this effect.
-func Fig3Points(scale Scale, names []string, configs []Fig3Config, sp SimParams, noDedup bool) []Point {
+// Fig3Points builds the sweep's point list: one independent point per
+// (benchmark, system, config) cell, in that nesting order. noCache sets
+// every point's NoCache.
+func Fig3Points(scale Scale, names []string, configs []Fig3Config, sp SimParams, noCache bool) []Point {
 	var points []Point
 	for _, name := range names {
 		for _, sys := range fig3Systems {
-			group := fmt.Sprintf("fig3/%s/%s", name, sys)
-			for i, fc := range configs {
+			for _, fc := range configs {
 				cfg := MachineConfig(scale, fc.CacheKB<<10)
 				sp.Apply(&cfg)
-				pt := Point{
+				points = append(points, Point{
 					Cfg:     cfg,
 					System:  sys,
 					Bench:   name,
 					Scale:   scale,
 					Set:     fc.Set,
-					Group:   group,
-					NoCache: noDedup,
-				}
-				if !noDedup {
-					// A clean run at this point proves every larger multiple
-					// cache size of the same data set bit-identical.
-					for _, fc2 := range configs[i+1:] {
-						if fc2.Set != fc.Set || fc2.CacheKB < fc.CacheKB || fc2.CacheKB%fc.CacheKB != 0 {
-							continue
-						}
-						pt.WitnessKB = append(pt.WitnessKB, fc2.CacheKB)
-					}
-				}
-				points = append(points, pt)
+					NoCache: noCache,
+				})
 			}
 		}
 	}
@@ -161,17 +99,7 @@ func Figure3(opts Fig3Options) ([]Fig3Cell, error) {
 	if configs == nil {
 		configs = Fig3Configs(opts.Scale)
 	}
-	sp := opts.SimParams
-	if sp.Cache.Cache == nil && !opts.NoDedup {
-		// Private in-process cache: exactly the historical dedup scope
-		// (one sweep), served through the one shared mechanism.
-		c, err := resultcache.New(resultcache.Options{})
-		if err != nil {
-			return nil, err
-		}
-		sp.Cache.Cache = c
-	}
-	results, err := SubmitPoints(sp, Fig3Points(opts.Scale, names, configs, sp, opts.NoDedup))
+	results, err := SubmitPoints(opts.SimParams, Fig3Points(opts.Scale, names, configs, opts.SimParams, false))
 	if err != nil {
 		return nil, err
 	}
@@ -191,18 +119,6 @@ func Figure3(opts Fig3Options) ([]Fig3Cell, error) {
 				Relative: float64(typh.Res.ROICycles) /
 					float64(dir.Res.ROICycles),
 			})
-		}
-	}
-	if opts.Logf != nil {
-		for ni, name := range names {
-			for si, sys := range fig3Systems {
-				for ci, fc := range configs {
-					if kb := parseFig3Witness(at(ni, si, ci).Origin); kb > 0 {
-						opts.Logf("fig3: %s on %s %s/%dK: reused the %dK result (that run evicted no cache line, so the larger cache is provably identical)",
-							name, sys, fc.Set, fc.CacheKB, kb)
-					}
-				}
-			}
 		}
 	}
 	return cells, nil

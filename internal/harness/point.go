@@ -48,16 +48,10 @@ type Point struct {
 	// Execution directives — never part of the result key.
 
 	// NoCache bypasses the result cache for this point: no lookup, no
-	// store, no witness aliases (the -no-dedup path).
+	// store.
 	NoCache bool
-	// Group names the sequential unit this point belongs to: points
-	// sharing a group run in submission order on one worker (the Figure
-	// 3 per-(benchmark, system) ascending cache-size order that lets
-	// witness aliases serve later points). Empty = independent point.
-	Group string
-	// WitnessKB lists the larger cache sizes (KB) this point's result
-	// provably also holds at if the run evicts nothing; the funnel
-	// publishes aliases under their keys (origin "witness:<kb>K").
+	// Inert: kept because benchmark/ names the fields; the `benchmark`-archetype PR deletes them.
+	Group     string
 	WitnessKB []int
 }
 
@@ -246,16 +240,6 @@ func (pt Point) Encode() []byte {
 	if pt.NoCache {
 		fmt.Fprintf(&b, "nocache true\n")
 	}
-	if pt.Group != "" {
-		fmt.Fprintf(&b, "group %s\n", pt.Group)
-	}
-	if len(pt.WitnessKB) > 0 {
-		fmt.Fprintf(&b, "witness")
-		for _, kb := range pt.WitnessKB {
-			fmt.Fprintf(&b, " %d", kb)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
 	return wiretext.Seal(&b)
 }
 
@@ -308,18 +292,6 @@ func DecodePoint(data []byte) (Point, error) {
 	}
 	pt.StacheMigratory = flag("stache.migratory")
 	pt.NoCache = flag("nocache")
-	if r.Optional("group") {
-		pt.Group = r.Rest()
-	}
-	if r.Optional("witness") {
-		for more := true; more; more = r.More() {
-			kb := r.Int()
-			if kb <= 0 {
-				r.Failf("witness: cache size %d KB is not positive", kb)
-			}
-			pt.WitnessKB = append(pt.WitnessKB, kb)
-		}
-	}
 	r.End()
 	if err := r.Err(); err != nil {
 		return Point{}, fmt.Errorf("harness: decode point: %v", err)

@@ -28,8 +28,7 @@ func testPoints() []Point {
 	cfg.OccupancyCycles = 20
 	return []Point{
 		{Cfg: cfg, System: SysDirNNB, Bench: "ocean", Scale: ScaleReduced, Set: SetSmall},
-		{Cfg: cfg, System: SysStache, Bench: "appbt", Scale: ScalePaper, Set: SetLarge,
-			Group: "fig3/appbt/typhoon-stache", WitnessKB: []int{16, 64}},
+		{Cfg: cfg, System: SysStache, Bench: "appbt", Scale: ScalePaper, Set: SetLarge},
 		{Cfg: cfg, System: SysStache, EM3D: &ecfg, CheckIn: true},
 		{Cfg: cfg, System: SysStache, EM3D: &ecfg, StacheMaxPages: 4},
 		{Cfg: cfg, System: SysStache, Bench: "mp3d", Scale: ScaleReduced, Set: SetSmall, StacheMigratory: true},
@@ -71,6 +70,9 @@ func TestDecodePointRejectsCorruption(t *testing.T) {
 	flipped := append([]byte(nil), enc...)
 	flipped[len(pointMagic+"\ncfg ")] ^= 0x01
 	cases["flipped byte"] = flipped
+	// The retired group line: v3 senders wrote it, so an old payload is
+	// checksum-valid under the current magic.
+	cases["group line"] = withSum(append(body[:len(body):len(body)], "group fig3/appbt/typhoon-stache\n"...))
 	for name, data := range cases {
 		if _, err := DecodePoint(data); err == nil {
 			t.Errorf("%s: corrupt point decoded without error", name)
@@ -82,6 +84,10 @@ func TestDecodePointRejectsCorruption(t *testing.T) {
 	// with a diagnosis rather than a generic parse error.
 	if _, err := DecodePoint(cases["version skew"]); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Errorf("version skew not diagnosed: %v", err)
+	}
+	want := `point line 7: unexpected line "group fig3/appbt/typhoon-stache"`
+	if _, err := DecodePoint(cases["group line"]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("group line: err = %v, want %q", err, want)
 	}
 }
 
@@ -344,6 +350,42 @@ func TestShardsFieldIsInert(t *testing.T) {
 		}
 		if !reflect.DeepEqual(run, baseRun) {
 			t.Errorf("shards=%d: result differs from shards=0:\n%+v\n%+v", shards, run.Res, baseRun.Res)
+		}
+	}
+}
+
+// TestGroupAndWitnessFieldsAreInert pins what is left of Point.Group and
+// Point.WitnessKB: names benchmark/ still sets and nothing reads. Either
+// field set keys, encodes and simulates like the plain point.
+func TestGroupAndWitnessFieldsAreInert(t *testing.T) {
+	ecfg := em3d.Tiny()
+	cfg := machine.DefaultConfig()
+	cfg.Nodes = 4
+	base := Point{Cfg: cfg, System: SysStache, EM3D: &ecfg}
+	baseKey, err := PointKey("code", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRun, err := base.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, witnessed := base, base
+	grouped.Group = "fig3/em3d/typhoon-stache"
+	witnessed.WitnessKB = []int{16, 64}
+	for name, pt := range map[string]Point{"group": grouped, "witness": witnessed} {
+		if key, err := PointKey("code", pt); err != nil || key != baseKey {
+			t.Errorf("%s: key %s (err %v), want %s", name, key, err, baseKey)
+		}
+		if !bytes.Equal(pt.Encode(), base.Encode()) {
+			t.Errorf("%s: the field reached the wire:\n%s", name, pt.Encode())
+		}
+		run, err := pt.Simulate()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(run, baseRun) {
+			t.Errorf("%s: result differs from the plain point:\n%+v\n%+v", name, run.Res, baseRun.Res)
 		}
 	}
 }

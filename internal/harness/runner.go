@@ -25,15 +25,6 @@ import (
 // is never interrupted mid-flight).
 type Job[T any] func(ctx context.Context) (T, error)
 
-// RunOptions configures RunAll's pool.
-type RunOptions struct {
-	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// Label, when non-nil, names job i in errors; the default is
-	// "job <i>".
-	Label func(i int) string
-}
-
 // PointTimeoutError reports a sweep point that exceeded the configured
 // per-point timeout. The abandoned simulation keeps running on its own
 // goroutine until it finishes; its result is discarded.
@@ -56,15 +47,15 @@ func (e *PointTimeoutError) Error() string {
 // errors from other in-flight jobs are aggregated via errors.Join, so a
 // slow second failure is never silently dropped.
 func RunAll[T any](jobs []Job[T], workers int) ([]T, error) {
-	return RunAllOpts(context.Background(), jobs, RunOptions{Workers: workers})
+	return runPool(context.Background(), jobs, workers, func(i int) string { return fmt.Sprintf("job %d", i) })
 }
 
-// RunAllOpts is RunAll under a caller's context (cancelling it stops
-// the pool like a job failure does) with labelled errors.
-func RunAllOpts[T any](parent context.Context, jobs []Job[T], opts RunOptions) ([]T, error) {
+// runPool is RunAll under a caller's context (cancelling it stops the
+// pool like a job failure does). label names job i in errors; nil adds
+// no name, for jobs whose errors already carry one.
+func runPool[T any](parent context.Context, jobs []Job[T], workers int, label func(int) string) ([]T, error) {
 	n := len(jobs)
 	results := make([]T, n)
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -120,7 +111,7 @@ func RunAllOpts[T any](parent context.Context, jobs []Job[T], opts RunOptions) (
 	}
 	wg.Wait()
 	if len(errs) > 0 {
-		return nil, joinJobErrors(errs, opts.Label)
+		return nil, joinJobErrors(errs, label)
 	}
 	if err := parent.Err(); err != nil {
 		return nil, err
@@ -158,13 +149,6 @@ func RunWithTimeout[T any](pt Point, timeout time.Duration, f func() (T, error))
 	}
 }
 
-func jobLabel(label func(int) string, i int) string {
-	if label != nil {
-		return label(i)
-	}
-	return fmt.Sprintf("job %d", i)
-}
-
 // joinJobErrors folds every failed job into one error: the
 // lowest-indexed failure leads (stable under fail-fast scheduling),
 // and later failures with distinct messages join it rather than being
@@ -193,7 +177,11 @@ func joinJobErrors(errs map[int]error, label func(int) string) error {
 			continue
 		}
 		seen[msg] = true
-		joined = append(joined, fmt.Errorf("harness: %s: %w", jobLabel(label, i), errs[i]))
+		err := errs[i]
+		if label != nil {
+			err = fmt.Errorf("harness: %s: %w", label(i), err)
+		}
+		joined = append(joined, err)
 	}
 	if len(joined) == 1 {
 		return joined[0]

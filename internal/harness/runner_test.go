@@ -175,10 +175,9 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 	})
 	t.Run("result-cache", func(t *testing.T) {
-		// The result cache is a pure memoization layer: a sweep with it
-		// (witness aliases included), a sweep without it, and a second
-		// sweep served entirely from the warm cache must all render
-		// bit-identical cells.
+		// The result cache is a pure memoization layer: a sweep with it, a
+		// sweep without it, and a second sweep served entirely from the
+		// warm cache must all render bit-identical cells.
 		base := Fig3Options{
 			Scale:     ScaleReduced,
 			Apps:      []string{"appbt"},
@@ -191,13 +190,11 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 		cached := base
 		cached.Cache = cp
-		uncached := base
-		uncached.NoDedup = true
 		a, err := Figure3(cached)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Figure3(uncached)
+		b, err := Figure3(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +208,17 @@ func TestParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(a, c) {
 			t.Errorf("warm cache != cold sweep:\n%+v\n%+v", a, c)
 		}
-		if s := cp.Cache.Stats(); s.Misses != 4 || s.Hits != 8 || s.Stores != 6 {
-			t.Errorf("stats = %+v, want 4 cold misses, 8 hits (2 witness + 6 warm), 6 stores (4 fresh + 2 aliases)", s)
+		if s := cp.Cache.Stats(); s.Misses != 6 || s.Stores != 6 || s.Hits != 6 {
+			t.Errorf("stats = %+v, want 6 cold misses, 6 stores, 6 warm hits", s)
+		}
+		results, err := SubmitPoints(cached.SimParams, Fig3Points(ScaleReduced, base.Apps, base.Configs, base.SimParams, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Origin != "" {
+				t.Errorf("point %d: origin %q, want none", i, r.Origin)
+			}
 		}
 	})
 }

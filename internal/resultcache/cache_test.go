@@ -218,37 +218,6 @@ func TestCacheMisfiledEntryIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestContainsHasNoTelemetry(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := entryForKey(9)
-	if c.Contains(e.Key) {
-		t.Error("Contains true on empty cache")
-	}
-	c.Put(e)
-	if !c.Contains(e.Key) {
-		t.Error("Contains false after Put")
-	}
-	// A second process sees it through the disk tier alone.
-	b, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Contains(e.Key) {
-		t.Error("Contains false through disk tier")
-	}
-	want := Stats{Stores: 1}
-	if s := c.Stats(); s != want {
-		t.Errorf("Contains moved telemetry: %+v", s)
-	}
-	if s := b.Stats(); (s != Stats{}) {
-		t.Errorf("disk Contains moved telemetry: %+v", s)
-	}
-}
-
 func TestShouldVerify(t *testing.T) {
 	c, err := New(Options{})
 	if err != nil {

@@ -40,10 +40,9 @@ type Entry struct {
 	// Like Code they must be non-empty: Decode refuses an empty value on
 	// any line, so an entry encoded without one does not read back.
 	System, App string
-	// Origin is the entry's provenance: empty for a fresh simulation,
-	// or a derivation note (e.g. "witness:4K" for a Figure 3
-	// zero-eviction alias — the result proven bit-identical to the run
-	// at the named smaller cache size).
+	// Origin is a provenance note that encodes and decodes but that no
+	// producer sets. Kept because benchmark/ names the field; the
+	// `benchmark`-archetype PR deletes it and its origin line.
 	Origin string
 	// Cycles and ROI are machine.Result.Cycles and ROICycles.
 	Cycles, ROI uint64
@@ -54,16 +53,6 @@ type Entry struct {
 	Counters map[string]uint64
 	// Net is the interconnect traffic summary.
 	Net network.Stats
-}
-
-// WithKey returns a shallow copy of e stored under a different content
-// address with the given provenance — the Figure 3 witness-alias path.
-// The counter map is shared; entries are read-only by convention.
-func (e *Entry) WithKey(k Key, origin string) *Entry {
-	c := *e
-	c.Key = k
-	c.Origin = origin
-	return &c
 }
 
 // Encode renders the canonical byte form: header, ordered sections,
@@ -158,8 +147,7 @@ func decode(data []byte, path string) (*Entry, error) {
 // CheckMatch compares a cached entry against a freshly simulated one
 // (same key) and returns a structured verify *Error naming the first
 // divergence — the -cache-verify failure path. Provenance (Origin) and
-// the code digest are not compared: the key already pins the code, and
-// a witness alias is by construction the same result.
+// the code digest are not compared: the key already pins the code.
 func CheckMatch(cached, fresh *Entry) error {
 	fail := func(format string, args ...any) error {
 		return &Error{Op: "verify", Msg: fmt.Sprintf(format, args...)}

@@ -148,22 +148,6 @@ func (c *Cache) Get(k Key) (*Entry, error) {
 	return e, nil
 }
 
-// Contains reports whether a key is present in either tier without
-// touching hit/miss telemetry — used to guard witness-alias stores.
-func (c *Cache) Contains(k Key) bool {
-	c.mu.Lock()
-	_, ok := c.byKey[k]
-	c.mu.Unlock()
-	if ok {
-		return true
-	}
-	if c.dir == "" {
-		return false
-	}
-	_, err := os.Stat(c.path(k))
-	return err == nil
-}
-
 // insertLocked adds e to the memory tier, evicting from the LRU tail.
 func (c *Cache) insertLocked(e *Entry) {
 	if el, ok := c.byKey[e.Key]; ok {

@@ -41,5 +41,8 @@ refuse "power of two" typhoon-sim -cache 12
 # The removed sharded-execution flag is an undefined flag, not an ignored one.
 refuse "flag provided but not defined: -shards" bench -shards 2
 refuse "flag provided but not defined: -shards" conform -shards 2
+# So is the removed Figure 3 witness-dedup bypass.
+refuse "flag provided but not defined: -no-dedup" fig3 -no-dedup
+refuse "flag provided but not defined: -no-dedup" bench -no-dedup
 
-echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the removed flag refused with exit 2"
+echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the two removed flags refused with exit 2"

@@ -8,8 +8,8 @@
 # match the committed golden exactly. This pins the whole fleet contract
 # at once: lease/heartbeat/reassignment under a real worker loss, result
 # verification against canonical cache keys at coordinator and client,
-# group sequencing on the client, and bit-identical results versus the
-# local pool.
+# point scheduling and fail-fast on the client, and bit-identical results
+# versus the local pool.
 #
 # Leg 2 (embedded coordinator, -workers-addr): the same sweep with bench
 # itself listening and two workers dialling it.
