@@ -16,8 +16,10 @@ GO ?= go
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
 
+# vet also fails on any file gofmt would rewrite, naming it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -101,16 +103,17 @@ profile-large:
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
+	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/cache/ ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
 
 # fuzz-burst runs the fuzzing engine for ten seconds on each of the five
-# text-format targets, on the reader under them and on the scheduler's
-# queue. It is not part of `make ci`, which stays deterministic: run it
-# after touching a decoder, internal/wiretext or internal/sim's
-# calendar, and commit any finding under the target's testdata/fuzz
-# directory once it is fixed.
+# text-format targets, on the reader under them, on the scheduler's
+# queue and on the hinted TLB. It is not part of `make ci`, which stays
+# deterministic: run it after touching a decoder, internal/wiretext,
+# internal/sim's calendar or the TLB and its hints, and commit any
+# finding under the target's testdata/fuzz directory once it is fixed.
 fuzz-burst:
 	$(GO) test -run='^$$' -fuzz='^FuzzCalendar$$' -fuzztime=10s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz='^FuzzTLB$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheEntry$$' -fuzztime=10s ./internal/resultcache/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePoint$$' -fuzztime=10s ./internal/harness/
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/conform/

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -217,178 +216,5 @@ func TestSetIsolationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTLBFIFOReplacement(t *testing.T) {
-	tlb := NewTLB(4)
-	for pn := uint64(0); pn < 4; pn++ {
-		if tlb.Lookup(pn) {
-			t.Fatalf("cold lookup of %d hit", pn)
-		}
-	}
-	for pn := uint64(0); pn < 4; pn++ {
-		if !tlb.Lookup(pn) {
-			t.Fatalf("warm lookup of %d missed", pn)
-		}
-	}
-	// Insert a 5th entry: FIFO evicts pn 0 (oldest), not the LRU-est.
-	tlb.Lookup(4)
-	if tlb.Contains(0) {
-		t.Fatal("FIFO should have evicted page 0")
-	}
-	if !tlb.Contains(1) || !tlb.Contains(4) {
-		t.Fatal("wrong entry evicted")
-	}
-}
-
-func TestTLBInvalidateEntry(t *testing.T) {
-	tlb := NewTLB(4)
-	tlb.Lookup(7)
-	tlb.InvalidateEntry(7)
-	if tlb.Contains(7) {
-		t.Fatal("entry survived invalidation")
-	}
-	if tlb.Lookup(7) {
-		t.Fatal("lookup after invalidation must miss")
-	}
-}
-
-func TestTLBFlushAndCounters(t *testing.T) {
-	tlb := NewTLB(8)
-	tlb.Lookup(1)
-	tlb.Lookup(1)
-	tlb.Flush()
-	if tlb.Contains(1) {
-		t.Fatal("flush left entries")
-	}
-	if tlb.Hits() != 1 || tlb.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", tlb.Hits(), tlb.Misses())
-	}
-}
-
-// The two shapes of key the simulator gives a TLB: consecutive shared
-// VPNs (CPU and NP TLBs) and frame base addresses, node<<40 | frame<<12,
-// spread over four nodes (the RTLB).
-func vpnKey(i int) uint64       { return 0x4000_0000_0 + uint64(i) }
-func frameBaseKey(i int) uint64 { return uint64(i%4)<<40 | uint64(i/4)<<12 }
-
-// refTLB is the TLB's specification written the obvious way: a slice of
-// slots scanned on every operation, FIFO pointer and all.
-type refTLB struct {
-	slots        []uint64
-	valid        []bool
-	fifo         int
-	hits, misses uint64
-}
-
-func (r *refTLB) find(pn uint64) int {
-	for i, s := range r.slots {
-		if r.valid[i] && s == pn {
-			return i
-		}
-	}
-	return -1
-}
-
-func (r *refTLB) lookup(pn uint64) bool {
-	if r.find(pn) >= 0 {
-		r.hits++
-		return true
-	}
-	r.misses++
-	r.slots[r.fifo], r.valid[r.fifo] = pn, true
-	r.fifo = (r.fifo + 1) % len(r.slots)
-	return false
-}
-
-func (r *refTLB) invalidate(pn uint64) {
-	if i := r.find(pn); i >= 0 {
-		r.valid[i] = false
-	}
-}
-
-// TestTLBMatchesReferenceModel drives the TLB and the naive model above
-// with the same random Lookup/Contains/InvalidateEntry/Flush sequence
-// and compares, after every operation, the return value, both counters
-// and the residency of every page in the universe. The universes are
-// the two shapes of key the simulator uses — small consecutive VPNs
-// (CPU and NP TLBs) and frame base addresses, node<<40 | frame<<12
-// (the RTLB) — plus keys that differ only above bit 40. Contains may
-// repair a hint, so each sequence also runs with the residency sweep
-// only every 97th operation, leaving stale hints in place in between.
-func TestTLBMatchesReferenceModel(t *testing.T) {
-	universes := map[string]func(i int) uint64{
-		"vpn":        vpnKey,
-		"frame-base": frameBaseKey,
-		"node-only":  func(i int) uint64 { return uint64(i) << 40 },
-	}
-	for _, capacity := range []int{1, 2, 16, 64} {
-		for name, key := range universes {
-			for _, sweepEvery := range []int{1, 97} {
-				testTLBAgainstModel(t, name, capacity, sweepEvery, key)
-			}
-		}
-	}
-}
-
-func testTLBAgainstModel(t *testing.T, name string, capacity, sweepEvery int, key func(int) uint64) {
-	universe := make([]uint64, 2*capacity+3)
-	for i := range universe {
-		universe[i] = key(i)
-	}
-	tlb := NewTLB(capacity)
-	ref := &refTLB{slots: make([]uint64, capacity), valid: make([]bool, capacity)}
-	rng := rand.New(rand.NewSource(int64(capacity)))
-	for step := 0; step < 4000; step++ {
-		pn := universe[rng.Intn(len(universe))]
-		what := "Lookup"
-		switch op := rng.Intn(100); {
-		case op < 70:
-			if got, want := tlb.Lookup(pn), ref.lookup(pn); got != want {
-				t.Fatalf("%s/%d step %d: Lookup(%#x) = %v, model says %v", name, capacity, step, pn, got, want)
-			}
-		case op < 80:
-			what = "Contains"
-			if got, want := tlb.Contains(pn), ref.find(pn) >= 0; got != want {
-				t.Fatalf("%s/%d step %d: Contains(%#x) = %v, model says %v", name, capacity, step, pn, got, want)
-			}
-		case op < 98:
-			what = "InvalidateEntry"
-			tlb.InvalidateEntry(pn)
-			ref.invalidate(pn)
-		default:
-			what = "Flush"
-			tlb.Flush()
-			clear(ref.valid)
-		}
-		if tlb.Hits() != ref.hits || tlb.Misses() != ref.misses {
-			t.Fatalf("%s/%d step %d after %s(%#x): hits/misses %d/%d, model says %d/%d",
-				name, capacity, step, what, pn, tlb.Hits(), tlb.Misses(), ref.hits, ref.misses)
-		}
-		if step%sweepEvery != 0 {
-			continue
-		}
-		for _, q := range universe {
-			if got, want := tlb.Contains(q), ref.find(q) >= 0; got != want {
-				t.Fatalf("%s/%d step %d after %s(%#x): Contains(%#x) = %v, model says %v",
-					name, capacity, step, what, pn, q, got, want)
-			}
-		}
-	}
-}
-
-// TestTLBHintSpreadsFrameBaseKeys pins the one thing the model test
-// cannot see: that the hint is worth having for RTLB keys. Their low
-// twelve bits are zero, so a hint indexed by the key's low bits would
-// put every resident page in one bucket and turn every hit into a scan.
-func TestTLBHintSpreadsFrameBaseKeys(t *testing.T) {
-	tlb := NewTLB(64)
-	buckets := map[*uint16]bool{}
-	for i := 0; i < 64; i++ {
-		buckets[tlb.bucket(frameBaseKey(i))] = true
-	}
-	if len(buckets) < 48 {
-		t.Errorf("64 frame-base keys share %d hint buckets, want at least 48", len(buckets))
 	}
 }

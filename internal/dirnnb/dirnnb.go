@@ -290,7 +290,7 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 		Src: p.ID(), Dst: arb, VNet: network.VNetRequest,
 		Handler: hClaim, Args: []uint64{va.VPN()},
 	})
-	p.Ctx.Park("dirnnb page fault")
+	p.Ctx.Park("dirnnb page fault %#x arbiter %d", int(va.PageBase()), arb)
 	// The translation is installed (by this node's agent) before the
 	// unpark, so the caller's retry succeeds.
 }
@@ -522,6 +522,8 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	home := pa.Node()
 	block := s.m.Mems[home].BlockBase(pa)
 	cfg := &s.m.Cfg
+	// A deadlock report names the stuck block by its virtual address.
+	blockVA := int(va) &^ (cfg.BlockSize - 1)
 
 	if req == home {
 		// Local requester: the CPU is on the home node and evaluates the
@@ -545,7 +547,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		ns := s.nodes[req]
 		ns.fillValid = false
 		s.sendCoher(home, block, out, &txn{req: req, write: write})
-		p.Ctx.Park("dirnnb miss")
+		p.Ctx.Park("dirnnb miss %#x home %d", blockVA, home)
 		if !ns.fillValid {
 			panic(fmt.Sprintf("dirnnb: node %d woke from local miss without a fill", req))
 		}
@@ -570,7 +572,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		Handler: hReq, Args: []uint64{uint64(block), flags},
 	})
 	p.Ctx.Advance(RemoteIssue)
-	p.Ctx.Park("dirnnb miss")
+	p.Ctx.Park("dirnnb miss %#x home %d", blockVA, home)
 	if !ns.fillValid {
 		panic(fmt.Sprintf("dirnnb: node %d woke from remote miss without a fill", req))
 	}

@@ -1,6 +1,7 @@
 package dirnnb
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/machine"
@@ -374,5 +375,23 @@ func TestDirectoryEntriesInPAOrder(t *testing.T) {
 	}
 	if a, b := s.StateDigest(), s.StateDigest(); a != b {
 		t.Errorf("StateDigest is not repeatable: %#x then %#x", a, b)
+	}
+}
+
+// TestDeadlockNamesStuckBlock: when the home's agent never hears a
+// request, the deadlock report names the block the requester waits for
+// and its home, not just "dirnnb miss".
+func TestDeadlockNamesStuckBlock(t *testing.T) {
+	m, _ := newM(t, 2)
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)
+	m.Net.Endpoint(0).Notify = nil // node 0's agent sleeps through every request
+	_, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 1 {
+			p.ReadU64(seg.At(0x48))
+		}
+	})
+	const want = "(parked: dirnnb miss 0x400000000040 home 0)"
+	if err == nil || !strings.Contains(err.Error(), "sim: deadlock") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run = %v, want a deadlock naming %s", err, want)
 	}
 }

@@ -65,11 +65,13 @@ func TestAllocFreeCacheHit(t *testing.T) {
 
 // TestReferencePathDeclaresNoMaps keeps the reference path hash-free the
 // way AllocsPerRun keeps it allocation-free: none of the structures a
-// simulated reference goes through — TLB, cache, frame pool, page table,
-// the processor itself — may declare a map field. They are indexed by
-// the page, frame and set numbers their keys already are (DESIGN.md §6).
+// simulated reference goes through — TLB, cache, frame pool, frame, page
+// table, page record, the processor itself — may declare a map field.
+// They are indexed by the page, frame and set numbers their keys already
+// are, and the TLB finds a page through the hint in its record
+// (DESIGN.md §6).
 func TestReferencePathDeclaresNoMaps(t *testing.T) {
-	for _, v := range []any{cache.TLB{}, cache.Cache{}, mem.Memory{}, vm.PageTable{}, Proc{}} {
+	for _, v := range []any{cache.TLB{}, cache.Cache{}, mem.Memory{}, mem.Frame{}, vm.PageTable{}, vm.Record{}, Proc{}} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
 			if f := typ.Field(i); f.Type.Kind() == reflect.Map {

@@ -268,7 +268,6 @@ func New(cfg Config) *Machine {
 		Cfg: cfg,
 		Eng: eng,
 		Net: network.New(eng, netCfg),
-		VM:  vm.NewSystem(cfg.Nodes),
 		Bar: sim.NewBarrier(eng, cfg.Nodes, cfg.BarrierLatency),
 	}
 	m.stalls = make([]sim.Time, cfg.Nodes)
@@ -277,6 +276,9 @@ func New(cfg Config) *Machine {
 			BlockSize: cfg.BlockSize,
 			MaxFrames: cfg.MemPagesPerNode,
 		}))
+	}
+	m.VM = vm.NewSystem(m.Mems)
+	for i := 0; i < cfg.Nodes; i++ {
 		m.Caches = append(m.Caches, cache.New(cfg.CacheSize, cfg.CacheWays, cfg.BlockSize, cfg.Seed+uint64(i)*0x9E37))
 		m.TLBs = append(m.TLBs, cache.NewTLB(cfg.TLBEntries))
 		m.Procs = append(m.Procs, &Proc{
@@ -314,7 +316,7 @@ func (m *Machine) AllocShared(name string, size uint64, place vm.Placement, mode
 
 // AllocPrivate reserves node-private memory mapped from the node's DRAM.
 func (m *Machine) AllocPrivate(node int, size uint64) mem.VA {
-	va, err := m.VM.AllocPrivate(node, size, m.Mems[node])
+	va, err := m.VM.AllocPrivate(node, size)
 	if err != nil {
 		panic(fmt.Sprintf("machine: %v", err))
 	}

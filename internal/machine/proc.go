@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tempest-sim/tempest/internal/cache"
 	"github.com/tempest-sim/tempest/internal/mem"
@@ -110,8 +111,10 @@ func (p *Proc) ROIEnd() {
 // access runs one tag-checked reference through the node: one instruction
 // cycle, TLB, translation (with page-fault service), cache probe, and —
 // on a miss or upgrade — the pluggable memory system. It returns the
-// physical address the reference resolved to.
-func (p *Proc) access(va mem.VA, write bool) mem.PA {
+// physical address the reference resolved to and the frame holding it.
+// A hit reads one page record: its CPU-TLB hint, its translation and its
+// frame.
+func (p *Proc) access(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 	p.Ctx.Advance(1)
 	if st := p.m.stalls[p.node]; st > 0 {
 		// Absorb protocol-handler cycles stolen from this processor
@@ -129,33 +132,34 @@ func (p *Proc) access(va mem.VA, write bool) mem.PA {
 		p.Stats.Loads++
 	}
 	cfg := &p.m.Cfg
+	vpn := va.VPN()
 	for attempt := 0; ; attempt++ {
 		if attempt == maxRetries {
 			panic(fmt.Sprintf("machine: cpu%d reference %#x (write=%v) retried %d times; protocol livelock?",
 				p.node, va, write, maxRetries))
 		}
-		vpn := va.VPN()
-		if !p.tlb.Lookup(vpn) {
+		rec := p.pt.Record(vpn)
+		if !p.tlb.Lookup(vpn, &rec.CPUHint) {
 			p.Stats.TLBMisses++
 			p.Ctx.Advance(cfg.TLBMissCycles)
+			rec = p.pt.Record(vpn) // the refill may yield, and records move on reservation
 		}
-		pte, ok := p.pt.Lookup(vpn)
-		if !ok || write && !pte.Writable {
+		if !rec.Mapped() || write && !rec.Writable() {
 			p.Stats.PageFaults++
 			p.m.Sys.PageFault(p, va, write)
 			continue
 		}
-		pa := pte.PA.FrameBase() + mem.PA(va.PageOffset())
+		pa := rec.PA().FrameBase() + mem.PA(va.PageOffset())
 		hit, upgrade := p.cc.Probe(pa, write)
 		if hit {
-			return pa
+			return pa, rec.Frame()
 		}
 		if upgrade {
 			p.Stats.Upgrades++
 		} else {
 			p.Stats.CacheMisses++
 		}
-		state := p.m.Sys.ServiceMiss(p, va, pa, pte, write, upgrade)
+		state := p.m.Sys.ServiceMiss(p, va, pa, rec.PTE(), write, upgrade)
 		if state == cache.LineInvalid {
 			p.Stats.BlockFaults++
 			continue // fault serviced; re-run the reference
@@ -175,15 +179,17 @@ func (p *Proc) access(va mem.VA, write bool) mem.PA {
 				p.m.Sys.Evicted(p, victim, vs)
 			}
 		}
-		return pa
+		// The mapping may have changed while the miss blocked: find the
+		// frame by address, as the bus does.
+		return pa, p.m.Mems[pa.Node()].MustFrame(pa)
 	}
 }
 
 // ReadU64 performs a tag-checked 8-byte load from the shared or private
 // address va and returns the value.
 func (p *Proc) ReadU64(va mem.VA) uint64 {
-	pa := p.access(va, false)
-	v := p.m.Mems[pa.Node()].ReadU64(pa)
+	pa, f := p.access(va, false)
+	v := f.ReadU64(pa)
 	if p.obs != nil {
 		p.obs.note(obsRead, va, v)
 	}
@@ -192,30 +198,18 @@ func (p *Proc) ReadU64(va mem.VA) uint64 {
 
 // WriteU64 performs a tag-checked 8-byte store.
 func (p *Proc) WriteU64(va mem.VA, v uint64) {
-	pa := p.access(va, true)
-	p.m.Mems[pa.Node()].WriteU64(pa, v)
+	pa, f := p.access(va, true)
+	f.WriteU64(pa, v)
 	if p.obs != nil {
 		p.obs.note(obsWrite, va, v)
 	}
 }
 
 // ReadF64 performs a tag-checked float64 load.
-func (p *Proc) ReadF64(va mem.VA) float64 {
-	pa := p.access(va, false)
-	if p.obs != nil {
-		p.obs.note(obsRead, va, p.m.Mems[pa.Node()].ReadU64(pa))
-	}
-	return p.m.Mems[pa.Node()].ReadF64(pa)
-}
+func (p *Proc) ReadF64(va mem.VA) float64 { return math.Float64frombits(p.ReadU64(va)) }
 
 // WriteF64 performs a tag-checked float64 store.
-func (p *Proc) WriteF64(va mem.VA, v float64) {
-	pa := p.access(va, true)
-	p.m.Mems[pa.Node()].WriteF64(pa, v)
-	if p.obs != nil {
-		p.obs.note(obsWrite, va, p.m.Mems[pa.Node()].ReadU64(pa))
-	}
-}
+func (p *Proc) WriteF64(va mem.VA, v float64) { p.WriteU64(va, math.Float64bits(v)) }
 
 // Touch performs a tag-checked reference without transferring data; apps
 // use it where only the coherence traffic of an access matters.

@@ -112,6 +112,31 @@ type Frame struct {
 	// User is an opaque pointer-sized value for protocol software, e.g.
 	// Stache hangs its per-page directory vector here.
 	User interface{}
+
+	// maps counts the page-table slots that map the frame (vm.PageTable
+	// keeps it through Pin and Unpin); FreeFrame refuses a mapped frame.
+	maps int
+}
+
+// Pin counts one more page-table slot mapping the frame.
+func (f *Frame) Pin() { f.maps++ }
+
+// Unpin counts one page-table slot mapping the frame fewer.
+func (f *Frame) Unpin() { f.maps-- }
+
+// Mapped returns how many page-table slots map the frame.
+func (f *Frame) Mapped() int { return f.maps }
+
+// ReadU64 reads the 8-byte word at pa, which must lie in the frame.
+func (f *Frame) ReadU64(pa PA) uint64 {
+	off := pa.PageOffset()
+	return binary.LittleEndian.Uint64(f.Data[off : off+8])
+}
+
+// WriteU64 writes the 8-byte word at pa, which must lie in the frame.
+func (f *Frame) WriteU64(pa PA, v uint64) {
+	off := pa.PageOffset()
+	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
 }
 
 // Memory is one node's DRAM: a bounded pool of frames addressed by
@@ -214,10 +239,16 @@ func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
 	return MakePA(m.node, off), nil
 }
 
-// FreeFrame releases a frame back to the pool.
+// FreeFrame releases a frame back to the pool. A frame some page table
+// still maps is refused: its slot would keep reading a frame the pool
+// hands out again.
 func (m *Memory) FreeFrame(pa PA) {
-	if m.Frame(pa) == nil {
+	f := m.Frame(pa)
+	if f == nil {
 		panic(fmt.Sprintf("mem: FreeFrame of unallocated frame %#x on node %d", pa, m.node))
+	}
+	if f.maps > 0 {
+		panic(fmt.Sprintf("mem: FreeFrame of frame %#x on node %d, which %d page-table slots still map", pa.FrameBase(), m.node, f.maps))
 	}
 	off := pa.FrameBase().Offset()
 	m.frames[off/PageSize] = nil
@@ -235,7 +266,9 @@ func (m *Memory) Frame(pa PA) *Frame {
 	return m.frames[fn]
 }
 
-func (m *Memory) mustFrame(pa PA) *Frame {
+// MustFrame returns the frame containing pa and panics, naming pa, if
+// there is none.
+func (m *Memory) MustFrame(pa PA) *Frame {
 	f := m.Frame(pa)
 	if f == nil {
 		panic(fmt.Sprintf("mem: access to unmapped physical address %#x (node %d, owner %d)", pa, m.node, pa.Node()))
@@ -246,18 +279,18 @@ func (m *Memory) mustFrame(pa PA) *Frame {
 // Tag returns the access tag of the block containing pa (Table 1:
 // read-tag).
 func (m *Memory) Tag(pa PA) Tag {
-	return m.mustFrame(pa).Tags[m.BlockIndex(pa)]
+	return m.MustFrame(pa).Tags[m.BlockIndex(pa)]
 }
 
 // SetTag sets the access tag of the block containing pa (Table 1:
 // set-RW / set-RO, and the tag-change half of invalidate).
 func (m *Memory) SetTag(pa PA, t Tag) {
-	m.mustFrame(pa).Tags[m.BlockIndex(pa)] = t
+	m.MustFrame(pa).Tags[m.BlockIndex(pa)] = t
 }
 
 // SetPageTags sets the tag of every block in pa's page.
 func (m *Memory) SetPageTags(pa PA, t Tag) {
-	f := m.mustFrame(pa)
+	f := m.MustFrame(pa)
 	for i := range f.Tags {
 		f.Tags[i] = t
 	}
@@ -277,19 +310,11 @@ func (m *Memory) CheckWrite(pa PA) (faults bool) {
 
 // ReadU64 performs a force-read of the 8-byte word at pa (Table 1:
 // force-read — no tag check; the NP and protocol handlers use this).
-func (m *Memory) ReadU64(pa PA) uint64 {
-	f := m.mustFrame(pa)
-	off := pa.PageOffset()
-	return binary.LittleEndian.Uint64(f.Data[off : off+8])
-}
+func (m *Memory) ReadU64(pa PA) uint64 { return m.MustFrame(pa).ReadU64(pa) }
 
 // WriteU64 performs a force-write of the 8-byte word at pa (Table 1:
 // force-write).
-func (m *Memory) WriteU64(pa PA, v uint64) {
-	f := m.mustFrame(pa)
-	off := pa.PageOffset()
-	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
-}
+func (m *Memory) WriteU64(pa PA, v uint64) { m.MustFrame(pa).WriteU64(pa, v) }
 
 // ReadF64 force-reads the float64 at pa.
 func (m *Memory) ReadF64(pa PA) float64 { return math.Float64frombits(m.ReadU64(pa)) }
@@ -300,7 +325,7 @@ func (m *Memory) WriteF64(pa PA, v float64) { m.WriteU64(pa, math.Float64bits(v)
 // ReadBlock copies the block containing pa into dst, which must be at
 // least BlockSize bytes, and returns the number of bytes copied.
 func (m *Memory) ReadBlock(pa PA, dst []byte) int {
-	f := m.mustFrame(pa)
+	f := m.MustFrame(pa)
 	base := m.BlockBase(pa).PageOffset()
 	return copy(dst, f.Data[base:base+uint64(m.blockSize)])
 }
@@ -311,7 +336,7 @@ func (m *Memory) WriteBlock(pa PA, src []byte) {
 	if len(src) != m.blockSize {
 		panic(fmt.Sprintf("mem: WriteBlock with %d bytes, want %d", len(src), m.blockSize))
 	}
-	f := m.mustFrame(pa)
+	f := m.MustFrame(pa)
 	base := m.BlockBase(pa).PageOffset()
 	copy(f.Data[base:base+uint64(m.blockSize)], src)
 }
@@ -319,7 +344,7 @@ func (m *Memory) WriteBlock(pa PA, src []byte) {
 // ReadRange copies n bytes starting at pa into dst (must stay within one
 // page). Bulk transfers use it.
 func (m *Memory) ReadRange(pa PA, dst []byte) {
-	f := m.mustFrame(pa)
+	f := m.MustFrame(pa)
 	off := pa.PageOffset()
 	if off+uint64(len(dst)) > PageSize {
 		panic("mem: ReadRange crosses page boundary")
@@ -330,7 +355,7 @@ func (m *Memory) ReadRange(pa PA, dst []byte) {
 // WriteRange copies src into memory starting at pa (must stay within one
 // page).
 func (m *Memory) WriteRange(pa PA, src []byte) {
-	f := m.mustFrame(pa)
+	f := m.MustFrame(pa)
 	off := pa.PageOffset()
 	if off+uint64(len(src)) > PageSize {
 		panic("mem: WriteRange crosses page boundary")

@@ -354,8 +354,9 @@ func (st *Protocol) replacePage(p *machine.Proc) {
 	}
 	// Drop the page: purge CPU cache lines and the mapping.
 	st.m.Caches[node].InvalidatePage(pte.PA)
-	st.m.TLBs[node].InvalidateEntry(victim.VPN())
-	st.m.VM.Table(node).Unmap(victim.VPN())
+	pt := st.m.VM.Table(node)
+	st.m.TLBs[node].InvalidateEntry(victim.VPN(), pt.Record(victim.VPN()).CPUHint)
+	pt.Unmap(victim.VPN())
 	m.FreeFrame(pte.PA)
 }
 

@@ -1,6 +1,7 @@
 package stache
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -407,5 +408,23 @@ func TestSharerSetOverflowTransition(t *testing.T) {
 	s.remove(3)
 	if s.has(3) || s.count() != 6 {
 		t.Fatal("remove in overflow mode failed")
+	}
+}
+
+// TestDeadlockNamesStuckBlock: when the home's NP never hears a request,
+// the deadlock report names the block the faulting processor waits for
+// and its home, not just "block access fault".
+func TestDeadlockNamesStuckBlock(t *testing.T) {
+	m, _ := newM(t, 2)
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
+	m.Net.Endpoint(0).Notify = nil // node 0's NP sleeps through every request
+	_, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 1 {
+			p.ReadU64(seg.At(0x48))
+		}
+	})
+	const want = "(parked: block access fault 0x400000000040 home 0)"
+	if err == nil || !strings.Contains(err.Error(), "sim: deadlock") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run = %v, want a deadlock naming %s", err, want)
 	}
 }

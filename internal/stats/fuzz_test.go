@@ -14,10 +14,10 @@ import (
 // space.)
 func FuzzTableRender(f *testing.F) {
 	f.Add("Title", "a,b,c", "1,2,3;4,5,6")
-	f.Add("", "", "")                          // fully empty table
-	f.Add("t", "one", "1,2,3,4,5")             // row much wider than header
-	f.Add("t", "a,b,c,d,e", "1")               // row narrower than header
-	f.Add("\x00\n", ",,,", ";;;")              // degenerate separators
+	f.Add("", "", "")              // fully empty table
+	f.Add("t", "one", "1,2,3,4,5") // row much wider than header
+	f.Add("t", "a,b,c,d,e", "1")   // row narrower than header
+	f.Add("\x00\n", ",,,", ";;;")  // degenerate separators
 	f.Add("wide", "h", strings.Repeat("x,", 60)+";"+strings.Repeat("y", 300))
 	f.Fuzz(func(t *testing.T, title, headerSpec, rowSpec string) {
 		tbl := &Table{Title: title}

@@ -2,6 +2,7 @@ package typhoon
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/cache"
@@ -47,9 +48,14 @@ type NP struct {
 	ctx  *sim.Context
 	ep   *network.Endpoint
 
-	tlb    *cache.TLB   // NP virtual-address TLB
-	rtlb   *cache.TLB   // reverse TLB: physical page -> tag residency
-	dcache *cache.Cache // NP data cache (handler data structures)
+	tlb    *cache.TLB    // NP virtual-address TLB, hinted by the page records
+	rtlb   *cache.TLB    // reverse TLB: physical page -> tag residency
+	dcache *cache.Cache  // NP data cache (handler data structures)
+	pt     *vm.PageTable // the node's page table, shared with its CPU
+	// rtlbHints are the RTLB's hints by local frame number. Like the
+	// RTLB's contents they outlive FreeFrame and AllocFrame: the RTLB is
+	// keyed by physical page, and a reused frame is the same page.
+	rtlbHints []uint16
 
 	faults   faultRing
 	bulk     []*bulkTransfer
@@ -230,11 +236,16 @@ func (np *NP) MemRef(addr mem.PA, write bool) {
 // model (§5.1); callers decide whether to panic or handle it.
 func (np *NP) Translate(va mem.VA) (mem.PA, vm.PTE, bool) {
 	np.ctx.Sync() // page tables are shared with the CPU's fault path
-	if !np.tlb.Lookup(va.VPN()) {
+	rec := np.pt.Record(va.VPN())
+	if !np.tlb.Lookup(va.VPN(), &rec.NPHint) {
 		np.hot.tlbMisses++
 		np.ctx.Advance(np.sys.M.Cfg.TLBMissCycles)
+		rec = np.pt.Record(va.VPN()) // the refill may yield, and records move on reservation
 	}
-	return np.sys.M.VM.Translate(np.node, va)
+	if !rec.Mapped() {
+		return 0, vm.PTE{}, false
+	}
+	return rec.PA().FrameBase() + mem.PA(va.PageOffset()), rec.PTE(), true
 }
 
 func (np *NP) mustTranslate(va mem.VA) mem.PA {
@@ -292,11 +303,24 @@ func (np *NP) DowngradeCPU(va mem.VA) {
 }
 
 func (np *NP) chargeTagOp(pa mem.PA) {
-	if !np.rtlb.Lookup(uint64(pa.FrameBase())) {
-		np.hot.rtlbMisses++
+	if !np.rtlbLookup(pa) {
 		np.ctx.Advance(np.sys.M.Cfg.TLBMissCycles)
 	}
 	np.ctx.Advance(TagOpCycles)
+}
+
+// rtlbLookup looks pa's page up in the RTLB, counting a miss; the caller
+// charges its latency to whichever context waits.
+func (np *NP) rtlbLookup(pa mem.PA) bool {
+	fn := pa.Offset() / mem.PageSize
+	if fn >= uint64(len(np.rtlbHints)) {
+		np.rtlbHints = slices.Grow(np.rtlbHints, int(fn)+1-len(np.rtlbHints))[:fn+1]
+	}
+	if np.rtlb.Lookup(uint64(pa.FrameBase()), &np.rtlbHints[fn]) {
+		return true
+	}
+	np.hot.rtlbMisses++
+	return false
 }
 
 // Resume restarts the suspended compute thread (Table 1: resume; §5.4

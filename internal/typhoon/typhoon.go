@@ -199,6 +199,7 @@ func New(m *machine.Machine, proto Protocol, opts ...Option) *System {
 			ep:       m.Net.Endpoint(i),
 			tlb:      cache.NewTLB(m.Cfg.TLBEntries),
 			rtlb:     cache.NewTLB(m.Cfg.TLBEntries),
+			pt:       m.VM.Table(i),
 			dcache:   cache.New(NPCacheSize, NPCacheWays, m.Cfg.BlockSize, m.Cfg.Seed+0xD00D+uint64(i)),
 			bulkDone: make(map[int][]*bulkTransfer),
 			frags:    make(map[fragKey]*fragBuf),
@@ -350,8 +351,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	np := s.nps[p.ID()]
 	// RTLB lookup: a miss nacks the transaction with relinquish-and-retry
 	// while the entry is fetched (§5.4); the requester eats the latency.
-	if !np.rtlb.Lookup(uint64(pa.FrameBase())) {
-		np.hot.rtlbMisses++
+	if !np.rtlbLookup(pa) {
 		p.Ctx.Advance(cfg.TLBMissCycles)
 	}
 	tag := s.M.Mems[p.ID()].Tag(pa)
@@ -387,7 +387,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	}
 	p.Ctx.Advance(BAFSuspendCycles)
 	np.postFault(Fault{Proc: p, VA: va, PA: pa, Write: write, Mode: pte.Mode, Tag: tag, PostedAt: p.Ctx.Time()})
-	p.Ctx.Park("block access fault")
+	p.Ctx.Park("block access fault %#x home %d", int(va)&^(cfg.BlockSize-1), s.M.VM.Home(va))
 	return cache.LineInvalid // retry the reference after resume
 }
 

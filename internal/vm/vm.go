@@ -10,7 +10,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 )
@@ -50,75 +49,117 @@ type PTE struct {
 }
 
 // PageTable is one node's virtual-to-physical mapping: one dense table
-// per address-space region, indexed by the page's distance from the
-// region base, so a Lookup is a bounds check and a load. A table grows
-// on Map to the highest VPN mapped so far and never past what the owning
-// System has reserved.
+// of page records per address-space region, indexed by the page's
+// distance from the region base, so finding a page's record is a bounds
+// check and an add. A table covers exactly the pages the owning System
+// has reserved for the node (AllocShared, AllocPrivate), and grows only
+// when it reserves more.
 type PageTable struct {
 	sys    *System
 	node   int
-	priv   []slot // from PrivateBase
-	shared []slot // from SharedBase
+	priv   []Record // from PrivateBase
+	shared []Record // from SharedBase
+	// stray is the record of every VPN outside the reserved ranges: never
+	// mapped, so a reference there page-faults and the memory system
+	// names it; its hints are shared, which costs such references TLB
+	// hits, never a wrong translation.
+	stray  Record
 	mapped int
 }
 
-type slot struct {
-	pte PTE
-	ok  bool
+// Record is the page record: a node's page-table slot for one VPN. It
+// holds the translation (a PTE, flattened so the record stays 32 bytes),
+// the frame the translation maps, and the CPU's and NP's TLB hints, so a
+// reference that hits the TLB and the cache loads one record.
+type Record struct {
+	frame    *mem.Frame
+	pa       mem.PA
+	mode     int
+	writable bool
+	mapped   bool
+	// CPUHint and NPHint are this node's CPU-TLB and NP-TLB hints for
+	// the page (cache.TLB). They survive Map and Unmap: a TLB caches a
+	// page's presence, not its mapping.
+	CPUHint, NPHint uint16
 }
+
+// Mapped reports whether the record holds a translation.
+func (r *Record) Mapped() bool { return r.mapped }
+
+// Writable reports the translation's page-level protection bit.
+func (r *Record) Writable() bool { return r.writable }
+
+// PA returns the translation's physical address.
+func (r *Record) PA() mem.PA { return r.pa }
+
+// Frame returns the frame the translation maps (nil when unmapped).
+func (r *Record) Frame() *mem.Frame { return r.frame }
+
+// PTE returns the translation as a page-table entry.
+func (r *Record) PTE() PTE { return PTE{PA: r.pa, Writable: r.writable, Mode: r.mode} }
 
 // region returns the table covering vpn and vpn's index in it; an
 // address below the region's base wraps to an index past any table.
-func (pt *PageTable) region(vpn uint64) (*[]slot, uint64) {
+func (pt *PageTable) region(vpn uint64) ([]Record, uint64) {
 	if vpn >= SharedBase.VPN() {
-		return &pt.shared, vpn - SharedBase.VPN()
+		return pt.shared, vpn - SharedBase.VPN()
 	}
-	return &pt.priv, vpn - PrivateBase.VPN()
+	return pt.priv, vpn - PrivateBase.VPN()
+}
+
+// Record returns vpn's page record, or the stray record if the System
+// never reserved vpn for this node. Records move when the System
+// reserves more address space, so a caller holding one across a blocking
+// operation looks it up again.
+func (pt *PageTable) Record(vpn uint64) *Record {
+	if tbl, i := pt.region(vpn); i < uint64(len(tbl)) {
+		return &tbl[i]
+	}
+	return &pt.stray
 }
 
 // Lookup returns the PTE for a virtual page number.
 func (pt *PageTable) Lookup(vpn uint64) (PTE, bool) {
-	tbl, i := pt.region(vpn)
-	if i >= uint64(len(*tbl)) {
-		return PTE{}, false
-	}
-	s := (*tbl)[i]
-	return s.pte, s.ok
+	r := pt.Record(vpn)
+	return r.PTE(), r.mapped
 }
 
 // Map installs (or replaces) a translation. Protocol code remaps stache
 // pages with it (paper §3: "these pages can be remapped or unmapped and
 // freed"). The page must lie in a range the System has handed out
-// (AllocShared, or AllocPrivate on this node): the tables are sized by
-// the VPNs mapped into them, so a stray one is refused, not grown to.
+// (AllocShared, or AllocPrivate on this node), and the PA in an
+// allocated frame, which the record then holds and which mem.FreeFrame
+// refuses to free until Unmap or a remap lets go of it.
 func (pt *PageTable) Map(vpn uint64, e PTE) {
-	tbl, i := pt.region(vpn)
-	reserved := pt.sys.nextVA.VPN() - SharedBase.VPN()
-	if tbl == &pt.priv {
-		reserved = pt.sys.nextPriv[pt.node].VPN() - PrivateBase.VPN()
-	}
-	if i >= reserved {
+	r := pt.Record(vpn)
+	if r == &pt.stray {
 		panic(fmt.Sprintf("vm: Map of VPN %#x on node %d, outside every reserved range", vpn, pt.node))
 	}
-	if n := int(i) + 1; n > len(*tbl) {
-		*tbl = slices.Grow(*tbl, n-len(*tbl))[:n]
+	f := pt.sys.frame(e.PA)
+	if f == nil {
+		panic(fmt.Sprintf("vm: Map of VPN %#x on node %d to %#x, which no allocated frame holds", vpn, pt.node, e.PA))
 	}
-	s := &(*tbl)[i]
-	if !s.ok {
+	if r.mapped {
+		r.frame.Unpin()
+	} else {
 		pt.mapped++
 	}
-	*s = slot{e, true}
+	f.Pin()
+	r.frame, r.pa, r.mode, r.writable, r.mapped = f, e.PA, e.Mode, e.Writable, true
 }
 
-// Unmap removes a translation, returning the old entry.
+// Unmap removes a translation, returning the old entry. The record keeps
+// its TLB hints.
 func (pt *PageTable) Unmap(vpn uint64) (PTE, bool) {
-	e, ok := pt.Lookup(vpn)
-	if ok {
-		tbl, i := pt.region(vpn)
-		(*tbl)[i] = slot{}
-		pt.mapped--
+	r := pt.Record(vpn)
+	if !r.mapped {
+		return PTE{}, false
 	}
-	return e, ok
+	e := r.PTE()
+	r.frame.Unpin()
+	*r = Record{CPUHint: r.CPUHint, NPHint: r.NPHint}
+	pt.mapped--
+	return e, true
 }
 
 // Mapped returns the number of live translations.
@@ -191,25 +232,22 @@ func (s *Segment) Pages() int {
 // System is the machine-wide address-space state: per-node page tables,
 // the segment list, and the distributed home-mapping table.
 type System struct {
-	nodes    int
-	tables   []*PageTable
-	nextVA   mem.VA
-	nextPriv []mem.VA
-	segs     []*Segment
+	nodes  int
+	mems   []*mem.Memory
+	tables []*PageTable
+	segs   []*Segment
 	// homes is the home node of every allocated shared page (-1 = first
-	// touch pending), indexed by the page's distance from SharedBase.
+	// touch pending), indexed by the page's distance from SharedBase; the
+	// next segment starts where it ends.
 	homes []int
 }
 
-// NewSystem returns an address-space manager for n nodes.
-func NewSystem(n int) *System {
-	s := &System{
-		nodes:  n,
-		nextVA: SharedBase,
-	}
-	for i := 0; i < n; i++ {
+// NewSystem returns an address-space manager for the nodes whose
+// memories mems are, in node order.
+func NewSystem(mems []*mem.Memory) *System {
+	s := &System{nodes: len(mems), mems: mems}
+	for i := range mems {
 		s.tables = append(s.tables, &PageTable{sys: s, node: i})
-		s.nextPriv = append(s.nextPriv, PrivateBase)
 	}
 	return s
 }
@@ -219,6 +257,14 @@ func (s *System) Nodes() int { return s.nodes }
 
 // Table returns node's page table.
 func (s *System) Table(node int) *PageTable { return s.tables[node] }
+
+// frame returns the frame holding pa, or nil.
+func (s *System) frame(pa mem.PA) *mem.Frame {
+	if n := pa.Node(); n < len(s.mems) {
+		return s.mems[n].Frame(pa)
+	}
+	return nil
+}
 
 // Segments returns the allocated shared segments.
 func (s *System) Segments() []*Segment { return s.segs }
@@ -233,11 +279,13 @@ func (s *System) AllocShared(name string, size uint64, place Placement, mode int
 	if place == nil {
 		place = RoundRobin{}
 	}
-	base := s.nextVA
+	base := SharedBase + mem.VA(len(s.homes)*mem.PageSize)
 	pages := int((size + mem.PageSize - 1) / mem.PageSize)
-	s.nextVA += mem.VA(pages * mem.PageSize)
 	seg := &Segment{Name: name, Base: base, Size: size, Mode: mode, Place: place}
 	s.segs = append(s.segs, seg)
+	for _, pt := range s.tables {
+		pt.shared = append(pt.shared, make([]Record, pages)...)
+	}
 	for i := 0; i < pages; i++ {
 		home := place.HomeFor(i, s.nodes)
 		if _, blocked := place.(Blocked); blocked {
@@ -281,19 +329,20 @@ func (s *System) ClaimHome(va mem.VA, node int) int {
 // AllocPrivate reserves size bytes of node-private address space and maps
 // frames for it from the node's memory, tagged ReadWrite with
 // ModePrivate. Private pages have no coherence semantics.
-func (s *System) AllocPrivate(node int, size uint64, m *mem.Memory) (mem.VA, error) {
+func (s *System) AllocPrivate(node int, size uint64) (mem.VA, error) {
 	if size == 0 {
 		panic("vm: zero-size private allocation")
 	}
-	base := s.nextPriv[node]
+	pt := s.tables[node]
+	base := PrivateBase + mem.VA(len(pt.priv)*mem.PageSize)
 	pages := int((size + mem.PageSize - 1) / mem.PageSize)
-	s.nextPriv[node] += mem.VA(pages * mem.PageSize)
+	pt.priv = append(pt.priv, make([]Record, pages)...)
 	for i := 0; i < pages; i++ {
-		pa, err := m.AllocFrame(mem.TagReadWrite)
+		pa, err := s.mems[node].AllocFrame(mem.TagReadWrite)
 		if err != nil {
 			return 0, fmt.Errorf("vm: private alloc on node %d: %w", node, err)
 		}
-		s.tables[node].Map(base.VPN()+uint64(i), PTE{PA: pa, Writable: true, Mode: ModePrivate})
+		pt.Map(base.VPN()+uint64(i), PTE{PA: pa, Writable: true, Mode: ModePrivate})
 	}
 	return base, nil
 }

@@ -5,12 +5,22 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 )
 
+// newSystem returns a System over n fresh, unbounded node memories.
+func newSystem(n int) (*System, []*mem.Memory) {
+	mems := make([]*mem.Memory, n)
+	for i := range mems {
+		mems[i] = mem.New(i, mem.Config{})
+	}
+	return NewSystem(mems), mems
+}
+
 func TestSharedAllocLayout(t *testing.T) {
-	s := NewSystem(4)
+	s, _ := newSystem(4)
 	a := s.AllocShared("a", 3*mem.PageSize, RoundRobin{}, ModeUser)
 	b := s.AllocShared("b", 100, RoundRobin{}, ModeUser)
 	if a.Base != SharedBase {
@@ -28,7 +38,7 @@ func TestSharedAllocLayout(t *testing.T) {
 }
 
 func TestSegmentAtBounds(t *testing.T) {
-	s := NewSystem(2)
+	s, _ := newSystem(2)
 	seg := s.AllocShared("x", 64, RoundRobin{}, ModeUser)
 	if seg.At(0) != seg.Base || seg.At(63) != seg.Base+63 {
 		t.Fatal("At arithmetic wrong")
@@ -42,7 +52,7 @@ func TestSegmentAtBounds(t *testing.T) {
 }
 
 func TestRoundRobinHomes(t *testing.T) {
-	s := NewSystem(4)
+	s, _ := newSystem(4)
 	seg := s.AllocShared("rr", 8*mem.PageSize, RoundRobin{}, ModeUser)
 	for i := 0; i < 8; i++ {
 		home := s.Home(seg.At(uint64(i * mem.PageSize)))
@@ -53,7 +63,7 @@ func TestRoundRobinHomes(t *testing.T) {
 }
 
 func TestBlockedHomes(t *testing.T) {
-	s := NewSystem(4)
+	s, _ := newSystem(4)
 	seg := s.AllocShared("blk", 8*mem.PageSize, Blocked{}, ModeUser)
 	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	for i := 0; i < 8; i++ {
@@ -64,7 +74,7 @@ func TestBlockedHomes(t *testing.T) {
 }
 
 func TestBlockedHomesUneven(t *testing.T) {
-	s := NewSystem(3)
+	s, _ := newSystem(3)
 	seg := s.AllocShared("blk", 7*mem.PageSize, Blocked{}, ModeUser)
 	for i := 0; i < 7; i++ {
 		home := s.Home(seg.At(uint64(i * mem.PageSize)))
@@ -79,7 +89,7 @@ func TestBlockedHomesUneven(t *testing.T) {
 }
 
 func TestOnNodeHomes(t *testing.T) {
-	s := NewSystem(4)
+	s, _ := newSystem(4)
 	seg := s.AllocShared("on2", 3*mem.PageSize, OnNode{Node: 2}, ModeUser)
 	for i := 0; i < 3; i++ {
 		if home := s.Home(seg.At(uint64(i * mem.PageSize))); home != 2 {
@@ -89,7 +99,7 @@ func TestOnNodeHomes(t *testing.T) {
 }
 
 func TestFirstTouchClaim(t *testing.T) {
-	s := NewSystem(4)
+	s, _ := newSystem(4)
 	seg := s.AllocShared("ft", 2*mem.PageSize, FirstTouch{}, ModeUser)
 	va := seg.At(0)
 	if s.Home(va) != -1 {
@@ -111,7 +121,7 @@ func TestFirstTouchClaim(t *testing.T) {
 }
 
 func TestHomeOfUnallocatedPanics(t *testing.T) {
-	s := NewSystem(2)
+	s, _ := newSystem(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -121,8 +131,8 @@ func TestHomeOfUnallocatedPanics(t *testing.T) {
 }
 
 func TestPageTableMapUnmap(t *testing.T) {
-	s := NewSystem(2)
-	priv, err := s.AllocPrivate(1, 3*mem.PageSize, mem.New(1, mem.Config{}))
+	s, mems := newSystem(2)
+	priv, err := s.AllocPrivate(1, 3*mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,8 @@ func TestPageTableMapUnmap(t *testing.T) {
 	if pt.Mapped() != 3 {
 		t.Fatalf("Mapped = %d after a 3-page private allocation", pt.Mapped())
 	}
-	pte := PTE{PA: mem.MakePA(0, 0x3000), Writable: true, Mode: 5}
+	pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+	pte := PTE{PA: pa, Writable: true, Mode: 5}
 	mapAndCheck := func(vpn uint64, wantMapped int) {
 		t.Helper()
 		pt.Map(vpn, pte)
@@ -145,9 +156,8 @@ func TestPageTableMapUnmap(t *testing.T) {
 			t.Fatalf("Mapped = %d after mapping %#x, want %d", pt.Mapped(), vpn, wantMapped)
 		}
 	}
-	// The last shared page grows the shared table past seven unmapped
-	// slots; the next Map lands inside it; the private one replaces what
-	// AllocPrivate installed.
+	// Two shared pages of eight, then a remap of a private page that
+	// replaces what AllocPrivate installed.
 	mapAndCheck(seg.At(7*mem.PageSize).VPN(), 4)
 	mapAndCheck(seg.At(2*mem.PageSize).VPN(), 5)
 	mapAndCheck(priv.VPN()+2, 5)
@@ -186,8 +196,8 @@ func TestPageTableMapUnmap(t *testing.T) {
 // a Map the System never reserved must be refused by name — not answered
 // by growing a table to wherever the VPN points.
 func TestMapOutsideReservedRangesPanics(t *testing.T) {
-	s := NewSystem(2)
-	if _, err := s.AllocPrivate(0, mem.PageSize, mem.New(0, mem.Config{})); err != nil {
+	s, _ := newSystem(2)
+	if _, err := s.AllocPrivate(0, mem.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
@@ -217,11 +227,104 @@ func TestMapOutsideReservedRangesPanics(t *testing.T) {
 	}
 }
 
+// TestMapOfUnallocatedPAPanics: a record holds the frame it maps, so a
+// Map whose PA no allocated frame holds is refused by name at the Map,
+// not found by the first reference through it.
+func TestMapOfUnallocatedPAPanics(t *testing.T) {
+	s, mems := newSystem(2)
+	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
+	freed, _ := mems[1].AllocFrame(mem.TagReadWrite)
+	mems[1].FreeFrame(freed)
+	vpn := seg.Base.VPN() + 1
+	for name, pa := range map[string]mem.PA{
+		"never allocated": mem.MakePA(0, 0),
+		"freed":           freed,
+		"no such node":    mem.MakePA(2, 0),
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("vm: Map of VPN %#x on node 0 to %#x, which no allocated frame holds", vpn, pa)
+				if r := recover(); r != want {
+					t.Errorf("%s: Map panicked with %v, want %q", name, r, want)
+				}
+			}()
+			s.Table(0).Map(vpn, PTE{PA: pa, Writable: true})
+		}()
+	}
+	if n := s.Table(0).Mapped(); n != 0 {
+		t.Errorf("Mapped = %d after refused Maps", n)
+	}
+}
+
+// TestFreeFrameOfMappedFramePanics: FreeFrame refuses a frame while any
+// page table maps it, counting every mapping across nodes and remaps.
+func TestFreeFrameOfMappedFramePanics(t *testing.T) {
+	s, mems := newSystem(2)
+	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
+	pa, _ := mems[1].AllocFrame(mem.TagReadWrite)
+	other, _ := mems[1].AllocFrame(mem.TagReadWrite)
+	v0, v1 := seg.Base.VPN(), seg.Base.VPN()+1
+	s.Table(0).Map(v0, PTE{PA: pa})
+	s.Table(1).Map(v0, PTE{PA: pa})
+	s.Table(1).Map(v1, PTE{PA: other})
+	s.Table(1).Map(v1, PTE{PA: pa}) // a remap moves the count
+	s.Table(1).Map(v1, PTE{PA: pa}) // and a same-frame remap keeps it
+	mems[1].FreeFrame(other)
+	free := func() (r any) {
+		defer func() { r = recover() }()
+		mems[1].FreeFrame(pa + 40)
+		return nil
+	}
+	for i, unmap := range []struct {
+		node int
+		vpn  uint64
+	}{{1, v1}, {0, v0}, {1, v0}} {
+		want := fmt.Sprintf("mem: FreeFrame of frame %#x on node 1, which %d page-table slots still map", pa, 3-i)
+		if r := free(); r != want {
+			t.Fatalf("FreeFrame panicked with %v, want %q", r, want)
+		}
+		s.Table(unmap.node).Unmap(unmap.vpn)
+	}
+	if r := free(); r != nil || mems[1].FramesInUse() != 0 {
+		t.Fatalf("FreeFrame of an unmapped frame: panic %v, %d frames in use", r, mems[1].FramesInUse())
+	}
+}
+
+// TestRecordKeepsTLBHints: a page's TLB hints live in its record and
+// outlive Map, Unmap and the table growing under them; a VPN outside
+// every reserved range gets the never-mapped stray record.
+func TestRecordKeepsTLBHints(t *testing.T) {
+	s, mems := newSystem(1)
+	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
+	pt := s.Table(0)
+	v := seg.Base.VPN()
+	r := pt.Record(v)
+	r.CPUHint, r.NPHint = 3, 5
+	s.AllocShared("b", 64*mem.PageSize, nil, ModeUser) // grows the table: r is stale from here
+	pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+	pt.Map(v, PTE{PA: pa, Writable: true, Mode: 7})
+	if r := pt.Record(v); r.CPUHint != 3 || r.NPHint != 5 || !r.Mapped() || r.Frame() != mems[0].Frame(pa) ||
+		r.PTE() != (PTE{PA: pa, Writable: true, Mode: 7}) {
+		t.Fatalf("after growth and Map: %+v", *r)
+	}
+	pt.Unmap(v)
+	if r := pt.Record(v); r.CPUHint != 3 || r.NPHint != 5 || r.Mapped() || r.Frame() != nil {
+		t.Fatalf("after Unmap: %+v", *r)
+	}
+	stray := pt.Record(seg.End().VPN() + 64)
+	if stray.Mapped() || stray != pt.Record(SharedBase.VPN()+1<<40) || stray != pt.Record(0) {
+		t.Fatal("VPNs outside the reserved ranges do not share the unmapped stray record")
+	}
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Errorf("a page record is %d bytes, want 32", got)
+	}
+}
+
 // TestHomePanicsOutsideSharedAllocations: the home table is a slice
 // over the shared segment; a private or unallocated address must still
 // be refused with the message the map gave.
 func TestHomePanicsOutsideSharedAllocations(t *testing.T) {
-	s := NewSystem(2)
+	s, _ := newSystem(2)
 	seg := s.AllocShared("a", 2*mem.PageSize, FirstTouch{}, ModeUser)
 	for _, va := range []mem.VA{0, PrivateBase, SharedBase - 8, seg.End(), seg.End() + 1<<40} {
 		for name, call := range map[string]func(){
@@ -245,9 +348,8 @@ func TestHomePanicsOutsideSharedAllocations(t *testing.T) {
 }
 
 func TestTranslate(t *testing.T) {
-	s := NewSystem(2)
-	m := mem.New(0, mem.Config{})
-	base, err := s.AllocPrivate(0, 2*mem.PageSize, m)
+	s, _ := newSystem(2)
+	base, err := s.AllocPrivate(0, 2*mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +372,10 @@ func TestTranslate(t *testing.T) {
 }
 
 func TestPrivateAllocsDisjoint(t *testing.T) {
-	s := NewSystem(2)
-	m := mem.New(0, mem.Config{})
-	a, _ := s.AllocPrivate(0, mem.PageSize, m)
-	b, _ := s.AllocPrivate(0, 10, m)
+	s, mems := newSystem(2)
+	m := mems[0]
+	a, _ := s.AllocPrivate(0, mem.PageSize)
+	b, _ := s.AllocPrivate(0, 10)
 	if b < a+mem.PageSize {
 		t.Fatalf("allocations overlap: %#x then %#x", a, b)
 	}
@@ -285,9 +387,8 @@ func TestPrivateAllocsDisjoint(t *testing.T) {
 }
 
 func TestPrivateAllocOutOfFrames(t *testing.T) {
-	s := NewSystem(1)
-	m := mem.New(0, mem.Config{MaxFrames: 1})
-	if _, err := s.AllocPrivate(0, 2*mem.PageSize, m); err == nil {
+	s := NewSystem([]*mem.Memory{mem.New(0, mem.Config{MaxFrames: 1})})
+	if _, err := s.AllocPrivate(0, 2*mem.PageSize); err == nil {
 		t.Fatal("expected out-of-frames error")
 	}
 }
@@ -306,7 +407,7 @@ func mustPA(t *testing.T, s *System, node int, va mem.VA) mem.PA {
 func TestAllocationProperty(t *testing.T) {
 	f := func(sizes []uint16, nodesRaw uint8) bool {
 		nodes := int(nodesRaw)%8 + 1
-		s := NewSystem(nodes)
+		s, _ := newSystem(nodes)
 		var prevEnd mem.VA
 		for i, sz := range sizes {
 			if len(sizes) > 20 {
@@ -347,12 +448,12 @@ func TestAllocationProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkPageTableLookup times Lookup, which every simulated reference
-// performs, cycling over 256 mapped shared pages with a private page
-// every eighth lookup.
+// BenchmarkPageTableLookup times Record, the page-record load every
+// simulated reference starts with, cycling over 256 mapped shared pages
+// with a private page every eighth lookup.
 func BenchmarkPageTableLookup(b *testing.B) {
-	s := NewSystem(1)
-	priv, err := s.AllocPrivate(0, mem.PageSize, mem.New(0, mem.Config{}))
+	s, mems := newSystem(1)
+	priv, err := s.AllocPrivate(0, mem.PageSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +462,8 @@ func BenchmarkPageTableLookup(b *testing.B) {
 	vpns := make([]uint64, 256)
 	for i := range vpns {
 		vpns[i] = seg.Base.VPN() + uint64(i)
-		pt.Map(vpns[i], PTE{PA: mem.MakePA(0, uint64(i)*mem.PageSize), Writable: true, Mode: ModeUser})
+		pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+		pt.Map(vpns[i], PTE{PA: pa, Writable: true, Mode: ModeUser})
 		if i%8 == 7 {
 			vpns[i] = priv.VPN()
 		}
@@ -369,7 +471,7 @@ func BenchmarkPageTableLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := pt.Lookup(vpns[i%len(vpns)]); !ok {
+		if !pt.Record(vpns[i%len(vpns)]).Mapped() {
 			b.Fatal("mapped page not found")
 		}
 	}
