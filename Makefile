@@ -2,9 +2,10 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the seven binaries' command lines, the two digest
-# gates (ideal and contended machine), the cache and fleet gates, the
-# fuzz targets' committed seed corpora, and the conformance corpus.
+# a smoke pass over the six binaries' command lines, the two digest
+# gates (ideal and contended machine), the cache and fleet gates, and the
+# fuzz targets' committed seed corpora. The conformance corpus is a
+# golden file under `go test` (internal/conform), so the race leg runs it.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
 # from here; `make profile-hit`, `profile-miss`, `profile-contended` and
 # `profile-large` put one of its simulating workloads under the CPU
@@ -12,9 +13,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst conform loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
 
-ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds conform
+ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds
 
 # vet also fails on any file gofmt would rewrite, naming it.
 vet:
@@ -39,13 +40,12 @@ microbench:
 bench-smoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 
-# cli-smoke builds all seven binaries once, runs one real simulation
+# cli-smoke builds all six binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse), and gives every sweep binary one bad
 # shared flag — typhoon-sim also a cache whose set count is not a power
-# of two, bench and conform the removed sharding flag, fig3 and bench the
-# removed -no-dedup: each must exit 2 and name the flag (or the rule) on
-# stderr.
+# of two, bench the removed sharding flag, fig3 and bench the removed
+# -no-dedup: each must exit 2 and name the flag (or the rule) on stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
@@ -103,10 +103,10 @@ profile-large:
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/cache/ ./internal/typhoon/ ./internal/stats/ ./internal/trace/ ./internal/conform/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
+	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/cache/ ./internal/typhoon/ ./internal/stats/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
 
-# fuzz-burst runs the fuzzing engine for ten seconds on each of the five
-# text-format targets, on the reader under them, on the scheduler's
+# fuzz-burst runs the fuzzing engine for ten seconds on each of the three
+# text-format decoders, on the reader under them, on the scheduler's
 # queue and on the hinted TLB. It is not part of `make ci`, which stays
 # deterministic: run it after touching a decoder, internal/wiretext,
 # internal/sim's calendar or the TLB and its hints, and commit any
@@ -116,31 +116,19 @@ fuzz-burst:
 	$(GO) test -run='^$$' -fuzz='^FuzzTLB$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheEntry$$' -fuzztime=10s ./internal/resultcache/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePoint$$' -fuzztime=10s ./internal/harness/
-	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=10s ./internal/conform/
 	$(GO) test -run='^$$' -fuzz='^FuzzFleetMessage$$' -fuzztime=10s ./internal/fleet/
-	$(GO) test -run='^$$' -fuzz='^FuzzTraceParse$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/wiretext/
-
-# conform is the trace-replay conformance gate: verify the committed
-# corpus (manifest, decode, standalone replay, tag-machine check), then
-# run the differential protocol matrix once, under the race detector.
-# `go run ./cmd/conform -record` re-records the corpus on the full
-# machine; it is covered by the package's re-record tests under
-# `make race`, so the gate here stays fast.
-conform:
-	$(GO) run ./cmd/conform
-	$(GO) run -race ./cmd/conform -diff
 
 # loc prints non-test Go lines in three groups — the sweep plumbing, the
 # protocols it exercises, and the engine under both (scheduler, network,
 # agents, machine, tracer) — the figures ROADMAP.md quotes. The text
-# reader the plumbing's formats share and the event-line parser count as
-# plumbing, so moving lines into them cannot read as a reduction.
+# reader the plumbing's formats share counts as plumbing, so moving lines
+# into it cannot read as a reduction.
 loc:
 	@for d in internal/harness internal/fleet internal/resultcache internal/conform cmd \
-			internal/wiretext internal/trace/parse.go \
+			internal/wiretext \
 			internal/stache internal/typhoon internal/dirnnb internal/blizzard \
 			internal/sim internal/network internal/agent internal/machine internal/trace/trace.go; do \
 		printf '%-24s %5d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-	done | awk '{print; if (NR <= 7) p += $$2; else if (NR <= 11) q += $$2; else e += $$2} \
+	done | awk '{print; if (NR <= 6) p += $$2; else if (NR <= 10) q += $$2; else e += $$2} \
 		END {printf "plumbing %d : protocols %d : engine %d\n", p, q, e}'

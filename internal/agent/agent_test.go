@@ -21,8 +21,8 @@ func (d *fixedCostDispatcher) DispatchMessage(c *sim.Context, pkt *network.Packe
 }
 
 // TestOccupancyAccounting hand-computes the occupancy model under
-// back-to-back deliveries — the exact arithmetic the conformance
-// replay's counter cross-check relies on. Three packets sent on
+// back-to-back deliveries — the arithmetic behind the occ_waits and
+// occ_wait_cycles counters every protocol reports. Three packets sent on
 // consecutive cycles arrive on consecutive cycles (latency 11). A
 // message's wait is measured from the agent's own clock when it picks
 // the message up (the clock has already advanced through the previous

@@ -2,10 +2,13 @@ package conform
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/trace"
 )
+
+const maxTagErrs = 8
 
 // allowedTagEdges is the per-block access-tag state machine the Typhoon
 // protocols (Stache, Blizzard-Stache, EM3D-update) are allowed to walk,
@@ -42,8 +45,8 @@ var allowedTagEdges = [4][4]bool{
 // allowedTagEdges, and demands that no block is left pending (Busy)
 // when the run ends. The trace carries only the new tag, so the first
 // event of each block seeds its state unchecked. DirNNB streams have no
-// tag events (its MSI state lives in the hardware directory, exercised
-// by Replay and the state digest instead) and pass vacuously.
+// tag events (its MSI state lives in the hardware directory, pinned by
+// the stream's protocol-state digest instead) and pass vacuously.
 func CheckTagMachine(s *Stream) error {
 	type key struct {
 		node int
@@ -65,7 +68,7 @@ func CheckTagMachine(s *Stream) error {
 		if !seen {
 			order = append(order, k)
 		} else if !allowedTagEdges[from][to] {
-			if len(errs) < maxReplayErrs {
+			if len(errs) < maxTagErrs {
 				errs = append(errs, fmt.Sprintf("event %d: node %d block %#x: illegal tag transition %v -> %v at cycle %d",
 					i, ev.Node, ev.VA, from, to, ev.T))
 			}
@@ -75,13 +78,13 @@ func CheckTagMachine(s *Stream) error {
 	for _, k := range order {
 		if last[k] == mem.TagBusy {
 			errs = append(errs, fmt.Sprintf("node %d block %#x: left Busy at end of run (unresolved transaction)", k.node, k.va))
-			if len(errs) >= maxReplayErrs {
+			if len(errs) >= maxTagErrs {
 				break
 			}
 		}
 	}
 	if len(errs) > 0 {
-		return fmt.Errorf("conform: tag check %s-%s: %d violations:\n  %s", s.App, s.System, len(errs), joinLines(errs))
+		return fmt.Errorf("conform: tag check %s-%s: %d violations:\n  %s", s.App, s.System, len(errs), strings.Join(errs, "\n  "))
 	}
 	return nil
 }

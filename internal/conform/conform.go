@@ -1,47 +1,30 @@
-// Package conform is the trace-replay conformance suite: the repo's
-// safety net for changes that mutate the message layer underneath every
-// protocol (contention models, scheduler reworks, optimistic windows).
+// Package conform is the conformance suite: the repo's safety net for
+// changes that mutate the message layer underneath every protocol
+// (contention models, scheduler reworks) or one protocol's handlers.
 //
-// It has three legs:
+// It has two legs:
 //
-//   - A committed corpus (testdata/traces/ at the repo root): one
-//     recorded message trace per protocol × application pair at a small
-//     deterministic scale, in a stable text format (see Stream) with a
-//     sha256 manifest. Recording runs the real machine with the
-//     network-level taps on (network.Network.OnSend, agent.Core.
-//     OnDispatch), so a trace holds the complete message stream — every
-//     send with its issue time and delay, every dispatch with its start
+//   - Record: a committed corpus (testdata/traces/ at the repo root)
+//     holds one recorded message trace per corpus pair at a small
+//     deterministic scale, in a stable text format (see Stream).
+//     Recording runs the real machine with the network-level taps on
+//     (network.Network.OnSend and OnDeliver, agent.Core.OnDispatch), so
+//     a trace holds the complete message stream — every send with its
+//     issue time and delay, every arrival, every dispatch with its start
 //     time and service cycles — plus the run's application-visible
 //     outcome (counters, observation hashes, memory and protocol-state
-//     digests) in the footer.
+//     digests) in the footer. The corpus is a golden file: the package
+//     tests re-record every pair, run the MSI transition checker
+//     (CheckTagMachine) over the fresh stream, and compare its encoding
+//     with the committed file byte for byte.
 //
-//   - A standalone replay engine (Replay): the recorded sends are
-//     re-issued into a fresh engine + network + one agent.Core per node
-//     — no machine, no CPUs, no protocol state — with a scripted
-//     dispatcher that charges each dispatch its recorded service time.
-//     The network and agent layers then recompute the delivery schedule
-//     from scratch, and Replay asserts it against the recording: the
-//     arrival schedule (every packet's delivery cycle and identity at
-//     every endpoint, injection- and ejection-port serialisation
-//     included) cycle-exact for every protocol; per-virtual-network
-//     dispatch order and identity always; and dispatch start times plus
-//     occupancy counters cycle-exact for DirNNB traces, whose pure
-//     message-driven agent has its whole timeline determined by the
-//     message stream. (An NP interleaves urgent fault work between
-//     dispatches, which a message trace does not capture, so NP
-//     dispatch timing is enforced by Record comparison instead — a
-//     full-machine re-run compared byte for byte.)
+//   - Differential: a matrix (RunDifferential, over harness.RunObserved
+//     and CompareObservations) asserting that every protocol exposes
+//     identical application-visible memory semantics.
 //
-//   - A differential matrix (harness.RunObserved / CompareObservations)
-//     plus the trace-order MSI transition checker (CheckTagMachine),
-//     asserting that every protocol exposes identical application-
-//     visible memory semantics and that every per-block tag history is
-//     a legal walk of the MSI/update state machine.
-//
-// The corpus-refresh policy mirrors the golden convention: a deliberate
-// behaviour change re-records with `go run ./cmd/conform -record
-// -update` and commits the diff; `cmd/conform -record` without -update
-// fails on any divergence.
+// A deliberate behaviour change re-records with
+// `go test ./internal/conform -run TestReRecordMatchesCorpus -update`
+// and commits the diff, which shows exactly which messages moved.
 package conform
 
 import (
@@ -118,8 +101,8 @@ func (p Pair) Point() harness.Point {
 
 // CorpusPairs lists the committed corpus: every protocol × app pair of
 // the differential matrix under the ideal network, plus one hardware
-// and one user-level protocol re-recorded under contention (the
-// configuration the replay's occupancy cross-check exercises).
+// and one user-level protocol re-recorded under contention (port
+// queueing and agent occupancy, which the ideal network never exercises).
 func CorpusPairs() []Pair {
 	var out []Pair
 	for _, app := range harness.DiffApps {

@@ -2,29 +2,92 @@ package conform
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// The committed corpus is a golden file. After a deliberate behaviour
+// change, re-record it with:
+//
+//	go test ./internal/conform -run TestReRecordMatchesCorpus -update
+
+var update = flag.Bool("update", false, "rewrite the committed corpus from fresh recordings")
 
 // corpusDir is the committed corpus, relative to this package.
 const corpusDir = "../../testdata/traces"
 
-func loadCorpus(t *testing.T, p Pair) *Stream {
-	t.Helper()
-	s, err := LoadStream(TracePath(corpusDir, p))
-	if err != nil {
-		t.Fatalf("load %s: %v (regenerate with `go run ./cmd/conform -record -update`)", p.Name(), err)
-	}
-	return s
+func tracePath(p Pair) string {
+	return filepath.Join(corpusDir, p.Name()+".trace")
 }
 
-// TestCorpusManifest is the integrity gate: every committed trace is
-// listed in MANIFEST.sha256 with a matching digest, and nothing is
-// listed that does not exist.
-func TestCorpusManifest(t *testing.T) {
-	if err := CheckManifest(corpusDir); err != nil {
-		t.Fatal(err)
+func readTrace(t *testing.T, p Pair) []byte {
+	t.Helper()
+	data, err := os.ReadFile(tracePath(p))
+	if err != nil {
+		t.Fatalf("%v (re-record with -update)", err)
+	}
+	return data
+}
+
+// recordChecked records p on the full machine, runs the tag-machine
+// checker over the fresh stream, and returns its encoding.
+func recordChecked(p Pair) ([]byte, error) {
+	s, err := Record(p, RecordOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if err := CheckTagMachine(s); err != nil {
+		return nil, err
+	}
+	return s.Encode(), nil
+}
+
+// compareStreams demands byte-identical encodings. The error names the
+// first differing line — header field, event, or footer line — so a
+// change that moves one message shows up as that message, not as a
+// blob diff.
+func compareStreams(want, got []byte) error {
+	if bytes.Equal(want, got) {
+		return nil
+	}
+	wl := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	gl := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	for i := range min(len(wl), len(gl)) {
+		if wl[i] != gl[i] {
+			return fmt.Errorf("streams diverge at line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
+		}
+	}
+	return fmt.Errorf("streams diverge in length: want %d lines (%d bytes), got %d lines (%d bytes)",
+		len(wl), len(want), len(gl), len(got))
+}
+
+// TestReRecordMatchesCorpus re-records every corpus pair on the full
+// machine and demands the fresh stream be byte-identical to the
+// committed one: every event, counter, hash and digest. Every per-block
+// tag history must also walk the MSI machine legally.
+func TestReRecordMatchesCorpus(t *testing.T) {
+	for _, p := range CorpusPairs() {
+		t.Run(p.Name(), func(t *testing.T) {
+			t.Parallel()
+			got, err := recordChecked(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *update {
+				if err := os.WriteFile(tracePath(p), got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err := compareStreams(readTrace(t, p), got); err != nil {
+				t.Fatalf("%s: %v\nThe simulated message schedule changed. If that is intended, re-record with -update.",
+					tracePath(p), err)
+			}
+		})
 	}
 }
 
@@ -34,7 +97,7 @@ func TestCorpusManifest(t *testing.T) {
 func TestCorpusComplete(t *testing.T) {
 	want := make(map[string]bool)
 	for _, p := range CorpusPairs() {
-		want[filepath.Base(TracePath(corpusDir, p))] = true
+		want[filepath.Base(tracePath(p))] = true
 	}
 	ents, err := os.ReadDir(corpusDir)
 	if err != nil {
@@ -58,82 +121,10 @@ func TestCorpusComplete(t *testing.T) {
 	}
 }
 
-// TestCorpusReplay replays every committed trace standalone and runs
-// the tag-machine checker over it: the recorded message schedule must
-// be exactly reproducible by the network and agent layers alone, and
-// every per-block tag history must walk the MSI machine legally.
-func TestCorpusReplay(t *testing.T) {
-	for _, p := range CorpusPairs() {
-		t.Run(p.Name(), func(t *testing.T) {
-			s := loadCorpus(t, p)
-			if s.Truncated {
-				t.Fatal("committed stream claims truncation")
-			}
-			if len(s.Events) == 0 {
-				t.Fatal("committed stream has no events")
-			}
-			if err := Replay(s); err != nil {
-				t.Error(err)
-			}
-			if err := CheckTagMachine(s); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-// TestCorpusRoundTrip proves the text format is lossless: decode of an
-// encode is byte-identical, for every committed stream.
-func TestCorpusRoundTrip(t *testing.T) {
-	for _, p := range CorpusPairs() {
-		t.Run(p.Name(), func(t *testing.T) {
-			s := loadCorpus(t, p)
-			enc := s.Encode()
-			s2, err := Decode(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc, s2.Encode()) {
-				t.Fatal("encode/decode round trip is not byte-identical")
-			}
-		})
-	}
-}
-
-// TestReRecordMatchesCorpus re-runs a cross-section of the corpus on
-// the full machine and demands the fresh recording be byte-identical to
-// the committed stream. This is the full-fidelity conformance check (it
-// covers the NP dispatch timing the standalone replay deliberately
-// leaves to it): traces, counters, digests and all. The remaining pairs
-// are covered by `make conform` (cmd/conform -record).
-func TestReRecordMatchesCorpus(t *testing.T) {
-	pairs := []Pair{
-		{App: "em3d", System: "dirnnb"},
-		{App: "em3d", System: "typhoon-update"},
-		{App: "ocean", System: "typhoon-stache"},
-		{App: "em3d", System: "typhoon-stache", Contended: true},
-	}
-	for _, p := range pairs {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
-			t.Parallel()
-			want := loadCorpus(t, p)
-			got, err := Record(p, RecordOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := CompareStreams(want, got); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestDifferentialMatrix runs every app under every protocol and
 // asserts identical application-visible memory semantics.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, app := range DiffApps() {
-		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
 			if err := RunDifferential(app, nil); err != nil {

@@ -1,6 +1,10 @@
 package conform
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +17,7 @@ import (
 
 // The negative suite: each test injects one specific lie — a tampered
 // trace, a protocol handler bug — and demands the matching conformance
-// layer catch it. A checker that passes everything proves nothing.
+// check catch it. A checker that passes everything proves nothing.
 
 func wantErr(t *testing.T, err error, substr string) {
 	t.Helper()
@@ -40,97 +44,70 @@ func findKind(t *testing.T, s *Stream, kind trace.Kind, n int) int {
 	return -1
 }
 
-// TestReplayCatchesTamperedArrival moves one recorded delivery by a
-// single cycle: the replayed network recomputes the true schedule and
-// must flag the disagreement.
-func TestReplayCatchesTamperedArrival(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "em3d", System: harness.SysStache})
-	s.Events[findKind(t, s, trace.KNetArrive, 40)].T++
-	wantErr(t, Replay(s), "arrival")
-}
-
-// TestReplayCatchesTamperedSend stretches one send's injection delay:
-// the packet departs a cycle late, so its arrival — and under
-// contention every arrival queued behind it — diverges.
-func TestReplayCatchesTamperedSend(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "em3d", System: harness.SysStache, Contended: true})
-	s.Events[findKind(t, s, trace.KNetSend, 25)].VA++
-	wantErr(t, Replay(s), "diverges")
-}
-
-// TestReplayCatchesTamperedDispatch moves a DirNNB dispatch start: the
-// directory agent's timeline is message-determined, so the strict check
-// must reject it.
-func TestReplayCatchesTamperedDispatch(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "em3d", System: harness.SysDirNNB})
-	s.Events[findKind(t, s, trace.KNetDeliver, 40)].T++
-	wantErr(t, Replay(s), "dispatch")
-}
-
-// TestReplayCatchesTamperedIdentity swaps a dispatched message's
-// handler: identity is checked for every protocol, NP streams included.
-func TestReplayCatchesTamperedIdentity(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "ocean", System: harness.SysStache})
-	ev := &s.Events[findKind(t, s, trace.KNetDeliver, 40)]
-	h, src, dst, vnet, bytes := trace.UnpackMsg(ev.Aux)
-	ev.Aux = trace.PackMsg(h+1, src, dst, vnet, bytes)
-	wantErr(t, Replay(s), "identity")
-}
-
-// TestReplayCatchesTamperedOccCounter falsifies the recorded occupancy
-// counters of a contended DirNNB run: the replayed agents recompute the
-// exact queueing and must disagree.
-func TestReplayCatchesTamperedOccCounter(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "em3d", System: harness.SysDirNNB, Contended: true})
-	found := false
-	for i := range s.Counters {
-		if s.Counters[i].Name == "dirnnb.occ_wait_cycles" {
-			s.Counters[i].Value++
-			found = true
+// TestCorpusCompareNamesTamperedLine moves one committed arrival by a
+// single cycle: the re-record must fail, naming that line.
+func TestCorpusCompareNamesTamperedLine(t *testing.T) {
+	p := Pair{App: "em3d", System: harness.SysStache}
+	lines := strings.Split(string(readTrace(t, p)), "\n")
+	n, at := 0, -1
+	for i, l := range lines {
+		if strings.Contains(l, " "+trace.KNetArrive.String()+" ") {
+			if n == 40 {
+				at = i
+				break
+			}
+			n++
 		}
 	}
-	if !found {
-		t.Fatal("contended dirnnb stream has no dirnnb.occ_wait_cycles counter")
+	if at < 0 {
+		t.Fatal("committed stream has fewer than 41 arrivals")
 	}
-	wantErr(t, Replay(s), "occupancy counters diverge")
+	cycle, err := strconv.ParseUint(strings.Fields(lines[at])[0], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[at] = fmt.Sprintf("%10d", cycle+1) + lines[at][10:]
+	got, err := recordChecked(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = compareStreams([]byte(strings.Join(lines, "\n")), got)
+	wantErr(t, err, fmt.Sprintf("line %d:\n  want: %s", at+1, lines[at]))
 }
 
-// TestReplayRejectsMalformedStream exercises the structured-error
-// contract on streams no recording could produce.
-func TestReplayRejectsMalformedStream(t *testing.T) {
-	base := func() *Stream { return loadCorpus(t, Pair{App: "ocean", System: harness.SysDirNNB}) }
-
-	s := base()
-	s.Truncated = true
-	wantErr(t, Replay(s), "truncated")
-
-	s = base()
-	ev := &s.Events[findKind(t, s, trace.KNetSend, 0)]
-	h, src, dst, vnet, _ := trace.UnpackMsg(ev.Aux)
-	ev.Aux = trace.PackMsg(h, src, dst, vnet, 200) // oversized payload
-	wantErr(t, Replay(s), "payload")
-
-	s = base()
-	ev = &s.Events[findKind(t, s, trace.KNetSend, 0)]
-	ev.Node = (ev.Node + 1) % s.Cfg.Nodes // send recorded on the wrong node
-	wantErr(t, Replay(s), "src")
+// TestCorpusCompareCatchesMissingEnd drops a committed trace's closing
+// "end" line: every line present still matches, so the re-record must
+// fail on length.
+func TestCorpusCompareCatchesMissingEnd(t *testing.T) {
+	p := Pair{App: "ocean", System: harness.SysDirNNB}
+	want, ok := bytes.CutSuffix(readTrace(t, p), []byte("\nend\n"))
+	if !ok {
+		t.Fatal(`committed stream does not close with an "end" line`)
+	}
+	got, err := recordChecked(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr(t, compareStreams(want, got), "diverge in length")
 }
 
 // TestTagCheckerCatchesIllegalTransition feeds the checker a tag
 // history no MSI walk allows (ReadOnly retagged ReadOnly) and a block
 // left pending at end of run.
 func TestTagCheckerCatchesIllegalTransition(t *testing.T) {
-	s := loadCorpus(t, Pair{App: "ocean", System: harness.SysStache})
+	s, err := Record(Pair{App: "ocean", System: harness.SysStache}, RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := s.Events
 	i := findKind(t, s, trace.KTagChange, 60)
 	// Duplicate a tag event immediately after itself: a self-loop,
 	// illegal from every state.
-	dup := s.Events[i]
-	s.Events = append(s.Events[:i+1], append([]trace.Event{dup}, s.Events[i+1:]...)...)
+	s.Events = slices.Insert(slices.Clone(recorded), i+1, recorded[i])
 	wantErr(t, CheckTagMachine(s), "illegal tag transition")
 
-	s = loadCorpus(t, Pair{App: "ocean", System: harness.SysStache})
-	ev := &s.Events[findKind(t, s, trace.KTagChange, 60)]
-	ev.Aux = 3 // mem.TagBusy; depending on the block's history this is
+	s.Events = slices.Clone(recorded)
+	s.Events[i].Aux = 3 // mem.TagBusy; depending on the block's history this is
 	// either an illegal edge or an unresolved transaction at end of run
 	if err := CheckTagMachine(s); err == nil {
 		t.Fatal("forced Busy tag went undetected")
@@ -143,7 +120,6 @@ func TestTagCheckerCatchesIllegalTransition(t *testing.T) {
 // the application still computes the right answer.
 func TestRecheckCatchesInjectedBug(t *testing.T) {
 	p := Pair{App: "em3d", System: harness.SysStache}
-	want := loadCorpus(t, p)
 	got, err := Record(p, RecordOptions{Mutate: func(sys *typhoon.System) {
 		sys.WrapHandler(stache.HDataRO, func(h typhoon.Handler) typhoon.Handler {
 			return func(np *typhoon.NP, pkt *network.Packet) {
@@ -155,7 +131,7 @@ func TestRecheckCatchesInjectedBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantErr(t, CompareStreams(want, got), "diverge")
+	wantErr(t, compareStreams(readTrace(t, p), got.Encode()), "diverge")
 }
 
 // TestDifferentialCatchesInjectedBug corrupts the data Stache's home

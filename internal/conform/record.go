@@ -64,32 +64,13 @@ func Record(p Pair, opt RecordOptions) (*Stream, error) {
 
 // nodeMajorEvents flattens the tracer's buffers node by node, each in
 // emission order — the stream's canonical event order. Emission order,
-// not the (time, node, seq) merge, is what replay needs: a node's
-// SendAfter calls take effect on its injection port in call order, and
-// a lagging context can make that order non-monotonic in time.
+// not the (time, node, seq) merge, is the order that shaped the run: a
+// node's SendAfter calls take effect on its injection port in call
+// order, and a lagging context can make that order non-monotonic in time.
 func nodeMajorEvents(tr *trace.Tracer, nodes int) []trace.Event {
 	var out []trace.Event
 	for n := 0; n < nodes; n++ {
 		out = append(out, tr.NodeEvents(n)...)
 	}
 	return out
-}
-
-// CompareStreams demands byte-identical recordings: the full-machine
-// re-record conformance check reduces to it. The error pinpoints the first divergence — header
-// field, event index, or footer line — so a protocol or engine change
-// that moves one message shows up as that message, not as a blob diff.
-func CompareStreams(want, got *Stream) error {
-	a, b := want.Encode(), got.Encode()
-	if string(a) == string(b) {
-		return nil
-	}
-	// Find the first differing line for the report.
-	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Errorf("conform: streams diverge at line %d:\n  want: %s\n  got:  %s", i+1, al[i], bl[i])
-		}
-	}
-	return fmt.Errorf("conform: streams diverge in length: want %d lines, got %d", len(al), len(bl))
 }

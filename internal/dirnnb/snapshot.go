@@ -9,8 +9,7 @@ import (
 )
 
 // AgentCore returns node's directory-agent core. The conformance
-// recorder uses it to tap message dispatches (agent.Core.OnDispatch) and
-// to cross-check occupancy accounting against a standalone replay.
+// recorder uses it to tap message dispatches (agent.Core.OnDispatch).
 func (s *System) AgentCore(node int) *agent.Core { return s.nodes[node].core }
 
 // StateDigest folds the directory's full coherence state — every home's

@@ -65,8 +65,8 @@ type DiffOptions struct {
 	// Tracer, when non-nil, records the run: protocol-level events for
 	// Typhoon systems (via typhoon.WithTracer) and, for every system,
 	// the network-level message stream through the conformance taps —
-	// each network.Network.OnSend as a KNetSend and each
-	// agent.Core.OnDispatch as a KNetDeliver.
+	// each network.Network.OnSend as a KNetSend, each OnDeliver as a
+	// KNetArrive and each agent.Core.OnDispatch as a KNetDeliver.
 	Tracer *trace.Tracer
 }
 
@@ -115,9 +115,9 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	if tr := opt.Tracer; tr != nil {
 		// The network-level taps exist for every system, DirNNB included:
 		// together they record the complete message stream (issue time and
-		// SendAfter delay on the sending node, dispatch start and service
-		// time on the receiving agent), which is what the conformance
-		// replay re-issues standalone.
+		// SendAfter delay on the sending node, arrival time at the
+		// receiving endpoint, dispatch start and service time on the
+		// receiving agent), which the conformance corpus pins byte for byte.
 		tr.Prepare(len(m.Procs))
 		m.Net.OnSend = func(p *network.Packet, issued, extra sim.Time) {
 			tr.Emit(trace.Event{T: issued, Node: p.Src, Kind: trace.KNetSend, VA: mem.VA(extra),

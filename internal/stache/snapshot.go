@@ -44,7 +44,7 @@ func sortedVAs[V any](m map[mem.VA]V) []mem.VA {
 // fields) and every node's requester-side state (pending fault, stache
 // page FIFO, outstanding writebacks, orphans, prefetches) — into one
 // hash. Equal digests mean equal protocol state; the conformance suite
-// records it in a trace's footer and compares it on replay. Call only
+// records it in a trace's footer and compares it on re-record. Call only
 // while the machine is not running.
 func (st *Protocol) StateDigest() uint64 {
 	d := newDigestWriter()

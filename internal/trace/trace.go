@@ -7,15 +7,14 @@
 // Events are captured in per-node buffers: every emission names the node
 // it happened on. The global stream is reconstructed on demand by a
 // deterministic merge keyed the same way the engine orders simultaneous
-// events — (time, node, per-node emission order) — which is the order
-// the committed conformance corpus is recorded in.
+// events — (time, node, per-node emission order). The committed
+// conformance corpus is recorded node-major instead (NodeEvents).
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -25,11 +24,11 @@ import (
 type Kind uint8
 
 // Event kinds. KMsgSend/KMsgRecv are the protocol-level view (a Typhoon
-// NP issuing or dispatching a message, before costs); KNetSend and
-// KNetDeliver are the network-level view recorded by the conformance
-// taps (network.Network.OnSend, agent.Core.OnDispatch) — they exist for
-// every protocol, DirNNB included, and carry enough detail (packed into
-// Aux, see PackMsg) to re-issue the message stream standalone.
+// NP issuing or dispatching a message, before costs); KNetSend,
+// KNetArrive and KNetDeliver are the network-level view recorded by the
+// conformance taps (network.Network.OnSend and OnDeliver,
+// agent.Core.OnDispatch) — they exist for every protocol, DirNNB
+// included, and carry each packet's identity packed into Aux (PackMsg).
 const (
 	KBlockFault Kind = iota
 	KPageFault
@@ -47,9 +46,7 @@ const (
 	KNetDeliver
 	// KNetArrive is a packet enqueued at its destination endpoint: T is
 	// the delivery time (after any ejection-port serialisation), VA is
-	// zero, and Aux is PackMsg. The arrival schedule is fully determined
-	// by the send stream, so a replay reproduces it cycle-exact for
-	// every protocol.
+	// zero, and Aux is PackMsg.
 	KNetArrive
 )
 
@@ -77,7 +74,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// PackMsg packs a packet's identity for a KNetSend/KNetDeliver Aux:
+// PackMsg packs a packet's identity for a network-level event's Aux:
 // handler ID (16 bits), source and destination node (12 bits each), the
 // virtual network (1 bit), and the payload size in bytes (8 bits — the
 // network caps payloads at 80). Values outside those widths panic: the
@@ -88,12 +85,6 @@ func PackMsg(handler uint32, src, dst int, vnet uint8, bytes int) uint64 {
 			handler, src, dst, vnet, bytes))
 	}
 	return uint64(handler) | uint64(src)<<16 | uint64(dst)<<28 | uint64(vnet)<<40 | uint64(bytes)<<41
-}
-
-// UnpackMsg reverses PackMsg.
-func UnpackMsg(aux uint64) (handler uint32, src, dst int, vnet uint8, bytes int) {
-	return uint32(aux & 0xFFFF), int(aux >> 16 & 0xFFF), int(aux >> 28 & 0xFFF),
-		uint8(aux >> 40 & 1), int(aux >> 41 & 0xFF)
 }
 
 // Event is one recorded protocol event.
@@ -107,30 +98,9 @@ type Event struct {
 	Aux uint64
 }
 
-// String is the event's one text form, the committed-corpus line
-// "%10d node%-3d %-12s va=%#x aux=%d".
-func (e Event) String() string { return string(e.appendText(make([]byte, 0, 64))) }
-
-// appendText is String without fmt: ParseEvent formats every line it
-// accepts, and from a stack buffer that costs no allocation.
-func (e Event) appendText(b []byte) []byte {
-	var num [20]byte
-	t := strconv.AppendUint(num[:0], uint64(e.T), 10)
-	b = append(padTo(b, len(b)+10-len(t)), t...)
-	at := len(b)
-	b = padTo(strconv.AppendInt(append(b, " node"...), int64(e.Node), 10), at+8)
-	at = len(b)
-	b = padTo(append(append(b, ' '), e.Kind.String()...), at+13)
-	b = strconv.AppendUint(append(b, " va=0x"...), uint64(e.VA), 16)
-	return strconv.AppendUint(append(b, " aux="...), e.Aux, 10)
-}
-
-// padTo appends spaces until b is n bytes long.
-func padTo(b []byte, n int) []byte {
-	for len(b) < n {
-		b = append(b, ' ')
-	}
-	return b
+// String is the event's one text form, the committed-corpus line.
+func (e Event) String() string {
+	return fmt.Sprintf("%10d node%-3d %-12s va=%#x aux=%d", e.T, e.Node, e.Kind, e.VA, e.Aux)
 }
 
 // nodeBuf is one node's capture buffer: node-local state, appended to by
@@ -149,9 +119,9 @@ type nodeBuf struct {
 // in Dropped and discarded; the events already captured are kept (oldest-kept policy).
 // The merged stream is then a prefix per node, not a prefix in global
 // time: other nodes keep recording, so the merge interleaves complete
-// and truncated nodes. Consumers that need a complete stream (replay,
-// the conformance corpus) must check Truncated and refuse the trace
-// rather than replaying a silently-partial recording.
+// and truncated nodes. Consumers that need a complete stream (the
+// conformance corpus) must check Truncated and refuse the trace rather
+// than keep a silently-partial recording.
 //
 // A Tracer belongs to exactly one simulated machine: call Prepare with
 // the machine's node count before the run (typhoon.New does this for
@@ -269,8 +239,8 @@ func (t *Tracer) Events() []Event {
 
 // NodeEvents returns one node's events in emission order — the order
 // the node's contexts actually made the recorded calls, which is the
-// order replay must re-issue them in. It is NOT the merged (time, node,
-// seq) order restricted to the node: a context can run with a clock
+// order the conformance corpus records them in. It is NOT the merged
+// (time, node, seq) order restricted to the node: a context can run with a clock
 // lagging its neighbours' (it was unparked mid-window and has not
 // synced yet), so a node's emission times are not monotonic, and
 // sorting by time would reorder calls whose side effects (injection-
@@ -294,8 +264,8 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Truncated reports whether the cap discarded any event — i.e. whether
-// the merged stream is incomplete. A truncated trace must not be used as
-// a replay corpus: at least one node's tail is missing, so the recorded
+// the merged stream is incomplete. A truncated trace must not become a
+// corpus file: at least one node's tail is missing, so the recorded
 // message schedule no longer matches what the run actually did.
 func (t *Tracer) Truncated() bool { return t.Dropped() > 0 }
 

@@ -114,6 +114,86 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// unpackMsg reverses trace.PackMsg.
+func unpackMsg(aux uint64) (handler uint32, src, dst int, vnet uint8, bytes int) {
+	return uint32(aux & 0xFFFF), int(aux >> 16 & 0xFFF), int(aux >> 28 & 0xFFF),
+		uint8(aux >> 40 & 1), int(aux >> 41 & 0xFF)
+}
+
+func TestPackMsgRoundTrip(t *testing.T) {
+	cases := []struct {
+		handler  uint32
+		src, dst int
+		vnet     uint8
+		bytes    int
+	}{
+		{0, 0, 0, 0, 0},
+		{16, 1, 2, 0, 4},
+		{65535, 4095, 4095, 1, 255},
+		{1234, 31, 0, 1, 80},
+	}
+	for _, c := range cases {
+		h, s, d, v, b := unpackMsg(trace.PackMsg(c.handler, c.src, c.dst, c.vnet, c.bytes))
+		if h != c.handler || s != c.src || d != c.dst || v != c.vnet || b != c.bytes {
+			t.Errorf("PackMsg%+v round trip = (%d %d %d %d %d)", c, h, s, d, v, b)
+		}
+	}
+	for _, bad := range []func(){
+		func() { trace.PackMsg(1<<16, 0, 0, 0, 0) },
+		func() { trace.PackMsg(0, 1<<12, 0, 0, 0) },
+		func() { trace.PackMsg(0, 0, 1<<12, 0, 0) },
+		func() { trace.PackMsg(0, 0, -1, 0, 0) },
+		func() { trace.PackMsg(0, 0, 0, 2, 0) },
+		func() { trace.PackMsg(0, 0, 0, 0, 256) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("PackMsg out-of-range field did not panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestTracerTruncatedAtCapBoundary documents the cap boundary (see the
+// Tracer type comment): once a node's buffer fills, later events for
+// that node are dropped and counted while other nodes keep recording —
+// the merged stream interleaves complete and truncated nodes, and
+// Truncated flags the whole trace so a recorder can refuse it.
+func TestTracerTruncatedAtCapBoundary(t *testing.T) {
+	tr := trace.New(4) // 2 nodes -> 2 events per node
+	tr.Prepare(2)
+	if tr.Truncated() {
+		t.Fatal("fresh tracer reports truncated")
+	}
+	for i := 0; i < 4; i++ {
+		tr.Emit(trace.Event{T: sim.Time(i), Node: 0, Kind: trace.KResume})
+	}
+	// Node 0 is at cap; node 1 still records.
+	tr.Emit(trace.Event{T: 100, Node: 1, Kind: trace.KResume})
+	if !tr.Truncated() {
+		t.Fatal("tracer not truncated after overflowing node 0")
+	}
+	if tr.Dropped() != 2 {
+		t.Fatalf("dropped = %d, want 2", tr.Dropped())
+	}
+	ev := tr.Events()
+	if len(ev) != 3 {
+		t.Fatalf("merged events = %d, want 3", len(ev))
+	}
+	// The merge interleaves node 0's truncated prefix with node 1's
+	// later event: the stream is not a global-time prefix.
+	if last := ev[len(ev)-1]; last.Node != 1 || last.T != 100 {
+		t.Fatalf("expected node 1's post-truncation event last, got %+v", last)
+	}
+	tr.Reset()
+	if tr.Truncated() {
+		t.Fatal("Reset must clear the truncated flag")
+	}
+}
+
 // TestTraceResetReusesBacking pins Reset's contract: the backing slice
 // is kept (len 0, capacity intact) so a machine-at-a-time harness can
 // reuse one Tracer across sequential runs without reallocating.

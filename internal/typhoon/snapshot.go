@@ -8,8 +8,7 @@ import (
 )
 
 // Core returns the NP's protocol-agent core. The conformance recorder
-// uses it to tap message dispatches (agent.Core.OnDispatch) and to
-// cross-check occupancy accounting against a standalone replay.
+// uses it to tap message dispatches (agent.Core.OnDispatch).
 func (np *NP) Core() *agent.Core { return np.core }
 
 // StateDigest folds the system's fine-grain access-control state — every

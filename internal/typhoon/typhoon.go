@@ -269,8 +269,8 @@ func (s *System) RegisterHandler(id uint32, h Handler) {
 // WrapHandler replaces an already-registered message handler with
 // wrap(existing). It exists for instrumentation and fault injection —
 // the conformance suite's negative tests wrap a Stache handler to
-// corrupt payloads and charge extra cycles, proving the replay and
-// differential layers catch a buggy protocol. Like RegisterHandler it
+// corrupt payloads and charge extra cycles, proving the re-record and
+// differential checks catch a buggy protocol. Like RegisterHandler it
 // must be called before Engine.Run: the handler table is read by every
 // node once messages flow. Wrapping an unregistered ID panics.
 func (s *System) WrapHandler(id uint32, wrap func(Handler) Handler) {

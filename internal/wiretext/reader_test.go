@@ -10,15 +10,13 @@ import (
 
 // record is a small format exercising every accessor: a required line,
 // an optional one, a repeated one, a rest-of-line value, every number
-// kind, a raw line, a token list, and the end of input.
+// kind, a token list, and the end of input.
 type record struct {
 	name  string
 	note  string
 	rows  [][2]uint64
 	n     int
-	h     uint64
 	on    bool
-	raw   string
 	sizes []int
 }
 
@@ -33,8 +31,7 @@ func readRecord(text string) (record, error) {
 		rec.rows = append(rec.rows, [2]uint64{r.UintMax(99), r.Uint()})
 	}
 	r.Line("nums")
-	rec.n, rec.h, rec.on = r.Int(), r.Hex(), r.Bool()
-	rec.raw = r.Raw("raw")
+	rec.n, rec.on = r.Int(), r.Bool()
 	r.Line("sizes")
 	for r.More() {
 		rec.sizes = append(rec.sizes, r.Int())
@@ -53,7 +50,7 @@ func (rec record) encode() string {
 	for _, row := range rec.rows {
 		fmt.Fprintf(&b, "row %d %d\n", row[0], row[1])
 	}
-	fmt.Fprintf(&b, "nums %d %#x %t\n%s\nsizes", rec.n, rec.h, rec.on, rec.raw)
+	fmt.Fprintf(&b, "nums %d %t\nsizes", rec.n, rec.on)
 	for _, s := range rec.sizes {
 		fmt.Fprintf(&b, " %d", s)
 	}
@@ -62,12 +59,12 @@ func (rec record) encode() string {
 }
 
 // FuzzReader pins the package's contract on a format of its own, so the
-// four real decoders are not its only coverage: whatever text arrives,
+// three real decoders are not its only coverage: whatever text arrives,
 // the reader fails with a *Error or has accepted the one spelling of
 // the record it returns.
 func FuzzReader(f *testing.F) {
 	f.Add(goodRecord)
-	f.Add("name a\nnums 0 0x0 false\n\nsizes\n")
+	f.Add("name a\nnums 0 false\nsizes\n")
 	f.Add(strings.Replace(goodRecord, "row 1 10", "row 01 10", 1))
 	f.Add(strings.Replace(goodRecord, "name alpha", "name  alpha", 1))
 	f.Add(goodRecord[:len(goodRecord)-1])
@@ -86,7 +83,7 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-const goodRecord = "name alpha\nnote two  words \nrow 1 10\nrow 99 18446744073709551615\nnums -7 0xbeef true\n  raw   line \nsizes 4 16\n"
+const goodRecord = "name alpha\nnote two  words \nrow 1 10\nrow 99 18446744073709551615\nnums -7 true\nsizes 4 16\n"
 
 func TestReaderAccessors(t *testing.T) {
 	rec, err := readRecord(goodRecord)
@@ -94,11 +91,11 @@ func TestReaderAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.name != "alpha" || rec.note != "two  words " || len(rec.rows) != 2 || rec.rows[1] != [2]uint64{99, 1<<64 - 1} ||
-		rec.n != -7 || rec.h != 0xbeef || !rec.on || rec.raw != "  raw   line " || len(rec.sizes) != 2 || rec.sizes[1] != 16 {
+		rec.n != -7 || !rec.on || len(rec.sizes) != 2 || rec.sizes[1] != 16 {
 		t.Errorf("decoded %+v", rec)
 	}
 	// The optional and repeated lines may be absent; the token list empty.
-	if rec, err := readRecord("name a\nnums 0 0x0 false\n\nsizes\n"); err != nil || rec.note != "" || rec.rows != nil || rec.raw != "" || rec.sizes != nil {
+	if rec, err := readRecord("name a\nnums 0 false\nsizes\n"); err != nil || rec.note != "" || rec.rows != nil || rec.sizes != nil {
 		t.Errorf("minimal record: %+v, %v", rec, err)
 	}
 }
@@ -130,14 +127,10 @@ func TestReaderRejects(t *testing.T) {
 		{"negative unsigned", "row 1 10", "row 1 -10", 3, "not a canonical unsigned integer"},
 		{"uint64 overflow", "18446744073709551615", "18446744073709551616", 4, "not a canonical unsigned integer"},
 		{"negative zero", "nums -7", "nums -0", 5, `"-0" is not a canonical integer`},
-		{"hex without 0x", "0xbeef", "beef", 5, "not a canonical 0x hexadecimal"},
-		{"uppercase hex", "0xbeef", "0xBEEF", 5, "not a canonical 0x hexadecimal"},
-		{"hex leading zero", "0xbeef", "0x0beef", 5, "not a canonical 0x hexadecimal"},
 		{"numeric bool", "true", "1", 5, `"1" is not a boolean`},
-		{"missing raw line", "  raw   line \nsizes 4 16\n", "", 6, "missing raw line"},
-		{"trailing line", "sizes 4 16\n", "sizes 4 16\nextra\n", 8, `unexpected line "extra"`},
-		{"no final newline", "sizes 4 16\n", "sizes 4 16", 7, "missing trailing newline"},
-		{"truncated", "nums -7 0xbeef true\n  raw   line \nsizes 4 16\n", "", 5, `truncated record: missing "nums" line`},
+		{"trailing line", "sizes 4 16\n", "sizes 4 16\nextra\n", 7, `unexpected line "extra"`},
+		{"no final newline", "sizes 4 16\n", "sizes 4 16", 6, "missing trailing newline"},
+		{"truncated", "nums -7 true\nsizes 4 16\n", "", 5, `truncated record: missing "nums" line`},
 	}
 	for _, tc := range cases {
 		text := strings.Replace(goodRecord, tc.old, tc.new, 1)
@@ -178,10 +171,10 @@ func TestReaderErrorIsSticky(t *testing.T) {
 	for r.Optional("c") {
 		n++
 	}
-	tok, rest, raw := r.Line("missing").Token(), r.Rest(), r.Raw("raw")
+	tok, rest := r.Line("missing").Token(), r.Rest()
 	r.Failf("a later failure")
 	r.End()
-	if n != 0 || tok != "" || rest != "" || raw != "" || r.More() || r.Int() != 0 || r.Hex() != 0 || r.Bool() {
+	if n != 0 || tok != "" || rest != "" || r.More() || r.Int() != 0 || r.Bool() {
 		t.Error("accessors kept consuming after a failure")
 	}
 	var we *Error

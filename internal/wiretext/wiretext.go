@@ -1,8 +1,8 @@
-// Package wiretext is the one reader under the repo's hand-written text
-// formats: result-cache entries, sweep points, conformance streams and
-// fleet message lines. It owns the decision "how a record is spelled in
-// text" — lines end in '\n', tokens are separated by single spaces, and
-// every number has exactly one spelling — so each format keeps only its
+// Package wiretext is the one reader under the repo's decoded text
+// formats: result-cache entries, sweep points and fleet message lines.
+// It owns the decision "how a record is spelled in text" — lines end in
+// '\n', tokens are separated by single spaces, and every number has
+// exactly one spelling — so each format keeps only its
 // field list, and anything a Reader accepts re-encodes to the bytes
 // that were read.
 package wiretext
@@ -17,7 +17,7 @@ import (
 // Error is a Reader's failure: what was being read, on which line, and
 // why. The formats wrap it in their own structured errors.
 type Error struct {
-	// Noun names the format ("entry", "point", "stream", "message").
+	// Noun names the format ("entry", "point", "message").
 	Noun string
 	// Line is the 1-based line number, or 0 when the failure belongs to
 	// no numbered line (sealed-text framing, a lone message line).
@@ -32,9 +32,9 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%s line %d: %s", e.Noun, e.Line, e.Msg)
 }
 
-// Reader is a cursor over text: line accessors (Line, Optional, Raw,
-// End) choose the current line, token accessors (Token, Rest, Uint,
-// Int, Bool, Hex) consume it left to right. The first failure sticks:
+// Reader is a cursor over text: line accessors (Line, Optional, End)
+// choose the current line, token accessors (Token, Rest, Uint, Int,
+// Bool) consume it left to right. The first failure sticks:
 // every later accessor is a no-op returning a zero value, so a decoder
 // reads its whole field list straight through and checks Err once.
 type Reader struct {
@@ -136,18 +136,6 @@ func (r *Reader) Optional(key string) bool {
 	return ok
 }
 
-// Raw consumes the next line whole, for a line the format parses itself
-// (a conformance stream's column-padded event lines); what names it.
-func (r *Reader) Raw(what string) string {
-	l, ok := r.peek()
-	if !ok {
-		r.failAt(r.n+1, "truncated %s: missing %s line", r.noun, what)
-		return ""
-	}
-	r.take(l, what, len(l))
-	return l
-}
-
 // End requires the end of input: the current line read to its last
 // token and no line after it.
 func (r *Reader) End() {
@@ -236,19 +224,6 @@ func (r *Reader) Int() int {
 	v, err := CanonInt(r.Token())
 	r.check(err)
 	return int(v)
-}
-
-// Hex consumes a canonical hexadecimal uint64 as %#x prints it: "0x",
-// lowercase digits, no leading zero except "0x0" itself.
-func (r *Reader) Hex() uint64 {
-	tok := r.Token()
-	digits, ok := strings.CutPrefix(tok, "0x")
-	v, err := strconv.ParseUint(digits, 16, 64)
-	if !ok || err != nil || strconv.FormatUint(v, 16) != digits {
-		r.check(fmt.Errorf("%q is not a canonical 0x hexadecimal", tok))
-		return 0
-	}
-	return v
 }
 
 // Bool consumes "true" or "false".

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cli-smoke: the command-line gate for the seven binaries.
+# cli-smoke: the command-line gate for the six binaries.
 #
 # Builds each binary once, runs one real simulation through the shared
 # flag block, then hands every sweep binary one bad shared flag and
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for b in fig3 fig4 ablations typhoon-sim bench fleet conform; do
+for b in fig3 fig4 ablations typhoon-sim bench fleet; do
     go build -o "$tmp/$b" "./cmd/$b"
 done
 
@@ -40,9 +40,8 @@ refuse -nodes typhoon-sim -nodes -3
 refuse "power of two" typhoon-sim -cache 12
 # The removed sharded-execution flag is an undefined flag, not an ignored one.
 refuse "flag provided but not defined: -shards" bench -shards 2
-refuse "flag provided but not defined: -shards" conform -shards 2
 # So is the removed Figure 3 witness-dedup bypass.
 refuse "flag provided but not defined: -no-dedup" fig3 -no-dedup
 refuse "flag provided but not defined: -no-dedup" bench -no-dedup
 
-echo "cli-smoke: 7 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the two removed flags refused with exit 2"
+echo "cli-smoke: 6 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the two removed flags refused with exit 2"
