@@ -3,18 +3,17 @@
 //
 // A coordinator owns the sweep state: it accepts workers and remote
 // clients, leases sweep points, heartbeats the leases, reassigns work
-// when a worker dies or stalls, verifies every result against the
-// point's canonical cache key, and serves warm-cache hits without
-// leasing at all. A worker connects to a coordinator and simulates
-// whatever it is leased, one lease per connection: -j N is N
-// connections from one process, sharing its cache.
+// when a worker dies or stalls, and verifies every result against the
+// point's canonical cache key. It keeps no result cache. A worker
+// connects to a coordinator and simulates whatever it is leased, one
+// lease per connection: -j N is N connections from one process, sharing
+// its -cache-dir, the one place the fleet's results are cached.
 //
 // Usage:
 //
-//	fleet coordinator -addr /tmp/fleet.sock -cache-dir .cache
-//	fleet worker -addr /tmp/fleet.sock -j 4
+//	fleet coordinator -addr /tmp/fleet.sock
+//	fleet worker -addr /tmp/fleet.sock -j 4 -cache-dir .cache
 //	fig3 -fleet /tmp/fleet.sock            # any sweep binary as client
-//	bench -workers-addr :7781 ...          # or embed the coordinator
 //
 // Both roles exit 0 on an orderly shutdown (SIGINT for the
 // coordinator, coordinator close for the worker) and non-zero on
@@ -54,7 +53,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  fleet coordinator -addr <addr> [-cache-dir d] [-lease-ttl d] ...
+  fleet coordinator -addr <addr> [-lease-ttl d] [-max-attempts n] [-quiet]
   fleet worker -addr <addr> [-j n] [-cache-dir d] ...
 
 An <addr> containing '/' is a unix socket path; anything else is TCP.
@@ -70,7 +69,6 @@ func fail(role string, err error) {
 func coordinator(args []string) {
 	fs := flag.NewFlagSet("fleet coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "", "address to listen on (required)")
-	cache := fleet.RegisterCache(fs)
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "lease time-to-live without a heartbeat before a point is re-queued")
 	maxAttempts := fs.Int("max-attempts", 5, "lease budget per point before the sweep fails")
 	quiet := fs.Bool("quiet", false, "suppress lifecycle logging")
@@ -78,17 +76,11 @@ func coordinator(args []string) {
 	if *addr == "" {
 		fail("coordinator", fmt.Errorf("-addr is required"))
 	}
-	cp, err := cache.Resolve()
-	if err != nil {
-		fail("coordinator", err)
-	}
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	if *quiet {
 		logf = nil
 	}
-	co := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Cache: cp, LeaseTTL: *leaseTTL, MaxAttempts: *maxAttempts, Logf: logf,
-	})
+	co := fleet.NewCoordinator(fleet.CoordinatorOptions{LeaseTTL: *leaseTTL, MaxAttempts: *maxAttempts, Logf: logf})
 	ln, err := fleet.Listen(*addr)
 	if err != nil {
 		fail("coordinator", err)
@@ -112,7 +104,7 @@ func worker(args []string) {
 	fs := flag.NewFlagSet("fleet worker", flag.ExitOnError)
 	addr := fs.String("addr", "", "coordinator address to connect to (required)")
 	jobs := fs.Int("j", 1, "concurrent leases to run, one connection each (0 = all cores)")
-	cache := fleet.RegisterCache(fs) // share the coordinator's -cache-dir to compose warm caches
+	cache := fleet.RegisterCache(fs) // workers sharing a -cache-dir share one store
 	connectTimeout := fs.Duration("connect-timeout", 30*time.Second, "how long to retry the initial dial (workers often start before the coordinator)")
 	dieAfter := fs.Int("die-after-leases", 0, "fault-injection hook: exit(1) immediately after receiving the Nth lease (0 = never)")
 	quiet := fs.Bool("quiet", false, "suppress lifecycle logging")

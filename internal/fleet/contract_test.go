@@ -20,18 +20,18 @@ import (
 func TestExecutorContract(t *testing.T) {
 	backends := []struct {
 		name string
-		new  func(t *testing.T, cp harness.CacheParams) harness.Executor
+		new  func(t *testing.T) harness.Executor
 	}{
-		{"local", func(t *testing.T, cp harness.CacheParams) harness.Executor {
-			return harness.LocalExecutor{Workers: 2, Cache: cp}
+		{"local", func(t *testing.T) harness.Executor {
+			return harness.LocalExecutor{Workers: 2, Cache: dirCache(t, t.TempDir())}
 		}},
-		{"coordinator", func(t *testing.T, cp harness.CacheParams) harness.Executor {
-			co := newTestCoordinator(t, fastOpts(cp))
+		{"coordinator", func(t *testing.T) harness.Executor {
+			co := newTestCoordinator(t, fastOpts())
 			startWorkers(t, co, 2)
 			return co
 		}},
-		{"client", func(t *testing.T, cp harness.CacheParams) harness.Executor {
-			co := newTestCoordinator(t, fastOpts(cp))
+		{"client", func(t *testing.T) harness.Executor {
+			co := newTestCoordinator(t, fastOpts())
 			startWorkers(t, co, 2)
 			return &Client{Addr: serveOnSocket(t, co), DialTimeout: -1}
 		}},
@@ -121,7 +121,7 @@ func TestExecutorContract(t *testing.T) {
 	for _, b := range backends {
 		for _, tc := range cases {
 			t.Run(b.name+"/"+tc.name, func(t *testing.T) {
-				tc.run(t, b.new(t, memCache(t)))
+				tc.run(t, b.new(t))
 			})
 		}
 	}

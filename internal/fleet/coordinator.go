@@ -18,13 +18,10 @@ import (
 	"github.com/tempest-sim/tempest/internal/wiretext"
 )
 
-// CoordinatorOptions configures a Coordinator.
+// CoordinatorOptions configures a Coordinator. A coordinator keeps no
+// result cache: every point is leased, and the worker that simulates it
+// serves it from, or stores it in, its own -cache-dir.
 type CoordinatorOptions struct {
-	// Cache is the coordinator's result cache. Hits are served directly
-	// at submit time — a warm cache means points never lease at all —
-	// and every accepted remote result is stored back, so distributed and
-	// local sweeps share one store.
-	Cache harness.CacheParams
 	// LeaseTTL bounds how long a lease may go without a heartbeat before
 	// its point is re-queued (default 10s). It also sets the re-lease
 	// delay after a failed attempt: LeaseTTL/100 << (attempt-1), capped at
@@ -55,9 +52,6 @@ type Stats struct {
 	// Duplicates counts valid completions that arrived after the point
 	// was already settled; the first valid result won.
 	Duplicates uint64
-	// CacheHits counts points served from the coordinator's cache
-	// without leasing.
-	CacheHits uint64
 	// Completed/Failed count settled points.
 	Completed uint64
 	Failed    uint64
@@ -65,8 +59,8 @@ type Stats struct {
 
 // String renders the counters as the one-line fleet summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d workers, %d leases (%d reassigned, %d expired, %d rejected, %d duplicate), %d cache hits, %d completed, %d failed",
-		s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.CacheHits, s.Completed, s.Failed)
+	return fmt.Sprintf("%d workers, %d leases (%d reassigned, %d expired, %d rejected, %d duplicate), %d completed, %d failed",
+		s.Workers, s.Leases, s.Reassigned, s.Expired, s.Rejected, s.Duplicates, s.Completed, s.Failed)
 }
 
 // task is one sweep point's lifecycle on the coordinator. It is in
@@ -75,7 +69,6 @@ func (s Stats) String() string {
 // settled.
 type task struct {
 	key       resultcache.Key
-	noCache   bool // never tabled by key, never stored
 	enc       []byte
 	label     string
 	timeoutMS uint64
@@ -91,11 +84,10 @@ type task struct {
 // harness.Executor, so any sweep runs on a fleet by setting its Exec.
 // All submissions — local Submit calls and remote clients' leases —
 // share one task table: identical concurrent points dedup to one lease.
-// The table holds unsettled tasks only (the cacheable ones by key in
+// The table holds unsettled tasks only (all but NoCache points by key in
 // tasks, the runnable ones in pending): a settled task is forgotten, so
-// a later submission of its point is served by the cache or leased
-// afresh, and a late result still reaches it through the connection
-// that holds its lease.
+// a later submission of its point is leased afresh, and a late result
+// still reaches it through the connection that holds its lease.
 //
 // There is no scheduler: a worker connection carries one lease at a
 // time, and the goroutine serving it (serveWorker) takes the next
@@ -157,10 +149,10 @@ func (c *Coordinator) Close() error {
 }
 
 // Submit implements harness.Executor: the batch's points are leased to
-// the connected workers (cache hits short-circuit), honouring the
-// executor contract — results slotted by index, first failure fails the
-// batch. Points wait on remote workers, not on local cores, so all of
-// them are in flight at once.
+// the connected workers, honouring the executor contract — results
+// slotted by index, first failure fails the batch. Points wait on
+// remote workers, not on local cores, so all of them are in flight at
+// once.
 func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
 	return harness.RunPoints(ctx, batch, len(batch.Points),
 		func(ctx context.Context, pt harness.Point) (harness.PointResult, error) {
@@ -177,21 +169,13 @@ func pointResult(e *resultcache.Entry) harness.PointResult {
 	return harness.PointResult{RunResult: harness.ResultFromEntry(e)}
 }
 
-// runOne resolves one point to its entry: cache hit, dedup against an
-// in-flight identical point, or a fresh task for the next free worker.
+// runOne resolves one point to its entry: dedup against an in-flight
+// identical point (a NoCache point never dedups, it must simulate), or
+// a fresh task for the next free worker.
 func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, tmoMS uint64) (*resultcache.Entry, error) {
 	key, err := harness.PointKey(c.code, pt) // validates the point
 	if err != nil {
 		return nil, err
-	}
-	cp := c.opts.Cache
-	if cp.Cache != nil && !pt.NoCache {
-		if entry, _ := cp.Cache.Get(key); entry != nil {
-			c.mu.Lock()
-			c.stats.CacheHits++
-			c.mu.Unlock()
-			return entry, nil
-		}
 	}
 	c.mu.Lock()
 	var t *task
@@ -200,7 +184,7 @@ func (c *Coordinator) runOne(ctx context.Context, pt harness.Point, tmoMS uint64
 	}
 	if t == nil {
 		t = &task{
-			key: key, noCache: pt.NoCache, enc: pt.Encode(), label: pt.Label(),
+			key: key, enc: pt.Encode(), label: pt.Label(),
 			timeoutMS: tmoMS, done: make(chan struct{}),
 		}
 		if !pt.NoCache {
@@ -287,16 +271,12 @@ func (c *Coordinator) requeueLocked(t *task, why string) {
 }
 
 // settleLocked releases a task's waiters with its verified entry or its
-// error and drops it from the table; an entry feeds the coordinator
-// cache.
+// error and drops it from the table.
 func (c *Coordinator) settleLocked(t *task, entry *resultcache.Entry, err error) {
 	if err != nil {
 		c.stats.Failed++
 	} else {
 		c.stats.Completed++
-		if cp := c.opts.Cache; cp.Cache != nil && !t.noCache {
-			cp.Cache.Put(entry)
-		}
 	}
 	t.entry, t.err, t.settled = entry, err, true
 	if c.tasks[t.key] == t {
@@ -536,9 +516,9 @@ func (c *Coordinator) serveWorker(conn io.ReadWriteCloser, br *bufio.Reader, nam
 }
 
 // serveClient is the same exchange facing the other way: each lease a
-// client sends is resolved through runOne (sharing the task table and
-// the cache with every other submission) and answered with result or
-// fail as it finishes. A client may have any number outstanding;
+// client sends is resolved through runOne (sharing the task table with
+// every other submission) and answered with result or fail as it
+// finishes. A client may have any number outstanding;
 // progress and fail-fast are the client's business. When it hangs
 // up its waits are cancelled; points already tabled run to completion.
 func (c *Coordinator) serveClient(conn io.ReadWriteCloser, br *bufio.Reader, name string) error {

@@ -23,7 +23,7 @@ type Defaults struct {
 
 // Flags is the flag block every sweep binary shares: the workload
 // scale, the sweep's execution policy (harness.SimParams) and the
-// result-cache and fleet wiring behind it. Register installs the flags;
+// result cache or fleet behind it. Register installs the flags;
 // Resolve validates them once, in one place, and hands back the policy.
 type Flags struct {
 	fs           *flag.FlagSet
@@ -32,7 +32,6 @@ type Flags struct {
 	occupancy    *int64
 	cache        *CacheFlags
 	fleet        *string
-	workersAddr  *string
 	pointTimeout *time.Duration
 
 	// Scale is the validated workload scale, set by Resolve.
@@ -50,9 +49,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	f.occupancy = fs.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
 	f.cache = RegisterCache(fs)
 	f.fleet = fs.String("fleet", "",
-		"submit the sweep to the fleet coordinator at this address (host:port, or a unix socket path containing '/')")
-	f.workersAddr = fs.String("workers-addr", "",
-		"run an embedded fleet coordinator for this sweep, listening for workers on this address")
+		"submit the sweep to the fleet coordinator at this address (host:port, or a unix socket path containing '/'); its workers simulate and cache")
 	f.pointTimeout = fs.Duration("point-timeout", 0,
 		"per-point wall-clock limit (0 = none); a point exceeding it fails the sweep with an error naming the point")
 	return f
@@ -75,9 +72,10 @@ func CheckJobs(n int) error {
 
 // Resolve validates the parsed flags — every error names its flag — and
 // resolves them into the sweep policy: pool size, contention knobs,
-// result cache, fleet executor and point timeout. The returned function
-// releases whatever was started and reports the fleet's and a
-// persistent cache's statistics; call it when the sweep finishes.
+// result cache, fleet client and point timeout. A result is cached only
+// by the process that simulates it, so -cache-dir conflicts with -fleet:
+// a fleet's cache is its workers' -cache-dir. The returned function
+// reports the cache's statistics; call it when the sweep finishes.
 func (f *Flags) Resolve() (harness.SimParams, func(), error) {
 	fail := func(err error) (harness.SimParams, func(), error) { return harness.SimParams{}, nil, err }
 	if f.scale != nil {
@@ -99,13 +97,16 @@ func (f *Flags) Resolve() (harness.SimParams, func(), error) {
 	if *f.pointTimeout < 0 {
 		return fail(fmt.Errorf("-point-timeout %v: limit must be >= 0 (0 = none)", *f.pointTimeout))
 	}
+	if *f.fleet != "" && *f.cache.dir != "" {
+		return fail(fmt.Errorf("-cache-dir %s conflicts with -fleet: a fleet's results are cached by the workers that simulate them (fleet worker -cache-dir)", *f.cache.dir))
+	}
 	cp, err := f.cache.Resolve()
 	if err != nil {
 		return fail(err)
 	}
-	exec, closeExec, err := NewExecutor(*f.fleet, *f.workersAddr, cp, f.Logf)
-	if err != nil {
-		return fail(err)
+	var exec harness.Executor
+	if *f.fleet != "" {
+		exec = &Client{Addr: *f.fleet, Logf: f.Logf}
 	}
 	sp := harness.SimParams{
 		Workers:           *f.jobs,
@@ -116,33 +117,28 @@ func (f *Flags) Resolve() (harness.SimParams, func(), error) {
 		PointTimeout:      *f.pointTimeout,
 	}
 	return sp, func() {
-		closeExec()
-		if cp.Cache != nil && cp.Cache.Persistent() {
+		if cp.Cache != nil {
 			f.Logf("cache %s: %s", *f.cache.dir, cp.Cache.Stats())
 		}
 	}, nil
 }
 
-// CacheFlags is the result-cache flag trio. Sweep binaries get it as
-// part of Register; the fleet roles register it alone.
+// CacheFlags is the result-cache flag pair. Sweep binaries get it as
+// part of Register; a fleet worker registers it alone.
 type CacheFlags struct {
 	dir    *string
-	off    *bool
 	verify *float64
 }
 
-// RegisterCache installs -cache-dir, -no-cache and -cache-verify on fs.
+// RegisterCache installs -cache-dir and -cache-verify on fs.
 func RegisterCache(fs *flag.FlagSet) *CacheFlags {
 	return &CacheFlags{
-		dir:    fs.String("cache-dir", "", "persistent result-cache directory (\"\" = in-process memory cache only)"),
-		off:    fs.Bool("no-cache", false, "disable the result cache entirely (conflicts with -cache-dir and -cache-verify)"),
-		verify: fs.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1]; a mismatch fails the run"),
+		dir:    fs.String("cache-dir", "", "result-cache directory (\"\" = no cache: every point simulates)"),
+		verify: fs.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1], with -cache-dir; a mismatch fails the run"),
 	}
 }
 
-// Resolve validates the trio and opens the cache: the default is an
-// in-process memory cache, -cache-dir adds the persistent tier, and
-// -no-cache disables caching and conflicts with the other two.
+// Resolve validates the pair and opens the cache directory, if any.
 func (c *CacheFlags) Resolve() (harness.CacheParams, error) {
-	return harness.NewCacheParams(*c.dir, *c.off, *c.verify)
+	return harness.NewCacheParams(*c.dir, *c.verify)
 }

@@ -3,7 +3,7 @@ package fleet
 import (
 	"bytes"
 	"flag"
-	"path/filepath"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -39,10 +39,9 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 		{[]string{"-point-timeout", "-1s"}, []string{"-point-timeout -1s"}},
 		{[]string{"-cache-verify", "1.5"}, []string{"-cache-verify 1.5"}},
 		{[]string{"-cache-verify", "-0.1"}, []string{"-cache-verify -0.1"}},
-		{[]string{"-no-cache", "-cache-dir", "/tmp/x"}, []string{"-no-cache", "-cache-dir /tmp/x"}},
-		{[]string{"-no-cache", "-cache-verify", "0.5"}, []string{"-no-cache", "-cache-verify 0.5"}},
-		{[]string{"-fleet", "a:1", "-workers-addr", "b:2"}, []string{"-fleet", "-workers-addr"}},
-		{[]string{"-workers-addr", filepath.Join(t.TempDir(), "no", "such", "dir.sock")}, []string{"-workers-addr"}},
+		{[]string{"-cache-verify", "0.5"}, []string{"-cache-verify 0.5 needs -cache-dir"}},
+		{[]string{"-fleet", "a:1", "-cache-dir", "/tmp/x"}, []string{"-cache-dir /tmp/x conflicts with -fleet"}},
+		{[]string{"-fleet", "a:1", "-cache-verify", "0.5"}, []string{"-cache-verify 0.5 needs -cache-dir"}},
 	} {
 		f, _ := parse(t, Defaults{}, tc.args...)
 		_, _, err := f.Resolve()
@@ -56,6 +55,16 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 			}
 		}
 	}
+	// The removed cache switch and embedded-coordinator flag are
+	// undefined, not ignored.
+	for _, name := range []string{"-no-cache", "-workers-addr"} {
+		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs, Defaults{})
+		if err := fs.Parse([]string{name, "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Errorf("%s: parse error %v, want it undefined", name, err)
+		}
+	}
 }
 
 // TestSharedFlagsResolve pins what a valid command line resolves to, the
@@ -67,8 +76,8 @@ func TestSharedFlagsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	done()
-	if f.Scale != harness.ScaleReduced || sp.Workers != 0 || sp.Exec != nil || sp.Cache.Cache == nil || sp.Cache.Cache.Persistent() {
-		t.Errorf("defaults: scale %q, %+v; want reduced, all cores, local pool, memory cache", f.Scale, sp)
+	if f.Scale != harness.ScaleReduced || sp.Workers != 0 || sp.Exec != nil || sp.Cache.Cache != nil {
+		t.Errorf("defaults: scale %q, %+v; want reduced, all cores, local pool, no cache", f.Scale, sp)
 	}
 
 	dir := t.TempDir()
@@ -79,7 +88,7 @@ func TestSharedFlagsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Scale != harness.ScalePaper || sp.Workers != 3 || sp.LinkBytesPerCycle != 4 || sp.OccupancyCycles != 20 ||
-		sp.PointTimeout != 90*time.Second || sp.Cache.Verify != 0.25 || !sp.Cache.Cache.Persistent() {
+		sp.PointTimeout != 90*time.Second || sp.Cache.Verify != 0.25 || sp.Cache.Cache == nil {
 		t.Errorf("resolved scale %q, %+v", f.Scale, sp)
 	}
 	done()

@@ -28,9 +28,10 @@ func tinyPoint(seed uint64) harness.Point {
 	return harness.Point{Cfg: cfg, System: harness.SysStache, EM3D: &ecfg}
 }
 
-func memCache(t *testing.T) harness.CacheParams {
+// dirCache opens a result cache on dir.
+func dirCache(t *testing.T, dir string) harness.CacheParams {
 	t.Helper()
-	cp, err := harness.NewCacheParams("", false, 0)
+	cp, err := harness.NewCacheParams(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +39,16 @@ func memCache(t *testing.T) harness.CacheParams {
 }
 
 // fastOpts is a coordinator tuned for test-speed fault handling.
-func fastOpts(cp harness.CacheParams) CoordinatorOptions {
-	return CoordinatorOptions{Cache: cp, LeaseTTL: 60 * time.Millisecond} // re-lease delay 0.6 ms … 30 ms
+func fastOpts() CoordinatorOptions {
+	return CoordinatorOptions{LeaseTTL: 60 * time.Millisecond} // re-lease delay 0.6 ms … 30 ms
 }
 
 // steadyOpts is fastOpts for the tests that count the leases granted to
 // healthy workers: its TTL is out of reach of scheduling noise. Under
 // -race on two processors a 10 ms heartbeat has been seen 61 ms late,
 // which expires a 60 ms lease and leases the point a second time.
-func steadyOpts(cp harness.CacheParams) CoordinatorOptions {
-	opts := fastOpts(cp)
+func steadyOpts() CoordinatorOptions {
+	opts := fastOpts()
 	opts.LeaseTTL = time.Minute
 	return opts
 }
@@ -195,7 +196,7 @@ func localBaseline(t *testing.T, pts []harness.Point) []harness.PointResult {
 
 func TestFleetMatchesLocal(t *testing.T) {
 	pts := []harness.Point{tinyPoint(1), tinyPoint(2), tinyPoint(3), tinyPoint(4)}
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	co := newTestCoordinator(t, fastOpts())
 	startWorker(t, co, WorkerOptions{})
 	startWorker(t, co, WorkerOptions{})
 	got, err := co.Submit(context.Background(), harness.Batch{Points: pts})
@@ -282,7 +283,7 @@ func TestFleetFaultPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			co := newTestCoordinator(t, fastOpts(memCache(t)))
+			co := newTestCoordinator(t, fastOpts())
 			s := connectScript(t, co, "worker")
 			// The scripted worker must hold a lease before the healthy
 			// worker joins, so the injected fault is actually exercised.
@@ -321,7 +322,7 @@ func TestFleetFaultPaths(t *testing.T) {
 // result is counted as a duplicate and the first result stands.
 func TestFleetDuplicateCompletion(t *testing.T) {
 	pt := tinyPoint(21)
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	co := newTestCoordinator(t, fastOpts())
 	s := connectScript(t, co, "worker")
 	done := make(chan error, 1)
 	go func() {
@@ -361,7 +362,7 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 // duplicate, and the point is not leased a second time.
 func TestFleetLateResultSettlesUnsettledPoint(t *testing.T) {
 	pt := tinyPoint(22)
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	co := newTestCoordinator(t, fastOpts())
 	s := connectScript(t, co, "worker")
 	type outcome struct {
 		res []harness.PointResult
@@ -398,7 +399,7 @@ func TestFleetLateResultSettlesUnsettledPoint(t *testing.T) {
 // leases exactly once, to the worker that is still there.
 func TestFleetIdleDisconnectCostsNoAttempt(t *testing.T) {
 	pt := tinyPoint(23)
-	opts := steadyOpts(memCache(t))
+	opts := steadyOpts()
 	noticed := make(chan struct{}, 1)
 	opts.Logf = func(format string, args ...any) {
 		if strings.Contains(fmt.Sprintf(format, args...), "gone (disconnected)") {
@@ -433,7 +434,7 @@ func TestFleetIdleDisconnectCostsNoAttempt(t *testing.T) {
 // error naming the point.
 func TestFleetMaxAttemptsExhausted(t *testing.T) {
 	pt := tinyPoint(31)
-	opts := steadyOpts(memCache(t))
+	opts := steadyOpts()
 	opts.MaxAttempts = 2
 	co := newTestCoordinator(t, opts)
 	for i := 0; i < 2; i++ {
@@ -490,7 +491,7 @@ func tableEmpty(t *testing.T, co *Coordinator) {
 // submit, with no worker attached — it is never leased, so it can never
 // reach (and kill) a worker process.
 func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	co := newTestCoordinator(t, fastOpts())
 	for want, mutate := range map[string]func(*machine.Config){
 		"block size 48 is not a power of two":  func(c *machine.Config) { c.BlockSize = 48 },
 		"network latency of 4294967297 cycles": func(c *machine.Config) { c.NetLatency = machine.MaxCycles + 1 },
@@ -516,7 +517,7 @@ func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 func TestFleetSetupFailureFailsLeaseNotWorker(t *testing.T) {
 	bad := tinyPoint(44)
 	bad.Cfg.MemPagesPerNode = 1
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	co := newTestCoordinator(t, fastOpts())
 	startWorker(t, co, WorkerOptions{})
 	_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{bad}})
 	var fe *Error
@@ -535,7 +536,7 @@ func TestFleetSetupFailureFailsLeaseNotWorker(t *testing.T) {
 }
 
 func TestFleetHandshakeRejects(t *testing.T) {
-	co := newTestCoordinator(t, fastOpts(harness.CacheParams{}))
+	co := newTestCoordinator(t, fastOpts())
 	cases := []struct {
 		name  string
 		hello Msg
@@ -565,26 +566,38 @@ func TestFleetHandshakeRejects(t *testing.T) {
 	}
 }
 
-// TestFleetCacheHitsServeWithoutLeasing: a warm coordinator cache
-// answers a whole batch with zero leases — the warm-cache compose the
-// flags are documented to support.
-func TestFleetCacheHitsServeWithoutLeasing(t *testing.T) {
+// TestFleetWorkerCacheServesRepeatLeases: the coordinator keeps no
+// cache, so a resubmitted batch is leased again, and the worker answers
+// it from its -cache-dir. That directory is the one place the results
+// live: a local pool pointed at it is served without simulating.
+func TestFleetWorkerCacheServesRepeatLeases(t *testing.T) {
 	pts := []harness.Point{tinyPoint(51), tinyPoint(52)}
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
-	startWorker(t, co, WorkerOptions{})
-	if _, err := co.Submit(context.Background(), harness.Batch{Points: pts}); err != nil {
+	dir := t.TempDir()
+	wcache := dirCache(t, dir)
+	co := newTestCoordinator(t, steadyOpts())
+	startWorker(t, co, WorkerOptions{Cache: wcache})
+	for pass := 0; pass < 2; pass++ {
+		if _, err := co.Submit(context.Background(), harness.Batch{Points: pts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := co.Stats(); s.Leases != 4 || s.Completed != 4 {
+		t.Errorf("coordinator stats = %+v, want every point leased on both passes", s)
+	}
+	if s := wcache.Cache.Stats(); s.Misses != 2 || s.Stores != 2 || s.Hits != 2 {
+		t.Errorf("worker cache stats = %+v, want 2 cold misses stored, 2 warm hits", s)
+	}
+	local := dirCache(t, dir)
+	got, err := harness.LocalExecutor{Workers: 1, Cache: local}.Submit(context.Background(), harness.Batch{Points: pts})
+	if err != nil {
 		t.Fatal(err)
 	}
-	leases := co.Stats().Leases
-	if _, err := co.Submit(context.Background(), harness.Batch{Points: pts}); err != nil {
-		t.Fatal(err)
+	if s := local.Cache.Stats(); s.Hits != 2 || s.Misses != 0 {
+		t.Errorf("local cache stats = %+v, want the fleet's entries to serve both points", s)
 	}
-	s := co.Stats()
-	if s.Leases != leases {
-		t.Errorf("warm resubmit leased points: %+v", s)
-	}
-	if s.CacheHits < 2 {
-		t.Errorf("warm resubmit should be all cache hits: %+v", s)
+	want := localBaseline(t, pts)
+	for i := range pts {
+		sameRun(t, pts[i].Label(), got[i].RunResult, want[i].RunResult)
 	}
 }
 
@@ -592,7 +605,7 @@ func TestFleetCacheHitsServeWithoutLeasing(t *testing.T) {
 // batch share a single lease (in-flight dedup by point key).
 func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 	pt := tinyPoint(61)
-	co := newTestCoordinator(t, steadyOpts(memCache(t)))
+	co := newTestCoordinator(t, steadyOpts())
 	startWorkers(t, co, 2)
 	got, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{pt, pt}})
 	if err != nil {
@@ -610,13 +623,8 @@ func TestFleetDedupsConcurrentIdenticalPoints(t *testing.T) {
 func TestFleetClientEndToEnd(t *testing.T) {
 	pts := []harness.Point{tinyPoint(71), tinyPoint(72), tinyPoint(73)}
 	want := localBaseline(t, pts)
-	sock := filepath.Join(t.TempDir(), "fleet.sock")
-	exec, closer, err := NewExecutor("", sock, memCache(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { closer() })
-	co := exec.(*Coordinator)
+	co := newTestCoordinator(t, fastOpts())
+	sock := serveOnSocket(t, co)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	for i := 0; i < 2; i++ {
@@ -715,7 +723,7 @@ func TestClientFailNamesThePoint(t *testing.T) {
 // hangs up with none answered. Its waits are cancelled; the points run
 // to completion on the one worker and the table drains.
 func TestFleetClientHangupLeavesNoTask(t *testing.T) {
-	co := newTestCoordinator(t, steadyOpts(memCache(t)))
+	co := newTestCoordinator(t, steadyOpts())
 	s := connectScript(t, co, "client")
 	for i, seed := range []uint64{84, 85, 86} {
 		s.send(Msg{Verb: "lease", Args: []string{fu(uint64(i + 1)), "0"}, Payload: tinyPoint(seed).Encode()})
@@ -796,7 +804,7 @@ func TestDialErrors(t *testing.T) {
 // TestFleetTCPEndToEnd repeats the remote path over TCP loopback.
 func TestFleetTCPEndToEnd(t *testing.T) {
 	pt := tinyPoint(81)
-	co := newTestCoordinator(t, fastOpts(memCache(t)))
+	co := newTestCoordinator(t, fastOpts())
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -819,34 +827,13 @@ func TestFleetTCPEndToEnd(t *testing.T) {
 	sameRun(t, pt.Label(), got[0].RunResult, want[0].RunResult)
 }
 
-// TestNewExecutorFlagPairs pins the flag-wiring contract.
-func TestNewExecutorFlagPairs(t *testing.T) {
-	if _, _, err := NewExecutor("a:1", "b:2", harness.CacheParams{}, nil); err == nil {
-		t.Error("both flags set should be rejected")
-	}
-	exec, closer, err := NewExecutor("", "", harness.CacheParams{}, nil)
-	if err != nil || exec != nil {
-		t.Errorf("no flags: exec=%v err=%v, want nil executor", exec, err)
-	}
-	closer()
-	exec, closer, err = NewExecutor("somewhere:1", "", harness.CacheParams{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := exec.(*Client); !ok {
-		t.Errorf("fleet addr should build a *Client, got %T", exec)
-	}
-	closer()
-}
-
 // TestFleetWorkerLogs smoke-tests the fmt verbs in log lines (a
 // mis-paired Logf panics under test via t.Logf's vet pass otherwise
 // going unnoticed).
 func TestFleetWorkerLogs(t *testing.T) {
 	pt := tinyPoint(91)
 	co := newTestCoordinator(t, CoordinatorOptions{
-		Cache: memCache(t),
-		Logf:  func(format string, args ...any) { _ = fmt.Sprintf(format, args...) },
+		Logf: func(format string, args ...any) { _ = fmt.Sprintf(format, args...) },
 	})
 	a, b := net.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())

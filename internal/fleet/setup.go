@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"github.com/tempest-sim/tempest/internal/harness"
 )
 
 // network picks the transport by address shape: anything containing a
@@ -60,39 +58,4 @@ func DialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// NewExecutor wires the -fleet/-workers-addr flag pair into an executor:
-//
-//   - -fleet addr: lease the sweep's points to the remote coordinator at addr.
-//   - -workers-addr addr: run an embedded coordinator here, listening
-//     for workers (and remote clients) on addr; the sweep's own points
-//     go straight onto its task table.
-//   - neither: return a nil executor — the sweep uses the local pool.
-//
-// The returned closer releases whatever was started; call it when the
-// sweep finishes.
-func NewExecutor(fleetAddr, workersAddr string, cp harness.CacheParams, logf func(string, ...any)) (harness.Executor, func(), error) {
-	switch {
-	case fleetAddr != "" && workersAddr != "":
-		return nil, nil, fmt.Errorf("fleet: -fleet and -workers-addr are mutually exclusive (be a client or a coordinator, not both)")
-	case fleetAddr != "":
-		return &Client{Addr: fleetAddr, Logf: logf}, func() {}, nil
-	case workersAddr != "":
-		co := NewCoordinator(CoordinatorOptions{Cache: cp, Logf: logf})
-		ln, err := Listen(workersAddr)
-		if err != nil {
-			co.Close()
-			return nil, nil, fmt.Errorf("fleet: -workers-addr: %w", err)
-		}
-		go co.Serve(ln)
-		return co, func() {
-			ln.Close()
-			co.Close()
-			if logf != nil {
-				logf("fleet: %s", co.Stats())
-			}
-		}, nil
-	}
-	return nil, func() {}, nil
 }

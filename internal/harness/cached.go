@@ -19,7 +19,7 @@ import (
 // CacheParams threads the result cache through a sweep. The zero value
 // disables caching entirely (every point simulates).
 type CacheParams struct {
-	// Cache is the shared store, nil for no caching.
+	// Cache is the cache directory's handle, nil for no caching.
 	Cache *resultcache.Cache
 	// Verify is the fraction of cache hits to re-simulate and compare
 	// ([0, 1]); a mismatch fails the sweep loudly.
@@ -29,21 +29,16 @@ type CacheParams struct {
 // enabled reports whether lookups should happen at all.
 func (cp CacheParams) enabled() bool { return cp.Cache != nil }
 
-// NewCacheParams validates and builds the standard
-// -cache-dir/-no-cache/-cache-verify flag triple every binary exposes.
-// The default (no flags) is an in-process memory cache; -cache-dir adds
-// the persistent tier; -no-cache disables caching and conflicts with
-// the other two.
-func NewCacheParams(dir string, noCache bool, verify float64) (CacheParams, error) {
+// NewCacheParams validates and builds the -cache-dir/-cache-verify
+// pair every simulating binary exposes. Without a directory there is no
+// cache, so there is nothing to verify either.
+func NewCacheParams(dir string, verify float64) (CacheParams, error) {
 	if verify < 0 || verify > 1 {
 		return CacheParams{}, fmt.Errorf("-cache-verify %v: fraction must be in [0, 1]", verify)
 	}
-	if noCache {
-		if dir != "" {
-			return CacheParams{}, fmt.Errorf("-no-cache conflicts with -cache-dir %s", dir)
-		}
+	if dir == "" {
 		if verify > 0 {
-			return CacheParams{}, fmt.Errorf("-no-cache conflicts with -cache-verify %v (nothing to verify)", verify)
+			return CacheParams{}, fmt.Errorf("-cache-verify %v needs -cache-dir (there is no cache to verify)", verify)
 		}
 		return CacheParams{}, nil
 	}
@@ -141,21 +136,6 @@ func runKey(code string, cfg machine.Config, system System, appName string, appF
 	return b.Sum()
 }
 
-// codeDigestFor resolves the code digest for a cache. A persistent
-// cache refuses to run without one (its entries outlive the process,
-// so keys must pin the code); a memory-only cache falls back to a
-// fixed sentinel — within one process the code cannot change.
-func codeDigestFor(c *resultcache.Cache) (string, error) {
-	code, err := resultcache.CodeDigest()
-	if err == nil {
-		return code, nil
-	}
-	if c.Persistent() {
-		return "", fmt.Errorf("harness: persistent result cache needs a code digest: %w", err)
-	}
-	return "in-memory", nil
-}
-
 // entryFromResult converts a run into its cached form. Counters under
 // the engine. prefix are stripped: they describe how this host ran the
 // simulation (dispatch hosting), not what was simulated.
@@ -211,17 +191,18 @@ func ResultFromEntry(e *resultcache.Entry) RunResult { return resultFromEntry(e)
 // cachedRun is the memoization funnel every cached sweep point goes
 // through: look the key up, serve hits (re-simulating the configured
 // verification fraction and failing loudly on divergence), simulate
-// and store misses. Damaged disk entries fall back to simulation — the
-// cache counts them; they never fail a sweep.
+// and store misses. Damaged entries fall back to simulation — the cache
+// counts them; they never fail a sweep.
 func cachedRun(cp CacheParams, cfg machine.Config, system System, appName string,
 	appFields, extra []resultcache.Field, simulate func() (RunResult, error)) (RunResult, *resultcache.Entry, error) {
 	if !cp.enabled() {
 		rr, err := simulate()
 		return rr, nil, err
 	}
-	code, err := codeDigestFor(cp.Cache)
+	// Entries outlive the process, so their keys must pin the code.
+	code, err := resultcache.CodeDigest()
 	if err != nil {
-		return RunResult{}, nil, err
+		return RunResult{}, nil, fmt.Errorf("harness: the result cache needs a code digest: %w", err)
 	}
 	key := runKey(code, cfg, system, appName, appFields, extra)
 	// A Get error is a structured *resultcache.Error for a damaged entry

@@ -12,10 +12,10 @@ import (
 	"github.com/tempest-sim/tempest/internal/stats"
 )
 
-// memCache builds an in-process CacheParams for tests.
-func memCache(t *testing.T) CacheParams {
+// dirCache opens a cache on a fresh directory for one test.
+func dirCache(t *testing.T) CacheParams {
 	t.Helper()
-	cp, err := NewCacheParams("", false, 0)
+	cp, err := NewCacheParams(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func oceanPoint() Point {
 }
 
 func TestRunPointHitSkipsSimulation(t *testing.T) {
-	cp := memCache(t)
+	cp := dirCache(t)
 	run := func() RunResult {
 		pr, err := RunPoint(cp, oceanPoint())
 		if err != nil {
@@ -78,7 +78,7 @@ func findEntryFile(t *testing.T, dir string) string {
 func TestCacheVerifyPassAndMismatch(t *testing.T) {
 	dir := t.TempDir()
 	warm := func(verify float64) (CacheParams, RunResult, error) {
-		cp, err := NewCacheParams(dir, false, verify)
+		cp, err := NewCacheParams(dir, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestCacheVerifyPassAndMismatch(t *testing.T) {
 // cache.corrupt, and overwrites the damage.
 func TestCacheDamagedEntrySimulates(t *testing.T) {
 	dir := t.TempDir()
-	cp1, err := NewCacheParams(dir, false, 0)
+	cp1, err := NewCacheParams(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp2, err := NewCacheParams(dir, false, 0)
+	cp2, err := NewCacheParams(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,20 +166,20 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 }
 
 func TestNewCacheParamsValidation(t *testing.T) {
-	if _, err := NewCacheParams("", true, 0); err != nil {
-		t.Errorf("-no-cache alone rejected: %v", err)
+	if cp, err := NewCacheParams("", 0); err != nil || cp.Cache != nil {
+		t.Errorf("no flags: (%+v, %v), want no cache", cp, err)
 	}
-	if cp, _ := NewCacheParams("", true, 0); cp.Cache != nil {
-		t.Error("-no-cache built a cache")
-	}
-	for name, call := range map[string]func() (CacheParams, error){
-		"no-cache+dir":     func() (CacheParams, error) { return NewCacheParams("/tmp/x", true, 0) },
-		"no-cache+verify":  func() (CacheParams, error) { return NewCacheParams("", true, 0.5) },
-		"verify-negative":  func() (CacheParams, error) { return NewCacheParams("", false, -0.1) },
-		"verify-above-one": func() (CacheParams, error) { return NewCacheParams("", false, 1.5) },
+	for name, tc := range map[string]struct {
+		dir    string
+		verify float64
+		want   string
+	}{
+		"verify-without-dir": {"", 0.5, "-cache-verify 0.5 needs -cache-dir"},
+		"verify-negative":    {t.TempDir(), -0.1, "-cache-verify -0.1: fraction must be in [0, 1]"},
+		"verify-above-one":   {t.TempDir(), 1.5, "-cache-verify 1.5: fraction must be in [0, 1]"},
 	} {
-		if _, err := call(); err == nil {
-			t.Errorf("%s: accepted, want error", name)
+		if _, err := NewCacheParams(tc.dir, tc.verify); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}
 	}
 }

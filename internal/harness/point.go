@@ -184,14 +184,14 @@ func PointKey(code string, pt Point) (resultcache.Key, error) {
 }
 
 // CodeID resolves the code digest used for fleet handshakes and point
-// keys: the repository source digest, or the in-memory sentinel when
-// the sources are unavailable (every process on one host then agrees on
-// the sentinel; persistent caches still refuse it in codeDigestFor).
+// keys: the repository source digest, or a fixed sentinel when the
+// sources are unavailable (every process on one host then agrees on
+// the sentinel; the result cache refuses it in cachedRun).
 func CodeID() string {
 	if code, err := resultcache.CodeDigest(); err == nil {
 		return code
 	}
-	return "in-memory"
+	return "no-source-digest"
 }
 
 // pointMagic is the wire-format header; bumping the version makes every

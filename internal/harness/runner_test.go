@@ -184,10 +184,7 @@ func TestParallelDeterminism(t *testing.T) {
 			Configs:   []Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}},
 			SimParams: SimParams{Workers: 4},
 		}
-		cp, err := NewCacheParams("", false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cp := dirCache(t)
 		cached := base
 		cached.Cache = cp
 		a, err := Figure3(cached)

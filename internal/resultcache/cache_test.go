@@ -24,14 +24,27 @@ func diskPath(dir string, k Key) string {
 	return filepath.Join(dir, hex[:2], hex+".entry")
 }
 
-func TestCacheMemoryHitAndMiss(t *testing.T) {
-	c, err := New(Options{})
+// newCache opens a cache on a fresh directory.
+func newCache(t *testing.T) *Cache {
+	t.Helper()
+	c, err := New(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Persistent() {
-		t.Error("memory-only cache claims to be persistent")
+	return c
+}
+
+// TestCacheNeedsADirectory: a cache is a directory; there is no
+// process-local tier to fall back to.
+func TestCacheNeedsADirectory(t *testing.T) {
+	var re *Error
+	if c, err := New(Options{}); c != nil || !errors.As(err, &re) || re.Msg != "no cache directory given" {
+		t.Fatalf("New without a directory = (%v, %v), want a structured error", c, err)
 	}
+}
+
+func TestCacheHitAndMiss(t *testing.T) {
+	c := newCache(t)
 	e := entryForKey(1)
 	if got, err := c.Get(e.Key); got != nil || err != nil {
 		t.Fatalf("Get on empty cache = (%v, %v), want (nil, nil)", got, err)
@@ -47,23 +60,20 @@ func TestCacheMemoryHitAndMiss(t *testing.T) {
 	}
 }
 
-func TestCachePersistsAcrossProcessesAndPromotes(t *testing.T) {
+// TestCacheGetReadsTheFile: a handle keeps no entries. A fresh handle
+// over the same directory (a new process) hits, and an entry whose file
+// is gone misses even on the handle that stored and read it.
+func TestCacheGetReadsTheFile(t *testing.T) {
 	dir := t.TempDir()
 	a, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !a.Persistent() {
-		t.Fatal("disk-backed cache claims not to be persistent")
 	}
 	e := entryForKey(2)
 	a.Put(e)
 	if _, err := os.Stat(diskPath(dir, e.Key)); err != nil {
 		t.Fatalf("entry file missing after Put: %v", err)
 	}
-
-	// A fresh Cache over the same directory simulates a new process:
-	// empty memory tier, warm disk tier.
 	b, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -75,46 +85,13 @@ func TestCachePersistsAcrossProcessesAndPromotes(t *testing.T) {
 	if s := b.Stats(); s.Hits != 1 || s.Misses != 0 {
 		t.Errorf("warm stats = %+v, want pure hit", s)
 	}
-	// The disk hit was promoted into memory: delete the file and the
-	// entry must still be served.
 	if err := os.Remove(diskPath(dir, e.Key)); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := b.Get(e.Key); err != nil || got == nil {
-		t.Fatalf("Get after promotion = (%+v, %v), want memory hit", got, err)
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c, err := New(Options{MemEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2, e3 := entryForKey(1), entryForKey(2), entryForKey(3)
-	c.Put(e1)
-	c.Put(e2)
-	if _, err := c.Get(e1.Key); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(e3) // evicts e2, the least recently used
-	if got, _ := c.Get(e2.Key); got != nil {
-		t.Error("evicted entry still resident")
-	}
-	for _, e := range []*Entry{e1, e3} {
-		if got, _ := c.Get(e.Key); got == nil {
-			t.Errorf("entry %d evicted out of LRU order", e.Cycles)
+	for name, c := range map[string]*Cache{"storing": a, "reading": b} {
+		if got, err := c.Get(e.Key); got != nil || err != nil {
+			t.Errorf("%s handle: Get of a removed entry = (%+v, %v), want a miss", name, got, err)
 		}
-	}
-	// With a disk tier, memory eviction only costs a re-read.
-	dir := t.TempDir()
-	d, err := New(Options{Dir: dir, MemEntries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(e1)
-	d.Put(e2) // e1 falls out of the single memory slot
-	if got, err := d.Get(e1.Key); err != nil || got == nil || got.Cycles != e1.Cycles {
-		t.Fatalf("Get of memory-evicted entry = (%+v, %v), want disk hit", got, err)
 	}
 }
 
@@ -219,10 +196,7 @@ func TestCacheMisfiledEntryIsCorrupt(t *testing.T) {
 }
 
 func TestShouldVerify(t *testing.T) {
-	c, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t)
 	k := NewKey().Str("a", "b").Sum()
 	if c.ShouldVerify(k, 0) {
 		t.Error("fraction 0 selected a key")
@@ -253,10 +227,7 @@ func TestShouldVerify(t *testing.T) {
 }
 
 func TestCountersSnapshot(t *testing.T) {
-	c, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t)
 	e := entryForKey(10)
 	c.Put(e)
 	if _, err := c.Get(e.Key); err != nil {
@@ -296,10 +267,7 @@ func TestCodeDigest(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c, err := New(Options{Dir: t.TempDir(), MemEntries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t)
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {

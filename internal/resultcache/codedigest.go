@@ -29,9 +29,8 @@ var codeOnce struct {
 // The source tree is located relative to this file via runtime.Caller,
 // which works for the in-repo binaries and tests this cache serves. If
 // the sources are unavailable (e.g. a stripped deployment), CodeDigest
-// returns an error and the harness refuses to open a persistent cache
-// (memory-only caching still works: within one process the code
-// trivially cannot change).
+// returns an error and the harness refuses to serve a cached point:
+// entries outlive the process, so their keys must pin the code.
 func CodeDigest() (string, error) {
 	codeOnce.Do(func() {
 		codeOnce.digest, codeOnce.err = computeCodeDigest()

@@ -33,7 +33,8 @@ refuse -link-bw fig3 -link-bw -1
 refuse -cache-verify fig4 -cache-verify 1.5
 refuse -scale ablations -scale huge
 refuse -occupancy typhoon-sim -occupancy -20
-refuse -cache-dir bench -no-cache -cache-dir "$tmp/cache"
+refuse -cache-dir bench -fleet "$tmp/none.sock" -cache-dir "$tmp/cache"
+refuse -cache-dir fig3 -cache-verify 0.5
 refuse -j fleet worker -addr "$tmp/none.sock" -j -3
 refuse -nodes typhoon-sim -nodes -3
 # 12 KB of 4-way 32-byte blocks is 96 sets; the cache indexes by shift and mask.
@@ -43,5 +44,9 @@ refuse "flag provided but not defined: -shards" bench -shards 2
 # So is the removed Figure 3 witness-dedup bypass.
 refuse "flag provided but not defined: -no-dedup" fig3 -no-dedup
 refuse "flag provided but not defined: -no-dedup" bench -no-dedup
+# So are the removed cache switch, embedded coordinator and coordinator cache.
+refuse "flag provided but not defined: -no-cache" fig4 -no-cache
+refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
+refuse "flag provided but not defined: -cache-dir" fleet coordinator -addr "$tmp/f.sock" -cache-dir "$tmp/cache"
 
-echo "cli-smoke: 6 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the two removed flags refused with exit 2"
+echo "cli-smoke: 6 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the five removed flags refused with exit 2"

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# fleet-check: the distributed-sweep digest gate, one leg per role a
-# sweep binary can take.
+# fleet-check: the distributed-sweep digest gate.
 #
-# Leg 1 (client role, -fleet): the reduced bench sweep through a
-# standalone fleet coordinator and two local worker processes over a
-# unix socket — one of them rigged to die on its second lease — must
-# match the committed golden exactly. This pins the whole fleet contract
-# at once: lease/heartbeat/reassignment under a real worker loss, result
+# The reduced bench sweep as a client (-fleet) of a standalone fleet
+# coordinator and two local worker processes over a unix socket — one of
+# them rigged to die on its second lease — must match the committed
+# golden exactly. This pins the whole fleet contract at once:
+# lease/heartbeat/reassignment under a real worker loss, result
 # verification against canonical cache keys at coordinator and client,
 # point scheduling and fail-fast on the client, and bit-identical results
 # versus the local pool.
 #
-# Leg 2 (embedded coordinator, -workers-addr): the same sweep with bench
-# itself listening and two workers dialling it.
+# The workers share one -cache-dir, the only place a fleet caches
+# results (the coordinator and the client keep none). A local bench run
+# on that directory must then be served whole from it (-expect-cached):
+# the entries a fleet stores are the entries a local sweep reads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +24,6 @@ cleanup() {
 }
 trap cleanup EXIT
 sock="$tmp/fleet.sock"
-sock2="$tmp/embedded.sock"
 
 go build -o "$tmp/fleet" ./cmd/fleet
 go build -o "$tmp/bench" ./cmd/bench
@@ -35,18 +35,13 @@ go build -o "$tmp/bench" ./cmd/bench
 # mid-run loss the coordinator must absorb by re-leasing its work.
 # Worker 2 also runs two connections and survives to finish the sweep.
 # Both retry the dial, so start order doesn't matter.
-"$tmp/fleet" worker -addr "$sock" -j 2 -die-after-leases 2 -quiet &
-"$tmp/fleet" worker -addr "$sock" -j 2 -quiet &
+"$tmp/fleet" worker -addr "$sock" -j 2 -cache-dir "$tmp/cache" -die-after-leases 2 -quiet &
+"$tmp/fleet" worker -addr "$sock" -j 2 -cache-dir "$tmp/cache" -quiet &
 
 "$tmp/bench" -fleet "$sock" -check testdata/bench.digest
 
 echo "fleet-check: digest ok through coordinator + 2 workers (one killed mid-run)"
 
-# The workers start first and retry the dial until bench is listening;
-# they exit when bench closes its coordinator.
-"$tmp/fleet" worker -addr "$sock2" -quiet &
-"$tmp/fleet" worker -addr "$sock2" -quiet &
+"$tmp/bench" -cache-dir "$tmp/cache" -check testdata/bench.digest -expect-cached
 
-"$tmp/bench" -workers-addr "$sock2" -check testdata/bench.digest
-
-echo "fleet-check: digest ok through an embedded coordinator + 2 workers"
+echo "fleet-check: digest ok from the workers' cache directory, nothing simulated"
