@@ -104,18 +104,4 @@ func main() {
 			}
 		}
 	}
-	// The result-cache telemetry rides the same counter plumbing as the
-	// simulation events (cache.hits, cache.misses, ...).
-	if *counters && sp.Cache.Cache != nil {
-		t := &stats.Table{Title: "result-cache counters", Header: []string{"counter", "value"}}
-		ctr := sp.Cache.Cache.Counters()
-		for _, name := range ctr.Names() {
-			t.AddRow(name, stats.D(ctr.Get(name)))
-		}
-		fmt.Println()
-		if err := t.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "typhoon-sim:", err)
-			os.Exit(1)
-		}
-	}
 }

@@ -34,9 +34,6 @@ import (
 	"github.com/tempest-sim/tempest/internal/machine"
 )
 
-// DiffApps lists the applications the differential matrix runs.
-func DiffApps() []string { return harness.DiffApps }
-
 // Pair is one corpus entry: an application × system combination, at the
 // committed tiny scale, optionally under the contention model.
 type Pair struct {

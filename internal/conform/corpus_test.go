@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/tempest-sim/tempest/internal/harness"
 )
 
 // The committed corpus is a golden file. After a deliberate behaviour
@@ -36,7 +38,7 @@ func readTrace(t *testing.T, p Pair) []byte {
 // recordChecked records p on the full machine, runs the tag-machine
 // checker over the fresh stream, and returns its encoding.
 func recordChecked(p Pair) ([]byte, error) {
-	s, err := Record(p, RecordOptions{})
+	s, err := Record(p, harness.DiffOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +126,10 @@ func TestCorpusComplete(t *testing.T) {
 // TestDifferentialMatrix runs every app under every protocol and
 // asserts identical application-visible memory semantics.
 func TestDifferentialMatrix(t *testing.T) {
-	for _, app := range DiffApps() {
+	for _, app := range harness.DiffApps {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			if err := RunDifferential(app, nil); err != nil {
+			if err := RunDifferential(app, harness.DiffOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})

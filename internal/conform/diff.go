@@ -4,15 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tempest-sim/tempest/internal/harness"
-	"github.com/tempest-sim/tempest/internal/typhoon"
 )
-
-// DiffMutation injects a protocol bug into the Typhoon-based runs of a
-// differential matrix — the suite's negative-test hook.
-type DiffMutation struct {
-	Mutate     func(*typhoon.System)
-	SkipVerify bool
-}
 
 // RunDifferential runs app at the corpus scale under every protocol
 // that implements it and asserts identical application-visible memory
@@ -21,18 +13,18 @@ type DiffMutation struct {
 // structure matches). Timing differs wildly across the systems — that
 // is the paper's point — but what the program observes must not.
 //
-// mut, when non-nil, is applied to every Typhoon-based system in the
-// matrix (DirNNB has no Typhoon system and runs unmutated), so a
-// handler bug shows up as Typhoon runs diverging from the hardware
-// reference.
-func RunDifferential(app string, mut *DiffMutation) error {
+// opt (Tracer unset) applies to every Typhoon-based system in the
+// matrix; DirNNB has no Typhoon system to mutate and runs with the zero
+// options, so a handler bug shows up as Typhoon runs diverging from the
+// hardware reference.
+func RunDifferential(app string, opt harness.DiffOptions) error {
 	var results []harness.DiffObservation
 	for _, sys := range harness.DiffSystemsFor(app) {
-		var opt harness.DiffOptions
-		if mut != nil && sys != harness.SysDirNNB {
-			opt.Mutate, opt.SkipVerify = mut.Mutate, mut.SkipVerify
+		o := opt
+		if sys == harness.SysDirNNB {
+			o = harness.DiffOptions{}
 		}
-		obs, err := harness.RunObserved(Pair{App: app, System: sys}.Point(), opt)
+		obs, err := harness.RunObserved(Pair{App: app, System: sys}.Point(), o)
 		if err != nil {
 			return fmt.Errorf("conform: differential %s under %s: %w", app, sys, err)
 		}

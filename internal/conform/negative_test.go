@@ -95,7 +95,7 @@ func TestCorpusCompareCatchesMissingEnd(t *testing.T) {
 // history no MSI walk allows (ReadOnly retagged ReadOnly) and a block
 // left pending at end of run.
 func TestTagCheckerCatchesIllegalTransition(t *testing.T) {
-	s, err := Record(Pair{App: "ocean", System: harness.SysStache}, RecordOptions{})
+	s, err := Record(Pair{App: "ocean", System: harness.SysStache}, harness.DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTagCheckerCatchesIllegalTransition(t *testing.T) {
 // the application still computes the right answer.
 func TestRecheckCatchesInjectedBug(t *testing.T) {
 	p := Pair{App: "em3d", System: harness.SysStache}
-	got, err := Record(p, RecordOptions{Mutate: func(sys *typhoon.System) {
+	got, err := Record(p, harness.DiffOptions{Mutate: func(sys *typhoon.System) {
 		sys.WrapHandler(stache.HDataRO, func(h typhoon.Handler) typhoon.Handler {
 			return func(np *typhoon.NP, pkt *network.Packet) {
 				np.Charge(7)
@@ -141,7 +141,7 @@ func TestRecheckCatchesInjectedBug(t *testing.T) {
 // application's own answer check out of the way, so it is the
 // differential layer doing the catching.
 func TestDifferentialCatchesInjectedBug(t *testing.T) {
-	mut := &DiffMutation{
+	opt := harness.DiffOptions{
 		SkipVerify: true,
 		Mutate: func(sys *typhoon.System) {
 			if !sys.HasHandler(stache.HDataRO) {
@@ -157,7 +157,7 @@ func TestDifferentialCatchesInjectedBug(t *testing.T) {
 			})
 		},
 	}
-	if err := RunDifferential("em3d", mut); err == nil {
+	if err := RunDifferential("em3d", opt); err == nil {
 		t.Fatal("corrupted data replies went undetected by the differential matrix")
 	}
 }

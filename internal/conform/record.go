@@ -6,29 +6,19 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/trace"
-	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
-// RecordOptions tunes a recording run.
-type RecordOptions struct {
-	// Mutate and SkipVerify pass through to harness.DiffOptions: the
-	// negative tests inject a protocol bug and watch the suite catch it.
-	Mutate     func(*typhoon.System)
-	SkipVerify bool
-}
-
 // Record runs a corpus pair on the real machine with the conformance
-// taps attached and assembles the resulting stream. A recording whose
-// tracer overflowed is refused — a truncated trace must never become a
-// corpus file.
-func Record(p Pair, opt RecordOptions) (*Stream, error) {
+// taps attached and assembles the resulting stream. opt's Mutate and
+// SkipVerify let the negative tests inject a protocol bug and watch the
+// suite catch it; Record sets its Tracer. A recording whose tracer
+// overflowed is refused — a truncated trace must never become a corpus
+// file.
+func Record(p Pair, opt harness.DiffOptions) (*Stream, error) {
 	pt := p.Point()
 	tr := trace.New(0)
-	obs, err := harness.RunObserved(pt, harness.DiffOptions{
-		Mutate:     opt.Mutate,
-		SkipVerify: opt.SkipVerify,
-		Tracer:     tr,
-	})
+	opt.Tracer = tr
+	obs, err := harness.RunObserved(pt, opt)
 	if err != nil {
 		return nil, fmt.Errorf("conform: record %s: %w", p.Name(), err)
 	}
@@ -62,9 +52,9 @@ func Record(p Pair, opt RecordOptions) (*Stream, error) {
 	return s, nil
 }
 
-// nodeMajorEvents flattens the tracer's buffers node by node, each in
+// nodeMajorEvents lists the tracer's events node by node, each in
 // emission order — the stream's canonical event order. Emission order,
-// not the (time, node, seq) merge, is the order that shaped the run: a
+// not the (time, node) order, is the order that shaped the run: a
 // node's SendAfter calls take effect on its injection port in call
 // order, and a lagging context can make that order non-monotonic in time.
 func nodeMajorEvents(tr *trace.Tracer, nodes int) []trace.Event {

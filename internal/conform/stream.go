@@ -27,7 +27,7 @@ type ObsRow struct {
 }
 
 // Stream is one recorded conformance trace: the machine configuration
-// it ran under, the merged event stream, and the run's outcome. The
+// it ran under, the recorded event stream, and the run's outcome. The
 // text form (Encode) is the committed-corpus format; it must be stable,
 // so every field below is versioned by streamMagic.
 type Stream struct {
@@ -44,8 +44,9 @@ type Stream struct {
 	// node-major, each node's events in emission order (trace.Tracer.
 	// NodeEvents). Emission order is the order the node's contexts made
 	// the recorded calls, and it is not always monotonic in time (a
-	// context can run with a lagging clock); a (time, node, seq) merge
-	// would hide the order the injection port served a node's sends in.
+	// context can run with a lagging clock); the (time, node) order of
+	// trace.Tracer.Events would hide the order the injection port served
+	// a node's sends in.
 	Events []trace.Event
 
 	// Footer: the run's outcome.

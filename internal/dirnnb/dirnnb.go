@@ -126,7 +126,7 @@ type claim struct {
 }
 
 // hotStats is a node's counter block (plain node-local fields,
-// delta-folded into the system counters at report time).
+// added into a fresh counter set by System.Counters after the run).
 type hotStats struct {
 	privateMisses    uint64
 	localMisses      uint64
@@ -165,19 +165,13 @@ type nodeState struct {
 	fill      cache.LineState
 	fillValid bool
 
-	hot      hotStats
-	lastFold hotStats
-	// lastOccWaits/lastOccWaitCycles delta-fold the agent core's
-	// occupancy-queueing stats, like lastFold does for hot.
-	lastOccWaits      uint64
-	lastOccWaitCycles uint64
+	hot hotStats
 }
 
 // System is the DirNNB memory system.
 type System struct {
 	m     *machine.Machine
 	nodes []*nodeState
-	c     *stats.Counters
 }
 
 var _ machine.MemSystem = (*System)(nil)
@@ -187,7 +181,7 @@ var _ agent.Dispatcher = (*nodeState)(nil)
 // spawned per node (before the compute processors, in node order, so
 // context identity is deterministic).
 func New(m *machine.Machine) *System {
-	s := &System{m: m, c: stats.NewCounters()}
+	s := &System{m: m}
 	for i := 0; i < m.Cfg.Nodes; i++ {
 		ns := &nodeState{
 			sys:    s,
@@ -207,38 +201,32 @@ func New(m *machine.Machine) *System {
 // Name implements machine.MemSystem.
 func (s *System) Name() string { return "DirNNB" }
 
-// Counters implements machine.MemSystem: it folds the per-node hot
-// counters and publishes first-touch home assignments into the VM's
-// placement map (read by reporting code; never read by the protocol at
-// run time, so the fold is safe once the machine is quiescent).
+// Counters implements machine.MemSystem: every node's totals, added into
+// a fresh set.
 func (s *System) Counters() *stats.Counters {
+	c := stats.NewCounters()
 	for _, ns := range s.nodes {
-		ns.fold(s.c)
-		for vpn, cl := range ns.claims {
-			s.m.VM.ClaimHome(mem.VA(vpn*mem.PageSize), cl.home)
-		}
+		ns.fold(c)
 	}
-	return s.c
+	return c
 }
 
 func (ns *nodeState) fold(c *stats.Counters) {
-	d, l := ns.hot, ns.lastFold
-	c.Add("dirnnb.private_misses", d.privateMisses-l.privateMisses)
-	c.Add("dirnnb.local_misses", d.localMisses-l.localMisses)
-	c.Add("dirnnb.local_dir_misses", d.localDirMisses-l.localDirMisses)
-	c.Add("dirnnb.remote_upgrades", d.remoteUpgrades-l.remoteUpgrades)
-	c.Add("dirnnb.remote_misses", d.remoteMisses-l.remoteMisses)
-	c.Add("dirnnb.dirty_recalls", d.dirtyRecalls-l.dirtyRecalls)
-	c.Add("dirnnb.invalidations", d.invalidations-l.invalidations)
-	c.Add("dirnnb.dir_messages", d.dirMessages-l.dirMessages)
-	c.Add("dirnnb.repl_shared", d.replShared-l.replShared)
-	c.Add("dirnnb.repl_exclusive", d.replExclusive-l.replExclusive)
-	c.Add("dirnnb.first_touch_claims", d.firstTouchClaims-l.firstTouchClaims)
-	ns.lastFold = d
+	h := &ns.hot
+	c.Add("dirnnb.private_misses", h.privateMisses)
+	c.Add("dirnnb.local_misses", h.localMisses)
+	c.Add("dirnnb.local_dir_misses", h.localDirMisses)
+	c.Add("dirnnb.remote_upgrades", h.remoteUpgrades)
+	c.Add("dirnnb.remote_misses", h.remoteMisses)
+	c.Add("dirnnb.dirty_recalls", h.dirtyRecalls)
+	c.Add("dirnnb.invalidations", h.invalidations)
+	c.Add("dirnnb.dir_messages", h.dirMessages)
+	c.Add("dirnnb.repl_shared", h.replShared)
+	c.Add("dirnnb.repl_exclusive", h.replExclusive)
+	c.Add("dirnnb.first_touch_claims", h.firstTouchClaims)
 	w, wc := ns.core.OccStats()
-	c.Add("dirnnb.occ_waits", w-ns.lastOccWaits)
-	c.Add("dirnnb.occ_wait_cycles", wc-ns.lastOccWaitCycles)
-	ns.lastOccWaits, ns.lastOccWaitCycles = w, wc
+	c.Add("dirnnb.occ_waits", w)
+	c.Add("dirnnb.occ_wait_cycles", wc)
 }
 
 // SetupSegment eagerly allocates each page's frame at its home node and
@@ -743,6 +731,9 @@ func (ns *nodeState) handleClaim(c *sim.Context, vpn uint64, claimant int) {
 		ns.hot.firstTouchClaims++
 		cl = &claim{vpn: vpn, home: claimant}
 		ns.claims[vpn] = cl
+		// Publish the home as soon as it is decided: Verify, apps.ReadBack
+		// and the memory digest find first-touch homes through the VM.
+		ns.sys.m.VM.ClaimHome(mem.VA(vpn*mem.PageSize), claimant)
 		if claimant == ns.node {
 			// Arbiter, claimant and home are all this node.
 			cl.pa = ns.mapOwn(vpn, 0, true)

@@ -227,6 +227,23 @@ func TestFirstTouchPlacement(t *testing.T) {
 	}
 }
 
+// TestFirstTouchHomeKnownMidRun: the arbiter publishes a first-touch
+// page's home when it decides it, so every node past the barrier reads
+// both homes from the VM — not only code that runs after Run.
+func TestFirstTouchHomeKnownMidRun(t *testing.T) {
+	m, _ := newM(t, 2)
+	seg := m.AllocShared("ft", 2*mem.PageSize, vm.FirstTouch{}, vm.ModeUser)
+	run(t, m, func(p *machine.Proc) {
+		p.WriteU64(seg.At(uint64(p.ID()*mem.PageSize)), 1)
+		p.Barrier()
+		for page := 0; page < 2; page++ {
+			if home := m.VM.Home(seg.At(uint64(page * mem.PageSize))); home != page {
+				t.Errorf("node %d after the barrier: page %d has home %d, want %d", p.ID(), page, home, page)
+			}
+		}
+	})
+}
+
 func TestEvictionChargesReplacementAndCleansDirectory(t *testing.T) {
 	// Cache: 4096 bytes, 4-way, 32B lines -> 32 sets; addresses 1024
 	// bytes apart collide in one set.

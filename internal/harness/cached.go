@@ -156,9 +156,6 @@ func entryFromResult(key resultcache.Key, code string, system System, appName st
 		}
 		e.Counters[name] = res.Counters.Get(name)
 	}
-	for i := range res.ObsHashes {
-		e.Obs = append(e.Obs, resultcache.ObsRecord{Hash: res.ObsHashes[i], Ops: res.ObsOps[i]})
-	}
 	return e
 }
 
@@ -175,10 +172,6 @@ func resultFromEntry(e *resultcache.Entry) RunResult {
 		ROICycles: sim.Time(e.ROI),
 		Counters:  ctr,
 		Net:       e.Net,
-	}
-	for _, o := range e.Obs {
-		res.ObsHashes = append(res.ObsHashes, o.Hash)
-		res.ObsOps = append(res.ObsOps, o.Ops)
 	}
 	return RunResult{System: System(e.System), App: e.App, Res: res}
 }

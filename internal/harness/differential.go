@@ -118,7 +118,6 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 		// SendAfter delay on the sending node, arrival time at the
 		// receiving endpoint, dispatch start and service time on the
 		// receiving agent), which the conformance corpus pins byte for byte.
-		tr.Prepare(len(m.Procs))
 		m.Net.OnSend = func(p *network.Packet, issued, extra sim.Time) {
 			tr.Emit(trace.Event{T: issued, Node: p.Src, Kind: trace.KNetSend, VA: mem.VA(extra),
 				Aux: trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())})
@@ -159,11 +158,11 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	if obs.Res, err = pt.execute(in, app, opt.SkipVerify); err != nil {
 		return DiffObservation{}, err
 	}
-	// machine.Run recorded each processor's final observation in the
-	// result (observation was enabled above) — the same records the
-	// result cache stores.
-	obs.FinalProcs = obs.Res.ObsHashes
-	obs.FinalOps = obs.Res.ObsOps
+	obs.FinalProcs = make([]uint64, len(m.Procs))
+	obs.FinalOps = make([]uint64, len(m.Procs))
+	for i, p := range m.Procs {
+		obs.FinalProcs[i], obs.FinalOps[i] = p.Observation()
+	}
 	obs.MemDigest = SharedMemoryDigest(m)
 	switch {
 	case in.dsys != nil:

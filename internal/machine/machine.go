@@ -219,7 +219,8 @@ type MemSystem interface {
 	// charge replacement costs and update hardware directory state.
 	Evicted(p *Proc, victim mem.PA, state cache.LineState)
 
-	// Counters exposes the system's event counts for reports.
+	// Counters returns the system's event totals in a fresh set; Run
+	// calls it once, after the engine stops.
 	Counters() *stats.Counters
 }
 
@@ -342,11 +343,6 @@ type Result struct {
 	Counters *stats.Counters
 	// Net is the interconnect traffic summary.
 	Net network.Stats
-	// ObsHashes and ObsOps record each processor's final observation
-	// (hash and folded-op count) in node order when observation was
-	// enabled — nil otherwise. The differential harness and the result
-	// cache both read them from here rather than re-walking Procs.
-	ObsHashes, ObsOps []uint64
 }
 
 // Run executes body once per node as an SPMD program and returns the
@@ -388,13 +384,6 @@ func (m *Machine) Run(body func(*Proc)) (Result, error) {
 	res.Counters = stats.NewCounters()
 	for _, p := range m.Procs {
 		p.foldCounters(res.Counters)
-	}
-	if m.Procs[0].obs != nil {
-		res.ObsHashes = make([]uint64, len(m.Procs))
-		res.ObsOps = make([]uint64, len(m.Procs))
-		for i, p := range m.Procs {
-			res.ObsHashes[i], res.ObsOps[i] = p.Observation()
-		}
 	}
 	res.Counters.Merge(m.Sys.Counters())
 	res.Net = m.Net.Stats()

@@ -237,14 +237,8 @@ func TestCountersSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.NoteVerified()
-	ctr := c.Counters()
-	for name, want := range map[string]uint64{
-		"cache.hits": 1, "cache.misses": 1, "cache.stores": 1,
-		"cache.verified": 1, "cache.corrupt": 0,
-	} {
-		if got := ctr.Get(name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
+	if got, want := c.Stats(), (Stats{Hits: 1, Misses: 1, Stores: 1, Verified: 1}); got != want {
+		t.Errorf("Stats() = %+v, want %+v", got, want)
 	}
 	wantStr := "1 hits, 1 misses, 1 stores, 1 verified, 0 corrupt"
 	if got := c.Stats().String(); got != wantStr {

@@ -14,13 +14,6 @@ import (
 // fall back to simulation).
 const entryMagic = "tempest-resultcache v1"
 
-// ObsRecord is one processor's final observation (machine.Observation
-// hash and operation count), recorded when the run had observation
-// enabled.
-type ObsRecord struct {
-	Hash, Ops uint64
-}
-
 // Entry is one cached simulation result: everything the harness needs
 // to reconstruct a RunResult without re-simulating, stored in a
 // versioned, checksummed, canonical text format (one encoding per
@@ -46,9 +39,6 @@ type Entry struct {
 	Origin string
 	// Cycles and ROI are machine.Result.Cycles and ROICycles.
 	Cycles, ROI uint64
-	// Obs holds per-processor observation records in node order, when
-	// the run had observation enabled.
-	Obs []ObsRecord
 	// Counters is the simulated-event counter map (engine.* excluded).
 	Counters map[string]uint64
 	// Net is the interconnect traffic summary.
@@ -69,9 +59,6 @@ func (e *Entry) Encode() []byte {
 	}
 	fmt.Fprintf(&b, "cycles %d\n", e.Cycles)
 	fmt.Fprintf(&b, "roi %d\n", e.ROI)
-	for i, o := range e.Obs {
-		fmt.Fprintf(&b, "obs %d %d %d\n", i, o.Hash, o.Ops)
-	}
 	names := make([]string, 0, len(e.Counters))
 	for name := range e.Counters {
 		names = append(names, name)
@@ -97,8 +84,8 @@ func Decode(data []byte) (*Entry, error) {
 }
 
 // decode is the entry's field list over the shared reader (DESIGN.md
-// "Text formats"): fixed-order lines, obs and net rows numbered in
-// order, counters strictly ascending by name.
+// "Text formats"): fixed-order lines, net rows numbered in order,
+// counters strictly ascending by name.
 func decode(data []byte, path string) (*Entry, error) {
 	r := wiretext.Unseal(data, entryMagic, "entry")
 	e := &Entry{Counters: make(map[string]uint64)}
@@ -114,12 +101,6 @@ func decode(data []byte, path string) (*Entry, error) {
 	}
 	e.Cycles = r.Line("cycles").Uint()
 	e.ROI = r.Line("roi").Uint()
-	for r.Optional("obs") {
-		if idx := r.Uint(); idx != uint64(len(e.Obs)) {
-			r.Failf("obs index %d out of order (want %d)", idx, len(e.Obs))
-		}
-		e.Obs = append(e.Obs, ObsRecord{Hash: r.Uint(), Ops: r.Uint()})
-	}
 	prev := ""
 	for r.Optional("counter") {
 		name := r.Token()
@@ -170,14 +151,6 @@ func CheckMatch(cached, fresh *Entry) error {
 	}
 	if cached.Net != fresh.Net {
 		return fail("network stats diverge: cached %+v, re-simulated %+v", cached.Net, fresh.Net)
-	}
-	if len(cached.Obs) != len(fresh.Obs) {
-		return fail("observation record count diverges: cached %d, re-simulated %d", len(cached.Obs), len(fresh.Obs))
-	}
-	for i := range cached.Obs {
-		if cached.Obs[i] != fresh.Obs[i] {
-			return fail("node %d observation diverges: cached %+v, re-simulated %+v", i, cached.Obs[i], fresh.Obs[i])
-		}
 	}
 	return nil
 }

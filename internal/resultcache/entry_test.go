@@ -13,8 +13,8 @@ import (
 	"github.com/tempest-sim/tempest/internal/network"
 )
 
-// sampleEntry builds a representative entry: observation records,
-// several counters, and non-zero traffic on both virtual networks.
+// sampleEntry builds a representative entry: several counters and
+// non-zero traffic on both virtual networks.
 func sampleEntry() *Entry {
 	var net network.Stats
 	net.VNets[0] = network.VNetStats{Packets: 120, PayloadBytes: 4096, QueueingCycles: 7, MaxQueueDepth: 3}
@@ -27,7 +27,6 @@ func sampleEntry() *Entry {
 		App:    "ocean",
 		Cycles: 138926,
 		ROI:    86416,
-		Obs:    []ObsRecord{{Hash: 0xdeadbeef, Ops: 42}, {Hash: 1, Ops: 2}},
 		Counters: map[string]uint64{
 			"cpu.reads":   1000,
 			"cpu.writes":  500,
@@ -154,7 +153,7 @@ func TestDecodeRejectsNonCanonicalForms(t *testing.T) {
 	}{
 		{"leading-zero-uint", "cycles 138926", "cycles 0138926", "not a canonical unsigned integer"},
 		{"signed-uint", "roi 86416", "roi +86416", "not a canonical unsigned integer"},
-		{"obs-index-out-of-order", "obs 1 1 2", "obs 2 1 2", "out of order"},
+		{"obs-refused", "roi 86416\n", "roi 86416\nobs 0 1 2\n", `expected "net" line, got "obs`},
 		{"counter-out-of-order", "counter cpu.writes 500", "counter cpu.aaa 500", "out of sorted order"},
 		{"net-vnet-out-of-order", "net 1 118", "net 0 118", "out of order"},
 		{"empty-origin", "app ocean\ncycles", "app ocean\norigin \ncycles", "empty origin"},
@@ -229,12 +228,6 @@ func TestCheckMatch(t *testing.T) {
 	})
 	t.Run("network", func(t *testing.T) {
 		verifyErr(t, func(e *Entry) { e.Net.LocalSends++ }, "network stats diverge")
-	})
-	t.Run("observation", func(t *testing.T) {
-		verifyErr(t, func(e *Entry) { e.Obs[0].Hash++ }, "observation diverges")
-	})
-	t.Run("observation-count", func(t *testing.T) {
-		verifyErr(t, func(e *Entry) { e.Obs = e.Obs[:1] }, "record count diverges")
 	})
 }
 

@@ -6,7 +6,7 @@
 // safe to memoize. A cache is one directory of versioned, checksummed
 // entry files, shared by every process (and every fleet worker) pointed
 // at it, with structured errors (never panics) for damaged entries, and
-// hit/miss/store telemetry surfaced through the standard stats counters.
+// hit/miss/store telemetry (Stats).
 package resultcache
 
 import (
@@ -16,8 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"github.com/tempest-sim/tempest/internal/stats"
 )
 
 // Options configures a Cache.
@@ -169,22 +167,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Counters renders the telemetry as standard stats counters
-// (cache.hits, cache.misses, cache.stores, cache.verified,
-// cache.corrupt, cache.write_errors) for the existing reporting
-// plumbing.
-func (c *Cache) Counters() *stats.Counters {
-	s := c.Stats()
-	ctr := stats.NewCounters()
-	ctr.Add("cache.hits", s.Hits)
-	ctr.Add("cache.misses", s.Misses)
-	ctr.Add("cache.stores", s.Stores)
-	ctr.Add("cache.verified", s.Verified)
-	ctr.Add("cache.corrupt", s.Corrupt)
-	if s.Errors > 0 {
-		ctr.Add("cache.write_errors", s.Errors)
-	}
-	return ctr
 }

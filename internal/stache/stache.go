@@ -117,8 +117,6 @@ type Protocol struct {
 	migratory bool
 
 	per []*nodeState
-
-	lastFold hotStats
 }
 
 var _ typhoon.Protocol = (*Protocol)(nil)
@@ -200,8 +198,6 @@ func (st *Protocol) Attach(sys *typhoon.System) {
 	sys.RegisterHandler(HNack, st.handleNack)
 	sys.RegisterHandler(hPrefetch, st.handlePrefetch)
 	sys.RegisterHandler(hCheckIn, st.handleCheckIn)
-
-	sys.OnFold(st.fold)
 }
 
 // System returns the Typhoon system Stache is attached to.
@@ -360,45 +356,28 @@ func (st *Protocol) replacePage(p *machine.Proc) {
 	m.FreeFrame(pte.PA)
 }
 
-func (st *Protocol) fold(c *stats.Counters) {
-	var d hotStats
+// Fold adds the protocol's counter totals over all nodes into c. The
+// Typhoon system calls it from Counters, so a protocol that embeds
+// Stache reports Stache's counters too.
+func (st *Protocol) Fold(c *stats.Counters) {
 	for _, ns := range st.per {
 		h := &ns.hot
-		d.remoteFaults += h.remoteFaults
-		d.homeFaults += h.homeFaults
-		d.getS += h.getS
-		d.getX += h.getX
-		d.upgrades += h.upgrades
-		d.nacks += h.nacks
-		d.invalsSent += h.invalsSent
-		d.acks += h.acks
-		d.pageFaults += h.pageFaults
-		d.replacements += h.replacements
-		d.wbDirtyBlocks += h.wbDirtyBlocks
-		d.wbCleanBlocks += h.wbCleanBlocks
-		d.dataReplies += h.dataReplies
-		d.prefetches += h.prefetches
-		d.prefetchFills += h.prefetchFills
-		d.checkins += h.checkins
-		d.migratoryGrants += h.migratoryGrants
+		c.Add("stache.remote_faults", h.remoteFaults)
+		c.Add("stache.home_faults", h.homeFaults)
+		c.Add("stache.gets", h.getS)
+		c.Add("stache.getx", h.getX)
+		c.Add("stache.upgrades", h.upgrades)
+		c.Add("stache.nacks", h.nacks)
+		c.Add("stache.invals_sent", h.invalsSent)
+		c.Add("stache.acks", h.acks)
+		c.Add("stache.page_faults", h.pageFaults)
+		c.Add("stache.replacements", h.replacements)
+		c.Add("stache.wb_dirty_blocks", h.wbDirtyBlocks)
+		c.Add("stache.wb_clean_blocks", h.wbCleanBlocks)
+		c.Add("stache.data_replies", h.dataReplies)
+		c.Add("stache.prefetches", h.prefetches)
+		c.Add("stache.prefetch_fills", h.prefetchFills)
+		c.Add("stache.checkins", h.checkins)
+		c.Add("stache.migratory_grants", h.migratoryGrants)
 	}
-	l := st.lastFold
-	c.Add("stache.remote_faults", d.remoteFaults-l.remoteFaults)
-	c.Add("stache.home_faults", d.homeFaults-l.homeFaults)
-	c.Add("stache.gets", d.getS-l.getS)
-	c.Add("stache.getx", d.getX-l.getX)
-	c.Add("stache.upgrades", d.upgrades-l.upgrades)
-	c.Add("stache.nacks", d.nacks-l.nacks)
-	c.Add("stache.invals_sent", d.invalsSent-l.invalsSent)
-	c.Add("stache.acks", d.acks-l.acks)
-	c.Add("stache.page_faults", d.pageFaults-l.pageFaults)
-	c.Add("stache.replacements", d.replacements-l.replacements)
-	c.Add("stache.wb_dirty_blocks", d.wbDirtyBlocks-l.wbDirtyBlocks)
-	c.Add("stache.wb_clean_blocks", d.wbCleanBlocks-l.wbCleanBlocks)
-	c.Add("stache.data_replies", d.dataReplies-l.dataReplies)
-	c.Add("stache.prefetches", d.prefetches-l.prefetches)
-	c.Add("stache.prefetch_fills", d.prefetchFills-l.prefetchFills)
-	c.Add("stache.checkins", d.checkins-l.checkins)
-	c.Add("stache.migratory_grants", d.migratoryGrants-l.migratoryGrants)
-	st.lastFold = d
 }

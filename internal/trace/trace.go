@@ -4,17 +4,17 @@
 // a Tracer is attached to the Typhoon system; the hot paths pay only a
 // nil check.
 //
-// Events are captured in per-node buffers: every emission names the node
-// it happened on. The global stream is reconstructed on demand by a
-// deterministic merge keyed the same way the engine orders simultaneous
-// events — (time, node, per-node emission order). The committed
-// conformance corpus is recorded node-major instead (NodeEvents).
+// Events are captured in one slice in emission order, and every emission
+// names the node it happened on. Events orders them by (time, node) on
+// demand; the committed conformance corpus is recorded node-major
+// instead (NodeEvents).
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -103,204 +103,94 @@ func (e Event) String() string {
 	return fmt.Sprintf("%10d node%-3d %-12s va=%#x aux=%d", e.T, e.Node, e.Kind, e.VA, e.Aux)
 }
 
-// nodeBuf is one node's capture buffer: node-local state, appended to by
-// that node's contexts only.
-type nodeBuf struct {
+// Tracer collects events in emission order up to a total cap (oldest
+// kept): once Max events are held, every later emission is counted in
+// Dropped and discarded, whichever node it names. The kept events are
+// then a prefix of the emission order, not of global time; consumers
+// that need a complete stream (the conformance corpus) must check
+// Truncated and refuse the trace rather than keep a silently-partial
+// recording.
+//
+// A Tracer belongs to exactly one simulated machine and is read after
+// Run: Events, NodeEvents, Dropped and Dump must not run while the
+// machine does. When the harness runs machines in parallel
+// (harness.RunAll), attach a separate Tracer to each machine.
+type Tracer struct {
+	// Max bounds the total number of retained events; zero means 1<<20.
+	Max int
+
 	events  []Event
 	dropped uint64
 }
 
-// Tracer collects events up to a cap (oldest kept), with an optional
-// filter. The cap is divided evenly across the node buffers (at least
-// one event per node).
-//
-// Cap behaviour at the buffer boundary: when a node's buffer reaches its
-// per-node share of Max, every later emission for that node is counted
-// in Dropped and discarded; the events already captured are kept (oldest-kept policy).
-// The merged stream is then a prefix per node, not a prefix in global
-// time: other nodes keep recording, so the merge interleaves complete
-// and truncated nodes. Consumers that need a complete stream (the
-// conformance corpus) must check Truncated and refuse the trace rather
-// than keep a silently-partial recording.
-//
-// A Tracer belongs to exactly one simulated machine: call Prepare with
-// the machine's node count before the run (typhoon.New does this for
-// attached tracers), so the per-node cap is final before the first
-// emission. Events, Dropped, CountByKind, Dump, and Reset inspect or clear all buffers at
-// once and must only run while the machine is not (single-goroutine use
-// before or after Run). When the harness runs machines in parallel
-// (harness.RunAll), attach a separate Tracer to each machine. Reset lets
-// a single goroutine reuse a Tracer (and its backing storage) across
-// sequential runs.
-type Tracer struct {
-	// Filter, when non-nil, drops events it returns false for.
-	Filter func(Event) bool
-	// Max bounds the total number of retained events; zero means 1<<20.
-	Max int
-
-	bufs   []nodeBuf
-	merged []Event // scratch for Events(); backing reused across calls
-	keys   []mergeKey
-}
-
-// New returns an unbounded-filter tracer retaining up to max events.
+// New returns a tracer retaining up to max events.
 func New(max int) *Tracer { return &Tracer{Max: max} }
 
-// Prepare sizes the tracer for a machine with the given node count. It
-// must be called before any emission whose retention should be governed
-// by the final per-node cap. Prepare never shrinks, so a
-// tracer reused across sequential runs keeps its buffers.
-func (t *Tracer) Prepare(nodes int) {
-	for len(t.bufs) < nodes {
-		t.bufs = append(t.bufs, nodeBuf{})
-	}
-}
-
-// perNodeCap is each node's share of the retention cap.
-func (t *Tracer) perNodeCap() int {
+// Emit records one event.
+func (t *Tracer) Emit(e Event) {
 	max := t.Max
 	if max == 0 {
 		max = 1 << 20
 	}
-	if n := len(t.bufs); n > 1 {
-		max /= n
-		if max == 0 {
-			max = 1
-		}
-	}
-	return max
-}
-
-// Emit records one event into its node's buffer. Emitting for a node
-// beyond the prepared count grows the table.
-func (t *Tracer) Emit(e Event) {
-	if t.Filter != nil && !t.Filter(e) {
+	if len(t.events) >= max {
+		t.dropped++
 		return
 	}
-	if e.Node >= len(t.bufs) {
-		t.Prepare(e.Node + 1)
-	}
-	b := &t.bufs[e.Node]
-	if len(b.events) >= t.perNodeCap() {
-		b.dropped++
-		return
-	}
-	b.events = append(b.events, e)
+	t.events = append(t.events, e)
 }
 
-// mergeKey orders the merged stream: time, then node, then the node's
-// emission order — the same shape as the engine's stable event key, and
-// like it a strict total order.
-type mergeKey struct {
-	t    sim.Time
-	node int
-	seq  int
-}
-
-type mergeSort struct {
-	ev   []Event
-	keys []mergeKey
-}
-
-func (m *mergeSort) Len() int { return len(m.ev) }
-func (m *mergeSort) Swap(i, j int) {
-	m.ev[i], m.ev[j] = m.ev[j], m.ev[i]
-	m.keys[i], m.keys[j] = m.keys[j], m.keys[i]
-}
-func (m *mergeSort) Less(i, j int) bool {
-	a, b := m.keys[i], m.keys[j]
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	return a.seq < b.seq
-}
-
-// Events returns the recorded events merged across nodes in the
-// deterministic (time, node, per-node emission order) order. The
-// returned slice is the tracer's scratch buffer: it is rebuilt (into
-// the same backing storage) by the next Events call and cleared by
-// Reset.
+// Events returns a copy of the recorded events ordered by (time, node),
+// emission order breaking ties — the same shape as the engine's stable
+// event key.
 func (t *Tracer) Events() []Event {
-	t.merged = t.merged[:0]
-	t.keys = t.keys[:0]
-	for n := range t.bufs {
-		for i, e := range t.bufs[n].events {
-			t.merged = append(t.merged, e)
-			t.keys = append(t.keys, mergeKey{t: e.T, node: n, seq: i})
+	out := slices.Clone(t.events)
+	slices.SortStableFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.T, b.T); c != 0 {
+			return c
 		}
-	}
-	// Keys are unique (node, seq), so an unstable sort is deterministic.
-	sort.Sort(&mergeSort{ev: t.merged, keys: t.keys})
-	return t.merged
+		return cmp.Compare(a.Node, b.Node)
+	})
+	return out
 }
 
 // NodeEvents returns one node's events in emission order — the order
 // the node's contexts actually made the recorded calls, which is the
-// order the conformance corpus records them in. It is NOT the merged
-// (time, node, seq) order restricted to the node: a context can run with a clock
+// order the conformance corpus records them in. It is NOT the (time,
+// node) order restricted to the node: a context can run with a clock
 // lagging its neighbours' (it was unparked mid-window and has not
 // synced yet), so a node's emission times are not monotonic, and
 // sorting by time would reorder calls whose side effects (injection-
-// port claims) happen in call order. The returned slice is the live
-// buffer: do not mutate, and do not hold it across Reset. Nodes beyond
-// the prepared count return nil.
+// port claims) happen in call order.
 func (t *Tracer) NodeEvents(node int) []Event {
-	if node < 0 || node >= len(t.bufs) {
-		return nil
+	var out []Event
+	for _, e := range t.events {
+		if e.Node == node {
+			out = append(out, e)
+		}
 	}
-	return t.bufs[node].events
+	return out
 }
 
-// Dropped reports how many events the cap discarded, over all nodes.
-func (t *Tracer) Dropped() uint64 {
-	var d uint64
-	for i := range t.bufs {
-		d += t.bufs[i].dropped
-	}
-	return d
-}
+// Dropped reports how many events the cap discarded.
+func (t *Tracer) Dropped() uint64 { return t.dropped }
 
 // Truncated reports whether the cap discarded any event — i.e. whether
-// the merged stream is incomplete. A truncated trace must not become a
-// corpus file: at least one node's tail is missing, so the recorded
-// message schedule no longer matches what the run actually did.
-func (t *Tracer) Truncated() bool { return t.Dropped() > 0 }
+// the recorded stream is incomplete. A truncated trace must not become a
+// corpus file: the tail of the emission order is missing, so the
+// recorded message schedule no longer matches what the run actually did.
+func (t *Tracer) Truncated() bool { return t.dropped > 0 }
 
-// Reset clears the trace, keeping all backing storage.
-func (t *Tracer) Reset() {
-	for i := range t.bufs {
-		t.bufs[i].events = t.bufs[i].events[:0]
-		t.bufs[i].dropped = 0
-	}
-	t.merged = t.merged[:0]
-	t.keys = t.keys[:0]
-}
-
-// Dump writes the merged trace, one event per line.
+// Dump writes the trace in Events order, one event per line.
 func (t *Tracer) Dump(w io.Writer) error {
 	for _, e := range t.Events() {
 		if _, err := fmt.Fprintln(w, e.String()); err != nil {
 			return err
 		}
 	}
-	if d := t.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "(%d events dropped at cap)\n", d); err != nil {
+	if t.dropped > 0 {
+		if _, err := fmt.Fprintf(w, "(%d events dropped at cap)\n", t.dropped); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// CountByKind tallies the trace.
-func (t *Tracer) CountByKind() map[Kind]int {
-	out := make(map[Kind]int)
-	for i := range t.bufs {
-		for _, e := range t.bufs[i].events {
-			out[e.Kind]++
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +32,10 @@ func TestTraceCapturesMissProtocol(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.CountByKind()
+	counts := make(map[trace.Kind]int)
+	for _, e := range tr.Events() {
+		counts[e.Kind]++
+	}
 	if counts[trace.KPageFault] == 0 {
 		t.Error("no page fault traced")
 	}
@@ -67,25 +71,6 @@ func TestTraceCapturesMissProtocol(t *testing.T) {
 	}
 	if !sawResume {
 		t.Fatal("node 1 never resumed")
-	}
-}
-
-func TestTraceFilterAndCap(t *testing.T) {
-	tr := trace.New(2)
-	tr.Filter = func(e trace.Event) bool { return e.Kind == trace.KResume }
-	tr.Emit(trace.Event{Kind: trace.KMsgSend})
-	tr.Emit(trace.Event{Kind: trace.KResume, T: 1})
-	tr.Emit(trace.Event{Kind: trace.KResume, T: 2})
-	tr.Emit(trace.Event{Kind: trace.KResume, T: 3}) // over cap
-	if len(tr.Events()) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.Events()))
-	}
-	if tr.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", tr.Dropped())
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 
@@ -157,62 +142,75 @@ func TestPackMsgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracerTruncatedAtCapBoundary documents the cap boundary (see the
-// Tracer type comment): once a node's buffer fills, later events for
-// that node are dropped and counted while other nodes keep recording —
-// the merged stream interleaves complete and truncated nodes, and
-// Truncated flags the whole trace so a recorder can refuse it.
+// TestTracerTruncatedAtCapBoundary pins the cap (see the Tracer type
+// comment): it is total, not per node. One node may fill all of it;
+// after that every node's emissions are dropped and counted, and
+// Truncated flags the trace so a recorder can refuse it.
 func TestTracerTruncatedAtCapBoundary(t *testing.T) {
-	tr := trace.New(4) // 2 nodes -> 2 events per node
-	tr.Prepare(2)
+	tr := trace.New(4)
 	if tr.Truncated() {
 		t.Fatal("fresh tracer reports truncated")
 	}
 	for i := 0; i < 4; i++ {
 		tr.Emit(trace.Event{T: sim.Time(i), Node: 0, Kind: trace.KResume})
 	}
-	// Node 0 is at cap; node 1 still records.
-	tr.Emit(trace.Event{T: 100, Node: 1, Kind: trace.KResume})
-	if !tr.Truncated() {
-		t.Fatal("tracer not truncated after overflowing node 0")
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", tr.Dropped())
-	}
-	ev := tr.Events()
-	if len(ev) != 3 {
-		t.Fatalf("merged events = %d, want 3", len(ev))
-	}
-	// The merge interleaves node 0's truncated prefix with node 1's
-	// later event: the stream is not a global-time prefix.
-	if last := ev[len(ev)-1]; last.Node != 1 || last.T != 100 {
-		t.Fatalf("expected node 1's post-truncation event last, got %+v", last)
-	}
-	tr.Reset()
 	if tr.Truncated() {
-		t.Fatal("Reset must clear the truncated flag")
+		t.Fatal("node 0 alone lost events below the cap: the cap must be total, not per node")
+	}
+	tr.Emit(trace.Event{T: 100, Node: 1, Kind: trace.KResume})
+	if !tr.Truncated() || tr.Dropped() != 1 {
+		t.Fatalf("after a fifth event: truncated %v, dropped %d; want true, 1", tr.Truncated(), tr.Dropped())
+	}
+	if n0, n1 := len(tr.NodeEvents(0)), len(tr.NodeEvents(1)); n0 != 4 || n1 != 0 {
+		t.Fatalf("kept %d events of node 0 and %d of node 1, want 4 and 0", n0, n1)
 	}
 }
 
-// TestTraceResetReusesBacking pins Reset's contract: the backing slice
-// is kept (len 0, capacity intact) so a machine-at-a-time harness can
-// reuse one Tracer across sequential runs without reallocating.
-func TestTraceResetReusesBacking(t *testing.T) {
-	tr := trace.New(8)
-	tr.Emit(trace.Event{T: 1})
-	tr.Emit(trace.Event{T: 2})
-	before := tr.Events()
-	if cap(before) < 2 {
-		t.Fatalf("cap = %d, want >= 2", cap(before))
+// emitAux emits evs in order, numbering each in Aux by its emission
+// index, and returns the tracer.
+func emitAux(evs []trace.Event) *trace.Tracer {
+	tr := trace.New(0)
+	for i, e := range evs {
+		e.Aux = uint64(i)
+		tr.Emit(e)
 	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Fatal("reset left events behind")
+	return tr
+}
+
+func auxes(evs []trace.Event) []uint64 {
+	var out []uint64
+	for _, e := range evs {
+		out = append(out, e.Aux)
 	}
-	tr.Emit(trace.Event{T: 3})
-	after := tr.Events()
-	if &before[0] != &after[0] {
-		t.Error("Reset reallocated the backing slice")
+	return out
+}
+
+// TestNodeEventsKeepEmissionOrder: a node's events come back in the
+// order they were emitted even when their times run backwards (a
+// context with a lagging clock) — the order the corpus records.
+func TestNodeEventsKeepEmissionOrder(t *testing.T) {
+	tr := emitAux([]trace.Event{
+		{T: 10, Node: 0}, {T: 3, Node: 1}, {T: 5, Node: 0}, {T: 7, Node: 0}, {T: 1, Node: 1},
+	})
+	if got := auxes(tr.NodeEvents(0)); !slices.Equal(got, []uint64{0, 2, 3}) {
+		t.Errorf("node 0 events in order %v, want emission order [0 2 3]", got)
+	}
+	if got := auxes(tr.NodeEvents(1)); !slices.Equal(got, []uint64{1, 4}) {
+		t.Errorf("node 1 events in order %v, want emission order [1 4]", got)
+	}
+	if n := len(tr.NodeEvents(2)); n != 0 {
+		t.Errorf("a node that emitted nothing has %d events", n)
+	}
+}
+
+// TestEventsOrderByTimeThenNode: Events sorts by time, then node, and
+// one node's events at one time keep their emission order.
+func TestEventsOrderByTimeThenNode(t *testing.T) {
+	tr := emitAux([]trace.Event{
+		{T: 5, Node: 1}, {T: 5, Node: 0}, {T: 3, Node: 1}, {T: 5, Node: 1}, {T: 5, Node: 0},
+	})
+	if got, want := auxes(tr.Events()), []uint64{2, 1, 4, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("Events order %v, want %v", got, want)
 	}
 }
 
@@ -231,10 +229,6 @@ func TestTraceDroppedAccounting(t *testing.T) {
 	}
 	if tr.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", tr.Dropped())
-	}
-	tr.Reset()
-	if tr.Dropped() != 0 {
-		t.Fatal("Reset must clear the dropped count")
 	}
 }
 

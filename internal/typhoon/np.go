@@ -15,8 +15,8 @@ import (
 	"github.com/tempest-sim/tempest/internal/vm"
 )
 
-// npHot is the NP's hot-path counter block (plain fields, folded into the
-// system counters at report time).
+// npHot is the NP's hot-path counter block (plain fields, added into a
+// fresh counter set by System.Counters after the run).
 type npHot struct {
 	dispatches    uint64
 	msgHandlers   uint64
@@ -69,12 +69,7 @@ type NP struct {
 	scratch     []byte
 	bulkScratch [BulkChunkBytes]byte
 
-	hot      npHot
-	lastFold npHot
-	// lastOccWaits/lastOccWaitCycles delta-fold the agent core's
-	// occupancy-queueing stats, like lastFold does for hot.
-	lastOccWaits      uint64
-	lastOccWaitCycles uint64
+	hot npHot
 }
 
 // faultRing is a growable power-of-two ring of pending block access
@@ -436,23 +431,20 @@ func (np *NP) SendReply(dst int, handler uint32, args []uint64, data []byte) {
 }
 
 func (np *NP) fold(c *stats.Counters) {
-	d := np.hot
-	l := np.lastFold
-	c.Add("np.dispatches", d.dispatches-l.dispatches)
-	c.Add("np.msg_handlers", d.msgHandlers-l.msgHandlers)
-	c.Add("np.fault_handlers", d.faultHandlers-l.faultHandlers)
-	c.Add("np.block_access_faults", d.bafs-l.bafs)
-	c.Add("np.rtlb_misses", d.rtlbMisses-l.rtlbMisses)
-	c.Add("np.tlb_misses", d.tlbMisses-l.tlbMisses)
-	c.Add("np.sends", d.sends-l.sends)
-	c.Add("np.instructions", d.instructions-l.instructions)
-	c.Add("np.bulk_packets", d.bulkPackets-l.bulkPackets)
-	c.Add("typhoon.page_faults", d.pageFaults-l.pageFaults)
-	np.lastFold = d
+	h := &np.hot
+	c.Add("np.dispatches", h.dispatches)
+	c.Add("np.msg_handlers", h.msgHandlers)
+	c.Add("np.fault_handlers", h.faultHandlers)
+	c.Add("np.block_access_faults", h.bafs)
+	c.Add("np.rtlb_misses", h.rtlbMisses)
+	c.Add("np.tlb_misses", h.tlbMisses)
+	c.Add("np.sends", h.sends)
+	c.Add("np.instructions", h.instructions)
+	c.Add("np.bulk_packets", h.bulkPackets)
+	c.Add("typhoon.page_faults", h.pageFaults)
 	w, wc := np.core.OccStats()
-	c.Add("np.occ_waits", w-np.lastOccWaits)
-	c.Add("np.occ_wait_cycles", wc-np.lastOccWaitCycles)
-	np.lastOccWaits, np.lastOccWaitCycles = w, wc
+	c.Add("np.occ_waits", w)
+	c.Add("np.occ_wait_cycles", wc)
 }
 
 // ForceReadPage copies va's whole page into a fresh buffer via repeated

@@ -162,8 +162,6 @@ type System struct {
 	handlers map[uint32]Handler
 	modes    map[int]PageModeOps
 
-	c         *stats.Counters
-	foldHooks []func(*stats.Counters)
 	// fragSeqs[src] numbers fragment streams per source node (reassembly
 	// is keyed by {src, stream}, so per-source numbering is exact), which
 	// keeps the numbering node-local.
@@ -179,17 +177,10 @@ func New(m *machine.Machine, proto Protocol, opts ...Option) *System {
 		proto:    proto,
 		handlers: make(map[uint32]Handler),
 		modes:    make(map[int]PageModeOps),
-		c:        stats.NewCounters(),
 		fragSeqs: make([]uint64, m.Cfg.Nodes),
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.tracer != nil {
-		// Size the tracer's per-node buffers up front: every emit is
-		// node-local and the merged stream is reconstructed
-		// deterministically at read time.
-		s.tracer.Prepare(m.Cfg.Nodes)
 	}
 	m.PerRefOverhead = s.software.CheckOverhead
 	for i := 0; i < m.Cfg.Nodes; i++ {
@@ -229,23 +220,18 @@ func New(m *machine.Machine, proto Protocol, opts ...Option) *System {
 // Name implements machine.MemSystem.
 func (s *System) Name() string { return "Typhoon/" + s.proto.Name() }
 
-// Counters implements machine.MemSystem.
+// Counters implements machine.MemSystem: the NPs' totals and, when the
+// protocol has a Fold method (Stache and every protocol that embeds it),
+// the protocol's, added into a fresh set.
 func (s *System) Counters() *stats.Counters {
+	c := stats.NewCounters()
 	for _, np := range s.nps {
-		// Fold NP hot-path counters lazily.
-		np.fold(s.c)
+		np.fold(c)
 	}
-	for _, fn := range s.foldHooks {
-		fn(s.c)
+	if p, ok := s.proto.(interface{ Fold(*stats.Counters) }); ok {
+		p.Fold(c)
 	}
-	return s.c
-}
-
-// OnFold registers a callback run whenever counters are collected, so
-// protocol libraries can fold their own hot-path counters in. Callbacks
-// must be idempotent across calls (fold deltas, not totals).
-func (s *System) OnFold(fn func(*stats.Counters)) {
-	s.foldHooks = append(s.foldHooks, fn)
+	return c
 }
 
 // Protocol returns the attached protocol.

@@ -316,22 +316,6 @@ func TestRemoteMappedFramePanics(t *testing.T) {
 	}
 }
 
-func TestNPCountersFoldOnce(t *testing.T) {
-	m, sys := newNull(t, 1)
-	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)
-	m.Mems[0].SetPageTags(mem.MakePA(0, 0), mem.TagInvalid)
-	if _, err := m.Run(func(p *machine.Proc) {
-		p.ReadU64(seg.At(0))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	a := sys.Counters().Get("np.block_access_faults")
-	b := sys.Counters().Get("np.block_access_faults")
-	if a != b || a != 1 {
-		t.Fatalf("counter folding not idempotent: %d then %d", a, b)
-	}
-}
-
 func TestHandlerBudgetSanity(t *testing.T) {
 	// The documented cost model must stay self-consistent.
 	if DispatchCycles <= 0 || SendSetupCycles <= 0 || BlockXferCycles <= 0 {

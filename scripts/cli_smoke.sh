@@ -16,7 +16,15 @@ for b in fig3 fig4 ablations typhoon-sim bench fleet; do
     go build -o "$tmp/$b" "./cmd/$b"
 done
 
-"$tmp/typhoon-sim" -app ocean -system blizzard -j 1 | grep -q "verified against sequential reference: ok"
+# With -counters and -cache-dir the cache's numbers are printed once, as
+# the flag block's stderr line, not again as a counter table.
+"$tmp/typhoon-sim" -app ocean -system blizzard -j 1 -counters -cache-dir "$tmp/cache" >"$tmp/run" 2>&1
+grep -q "verified against sequential reference: ok" "$tmp/run"
+if [ "$(grep -cE '[0-9]+ hits|cache\.hits' "$tmp/run")" -ne 1 ]; then
+    echo "cli-smoke: typhoon-sim -counters -cache-dir must print the cache statistics exactly once; got:" >&2
+    cat "$tmp/run" >&2
+    exit 1
+fi
 
 # refuse <flag-name> <binary> <args...>: exit 2, flag named on stderr.
 refuse() {
@@ -49,4 +57,4 @@ refuse "flag provided but not defined: -no-cache" fig4 -no-cache
 refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
 refuse "flag provided but not defined: -cache-dir" fleet coordinator -addr "$tmp/f.sock" -cache-dir "$tmp/cache"
 
-echo "cli-smoke: 6 binaries built, blizzard run verified, bad shared flags, a 96-set cache and the five removed flags refused with exit 2"
+echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags, a 96-set cache and the five removed flags refused with exit 2"
