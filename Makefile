@@ -8,8 +8,9 @@
 # golden file under `go test` (internal/conform), so the race leg runs it.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
 # from here; `make profile-hit`, `profile-miss`, `profile-contended` and
-# `profile-large` put one of its simulating workloads under the CPU
-# profiler.
+# `profile-large` put one of its simulating workloads under the CPU and
+# allocation profilers. Read the allocation profile by object count with
+# `go tool pprof -sample_index=alloc_objects harness.test mem-miss.prof`.
 
 GO ?= go
 
@@ -89,16 +90,16 @@ profile:
 # benchmark's hit_path, miss_path, miss_path_contended and fig_large
 # (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath /
 # BenchmarkPointsMissPathContended / BenchmarkPointsFigLarge), on one
-# processor as the benchmark runs them. Inspect with
-# `go tool pprof harness.test cpu-hit.prof`.
+# processor as the benchmark runs them, writing cpu-<set>.prof and
+# mem-<set>.prof. Inspect with `go tool pprof harness.test cpu-hit.prof`.
 profile-hit:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsHitPath$$' -benchtime 20x -cpuprofile cpu-hit.prof ./internal/harness
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsHitPath$$' -benchtime 20x -cpuprofile cpu-hit.prof -memprofile mem-hit.prof ./internal/harness
 profile-miss:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPath$$' -benchtime 20x -cpuprofile cpu-miss.prof ./internal/harness
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPath$$' -benchtime 20x -cpuprofile cpu-miss.prof -memprofile mem-miss.prof ./internal/harness
 profile-contended:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPathContended$$' -benchtime 20x -cpuprofile cpu-contended.prof ./internal/harness
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPathContended$$' -benchtime 20x -cpuprofile cpu-contended.prof -memprofile mem-contended.prof ./internal/harness
 profile-large:
-	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsFigLarge$$' -benchtime 10x -cpuprofile cpu-large.prof ./internal/harness
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsFigLarge$$' -benchtime 10x -cpuprofile cpu-large.prof -memprofile mem-large.prof ./internal/harness
 
 # fuzz-seeds executes the committed seed corpora of the fuzz targets as
 # ordinary tests (no fuzzing engine; deterministic).

@@ -95,16 +95,21 @@ const (
 	reqUpgrade = 1 << 1
 )
 
-// entry is one block's directory state at its home.
+// entry is one block's directory state at its home: a full-map sharer
+// vector sized for the largest machine, so an entry never allocates.
 type entry struct {
-	owner   int // node holding an exclusive copy, or -1
 	sharers nodeSet
+	owner   int32 // node holding an exclusive copy, or -1
+	used    bool  // the entry has been asked for
 }
 
 // txn is one in-flight coherence action at a home: the directory has
 // been updated and invalidations/recalls are out; when the last ack
 // arrives the reply (or the parked local processor) is released.
+// Transactions are recycled (nodeState.txns), so one is identified by
+// its id, never by its pointer.
 type txn struct {
+	id       uint64
 	block    mem.PA
 	req      int
 	write    bool
@@ -153,10 +158,13 @@ type nodeState struct {
 
 	// dir[f] holds the entries of the blocks in this node's frame f, in
 	// block order. A frame's array is allocated by the first entryFor in
-	// it (private and untouched frames stay nil), and an entry whose
-	// sharers is nil has never been asked for.
-	dir     [][]entry
-	txns    map[uint64]*txn
+	// it (private and untouched frames stay nil), and an entry that is
+	// not used has never been asked for.
+	dir [][]entry
+	// txns[:live] are the in-flight transactions, txns[live:] finished
+	// ones kept for reuse; ids are handed out in order from nextTxn.
+	txns    []*txn
+	live    int
 	nextTxn uint64
 
 	claims map[uint64]*claim // by VPN, for pages arbitrated here
@@ -186,7 +194,6 @@ func New(m *machine.Machine) *System {
 		ns := &nodeState{
 			sys:    s,
 			node:   i,
-			txns:   make(map[uint64]*txn),
 			claims: make(map[uint64]*claim),
 		}
 		s.nodes = append(s.nodes, ns)
@@ -291,7 +298,7 @@ func (ns *nodeState) find(block mem.PA) *entry {
 		return nil
 	}
 	e := &ns.dir[f][ns.sys.m.Mems[ns.node].BlockIndex(block)]
-	if e.sharers == nil {
+	if !e.used {
 		return nil
 	}
 	return e
@@ -312,7 +319,7 @@ func (ns *nodeState) entryFor(block mem.PA) *entry {
 		ns.dir[f] = make([]entry, mm.BlocksPerPage())
 	}
 	e := &ns.dir[f][mm.BlockIndex(block)]
-	e.owner, e.sharers = -1, newNodeSet(ns.sys.m.Cfg.Nodes)
+	e.owner, e.used = -1, true
 	return e
 }
 
@@ -322,17 +329,11 @@ func (ns *nodeState) eachEntry(visit func(mem.PA, *entry)) {
 	bs := uint64(ns.sys.m.Cfg.BlockSize)
 	for f, blocks := range ns.dir {
 		for i := range blocks {
-			if e := &blocks[i]; e.sharers != nil {
+			if e := &blocks[i]; e.used {
 				visit(mem.MakePA(ns.node, uint64(f)*mem.PageSize+uint64(i)*bs), e)
 			}
 		}
 	}
-}
-
-// coherTarget is one remote cache a coherence action must reach.
-type coherTarget struct {
-	node   int
-	recall bool
 }
 
 // evalOut is what one directory evaluation owes the requester.
@@ -346,10 +347,16 @@ type evalOut struct {
 	coherLocal bool
 	// hadCoher: some coherence work (recall or invalidation) happened.
 	hadCoher bool
-	// targets are the remote caches that must ack before the requester
+	// acks counts the remote caches that must ack before the requester
 	// may proceed (a network round trip plus InvalProc, paid once — the
-	// fan-out is parallel and the requester waits for the slowest).
-	targets []coherTarget
+	// fan-out is parallel and the requester waits for the slowest): the
+	// owner to recall (recall, or -1) and the sharers to invalidate
+	// (invals). They are values in the evaluating context's own frame,
+	// so a context switch inside the fan-out cannot hand them to another
+	// evaluation.
+	acks   int
+	recall int
+	invals nodeSet
 }
 
 // evaluate runs one atomic directory evaluation at block's home: from
@@ -362,7 +369,7 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 	ns := s.nodes[home]
 	e := ns.entryFor(block)
 	local := req == home
-	var out evalOut
+	out := evalOut{recall: -1}
 	dirMsgs := 0 // messages the directory sends (5 cycles each)
 	dirRecvBlock := false
 	dirSendBlock := !upgrade && !local // data travels home->requester
@@ -370,11 +377,11 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 	// Recall a dirty copy held by another cache. When the owner is the
 	// home node's own cache, the recall is a local bus transaction with
 	// no network legs.
-	if e.owner >= 0 && e.owner != req {
+	if e.owner >= 0 && int(e.owner) != req {
 		ns.hot.dirtyRecalls++
 		dirRecvBlock = true
 		out.hadCoher = true
-		if e.owner == home {
+		if int(e.owner) == home {
 			out.coherLocal = true
 			if write {
 				s.m.Caches[home].Invalidate(block)
@@ -383,10 +390,11 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 			}
 		} else {
 			dirMsgs++ // recall message
-			out.targets = append(out.targets, coherTarget{node: e.owner, recall: true})
+			out.recall = int(e.owner)
+			out.acks++
 		}
 		if !write {
-			e.sharers.add(e.owner)
+			e.sharers.add(int(e.owner))
 		}
 		e.owner = -1
 	}
@@ -397,19 +405,23 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 	// only copy is in the home node's own cache.
 	if write {
 		invals, remoteInvals := 0, 0
-		for _, n := range e.sharers.members() {
-			if n == req {
-				continue
+		for i, w := range e.sharers {
+			for ; w != 0; w &= w - 1 {
+				n := i*64 + bits.TrailingZeros64(w)
+				if n == req {
+					continue
+				}
+				if n == home {
+					s.m.Caches[home].Invalidate(block)
+				} else {
+					out.invals.add(n)
+					remoteInvals++
+				}
+				e.sharers.remove(n)
+				invals++
 			}
-			if n == home {
-				s.m.Caches[home].Invalidate(block)
-			} else {
-				out.targets = append(out.targets, coherTarget{node: n})
-				remoteInvals++
-			}
-			e.sharers.remove(n)
-			invals++
 		}
+		out.acks += remoteInvals
 		if invals > 0 {
 			ns.hot.invalidations += uint64(invals)
 			dirMsgs += remoteInvals
@@ -422,19 +434,19 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 
 	// Directory bookkeeping for the requester.
 	if write {
-		e.owner = req
+		e.owner = int32(req)
 		e.sharers.clear()
 	} else {
 		e.sharers.add(req)
 	}
 
 	out.fill = cache.LineShared
-	if write || (e.owner == req) || (e.sharers.count() == 1 && e.sharers.has(req) && e.owner < 0) {
+	if write || int(e.owner) == req || (e.sharers.count() == 1 && e.sharers.has(req) && e.owner < 0) {
 		// MBus-style ownership: a read with no other cached copies
 		// returns an owned (Exclusive) copy, as on Typhoon (§5.4).
 		out.fill = cache.LineExclusive
 		if !write {
-			e.owner = req
+			e.owner = int32(req)
 			e.sharers.clear()
 		}
 	}
@@ -461,37 +473,68 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 	return out
 }
 
-// sendCoher launches the invalidations/recalls of one evaluation and
-// registers the transaction awaiting their acks. Runs at the home (CPU
-// or agent); the messages carry the action and the acks carry the txn id
+// sendCoher registers the transaction awaiting one evaluation's acks
+// and launches its recall and invalidations — the recall first, then
+// the invalidations in ascending node order. Runs at the home (CPU or
+// agent); the messages carry the action and the acks carry the txn id
 // back. A write request's recall invalidates the old owner's copy, a
 // read request's recall downgrades it — matching the cache operations
 // the old atomic model applied in place.
-func (s *System) sendCoher(home int, block mem.PA, out evalOut, tx *txn) {
+func (s *System) sendCoher(home int, block mem.PA, out *evalOut, req int, write bool, replyExtra sim.Time) {
 	ns := s.nodes[home]
-	id := ns.nextTxn
-	ns.nextTxn++
-	tx.block = block
+	tx := ns.openTxn()
+	tx.block, tx.req, tx.write, tx.replyExtra = block, req, write, replyExtra
 	tx.fill = out.fill
-	tx.acksLeft = len(out.targets)
-	ns.txns[id] = tx
-	var recallWrite uint64
-	if tx.write {
-		recallWrite = 1
+	tx.acksLeft = out.acks
+	id := tx.id
+	if out.recall >= 0 {
+		var recallWrite uint64
+		if write {
+			recallWrite = 1
+		}
+		s.m.Net.Send(&network.Packet{
+			Src: home, Dst: out.recall, VNet: network.VNetReply,
+			Handler: hRecall, Args: []uint64{uint64(block), id, recallWrite},
+		})
 	}
-	for _, t := range out.targets {
-		if t.recall {
+	for i, w := range out.invals {
+		for ; w != 0; w &= w - 1 {
 			s.m.Net.Send(&network.Packet{
-				Src: home, Dst: t.node, VNet: network.VNetReply,
-				Handler: hRecall, Args: []uint64{uint64(block), id, recallWrite},
-			})
-		} else {
-			s.m.Net.Send(&network.Packet{
-				Src: home, Dst: t.node, VNet: network.VNetReply,
+				Src: home, Dst: i*64 + bits.TrailingZeros64(w), VNet: network.VNetReply,
 				Handler: hInval, Args: []uint64{uint64(block), id},
 			})
 		}
 	}
+}
+
+// openTxn returns a transaction with the next id, reusing a finished
+// one when the node has any.
+func (ns *nodeState) openTxn() *txn {
+	if ns.live == len(ns.txns) {
+		ns.txns = append(ns.txns, new(txn))
+	}
+	tx := ns.txns[ns.live]
+	ns.live++
+	*tx = txn{id: ns.nextTxn}
+	ns.nextTxn++
+	return tx
+}
+
+// findTxn returns the index in txns of the in-flight transaction id, or
+// -1 when none is in flight — it never started or has completed.
+func (ns *nodeState) findTxn(id uint64) int {
+	for i, tx := range ns.txns[:ns.live] {
+		if tx.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// closeTxn retires the in-flight transaction at index i for reuse.
+func (ns *nodeState) closeTxn(i int) {
+	ns.live--
+	ns.txns[i], ns.txns[ns.live] = ns.txns[ns.live], ns.txns[i]
 }
 
 // ServiceMiss implements machine.MemSystem. The request travels to the
@@ -517,7 +560,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		// Local requester: the CPU is on the home node and evaluates the
 		// directory directly, like the hardware it shares a bus with.
 		out := s.evaluate(home, block, req, write, upgrade)
-		if len(out.targets) == 0 {
+		if out.acks == 0 {
 			// No remote copies to chase: the whole action is synchronous.
 			// (A home-local coherence target is impossible here — the
 			// only local cache is the requester's own.)
@@ -534,10 +577,11 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		// miss and directory occupancy are charged.
 		ns := s.nodes[req]
 		ns.fillValid = false
-		s.sendCoher(home, block, out, &txn{req: req, write: write})
+		s.sendCoher(home, block, &out, req, write, 0)
 		p.Ctx.Park("dirnnb miss %#x home %d", blockVA, home)
 		if !ns.fillValid {
-			panic(fmt.Sprintf("dirnnb: node %d woke from local miss without a fill", req))
+			panic(&Error{Op: "miss", Node: req, VA: mem.VA(blockVA),
+				Msg: fmt.Sprintf("woke from a local miss on block %#x without a fill", uint64(block))})
 		}
 		p.Ctx.Advance(cfg.LocalMissCycles + out.dirOp)
 		return ns.fill
@@ -562,7 +606,8 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	p.Ctx.Advance(RemoteIssue)
 	p.Ctx.Park("dirnnb miss %#x home %d", blockVA, home)
 	if !ns.fillValid {
-		panic(fmt.Sprintf("dirnnb: node %d woke from remote miss without a fill", req))
+		panic(&Error{Op: "miss", Node: req, VA: mem.VA(blockVA),
+			Msg: fmt.Sprintf("woke from a remote miss on block %#x (home %d) without a fill", uint64(block), home)})
 	}
 	if !upgrade {
 		p.Ctx.Advance(RemoteFill)
@@ -599,7 +644,7 @@ func (s *System) Evicted(p *machine.Proc, victim mem.PA, state cache.LineState) 
 func (ns *nodeState) applyEvict(victim mem.PA, node int) {
 	if e := ns.find(victim); e != nil {
 		e.sharers.remove(node)
-		if e.owner == node {
+		if int(e.owner) == node {
 			e.owner = -1
 		}
 	}
@@ -621,14 +666,14 @@ func (ns *nodeState) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 		upgrade := flags&reqUpgrade != 0
 		out := s.evaluate(ns.node, block, req, write, upgrade)
 		extra := RemoteIssue + out.dirOp
-		if len(out.targets) == 0 {
+		if out.acks == 0 {
 			if out.coherLocal {
 				extra += InvalProc
 			}
 			ns.reply(req, block, out.fill, extra)
 			return
 		}
-		s.sendCoher(ns.node, block, out, &txn{req: req, write: write, replyExtra: extra})
+		s.sendCoher(ns.node, block, &out, req, write, extra)
 
 	case hReply:
 		ns.fill = cache.LineState(pkt.Args[1])
@@ -650,24 +695,29 @@ func (ns *nodeState) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 
 	case hAck:
 		id := pkt.Args[0]
-		tx := ns.txns[id]
-		if tx == nil {
-			panic(fmt.Sprintf("dirnnb: node %d acked unknown txn %d", ns.node, id))
+		i := ns.findTxn(id)
+		if i < 0 {
+			panic(&Error{Op: "ack", Node: ns.node,
+				Msg: fmt.Sprintf("node %d acked txn %d, which is not in flight", pkt.Src, id)})
 		}
+		tx := ns.txns[i]
 		tx.acksLeft--
 		if tx.acksLeft > 0 {
 			return
 		}
-		delete(ns.txns, id)
-		if tx.req == ns.node {
+		// Copy out before retiring: a retired txn is reused by this
+		// node's next transaction.
+		t := *tx
+		ns.closeTxn(i)
+		if t.req == ns.node {
 			// Local requester: wake the parked CPU; it charges its own
 			// local-miss and directory terms.
-			ns.fill = tx.fill
+			ns.fill = t.fill
 			ns.fillValid = true
 			s.m.Procs[ns.node].Ctx.Unpark(c.Time())
 			return
 		}
-		ns.reply(tx.req, tx.block, tx.fill, tx.replyExtra)
+		ns.reply(t.req, t.block, t.fill, t.replyExtra)
 
 	case hEvict:
 		ns.applyEvict(mem.PA(pkt.Args[0]), pkt.Src)
@@ -694,6 +744,10 @@ func (ns *nodeState) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	case hMapped:
 		vpn := pkt.Args[0]
 		cl := ns.claims[vpn]
+		if cl == nil {
+			panic(&Error{Op: "mapped", Node: ns.node, VA: mem.VA(vpn * mem.PageSize),
+				Msg: fmt.Sprintf("node %d reported a frame for vpn %#x, which has no claim here", pkt.Src, vpn)})
+		}
 		cl.pa = mem.PA(pkt.Args[1])
 		cl.mapped = true
 		for _, w := range cl.waiters {
@@ -702,7 +756,8 @@ func (ns *nodeState) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 		cl.waiters = nil
 
 	default:
-		panic(fmt.Sprintf("dirnnb: node %d received unknown handler %d", ns.node, pkt.Handler))
+		panic(&Error{Op: "dispatch", Node: ns.node,
+			Msg: fmt.Sprintf("unknown handler %d from node %d", pkt.Handler, pkt.Src)})
 	}
 }
 
@@ -785,36 +840,17 @@ func (ns *nodeState) mapOwn(vpn uint64, pa mem.PA, alloc bool) mem.PA {
 	return pa
 }
 
-// nodeSet is a bit set of node IDs.
-type nodeSet []uint64
+// nodeSet is a bit set of node IDs, sized for the largest machine.
+type nodeSet [machine.MaxNodes / 64]uint64
 
-func newNodeSet(n int) nodeSet { return make(nodeSet, (n+63)/64) }
-
-func (ns nodeSet) add(n int)      { ns[n/64] |= 1 << (n % 64) }
-func (ns nodeSet) remove(n int)   { ns[n/64] &^= 1 << (n % 64) }
-func (ns nodeSet) has(n int) bool { return ns[n/64]&(1<<(n%64)) != 0 }
-func (ns nodeSet) clear() {
-	for i := range ns {
-		ns[i] = 0
-	}
-}
-func (ns nodeSet) count() int {
+func (s *nodeSet) add(n int)      { s[n/64] |= 1 << (n % 64) }
+func (s *nodeSet) remove(n int)   { s[n/64] &^= 1 << (n % 64) }
+func (s *nodeSet) has(n int) bool { return s[n/64]&(1<<(n%64)) != 0 }
+func (s *nodeSet) clear()         { *s = nodeSet{} }
+func (s *nodeSet) count() int {
 	c := 0
-	for _, w := range ns {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
+	for _, w := range s {
+		c += bits.OnesCount64(w)
 	}
 	return c
-}
-func (ns nodeSet) members() []int {
-	var out []int
-	for i, w := range ns {
-		for w != 0 {
-			b := i*64 + bits.TrailingZeros64(w)
-			out = append(out, b)
-			w &= w - 1
-		}
-	}
-	return out
 }

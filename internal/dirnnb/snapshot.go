@@ -2,6 +2,8 @@ package dirnnb
 
 import (
 	"hash/fnv"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/tempest-sim/tempest/internal/agent"
@@ -33,23 +35,22 @@ func (s *System) StateDigest() uint64 {
 		ns.eachEntry(func(pa mem.PA, e *entry) {
 			w(uint64(pa))
 			w(uint64(uint32(e.owner)) + 1)
-			for _, m := range e.sharers.members() {
-				w(uint64(m) + 1)
+			for i, word := range e.sharers {
+				for ; word != 0; word &= word - 1 {
+					w(uint64(i*64+bits.TrailingZeros64(word)) + 1)
+				}
 			}
 			w(^uint64(0)) // sharer-list terminator
 		})
 		// In-flight transactions and claims are keyed by monotonically
 		// assigned IDs / VPNs; sort for determinism. A quiescent machine
 		// (post-Run) has none, but a digest taken at a barrier must not
-		// depend on map order either.
-		txids := make([]uint64, 0, len(ns.txns))
-		for id := range ns.txns {
-			txids = append(txids, id)
-		}
-		sort.Slice(txids, func(i, j int) bool { return txids[i] < txids[j] })
-		for _, id := range txids {
-			tx := ns.txns[id]
-			w(id)
+		// depend on the order transactions were retired in, nor on map
+		// order.
+		live := slices.Clone(ns.txns[:ns.live])
+		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+		for _, tx := range live {
+			w(tx.id)
 			w(uint64(tx.block))
 			w(uint64(uint32(tx.req))<<32 | uint64(uint16(tx.acksLeft))<<16 | uint64(tx.fill)<<8 |
 				map[bool]uint64{false: 0, true: 1}[tx.write])

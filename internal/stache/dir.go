@@ -69,15 +69,37 @@ const maxPointers = 6
 type sharerSet struct {
 	n        int8
 	ptrs     [maxPointers]uint8
-	overflow *[machine.MaxNodes / 64]uint64 // nil until more than maxPointers sharers
+	overflow *nodeVector // nil until more than maxPointers sharers
 }
 
 // A node number must fit a one-byte pointer.
 const _ = uint8(machine.MaxNodes - 1)
 
+// nodeVector is an overflowed sharer set's bit vector.
+type nodeVector [machine.MaxNodes / 64]uint64
+
+// vectorPool is one home's spare overflow vectors. A sharer set takes
+// one when it overflows and gives it back when it is cleared, so a home
+// allocates as many as it ever has overflowed sets at once — not one
+// per overflow, and not one per block that ever overflowed.
+type vectorPool []*nodeVector
+
+func (p *vectorPool) get() *nodeVector {
+	n := len(*p)
+	if n == 0 {
+		return new(nodeVector)
+	}
+	v := (*p)[n-1]
+	*p = (*p)[:n-1]
+	*v = nodeVector{}
+	return v
+}
+
 func (s *sharerSet) usingOverflow() bool { return s.overflow != nil }
 
-func (s *sharerSet) add(node int) {
+// add records node; past maxPointers sharers it converts the set to a
+// bit vector taken from the home's pool.
+func (s *sharerSet) add(node int, pool *vectorPool) {
 	if s.has(node) {
 		return
 	}
@@ -91,7 +113,7 @@ func (s *sharerSet) add(node int) {
 		return
 	}
 	// Overflow: convert the pointers to a bit vector (§3).
-	s.overflow = new([machine.MaxNodes / 64]uint64)
+	s.overflow = pool.get()
 	for _, p := range s.ptrs[:s.n] {
 		s.overflow[p/64] |= 1 << (p % 64)
 	}
@@ -135,27 +157,31 @@ func (s *sharerSet) count() int {
 	return int(s.n)
 }
 
-func (s *sharerSet) members() []int {
+// each calls visit on every member in place: in pointer-insertion
+// order, or in node order once the set has overflowed. Event order, and
+// so the digests, depend on that order. visit must not change the set.
+func (s *sharerSet) each(visit func(node int)) {
 	if s.overflow != nil {
-		var out []int
 		for i, w := range s.overflow {
-			for w != 0 {
-				out = append(out, i*64+bits.TrailingZeros64(w))
-				w &= w - 1
+			for ; w != 0; w &= w - 1 {
+				visit(i*64 + bits.TrailingZeros64(w))
 			}
 		}
-		return out
+		return
 	}
-	out := make([]int, 0, s.n)
-	for i := int8(0); i < s.n; i++ {
-		out = append(out, int(s.ptrs[i]))
+	for _, p := range s.ptrs[:s.n] {
+		visit(int(p))
 	}
-	return out
 }
 
-func (s *sharerSet) clear() {
+// clear empties the set, returning its overflow vector to the home's
+// pool.
+func (s *sharerSet) clear(pool *vectorPool) {
+	if s.overflow != nil {
+		*pool = append(*pool, s.overflow)
+		s.overflow = nil
+	}
 	s.n = 0
-	s.overflow = nil
 }
 
 // blockDir is one block's home directory entry.

@@ -225,12 +225,13 @@ func (st *Protocol) handleInval(np *typhoon.NP, pkt *network.Packet) {
 func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 	va := mem.VA(pkt.Args[0])
 	r := pkt.Src
-	st.per[np.Node()].hot.getS++
+	ns := st.per[np.Node()]
+	ns.hot.getS++
 	d, _, synth := st.dirAt(np, va)
 	if st.migratory && d.migratory && d.state != dirBusy {
 		// The block migrates: grant the reader an exclusive copy so its
 		// expected write needs no second round trip.
-		st.per[np.Node()].hot.migratoryGrants++
+		ns.hot.migratoryGrants++
 		switch d.state {
 		case dirIdle:
 			st.grantExclusive(np, va, d, synth, r, false)
@@ -244,14 +245,7 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 				d.pendReq = int16(r)
 				d.pendUpgrade = false
 				d.pendDirty = false
-				d.waiting.clear()
-				for _, s := range d.sharers.members() {
-					d.waiting.add(s)
-					st.per[np.Node()].hot.invalsSent++
-					np.Charge(2)
-					np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
-				}
-				d.sharers.clear()
+				st.invalidateSharers(np, va, d)
 				np.Invalidate(va)
 				np.MemRef(synth, true)
 				np.Charge(costHomeRespExtra)
@@ -269,11 +263,11 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 		np.DowngradeCPU(va)
 		np.SetTag(va, mem.TagReadOnly)
 		d.state = dirShared
-		d.sharers.add(r)
+		d.sharers.add(r, &ns.spare)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirShared:
-		d.sharers.add(r)
+		d.sharers.add(r, &ns.spare)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirExclusive:
@@ -321,14 +315,7 @@ func (st *Protocol) serveExclusive(np *typhoon.NP, pkt *network.Packet, upgrade 
 		d.pendReq = int16(r)
 		d.pendUpgrade = upgrade && wasSharer
 		d.pendDirty = false
-		d.waiting.clear()
-		for _, s := range d.sharers.members() {
-			d.waiting.add(s)
-			st.per[np.Node()].hot.invalsSent++
-			np.Charge(2)
-			np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
-		}
-		d.sharers.clear()
+		st.invalidateSharers(np, va, d)
 		// The home's own copy dies now.
 		np.Invalidate(va)
 		np.MemRef(synth, true)
@@ -350,7 +337,7 @@ func (st *Protocol) grantExclusive(np *typhoon.NP, va mem.VA, d *blockDir, synth
 	np.Invalidate(va)
 	d.state = dirExclusive
 	d.owner = int16(r)
-	d.sharers.clear()
+	d.sharers.clear(&st.per[np.Node()].spare)
 	np.MemRef(synth, true)
 	np.Charge(costHomeRespExtra)
 	if upgAck {
@@ -383,8 +370,9 @@ func (st *Protocol) startRecall(np *typhoon.NP, va mem.VA, d *blockDir, synth me
 		d.pendOwner = int16(owner) // keeps a read-only copy
 	}
 	d.owner = -1
-	d.waiting.clear()
-	d.waiting.add(owner)
+	spare := &st.per[np.Node()].spare
+	d.waiting.clear(spare)
+	d.waiting.add(owner, spare)
 	np.MemRef(synth, true)
 	st.per[np.Node()].hot.invalsSent++
 	np.Charge(costHomeRespExtra)
@@ -398,16 +386,24 @@ func (st *Protocol) startHomeInvalidate(np *typhoon.NP, va mem.VA, d *blockDir, 
 	d.pend = pendHomeWrite
 	d.pendReq = -1
 	d.pendDirty = false
-	d.waiting.clear()
-	for _, s := range d.sharers.members() {
-		d.waiting.add(s)
-		st.per[np.Node()].hot.invalsSent++
-		np.Charge(2)
-		np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
-	}
-	d.sharers.clear()
+	st.invalidateSharers(np, va, d)
 	np.MemRef(synth, true)
 	np.Charge(costHomeRespExtra)
+}
+
+// invalidateSharers sends every sharer of d a kill and moves it to the
+// set of nodes the Busy transaction waits on, walking the sharers in
+// place (sharerSet.each gives the order).
+func (st *Protocol) invalidateSharers(np *typhoon.NP, va mem.VA, d *blockDir) {
+	ns := st.per[np.Node()]
+	d.waiting.clear(&ns.spare)
+	d.sharers.each(func(s int) {
+		d.waiting.add(s, &ns.spare)
+		ns.hot.invalsSent++
+		np.Charge(2)
+		np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
+	})
+	d.sharers.clear(&ns.spare)
 }
 
 // handleInvalAck collects one invalidation/downgrade acknowledgement.
@@ -444,6 +440,7 @@ func (st *Protocol) handleInvalAck(np *typhoon.NP, pkt *network.Packet) {
 // completePend finishes a Busy transaction once every awaited node has
 // answered.
 func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth mem.PA) {
+	ns := st.per[np.Node()]
 	pend := d.pend
 	d.pend = pendNone
 	switch pend {
@@ -453,9 +450,9 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		// The downgraded ex-owner keeps a read-only copy (unless its
 		// writeback told us it dropped the page instead).
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner))
+			d.sharers.add(int(d.pendOwner), &ns.spare)
 		}
-		d.sharers.add(r)
+		d.sharers.add(r, &ns.spare)
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
@@ -463,7 +460,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		r := int(d.pendReq)
 		d.state = dirExclusive
 		d.owner = d.pendReq
-		d.sharers.clear()
+		d.sharers.clear(&ns.spare)
 		if st.migratory && d.migratory && !d.pendDirty && !d.pendUpgrade {
 			// A migratory recall that came back clean means the block
 			// is actually read-shared: stop migrating it.
@@ -475,13 +472,13 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 			np.SendReply(r, HUpgAck, []uint64{uint64(va)}, nil)
 		} else {
 			data := np.ForceReadBlockScratch(va)
-			st.per[np.Node()].hot.dataReplies++
+			ns.hot.dataReplies++
 			np.SendReply(r, HDataRW, []uint64{uint64(va)}, data)
 		}
 	case pendHomeRead:
 		d.state = dirShared
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner))
+			d.sharers.add(int(d.pendOwner), &ns.spare)
 		}
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
@@ -490,7 +487,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 	case pendHomeWrite:
 		d.state = dirIdle
 		d.owner = -1
-		d.sharers.clear()
+		d.sharers.clear(&ns.spare)
 		np.SetTag(va, mem.TagReadWrite)
 		np.MemRef(synth, true)
 		np.Charge(costDataArriveExtra)
@@ -499,9 +496,8 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		panic(fmt.Sprintf("stache: completePend with no pending transaction for %#x", va))
 	}
 	d.pendOwner = -1
-	d.waiting.clear()
+	d.waiting.clear(&ns.spare)
 	// A home CPU fault queued behind this transaction runs now.
-	ns := st.per[np.Node()]
 	if ns.homePendingValid && st.BlockBase(ns.homePending.VA) == va {
 		f := ns.homePending
 		ns.homePendingValid = false

@@ -70,13 +70,10 @@ func (st *Protocol) StateDigest() uint64 {
 				d.word(uint64(b.state)<<32 | uint64(uint16(b.owner))<<16 | uint64(b.pend)<<8 |
 					uint64(boolBit(b.migratory))<<1 | uint64(boolBit(b.pendUpgrade)))
 				d.word(uint64(uint16(b.pendReq))<<16 | uint64(uint16(b.pendOwner)))
-				for _, s := range b.sharers.members() {
-					d.word(uint64(s) + 1)
-				}
+				word := func(s int) { d.word(uint64(s) + 1) }
+				b.sharers.each(word)
 				d.word(^uint64(0)) // sharer/waiter separator
-				for _, s := range b.waiting.members() {
-					d.word(uint64(s) + 1)
-				}
+				b.waiting.each(word)
 			}
 		}
 	}

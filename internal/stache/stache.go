@@ -79,6 +79,10 @@ type nodeState struct {
 
 	fifo []mem.VA // stache page base VAs, oldest first
 
+	// spare holds the overflow vectors of this home's sharer sets that
+	// are not in use.
+	spare vectorPool
+
 	// hot holds the node's protocol counters. Counting per node (each
 	// bump happens on the node's own CPU or NP context) keeps the hot
 	// path node-local; fold sums the nodes.

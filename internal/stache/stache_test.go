@@ -387,13 +387,14 @@ func TestDirectoryEntrySize(t *testing.T) {
 
 func TestSharerSetOverflowTransition(t *testing.T) {
 	var s sharerSet
+	var pool vectorPool
 	for n := 0; n < 6; n++ {
-		s.add(n)
+		s.add(n, &pool)
 	}
 	if s.usingOverflow() {
 		t.Fatal("six sharers should fit the pointers")
 	}
-	s.add(6)
+	s.add(6, &pool)
 	if !s.usingOverflow() {
 		t.Fatal("seventh sharer must trigger overflow")
 	}
@@ -408,6 +409,21 @@ func TestSharerSetOverflowTransition(t *testing.T) {
 	s.remove(3)
 	if s.has(3) || s.count() != 6 {
 		t.Fatal("remove in overflow mode failed")
+	}
+	vec := s.overflow
+	s.clear(&pool)
+	if s.usingOverflow() || s.count() != 0 || len(pool) != 1 {
+		t.Fatalf("clear: overflow %v, count %d, pool %d; want pointers, 0, the vector back in the pool",
+			s.usingOverflow(), s.count(), len(pool))
+	}
+	for n := 10; n < 17; n++ {
+		s.add(n, &pool)
+	}
+	if s.overflow != vec || len(pool) != 0 {
+		t.Fatal("second overflow did not reuse the pooled vector")
+	}
+	if s.count() != 7 || s.has(0) || s.has(6) {
+		t.Fatalf("reused vector kept old members: count %d", s.count())
 	}
 }
 

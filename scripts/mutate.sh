@@ -81,6 +81,15 @@ mutation dirnnb-reply+1 internal/dirnnb/dirnnb.go \
 mutation dirnnb-skip-inval internal/dirnnb/dirnnb.go \
     $'\tcase hInval:\n\t\ts.m.Caches[ns.node].Invalidate(mem.PA(pkt.Args[0]))\n' \
     $'\tcase hInval:\n'
+mutation dirnnb-forget-sharer internal/dirnnb/dirnnb.go \
+    $'\t\te.sharers.add(req)\n' \
+    ''
+mutation dirnnb-fanout-reversed internal/dirnnb/dirnnb.go \
+    $'for ; w != 0; w &= w - 1 {\n\t\t\ts.m.Net.Send(&network.Packet{\n\t\t\t\tSrc: home, Dst: i*64 + bits.TrailingZeros64(w),' \
+    $'for ; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(w)) {\n\t\t\ts.m.Net.Send(&network.Packet{\n\t\t\t\tSrc: home, Dst: i*64 + 63 - bits.LeadingZeros64(w),'
+mutation stache-forget-sharer internal/stache/handlers.go \
+    $'\tcase dirShared:\n\t\td.sharers.add(r, &ns.spare)\n' \
+    $'\tcase dirShared:\n'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
