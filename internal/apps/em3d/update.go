@@ -147,12 +147,11 @@ func (u *UpdateProtocol) SetupSegment(seg *vm.Segment) {
 
 // segBaseOf returns the base of the custom segment containing va.
 func (u *UpdateProtocol) segBaseOf(va mem.VA) mem.VA {
-	for _, seg := range u.m.VM.Segments() {
-		if seg.Mode == ModeUpdateHome && va >= seg.Base && va < seg.End() {
-			return seg.Base
-		}
+	seg := u.m.VM.SegmentOf(va)
+	if seg == nil || seg.Mode != ModeUpdateHome {
+		panic(fmt.Sprintf("em3d-update: %#x not in a custom segment", va))
 	}
-	panic(fmt.Sprintf("em3d-update: %#x not in a custom segment", va))
+	return seg.Base
 }
 
 func (u *UpdateProtocol) segState(node int, segBase mem.VA) *updSegState {

@@ -2,7 +2,8 @@
 // all-hardware DirNNB (full-map, no-broadcast) directory cache-coherence
 // protocol with latencies composed from the "DirNNB Only" rows of
 // Table 2, loosely modeled on the DASH prototype. Every shared page is
-// globally mapped (a cache-coherent NUMA machine); misses to remote homes
+// globally mapped at its fixed home from allocation on (a cache-coherent
+// NUMA machine with static placement); misses to remote homes
 // pay the remote-access formula, and writes invalidate remote sharers
 // through the home directory. As in the paper, network and bus contention
 // are not modeled.
@@ -10,7 +11,7 @@
 // The directory is a protocol agent (internal/agent) per node: each home
 // node's agent owns the directory entries for the blocks homed there and
 // every coherence action — lookup, invalidation, recall, fill, eviction
-// notice, first-touch page claim — is a message delivered to the owning
+// notice — is a message delivered to the owning
 // node through internal/network. The agents charge no occupancy
 // of their own (a hardware state machine, not a software NP); the
 // Table 2 terms are composed onto the messages as send-side delays, so
@@ -78,15 +79,6 @@ const (
 	hAck
 	// hEvict notifies a home that the sender dropped its copy: args block.
 	hEvict
-	// hClaim asks a page's arbiter to resolve a first touch: args vpn.
-	hClaim
-	// hGrantHome tells the claimant it is the page's home: args vpn.
-	hGrantHome
-	// hGrant tells a later claimant the page's frame: args vpn, pa.
-	hGrant
-	// hMapped reports the home's allocated frame to the arbiter: args
-	// vpn, pa.
-	hMapped
 )
 
 // reqWrite / reqUpgrade are the hReq flag bits.
@@ -121,35 +113,24 @@ type txn struct {
 	replyExtra sim.Time
 }
 
-// claim is one first-touch page's arbitration state.
-type claim struct {
-	vpn     uint64
-	home    int
-	pa      mem.PA
-	mapped  bool
-	waiters []int
-}
-
 // hotStats is a node's counter block (plain node-local fields,
 // added into a fresh counter set by System.Counters after the run).
 type hotStats struct {
-	privateMisses    uint64
-	localMisses      uint64
-	localDirMisses   uint64
-	remoteUpgrades   uint64
-	remoteMisses     uint64
-	dirtyRecalls     uint64
-	invalidations    uint64
-	dirMessages      uint64
-	replShared       uint64
-	replExclusive    uint64
-	firstTouchClaims uint64
+	privateMisses  uint64
+	localMisses    uint64
+	localDirMisses uint64
+	remoteUpgrades uint64
+	remoteMisses   uint64
+	dirtyRecalls   uint64
+	invalidations  uint64
+	dirMessages    uint64
+	replShared     uint64
+	replExclusive  uint64
 }
 
 // nodeState is one node's slice of the protocol: its directory (for
-// blocks homed here), in-flight transactions, first-touch arbitration
-// state (for pages it arbitrates), and the reply slot its own parked
-// processor waits on. Everything is node-local: touched only by its
+// blocks homed here), in-flight transactions, and the reply slot its own
+// parked processor waits on. Everything is node-local: touched only by its
 // agent or its CPU.
 type nodeState struct {
 	sys  *System
@@ -166,8 +147,6 @@ type nodeState struct {
 	txns    []*txn
 	live    int
 	nextTxn uint64
-
-	claims map[uint64]*claim // by VPN, for pages arbitrated here
 
 	// fill is the reply slot for this node's single outstanding miss.
 	fill      cache.LineState
@@ -191,12 +170,7 @@ var _ agent.Dispatcher = (*nodeState)(nil)
 func New(m *machine.Machine) *System {
 	s := &System{m: m}
 	for i := 0; i < m.Cfg.Nodes; i++ {
-		ns := &nodeState{
-			sys:    s,
-			node:   i,
-			claims: make(map[uint64]*claim),
-		}
-		s.nodes = append(s.nodes, ns)
+		s.nodes = append(s.nodes, &nodeState{sys: s, node: i})
 	}
 	for _, ns := range s.nodes {
 		ns.core = agent.Spawn(m.Eng, m.Net, ns.node, fmt.Sprintf("dir%d", ns.node), "directory idle", m.Cfg.OccupancyCycles, ns, nil)
@@ -230,7 +204,11 @@ func (ns *nodeState) fold(c *stats.Counters) {
 	c.Add("dirnnb.dir_messages", h.dirMessages)
 	c.Add("dirnnb.repl_shared", h.replShared)
 	c.Add("dirnnb.repl_exclusive", h.replExclusive)
-	c.Add("dirnnb.first_touch_claims", h.firstTouchClaims)
+	// Always 0 since pages stopped being placed at first touch. Recorded
+	// counters are hashed into benchmark/expected.json and written into
+	// the conformance corpus footers, so the name stays until a
+	// behaviour change re-pins both.
+	c.Add("dirnnb.first_touch_claims", 0)
 	w, wc := ns.core.OccStats()
 	c.Add("dirnnb.occ_waits", w)
 	c.Add("dirnnb.occ_wait_cycles", wc)
@@ -239,15 +217,11 @@ func (ns *nodeState) fold(c *stats.Counters) {
 // SetupSegment eagerly allocates each page's frame at its home node and
 // installs the translation in every node's page table — the global
 // physical address map of a hardware DSM machine. This runs before the
-// engine starts, so the cross-node table writes are safe. First-touch
-// pages are deferred to the page-fault path.
+// engine starts, so the cross-node table writes are safe.
 func (s *System) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := s.m.VM.Home(va)
-		if home < 0 {
-			continue // first touch: resolved at fault time
-		}
 		pa, err := s.m.Mems[home].AllocFrame(mem.TagReadWrite)
 		if err != nil {
 			panic(&Error{Op: "alloc-frame", Node: home, VA: va, Msg: err.Error()})
@@ -259,35 +233,13 @@ func (s *System) SetupSegment(seg *vm.Segment) {
 	}
 }
 
-// segMode returns the segment mode covering va (ModeUser when no
-// segment matches, as the old fault path did).
-func (s *System) segMode(va mem.VA) int {
-	for _, seg := range s.m.VM.Segments() {
-		if va >= seg.Base && va < seg.End() {
-			return seg.Mode
-		}
-	}
-	return vm.ModeUser
-}
-
-// PageFault implements machine.MemSystem: only first-touch pages fault.
-// The faulting processor asks the page's arbiter (a static function of
-// the VPN, so all claimants agree without shared state) to resolve the
-// home, and parks until its own agent has installed the translation.
-// The first claimant becomes the home and allocates the frame from its
-// own memory; later claimants are granted the winner's frame.
+// PageFault implements machine.MemSystem. SetupSegment maps every shared
+// page on every node before the run, so a fault is an access outside
+// the shared segments or to a page protocol code has unmapped: an
+// error, never a fresh mapping.
 func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
-	if !vm.IsShared(va) {
-		panic(&Error{Op: "page-fault", Node: p.ID(), VA: va, Msg: "page fault on non-shared address"})
-	}
-	arb := int(va.VPN() % uint64(s.m.Cfg.Nodes))
-	s.m.Net.Send(&network.Packet{
-		Src: p.ID(), Dst: arb, VNet: network.VNetRequest,
-		Handler: hClaim, Args: []uint64{va.VPN()},
-	})
-	p.Ctx.Park("dirnnb page fault %#x arbiter %d", int(va.PageBase()), arb)
-	// The translation is installed (by this node's agent) before the
-	// unpark, so the caller's retry succeeds.
+	panic(&Error{Op: "page-fault", Node: p.ID(), VA: va,
+		Msg: "no translation; every shared page is mapped on every node from allocation on"})
 }
 
 // find returns block's directory entry, or nil if none was ever asked
@@ -722,39 +674,6 @@ func (ns *nodeState) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	case hEvict:
 		ns.applyEvict(mem.PA(pkt.Args[0]), pkt.Src)
 
-	case hClaim:
-		ns.handleClaim(c, pkt.Args[0], pkt.Src)
-
-	case hGrantHome:
-		// This node won the first touch: allocate the frame from its own
-		// memory, install its own translation, wake its processor, and
-		// report the frame to the arbiter for later claimants.
-		vpn := pkt.Args[0]
-		pa := ns.mapOwn(vpn, 0, true)
-		s.m.Net.Send(&network.Packet{
-			Src: ns.node, Dst: pkt.Src, VNet: network.VNetRequest,
-			Handler: hMapped, Args: []uint64{vpn, uint64(pa)},
-		})
-		s.m.Procs[ns.node].Ctx.Unpark(c.Time())
-
-	case hGrant:
-		ns.mapOwn(pkt.Args[0], mem.PA(pkt.Args[1]), false)
-		s.m.Procs[ns.node].Ctx.Unpark(c.Time())
-
-	case hMapped:
-		vpn := pkt.Args[0]
-		cl := ns.claims[vpn]
-		if cl == nil {
-			panic(&Error{Op: "mapped", Node: ns.node, VA: mem.VA(vpn * mem.PageSize),
-				Msg: fmt.Sprintf("node %d reported a frame for vpn %#x, which has no claim here", pkt.Src, vpn)})
-		}
-		cl.pa = mem.PA(pkt.Args[1])
-		cl.mapped = true
-		for _, w := range cl.waiters {
-			ns.grant(c, cl, w)
-		}
-		cl.waiters = nil
-
 	default:
 		panic(&Error{Op: "dispatch", Node: ns.node,
 			Msg: fmt.Sprintf("unknown handler %d from node %d", pkt.Handler, pkt.Src)})
@@ -776,68 +695,6 @@ func (ns *nodeState) ack(home int, id uint64) {
 		Src: ns.node, Dst: home, VNet: network.VNetReply,
 		Handler: hAck, Args: []uint64{id},
 	}, InvalProc)
-}
-
-// handleClaim arbitrates one first-touch claim at the page's arbiter.
-func (ns *nodeState) handleClaim(c *sim.Context, vpn uint64, claimant int) {
-	cl, ok := ns.claims[vpn]
-	if !ok {
-		// First claimant wins: it becomes the home.
-		ns.hot.firstTouchClaims++
-		cl = &claim{vpn: vpn, home: claimant}
-		ns.claims[vpn] = cl
-		// Publish the home as soon as it is decided: Verify, apps.ReadBack
-		// and the memory digest find first-touch homes through the VM.
-		ns.sys.m.VM.ClaimHome(mem.VA(vpn*mem.PageSize), claimant)
-		if claimant == ns.node {
-			// Arbiter, claimant and home are all this node.
-			cl.pa = ns.mapOwn(vpn, 0, true)
-			cl.mapped = true
-			ns.sys.m.Procs[ns.node].Ctx.Unpark(c.Time())
-			return
-		}
-		ns.sys.m.Net.Send(&network.Packet{
-			Src: ns.node, Dst: claimant, VNet: network.VNetReply,
-			Handler: hGrantHome, Args: []uint64{vpn},
-		})
-		return
-	}
-	if cl.mapped {
-		ns.grant(c, cl, claimant)
-		return
-	}
-	cl.waiters = append(cl.waiters, claimant)
-}
-
-// grant delivers a resolved first-touch frame to a later claimant —
-// directly when the claimant is the arbiter itself, else as an hGrant
-// message to the claimant's agent.
-func (ns *nodeState) grant(c *sim.Context, cl *claim, claimant int) {
-	if claimant == ns.node {
-		ns.mapOwn(cl.vpn, cl.pa, false)
-		ns.sys.m.Procs[ns.node].Ctx.Unpark(c.Time())
-		return
-	}
-	ns.sys.m.Net.Send(&network.Packet{
-		Src: ns.node, Dst: claimant, VNet: network.VNetReply,
-		Handler: hGrant, Args: []uint64{cl.vpn, uint64(cl.pa)},
-	})
-}
-
-// mapOwn installs this node's translation for vpn. With alloc set the
-// node is the page's home and allocates the frame from its own memory.
-func (ns *nodeState) mapOwn(vpn uint64, pa mem.PA, alloc bool) mem.PA {
-	s := ns.sys
-	va := mem.VA(vpn * mem.PageSize)
-	if alloc {
-		var err error
-		pa, err = s.m.Mems[ns.node].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			panic(&Error{Op: "alloc-frame", Node: ns.node, VA: va, Msg: err.Error()})
-		}
-	}
-	s.m.VM.Table(ns.node).MapPage(va, pa, s.segMode(va))
-	return pa
 }
 
 // nodeSet is a bit set of node IDs, sized for the largest machine.

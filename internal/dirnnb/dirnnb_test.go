@@ -1,6 +1,7 @@
 package dirnnb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -206,42 +207,32 @@ func TestRoundRobinPlacementSpreadsHomes(t *testing.T) {
 	}
 }
 
-func TestFirstTouchPlacement(t *testing.T) {
+// TestPageFaultIsAnError: every shared page is mapped on every node at
+// allocation, so a fault on one — here a page node 1's own code unmapped
+// — is reported as a *Error naming the node and address, not served
+// with a fresh frame whose contents no other node sees.
+func TestPageFaultIsAnError(t *testing.T) {
 	m, _ := newM(t, 2)
-	seg := m.AllocShared("ft", 2*mem.PageSize, vm.FirstTouch{}, vm.ModeUser)
-	res := run(t, m, func(p *machine.Proc) {
-		// Node n touches page n first.
-		p.WriteU64(seg.At(uint64(p.ID()*mem.PageSize)), uint64(p.ID()))
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)
+	var got uint64
+	_, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 0 {
+			p.WriteU64(seg.At(0), 42)
+		}
 		p.Barrier()
-		// After first touch, the page is home-local: a capacity-evicted
-		// reread would be a local miss. Just verify values and homes.
-		if got := p.ReadU64(seg.At(uint64(p.ID() * mem.PageSize))); got != uint64(p.ID()) {
-			t.Errorf("node %d read %d", p.ID(), got)
+		if p.ID() == 1 {
+			m.VM.Table(1).Unmap(seg.Base.VPN())
+			got = p.ReadU64(seg.At(0))
 		}
 	})
-	if m.VM.Home(seg.At(0)) != 0 || m.VM.Home(seg.At(mem.PageSize)) != 1 {
-		t.Errorf("homes = %d,%d; want 0,1", m.VM.Home(seg.At(0)), m.VM.Home(seg.At(mem.PageSize)))
+	var derr *Error
+	if !errors.As(err, &derr) {
+		t.Fatalf("Run = %v (node 1 read %d), want a *dirnnb.Error", err, got)
 	}
-	if res.Counters.Get("dirnnb.first_touch_claims") != 2 {
-		t.Errorf("claims = %d, want 2", res.Counters.Get("dirnnb.first_touch_claims"))
+	if derr.Op != "page-fault" || derr.Node != 1 || derr.VA != seg.Base {
+		t.Errorf("error %q: op %q node %d va %#x, want op page-fault node 1 va %#x",
+			derr, derr.Op, derr.Node, derr.VA, seg.Base)
 	}
-}
-
-// TestFirstTouchHomeKnownMidRun: the arbiter publishes a first-touch
-// page's home when it decides it, so every node past the barrier reads
-// both homes from the VM — not only code that runs after Run.
-func TestFirstTouchHomeKnownMidRun(t *testing.T) {
-	m, _ := newM(t, 2)
-	seg := m.AllocShared("ft", 2*mem.PageSize, vm.FirstTouch{}, vm.ModeUser)
-	run(t, m, func(p *machine.Proc) {
-		p.WriteU64(seg.At(uint64(p.ID()*mem.PageSize)), 1)
-		p.Barrier()
-		for page := 0; page < 2; page++ {
-			if home := m.VM.Home(seg.At(uint64(page * mem.PageSize))); home != page {
-				t.Errorf("node %d after the barrier: page %d has home %d, want %d", p.ID(), page, home, page)
-			}
-		}
-	})
 }
 
 func TestEvictionChargesReplacementAndCleansDirectory(t *testing.T) {

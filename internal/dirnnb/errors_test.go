@@ -26,9 +26,11 @@ func TestProtocolViolationsAreNamedErrors(t *testing.T) {
 			m.Net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 99})
 			return func(p *machine.Proc) {}
 		}},
-		{"mapped without a claim", "mapped", 1, 0x1234 * mem.PageSize, func(m *machine.Machine, _ *vm.Segment) func(p *machine.Proc) {
+		{"former claim ID", "dispatch", 1, 0, func(m *machine.Machine, _ *vm.Segment) func(p *machine.Proc) {
+			// The number the first-touch claim request had: the directory
+			// no longer has a handler behind it.
 			m.Net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest,
-				Handler: hMapped, Args: []uint64{0x1234, 0}})
+				Handler: hEvict + 1, Args: []uint64{0x1234}})
 			return func(p *machine.Proc) {}
 		}},
 		{"ack for an unknown txn", "ack", 0, 0, func(m *machine.Machine, _ *vm.Segment) func(p *machine.Proc) {
@@ -58,12 +60,10 @@ func TestProtocolViolationsAreNamedErrors(t *testing.T) {
 			return func(p *machine.Proc) {
 				switch p.ID() {
 				case 0:
-					// Arrives while node 1 is parked on its remote miss,
-					// long before the real reply: the grant wakes it.
+					// A stray wakeup while node 1 is parked on its remote
+					// miss, long before the real reply.
 					p.Ctx.Sleep(60)
-					pte, _ := m.VM.Table(0).Lookup(seg.At(0).VPN())
-					m.Net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetReply,
-						Handler: hGrant, Args: []uint64{seg.At(0).VPN(), uint64(pte.PA)}})
+					m.Procs[1].Ctx.Unpark(p.Ctx.Time())
 				case 1:
 					p.ReadU64(seg.At(0x48))
 				}

@@ -15,12 +15,11 @@ import (
 func (s *System) AgentCore(node int) *agent.Core { return s.nodes[node].core }
 
 // StateDigest folds the directory's full coherence state — every home's
-// per-block entries (owner, sharers) in ascending PA order, in-flight
-// transactions, and first-touch claims — into one hash, visiting nodes
-// in order and map keys sorted so the value is independent of map
-// iteration order. Equal digests mean equal directory state. Call only
-// while the machine is not running; the conformance suite records it
-// after Run as part of a trace's footer.
+// per-block entries (owner, sharers) in ascending PA order, and in-flight
+// transactions — into one hash, visiting nodes in order. Equal digests
+// mean equal directory state. Call only while the machine is not
+// running; the conformance suite records it after Run as part of a
+// trace's footer.
 func (s *System) StateDigest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -42,11 +41,10 @@ func (s *System) StateDigest() uint64 {
 			}
 			w(^uint64(0)) // sharer-list terminator
 		})
-		// In-flight transactions and claims are keyed by monotonically
-		// assigned IDs / VPNs; sort for determinism. A quiescent machine
-		// (post-Run) has none, but a digest taken at a barrier must not
-		// depend on the order transactions were retired in, nor on map
-		// order.
+		// In-flight transactions are keyed by monotonically assigned IDs;
+		// sort for determinism. A quiescent machine (post-Run) has none,
+		// but a digest taken at a barrier must not depend on the order
+		// transactions were retired in.
 		live := slices.Clone(ns.txns[:ns.live])
 		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 		for _, tx := range live {
@@ -56,20 +54,6 @@ func (s *System) StateDigest() uint64 {
 				map[bool]uint64{false: 0, true: 1}[tx.write])
 		}
 		w(^uint64(0))
-		vpns := make([]uint64, 0, len(ns.claims))
-		for vpn := range ns.claims {
-			vpns = append(vpns, vpn)
-		}
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-		for _, vpn := range vpns {
-			cl := ns.claims[vpn]
-			w(vpn)
-			w(uint64(uint32(cl.home))<<32 | uint64(cl.pa)&0xFFFFFFFF)
-			for _, wt := range cl.waiters {
-				w(uint64(wt) + 1)
-			}
-			w(^uint64(0))
-		}
 	}
 	return h.Sum64()
 }

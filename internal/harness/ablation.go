@@ -168,7 +168,9 @@ func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
 // AblationFirstTouch compares DirNNB's default round-robin placement
 // with first-touch page placement on Ocean (paper §6 cites Stenstrom et
 // al.'s first-touch result). First touch lands each grid page on the
-// node that initialises it — its owner.
+// node that initialises it — its owner — so the first-touch row runs
+// owner-placed Ocean: the placement first touch reaches, fixed at
+// allocation like every home, with no runtime placement mechanism.
 func AblationFirstTouch(scale Scale, sp SimParams) ([]AblationRow, error) {
 	mcfg := MachineConfig(scale, 4<<10)
 	sp.Apply(&mcfg)

@@ -85,7 +85,7 @@ type DiffObservation struct {
 	MemDigest string
 	// ProtoDigest is the protocol's post-run StateDigest (Stache or the
 	// update protocol's directory and requester state, DirNNB's
-	// directory, transactions, and claims). TagsDigest is the Typhoon
+	// directory and transactions). TagsDigest is the Typhoon
 	// system's post-run access-tag digest (zero for DirNNB, whose tags
 	// live in the hardware directory already covered by ProtoDigest).
 	// Both are recorded in a conformance stream's footer and compared on
@@ -187,8 +187,8 @@ func (in installed) agentCore(node int) *agent.Core {
 // SharedMemoryDigest hashes the coherent contents of every shared
 // segment, word by word in address order, after Run. "Coherent" is the
 // apps.ReadBack view: the home copy unless a protocol holds the block
-// dirty remotely. Pages with no home binding or no home mapping (unused
-// first-touch pages) are skipped deterministically.
+// dirty remotely. Pages the home has no mapping for are skipped
+// deterministically.
 func SharedMemoryDigest(m *machine.Machine) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -199,11 +199,7 @@ func SharedMemoryDigest(m *machine.Machine) string {
 			va := seg.At(off)
 			if pb := va.PageBase(); pb != checkedPage {
 				checkedPage = pb
-				home := m.VM.Home(va)
-				pageOK = home >= 0
-				if pageOK {
-					_, _, pageOK = m.VM.Translate(home, va)
-				}
+				_, _, pageOK = m.VM.Translate(m.VM.Home(va), va)
 			}
 			if !pageOK {
 				continue

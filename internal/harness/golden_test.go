@@ -87,3 +87,30 @@ func TestGoldenFigure4(t *testing.T) {
 	}
 	checkGolden(t, "figure4", buf.Bytes())
 }
+
+// TestBenchDigestIsGoldensHash: cmd/bench's ideal-machine digest is the
+// sha256 of the reduced Figure 3 table followed by the reduced Figure 4
+// table — exactly the two golden bodies. The two pins therefore agree
+// by construction, and a re-pin that updates one without the other
+// fails here without simulating anything.
+func TestBenchDigestIsGoldensHash(t *testing.T) {
+	h := sha256.New()
+	for _, name := range []string{"figure3", "figure4"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, ok := bytes.Cut(raw, []byte("\n"))
+		if !ok {
+			t.Fatalf("%s.golden: no body below the hash line", name)
+		}
+		h.Write(body)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "bench.digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), string(bytes.TrimSpace(raw)); got != want {
+		t.Errorf("sha256 of the golden bodies is %s, testdata/bench.digest pins %s", got, want)
+	}
+}

@@ -114,13 +114,13 @@ type Context struct {
 	step       Step
 	idleReason string
 	noBlock    int
-	// lazyYield records a LazyYield request: the reschedule happens at
-	// the context's next timing operation, or free of any frame
-	// suspension at the current step's boundary. lazyQuantum records a
-	// deferred quantum force-yield: it materialises only at the step
-	// boundary, because a handler is atomic on the real hardware
-	// (paper §4.2) and deferring the reschedule to the boundary keeps
-	// the handler's shared-state effects on one side of the reschedule.
+	// lazyYield records a LazyYield request: the reschedule happens,
+	// free of any frame suspension, at the current step's boundary —
+	// earlier only by riding along with a quantum yield. lazyQuantum
+	// records a deferred quantum force-yield: it materialises at the
+	// context's next Sync (which every timing operation and every
+	// Unpark or event it issues calls) or, if none comes, at the step
+	// boundary.
 	lazyYield   bool
 	lazyQuantum bool
 }
@@ -320,7 +320,7 @@ func (c *Context) Advance(n Time) {
 
 // AdvanceAtomic charges n cycles without any possibility of yielding. Use
 // inside sections that must not observe interleaved simulated state. A
-// pending LazyYield still materialises on entry — before the atomic
+// pending quantum yield still materialises on entry — before the atomic
 // section, never inside it.
 func (c *Context) AdvanceAtomic(n Time) {
 	c.Sync()
@@ -375,16 +375,17 @@ func (c *Context) Sleep(n Time) {
 	c.Yield()
 }
 
-// LazyYield requests a reschedule that takes effect at the context's next
-// timing operation (Advance, SyncTo, Park, scheduling an event, an
-// Unpark) or — most often — at the end of the current step, where it is
-// free of frame suspension: the stepper simply returns to the scheduler
-// runnable. The scheduling order is identical to an immediate Yield
-// whenever the work between the request and the materialisation point is
-// context-local (this context's own protocol state), which is the
-// contract Typhoon's Resume satisfies: handler code after a resume only
-// updates the NP's own bookkeeping before its next timed operation. On
-// non-stepper contexts LazyYield degrades to an immediate Yield.
+// LazyYield requests a reschedule that takes effect at the end of the
+// current step, where it is free of frame suspension: the stepper simply
+// returns to the scheduler runnable. Timing operations inside the step
+// (Advance, Sync, SyncTo, scheduling an event, an Unpark) do not take
+// it; only a quantum yield they materialise does, and that one
+// reschedule then satisfies both requests. The rest of the step
+// therefore runs before the reschedule, so the request suits only a
+// caller whose remaining step work may run ahead of contexts it has
+// just woken — Typhoon's Resume, whose handlers finish with NP-local
+// bookkeeping, sends and stolen-cycle accounting. On non-stepper
+// contexts LazyYield degrades to an immediate Yield.
 func (c *Context) LazyYield() {
 	c.checkRunning("LazyYield")
 	if c.step == nil {
@@ -394,10 +395,11 @@ func (c *Context) LazyYield() {
 	c.lazyYield = true
 }
 
-// Sync materialises a pending LazyYield at exactly this point, pinning
-// the reschedule's position relative to the caller's subsequent effects.
-// Call it before publishing state that other contexts read without a
-// timing operation in between.
+// Sync materialises a pending quantum yield at exactly this point,
+// pinning the reschedule's position relative to the caller's subsequent
+// effects. Call it before publishing state that other contexts read
+// without a timing operation in between. A pending LazyYield alone is
+// left for the step boundary.
 func (c *Context) Sync() {
 	if c.lazyQuantum {
 		c.lazyQuantum = false

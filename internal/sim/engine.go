@@ -184,9 +184,9 @@ type Engine struct {
 	scheds []*coro
 }
 
-// syncRunning materialises the running context's pending LazyYield, for
-// engine entry points that are invoked on a different receiver than the
-// caller (Unpark on a target context, AtEvent on the engine).
+// syncRunning materialises the running context's pending quantum yield,
+// for engine entry points that are invoked on a different receiver than
+// the caller (Unpark on a target context, AtEvent on the engine).
 func (e *Engine) syncRunning() {
 	if r := e.running; r != nil {
 		r.Sync()

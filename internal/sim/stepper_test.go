@@ -278,3 +278,51 @@ func TestTypedPanicReachesRunCaller(t *testing.T) {
 		})
 	}
 }
+
+// TestLazyYieldWaitsForStepBoundary pins LazyYield's contract: timing
+// operations inside the step (Advance, Sync, SyncTo, scheduling an
+// event) do not take a pending LazyYield — only a quantum yield does,
+// and the lazy one rides along with it. Otherwise the reschedule
+// happens at the step boundary, without suspending the step, and the
+// stepper steps again when next dispatched.
+func TestLazyYieldWaitsForStepBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		advance         Time
+		steps, suspends uint64
+	}{
+		{"within the quantum", 1, 2, 0},
+		{"across the quantum", 100, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			armed := false
+			var steps uint64 // from the armed step on
+			s := e.SpawnStepperDaemon("s", func(c *Context) bool {
+				if steps > 0 {
+					steps++
+				}
+				if armed {
+					armed, steps = false, 1
+					c.LazyYield()
+					c.Advance(tc.advance)
+					c.Sync()
+					c.SyncTo(c.Time() + 1)
+					e.AfterFrom(1, c.ID(), func() {})
+				}
+				return false
+			}, "idle")
+			e.Spawn("driver", func(c *Context) {
+				c.Sleep(10) // let s take its first step and go idle
+				armed = true
+				s.Unpark(c.Time())
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if ds := e.DispatchStats(); steps != tc.steps || ds.InlineSuspends != tc.suspends {
+				t.Errorf("steps %d, inline suspends %d; want %d, %d", steps, ds.InlineSuspends, tc.steps, tc.suspends)
+			}
+		})
+	}
+}

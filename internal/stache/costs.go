@@ -8,11 +8,6 @@
 // handlers through the Tempest interface.
 package stache
 
-import (
-	"github.com/tempest-sim/tempest/internal/sim"
-	"github.com/tempest-sim/tempest/internal/typhoon"
-)
-
 // Handler instruction budgets. The paper reports best-case NP path
 // lengths of 14 instructions to request a missing block, 30 for the home
 // node to respond with data, and 20 when the data arrives at the
@@ -52,13 +47,3 @@ const (
 	costReplacePerBlock    = 2
 	costReplaceDirtyPerBlk = 6
 )
-
-// sendCost mirrors the NP send cost model: setup plus one cycle per
-// 32-bit word plus block transfers for data.
-func sendCost(args, dataBytes int) sim.Time {
-	c := typhoon.SendSetupCycles + typhoon.SendPerWordCycles*sim.Time(1+2*args)
-	if dataBytes > 0 {
-		c += typhoon.BlockXferCycles * sim.Time((dataBytes+31)/32)
-	}
-	return c
-}

@@ -53,9 +53,6 @@ func (st *Protocol) StateDigest() uint64 {
 		for i := 0; i < seg.Pages(); i++ {
 			va := seg.Base.PageBase() + mem.VA(i*mem.PageSize)
 			home := st.m.VM.Home(va)
-			if home < 0 {
-				continue
-			}
 			pte, ok := st.m.VM.Table(home).Lookup(va.VPN())
 			if !ok {
 				continue

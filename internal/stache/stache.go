@@ -223,9 +223,6 @@ func (st *Protocol) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := st.m.VM.Home(va)
-		if home < 0 {
-			panic("stache: segments need static home placement")
-		}
 		pa, err := st.m.Mems[home].AllocFrame(mem.TagReadWrite)
 		if err != nil {
 			panic(fmt.Sprintf("stache: home %d out of frames: %v", home, err))
@@ -262,7 +259,10 @@ func (st *Protocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, w
 	if home == node {
 		panic(fmt.Sprintf("stache: node %d page-faulted on its own home page %#x", node, va))
 	}
-	segMode := st.segModeOf(va)
+	seg := st.m.VM.SegmentOf(va)
+	if seg == nil {
+		panic(fmt.Sprintf("stache: %#x not in any shared segment", va))
+	}
 	if st.maxPages > 0 && len(st.per[node].fifo) >= st.maxPages {
 		st.replacePage(p)
 	}
@@ -274,21 +274,12 @@ func (st *Protocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, w
 	if err != nil {
 		panic(fmt.Sprintf("stache: node %d cannot allocate a stache page: %v", node, err))
 	}
-	mode := st.remoteModeFor(segMode)
+	mode := st.remoteModeFor(seg.Mode)
 	frame := st.m.Mems[node].Frame(pa)
 	frame.Mode = mode
 	frame.Home = home
 	st.m.VM.Table(node).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: mode})
 	st.per[node].fifo = append(st.per[node].fifo, va.PageBase())
-}
-
-func (st *Protocol) segModeOf(va mem.VA) int {
-	for _, seg := range st.m.VM.Segments() {
-		if va >= seg.Base && va < seg.End() {
-			return seg.Mode
-		}
-	}
-	panic(fmt.Sprintf("stache: %#x not in any shared segment", va))
 }
 
 // replacePage implements the FIFO stache-page replacement of §3: the

@@ -36,14 +36,14 @@ func run(t *testing.T, m *machine.Machine, st *Protocol, body func(p *machine.Pr
 // paper's §6 numbers: 14 instructions to request a block, 30 to respond
 // at the home, 20 at data arrival.
 func TestHandlerBudgetsMatchPaper(t *testing.T) {
-	request := sim.Time(costRequestExtra) + typhoon.TagOpCycles + sendCost(1, 0)
+	request := sim.Time(costRequestExtra) + typhoon.TagOpCycles + typhoon.SendCost(1, 0)
 	if request != 14 {
 		t.Errorf("request path = %d instructions, want 14", request)
 	}
 	// Home response: 2 directory references (hits), home tag write,
 	// block read, data reply send.
 	homeResp := sim.Time(costHomeRespExtra) + 2 + typhoon.TagOpCycles +
-		typhoon.BlockXferCycles + sendCost(1, 32)
+		typhoon.BlockXferCycles + typhoon.SendCost(1, 32)
 	if homeResp != 30 {
 		t.Errorf("home response path = %d instructions, want 30", homeResp)
 	}

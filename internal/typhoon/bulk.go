@@ -156,11 +156,7 @@ func (np *NP) bulkDoneHandler(pkt *network.Packet) {
 // CPU writes the destination register, data words, and end-of-message
 // marker across the MBus to the NP's separate CPU send queue (§5.1).
 func (s *System) Send(p *machine.Proc, vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
-	cost := SendSetupCycles + SendPerWordCycles*sim.Time(1+2*len(args))
-	if len(data) > 0 {
-		cost += BlockXferCycles * sim.Time((len(data)+31)/32)
-	}
-	p.Ctx.Advance(cost)
+	p.Ctx.Advance(SendCost(len(args), len(data)))
 	pkt := &network.Packet{
 		Src: p.ID(), Dst: dst, VNet: vnet,
 		Handler: handler, Args: args, Data: data,

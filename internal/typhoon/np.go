@@ -163,7 +163,9 @@ func (np *NP) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	h(np, pkt)
 	c.EndNoBlock()
 	if np.sys.software.StealHandlerCycles {
-		c.Sync() // a resume's yield precedes publishing the stolen cycles
+		// A pending quantum yield precedes publishing the stolen cycles;
+		// a resume's yield waits for the step boundary, after them.
+		c.Sync()
 		np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
 	}
 }
@@ -196,7 +198,9 @@ func (np *NP) runFault(c *sim.Context, f Fault) {
 	ops.BlockFault(np, f)
 	c.EndNoBlock()
 	if np.sys.software.StealHandlerCycles {
-		c.Sync() // a resume's yield precedes publishing the stolen cycles
+		// A pending quantum yield precedes publishing the stolen cycles;
+		// a resume's yield waits for the step boundary, after them.
+		c.Sync()
 		np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
 	}
 }
@@ -323,10 +327,10 @@ func (np *NP) rtlbLookup(pa mem.PA) bool {
 // NP yields so the retried bus transaction wins arbitration over the
 // NP's next handler — without this, a queued invalidation could steal
 // the freshly installed block before the CPU consumes it, livelocking
-// the faulting access. The yield is lazy: handler code after a resume
-// only updates the NP's own bookkeeping, so the reschedule materialises
-// at the NP's next timed operation or — usually — at the step boundary,
-// where it costs no frame suspension and the dispatch stays inline.
+// the faulting access. The yield is lazy: it materialises at the step
+// boundary, after the rest of the handler, where it costs no frame
+// suspension and the dispatch stays inline — earlier only when a
+// quantum yield falls due in the handler and it rides along.
 func (np *NP) Resume(p *machine.Proc) {
 	np.ctx.Advance(ResumeCycles)
 	if np.sys.tracer != nil {
@@ -404,11 +408,7 @@ func (np *NP) Send(vnet network.VNet, dst int, handler uint32, args []uint64, da
 	if np.sys.tracer != nil {
 		np.sys.tracer.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KMsgSend, Aux: uint64(handler)})
 	}
-	cost := SendSetupCycles + SendPerWordCycles*sim.Time(1+2*len(args))
-	if len(data) > 0 {
-		cost += BlockXferCycles * sim.Time((len(data)+31)/32)
-	}
-	np.ctx.Advance(cost)
+	np.ctx.Advance(SendCost(len(args), len(data)))
 	pkt := &network.Packet{
 		Src: np.node, Dst: dst, VNet: vnet,
 		Handler: handler, Args: args, Data: data,

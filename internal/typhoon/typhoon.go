@@ -60,6 +60,14 @@ const (
 	NPCacheWays = 2
 )
 
+// SendCost is the cost of queuing one active message, from the NP or
+// the CPU: setup, one cycle per 32-bit word (the handler word and two
+// per 64-bit argument), and a block transfer per 32 bytes of data.
+func SendCost(args, dataBytes int) sim.Time {
+	return SendSetupCycles + SendPerWordCycles*sim.Time(1+2*args) +
+		BlockXferCycles*sim.Time((dataBytes+31)/32)
+}
+
 // Builtin handler IDs; user protocols register IDs at or above
 // HandlerUserBase.
 const (
@@ -296,7 +304,11 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 	if !vm.IsShared(va) {
 		panic(fmt.Sprintf("typhoon: page fault on non-shared address %#x on node %d", va, p.ID()))
 	}
-	mode := s.segmentMode(va)
+	seg := s.M.VM.SegmentOf(va)
+	if seg == nil {
+		panic(fmt.Sprintf("typhoon: %#x not in any shared segment", va))
+	}
+	mode := seg.Mode
 	ops, ok := s.modes[mode]
 	if !ok || ops.PageFault == nil {
 		panic(fmt.Sprintf("typhoon: no page-fault handler for mode %d (va %#x)", mode, va))
@@ -310,15 +322,6 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 		s.tracer.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KPageFault, VA: va, Aux: aux})
 	}
 	ops.PageFault(s, p, va, write)
-}
-
-func (s *System) segmentMode(va mem.VA) int {
-	for _, seg := range s.M.VM.Segments() {
-		if va >= seg.Base && va < seg.End() {
-			return seg.Mode
-		}
-	}
-	panic(fmt.Sprintf("typhoon: %#x not in any shared segment", va))
 }
 
 // ServiceMiss implements machine.MemSystem: the NP snoops the bus

@@ -165,11 +165,12 @@ func (pt *PageTable) Unmap(vpn uint64) (PTE, bool) {
 // Mapped returns the number of live translations.
 func (pt *PageTable) Mapped() int { return pt.mapped }
 
-// Placement assigns shared pages to home nodes.
+// Placement assigns shared pages to home nodes. A page's home is fixed
+// when its segment is allocated and never changes.
 type Placement interface {
-	// HomeFor returns the home node for the pageIdx'th page of a
-	// segment, or -1 to defer the decision to first touch.
-	HomeFor(pageIdx, nodes int) int
+	// HomeFor returns the home node, in [0, nodes), of the pageIdx'th of
+	// a segment's pages.
+	HomeFor(pageIdx, pages, nodes int) int
 	String() string
 }
 
@@ -178,31 +179,26 @@ type Placement interface {
 type RoundRobin struct{}
 
 // HomeFor implements Placement.
-func (RoundRobin) HomeFor(pageIdx, nodes int) int { return pageIdx % nodes }
-func (RoundRobin) String() string                 { return "round-robin" }
+func (RoundRobin) HomeFor(pageIdx, pages, nodes int) int { return pageIdx % nodes }
+func (RoundRobin) String() string                        { return "round-robin" }
 
-// Blocked gives each node one contiguous run of pages (owner-computes
-// layouts want this).
+// Blocked gives each node one contiguous run of ceil(pages/nodes) pages
+// (owner-computes layouts want this); a short segment leaves the last
+// nodes without pages.
 type Blocked struct{}
 
 // HomeFor implements Placement.
-func (Blocked) HomeFor(pageIdx, nodes int) int { return -2 } // resolved by segment size
-func (Blocked) String() string                 { return "blocked" }
+func (Blocked) HomeFor(pageIdx, pages, nodes int) int {
+	return min(pageIdx/((pages+nodes-1)/nodes), nodes-1)
+}
+func (Blocked) String() string { return "blocked" }
 
 // OnNode places every page of the segment on one node.
 type OnNode struct{ Node int }
 
 // HomeFor implements Placement.
-func (p OnNode) HomeFor(pageIdx, nodes int) int { return p.Node }
-func (p OnNode) String() string                 { return fmt.Sprintf("on-node-%d", p.Node) }
-
-// FirstTouch defers home assignment to the first access (the DirNNB
-// improvement discussed in paper §6, used in the placement ablation).
-type FirstTouch struct{}
-
-// HomeFor implements Placement.
-func (FirstTouch) HomeFor(pageIdx, nodes int) int { return -1 }
-func (FirstTouch) String() string                 { return "first-touch" }
+func (p OnNode) HomeFor(pageIdx, pages, nodes int) int { return p.Node }
+func (p OnNode) String() string                        { return fmt.Sprintf("on-node-%d", p.Node) }
 
 // Segment is one allocation in the shared segment.
 type Segment struct {
@@ -236,9 +232,9 @@ type System struct {
 	mems   []*mem.Memory
 	tables []*PageTable
 	segs   []*Segment
-	// homes is the home node of every allocated shared page (-1 = first
-	// touch pending), indexed by the page's distance from SharedBase; the
-	// next segment starts where it ends.
+	// homes is the home node of every allocated shared page, indexed by
+	// the page's distance from SharedBase; the next segment starts where
+	// it ends.
 	homes []int
 }
 
@@ -287,43 +283,31 @@ func (s *System) AllocShared(name string, size uint64, place Placement, mode int
 		pt.shared = append(pt.shared, make([]Record, pages)...)
 	}
 	for i := 0; i < pages; i++ {
-		home := place.HomeFor(i, s.nodes)
-		if _, blocked := place.(Blocked); blocked {
-			// Contiguous runs of ceil(pages/nodes) pages per node.
-			per := (pages + s.nodes - 1) / s.nodes
-			home = i / per
-			if home >= s.nodes {
-				home = s.nodes - 1
-			}
-		}
-		s.homes = append(s.homes, home)
+		s.homes = append(s.homes, place.HomeFor(i, pages, s.nodes))
 	}
 	return seg
 }
 
-// Home returns the home node of a shared page, or -1 if the page is
-// first-touch and unclaimed. It panics for addresses outside the shared
-// segment.
-func (s *System) Home(va mem.VA) int { return *s.home(va) }
-
-// home returns va's slot in the home table; a private address wraps to
-// an index past it.
-func (s *System) home(va mem.VA) *int {
-	i := va.VPN() - SharedBase.VPN()
+// Home returns the home node of a shared page, fixed when its segment
+// was allocated. It panics for addresses outside the shared segments.
+func (s *System) Home(va mem.VA) int {
+	i := va.VPN() - SharedBase.VPN() // a private address wraps past the table
 	if i >= uint64(len(s.homes)) {
 		panic(fmt.Sprintf("vm: %#x is not an allocated shared address", va))
 	}
-	return &s.homes[i]
+	return s.homes[i]
 }
 
-// ClaimHome resolves a first-touch page to the given node. It returns the
-// now-current home (an earlier claimant wins races).
-func (s *System) ClaimHome(va mem.VA, node int) int {
-	home := s.home(va)
-	if *home == -1 {
-		*home = node
+// SegmentOf returns the shared segment holding va, or nil when no
+// segment does (a private address, or a shared one past a segment's
+// last byte).
+func (s *System) SegmentOf(va mem.VA) *Segment {
+	for _, seg := range s.segs {
+		if va >= seg.Base && va < seg.End() {
+			return seg
+		}
 	}
-	return *home
+	return nil
 }
 
 // AllocPrivate reserves size bytes of node-private address space and maps

@@ -98,28 +98,6 @@ func TestOnNodeHomes(t *testing.T) {
 	}
 }
 
-func TestFirstTouchClaim(t *testing.T) {
-	s, _ := newSystem(4)
-	seg := s.AllocShared("ft", 2*mem.PageSize, FirstTouch{}, ModeUser)
-	va := seg.At(0)
-	if s.Home(va) != -1 {
-		t.Fatal("first-touch page should be unclaimed")
-	}
-	if got := s.ClaimHome(va, 3); got != 3 {
-		t.Fatalf("claim = %d, want 3", got)
-	}
-	if got := s.ClaimHome(va, 1); got != 3 {
-		t.Fatalf("second claim = %d, want original 3", got)
-	}
-	if s.Home(va) != 3 {
-		t.Fatal("home not recorded")
-	}
-	// Other page still unclaimed.
-	if s.Home(seg.At(mem.PageSize)) != -1 {
-		t.Fatal("claim leaked to sibling page")
-	}
-}
-
 func TestHomeOfUnallocatedPanics(t *testing.T) {
 	s, _ := newSystem(2)
 	defer func() {
@@ -325,25 +303,49 @@ func TestRecordKeepsTLBHints(t *testing.T) {
 // be refused with the message the map gave.
 func TestHomePanicsOutsideSharedAllocations(t *testing.T) {
 	s, _ := newSystem(2)
-	seg := s.AllocShared("a", 2*mem.PageSize, FirstTouch{}, ModeUser)
+	seg := s.AllocShared("a", 2*mem.PageSize, OnNode{Node: 1}, ModeUser)
 	for _, va := range []mem.VA{0, PrivateBase, SharedBase - 8, seg.End(), seg.End() + 1<<40} {
-		for name, call := range map[string]func(){
-			"Home":      func() { s.Home(va) },
-			"ClaimHome": func() { s.ClaimHome(va, 1) },
-		} {
-			func() {
-				defer func() {
-					want := fmt.Sprintf("vm: %#x is not an allocated shared address", va)
-					if r := recover(); r != want {
-						t.Errorf("%s(%#x) panicked with %v, want %q", name, va, r, want)
-					}
-				}()
-				call()
+		func() {
+			defer func() {
+				want := fmt.Sprintf("vm: %#x is not an allocated shared address", va)
+				if r := recover(); r != want {
+					t.Errorf("Home(%#x) panicked with %v, want %q", va, r, want)
+				}
 			}()
+			s.Home(va)
+		}()
+	}
+	if s.Home(seg.Base) != 1 || s.Home(seg.At(mem.PageSize+8)) != 1 {
+		t.Errorf("homes %d/%d, want 1/1", s.Home(seg.Base), s.Home(seg.At(mem.PageSize+8)))
+	}
+}
+
+// TestSegmentOf: every address of a segment finds that segment, and an
+// address outside all of them — past a segment's last byte, or private —
+// finds none.
+func TestSegmentOf(t *testing.T) {
+	s, _ := newSystem(2)
+	segs := []*Segment{
+		s.AllocShared("first", 100, nil, ModeUser),
+		s.AllocShared("middle", 2*mem.PageSize+40, nil, ModeUser+1),
+		s.AllocShared("last", mem.PageSize+8, nil, ModeUser+2),
+	}
+	for _, seg := range segs {
+		for _, va := range []mem.VA{seg.Base, seg.Base + mem.VA(seg.Size/2), seg.End() - 1} {
+			if got := s.SegmentOf(va); got != seg {
+				t.Errorf("SegmentOf(%#x) = %v, want segment %q", va, got, seg.Name)
+			}
+		}
+		if got := s.SegmentOf(seg.End()); got != nil {
+			t.Errorf("SegmentOf(%#x), one byte past %q, = segment %q, want nil", seg.End(), seg.Name, got.Name)
 		}
 	}
-	if got := s.ClaimHome(seg.At(mem.PageSize+8), 1); got != 1 || s.Home(seg.At(mem.PageSize)) != 1 || s.Home(seg.Base) != -1 {
-		t.Errorf("ClaimHome = %d, homes now %d/%d", got, s.Home(seg.Base), s.Home(seg.At(mem.PageSize)))
+	priv, err := s.AllocPrivate(0, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.SegmentOf(priv); got != nil {
+		t.Errorf("SegmentOf(private %#x) = segment %q, want nil", priv, got.Name)
 	}
 }
 
@@ -402,8 +404,8 @@ func mustPA(t *testing.T, s *System, node int, va mem.VA) mem.PA {
 	return pa
 }
 
-// Property: every page of every segment gets a home in [0, nodes) (or -1
-// for first-touch), and segments never overlap.
+// Property: every page of every segment gets a home in [0, nodes), and
+// segments never overlap.
 func TestAllocationProperty(t *testing.T) {
 	f := func(sizes []uint16, nodesRaw uint8) bool {
 		nodes := int(nodesRaw)%8 + 1
@@ -415,15 +417,13 @@ func TestAllocationProperty(t *testing.T) {
 			}
 			size := uint64(sz) + 1
 			var place Placement
-			switch i % 4 {
+			switch i % 3 {
 			case 0:
 				place = RoundRobin{}
 			case 1:
 				place = Blocked{}
-			case 2:
-				place = OnNode{Node: i % nodes}
 			default:
-				place = FirstTouch{}
+				place = OnNode{Node: i % nodes}
 			}
 			seg := s.AllocShared("s", size, place, ModeUser)
 			if seg.Base < SharedBase || (prevEnd != 0 && seg.Base < prevEnd) {
@@ -431,12 +431,7 @@ func TestAllocationProperty(t *testing.T) {
 			}
 			prevEnd = seg.Base + mem.VA(seg.Pages()*mem.PageSize)
 			for p := 0; p < seg.Pages(); p++ {
-				h := s.Home(seg.At(uint64(p * mem.PageSize)))
-				if _, ft := place.(FirstTouch); ft {
-					if h != -1 {
-						return false
-					}
-				} else if h < 0 || h >= nodes {
+				if h := s.Home(seg.At(uint64(p * mem.PageSize))); h < 0 || h >= nodes {
 					return false
 				}
 			}

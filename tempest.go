@@ -97,9 +97,6 @@ type (
 	Blocked = vm.Blocked
 	// OnNode homes the whole segment on one node.
 	OnNode = vm.OnNode
-	// FirstTouch homes each page on the first node to touch it
-	// (DirNNB only).
-	FirstTouch = vm.FirstTouch
 )
 
 // Typhoon extension surface, for building custom user-level protocols on
