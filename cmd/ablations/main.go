@@ -1,11 +1,11 @@
 // Command ablations runs the design-choice sweeps DESIGN.md catalogues:
-// coherence-block size, data placement, stache page budget, network
-// latency, first-touch placement, migratory sharing, the EM3D protocol
-// chain (invalidate vs. check-in vs. update), the software-Tempest
-// comparison, and the contention sweep (finite link bandwidth and agent
-// occupancy, DESIGN.md §9). Each sweep's points fan out across -j worker
-// goroutines (0 = all cores); row order and values are identical at
-// every count.
+// coherence-block size, data placement (its owner-placed DirNNB row is
+// first-touch placement's steady state), stache page budget, network
+// latency, migratory sharing, the EM3D protocol chain (invalidate vs.
+// check-in vs. update), the software-Tempest comparison, and the
+// contention sweep (finite link bandwidth and agent occupancy,
+// DESIGN.md §9). Each sweep's points fan out across -j worker goroutines
+// (0 = all cores); row order and values are identical at every count.
 package main
 
 import (
@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single ablation: blocksize, placement, budget, netlatency, firsttouch, migratory, em3d, software, contention")
+	only := flag.String("only", "", "run a single ablation: blocksize, placement, budget, netlatency, migratory, em3d, software, contention")
 	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
 	flag.Parse()
 
@@ -35,7 +35,6 @@ func main() {
 		{"placement", "Data placement (Ocean small, 4 KB caches)", harness.AblationPlacement},
 		{"budget", "Stache page budget (EM3D small)", harness.AblationStacheBudget},
 		{"netlatency", "Network latency sensitivity (Ocean small, 4 KB caches)", harness.AblationNetLatency},
-		{"firsttouch", "First-touch page placement (Ocean small, 4 KB caches)", harness.AblationFirstTouch},
 		{"migratory", "Migratory-sharing extension (MP3D small)", harness.AblationMigratory},
 		{"em3d", "EM3D protocol chain at 30% remote edges (paper section 4)",
 			func(sc harness.Scale, sp harness.SimParams) ([]harness.AblationRow, error) {

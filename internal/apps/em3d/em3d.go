@@ -51,6 +51,12 @@ func Large() Config {
 	return Config{TotalNodes: 192000, Degree: 15, PctRemote: 20, Iters: 3, Seed: 1}
 }
 
+// PerProc returns the E (and H) graph nodes each of nodes processors
+// owns: half the graph split evenly, at least one.
+func (c Config) PerProc(nodes int) int {
+	return max(apps.CeilDiv(c.TotalNodes/2, nodes), 1)
+}
+
 // Tiny returns a reduced instance for tests.
 func Tiny() Config {
 	return Config{TotalNodes: 512, Degree: 4, PctRemote: 30, Iters: 3, Seed: 1}
@@ -84,10 +90,6 @@ func (a *App) Name() string { return "em3d" }
 // Config returns the instance configuration.
 func (a *App) Config() Config { return a.cfg }
 
-// EdgesPerProcPerIter returns the per-processor edge updates in one full
-// iteration (both phases) — the denominator of Figure 4's cycles/edge.
-func (a *App) EdgesPerProcPerIter() int { return 2 * a.per * a.cfg.Degree }
-
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine) {
 	a.setup(m, 0)
@@ -99,10 +101,7 @@ func (a *App) setup(m *machine.Machine, valMode int) {
 	P := m.Cfg.Nodes
 	a.nodes = P
 	a.valMode = valMode
-	a.per = apps.CeilDiv(a.cfg.TotalNodes/2, P)
-	if a.per == 0 {
-		a.per = 1
-	}
+	a.per = a.cfg.PerProc(P)
 	a.eVals = apps.NewDistArray(m, "em3d.e", a.per, 8, valMode)
 	a.hVals = apps.NewDistArray(m, "em3d.h", a.per, 8, valMode)
 	a.eW = apps.NewDistArray(m, "em3d.ew", a.per*a.cfg.Degree, 8, 0)

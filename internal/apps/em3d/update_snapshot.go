@@ -1,10 +1,10 @@
 package em3d
 
 import (
-	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 
-	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/stats"
 )
 
 // StateDigest folds the update protocol's full state into one hash: the
@@ -14,65 +14,30 @@ import (
 // is independent of map iteration order. Call only while the machine is
 // not running.
 func (u *UpdateProtocol) StateDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w(u.Protocol.StateDigest())
-	sortedVAs := func(n int, keys func(int) []mem.VA) []mem.VA {
-		vas := keys(n)
-		sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-		return vas
-	}
+	d := stats.NewDigest()
+	d.Word(u.Protocol.StateDigest())
 	for node, un := range u.per {
-		w(uint64(node))
+		d.Word(uint64(node))
 		if un.pendingValid {
-			w(uint64(un.pendingVA) | 1<<63)
+			d.Word(uint64(un.pendingVA) | 1<<63)
 		}
-		for _, segBase := range sortedVAs(node, func(int) []mem.VA {
-			out := make([]mem.VA, 0, len(un.segs))
-			for va := range un.segs {
-				out = append(out, va)
-			}
-			return out
-		}) {
+		for _, segBase := range slices.Sorted(maps.Keys(un.segs)) {
 			st := un.segs[segBase]
-			w(uint64(segBase))
-			w(st.received)
-			w(st.target)
-			w(uint64(st.waitRound)<<32 | uint64(uint32(st.runningActive)))
-			epochs := make([]int, 0, len(st.regByEpoch))
-			for e := range st.regByEpoch {
-				epochs = append(epochs, e)
+			d.Word(uint64(segBase))
+			d.Word(st.received)
+			d.Word(st.target)
+			d.Word(uint64(st.waitRound)<<32 | uint64(uint32(st.runningActive)))
+			for _, e := range slices.Sorted(maps.Keys(st.regByEpoch)) {
+				d.Word(uint64(e)<<32 | uint64(uint32(st.regByEpoch[e])))
 			}
-			sort.Ints(epochs)
-			for _, e := range epochs {
-				w(uint64(e)<<32 | uint64(uint32(st.regByEpoch[e])))
-			}
-			w(^uint64(0))
+			d.Word(^uint64(0))
 		}
-		for _, segBase := range sortedVAs(node, func(int) []mem.VA {
-			out := make([]mem.VA, 0, len(un.flushEpoch))
-			for va := range un.flushEpoch {
-				out = append(out, va)
-			}
-			return out
-		}) {
-			w(uint64(segBase))
-			w(uint64(un.flushEpoch[segBase]))
+		for _, segBase := range slices.Sorted(maps.Keys(un.flushEpoch)) {
+			d.Word(uint64(segBase))
+			d.Word(uint64(un.flushEpoch[segBase]))
 		}
-		w(^uint64(0))
-		for _, segBase := range sortedVAs(node, func(int) []mem.VA {
-			out := make([]mem.VA, 0, len(un.homePages))
-			for va := range un.homePages {
-				out = append(out, va)
-			}
-			return out
-		}) {
+		d.Word(^uint64(0))
+		for _, segBase := range slices.Sorted(maps.Keys(un.homePages)) {
 			for _, pageVA := range un.homePages[segBase] {
 				pte, ok := u.m.VM.Table(node).Lookup(pageVA.VPN())
 				if !ok {
@@ -82,15 +47,15 @@ func (u *UpdateProtocol) StateDigest() uint64 {
 				if !ok {
 					continue
 				}
-				w(uint64(pg.baseVA))
+				d.Word(uint64(pg.baseVA))
 				for _, sharers := range pg.sharers {
 					for _, s := range sharers {
-						w(uint64(s) + 1)
+						d.Word(uint64(s) + 1)
 					}
-					w(^uint64(0))
+					d.Word(^uint64(0))
 				}
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(d)
 }

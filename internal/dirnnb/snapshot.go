@@ -1,13 +1,13 @@
 package dirnnb
 
 import (
-	"hash/fnv"
 	"math/bits"
 	"slices"
 	"sort"
 
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/stats"
 )
 
 // AgentCore returns node's directory-agent core. The conformance
@@ -21,25 +21,18 @@ func (s *System) AgentCore(node int) *agent.Core { return s.nodes[node].core }
 // running; the conformance suite records it after Run as part of a
 // trace's footer.
 func (s *System) StateDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	d := stats.NewDigest()
 	for _, ns := range s.nodes {
-		w(uint64(ns.node))
+		d.Word(uint64(ns.node))
 		ns.eachEntry(func(pa mem.PA, e *entry) {
-			w(uint64(pa))
-			w(uint64(uint32(e.owner)) + 1)
+			d.Word(uint64(pa))
+			d.Word(uint64(uint32(e.owner)) + 1)
 			for i, word := range e.sharers {
 				for ; word != 0; word &= word - 1 {
-					w(uint64(i*64+bits.TrailingZeros64(word)) + 1)
+					d.Word(uint64(i*64+bits.TrailingZeros64(word)) + 1)
 				}
 			}
-			w(^uint64(0)) // sharer-list terminator
+			d.Word(^uint64(0)) // sharer-list terminator
 		})
 		// In-flight transactions are keyed by monotonically assigned IDs;
 		// sort for determinism. A quiescent machine (post-Run) has none,
@@ -48,12 +41,12 @@ func (s *System) StateDigest() uint64 {
 		live := slices.Clone(ns.txns[:ns.live])
 		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 		for _, tx := range live {
-			w(tx.id)
-			w(uint64(tx.block))
-			w(uint64(uint32(tx.req))<<32 | uint64(uint16(tx.acksLeft))<<16 | uint64(tx.fill)<<8 |
+			d.Word(tx.id)
+			d.Word(uint64(tx.block))
+			d.Word(uint64(uint32(tx.req))<<32 | uint64(uint16(tx.acksLeft))<<16 | uint64(tx.fill)<<8 |
 				map[bool]uint64{false: 0, true: 1}[tx.write])
 		}
-		w(^uint64(0))
+		d.Word(^uint64(0))
 	}
-	return h.Sum64()
+	return uint64(d)
 }

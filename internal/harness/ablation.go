@@ -90,6 +90,9 @@ func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
 // placement recovers much of DirNNB's disadvantage: Ocean under DirNNB
 // with the naive round-robin placement of a shared malloc versus
 // owner-aligned bands, against Typhoon/Stache which needs no placement.
+// The owner-placed DirNNB row is also the steady state of first-touch
+// placement (§6 cites Stenstrom et al.): each grid page lands on the
+// node that initialises it, its owner.
 func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
 	cacheKB := 4
 	mcfg := MachineConfig(scale, cacheKB<<10)
@@ -162,36 +165,6 @@ func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
 			})
 		}
 	}
-	return runAblation(sp, aps)
-}
-
-// AblationFirstTouch compares DirNNB's default round-robin placement
-// with first-touch page placement on Ocean (paper §6 cites Stenstrom et
-// al.'s first-touch result). First touch lands each grid page on the
-// node that initialises it — its owner — so the first-touch row runs
-// owner-placed Ocean: the placement first touch reaches, fixed at
-// allocation like every home, with no runtime placement mechanism.
-func AblationFirstTouch(scale Scale, sp SimParams) ([]AblationRow, error) {
-	mcfg := MachineConfig(scale, 4<<10)
-	sp.Apply(&mcfg)
-	var aps []ablationPoint
-	for _, sys := range []System{SysDirNNB, SysStache} {
-		aps = append(aps, ablationPoint{
-			pt:    Point{Cfg: mcfg, System: sys, Bench: "ocean", Scale: scale, Set: SetSmall},
-			label: "round-robin/" + string(sys),
-		})
-	}
-	// First-touch DirNNB: owner-placed is the steady-state equivalent
-	// (the initialising processor is the owner).
-	c := ocean.Small()
-	if scale != ScalePaper {
-		c.N = 66
-	}
-	c.OwnerPlaced = true
-	aps = append(aps, ablationPoint{
-		pt:    Point{Cfg: mcfg, System: SysDirNNB, Ocean: &c},
-		label: "first-touch/dirnnb",
-	})
 	return runAblation(sp, aps)
 }
 

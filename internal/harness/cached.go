@@ -33,7 +33,7 @@ func (cp CacheParams) enabled() bool { return cp.Cache != nil }
 // pair every simulating binary exposes. Without a directory there is no
 // cache, so there is nothing to verify either.
 func NewCacheParams(dir string, verify float64) (CacheParams, error) {
-	if verify < 0 || verify > 1 {
+	if !(verify >= 0 && verify <= 1) { // NaN fails both comparisons
 		return CacheParams{}, fmt.Errorf("-cache-verify %v: fraction must be in [0, 1]", verify)
 	}
 	if dir == "" {

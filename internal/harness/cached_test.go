@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -177,6 +178,7 @@ func TestNewCacheParamsValidation(t *testing.T) {
 		"verify-without-dir": {"", 0.5, "-cache-verify 0.5 needs -cache-dir"},
 		"verify-negative":    {t.TempDir(), -0.1, "-cache-verify -0.1: fraction must be in [0, 1]"},
 		"verify-above-one":   {t.TempDir(), 1.5, "-cache-verify 1.5: fraction must be in [0, 1]"},
+		"verify-nan":         {t.TempDir(), math.NaN(), "-cache-verify NaN: fraction must be in [0, 1]"},
 	} {
 		if _, err := NewCacheParams(tc.dir, tc.verify); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/tempest-sim/tempest/internal/apps"
-	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
 
@@ -58,10 +56,11 @@ func Figure4(opts Fig4Options) ([]Fig4Point, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Both phases update every owned node's edges once per iteration.
 	ecfg := EM3DConfig(opts.Scale, set)
-	edges := em3dEdges(ecfg, mcfg.Nodes)
+	edges := 2 * ecfg.PerProc(mcfg.Nodes) * ecfg.Degree * ecfg.Iters
 	perEdge := func(r PointResult) float64 {
-		return float64(r.Res.ROICycles) / float64(edges*ecfg.Iters)
+		return float64(r.Res.ROICycles) / float64(edges)
 	}
 	var out []Fig4Point
 	for i, pct := range pcts {
@@ -74,17 +73,6 @@ func Figure4(opts Fig4Options) ([]Fig4Point, error) {
 		})
 	}
 	return out, nil
-}
-
-// em3dEdges computes the per-processor edges per iteration from the
-// configuration (the same partition formula App.Setup uses), so a cache
-// hit needs no app instance.
-func em3dEdges(ecfg em3d.Config, nodes int) int {
-	per := apps.CeilDiv(ecfg.TotalNodes/2, nodes)
-	if per == 0 {
-		per = 1
-	}
-	return 2 * per * ecfg.Degree
 }
 
 // RenderFigure4 prints the Figure 4 series.

@@ -16,8 +16,8 @@ import (
 // The funnel is the one path from a point to a verified result:
 // install (machine + protocol), makeApp, execute (Setup, Run, audit,
 // Verify). Simulate, Run and RunObserved are all compositions of these
-// three steps; nothing else in the package builds a machine for an
-// application run.
+// three steps, MeasureRefetch uses install alone, and nothing else in
+// the package builds a machine.
 
 // installed is a machine with its protocol attached, plus whichever
 // handles that protocol exposes: st for the Stache-based systems, upd

@@ -132,15 +132,7 @@ func MakeApp(name string, scale Scale, set DataSet) (apps.App, error) {
 		}
 		return ocean.New(c), nil
 	case "em3d":
-		c := em3d.Small()
-		if large {
-			c = em3d.Large()
-		}
-		if !paper {
-			c.TotalNodes = map[bool]int{false: 8000, true: 20000}[large]
-			c.Degree = map[bool]int{false: 5, true: 8}[large]
-		}
-		return em3d.New(c), nil
+		return em3d.New(EM3DConfig(scale, set)), nil
 	}
 	return nil, fmt.Errorf("harness: unknown benchmark %q", name)
 }
@@ -177,12 +169,11 @@ func MachineConfig(scale Scale, cacheBytes int) machine.Config {
 
 // SimParams is the one sweep-policy struct: the simulator-level knobs
 // every sweep threads into machine.Config (the contention model) plus
-// how the sweep's points are executed (pool
-// size, cache, backend, timeout, progress). The zero value is the
-// legacy configuration — serial, infinite bandwidth, no agent
-// occupancy, all cores, no cache — under which every pinned golden was
-// produced. Results are bit-identical at every Workers value for any
-// contention setting.
+// how the sweep's points are executed (pool size, cache, backend,
+// timeout, progress). The zero value — infinite bandwidth, no agent
+// occupancy, a worker pool on all cores, no cache — is the machine
+// under which every pinned golden was produced. Results are
+// bit-identical at every Workers value for any contention setting.
 type SimParams struct {
 	// Workers sizes the in-process worker pool; <= 0 uses all cores.
 	// Ignored when Exec is set.

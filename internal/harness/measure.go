@@ -9,12 +9,9 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/mp3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
-	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
-	"github.com/tempest-sim/tempest/internal/stache"
-	"github.com/tempest-sim/tempest/internal/typhoon"
 	"github.com/tempest-sim/tempest/internal/vm"
 )
 
@@ -26,19 +23,15 @@ import (
 // single-miss level (§6 discusses the handler path lengths behind it).
 func MeasureRefetch(cfg machine.Config, system System) (sim.Time, error) {
 	cfg.Nodes = 2
-	m := machine.New(cfg)
-	switch system {
-	case SysDirNNB:
-		dirnnb.New(m)
-	case SysStache:
-		typhoon.New(m, stache.New())
-	default:
-		return 0, fmt.Errorf("harness: MeasureRefetch does not support %q", system)
+	in, err := Point{Cfg: cfg, System: system}.install()
+	if err != nil {
+		return 0, err
 	}
+	m := in.m
 	seg := m.AllocShared("probe", mem.PageSize, vm.OnNode{Node: 0}, 0)
 	var total sim.Time
 	const rounds = 8
-	_, err := m.Run(func(p *machine.Proc) {
+	_, err = m.Run(func(p *machine.Proc) {
 		// Warm both nodes' mappings and the block.
 		p.ReadU64(seg.At(0))
 		p.Barrier()

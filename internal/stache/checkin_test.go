@@ -5,6 +5,7 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/typhoon"
 	"github.com/tempest-sim/tempest/internal/vm"
 )
@@ -157,6 +158,66 @@ func TestMigratoryDemotesOnReadSharing(t *testing.T) {
 		if v != 3 {
 			t.Errorf("node %d read %d, want 3", n, v)
 		}
+	}
+}
+
+// TestMigratoryGrantBranches drives a migratory GetS through each
+// directory state it can meet — Idle, Exclusive at another node (the
+// owner is recalled) and Shared with another sharer (the sharer is
+// invalidated) — and pins each step's cycles and the grant, invalidation
+// and data-reply counts.
+func TestMigratoryGrantBranches(t *testing.T) {
+	m, st := newM(t, 4, WithMigratory())
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
+	a := seg.At(0)
+	steps := []struct {
+		what  string
+		node  int
+		write bool
+	}{
+		{"node 1 reads", 1, false},
+		{"node 1 upgrades: the block turns migratory", 1, true},
+		{"home writes: recall leaves it Idle", 0, true},
+		{"migratory grant from Idle", 2, false},
+		{"migratory grant recalls the owner", 3, false},
+		{"home reads: downgrade leaves it Shared", 0, false},
+		{"migratory grant invalidates the sharer", 1, false},
+	}
+	took := make([]sim.Time, len(steps))
+	res := run(t, m, st, func(p *machine.Proc) {
+		for i, s := range steps {
+			if p.ID() == s.node {
+				t0 := p.Ctx.Time()
+				if s.write {
+					p.WriteU64(a, uint64(i))
+				} else {
+					p.ReadU64(a)
+				}
+				took[i] = p.Ctx.Time() - t0
+			}
+			p.Barrier()
+		}
+	})
+	want := []sim.Time{403, 94, 169, 325, 411, 144, 192}
+	for i, s := range steps {
+		if took[i] != want[i] {
+			t.Errorf("%s: %d cycles, want %d", s.what, took[i], want[i])
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"stache.migratory_grants", 3},
+		{"stache.invals_sent", 4},
+		{"stache.data_replies", 4},
+	} {
+		if got := res.Counters.Get(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if res.Cycles != 1822 {
+		t.Errorf("run took %d cycles, want 1822", res.Cycles)
 	}
 }
 

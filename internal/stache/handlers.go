@@ -228,36 +228,14 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 	ns := st.per[np.Node()]
 	ns.hot.getS++
 	d, _, synth := st.dirAt(np, va)
+	d.lastGetS = int16(r)
 	if st.migratory && d.migratory && d.state != dirBusy {
 		// The block migrates: grant the reader an exclusive copy so its
 		// expected write needs no second round trip.
 		ns.hot.migratoryGrants++
-		switch d.state {
-		case dirIdle:
-			st.grantExclusive(np, va, d, synth, r, false)
-		case dirShared:
-			d.sharers.remove(r)
-			if d.sharers.count() == 0 {
-				st.grantExclusive(np, va, d, synth, r, false)
-			} else {
-				d.state = dirBusy
-				d.pend = pendRemoteWrite
-				d.pendReq = int16(r)
-				d.pendUpgrade = false
-				d.pendDirty = false
-				st.invalidateSharers(np, va, d)
-				np.Invalidate(va)
-				np.MemRef(synth, true)
-				np.Charge(costHomeRespExtra)
-			}
-		case dirExclusive:
-			d.pendDirty = false
-			st.startRecall(np, va, d, synth, pendRemoteWrite, r, false, invalKill)
-		}
-		d.lastGetS = int16(r)
+		st.grantWrite(np, va, d, synth, r, false)
 		return
 	}
-	d.lastGetS = int16(r)
 	switch d.state {
 	case dirIdle:
 		np.DowngradeCPU(va)
@@ -299,6 +277,14 @@ func (st *Protocol) serveExclusive(np *typhoon.NP, pkt *network.Packet, upgrade 
 		// Read-then-write by the sole reader: the migratory pattern.
 		d.migratory = true
 	}
+	st.grantWrite(np, va, d, synth, r, upgrade)
+}
+
+// grantWrite serves remote node r's request for an exclusive copy: at
+// once from Idle or from a Shared block r alone holds, after
+// invalidating the other sharers or recalling the owner otherwise. An
+// upgrade by a current sharer is answered without data.
+func (st *Protocol) grantWrite(np *typhoon.NP, va mem.VA, d *blockDir, synth mem.PA, r int, upgrade bool) {
 	switch d.state {
 	case dirIdle:
 		st.grantExclusive(np, va, d, synth, r, false)

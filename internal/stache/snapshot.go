@@ -1,43 +1,12 @@
 package stache
 
 import (
-	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/stats"
 )
-
-// digestWriter folds words into an FNV-1a hash; the protocol state
-// digests share it so every package hashes the same way.
-type digestWriter struct {
-	h interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	}
-	buf [8]byte
-}
-
-func newDigestWriter() *digestWriter { return &digestWriter{h: fnv.New64a()} }
-
-func (d *digestWriter) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.buf[i] = byte(v >> (8 * i))
-	}
-	d.h.Write(d.buf[:])
-}
-
-func (d *digestWriter) sum() uint64 { return d.h.Sum64() }
-
-// sortedVAs returns m's keys in address order (map iteration order must
-// never reach a digest).
-func sortedVAs[V any](m map[mem.VA]V) []mem.VA {
-	out := make([]mem.VA, 0, len(m))
-	for va := range m {
-		out = append(out, va)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // StateDigest folds the protocol's full coherence state — every home
 // page's per-block directory (state, owner, sharers, busy-transaction
@@ -47,7 +16,7 @@ func sortedVAs[V any](m map[mem.VA]V) []mem.VA {
 // records it in a trace's footer and compares it on re-record. Call only
 // while the machine is not running.
 func (st *Protocol) StateDigest() uint64 {
-	d := newDigestWriter()
+	d := stats.NewDigest()
 	// Home-side: directory entries, in (segment, page, block) order.
 	for _, seg := range st.m.VM.Segments() {
 		for i := 0; i < seg.Pages(); i++ {
@@ -61,43 +30,43 @@ func (st *Protocol) StateDigest() uint64 {
 			if !ok {
 				continue
 			}
-			d.word(uint64(va))
+			d.Word(uint64(va))
 			for bi := range dir.blocks {
 				b := &dir.blocks[bi]
-				d.word(uint64(b.state)<<32 | uint64(uint16(b.owner))<<16 | uint64(b.pend)<<8 |
-					uint64(boolBit(b.migratory))<<1 | uint64(boolBit(b.pendUpgrade)))
-				d.word(uint64(uint16(b.pendReq))<<16 | uint64(uint16(b.pendOwner)))
-				word := func(s int) { d.word(uint64(s) + 1) }
+				d.Word(uint64(b.state)<<32 | uint64(uint16(b.owner))<<16 | uint64(b.pend)<<8 |
+					boolBit(b.migratory)<<1 | boolBit(b.pendUpgrade))
+				d.Word(uint64(uint16(b.pendReq))<<16 | uint64(uint16(b.pendOwner)))
+				word := func(s int) { d.Word(uint64(s) + 1) }
 				b.sharers.each(word)
-				d.word(^uint64(0)) // sharer/waiter separator
+				d.Word(^uint64(0)) // sharer/waiter separator
 				b.waiting.each(word)
 			}
 		}
 	}
 	// Requester-side: per-node caching state.
 	for node, ns := range st.per {
-		d.word(uint64(node))
-		d.word(uint64(boolBit(ns.pendingValid))<<2 | uint64(boolBit(ns.pendingWrite))<<1 |
-			uint64(boolBit(ns.pendingUpgrade)))
-		d.word(uint64(ns.pendingVA))
-		d.word(uint64(boolBit(ns.homePendingValid)))
+		d.Word(uint64(node))
+		d.Word(boolBit(ns.pendingValid)<<2 | boolBit(ns.pendingWrite)<<1 |
+			boolBit(ns.pendingUpgrade))
+		d.Word(uint64(ns.pendingVA))
+		d.Word(boolBit(ns.homePendingValid))
 		for _, va := range ns.fifo {
-			d.word(uint64(va))
+			d.Word(uint64(va))
 		}
-		d.word(^uint64(0))
-		for _, va := range sortedVAs(ns.wbOutstanding) {
-			d.word(uint64(va))
+		d.Word(^uint64(0))
+		for _, va := range slices.Sorted(maps.Keys(ns.wbOutstanding)) {
+			d.Word(uint64(va))
 		}
-		d.word(^uint64(0))
-		for _, va := range sortedVAs(ns.orphans) {
-			d.word(uint64(va)<<8 | uint64(uint8(ns.orphans[va])))
+		d.Word(^uint64(0))
+		for _, va := range slices.Sorted(maps.Keys(ns.orphans)) {
+			d.Word(uint64(va)<<8 | uint64(uint8(ns.orphans[va])))
 		}
-		d.word(^uint64(0))
-		for _, va := range sortedVAs(ns.prefetching) {
-			d.word(uint64(va))
+		d.Word(^uint64(0))
+		for _, va := range slices.Sorted(maps.Keys(ns.prefetching)) {
+			d.Word(uint64(va))
 		}
 	}
-	return d.sum()
+	return uint64(d)
 }
 
 func boolBit(b bool) uint64 {

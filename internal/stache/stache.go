@@ -215,10 +215,8 @@ func (st *Protocol) System() *typhoon.System { return st.sys }
 // their own mode so layered protocols can override the fault handlers.
 func (st *Protocol) SetupSegment(seg *vm.Segment) {
 	homeMode := ModeHome
-	remoteMode := ModeRemote
 	if seg.Mode >= ModeNextFree {
 		homeMode = seg.Mode
-		remoteMode = seg.Mode + 1
 	}
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
@@ -233,7 +231,6 @@ func (st *Protocol) SetupSegment(seg *vm.Segment) {
 		frame.User = newHomeDir(va, st.m.Mems[home].BlocksPerPage())
 		st.m.VM.Table(home).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: homeMode})
 	}
-	_ = remoteMode // remote pages are created at fault time with this mode
 }
 
 // remoteModeFor returns the page mode stache pages of this segment use.

@@ -1,5 +1,6 @@
-// Package stats provides the counter sets and plain-text table rendering
-// the simulator and benchmark harness use to report results.
+// Package stats provides the counter sets, plain-text table rendering
+// and state digests the simulator and benchmark harness use to report
+// results.
 package stats
 
 import (
@@ -56,6 +57,21 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		out[k] = v
 	}
 	return out
+}
+
+// Digest is a 64-bit FNV-1a hash fed one little-endian word at a time:
+// every protocol's StateDigest folds its state through it. Start from
+// NewDigest.
+type Digest uint64
+
+// NewDigest returns an empty digest (the FNV-1a offset basis).
+func NewDigest() Digest { return 14695981039346656037 }
+
+// Word folds v's eight bytes, least significant first.
+func (d *Digest) Word(v uint64) {
+	for i := 0; i < 64; i += 8 {
+		*d = (*d ^ Digest(byte(v>>i))) * 1099511628211
+	}
 }
 
 // Table is a plain-text table with a title, for harness output that

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,4 +155,22 @@ func TestCountersZeroValue(t *testing.T) {
 		t.Fatal("zero value should enumerate as empty")
 	}
 	empty.Merge(&Counters{}) // merging two zero values must not panic
+}
+
+// TestDigestIsFNV1a: Digest is hash/fnv's 64-bit FNV-1a over the words'
+// little-endian bytes, empty and after a few hundred random words.
+func TestDigestIsFNV1a(t *testing.T) {
+	d, ref := NewDigest(), fnv.New64a()
+	if uint64(d) != ref.Sum64() {
+		t.Fatalf("empty digest %#x, want %#x", uint64(d), ref.Sum64())
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		v := rng.Uint64()
+		d.Word(v)
+		ref.Write(binary.LittleEndian.AppendUint64(nil, v))
+		if uint64(d) != ref.Sum64() {
+			t.Fatalf("after word %d (%#x): digest %#x, want %#x", i, v, uint64(d), ref.Sum64())
+		}
+	}
 }

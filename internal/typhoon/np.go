@@ -163,11 +163,20 @@ func (np *NP) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	h(np, pkt)
 	c.EndNoBlock()
 	if np.sys.software.StealHandlerCycles {
-		// A pending quantum yield precedes publishing the stolen cycles;
-		// a resume's yield waits for the step boundary, after them.
-		c.Sync()
-		np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
+		np.stealHandlerCycles(c, t0)
 	}
+}
+
+// stealHandlerCycles ends a handler that started at t0 on software
+// Tempest (StealHandlerCycles), where handlers run on the compute
+// processor: the handler's cycles and the dispatch overhead are stolen
+// from it. Callers test the flag, so the hardware NP's dispatch pays no
+// call.
+func (np *NP) stealHandlerCycles(c *sim.Context, t0 sim.Time) {
+	// A pending quantum yield precedes publishing the stolen cycles;
+	// a resume's yield waits for the step boundary, after them.
+	c.Sync()
+	np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
 }
 
 // HasUrgent implements agent.Work: logged block access faults outrank
@@ -198,10 +207,7 @@ func (np *NP) runFault(c *sim.Context, f Fault) {
 	ops.BlockFault(np, f)
 	c.EndNoBlock()
 	if np.sys.software.StealHandlerCycles {
-		// A pending quantum yield precedes publishing the stolen cycles;
-		// a resume's yield waits for the step boundary, after them.
-		c.Sync()
-		np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
+		np.stealHandlerCycles(c, t0)
 	}
 }
 

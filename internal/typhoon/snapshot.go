@@ -1,10 +1,9 @@
 package typhoon
 
 import (
-	"hash/fnv"
-
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/mem"
+	"github.com/tempest-sim/tempest/internal/stats"
 )
 
 // Core returns the NP's protocol-agent core. The conformance recorder
@@ -13,20 +12,13 @@ func (np *NP) Core() *agent.Core { return np.core }
 
 // StateDigest folds the system's fine-grain access-control state — every
 // node's mapped shared pages with their page mode and per-block tags —
-// into one order-independent-of-nothing hash: segments, nodes, and pages
-// are visited in a fixed order, so equal digests mean equal tag state.
+// into one hash. Segments, nodes and pages are visited in a fixed order,
+// so equal digests mean equal tag state.
 // It must only be called while the machine is not running (protocol
 // state is node-local mid-run); the conformance suite records it after
 // Run as part of a trace's footer.
 func (s *System) StateDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	d := stats.NewDigest()
 	for _, seg := range s.M.VM.Segments() {
 		for node := 0; node < s.M.Cfg.Nodes; node++ {
 			pt := s.M.VM.Table(node)
@@ -36,14 +28,14 @@ func (s *System) StateDigest() uint64 {
 					continue
 				}
 				frame := s.M.Mems[pte.PA.Node()].Frame(pte.PA)
-				w(uint64(node))
-				w(uint64(va))
-				w(uint64(frame.Mode))
+				d.Word(uint64(node))
+				d.Word(uint64(va))
+				d.Word(uint64(frame.Mode))
 				for _, t := range frame.Tags {
-					w(uint64(t))
+					d.Word(uint64(t))
 				}
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(d)
 }

@@ -39,6 +39,8 @@ refuse() {
 }
 refuse -link-bw fig3 -link-bw -1
 refuse -cache-verify fig4 -cache-verify 1.5
+# NaN fails both halves of a range test; it must still be refused.
+refuse -cache-verify fig4 -cache-verify NaN
 refuse -scale ablations -scale huge
 refuse -occupancy typhoon-sim -occupancy -20
 refuse -cache-dir bench -fleet "$tmp/none.sock" -cache-dir "$tmp/cache"
@@ -56,5 +58,7 @@ refuse "flag provided but not defined: -no-dedup" bench -no-dedup
 refuse "flag provided but not defined: -no-cache" fig4 -no-cache
 refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
 refuse "flag provided but not defined: -cache-dir" fleet coordinator -addr "$tmp/f.sock" -cache-dir "$tmp/cache"
+# The removed first-touch ablation is an unknown -only value.
+refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags, a 96-set cache and the five removed flags refused with exit 2"
+echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, the five removed flags and the removed firsttouch ablation refused with exit 2"
