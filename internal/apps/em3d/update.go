@@ -292,6 +292,11 @@ func (u *UpdateProtocol) FlushAndWait(p *machine.Proc, seg *vm.Segment) {
 	st.waitRound++
 	st.runningActive += st.regByEpoch[st.waitRound-1]
 	st.target += uint64(st.runningActive)
+	// A yielding charge, as in Bulk.Wait: without the yield, an update
+	// handler that runs inside the window finds the waiter set and
+	// Unparks it, and that Unpark's syncRunning materialises the
+	// handler's own lazy quantum mid-step. Once per phase, so the yield
+	// costs nothing measurable.
 	p.Ctx.Advance(4)
 	for st.received < st.target {
 		st.waiter = p

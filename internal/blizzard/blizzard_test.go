@@ -167,3 +167,38 @@ func TestCustomProtocolPortable(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 }
+
+// TestBarrierAbsorbsStealsInLastQuantum: handler cycles stolen while a
+// processor runs its last quantum before a barrier are paid before it
+// arrives, not leaked past the barrier. Node 0's last quantum starts at
+// cycle 555 (a 55-cycle cold private read, then a 500-cycle compute that
+// yields); its Compute(63) and the barrier's 1-cycle charge reach 619,
+// crossing the quantum. Node 1's read, issued at cycle 160, lands its
+// GETS on node 0 inside [555, 619), so only the yield on the barrier's
+// charge lets that handler run, and steal, before the absorption.
+func TestBarrierAbsorbsStealsInLastQuantum(t *testing.T) {
+	m, _ := newBlizzard(t, 2)
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
+	priv := m.AllocPrivate(0, mem.PageSize)
+	var cost sim.Time
+	if _, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 1 {
+			p.Compute(160)
+			p.ReadU64(seg.At(0)) // the home serves a GETS
+			p.Barrier()
+			return
+		}
+		p.ReadU64(priv)
+		p.Compute(500)
+		p.Compute(63)
+		p.Barrier()
+		t0 := p.Ctx.Time()
+		p.ReadU64(priv) // private hit: 1 cycle, unless a steal leaked past the barrier
+		cost = p.Ctx.Time() - t0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if cost != 1 {
+		t.Errorf("first reference after the barrier cost %d, want 1: stolen cycles leaked past it", cost)
+	}
+}

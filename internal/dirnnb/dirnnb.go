@@ -555,7 +555,19 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		Src: req, Dst: home, VNet: network.VNetRequest,
 		Handler: hReq, Args: []uint64{uint64(block), flags},
 	})
-	p.Ctx.Advance(RemoteIssue)
+	// The issue cycles are charged atomically, so the park below is the
+	// miss's only scheduling point. A quantum yield here would be a
+	// second context switch that no other context can observe:
+	//   - the request is already sent, so the charge moves only this
+	//     processor's own clock, to t;
+	//   - the reply is delivered no earlier than issue + 11 + RemoteIssue
+	//     + dirOp + 11, after t, so nothing can unpark the processor
+	//     inside the window the yield would open;
+	//   - the reply's Unpark(at) makes it runnable at max(t, at) under its
+	//     fixed rank, the same (time, rank) key the yield, re-dispatch,
+	//     park and wake path reaches. Only the engine's dispatch counters
+	//     tell the two apart.
+	p.Ctx.AdvanceAtomic(RemoteIssue)
 	p.Ctx.Park("dirnnb miss %#x home %d", blockVA, home)
 	if !ns.fillValid {
 		panic(&Error{Op: "miss", Node: req, VA: mem.VA(blockVA),

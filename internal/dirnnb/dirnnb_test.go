@@ -70,6 +70,34 @@ func TestRemoteCleanReadMissLatency(t *testing.T) {
 	})
 }
 
+// TestRemoteMissParksOnce holds a remote miss to one context switch: the
+// park for the reply. Every RemoteIssue charge below crosses the
+// 64-cycle quantum (34 RemoteFill after the previous wake, 10 compute,
+// 1 instruction, then 23 issue = 68), so a miss that yields on the
+// charge pays two switches.
+func TestRemoteMissParksOnce(t *testing.T) {
+	const reads = 100
+	m, _ := newM(t, 2)
+	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)
+	res := run(t, m, func(p *machine.Proc) {
+		if p.ID() != 1 {
+			return
+		}
+		for i := range reads {
+			p.ReadU64(seg.At(uint64(i * m.Cfg.BlockSize))) // a fresh block each time
+			p.Compute(10)
+		}
+	})
+	misses := res.Counters.Get("dirnnb.remote_misses")
+	if misses != reads {
+		t.Fatalf("%d remote misses, want %d", misses, reads)
+	}
+	// The slack covers each processor's first dispatch (102 in all here).
+	if sw := res.Counters.Get("engine.goroutine_switches"); sw > misses+4 {
+		t.Errorf("%d context switches for %d remote misses; want at most %d", sw, misses, misses+4)
+	}
+}
+
 func TestReadAfterRemoteWriteSeesValue(t *testing.T) {
 	m, _ := newM(t, 2)
 	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, vm.ModeUser)

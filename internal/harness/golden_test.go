@@ -114,3 +114,42 @@ func TestBenchDigestIsGoldensHash(t *testing.T) {
 		t.Errorf("sha256 of the golden bodies is %s, testdata/bench.digest pins %s", got, want)
 	}
 }
+
+// TestExperimentsFigure3IsGolden: the reduced Figure 3 table quoted in
+// EXPERIMENTS.md is the golden's body, so the document cannot go stale
+// behind the code. Lines compare with trailing blanks trimmed; the
+// renderer pads its last column and editors strip the padding.
+func TestExperimentsFigure3IsGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "figure3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, golden, ok := bytes.Cut(raw, []byte("\n"))
+	if !ok {
+		t.Fatal("figure3.golden: no body below the hash line")
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const heading = "**Measured, reduced scale (8 nodes):**\n\n```\n"
+	_, rest, ok := bytes.Cut(doc, []byte(heading))
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md: no fenced block under %q", heading[:len(heading)-6])
+	}
+	table, _, ok := bytes.Cut(rest, []byte("```\n"))
+	if !ok {
+		t.Fatal("EXPERIMENTS.md: the reduced Figure 3 block is not closed")
+	}
+	trim := func(b []byte) string {
+		lines := bytes.Split(bytes.TrimRight(b, "\n"), []byte("\n"))
+		for i, l := range lines {
+			lines[i] = bytes.TrimRight(l, " ")
+		}
+		return string(bytes.Join(lines, []byte("\n")))
+	}
+	if got, want := trim(table), trim(golden); got != want {
+		t.Errorf("EXPERIMENTS.md's reduced Figure 3 table differs from testdata/figure3.golden; "+
+			"paste the golden's body below the hash line.\ndoc:\n%s\ngolden:\n%s", got, want)
+	}
+}

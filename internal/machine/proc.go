@@ -83,6 +83,9 @@ func (p *Proc) Compute(n int) {
 // run without paying for the handlers they hosted.
 func (p *Proc) Barrier() {
 	p.Stats.Barriers++
+	// A yielding charge: handlers that run in the window it opens may
+	// steal cycles from this processor (StealCycles), and those must be
+	// absorbed below, before Arrive, not after the barrier.
 	p.Ctx.Advance(1)
 	if st := p.m.stalls[p.node]; st > 0 {
 		p.m.stalls[p.node] = 0

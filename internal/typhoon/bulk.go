@@ -41,6 +41,12 @@ func (b *Bulk) Done() bool { return b.bt.done }
 
 // Wait suspends the calling processor until the transfer completes.
 func (b *Bulk) Wait(p *machine.Proc) {
+	// A yielding charge: without the yield, a bulkDoneHandler that runs
+	// inside the window finds the waiter set and Unparks it, and that
+	// Unpark's syncRunning materialises the handler's own lazy quantum
+	// mid-step, not at the step boundary. No committed workload tells
+	// the two orders apart, but nothing shows they agree either, and
+	// this charge runs once per wait.
 	p.Ctx.Advance(1)
 	for !b.bt.done {
 		b.bt.waiter = p

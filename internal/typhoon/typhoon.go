@@ -374,6 +374,11 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 		}
 		s.tracer.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KBlockFault, VA: va, Aux: aux})
 	}
+	// A yielding charge, unlike DirNNB's issue charge: postFault queues
+	// the fault and unparks the NP at the post-charge time, and that NP may
+	// already be runnable at an earlier one. The yield lets it, and every
+	// other earlier context, catch up first, so the NP never sees the
+	// fault before the cycle it was posted.
 	p.Ctx.Advance(BAFSuspendCycles)
 	np.postFault(Fault{Proc: p, VA: va, PA: pa, Write: write, Mode: pte.Mode, Tag: tag, PostedAt: p.Ctx.Time()})
 	p.Ctx.Park("block access fault %#x home %d", int(va)&^(cfg.BlockSize-1), s.M.VM.Home(va))

@@ -3,7 +3,8 @@
 # layer (internal/network, internal/agent) and of the protocol handlers —
 # one at a time, runs every behaviour fence on each, and prints a
 # markdown table of which fence caught which mutation (EXPERIMENTS.md
-# "Fence audit by mutation").
+# "Fence audit by mutation"). The last column, unit, is the mutated
+# packages' own tests.
 #
 # The checkout is never touched. The tracked files, uncommitted edits
 # included, are exported to a temporary directory ($TMPDIR), and every
@@ -17,13 +18,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fence_names=(conform ideal contended goldens diff)
+fence_names=(conform ideal contended goldens diff unit)
 fence_cmds=(
     "go test -count=1 ./internal/conform"
     "go run ./cmd/bench -check testdata/bench.digest"
     "go run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest"
     "go test -count=1 -run '^TestGolden' ./internal/harness"
     "go test -count=1 -run '^TestDifferentialMatrix\$' ./internal/conform"
+    "go test -count=1 ./internal/network ./internal/agent ./internal/machine ./internal/dirnnb ./internal/stache ./internal/typhoon ./internal/blizzard"
 )
 
 mut_names=() mut_files=() mut_from=() mut_to=()
@@ -90,6 +92,18 @@ mutation dirnnb-fanout-reversed internal/dirnnb/dirnnb.go \
 mutation stache-forget-sharer internal/stache/handlers.go \
     $'\tcase dirShared:\n\t\td.sharers.add(r, &ns.spare)\n' \
     $'\tcase dirShared:\n'
+# Charge-then-block sites (DESIGN.md §7): the first two must keep their
+# yielding charge; the third reverts DirNNB's atomic issue charge, an
+# equivalent mutant for every behaviour fence.
+mutation typhoon-baf-atomic internal/typhoon/typhoon.go \
+    'p.Ctx.Advance(BAFSuspendCycles)' \
+    'p.Ctx.AdvanceAtomic(BAFSuspendCycles)'
+mutation barrier-charge-atomic internal/machine/proc.go \
+    $'\tp.Ctx.Advance(1)\n\tif st := p.m.stalls[p.node]; st > 0 {\n\t\tp.m.stalls[p.node] = 0\n\t\tp.Ctx.Advance(st)\n\t}\n\tp.m.Bar.Arrive' \
+    $'\tp.Ctx.AdvanceAtomic(1)\n\tif st := p.m.stalls[p.node]; st > 0 {\n\t\tp.m.stalls[p.node] = 0\n\t\tp.Ctx.Advance(st)\n\t}\n\tp.m.Bar.Arrive'
+mutation dirnnb-issue-yields internal/dirnnb/dirnnb.go \
+    'p.Ctx.AdvanceAtomic(RemoteIssue)' \
+    'p.Ctx.Advance(RemoteIssue)'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
