@@ -40,8 +40,8 @@ func (s LineState) String() string {
 
 // line is one cache line in one word: block<<stateBits | state, where
 // block is pa >> blockShift. LineInvalid is 0 and an empty way is the
-// zero word. Physical addresses stay below 2^48 (mem.MakePA is
-// node<<40 | offset and machine.MaxNodes is 256), so the shift cannot
+// zero word. Physical addresses stay below 2^46 (mem.MakePA is
+// node<<40 | offset and machine.MaxNodes is 64), so the shift cannot
 // lose a bit.
 type line uint64
 
@@ -61,16 +61,6 @@ func (l line) holds(key line) LineState {
 	return LineInvalid
 }
 
-// Stats counts cache events.
-type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Upgrades    uint64 // writes that hit a Shared line
-	Evictions   uint64 // replacements of a valid line
-	DirtyEvicts uint64 // replacements of an Exclusive line
-	Invals      uint64 // external invalidations that hit
-}
-
 // Cache is a set-associative cache with random replacement. Block size
 // and set count are powers of two: a set is found by a shift and a mask
 // and is ways consecutive words (32 bytes at Table 2's four ways).
@@ -80,7 +70,6 @@ type Cache struct {
 	ways       int
 	sets       []line // (setMask+1) * ways, row-major
 	rng        uint64
-	stats      Stats
 }
 
 // New returns a cache of size bytes with the given associativity and
@@ -109,9 +98,6 @@ func New(size, ways, blockSize int, seed uint64) *Cache {
 		rng:        seed,
 	}
 }
-
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
 
 // BlockSize returns the line size in bytes.
 func (c *Cache) BlockSize() int { return 1 << c.blockShift }
@@ -159,17 +145,14 @@ func (c *Cache) Probe(pa mem.PA, write bool) (hit, upgrade bool) {
 			continue
 		}
 		if write && st == LineShared {
-			c.stats.Upgrades++
 			return false, true
 		}
-		c.stats.Hits++
 		return true, false
 	}
-	c.stats.Misses++
 	return false, false
 }
 
-// Lookup returns the state of pa's line without touching statistics.
+// Lookup returns the state of pa's line.
 func (c *Cache) Lookup(pa mem.PA) LineState {
 	set, key := c.index(pa)
 	for _, l := range set {
@@ -197,10 +180,6 @@ func (c *Cache) Fill(pa mem.PA, state LineState) (victim mem.PA, victimState Lin
 		w = int(c.next() % uint64(c.ways))
 		victim = mem.PA(uint64(set[w]>>stateBits) << c.blockShift)
 		victimState = LineState(set[w] & stateMask)
-		c.stats.Evictions++
-		if victimState == LineExclusive {
-			c.stats.DirtyEvicts++
-		}
 	}
 	set[w] = key | line(state)
 	return victim, victimState
@@ -237,7 +216,6 @@ func (c *Cache) Invalidate(pa mem.PA) LineState {
 	}
 	prev := set[w].holds(key)
 	set[w] = 0
-	c.stats.Invals++
 	return prev
 }
 

@@ -20,12 +20,14 @@ func TestLineIsOneWord(t *testing.T) {
 
 // refCache is the cache's specification written the obvious way: a
 // {tag, state} record per way, found by division and modulo, with the
-// same xorshift replacement sequence.
+// same xorshift replacement sequence. seen counts the paths the
+// sequence reached, so a sequence that stops reaching one fails instead
+// of passing vacuously.
 type refCache struct {
 	blockSize, ways, numSets int
 	sets                     []refLine
 	rng                      uint64
-	stats                    Stats
+	seen                     struct{ upgrades, evictions, dirtyEvicts, invals int }
 }
 
 type refLine struct {
@@ -53,13 +55,11 @@ func (r *refCache) probe(pa mem.PA, write bool) (hit, upgrade bool) {
 	l := r.resident(pa)
 	switch {
 	case l == nil:
-		r.stats.Misses++
 		return false, false
 	case write && l.state == LineShared:
-		r.stats.Upgrades++
+		r.seen.upgrades++
 		return false, true
 	}
-	r.stats.Hits++
 	return true, false
 }
 
@@ -89,9 +89,9 @@ func (r *refCache) fill(pa mem.PA, state LineState) (mem.PA, LineState) {
 	r.rng = x
 	l := &set[x%uint64(r.ways)]
 	victim, victimState := mem.PA(l.tag*uint64(r.blockSize)), l.state
-	r.stats.Evictions++
+	r.seen.evictions++
 	if victimState == LineExclusive {
-		r.stats.DirtyEvicts++
+		r.seen.dirtyEvicts++
 	}
 	*l = refLine{block, state}
 	return victim, victimState
@@ -106,7 +106,7 @@ func (r *refCache) setState(pa mem.PA, state LineState) LineState {
 	prev := l.state
 	l.state = state
 	if state == LineInvalid {
-		r.stats.Invals++
+		r.seen.invals++
 	}
 	return prev
 }
@@ -125,8 +125,8 @@ func (r *refCache) invalidatePage(pa mem.PA) int {
 // TestCacheMatchesReferenceModel drives the cache and the naive model
 // above through the same random operation sequence at every
 // associativity and block size a machine or an NP data cache is built
-// with, and compares every return value, every victim and, after every
-// operation, the statistics. Addresses fall on three nodes (the highest
+// with, and compares every return value and every victim. Addresses
+// fall on three nodes (the highest
 // legal one among them) within eight cache-fuls of each node's base, so
 // sets fill, conflict and evict.
 func TestCacheMatchesReferenceModel(t *testing.T) {
@@ -142,7 +142,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					sets: make([]refLine, size/blockSize), rng: seed,
 				}
 				rng := rand.New(rand.NewSource(int64(seed)))
-				nodes := []int{0, 3, 255}
+				nodes := []int{0, 3, 63}
 				for step := 0; step < ops; step++ {
 					pa := mem.MakePA(nodes[rng.Intn(len(nodes))], uint64(rng.Intn(8*size)))
 					var got, want any
@@ -188,12 +188,9 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					if got != want {
 						t.Fatalf("step %d: %s(%#x) = %v, model says %v", step, what, pa, got, want)
 					}
-					if c.Stats() != ref.stats {
-						t.Fatalf("step %d after %s(%#x): stats %+v, model says %+v", step, what, pa, c.Stats(), ref.stats)
-					}
 				}
-				if s := ref.stats; s.Evictions == 0 || s.DirtyEvicts == 0 || s.Upgrades == 0 || s.Invals == 0 {
-					t.Fatalf("the sequence never exercised a counter: %+v", s)
+				if s := ref.seen; s.evictions == 0 || s.dirtyEvicts == 0 || s.upgrades == 0 || s.invals == 0 {
+					t.Fatalf("the sequence never reached one of its paths: %+v", s)
 				}
 			})
 		}

@@ -42,9 +42,6 @@ func TestWriteToSharedNeedsUpgrade(t *testing.T) {
 	if hit, _ := c.Probe(pa, true); !hit {
 		t.Fatal("write after upgrade must hit")
 	}
-	if c.Stats().Upgrades != 1 {
-		t.Fatalf("upgrades = %d, want 1", c.Stats().Upgrades)
-	}
 }
 
 func TestEvictionOnFullSet(t *testing.T) {
@@ -62,9 +59,6 @@ func TestEvictionOnFullSet(t *testing.T) {
 	}
 	if c.Lookup(victim) != LineInvalid {
 		t.Fatal("victim still resident")
-	}
-	if c.Stats().Evictions != 1 || c.Stats().DirtyEvicts != 1 {
-		t.Fatalf("stats = %+v", c.Stats())
 	}
 }
 

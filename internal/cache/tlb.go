@@ -18,8 +18,6 @@ type TLB struct {
 	slots []uint64
 	valid []bool
 	fifo  int
-
-	hits, misses uint64
 }
 
 // NewTLB returns an empty TLB with the given number of entries.
@@ -43,10 +41,8 @@ func (t *TLB) find(pn uint64, hint uint16) int {
 // charges the miss penalty when it returns false.
 func (t *TLB) Lookup(pn uint64, hint *uint16) bool {
 	if t.find(pn, *hint) >= 0 {
-		t.hits++
 		return true
 	}
-	t.misses++
 	i := t.fifo
 	if t.fifo++; t.fifo == len(t.slots) {
 		t.fifo = 0
@@ -68,9 +64,3 @@ func (t *TLB) InvalidateEntry(pn uint64, hint uint16) {
 func (t *TLB) Flush() {
 	clear(t.valid)
 }
-
-// Hits returns the hit count.
-func (t *TLB) Hits() uint64 { return t.hits }
-
-// Misses returns the miss count.
-func (t *TLB) Misses() uint64 { return t.misses }

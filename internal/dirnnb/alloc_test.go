@@ -90,10 +90,11 @@ func TestAllocFreeWriteInvalidatesSharers(t *testing.T) {
 
 // TestDirectoryEntrySize: every home frame that is ever asked for gets
 // an array of entries, one per block, so an entry stays one full-map
-// vector sized for machine.MaxNodes plus an owner — no pointer.
+// vector sized for machine.MaxNodes plus an owner — no pointer: 16
+// bytes at 64 nodes.
 func TestDirectoryEntrySize(t *testing.T) {
-	if got, want := unsafe.Sizeof(nodeSet{}), uintptr(machine.MaxNodes/8); got != want {
-		t.Errorf("unsafe.Sizeof(nodeSet{}) = %d, want %d", got, want)
+	if got, want := unsafe.Sizeof(nodeSet(0)), uintptr(machine.MaxNodes/8); got != want {
+		t.Errorf("unsafe.Sizeof(nodeSet(0)) = %d, want %d", got, want)
 	}
 	if got, want := unsafe.Sizeof(entry{}), uintptr(machine.MaxNodes/8+8); got != want {
 		t.Errorf("unsafe.Sizeof(entry{}) = %d, want %d", got, want)

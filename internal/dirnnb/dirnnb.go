@@ -88,7 +88,8 @@ const (
 )
 
 // entry is one block's directory state at its home: a full-map sharer
-// vector sized for the largest machine, so an entry never allocates.
+// vector sized for the largest machine, so an entry is 16 bytes and
+// never allocates.
 type entry struct {
 	sharers nodeSet
 	owner   int32 // node holding an exclusive copy, or -1
@@ -357,21 +358,19 @@ func (s *System) evaluate(home int, block mem.PA, req int, write, upgrade bool) 
 	// only copy is in the home node's own cache.
 	if write {
 		invals, remoteInvals := 0, 0
-		for i, w := range e.sharers {
-			for ; w != 0; w &= w - 1 {
-				n := i*64 + bits.TrailingZeros64(w)
-				if n == req {
-					continue
-				}
-				if n == home {
-					s.m.Caches[home].Invalidate(block)
-				} else {
-					out.invals.add(n)
-					remoteInvals++
-				}
-				e.sharers.remove(n)
-				invals++
+		for w := e.sharers; w != 0; w &= w - 1 {
+			n := bits.TrailingZeros64(uint64(w))
+			if n == req {
+				continue
 			}
+			if n == home {
+				s.m.Caches[home].Invalidate(block)
+			} else {
+				out.invals.add(n)
+				remoteInvals++
+			}
+			e.sharers.remove(n)
+			invals++
 		}
 		out.acks += remoteInvals
 		if invals > 0 {
@@ -449,13 +448,11 @@ func (s *System) sendCoher(home int, block mem.PA, out *evalOut, req int, write 
 			Handler: hRecall, Args: []uint64{uint64(block), id, recallWrite},
 		})
 	}
-	for i, w := range out.invals {
-		for ; w != 0; w &= w - 1 {
-			s.m.Net.Send(&network.Packet{
-				Src: home, Dst: i*64 + bits.TrailingZeros64(w), VNet: network.VNetReply,
-				Handler: hInval, Args: []uint64{uint64(block), id},
-			})
-		}
+	for w := out.invals; w != 0; w &= w - 1 {
+		s.m.Net.Send(&network.Packet{
+			Src: home, Dst: bits.TrailingZeros64(uint64(w)), VNet: network.VNetReply,
+			Handler: hInval, Args: []uint64{uint64(block), id},
+		})
 	}
 }
 
@@ -709,17 +706,15 @@ func (ns *nodeState) ack(home int, id uint64) {
 	}, InvalProc)
 }
 
-// nodeSet is a bit set of node IDs, sized for the largest machine.
-type nodeSet [machine.MaxNodes / 64]uint64
+// nodeSet is a bit set of node IDs: one word holds the largest machine.
+// A walk goes in ascending node order (for w := s; w != 0; w &= w - 1).
+type nodeSet uint64
 
-func (s *nodeSet) add(n int)      { s[n/64] |= 1 << (n % 64) }
-func (s *nodeSet) remove(n int)   { s[n/64] &^= 1 << (n % 64) }
-func (s *nodeSet) has(n int) bool { return s[n/64]&(1<<(n%64)) != 0 }
-func (s *nodeSet) clear()         { *s = nodeSet{} }
-func (s *nodeSet) count() int {
-	c := 0
-	for _, w := range s {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+// A node number must fit a bit of the set.
+const _ = nodeSet(1) << (machine.MaxNodes - 1)
+
+func (s *nodeSet) add(n int)     { *s |= 1 << n }
+func (s *nodeSet) remove(n int)  { *s &^= 1 << n }
+func (s nodeSet) has(n int) bool { return s&(1<<n) != 0 }
+func (s *nodeSet) clear()        { *s = 0 }
+func (s nodeSet) count() int     { return bits.OnesCount64(uint64(s)) }

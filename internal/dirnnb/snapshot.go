@@ -27,10 +27,8 @@ func (s *System) StateDigest() uint64 {
 		ns.eachEntry(func(pa mem.PA, e *entry) {
 			d.Word(uint64(pa))
 			d.Word(uint64(uint32(e.owner)) + 1)
-			for i, word := range e.sharers {
-				for ; word != 0; word &= word - 1 {
-					d.Word(uint64(i*64+bits.TrailingZeros64(word)) + 1)
-				}
+			for w := e.sharers; w != 0; w &= w - 1 {
+				d.Word(uint64(bits.TrailingZeros64(uint64(w))) + 1)
 			}
 			d.Word(^uint64(0)) // sharer-list terminator
 		})

@@ -138,12 +138,14 @@ const MaxCycles sim.Time = 1 << 32
 // CacheSize and a few words per TLB entry (three TLBs on a Typhoon
 // node). Configurations arrive over the wire, and an allocation the
 // host cannot satisfy is a kill no recover turns into an error reply.
-// Each is 8× or more what the paper and any committed sweep use (32
-// nodes, 256 KB, 64 entries); a machine at all three bounds costs the
-// host about 0.3 GB at the default block size, four times that at the
+// MaxNodes is twice the paper's 32 nodes and is also the width of one
+// word: a DirNNB or Stache sharer set is a single uint64 bit vector. The
+// other two are 16× and 64× what the paper and any committed sweep use
+// (256 KB, 64 entries). A machine at all three bounds costs the host
+// about 70 MB at the default block size, four times that at the
 // smallest.
 const (
-	MaxNodes      = 256
+	MaxNodes      = 64
 	MaxCacheBytes = 4 << 20
 	MaxTLBEntries = 1 << 12
 )

@@ -13,8 +13,8 @@ import (
 // with more than six sharers, whose set has overflowed to a bit vector.
 // Each run, fifteen remote nodes read the block and the home then writes
 // it, invalidating all fifteen. The fan-out walks the set in place and
-// the overflow vector comes back from the home's pool, so after the
-// warm-up run nothing allocates. testing.AllocsPerRun counts the whole
+// the overflow vector is a word inside the set, so after the warm-up run
+// (which gives the page its directory) nothing allocates. testing.AllocsPerRun counts the whole
 // process, so every node's handlers are inside the count.
 func TestAllocFreeOverflowedInvalidation(t *testing.T) {
 	const nodes, runs = 16, 50

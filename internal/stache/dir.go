@@ -65,46 +65,30 @@ const maxPointers = 6
 
 // sharerSet is the paper's hybrid sharer representation: a count and six
 // one-byte pointers, and past six sharers a bit vector. It is 16 bytes
-// and a blockDir 56; a home page carries 128 of those at 32-byte blocks.
+// and holds no pointer; a blockDir is 56, and a home page's directory,
+// allocated on first use, carries 128 of those at 32-byte blocks.
 type sharerSet struct {
-	n        int8
-	ptrs     [maxPointers]uint8
-	overflow *nodeVector // nil until more than maxPointers sharers
+	n    int8 // pointers in use, or -1 once the set has overflowed
+	ptrs [maxPointers]uint8
+	vec  uint64 // the bit vector, valid only while n is -1
 }
 
-// A node number must fit a one-byte pointer.
-const _ = uint8(machine.MaxNodes - 1)
+// A node number must fit a one-byte pointer and a bit of vec.
+const (
+	_ = uint8(machine.MaxNodes - 1)
+	_ = uint64(1) << (machine.MaxNodes - 1)
+)
 
-// nodeVector is an overflowed sharer set's bit vector.
-type nodeVector [machine.MaxNodes / 64]uint64
-
-// vectorPool is one home's spare overflow vectors. A sharer set takes
-// one when it overflows and gives it back when it is cleared, so a home
-// allocates as many as it ever has overflowed sets at once — not one
-// per overflow, and not one per block that ever overflowed.
-type vectorPool []*nodeVector
-
-func (p *vectorPool) get() *nodeVector {
-	n := len(*p)
-	if n == 0 {
-		return new(nodeVector)
-	}
-	v := (*p)[n-1]
-	*p = (*p)[:n-1]
-	*v = nodeVector{}
-	return v
-}
-
-func (s *sharerSet) usingOverflow() bool { return s.overflow != nil }
+func (s *sharerSet) usingOverflow() bool { return s.n < 0 }
 
 // add records node; past maxPointers sharers it converts the set to a
-// bit vector taken from the home's pool.
-func (s *sharerSet) add(node int, pool *vectorPool) {
+// bit vector.
+func (s *sharerSet) add(node int) {
 	if s.has(node) {
 		return
 	}
-	if s.overflow != nil {
-		s.overflow[node/64] |= 1 << (node % 64)
+	if s.n < 0 {
+		s.vec |= 1 << node
 		return
 	}
 	if int(s.n) < maxPointers {
@@ -113,16 +97,16 @@ func (s *sharerSet) add(node int, pool *vectorPool) {
 		return
 	}
 	// Overflow: convert the pointers to a bit vector (§3).
-	s.overflow = pool.get()
+	s.vec = 1 << node
 	for _, p := range s.ptrs[:s.n] {
-		s.overflow[p/64] |= 1 << (p % 64)
+		s.vec |= 1 << p
 	}
-	s.overflow[node/64] |= 1 << (node % 64)
+	s.n = -1
 }
 
 func (s *sharerSet) remove(node int) {
-	if s.overflow != nil {
-		s.overflow[node/64] &^= 1 << (node % 64)
+	if s.n < 0 {
+		s.vec &^= 1 << node
 		return
 	}
 	for i := int8(0); i < s.n; i++ {
@@ -135,8 +119,8 @@ func (s *sharerSet) remove(node int) {
 }
 
 func (s *sharerSet) has(node int) bool {
-	if s.overflow != nil {
-		return s.overflow[node/64]&(1<<(node%64)) != 0
+	if s.n < 0 {
+		return s.vec&(1<<node) != 0
 	}
 	for i := int8(0); i < s.n; i++ {
 		if int(s.ptrs[i]) == node {
@@ -147,25 +131,20 @@ func (s *sharerSet) has(node int) bool {
 }
 
 func (s *sharerSet) count() int {
-	if s.overflow != nil {
-		c := 0
-		for _, w := range s.overflow {
-			c += bits.OnesCount64(w)
-		}
-		return c
+	if s.n < 0 {
+		return bits.OnesCount64(s.vec)
 	}
 	return int(s.n)
 }
 
 // each calls visit on every member in place: in pointer-insertion
-// order, or in node order once the set has overflowed. Event order, and
-// so the digests, depend on that order. visit must not change the set.
+// order, or in ascending node order once the set has overflowed. Event
+// order, and so the digests, depend on that order. visit must not change
+// the set.
 func (s *sharerSet) each(visit func(node int)) {
-	if s.overflow != nil {
-		for i, w := range s.overflow {
-			for ; w != 0; w &= w - 1 {
-				visit(i*64 + bits.TrailingZeros64(w))
-			}
+	if s.n < 0 {
+		for w := s.vec; w != 0; w &= w - 1 {
+			visit(bits.TrailingZeros64(w))
 		}
 		return
 	}
@@ -174,15 +153,8 @@ func (s *sharerSet) each(visit func(node int)) {
 	}
 }
 
-// clear empties the set, returning its overflow vector to the home's
-// pool.
-func (s *sharerSet) clear(pool *vectorPool) {
-	if s.overflow != nil {
-		*pool = append(*pool, s.overflow)
-		s.overflow = nil
-	}
-	s.n = 0
-}
+// clear empties the set.
+func (s *sharerSet) clear() { s.n = 0 }
 
 // blockDir is one block's home directory entry.
 type blockDir struct {
@@ -209,14 +181,29 @@ type blockDir struct {
 }
 
 // homeDir is the per-home-page directory vector the Stache allocation
-// functions hang off the page's RTLB user word (§3, §5.4).
+// functions hang off the page's RTLB user word (§3, §5.4). A home page
+// gets one the first time a handler consults it (dirAt); until then its
+// user word is nil and every block is Idle, the state a fresh directory
+// holds, so a page only its home ever touches costs no directory.
 type homeDir struct {
-	baseVA mem.VA
 	blocks []blockDir
 }
 
-func newHomeDir(baseVA mem.VA, blocksPerPage int) *homeDir {
-	return &homeDir{baseVA: baseVA, blocks: make([]blockDir, blocksPerPage)}
+func newHomeDir(blocksPerPage int) *homeDir {
+	return &homeDir{blocks: make([]blockDir, blocksPerPage)}
+}
+
+// idleBlock is every block of an absent directory. Only readers (the
+// audit and the digest) see it, through homeDir.block; no one writes it.
+var idleBlock blockDir
+
+// block returns entry bi of a home page's directory. A nil directory is
+// one no handler has consulted yet and reads as all Idle.
+func (hd *homeDir) block(bi int) *blockDir {
+	if hd == nil {
+		return &idleBlock
+	}
+	return &hd.blocks[bi]
 }
 
 // dirMemBase is the synthetic physical region directory entries are timed

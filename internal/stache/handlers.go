@@ -17,7 +17,9 @@ const (
 )
 
 // dirAt resolves the home-side directory entry for a block-aligned va on
-// np's node, charging one NP data-cache reference for the lookup.
+// np's node, charging one NP data-cache reference for the lookup. A home
+// page gets its directory here, on first use; until then every block is
+// Idle, which is what a fresh directory holds.
 func (st *Protocol) dirAt(np *typhoon.NP, va mem.VA) (*blockDir, *mem.Frame, mem.PA) {
 	pa, _, ok := np.Translate(va)
 	if !ok {
@@ -26,7 +28,11 @@ func (st *Protocol) dirAt(np *typhoon.NP, va mem.VA) (*blockDir, *mem.Frame, mem
 	frame := np.Mem().Frame(pa)
 	hd, ok := frame.User.(*homeDir)
 	if !ok {
-		panic(fmt.Sprintf("stache: %#x on node %d is not a home page", va, np.Node()))
+		if frame.User != nil || frame.Home != np.Node() {
+			panic(fmt.Sprintf("stache: %#x on node %d is not a home page", va, np.Node()))
+		}
+		hd = newHomeDir(np.Mem().BlocksPerPage())
+		frame.User = hd
 	}
 	bi := int(va.PageOffset()) / st.bs
 	synth := dirAddr(np.Node(), pa.FrameBase().Offset(), bi)
@@ -241,11 +247,11 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 		np.DowngradeCPU(va)
 		np.SetTag(va, mem.TagReadOnly)
 		d.state = dirShared
-		d.sharers.add(r, &ns.spare)
+		d.sharers.add(r)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirShared:
-		d.sharers.add(r, &ns.spare)
+		d.sharers.add(r)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
 	case dirExclusive:
@@ -323,7 +329,7 @@ func (st *Protocol) grantExclusive(np *typhoon.NP, va mem.VA, d *blockDir, synth
 	np.Invalidate(va)
 	d.state = dirExclusive
 	d.owner = int16(r)
-	d.sharers.clear(&st.per[np.Node()].spare)
+	d.sharers.clear()
 	np.MemRef(synth, true)
 	np.Charge(costHomeRespExtra)
 	if upgAck {
@@ -356,9 +362,8 @@ func (st *Protocol) startRecall(np *typhoon.NP, va mem.VA, d *blockDir, synth me
 		d.pendOwner = int16(owner) // keeps a read-only copy
 	}
 	d.owner = -1
-	spare := &st.per[np.Node()].spare
-	d.waiting.clear(spare)
-	d.waiting.add(owner, spare)
+	d.waiting.clear()
+	d.waiting.add(owner)
 	np.MemRef(synth, true)
 	st.per[np.Node()].hot.invalsSent++
 	np.Charge(costHomeRespExtra)
@@ -382,14 +387,14 @@ func (st *Protocol) startHomeInvalidate(np *typhoon.NP, va mem.VA, d *blockDir, 
 // place (sharerSet.each gives the order).
 func (st *Protocol) invalidateSharers(np *typhoon.NP, va mem.VA, d *blockDir) {
 	ns := st.per[np.Node()]
-	d.waiting.clear(&ns.spare)
+	d.waiting.clear()
 	d.sharers.each(func(s int) {
-		d.waiting.add(s, &ns.spare)
+		d.waiting.add(s)
 		ns.hot.invalsSent++
 		np.Charge(2)
 		np.SendRequest(s, HInval, []uint64{uint64(va), invalKill}, nil)
 	})
-	d.sharers.clear(&ns.spare)
+	d.sharers.clear()
 }
 
 // handleInvalAck collects one invalidation/downgrade acknowledgement.
@@ -436,9 +441,9 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		// The downgraded ex-owner keeps a read-only copy (unless its
 		// writeback told us it dropped the page instead).
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner), &ns.spare)
+			d.sharers.add(int(d.pendOwner))
 		}
-		d.sharers.add(r, &ns.spare)
+		d.sharers.add(r)
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
 		st.replyData(np, r, va, HDataRO)
@@ -446,7 +451,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		r := int(d.pendReq)
 		d.state = dirExclusive
 		d.owner = d.pendReq
-		d.sharers.clear(&ns.spare)
+		d.sharers.clear()
 		if st.migratory && d.migratory && !d.pendDirty && !d.pendUpgrade {
 			// A migratory recall that came back clean means the block
 			// is actually read-shared: stop migrating it.
@@ -464,7 +469,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 	case pendHomeRead:
 		d.state = dirShared
 		if d.pendOwner >= 0 {
-			d.sharers.add(int(d.pendOwner), &ns.spare)
+			d.sharers.add(int(d.pendOwner))
 		}
 		np.SetTag(va, mem.TagReadOnly)
 		np.MemRef(synth, true)
@@ -473,7 +478,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 	case pendHomeWrite:
 		d.state = dirIdle
 		d.owner = -1
-		d.sharers.clear(&ns.spare)
+		d.sharers.clear()
 		np.SetTag(va, mem.TagReadWrite)
 		np.MemRef(synth, true)
 		np.Charge(costDataArriveExtra)
@@ -482,7 +487,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		panic(fmt.Sprintf("stache: completePend with no pending transaction for %#x", va))
 	}
 	d.pendOwner = -1
-	d.waiting.clear(&ns.spare)
+	d.waiting.clear()
 	// A home CPU fault queued behind this transaction runs now.
 	if ns.homePendingValid && st.BlockBase(ns.homePending.VA) == va {
 		f := ns.homePending

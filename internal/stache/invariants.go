@@ -41,10 +41,10 @@ func (st *Protocol) checkBlock(va mem.VA, homeData, data []byte) error {
 	homeMem := st.m.Mems[home]
 	frame := homeMem.Frame(homePA)
 	hd, ok := frame.User.(*homeDir)
-	if !ok {
-		return fmt.Errorf("home frame has no directory")
+	if !ok && frame.User != nil {
+		return fmt.Errorf("home frame has no directory (user word %T)", frame.User)
 	}
-	d := &hd.blocks[int(va.PageOffset())/st.bs]
+	d := hd.block(int(va.PageOffset()) / st.bs)
 	if d.state == dirBusy {
 		return fmt.Errorf("directory still Busy (pend=%d) at quiescence", d.pend)
 	}

@@ -53,8 +53,8 @@ func TestCheckInvariantsMessages(t *testing.T) {
 	}{
 		{"unmapped home", func(s settled) { s.m.VM.Table(0).Unmap(s.va.VPN()) },
 			"home node 0 has no mapping"},
-		{"no directory", func(s settled) { s.m.Mems[0].Frame(s.homePA).User = nil },
-			"home frame has no directory"},
+		{"no directory", func(s settled) { s.m.Mems[0].Frame(s.homePA).User = "not a directory" },
+			"home frame has no directory (user word string)"},
 		{"busy directory", func(s settled) { s.dir.state, s.dir.pend = dirBusy, pendRemoteRead },
 			"directory still Busy (pend=1) at quiescence"},
 		{"unknown writer", func(s settled) { s.m.Mems[1].SetTag(s.copyPA, mem.TagReadWrite) },

@@ -10,11 +10,12 @@ import (
 
 // StateDigest folds the protocol's full coherence state — every home
 // page's per-block directory (state, owner, sharers, busy-transaction
-// fields) and every node's requester-side state (pending fault, stache
-// page FIFO, outstanding writebacks, orphans, prefetches) — into one
-// hash. Equal digests mean equal protocol state; the conformance suite
-// records it in a trace's footer and compares it on re-record. Call only
-// while the machine is not running.
+// fields; a page without one hashes as all Idle) and every node's
+// requester-side state (pending fault, stache page FIFO, outstanding
+// writebacks, orphans, prefetches) — into one hash. Equal digests mean
+// equal protocol state; the conformance suite records it in a trace's
+// footer and compares it on re-record. Call only while the machine is
+// not running.
 func (st *Protocol) StateDigest() uint64 {
 	d := stats.NewDigest()
 	// Home-side: directory entries, in (segment, page, block) order.
@@ -26,13 +27,14 @@ func (st *Protocol) StateDigest() uint64 {
 			if !ok {
 				continue
 			}
-			dir, ok := st.m.Mems[home].Frame(pte.PA).User.(*homeDir)
-			if !ok {
-				continue
+			frame := st.m.Mems[home].Frame(pte.PA)
+			dir, ok := frame.User.(*homeDir)
+			if !ok && frame.User != nil {
+				continue // another protocol's page
 			}
 			d.Word(uint64(va))
-			for bi := range dir.blocks {
-				b := &dir.blocks[bi]
+			for bi := range st.m.Mems[home].BlocksPerPage() {
+				b := dir.block(bi)
 				d.Word(uint64(b.state)<<32 | uint64(uint16(b.owner))<<16 | uint64(b.pend)<<8 |
 					boolBit(b.migratory)<<1 | boolBit(b.pendUpgrade))
 				d.Word(uint64(uint16(b.pendReq))<<16 | uint64(uint16(b.pendOwner)))

@@ -79,10 +79,6 @@ type nodeState struct {
 
 	fifo []mem.VA // stache page base VAs, oldest first
 
-	// spare holds the overflow vectors of this home's sharer sets that
-	// are not in use.
-	spare vectorPool
-
 	// hot holds the node's protocol counters. Counting per node (each
 	// bump happens on the node's own CPU or NP context) keeps the hot
 	// path node-local; fold sums the nodes.
@@ -208,11 +204,12 @@ func (st *Protocol) Attach(sys *typhoon.System) {
 func (st *Protocol) System() *typhoon.System { return st.sys }
 
 // SetupSegment implements typhoon.Protocol: for each page, the home node
-// allocates the frame and per-block directory, maps the page at the
-// shared virtual address with every block ReadWrite, and records the
-// home binding in the distributed mapping table (§3). Pages of custom
-// segments (mode >= ModeNextFree) get the same home-page structure under
-// their own mode so layered protocols can override the fault handlers.
+// allocates the frame, maps the page at the shared virtual address with
+// every block ReadWrite, and records the home binding in the distributed
+// mapping table (§3). The per-block directory waits for the first
+// handler that consults it (dirAt). Pages of custom segments (mode >=
+// ModeNextFree) get the same home-page structure under their own mode
+// so layered protocols can override the fault handlers.
 func (st *Protocol) SetupSegment(seg *vm.Segment) {
 	homeMode := ModeHome
 	if seg.Mode >= ModeNextFree {
@@ -228,7 +225,6 @@ func (st *Protocol) SetupSegment(seg *vm.Segment) {
 		frame := st.m.Mems[home].Frame(pa)
 		frame.Mode = homeMode
 		frame.Home = home
-		frame.User = newHomeDir(va, st.m.Mems[home].BlocksPerPage())
 		st.m.VM.Table(home).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: homeMode})
 	}
 }

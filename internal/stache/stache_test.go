@@ -1,6 +1,8 @@
 package stache
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -373,9 +375,10 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestDirectoryEntrySize: a home page carries one blockDir per block
-// (128 at 32-byte blocks), allocated whenever a page gets a home, so the
-// sharer set keeps the paper's one-byte pointers.
+// TestDirectoryEntrySize: a home page's directory holds one blockDir per
+// block (128 at 32-byte blocks), so the sharer set keeps the paper's
+// one-byte pointers, and its overflow vector is one inline word, not a
+// pointer to one.
 func TestDirectoryEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(sharerSet{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(sharerSet{}) = %d, want 16", got)
@@ -383,47 +386,55 @@ func TestDirectoryEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(blockDir{}); got != 56 {
 		t.Errorf("unsafe.Sizeof(blockDir{}) = %d, want 56", got)
 	}
+	typ := reflect.TypeOf(sharerSet{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		k := f.Type.Kind()
+		if k == reflect.Array {
+			k = f.Type.Elem().Kind()
+		}
+		if k < reflect.Int || k > reflect.Uint64 {
+			t.Errorf("sharerSet.%s is a %v; a sharer set holds only integers", f.Name, f.Type)
+		}
+	}
 }
 
 func TestSharerSetOverflowTransition(t *testing.T) {
+	members := func(s *sharerSet) []int {
+		var got []int
+		s.each(func(n int) { got = append(got, n) })
+		return got
+	}
 	var s sharerSet
-	var pool vectorPool
-	for n := 0; n < 6; n++ {
-		s.add(n, &pool)
+	for _, n := range []int{5, 2, 4, 0, 1, 3} {
+		s.add(n)
 	}
 	if s.usingOverflow() {
 		t.Fatal("six sharers should fit the pointers")
 	}
-	s.add(6, &pool)
+	if got, want := members(&s), []int{5, 2, 4, 0, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("pointer walk = %v, want insertion order %v", got, want)
+	}
+	s.add(63)
 	if !s.usingOverflow() {
 		t.Fatal("seventh sharer must trigger overflow")
 	}
-	if s.count() != 7 {
-		t.Fatalf("count = %d, want 7", s.count())
-	}
-	for n := 0; n < 7; n++ {
-		if !s.has(n) {
-			t.Fatalf("sharer %d lost in overflow conversion", n)
-		}
+	if got, want := members(&s), []int{0, 1, 2, 3, 4, 5, 63}; !slices.Equal(got, want) {
+		t.Fatalf("overflowed walk = %v, want ascending %v", got, want)
 	}
 	s.remove(3)
-	if s.has(3) || s.count() != 6 {
+	if s.has(3) || s.count() != 6 || !s.has(63) {
 		t.Fatal("remove in overflow mode failed")
 	}
-	vec := s.overflow
-	s.clear(&pool)
-	if s.usingOverflow() || s.count() != 0 || len(pool) != 1 {
-		t.Fatalf("clear: overflow %v, count %d, pool %d; want pointers, 0, the vector back in the pool",
-			s.usingOverflow(), s.count(), len(pool))
+	s.clear()
+	if s.usingOverflow() || s.count() != 0 || s.has(0) {
+		t.Fatalf("clear: overflow %v, count %d; want pointers, 0", s.usingOverflow(), s.count())
 	}
 	for n := 10; n < 17; n++ {
-		s.add(n, &pool)
+		s.add(n)
 	}
-	if s.overflow != vec || len(pool) != 0 {
-		t.Fatal("second overflow did not reuse the pooled vector")
-	}
-	if s.count() != 7 || s.has(0) || s.has(6) {
-		t.Fatalf("reused vector kept old members: count %d", s.count())
+	if got, want := members(&s), []int{10, 11, 12, 13, 14, 15, 16}; !slices.Equal(got, want) {
+		t.Fatalf("second overflow = %v, want %v: old members kept", got, want)
 	}
 }
 

@@ -47,6 +47,8 @@ refuse -cache-dir bench -fleet "$tmp/none.sock" -cache-dir "$tmp/cache"
 refuse -cache-dir fig3 -cache-verify 0.5
 refuse -j fleet worker -addr "$tmp/none.sock" -j -3
 refuse -nodes typhoon-sim -nodes -3
+# A sharer set is one 64-bit word, so the machine stops at 64 nodes.
+refuse "65 nodes outside \[1, 64\]" typhoon-sim -nodes 65
 # 12 KB of 4-way 32-byte blocks is 96 sets; the cache indexes by shift and mask.
 refuse "power of two" typhoon-sim -cache 12
 # The removed sharded-execution flag is an undefined flag, not an ignored one.
@@ -61,4 +63,4 @@ refuse "flag provided but not defined: -cache-dir" fleet coordinator -addr "$tmp
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, the five removed flags and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, 65 nodes, the five removed flags and the removed firsttouch ablation refused with exit 2"

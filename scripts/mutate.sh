@@ -87,10 +87,10 @@ mutation dirnnb-forget-sharer internal/dirnnb/dirnnb.go \
     $'\t\te.sharers.add(req)\n' \
     ''
 mutation dirnnb-fanout-reversed internal/dirnnb/dirnnb.go \
-    $'for ; w != 0; w &= w - 1 {\n\t\t\ts.m.Net.Send(&network.Packet{\n\t\t\t\tSrc: home, Dst: i*64 + bits.TrailingZeros64(w),' \
-    $'for ; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(w)) {\n\t\t\ts.m.Net.Send(&network.Packet{\n\t\t\t\tSrc: home, Dst: i*64 + 63 - bits.LeadingZeros64(w),'
+    $'for w := out.invals; w != 0; w &= w - 1 {\n\t\ts.m.Net.Send(&network.Packet{\n\t\t\tSrc: home, Dst: bits.TrailingZeros64(uint64(w)),' \
+    $'for w := out.invals; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(uint64(w))) {\n\t\ts.m.Net.Send(&network.Packet{\n\t\t\tSrc: home, Dst: 63 - bits.LeadingZeros64(uint64(w)),'
 mutation stache-forget-sharer internal/stache/handlers.go \
-    $'\tcase dirShared:\n\t\td.sharers.add(r, &ns.spare)\n' \
+    $'\tcase dirShared:\n\t\td.sharers.add(r)\n' \
     $'\tcase dirShared:\n'
 # Charge-then-block sites (DESIGN.md §7): the first two must keep their
 # yielding charge; the third reverts DirNNB's atomic issue charge, an
@@ -104,6 +104,14 @@ mutation barrier-charge-atomic internal/machine/proc.go \
 mutation dirnnb-issue-yields internal/dirnnb/dirnnb.go \
     'p.Ctx.AdvanceAtomic(RemoteIssue)' \
     'p.Ctx.Advance(RemoteIssue)'
+# A home page's directory on first use, and the overflowed set's walk
+# order, which event order and the digests depend on.
+mutation stache-dir-not-kept internal/stache/handlers.go \
+    $'\t\tframe.User = hd\n' \
+    ''
+mutation stache-overflow-descending internal/stache/dir.go \
+    $'for w := s.vec; w != 0; w &= w - 1 {\n\t\t\tvisit(bits.TrailingZeros64(w))' \
+    $'for w := s.vec; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(w)) {\n\t\t\tvisit(63 - bits.LeadingZeros64(w))'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
