@@ -17,8 +17,10 @@
 package agent
 
 import (
+	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/sim"
+	"github.com/tempest-sim/tempest/internal/trace"
 )
 
 // Dispatcher consumes one delivered message. The core has already
@@ -72,15 +74,6 @@ type Core struct {
 	busyUntil     sim.Time
 	occWaits      uint64
 	occWaitCycles uint64
-
-	// OnDispatch, when non-nil, observes every completed message dispatch:
-	// start is the cycle the dispatcher began (after delivery and any
-	// occupancy wait) and end the agent's clock when it returned. It runs
-	// before the packet is freed, so the callback may read the packet but
-	// must not retain it. Set before Engine.Run
-	// (the conformance recorder's tap); the dispatch path pays a nil
-	// check otherwise.
-	OnDispatch func(pkt *network.Packet, start, end sim.Time)
 }
 
 // Spawn creates node's protocol agent: a stepper daemon (named name,
@@ -143,8 +136,9 @@ func (co *Core) deliver(c *sim.Context, pkt *network.Packet) {
 	}
 	start := c.Time()
 	co.disp.DispatchMessage(c, pkt)
-	if co.OnDispatch != nil {
-		co.OnDispatch(pkt, start, c.Time())
+	if tr := co.net.Tracer; tr != nil {
+		// KNetDeliver: dispatch start and the service time it consumed.
+		tr.Emit(trace.Event{T: start, Node: co.node, Kind: trace.KNetDeliver, VA: mem.VA(c.Time() - start), Aux: pkt.TraceID()})
 	}
 	// Dispatchers run to completion and copy any payload they keep, so
 	// the packet recycles the moment the dispatch returns.

@@ -37,28 +37,25 @@ type Config struct {
 }
 
 // New attaches a software Tempest system running the given (unmodified)
-// protocol to m. Extra options (a tracer, say) are applied after the
-// software configuration, so they compose with it.
-func New(m *machine.Machine, proto typhoon.Protocol, cfg Config, opts ...typhoon.Option) *typhoon.System {
+// protocol to m.
+func New(m *machine.Machine, proto typhoon.Protocol, cfg Config) *typhoon.System {
 	if cfg.CheckOverhead == 0 {
 		cfg.CheckOverhead = DefaultCheckOverhead
 	}
 	if cfg.DispatchOverhead == 0 {
 		cfg.DispatchOverhead = DefaultDispatchOverhead
 	}
-	all := append([]typhoon.Option{typhoon.WithSoftware(typhoon.SoftwareConfig{
-		CheckOverhead:      cfg.CheckOverhead,
-		DispatchOverhead:   cfg.DispatchOverhead,
-		StealHandlerCycles: true,
-	})}, opts...)
-	return typhoon.New(m, proto, all...)
+	return typhoon.NewSoftware(m, proto, typhoon.SoftwareConfig{
+		CheckOverhead:    cfg.CheckOverhead,
+		DispatchOverhead: cfg.DispatchOverhead,
+	})
 }
 
 // NewStache attaches a software Tempest system running Stache — the
 // Blizzard configuration the differential and conformance suites compare
 // against Typhoon-Stache and DirNNB. Returning the protocol as well lets
 // callers reach its invariant checks and state digest.
-func NewStache(m *machine.Machine, cfg Config, opts ...typhoon.Option) (*typhoon.System, *stache.Protocol) {
+func NewStache(m *machine.Machine, cfg Config) (*typhoon.System, *stache.Protocol) {
 	st := stache.New()
-	return New(m, st, cfg, opts...), st
+	return New(m, st, cfg), st
 }

@@ -7,13 +7,13 @@
 //   - Record: a committed corpus (testdata/traces/ at the repo root)
 //     holds one recorded message trace per corpus pair at a small
 //     deterministic scale, in a stable text format (see Stream).
-//     Recording runs the real machine with the network-level taps on
-//     (network.Network.OnSend and OnDeliver, agent.Core.OnDispatch), so
-//     a trace holds the complete message stream — every send with its
-//     issue time and delay, every arrival, every dispatch with its start
-//     time and service cycles — plus the run's application-visible
-//     outcome (counters, observation hashes, memory and protocol-state
-//     digests) in the footer. The corpus is a golden file: the package
+//     Recording runs the real machine with a tracer on its network
+//     (network.Network.Tracer, the one recorder every system emits
+//     into), so a trace holds the complete message stream — every send
+//     with its issue time and delay, every arrival, every dispatch with
+//     its start time and service cycles — plus the run's
+//     application-visible outcome (counters, observation hashes, memory
+//     and protocol-state digests) in the footer. The corpus is a golden file: the package
 //     tests re-record every pair, run the MSI transition checker
 //     (CheckTagMachine) over the fresh stream, and compare its encoding
 //     with the committed file byte for byte.

@@ -8,12 +8,11 @@ import (
 	"github.com/tempest-sim/tempest/internal/trace"
 )
 
-// Record runs a corpus pair on the real machine with the conformance
-// taps attached and assembles the resulting stream. opt's Mutate and
-// SkipVerify let the negative tests inject a protocol bug and watch the
-// suite catch it; Record sets its Tracer. A recording whose tracer
-// overflowed is refused — a truncated trace must never become a corpus
-// file.
+// Record runs a corpus pair on the real machine with a tracer attached
+// and assembles the resulting stream. opt's Mutate and SkipVerify let
+// the negative tests inject a protocol bug and watch the suite catch it;
+// Record sets its Tracer. A recording whose tracer overflowed is refused
+// — a truncated trace must never become a corpus file.
 func Record(p Pair, opt harness.DiffOptions) (*Stream, error) {
 	pt := p.Point()
 	tr := trace.New(0)

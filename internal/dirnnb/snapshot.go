@@ -5,14 +5,9 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
-
-// AgentCore returns node's directory-agent core. The conformance
-// recorder uses it to tap message dispatches (agent.Core.OnDispatch).
-func (s *System) AgentCore(node int) *agent.Core { return s.nodes[node].core }
 
 // StateDigest folds the directory's full coherence state — every home's
 // per-block entries (owner, sharers) in ascending PA order, and in-flight

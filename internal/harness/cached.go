@@ -185,13 +185,10 @@ func ResultFromEntry(e *resultcache.Entry) RunResult { return resultFromEntry(e)
 // through: look the key up, serve hits (re-simulating the configured
 // verification fraction and failing loudly on divergence), simulate
 // and store misses. Damaged entries fall back to simulation — the cache
-// counts them; they never fail a sweep.
+// counts them; they never fail a sweep. cp must be enabled
+// (RunPointEntry simulates cacheless points itself).
 func cachedRun(cp CacheParams, cfg machine.Config, system System, appName string,
 	appFields, extra []resultcache.Field, simulate func() (RunResult, error)) (RunResult, *resultcache.Entry, error) {
-	if !cp.enabled() {
-		rr, err := simulate()
-		return rr, nil, err
-	}
 	// Entries outlive the process, so their keys must pin the code.
 	code, err := resultcache.CodeDigest()
 	if err != nil {

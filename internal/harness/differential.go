@@ -6,11 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
-	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/trace"
 	"github.com/tempest-sim/tempest/internal/typhoon"
@@ -62,11 +60,10 @@ type DiffOptions struct {
 	// protocol bug is caught by the differential comparison itself
 	// rather than by the app's answer check.
 	SkipVerify bool
-	// Tracer, when non-nil, records the run: protocol-level events for
-	// Typhoon systems (via typhoon.WithTracer) and, for every system,
-	// the network-level message stream through the conformance taps —
-	// each network.Network.OnSend as a KNetSend, each OnDeliver as a
-	// KNetArrive and each agent.Core.OnDispatch as a KNetDeliver.
+	// Tracer, when non-nil, records the run: RunObserved sets it as the
+	// machine's network.Network.Tracer, the one recorder. Every system
+	// records the network-level message stream there (KNetSend, KNetArrive,
+	// KNetDeliver); Typhoon systems add their protocol-level events.
 	Tracer *trace.Tracer
 }
 
@@ -103,36 +100,12 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	if err := pt.Validate(); err != nil {
 		return DiffObservation{}, err
 	}
-	var topts []typhoon.Option
-	if opt.Tracer != nil {
-		topts = append(topts, typhoon.WithTracer(opt.Tracer))
-	}
-	in, err := pt.install(topts...)
+	in, err := pt.install()
 	if err != nil {
 		return DiffObservation{}, err
 	}
 	m := in.m
-	if tr := opt.Tracer; tr != nil {
-		// The network-level taps exist for every system, DirNNB included:
-		// together they record the complete message stream (issue time and
-		// SendAfter delay on the sending node, arrival time at the
-		// receiving endpoint, dispatch start and service time on the
-		// receiving agent), which the conformance corpus pins byte for byte.
-		m.Net.OnSend = func(p *network.Packet, issued, extra sim.Time) {
-			tr.Emit(trace.Event{T: issued, Node: p.Src, Kind: trace.KNetSend, VA: mem.VA(extra),
-				Aux: trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())})
-		}
-		m.Net.OnDeliver = func(p *network.Packet) {
-			tr.Emit(trace.Event{T: p.DeliveredAt, Node: p.Dst, Kind: trace.KNetArrive,
-				Aux: trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())})
-		}
-		for node := range m.Procs {
-			in.agentCore(node).OnDispatch = func(pkt *network.Packet, start, end sim.Time) {
-				tr.Emit(trace.Event{T: start, Node: node, Kind: trace.KNetDeliver, VA: mem.VA(end - start),
-					Aux: trace.PackMsg(pkt.Handler, pkt.Src, pkt.Dst, uint8(pkt.VNet), pkt.PayloadBytes())})
-			}
-		}
-	}
+	m.Net.Tracer = opt.Tracer
 	if opt.Mutate != nil {
 		if in.tsys == nil {
 			return DiffObservation{}, fmt.Errorf("harness: %s: cannot mutate %s (no Typhoon system)", pt.Label(), pt.System)
@@ -173,15 +146,6 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 		obs.ProtoDigest, obs.TagsDigest = in.st.StateDigest(), in.tsys.StateDigest()
 	}
 	return obs, nil
-}
-
-// agentCore returns node's protocol-agent core for whichever system is
-// attached — the unified agent layer every delivery dispatches through.
-func (in installed) agentCore(node int) *agent.Core {
-	if in.dsys != nil {
-		return in.dsys.AgentCore(node)
-	}
-	return in.tsys.NP(node).Core()
 }
 
 // SharedMemoryDigest hashes the coherent contents of every shared

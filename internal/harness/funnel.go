@@ -52,8 +52,8 @@ func (pt Point) setup(phase string, f func() error) (err error) {
 }
 
 // install builds the point's machine and attaches its protocol — the
-// only switch over system × Stache variants × typhoon options.
-func (pt Point) install(topts ...typhoon.Option) (in installed, err error) {
+// only switch over system × Stache variants.
+func (pt Point) install() (in installed, err error) {
 	err = pt.setup("install", func() error {
 		in.m = machine.New(pt.Cfg)
 		switch pt.System {
@@ -68,12 +68,12 @@ func (pt Point) install(topts ...typhoon.Option) (in installed, err error) {
 				sopts = append(sopts, stache.WithMigratory())
 			}
 			in.st = stache.New(sopts...)
-			in.tsys = typhoon.New(in.m, in.st, topts...)
+			in.tsys = typhoon.New(in.m, in.st)
 		case SysBlizzard:
-			in.tsys, in.st = blizzard.NewStache(in.m, blizzard.Config{}, topts...)
+			in.tsys, in.st = blizzard.NewStache(in.m, blizzard.Config{})
 		case SysUpdate:
 			in.upd = em3d.NewUpdateProtocol()
-			in.tsys = typhoon.New(in.m, in.upd, topts...)
+			in.tsys = typhoon.New(in.m, in.upd)
 		default:
 			return fmt.Errorf("harness: %s: unknown system %q", pt.Label(), pt.System)
 		}

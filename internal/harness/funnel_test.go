@@ -186,14 +186,14 @@ func TestNetworkErrorSurfaced(t *testing.T) {
 }
 
 // badDeliveryApp sends one well-formed packet whose delivery trips a
-// panicking tap: the failure happens under a packet's Fire, on the
-// scheduler, with no context running.
+// panicking endpoint Notify: the failure happens under a packet's Fire,
+// on the scheduler, with no context running.
 type badDeliveryApp struct{ badSendApp }
 
 func (a *badDeliveryApp) Setup(m *machine.Machine) {
 	a.m = m
-	m.Net.OnDeliver = func(p *network.Packet) {
-		panic(&network.Error{Op: "deliver", Node: p.Dst, Msg: "tap refused the packet"})
+	m.Net.Endpoint(1).Notify = func(sim.Time) {
+		panic(&network.Error{Op: "deliver", Node: 1, Msg: "tap refused the packet"})
 	}
 }
 func (a *badDeliveryApp) Body(p *machine.Proc) {
@@ -211,7 +211,7 @@ func TestEventPanicFailsThePoint(t *testing.T) {
 	_, err := Run(cfg, SysDirNNB, &badDeliveryApp{})
 	var nerr *network.Error
 	if !errors.As(err, &nerr) || nerr.Op != "deliver" {
-		t.Fatalf("err = %v, want the tap's *network.Error", err)
+		t.Fatalf("err = %v, want the endpoint's *network.Error", err)
 	}
 	label := Point{Cfg: cfg, System: SysDirNNB, Bench: "bad-send"}.Label()
 	if want := "harness: " + label + ": sim: event at cycle "; !strings.HasPrefix(err.Error(), want) {

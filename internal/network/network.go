@@ -30,7 +30,9 @@ package network
 import (
 	"fmt"
 
+	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
+	"github.com/tempest-sim/tempest/internal/trace"
 )
 
 // VNet selects one of the two independent virtual networks. Requests
@@ -99,6 +101,12 @@ type Packet struct {
 	ejected   bool      // ejection port claimed; next Fire is the enqueue
 }
 
+// TraceID is the packet's identity as a network-level trace event
+// carries it in Aux (trace.PackMsg).
+func (p *Packet) TraceID() uint64 {
+	return trace.PackMsg(p.Handler, p.Src, p.Dst, uint8(p.VNet), p.PayloadBytes())
+}
+
 // PayloadBytes returns the packet's size against the payload limit.
 func (p *Packet) PayloadBytes() int {
 	return handlerBytes + 8*len(p.Args) + len(p.Data)
@@ -133,8 +141,8 @@ func (p *Packet) Fire() {
 	p.ejected = false
 	p.linkOcc = 0
 	p.dst = nil
-	if dst.net.OnDeliver != nil {
-		dst.net.OnDeliver(p)
+	if tr := dst.net.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: p.DeliveredAt, Node: p.Dst, Kind: trace.KNetArrive, Aux: p.TraceID()})
 	}
 	dst.queues[p.VNet].push(p)
 	if dst.Notify != nil {
@@ -257,21 +265,12 @@ type Network struct {
 	linkBW       int // bytes per cycle per port; 0 = infinite bandwidth
 	endpoints    []*Endpoint
 
-	// OnSend, when non-nil, observes every injected packet (the pooled
-	// copy, before it can fire) at issue time: issued is the sender's
-	// clock when Send/SendAfter was called and extra the SendAfter delay,
-	// so issued+extra is the packet's SentAt. The callback runs while
-	// holding the conch; it must not retain the packet. Set before
-	// Engine.Run (the conformance recorder's tap) — the hot path pays a
-	// nil check otherwise.
-	OnSend func(p *Packet, issued, extra sim.Time)
-	// OnDeliver, when non-nil, observes every packet as it is enqueued
-	// at its destination endpoint — after the wire latency and, with
-	// finite bandwidth, the ejection-port serialisation, so
-	// p.DeliveredAt is final. It runs during event processing and must
-	// not retain the packet. Set before Engine.Run (the conformance
-	// recorder's arrival tap).
-	OnDeliver func(p *Packet)
+	// Tracer, when non-nil, is the run's one recorder: the network emits
+	// KNetSend as each packet is injected and KNetArrive as it is
+	// enqueued at its destination; agents (KNetDeliver) and Typhoon's NPs
+	// (protocol-level events) emit into it through their network. Set
+	// before Engine.Run; each emitter pays a nil check otherwise.
+	Tracer *trace.Tracer
 
 	stats Stats
 	free  *Packet // LIFO free list of pooled packets
@@ -429,8 +428,8 @@ func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 	q.Data = append(q.dataStore[:0], p.Data...)
 	issued := n.eng.Now()
 	q.SentAt = issued + extra
-	if n.OnSend != nil {
-		n.OnSend(q, issued, extra)
+	if tr := n.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: issued, Node: q.Src, Kind: trace.KNetSend, VA: mem.VA(extra), Aux: q.TraceID()})
 	}
 	start := q.SentAt
 	if n.linkBW > 0 && !local {

@@ -298,13 +298,14 @@ func TestInvalidSourceRejected(t *testing.T) {
 }
 
 // TestDeliveryTapPanicIsRunError: a packet fires as an event, so a
-// structured error panicked under it — here from the OnDeliver tap — must
-// come out of Engine.Run wrapped, not take down Run's caller.
+// structured error panicked under it — here from the receiving
+// endpoint's Notify — must come out of Engine.Run wrapped, not take down
+// Run's caller.
 func TestDeliveryTapPanicIsRunError(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, Config{Nodes: 2, Latency: 11})
-	n.OnDeliver = func(p *Packet) {
-		panic(&Error{Op: "deliver", Node: p.Dst, Msg: "tap refused the packet"})
+	n.Endpoint(1).Notify = func(sim.Time) {
+		panic(&Error{Op: "deliver", Node: 1, Msg: "tap refused the packet"})
 	}
 	eng.Spawn("driver", func(c *sim.Context) {
 		n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest})
@@ -312,7 +313,7 @@ func TestDeliveryTapPanicIsRunError(t *testing.T) {
 	err := eng.Run()
 	var nerr *Error
 	if !errors.As(err, &nerr) || nerr.Op != "deliver" || nerr.Node != 1 {
-		t.Fatalf("Run: %v, want the tap's *network.Error", err)
+		t.Fatalf("Run: %v, want the endpoint's *network.Error", err)
 	}
 	if want := "sim: event at cycle 11 panicked: network: deliver on node 1: tap refused the packet"; err.Error() != want {
 		t.Errorf("Run: %q, want %q", err, want)

@@ -1,8 +1,9 @@
 // Package trace records protocol-level events — block faults, message
 // sends and deliveries, thread resumes, page faults — with simulated
-// timestamps, for debugging user-level protocols. Tracing is off unless
-// a Tracer is attached to the Typhoon system; the hot paths pay only a
-// nil check.
+// timestamps, for debugging user-level protocols. A run has one
+// recorder: tracing is off unless a Tracer is set as the machine's
+// network.Network.Tracer, which the network, every protocol agent and
+// Typhoon's NPs emit into; the hot paths pay only a nil check.
 //
 // Events are captured in one slice in emission order, and every emission
 // names the node it happened on. Events orders them by (time, node) on
@@ -25,10 +26,10 @@ type Kind uint8
 
 // Event kinds. KMsgSend/KMsgRecv are the protocol-level view (a Typhoon
 // NP issuing or dispatching a message, before costs); KNetSend,
-// KNetArrive and KNetDeliver are the network-level view recorded by the
-// conformance taps (network.Network.OnSend and OnDeliver,
-// agent.Core.OnDispatch) — they exist for every protocol, DirNNB
-// included, and carry each packet's identity packed into Aux (PackMsg).
+// KNetArrive and KNetDeliver are the network-level view, emitted by the
+// network (send, arrival) and the receiving protocol agent (dispatch) —
+// they exist for every protocol, DirNNB included, and carry each
+// packet's identity packed into Aux (PackMsg).
 const (
 	KBlockFault Kind = iota
 	KPageFault

@@ -19,7 +19,8 @@ import (
 func TestTraceCapturesMissProtocol(t *testing.T) {
 	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096, Seed: 1})
 	tr := trace.New(0)
-	typhoon.New(m, stache.New(), typhoon.WithTracer(tr))
+	typhoon.New(m, stache.New())
+	m.Net.Tracer = tr
 	seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
 	if _, err := m.Run(func(p *machine.Proc) {
 		if p.ID() == 0 {
@@ -242,7 +243,8 @@ func TestTracerPerMachineParallel(t *testing.T) {
 	runOne := func(seed uint64) (int, uint64, error) {
 		m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096, Seed: seed})
 		tr := trace.New(maxEvents)
-		typhoon.New(m, stache.New(), typhoon.WithTracer(tr))
+		typhoon.New(m, stache.New())
+		m.Net.Tracer = tr
 		seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
 		if _, err := m.Run(func(p *machine.Proc) {
 			if p.ID() == 0 {

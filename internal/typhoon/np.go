@@ -57,7 +57,11 @@ type NP struct {
 	// keyed by physical page, and a reused frame is the same page.
 	rtlbHints []uint16
 
-	faults   faultRing
+	// fault is the pending block access fault; a nil Proc means none.
+	// One slot is the traffic there is: a compute processor parks right
+	// after posting its fault, so it cannot post a second before the NP
+	// takes the first.
+	fault    Fault
 	bulk     []*bulkTransfer
 	bulkDone map[int][]*bulkTransfer // outstanding transfers by destination
 	frags    map[fragKey]*fragBuf
@@ -70,40 +74,6 @@ type NP struct {
 	bulkScratch [BulkChunkBytes]byte
 
 	hot npHot
-}
-
-// faultRing is a growable power-of-two ring of pending block access
-// faults: FIFO pop without the copy-shift of a slice queue, and no
-// allocation once at its high-water size.
-type faultRing struct {
-	buf        []Fault
-	head, tail int
-	n          int
-}
-
-func (r *faultRing) push(f Fault) {
-	if r.n == len(r.buf) {
-		size := len(r.buf) * 2
-		if size == 0 {
-			size = 8
-		}
-		buf := make([]Fault, size)
-		for i := 0; i < r.n; i++ {
-			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head, r.tail = buf, 0, r.n
-	}
-	r.buf[r.tail] = f
-	r.tail = (r.tail + 1) & (len(r.buf) - 1)
-	r.n++
-}
-
-func (r *faultRing) pop() Fault {
-	f := r.buf[r.head]
-	r.buf[r.head] = Fault{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return f
 }
 
 // Node returns the NP's node ID.
@@ -138,7 +108,11 @@ func (np *NP) Sync() { np.ctx.Sync() }
 func (np *NP) Proc() *machine.Proc { return np.sys.M.Procs[np.node] }
 
 func (np *NP) postFault(f Fault) {
-	np.faults.push(f)
+	if np.fault.Proc != nil {
+		panic(fmt.Sprintf("typhoon: np%d: block fault at va %#x posted while the fault at va %#x is pending",
+			np.node, f.VA, np.fault.VA))
+	}
+	np.fault = f
 	np.ctx.Unpark(f.Proc.Ctx.Time())
 }
 
@@ -154,37 +128,40 @@ func (np *NP) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	}
 	np.hot.dispatches++
 	np.hot.msgHandlers++
-	if np.sys.tracer != nil {
-		np.sys.tracer.Emit(trace.Event{T: c.Time(), Node: np.node, Kind: trace.KMsgRecv, Aux: uint64(pkt.Handler)})
+	if tr := np.sys.M.Net.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: c.Time(), Node: np.node, Kind: trace.KMsgRecv, Aux: uint64(pkt.Handler)})
 	}
 	c.Advance(DispatchCycles + np.sys.software.DispatchOverhead)
 	t0 := c.Time()
 	c.BeginNoBlock() // handlers run to completion: a Park in one is a bug
 	h(np, pkt)
 	c.EndNoBlock()
-	if np.sys.software.StealHandlerCycles {
-		np.stealHandlerCycles(c, t0)
+	if np.sys.onCPU {
+		np.stealFromCPU(c, t0)
 	}
 }
 
-// stealHandlerCycles ends a handler that started at t0 on software
-// Tempest (StealHandlerCycles), where handlers run on the compute
-// processor: the handler's cycles and the dispatch overhead are stolen
-// from it. Callers test the flag, so the hardware NP's dispatch pays no
-// call.
-func (np *NP) stealHandlerCycles(c *sim.Context, t0 sim.Time) {
+// stealFromCPU ends a handler that started at t0 on software Tempest,
+// where handlers run on the compute processor: the handler's cycles and
+// the dispatch overhead are stolen from it. Callers test onCPU, so the
+// hardware NP's dispatch pays no call.
+func (np *NP) stealFromCPU(c *sim.Context, t0 sim.Time) {
 	// A pending quantum yield precedes publishing the stolen cycles;
 	// a resume's yield waits for the step boundary, after them.
 	c.Sync()
 	np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
 }
 
-// HasUrgent implements agent.Work: logged block access faults outrank
+// HasUrgent implements agent.Work: a logged block access fault outranks
 // request messages (but not replies).
-func (np *NP) HasUrgent() bool { return np.faults.n > 0 }
+func (np *NP) HasUrgent() bool { return np.fault.Proc != nil }
 
-// RunUrgent implements agent.Work: dispatch one logged fault.
-func (np *NP) RunUrgent(c *sim.Context) { np.runFault(c, np.faults.pop()) }
+// RunUrgent implements agent.Work: dispatch the logged fault.
+func (np *NP) RunUrgent(c *sim.Context) {
+	f := np.fault
+	np.fault = Fault{}
+	np.runFault(c, f)
+}
 
 // HasIdle implements agent.Work: the block-transfer thread runs only
 // when no messages or faults are waiting (§5.2).
@@ -206,8 +183,8 @@ func (np *NP) runFault(c *sim.Context, f Fault) {
 	c.BeginNoBlock()
 	ops.BlockFault(np, f)
 	c.EndNoBlock()
-	if np.sys.software.StealHandlerCycles {
-		np.stealHandlerCycles(c, t0)
+	if np.sys.onCPU {
+		np.stealFromCPU(c, t0)
 	}
 }
 
@@ -274,8 +251,8 @@ func (np *NP) ReadTag(va mem.VA) mem.Tag {
 func (np *NP) SetTag(va mem.VA, t mem.Tag) {
 	pa := np.mustTranslate(va)
 	np.chargeTagOp(pa)
-	if np.sys.tracer != nil {
-		np.sys.tracer.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KTagChange, VA: va, Aux: uint64(t)})
+	if tr := np.sys.M.Net.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KTagChange, VA: va, Aux: uint64(t)})
 	}
 	np.Mem().SetTag(pa, t)
 }
@@ -285,11 +262,11 @@ func (np *NP) SetTag(va mem.VA, t mem.Tag) {
 func (np *NP) Invalidate(va mem.VA) {
 	pa := np.mustTranslate(va)
 	np.chargeTagOp(pa)
-	if np.sys.tracer != nil {
+	if tr := np.sys.M.Net.Tracer; tr != nil {
 		// Traced like SetTag: with both paths emitting, the trace's
 		// per-block KTagChange stream is the complete tag history, which
 		// is what the conformance suite's MSI transition checker assumes.
-		np.sys.tracer.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KTagChange, VA: va, Aux: uint64(mem.TagInvalid)})
+		tr.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KTagChange, VA: va, Aux: uint64(mem.TagInvalid)})
 	}
 	np.Mem().SetTag(pa, mem.TagInvalid)
 	np.sys.M.Caches[np.node].Invalidate(pa)
@@ -339,8 +316,8 @@ func (np *NP) rtlbLookup(pa mem.PA) bool {
 // quantum yield falls due in the handler and it rides along.
 func (np *NP) Resume(p *machine.Proc) {
 	np.ctx.Advance(ResumeCycles)
-	if np.sys.tracer != nil {
-		np.sys.tracer.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KResume})
+	if tr := np.sys.M.Net.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KResume})
 	}
 	p.Ctx.Unpark(np.ctx.Time())
 	np.ctx.LazyYield()
@@ -411,8 +388,8 @@ func (np *NP) FrameOf(va mem.VA) *mem.Frame {
 // transparently (frag.go).
 func (np *NP) Send(vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
 	np.hot.sends++
-	if np.sys.tracer != nil {
-		np.sys.tracer.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KMsgSend, Aux: uint64(handler)})
+	if tr := np.sys.M.Net.Tracer; tr != nil {
+		tr.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KMsgSend, Aux: uint64(handler)})
 	}
 	np.ctx.Advance(SendCost(len(args), len(data)))
 	pkt := &network.Packet{

@@ -1,14 +1,9 @@
 package typhoon
 
 import (
-	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
-
-// Core returns the NP's protocol-agent core. The conformance recorder
-// uses it to tap message dispatches (agent.Core.OnDispatch).
-func (np *NP) Core() *agent.Core { return np.core }
 
 // StateDigest folds the system's fine-grain access-control state — every
 // node's mapped shared pages with their page mode and per-block tags —

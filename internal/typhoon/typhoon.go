@@ -124,11 +124,11 @@ type Protocol interface {
 	SetupSegment(seg *vm.Segment)
 }
 
-// SoftwareConfig turns the Typhoon system into a software Tempest
-// implementation (the "native version for existing machines" the paper's
+// SoftwareConfig sets the costs of a software Tempest implementation
+// (NewSoftware; the "native version for existing machines" the paper's
 // §2 announces, realised later as Blizzard): no custom hardware, so
 // access checks run inline before every shared reference and protocol
-// handlers execute on the node's main processor.
+// handlers execute on the node's main processor, stealing its cycles.
 type SoftwareConfig struct {
 	// CheckOverhead is charged on every shared reference, hit or miss —
 	// the inline tag test a binary rewriter inserts.
@@ -137,34 +137,19 @@ type SoftwareConfig struct {
 	// or poll entry/exit on the main processor, versus Typhoon's
 	// hardware-assisted dispatch).
 	DispatchOverhead sim.Time
-	// StealHandlerCycles charges each handler's execution to the node's
-	// compute processor: there is no separate NP to absorb it.
-	StealHandlerCycles bool
-}
-
-// Option configures a Typhoon system.
-type Option func(*System)
-
-// WithTracer attaches a protocol-event tracer; hot paths pay only a nil
-// check when tracing is off.
-func WithTracer(tr *trace.Tracer) Option {
-	return func(s *System) { s.tracer = tr }
-}
-
-// WithSoftware configures the system as a software Tempest
-// implementation.
-func WithSoftware(cfg SoftwareConfig) Option {
-	return func(s *System) { s.software = cfg }
 }
 
 // System is the Typhoon memory system: one NP per node plus the handler
 // and page-mode registries shared by all nodes (every node runs the same
 // program image).
 type System struct {
-	M        *machine.Machine
-	proto    Protocol
+	M     *machine.Machine
+	proto Protocol
+	// software holds software Tempest's costs and onCPU marks it:
+	// handlers run on the compute processor and steal its cycles. Both
+	// are zero on hardware Typhoon.
 	software SoftwareConfig
-	tracer   *trace.Tracer
+	onCPU    bool
 
 	nps      []*NP
 	handlers map[uint32]Handler
@@ -178,19 +163,29 @@ type System struct {
 
 var _ machine.MemSystem = (*System)(nil)
 
-// New attaches a Typhoon memory system running the given protocol to m.
-func New(m *machine.Machine, proto Protocol, opts ...Option) *System {
+// New attaches a Typhoon memory system running the given protocol to m:
+// the hardware NP, handlers dispatched off the compute processor.
+func New(m *machine.Machine, proto Protocol) *System {
+	return newSystem(m, proto, SoftwareConfig{}, false)
+}
+
+// NewSoftware attaches a software Tempest implementation running the
+// given (unmodified) protocol to m, at cfg's costs.
+func NewSoftware(m *machine.Machine, proto Protocol, cfg SoftwareConfig) *System {
+	return newSystem(m, proto, cfg, true)
+}
+
+func newSystem(m *machine.Machine, proto Protocol, software SoftwareConfig, onCPU bool) *System {
 	s := &System{
 		M:        m,
 		proto:    proto,
+		software: software,
+		onCPU:    onCPU,
 		handlers: make(map[uint32]Handler),
 		modes:    make(map[int]PageModeOps),
 		fragSeqs: make([]uint64, m.Cfg.Nodes),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	m.PerRefOverhead = s.software.CheckOverhead
+	m.PerRefOverhead = software.CheckOverhead
 	for i := 0; i < m.Cfg.Nodes; i++ {
 		np := &NP{
 			sys:      s,
@@ -314,12 +309,12 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 		panic(fmt.Sprintf("typhoon: no page-fault handler for mode %d (va %#x)", mode, va))
 	}
 	s.nps[p.ID()].hot.pageFaults++
-	if s.tracer != nil {
+	if tr := s.M.Net.Tracer; tr != nil {
 		aux := uint64(0)
 		if write {
 			aux = 1
 		}
-		s.tracer.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KPageFault, VA: va, Aux: aux})
+		tr.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KPageFault, VA: va, Aux: aux})
 	}
 	ops.PageFault(s, p, va, write)
 }
@@ -367,14 +362,14 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	// Block access fault: nack, mask the CPU's bus request, log the
 	// fault, and let the NP dispatch the user-level handler.
 	np.hot.bafs++
-	if s.tracer != nil {
+	if tr := s.M.Net.Tracer; tr != nil {
 		aux := uint64(0)
 		if write {
 			aux = 1
 		}
-		s.tracer.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KBlockFault, VA: va, Aux: aux})
+		tr.Emit(trace.Event{T: p.Ctx.Time(), Node: p.ID(), Kind: trace.KBlockFault, VA: va, Aux: aux})
 	}
-	// A yielding charge, unlike DirNNB's issue charge: postFault queues
+	// A yielding charge, unlike DirNNB's issue charge: postFault posts
 	// the fault and unparks the NP at the post-charge time, and that NP may
 	// already be runnable at an earlier one. The yield lets it, and every
 	// other earlier context, catch up first, so the NP never sees the

@@ -3,6 +3,7 @@ package typhoon
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/machine"
@@ -442,4 +443,26 @@ func TestBulkTransferAlignmentPanics(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected run error")
 	}
+}
+
+// TestSecondPendingFaultPanics: the NP holds one pending block fault,
+// because a compute processor parks right after posting one. A second
+// post before the NP takes the first is a bug in the caller, and the
+// panic names the node and both addresses.
+func TestSecondPendingFaultPanics(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 1, CacheSize: 4096, Seed: 1})
+	np := New(m, &nullProto{}).NP(0)
+	// The machine never runs: the faulting processor needs only a clock.
+	p := &machine.Proc{Ctx: m.Eng.Spawn("cpu", func(*sim.Context) {})}
+	np.postFault(Fault{Proc: p, VA: 0x1000})
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		for _, want := range []string{"np0", "0x2040", "0x1000"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("second postFault: recovered %v, want a panic naming %s", r, want)
+			}
+		}
+	}()
+	np.postFault(Fault{Proc: p, VA: 0x2040})
 }

@@ -112,6 +112,11 @@ mutation stache-dir-not-kept internal/stache/handlers.go \
 mutation stache-overflow-descending internal/stache/dir.go \
     $'for w := s.vec; w != 0; w &= w - 1 {\n\t\t\tvisit(bits.TrailingZeros64(w))' \
     $'for w := s.vec; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(w)) {\n\t\t\tvisit(63 - bits.LeadingZeros64(w))'
+# The recorder's own placement: an agent's KNetDeliver follows the
+# dispatch it records.
+mutation agent-deliver-before-dispatch "$agent" \
+    $'\tco.disp.DispatchMessage(c, pkt)\n\tif tr := co.net.Tracer; tr != nil {\n\t\t// KNetDeliver: dispatch start and the service time it consumed.\n\t\ttr.Emit(trace.Event{T: start, Node: co.node, Kind: trace.KNetDeliver, VA: mem.VA(c.Time() - start), Aux: pkt.TraceID()})\n\t}\n' \
+    $'\tif tr := co.net.Tracer; tr != nil {\n\t\t// KNetDeliver: dispatch start and the service time it consumed.\n\t\ttr.Emit(trace.Event{T: start, Node: co.node, Kind: trace.KNetDeliver, VA: mem.VA(c.Time() - start), Aux: pkt.TraceID()})\n\t}\n\tco.disp.DispatchMessage(c, pkt)\n'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

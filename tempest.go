@@ -123,8 +123,10 @@ type (
 	Stache = stache.Protocol
 	// StacheOption configures the Stache library.
 	StacheOption = stache.Option
-	// Tracer records protocol-level events for debugging (attach with
-	// WithTracer when building a Typhoon machine).
+	// Tracer records a run's events for debugging: attach one to any
+	// machine with m.Net.Tracer = NewTracer(0) before Run. Every system
+	// records its network-level message stream; Typhoon machines add
+	// protocol-level events (faults, handler dispatches, tag changes).
 	Tracer = trace.Tracer
 	// TraceEvent is one recorded protocol event.
 	TraceEvent = trace.Event
@@ -156,20 +158,15 @@ func NewTyphoonStache(cfg Config, opts ...StacheOption) (*Machine, *Stache) {
 
 // NewTyphoon builds a Typhoon machine running a custom user-level
 // protocol. Most custom protocols embed or compose Stache (see
-// examples/custom-protocol). Options attach tracing or configure a
-// software Tempest implementation.
-func NewTyphoon(cfg Config, proto TyphoonProtocol, opts ...typhoon.Option) (*Machine, *TyphoonSystem) {
+// examples/custom-protocol).
+func NewTyphoon(cfg Config, proto TyphoonProtocol) (*Machine, *TyphoonSystem) {
 	m := machine.New(cfg)
-	sys := typhoon.New(m, proto, opts...)
+	sys := typhoon.New(m, proto)
 	return m, sys
 }
 
-// WithTracer attaches a protocol-event tracer to a Typhoon machine built
-// with NewTyphoon.
-func WithTracer(tr *Tracer) typhoon.Option { return typhoon.WithTracer(tr) }
-
 // NewTracer returns a tracer retaining up to max events (0 = a large
-// default).
+// default); set it as a machine's m.Net.Tracer to record the run.
 func NewTracer(max int) *Tracer { return trace.New(max) }
 
 // NewDirNNB builds the all-hardware DirNNB baseline machine.

@@ -1,9 +1,11 @@
 package tempest_test
 
 import (
+	"strings"
 	"testing"
 
 	tempest "github.com/tempest-sim/tempest"
+	"github.com/tempest-sim/tempest/internal/trace"
 )
 
 func smallCfg(nodes int) tempest.Config {
@@ -105,5 +107,41 @@ func TestDeterministicPublicRuns(t *testing.T) {
 	}
 	if a, b := exec(), exec(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// TestTracerRecordsDirNNBMiss: the network carries the run's one
+// recorder, so a DirNNB machine traces its message stream like any
+// other. One remote read miss is a request from node 1 that is sent,
+// arrives at its home and is dispatched there by the directory agent.
+func TestTracerRecordsDirNNBMiss(t *testing.T) {
+	m := tempest.NewDirNNB(smallCfg(2))
+	tr := tempest.NewTracer(0)
+	m.Net.Tracer = tr
+	data := m.AllocShared("data", tempest.PageSize, tempest.OnNode{Node: 0}, 0)
+	if _, err := m.Run(func(p *tempest.Proc) {
+		if p.ID() == 1 {
+			p.ReadU64(data.At(0))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var send *tempest.TraceEvent
+	var arrived, delivered bool
+	for _, e := range tr.Events() {
+		switch {
+		case e.Kind == trace.KNetSend && e.Node == 1 && send == nil:
+			send = &e
+		case send == nil || e.Aux != send.Aux:
+		case e.Kind == trace.KNetArrive && e.Node == 0 && e.T >= send.T:
+			arrived = true
+		case e.Kind == trace.KNetDeliver && e.Node == 0 && arrived:
+			delivered = true
+		}
+	}
+	if send == nil || !arrived || !delivered {
+		var dump strings.Builder
+		tr.Dump(&dump)
+		t.Fatalf("want node 1's request sent, arriving at home 0 and dispatched there; trace:\n%s", dump.String())
 	}
 }
