@@ -18,10 +18,12 @@ GO ?= go
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds
 
-# vet also fails on any file gofmt would rewrite, naming it.
+# vet also fails on any file gofmt would rewrite, naming it, and on any
+# reference hit-path helper the compiler stops inlining (inline_check.sh).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	bash scripts/inline_check.sh
 
 build:
 	$(GO) build ./...

@@ -68,13 +68,12 @@ func (a *App) Setup(m *machine.Machine) {
 	}
 }
 
-// col returns the column index of cell (y, z).
-func (a *App) col(y, z int) int { return z*a.cfg.N + y }
-
-// at returns the address of component c of cell (x, y, z) in copy g.
+// at returns the address of component c of cell (x, y, z) in copy g:
+// column z*N+y, whose N cells of Comp components are consecutive. A
+// processor's chunk holds colsPer whole columns, so the global index
+// lands on the chunk and offset the column's owner lays it out at.
 func (a *App) at(g, x, y, z, c int) mem.VA {
-	col := a.col(y, z)
-	return a.u[g].At(col/a.colsPer, ((col%a.colsPer)*a.cfg.N+x)*Comp+c)
+	return a.u[g].AtGlobal(((z*a.cfg.N+y)*a.cfg.N+x)*Comp + c)
 }
 
 // ownerCols returns the half-open column range owned by proc.

@@ -9,6 +9,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/tempest-sim/tempest/internal/machine"
@@ -69,7 +70,32 @@ type DistArray struct {
 	Seg      *vm.Segment
 	ElemSize uint64
 	PerProc  int
-	chunk    uint64 // bytes per processor, page-aligned
+	pad      uint64 // page padding after each processor's elements
+	nodes    int
+	total    int // PerProc * nodes
+	// recip is ceil(2^64 / PerProc), so that AtGlobal splits an index
+	// with a multiply instead of a division. At PerProc 1 the reciprocal
+	// overflows to 0 and unit is all ones, adding the index itself as
+	// the quotient; otherwise unit is 0.
+	recip, unit uint64
+}
+
+// IndexError is the panic value of a DistArray address past the array:
+// At's element Index of chunk Proc, or AtGlobal's Index (Global set). It
+// formats only when printed, which keeps the accessors inlinable.
+type IndexError struct {
+	Array       *DistArray
+	Global      bool
+	Proc, Index int
+}
+
+func (e *IndexError) Error() string {
+	a := e.Array
+	if e.Global {
+		return fmt.Sprintf("apps: DistArray %s: global index %d out of %d", a.Seg.Name, e.Index, a.total)
+	}
+	return fmt.Sprintf("apps: DistArray %s: element %d of chunk %d out of %d chunks of %d",
+		a.Seg.Name, e.Index, e.Proc, a.nodes, a.PerProc)
 }
 
 // NewDistArray allocates a distributed array with perProc elements of
@@ -92,30 +118,45 @@ func NewDistArrayNaive(m *machine.Machine, name string, perProc int, elemSize ui
 }
 
 // NewDistArrayPlaced is NewDistArray with an explicit placement policy.
+// The array holds fewer than 2^32 elements, which keeps AtGlobal's
+// reciprocal split exact.
 func NewDistArrayPlaced(m *machine.Machine, name string, perProc int, elemSize uint64, mode int, place vm.Placement) *DistArray {
-	if perProc <= 0 || elemSize == 0 {
-		panic(fmt.Sprintf("apps: bad DistArray geometry %d x %d", perProc, elemSize))
+	nodes := m.Cfg.Nodes
+	if perProc <= 0 || elemSize == 0 || uint64(perProc)*uint64(nodes) >= 1<<32 {
+		panic(fmt.Sprintf("apps: bad DistArray geometry %d x %d on %d nodes", perProc, elemSize, nodes))
 	}
 	chunk := (uint64(perProc)*elemSize + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	seg := m.AllocShared(name, chunk*uint64(m.Cfg.Nodes), place, mode)
-	return &DistArray{Seg: seg, ElemSize: elemSize, PerProc: perProc, chunk: chunk}
-}
-
-// At returns the address of element idx of processor proc's chunk.
-func (a *DistArray) At(proc, idx int) mem.VA {
-	if idx < 0 || idx >= a.PerProc {
-		panic(fmt.Sprintf("apps: DistArray index %d out of %d", idx, a.PerProc))
+	seg := m.AllocShared(name, chunk*uint64(nodes), place, mode)
+	a := &DistArray{Seg: seg, ElemSize: elemSize, PerProc: perProc,
+		pad: chunk - uint64(perProc)*elemSize, nodes: nodes, total: perProc * nodes}
+	if a.recip = ^uint64(0)/uint64(perProc) + 1; a.recip == 0 {
+		a.unit = ^uint64(0)
 	}
-	return a.Seg.Base + mem.VA(uint64(proc)*a.chunk+uint64(idx)*a.ElemSize)
+	return a
 }
 
-// AtGlobal maps a global element index (proc-major) to its address.
+// At returns the address of element idx of processor proc's chunk. An
+// index outside the array panics with an *IndexError.
+func (a *DistArray) At(proc, idx int) mem.VA {
+	if uint(idx) >= uint(a.PerProc) || uint(proc) >= uint(a.nodes) {
+		panic(&IndexError{Array: a, Proc: proc, Index: idx})
+	}
+	return a.Seg.Base + mem.VA(uint64(proc*a.PerProc+idx)*a.ElemSize+uint64(proc)*a.pad)
+}
+
+// AtGlobal maps a global element index (proc-major) to its address. The
+// chunk is the high word of idx·ceil(2^64/PerProc), which equals
+// idx/PerProc whenever idx and PerProc are below 2^32 (Lemire, Kaser
+// and Kurz, "Faster Remainder by Direct Computation", 2019); the bound
+// check guarantees the first, NewDistArrayPlaced the second.
 func (a *DistArray) AtGlobal(idx int) mem.VA {
-	return a.At(idx/a.PerProc, idx%a.PerProc)
+	if uint(idx) >= uint(a.total) {
+		panic(&IndexError{Array: a, Global: true, Index: idx})
+	}
+	hi, _ := bits.Mul64(uint64(idx), a.recip)
+	proc := hi + uint64(idx)&a.unit
+	return a.Seg.Base + mem.VA(uint64(idx)*a.ElemSize+proc*a.pad)
 }
-
-// Total returns the number of elements across all processors.
-func (a *DistArray) Total(nodes int) int { return a.PerProc * nodes }
 
 // coherentPA locates the current copy of va at quiescence, with no
 // simulated cost — for Verify. Under Typhoon protocols the home copy is

@@ -113,6 +113,59 @@ func TestDistArrayLayout(t *testing.T) {
 	}
 }
 
+// TestDistArrayRefusesIndexPastArray: an element past the last chunk
+// is refused by both accessors, not mapped into the next array.
+func TestDistArrayRefusesIndexPastArray(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096})
+	dirnnb.New(m)
+	a := apps.NewDistArray(m, "first", 512, 8, 0)
+	apps.NewDistArray(m, "second", 512, 8, 0)
+	refused := func(what string, at func() mem.VA, want ...string) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				return // reported below
+			}
+			err, ok := r.(error)
+			if !ok {
+				t.Fatalf("%s: panicked with %v (%T), want an error", what, r, r)
+			}
+			for _, w := range want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: panic %q does not name %q", what, err, w)
+				}
+			}
+		}()
+		t.Errorf("%s = %#x, want a panic", what, at())
+	}
+	refused("At(2, 0)", func() mem.VA { return a.At(2, 0) }, "first", "chunk 2", "2 chunks of 512")
+	refused("At(-1, 0)", func() mem.VA { return a.At(-1, 0) }, "first", "chunk -1")
+	refused("At(0, 512)", func() mem.VA { return a.At(0, 512) }, "first", "element 512")
+	refused("AtGlobal(1024)", func() mem.VA { return a.AtGlobal(1024) }, "first", "index 1024 out of 1024")
+	refused("AtGlobal(-1)", func() mem.VA { return a.AtGlobal(-1) }, "first", "index -1")
+}
+
+// TestAtGlobalMatchesDivision holds AtGlobal's reciprocal split to
+// At(idx/PerProc, idx%PerProc) for every index, at chunk sizes that
+// include 1 (where the reciprocal overflows), powers of two and a
+// chunk that is a whole number of pages (where a wrong chunk would not
+// move the address).
+func TestAtGlobalMatchesDivision(t *testing.T) {
+	const nodes = 4
+	for _, per := range []int{1, 2, 3, 7, 24, 512, 4096, 12345} {
+		m := machine.New(machine.Config{Nodes: nodes, CacheSize: 4096})
+		dirnnb.New(m)
+		a := apps.NewDistArray(m, "x", per, 8, 0)
+		for idx := 0; idx < per*nodes; idx++ { // both ends of every chunk among them
+			if got, want := a.AtGlobal(idx), a.At(idx/per, idx%per); got != want {
+				t.Fatalf("PerProc %d: AtGlobal(%d) = %#x, want At(%d, %d) = %#x", per, idx, got, idx/per, idx%per, want)
+			}
+		}
+	}
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := apps.NewRand(7), apps.NewRand(7)
 	for i := 0; i < 100; i++ {

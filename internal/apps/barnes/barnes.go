@@ -114,8 +114,11 @@ func (a *App) Setup(m *machine.Machine) {
 	}
 }
 
+// bodyAt returns the address of word w of body global. A processor's
+// chunk holds per whole body records, so the global word index lands on
+// the chunk and offset the body's owner lays it out at.
 func (a *App) bodyAt(global, w int) mem.VA {
-	return a.bodies.At(global/a.per, (global%a.per)*bodyWords+w)
+	return a.bodies.AtGlobal(global*bodyWords + w)
 }
 
 func (a *App) cellAt(idx, w int) mem.VA {

@@ -69,9 +69,11 @@ func (a *App) Setup(m *machine.Machine) {
 	}
 }
 
-// at returns the address of cell (i, j) in grid g.
+// at returns the address of cell (i, j) in grid g. A processor's chunk
+// holds rowsPer whole rows, so row-major global index i*N+j lands on
+// the chunk and offset the row's owner lays it out at.
 func (a *App) at(g, i, j int) mem.VA {
-	return a.grids[g].At(i/a.rowsPer, (i%a.rowsPer)*a.cfg.N+j)
+	return a.grids[g].AtGlobal(i*a.cfg.N + j)
 }
 
 // ownerRows returns the half-open row range owned by proc.

@@ -152,6 +152,23 @@ func (c *Cache) Probe(pa mem.PA, write bool) (hit, upgrade bool) {
 	return false, false
 }
 
+// Hit reports whether an access to pa of the given type hits silently:
+// Probe's hit, without the upgrade answer. A read hits a Shared or an
+// Exclusive line, a write only an Exclusive one.
+func (c *Cache) Hit(pa mem.PA, write bool) bool {
+	need := line(LineShared)
+	if write {
+		need = line(LineExclusive)
+	}
+	set, key := c.index(pa)
+	for _, l := range set {
+		if d := l ^ key; d-1 < stateMask { // l holds the block: holds(key) != LineInvalid
+			return d >= need
+		}
+	}
+	return false
+}
+
 // Lookup returns the state of pa's line.
 func (c *Cache) Lookup(pa mem.PA) LineState {
 	set, key := c.index(pa)

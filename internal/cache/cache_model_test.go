@@ -149,11 +149,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					var what string
 					switch op := rng.Intn(1000); {
 					case op < 400:
-						what = "Probe"
+						what = "Probe and Hit"
 						write := rng.Intn(3) == 0
 						h, u := c.Probe(pa, write)
 						rh, ru := ref.probe(pa, write)
-						got, want = [2]bool{h, u}, [2]bool{rh, ru}
+						got, want = [3]bool{h, u, c.Hit(pa, write)}, [3]bool{rh, ru, rh}
 					case op < 500:
 						what = "Lookup"
 						got, want = c.Lookup(pa), ref.lookup(pa)

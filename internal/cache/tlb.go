@@ -53,6 +53,11 @@ func (t *TLB) Lookup(pn uint64, hint *uint16) bool {
 	return false
 }
 
+// Has reports whether the page number is cached in the slot hint names.
+// Unlike Lookup it inserts nothing, so a caller can test for a hit
+// before committing to the reference (machine.Proc.access).
+func (t *TLB) Has(pn uint64, hint uint16) bool { return t.find(pn, hint) >= 0 }
+
 // InvalidateEntry drops a single page number (page remap or unmap).
 func (t *TLB) InvalidateEntry(pn uint64, hint uint16) {
 	if i := t.find(pn, hint); i >= 0 {

@@ -322,3 +322,73 @@ func TestCacheLineHoldsTheLargestPA(t *testing.T) {
 		t.Fatalf("evicted (%#x, %v), want (%#x, Exclusive)", victim, st, top&^7)
 	}
 }
+
+// TestHitCheckChargesLikeAdvance pins the inlined hit check in access to
+// the charges of the reference path it short-cuts: one cycle through
+// Advance(1), then any stolen cycles, then the per-reference overhead.
+func TestHitCheckChargesLikeAdvance(t *testing.T) {
+	// run has both processors warm one line each (a miss), then make
+	// 300 references to it through ref, logging every step in host
+	// order. A quantum yield shows in the log as the other processor's
+	// steps cutting in.
+	type step struct {
+		node, i int
+		at      sim.Time
+	}
+	run := func(ref func(p *Proc, va mem.VA)) ([]step, uint64) {
+		m, _ := newFlat(Config{Nodes: 2, CacheSize: 4096})
+		seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
+		var log []step
+		res, err := m.Run(func(p *Proc) {
+			va := seg.At(uint64(p.ID()) * 64)
+			p.ReadU64(va)
+			for i := 0; i < 300; i++ {
+				ref(p, va)
+				log = append(log, step{p.ID(), i, p.Ctx.Time()})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log, res.Counters.Get("engine.goroutine_switches")
+	}
+	hits, hitSwitches := run(func(p *Proc, va mem.VA) { p.ReadU64(va) })
+	ticks, tickSwitches := run(func(p *Proc, va mem.VA) { p.Ctx.Advance(1) })
+	if hitSwitches != tickSwitches {
+		t.Errorf("resident hits made %d context switches, Advance(1) %d", hitSwitches, tickSwitches)
+	}
+	if len(hits) != len(ticks) {
+		t.Fatalf("logged %d steps with hits, %d with Advance(1)", len(hits), len(ticks))
+	}
+	for i := range ticks {
+		if hits[i] != ticks[i] {
+			t.Fatalf("step %d of the host-order log: hits %+v, Advance(1) %+v", i, hits[i], ticks[i])
+		}
+	}
+
+	// hitCost is the cycles of one hit on a warm line after prep runs.
+	hitCost := func(prep func(m *Machine)) sim.Time {
+		m, _ := newFlat(Config{Nodes: 1, CacheSize: 4096})
+		seg := m.AllocShared("x", mem.PageSize, vm.OnNode{Node: 0}, 0)
+		var d sim.Time
+		if _, err := m.Run(func(p *Proc) {
+			p.ReadU64(seg.At(0))
+			prep(m)
+			t0 := p.Ctx.Time()
+			p.WriteU64(seg.At(8), 1)
+			d = p.Ctx.Time() - t0
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if d := hitCost(func(m *Machine) { m.PerRefOverhead = 3 }); d != 1+3 {
+		t.Errorf("hit with a 3-cycle per-reference overhead cost %d cycles, want 4", d)
+	}
+	if d := hitCost(func(m *Machine) { m.StealCycles(0, 7) }); d != 1+7 {
+		t.Errorf("hit with 7 stolen cycles pending cost %d cycles, want 8", d)
+	}
+	if d := hitCost(func(*Machine) {}); d != 1 {
+		t.Errorf("hit cost %d cycles, want 1", d)
+	}
+}

@@ -111,13 +111,53 @@ func (p *Proc) ROIEnd() {
 	}
 }
 
-// access runs one tag-checked reference through the node: one instruction
-// cycle, TLB, translation (with page-fault service), cache probe, and —
-// on a miss or upgrade — the pluggable memory system. It returns the
-// physical address the reference resolved to and the frame holding it.
-// A hit reads one page record: its CPU-TLB hint, its translation and its
-// frame.
-func (p *Proc) access(va mem.VA, write bool) (mem.PA, *mem.Frame) {
+// access performs one tag-checked 8-byte reference, a load (write
+// false; v is ignored and the value read is returned) or a store of v.
+// It is the one out-of-line call of a cache hit: the hit check is
+// inlined here and resolve handles everything else. A reference hits
+// when its page record's CPU-TLB hint names a resident entry, the page
+// permits the access, the cache holds the line in a state that permits
+// it, no stolen cycles or per-reference overhead are due, and TryTick
+// charges the instruction cycle without a scheduling point. The tests
+// before TryTick read state and change none, and TryTick charges only
+// when it succeeds, so a failed check leaves the reference untouched
+// for resolve to run from the start: it charges the cycle itself,
+// exactly once.
+func (p *Proc) access(va mem.VA, write bool, v uint64) uint64 {
+	vpn := va.VPN()
+	rec := p.pt.Record(vpn)
+	pa := rec.PA().FrameBase() + mem.PA(va.PageOffset())
+	f := rec.Frame()
+	if p.tlb.Has(vpn, rec.CPUHint) && rec.Mapped() && (!write || rec.Writable()) && p.cc.Hit(pa, write) &&
+		p.m.PerRefOverhead == 0 && p.m.stalls[p.node] == 0 && p.Ctx.TryTick() {
+		if write {
+			p.Stats.Stores++
+		} else {
+			p.Stats.Loads++
+		}
+	} else {
+		pa, f = p.resolve(va, write)
+	}
+	kind := obsRead
+	if write {
+		f.WriteU64(pa, v)
+		kind = obsWrite
+	} else {
+		v = f.ReadU64(pa)
+	}
+	if p.obs != nil {
+		p.obs.note(kind, va, v)
+	}
+	return v
+}
+
+// resolve runs one tag-checked reference through the node: one
+// instruction cycle, TLB, translation (with page-fault service), cache
+// probe, and — on a miss or upgrade — the pluggable memory system. It
+// returns the physical address the reference resolved to and the frame
+// holding it. access calls it for every reference its hit check does
+// not complete, Touch for every reference.
+func (p *Proc) resolve(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 	p.Ctx.Advance(1)
 	if st := p.m.stalls[p.node]; st > 0 {
 		// Absorb protocol-handler cycles stolen from this processor
@@ -190,34 +230,21 @@ func (p *Proc) access(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 
 // ReadU64 performs a tag-checked 8-byte load from the shared or private
 // address va and returns the value.
-func (p *Proc) ReadU64(va mem.VA) uint64 {
-	pa, f := p.access(va, false)
-	v := f.ReadU64(pa)
-	if p.obs != nil {
-		p.obs.note(obsRead, va, v)
-	}
-	return v
-}
+func (p *Proc) ReadU64(va mem.VA) uint64 { return p.access(va, false, 0) }
 
 // WriteU64 performs a tag-checked 8-byte store.
-func (p *Proc) WriteU64(va mem.VA, v uint64) {
-	pa, f := p.access(va, true)
-	f.WriteU64(pa, v)
-	if p.obs != nil {
-		p.obs.note(obsWrite, va, v)
-	}
-}
+func (p *Proc) WriteU64(va mem.VA, v uint64) { p.access(va, true, v) }
 
 // ReadF64 performs a tag-checked float64 load.
-func (p *Proc) ReadF64(va mem.VA) float64 { return math.Float64frombits(p.ReadU64(va)) }
+func (p *Proc) ReadF64(va mem.VA) float64 { return math.Float64frombits(p.access(va, false, 0)) }
 
 // WriteF64 performs a tag-checked float64 store.
-func (p *Proc) WriteF64(va mem.VA, v float64) { p.WriteU64(va, math.Float64bits(v)) }
+func (p *Proc) WriteF64(va mem.VA, v float64) { p.access(va, true, math.Float64bits(v)) }
 
 // Touch performs a tag-checked reference without transferring data; apps
 // use it where only the coherence traffic of an access matters.
 func (p *Proc) Touch(va mem.VA, write bool) {
-	p.access(va, write)
+	p.resolve(va, write)
 	if p.obs != nil {
 		kind := obsTouchRead
 		if write {

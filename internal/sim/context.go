@@ -318,6 +318,19 @@ func (c *Context) Advance(n Time) {
 	}
 }
 
+// TryTick charges one cycle when Advance(1) would do nothing more: no
+// pending quantum yield to materialise and no quantum crossed by the
+// charge. It reports whether it charged; on false the clock is untouched
+// and the caller charges through Advance. It is the reference hit path's
+// whole timing operation (machine.Proc.access), so it must stay inlinable.
+func (c *Context) TryTick() bool {
+	if c.lazyQuantum || c.time+1-c.lastYield >= c.eng.quantum {
+		return false
+	}
+	c.time++
+	return true
+}
+
 // AdvanceAtomic charges n cycles without any possibility of yielding. Use
 // inside sections that must not observe interleaved simulated state. A
 // pending quantum yield still materialises on entry — before the atomic

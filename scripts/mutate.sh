@@ -13,8 +13,9 @@
 # applies stops the script instead of silently testing nothing. A
 # baseline row runs first: every fence must pass on the unmutated copy.
 #
-# Usage: bash scripts/mutate.sh
-# Not part of `make ci`: the table takes ~20 minutes on two cores.
+# Usage: bash scripts/mutate.sh [mutation...]
+# With names, only those rows run (after the baseline). Not part of
+# `make ci`: the whole table takes ~25 minutes on two cores.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +26,7 @@ fence_cmds=(
     "go run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest"
     "go test -count=1 -run '^TestGolden' ./internal/harness"
     "go test -count=1 -run '^TestDifferentialMatrix\$' ./internal/conform"
-    "go test -count=1 ./internal/network ./internal/agent ./internal/machine ./internal/dirnnb ./internal/stache ./internal/typhoon ./internal/blizzard"
+    "go test -count=1 ./internal/network ./internal/agent ./internal/machine ./internal/dirnnb ./internal/stache ./internal/typhoon ./internal/blizzard ./internal/sim ./internal/apps"
 )
 
 mut_names=() mut_files=() mut_from=() mut_to=()
@@ -117,6 +118,20 @@ mutation stache-overflow-descending internal/stache/dir.go \
 mutation agent-deliver-before-dispatch "$agent" \
     $'\tco.disp.DispatchMessage(c, pkt)\n\tif tr := co.net.Tracer; tr != nil {\n\t\t// KNetDeliver: dispatch start and the service time it consumed.\n\t\ttr.Emit(trace.Event{T: start, Node: co.node, Kind: trace.KNetDeliver, VA: mem.VA(c.Time() - start), Aux: pkt.TraceID()})\n\t}\n' \
     $'\tif tr := co.net.Tracer; tr != nil {\n\t\t// KNetDeliver: dispatch start and the service time it consumed.\n\t\ttr.Emit(trace.Event{T: start, Node: co.node, Kind: trace.KNetDeliver, VA: mem.VA(c.Time() - start), Aux: pkt.TraceID()})\n\t}\n\tco.disp.DispatchMessage(c, pkt)\n'
+# The reference hit check (DESIGN.md "References"): the tick committed
+# before the stolen-cycle and overhead checks, so resolve charges it a
+# second time on exactly the references software Tempest makes; a tick
+# that never takes the quantum yield; and a floor reciprocal in
+# AtGlobal's index split.
+mutation hit-double-tick internal/machine/proc.go \
+    $'\tif p.tlb.Has(vpn, rec.CPUHint) && rec.Mapped() && (!write || rec.Writable()) && p.cc.Hit(pa, write) &&\n\t\tp.m.PerRefOverhead == 0 && p.m.stalls[p.node] == 0 && p.Ctx.TryTick() {' \
+    $'\tif p.tlb.Has(vpn, rec.CPUHint) && rec.Mapped() && (!write || rec.Writable()) && p.cc.Hit(pa, write) &&\n\t\tp.Ctx.TryTick() && p.m.PerRefOverhead == 0 && p.m.stalls[p.node] == 0 {'
+mutation hit-skips-quantum internal/sim/context.go \
+    'if c.lazyQuantum || c.time+1-c.lastYield >= c.eng.quantum {' \
+    'if false {'
+mutation atglobal-floor-recip internal/apps/apps.go \
+    '^uint64(0)/uint64(perProc) + 1' \
+    '^uint64(0) / uint64(perProc)'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -170,6 +185,9 @@ echo "$header"
 echo "$rule"
 row baseline
 for i in "${!mut_names[@]}"; do
+    if [ $# -gt 0 ] && [[ " $* " != *" ${mut_names[$i]} "* ]]; then
+        continue
+    fi
     cp "$tree/${mut_files[$i]}" "$tmp/orig"
     apply "${mut_files[$i]}" "${mut_from[$i]}" "${mut_to[$i]}"
     row "\`${mut_names[$i]}\`"
