@@ -1,6 +1,7 @@
 package em3d
 
 import (
+	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/stache"
@@ -35,52 +36,44 @@ func (ca *CheckInApp) Name() string { return "em3d-checkin" }
 // Setup implements apps.App.
 func (ca *CheckInApp) Setup(m *machine.Machine) {
 	ca.App.Setup(m)
-	block := func(va mem.VA) mem.VA { return va &^ mem.VA(m.Cfg.BlockSize-1) }
 	ca.remoteH = make([][]mem.VA, ca.nodes)
 	ca.remoteE = make([][]mem.VA, ca.nodes)
 	for p := 0; p < ca.nodes; p++ {
-		seenH := map[mem.VA]bool{}
-		for _, target := range ca.eAdj[p] {
-			b := block(target)
-			if !seenH[b] && m.VM.Home(b) != p {
-				seenH[b] = true
-				ca.remoteH[p] = append(ca.remoteH[p], b)
-			}
-		}
-		seenE := map[mem.VA]bool{}
-		for _, target := range ca.hAdj[p] {
-			b := block(target)
-			if !seenE[b] && m.VM.Home(b) != p {
-				seenE[b] = true
-				ca.remoteE[p] = append(ca.remoteE[p], b)
-			}
+		ca.remoteH[p] = remoteBlocks(m, ca.hVals, ca.eAdj[p], p)
+		ca.remoteE[p] = remoteBlocks(m, ca.eVals, ca.hAdj[p], p)
+	}
+}
+
+// remoteBlocks lists, in first-read order, the distinct blocks not homed
+// on processor p that hold the targets adj indexes.
+func remoteBlocks(m *machine.Machine, targets *apps.DistArray, adj []int32, p int) []mem.VA {
+	var blocks []mem.VA
+	seen := map[mem.VA]bool{}
+	for _, idx := range adj {
+		b := targets.AtGlobal(int(idx)) &^ mem.VA(m.Cfg.BlockSize-1)
+		if !seen[b] && m.VM.Home(b) != p {
+			seen[b] = true
+			blocks = append(blocks, b)
 		}
 	}
+	return blocks
 }
 
 // Body implements apps.App.
 func (ca *CheckInApp) Body(p *machine.Proc) {
 	pid := p.ID()
-	D := ca.cfg.Degree
-	for k := 0; k < ca.per; k++ {
-		p.WriteF64(ca.eVals.At(pid, k), initVal(0, pid*ca.per+k))
-		p.WriteF64(ca.hVals.At(pid, k), initVal(1, pid*ca.per+k))
-	}
-	for s := 0; s < ca.per*D; s++ {
-		p.WriteF64(ca.eW.At(pid, s), ca.eWv[pid][s])
-		p.WriteF64(ca.hW.At(pid, s), ca.hWv[pid][s])
-	}
+	ca.initLocal(p)
 	p.Barrier()
 	p.ROIStart()
 	for it := 0; it < ca.cfg.Iters; it++ {
-		ca.phase(p, ca.eVals, ca.eAdj[pid], ca.eW)
+		ca.phase(p, ca.eVals, ca.hVals, ca.eAdj[pid], ca.eW)
 		// Done with the H copies for this iteration: hand them back so
 		// the owners' updates need no invalidations.
 		for _, b := range ca.remoteH[pid] {
 			ca.st.CheckIn(p, b)
 		}
 		p.Barrier()
-		ca.phase(p, ca.hVals, ca.hAdj[pid], ca.hW)
+		ca.phase(p, ca.hVals, ca.eVals, ca.hAdj[pid], ca.hW)
 		for _, b := range ca.remoteE[pid] {
 			ca.st.CheckIn(p, b)
 		}

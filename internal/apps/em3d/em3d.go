@@ -15,7 +15,6 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/machine"
-	"github.com/tempest-sim/tempest/internal/mem"
 )
 
 // Config describes one EM3D instance.
@@ -71,14 +70,22 @@ type App struct {
 	eVals, hVals *apps.DistArray // one float64 per graph node
 	eW, hW       *apps.DistArray // one float64 weight per edge
 
-	// Adjacency, Go-side: for processor p, edge slot (k*Degree+d) of its
-	// k-th local node targets the value address eAdj[p][...] (an H value
-	// for the E phase and vice versa). The index form drives Verify.
-	eAdj, hAdj       [][]mem.VA
-	eAdjIdx, hAdjIdx [][]int32 // global target indices
-	eWv, hWv         [][]float64
+	// The graph, Go-side: edge slot k*Degree+d of processor p's k-th
+	// local node reads global element eAdj[p][slot] of hVals in the E
+	// phase (hAdj[p][slot] of eVals in the H phase). The weights are not
+	// kept: eGen[p] and hGen[p] replay the draws that made them.
+	eAdj, hAdj [][]int32
+	eGen, hGen []edgeGen
 
 	nodes int
+}
+
+// edgeGen replays one processor's edge draws for one phase: the
+// generator as it stood right after the processor's remote-target pool
+// was drawn, and that pool (global indices on other processors).
+type edgeGen struct {
+	rng  apps.Rand
+	pool []int32
 }
 
 // New returns an EM3D instance.
@@ -98,66 +105,70 @@ func (a *App) Setup(m *machine.Machine) {
 // setup builds the graph with the given page mode for the value
 // segments (the update protocol passes its custom mode).
 func (a *App) setup(m *machine.Machine, valMode int) {
-	P := m.Cfg.Nodes
-	a.nodes = P
+	a.nodes = m.Cfg.Nodes
 	a.valMode = valMode
-	a.per = a.cfg.PerProc(P)
+	a.per = a.cfg.PerProc(a.nodes)
 	a.eVals = apps.NewDistArray(m, "em3d.e", a.per, 8, valMode)
 	a.hVals = apps.NewDistArray(m, "em3d.h", a.per, 8, valMode)
 	a.eW = apps.NewDistArray(m, "em3d.ew", a.per*a.cfg.Degree, 8, 0)
 	a.hW = apps.NewDistArray(m, "em3d.hw", a.per*a.cfg.Degree, 8, 0)
 
 	rng := apps.NewRand(a.cfg.Seed)
-	build := func(targets *apps.DistArray) ([][]mem.VA, [][]int32, [][]float64) {
-		adj := make([][]mem.VA, P)
-		idx := make([][]int32, P)
-		wv := make([][]float64, P)
-		reuse := a.cfg.RemoteReuse
-		if reuse <= 0 {
-			reuse = 3
-		}
-		for p := 0; p < P; p++ {
-			adj[p] = make([]mem.VA, a.per*a.cfg.Degree)
-			idx[p] = make([]int32, a.per*a.cfg.Degree)
-			wv[p] = make([]float64, a.per*a.cfg.Degree)
-			// Each processor's remote targets come from a pool of
-			// distinct values on other processors, sized so each is
-			// shared by ~reuse edges: the count of distinct remote
-			// values — the quantity that drives communication — grows
-			// linearly with the remote-edge fraction.
-			expRemote := a.per * a.cfg.Degree * a.cfg.PctRemote / 100
-			poolSize := expRemote / reuse
-			if expRemote > 0 && poolSize == 0 {
-				poolSize = 1
-			}
-			type tgt struct{ q, t int }
-			pool := make([]tgt, poolSize)
-			for i := range pool {
-				q := rng.Intn(P - 1)
-				if q >= p {
-					q++
-				}
-				pool[i] = tgt{q: q, t: rng.Intn(a.per)}
-			}
-			for k := 0; k < a.per; k++ {
-				for d := 0; d < a.cfg.Degree; d++ {
-					q := p
-					t := rng.Intn(a.per)
-					if P > 1 && len(pool) > 0 && rng.Intn(100) < a.cfg.PctRemote {
-						pick := pool[rng.Intn(len(pool))]
-						q, t = pick.q, pick.t
-					}
-					slot := k*a.cfg.Degree + d
-					adj[p][slot] = targets.At(q, t)
-					idx[p][slot] = int32(q*a.per + t)
-					wv[p][slot] = 0.001 + 0.01*rng.Float64()
-				}
-			}
-		}
-		return adj, idx, wv
+	a.eAdj, a.eGen = a.build(rng) // E nodes read H values
+	a.hAdj, a.hGen = a.build(rng) // H nodes read E values
+}
+
+// build draws one phase's edges for every processor from rng: its index
+// table, and the state each processor's weights are replayed from.
+func (a *App) build(rng *apps.Rand) ([][]int32, []edgeGen) {
+	P := a.nodes
+	reuse := a.cfg.RemoteReuse
+	if reuse <= 0 {
+		reuse = 3
 	}
-	a.eAdj, a.eAdjIdx, a.eWv = build(a.hVals) // E nodes read H values
-	a.hAdj, a.hAdjIdx, a.hWv = build(a.eVals) // H nodes read E values
+	adj := make([][]int32, P)
+	gen := make([]edgeGen, P)
+	for p := 0; p < P; p++ {
+		// Each processor's remote targets come from a pool of distinct
+		// values on other processors, sized so each is shared by ~reuse
+		// edges: the count of distinct remote values — the quantity
+		// that drives communication — grows linearly with the
+		// remote-edge fraction. One processor has no other to draw from.
+		expRemote := a.per * a.cfg.Degree * a.cfg.PctRemote / 100
+		poolSize := expRemote / reuse
+		if expRemote > 0 && poolSize == 0 {
+			poolSize = 1
+		}
+		if P == 1 {
+			poolSize = 0
+		}
+		pool := make([]int32, poolSize)
+		for i := range pool {
+			q := rng.Intn(P - 1)
+			if q >= p {
+				q++
+			}
+			pool[i] = int32(q*a.per + rng.Intn(a.per))
+		}
+		gen[p] = edgeGen{rng: *rng, pool: pool}
+		adj[p] = make([]int32, a.per*a.cfg.Degree)
+		for slot := range adj[p] {
+			adj[p][slot], _ = a.next(rng, pool, p)
+		}
+	}
+	return adj, gen
+}
+
+// next draws processor p's next edge slot: its target's global index and
+// its weight. It is the one statement of the draw order; set-up fills
+// the index table with it, and initLocal and Verify replay it from an
+// edgeGen for the weights.
+func (a *App) next(rng *apps.Rand, pool []int32, p int) (int32, float64) {
+	t := int32(p*a.per + rng.Intn(a.per))
+	if len(pool) > 0 && rng.Intn(100) < a.cfg.PctRemote {
+		t = pool[rng.Intn(len(pool))]
+	}
+	return t, 0.001 + 0.01*rng.Float64()
 }
 
 // initVal is the deterministic initial value of a graph node.
@@ -165,42 +176,50 @@ func initVal(kind, global int) float64 {
 	return float64((global*37+kind*11)%1000)/16.0 + 1.0
 }
 
-// Body implements apps.App: Program 1 of the paper, plus the symmetric H
-// phase, under the owner-computes rule with barrier separation.
-func (a *App) Body(p *machine.Proc) {
+// initLocal writes the processor's initial values and edge weights
+// (owner writes, home-local), in the order every EM3D body shares.
+func (a *App) initLocal(p *machine.Proc) {
 	pid := p.ID()
-	D := a.cfg.Degree
-
-	// Initialise local values and weights (owner writes, home-local).
 	for k := 0; k < a.per; k++ {
 		p.WriteF64(a.eVals.At(pid, k), initVal(0, pid*a.per+k))
 		p.WriteF64(a.hVals.At(pid, k), initVal(1, pid*a.per+k))
 	}
-	for s := 0; s < a.per*D; s++ {
-		p.WriteF64(a.eW.At(pid, s), a.eWv[pid][s])
-		p.WriteF64(a.hW.At(pid, s), a.hWv[pid][s])
+	eg, hg := a.eGen[pid], a.hGen[pid]
+	for s := 0; s < a.per*a.cfg.Degree; s++ {
+		_, ew := a.next(&eg.rng, eg.pool, pid)
+		_, hw := a.next(&hg.rng, hg.pool, pid)
+		p.WriteF64(a.eW.At(pid, s), ew)
+		p.WriteF64(a.hW.At(pid, s), hw)
 	}
+}
+
+// Body implements apps.App: Program 1 of the paper, plus the symmetric H
+// phase, under the owner-computes rule with barrier separation.
+func (a *App) Body(p *machine.Proc) {
+	pid := p.ID()
+	a.initLocal(p)
 	p.Barrier()
 	p.ROIStart()
 	for it := 0; it < a.cfg.Iters; it++ {
-		a.phase(p, a.eVals, a.eAdj[pid], a.eW)
+		a.phase(p, a.eVals, a.hVals, a.eAdj[pid], a.eW)
 		p.Barrier()
-		a.phase(p, a.hVals, a.hAdj[pid], a.hW)
+		a.phase(p, a.hVals, a.eVals, a.hAdj[pid], a.hW)
 		p.Barrier()
 	}
 	p.ROIEnd()
 }
 
 // phase runs compute_E (or compute_H): for every local node, subtract
-// the weighted sum of its neighbours' values.
-func (a *App) phase(p *machine.Proc, vals *apps.DistArray, adj []mem.VA, w *apps.DistArray) {
+// the weighted sum of its neighbours' values, which adj indexes in
+// targets.
+func (a *App) phase(p *machine.Proc, vals, targets *apps.DistArray, adj []int32, w *apps.DistArray) {
 	pid := p.ID()
 	D := a.cfg.Degree
 	for k := 0; k < a.per; k++ {
 		v := p.ReadF64(vals.At(pid, k))
 		base := k * D
 		for d := 0; d < D; d++ {
-			nv := p.ReadF64(adj[base+d])
+			nv := p.ReadF64(targets.AtGlobal(int(adj[base+d])))
 			wt := p.ReadF64(w.At(pid, base+d))
 			// Multiply + subtract plus the loop's index, pointer, and
 			// branch instructions (Program 1 charges one cycle per
@@ -217,7 +236,6 @@ func (a *App) phase(p *machine.Proc, vals *apps.DistArray, adj []mem.VA, w *apps
 // every graph node value.
 func (a *App) Verify(m *machine.Machine) error {
 	P := a.nodes
-	D := a.cfg.Degree
 	e := make([]float64, P*a.per)
 	h := make([]float64, P*a.per)
 	for g := range e {
@@ -225,32 +243,8 @@ func (a *App) Verify(m *machine.Machine) error {
 		h[g] = initVal(1, g)
 	}
 	for it := 0; it < a.cfg.Iters; it++ {
-		next := make([]float64, len(e))
-		copy(next, e)
-		for p := 0; p < P; p++ {
-			for k := 0; k < a.per; k++ {
-				v := next[p*a.per+k]
-				for d := 0; d < D; d++ {
-					slot := k*D + d
-					v -= h[a.eAdjIdx[p][slot]] * a.eWv[p][slot]
-				}
-				next[p*a.per+k] = v
-			}
-		}
-		e = next
-		nextH := make([]float64, len(h))
-		copy(nextH, h)
-		for p := 0; p < P; p++ {
-			for k := 0; k < a.per; k++ {
-				v := nextH[p*a.per+k]
-				for d := 0; d < D; d++ {
-					slot := k*D + d
-					v -= e[a.hAdjIdx[p][slot]] * a.hWv[p][slot]
-				}
-				nextH[p*a.per+k] = v
-			}
-		}
-		h = nextH
+		a.relax(e, h, a.eAdj, a.eGen)
+		a.relax(h, e, a.hAdj, a.hGen)
 	}
 	for p := 0; p < P; p++ {
 		for k := 0; k < a.per; k++ {
@@ -263,4 +257,22 @@ func (a *App) Verify(m *machine.Machine) error {
 		}
 	}
 	return nil
+}
+
+// relax is one phase of the sequential reference: every node of vals
+// less the weighted sum of its neighbours in other, the weights
+// replayed from gen. A phase reads only the other array, so vals is
+// updated in place.
+func (a *App) relax(vals, other []float64, adj [][]int32, gen []edgeGen) {
+	D := a.cfg.Degree
+	for p, g := range gen {
+		for k := 0; k < a.per; k++ {
+			v := vals[p*a.per+k]
+			for d := 0; d < D; d++ {
+				_, w := a.next(&g.rng, g.pool, p)
+				v -= other[adj[p][k*D+d]] * w
+			}
+			vals[p*a.per+k] = v
+		}
+	}
 }

@@ -331,19 +331,11 @@ func (ua *UpdateApp) Setup(m *machine.Machine) {
 // Body implements apps.App.
 func (ua *UpdateApp) Body(p *machine.Proc) {
 	pid := p.ID()
-	D := ua.cfg.Degree
-	for k := 0; k < ua.per; k++ {
-		p.WriteF64(ua.eVals.At(pid, k), initVal(0, pid*ua.per+k))
-		p.WriteF64(ua.hVals.At(pid, k), initVal(1, pid*ua.per+k))
-	}
-	for s := 0; s < ua.per*D; s++ {
-		p.WriteF64(ua.eW.At(pid, s), ua.eWv[pid][s])
-		p.WriteF64(ua.hW.At(pid, s), ua.hWv[pid][s])
-	}
+	ua.initLocal(p)
 	p.Barrier()
 	p.ROIStart()
 	for it := 0; it < ua.cfg.Iters; it++ {
-		ua.phase(p, ua.eVals, ua.eAdj[pid], ua.eW)
+		ua.phase(p, ua.eVals, ua.hVals, ua.eAdj[pid], ua.eW)
 		if it == 0 {
 			// First iteration only: H-phase first-touch fetches of
 			// E values must not observe a home still mid-E-phase.
@@ -352,7 +344,7 @@ func (ua *UpdateApp) Body(p *machine.Proc) {
 			p.Barrier()
 		}
 		ua.upd.FlushAndWait(p, ua.eVals.Seg)
-		ua.phase(p, ua.hVals, ua.hAdj[pid], ua.hW)
+		ua.phase(p, ua.hVals, ua.eVals, ua.hAdj[pid], ua.hW)
 		ua.upd.FlushAndWait(p, ua.hVals.Seg)
 	}
 	p.ROIEnd()

@@ -57,8 +57,8 @@ type App struct {
 	per   int
 	parts *apps.DistArray
 	cells *apps.DistArray
-	inits [][]float64 // per particle: initial state, Go-side
-	space float64     // domain size
+	inits [][partWords]float64 // per particle: initial state, Go-side
+	space float64              // domain size
 }
 
 // New returns an MP3D instance.
@@ -82,9 +82,9 @@ func (a *App) Setup(m *machine.Machine) {
 	a.cells = apps.NewDistArrayNaive(m, "mp3d.cells", perProcCells*cellWords, 8, 0)
 
 	rng := apps.NewRand(a.cfg.Seed)
-	a.inits = make([][]float64, a.nodes*a.per)
+	a.inits = make([][partWords]float64, a.nodes*a.per)
 	for i := range a.inits {
-		a.inits[i] = []float64{
+		a.inits[i] = [partWords]float64{
 			rng.Float64() * a.space,
 			rng.Float64() * a.space,
 			rng.Float64() * a.space,
@@ -116,8 +116,8 @@ func (a *App) cellIndex(x, y, z float64) int {
 
 func (a *App) initKernel(io apps.MemIO, proc int) {
 	for k := 0; k < a.per; k++ {
-		st := a.inits[proc*a.per+k]
-		for w := 0; w < partWords; w++ {
+		st := &a.inits[proc*a.per+k]
+		for w := range st {
 			io.WriteF64(a.partAt(proc, k, w), st[w])
 		}
 	}
