@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/network"
@@ -135,5 +136,49 @@ func TestZeroOccupancy(t *testing.T) {
 	}
 	if waits, waitCycles := core.OccStats(); waits != 0 || waitCycles != 0 {
 		t.Errorf("OccStats = (%d, %d), want (0, 0)", waits, waitCycles)
+	}
+}
+
+// orderLog records, in service order, what an agent ran: the handler of
+// each dispatched message and each urgent and idle item.
+type orderLog struct {
+	core         *Core
+	armAt        sim.Time
+	urgent, idle int
+	served       []string
+}
+
+func (l *orderLog) DispatchMessage(_ *sim.Context, pkt *network.Packet) {
+	l.served = append(l.served, map[int]string{1: "reply", 2: "request"}[int(pkt.Handler)])
+}
+
+// The work items are pending only from armAt on, the instant both
+// messages arrive, so the first step finds all four kinds at once.
+func (l *orderLog) armed() bool            { return l.core.Ctx.Time() >= l.armAt }
+func (l *orderLog) HasUrgent() bool        { return l.urgent > 0 && l.armed() }
+func (l *orderLog) HasIdle() bool          { return l.idle > 0 && l.armed() }
+func (l *orderLog) RunUrgent(*sim.Context) { l.urgent--; l.served = append(l.served, "urgent") }
+func (l *orderLog) RunIdle(*sim.Context)   { l.idle--; l.served = append(l.served, "idle") }
+
+// TestStepPriorityOrder pins the agent's service order (paper §5.1): with
+// a reply, an urgent item, a request and idle work all pending at one
+// instant, it serves them in exactly that order.
+func TestStepPriorityOrder(t *testing.T) {
+	const latency = 11
+	eng := sim.NewEngine()
+	net := network.New(eng, network.Config{Nodes: 2, Latency: latency})
+	l := &orderLog{armAt: latency, urgent: 1, idle: 1}
+	l.core = Spawn(eng, net, 1, "agent1", "idle", 0, l, l)
+	eng.Spawn("sender", func(c *sim.Context) {
+		// The request is sent first, so arrival order does not favour the reply.
+		net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetRequest, Handler: 2})
+		net.Send(&network.Packet{Src: 0, Dst: 1, VNet: network.VNetReply, Handler: 1})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"reply", "urgent", "request", "idle"}
+	if !reflect.DeepEqual(l.served, want) {
+		t.Errorf("served %v, want %v", l.served, want)
 	}
 }

@@ -9,17 +9,17 @@ import (
 	"github.com/tempest-sim/tempest/internal/machine"
 )
 
-// TestMachineConfigFieldsReachEveryEnumeration guards the places that
-// write out machine.Config's field list by hand — the cache key
-// (harness.machineKey), the point wire's cfg line (Point.Encode /
-// DecodePoint) and the stream header (Stream.Encode). It walks
-// the struct by reflection, so a field added to Config and forgotten in
-// one of them fails here instead of silently aliasing cache entries or
-// dropping off the wire. A field deliberately left out of an
-// enumeration is named below, with the reason.
+// TestMachineConfigFieldsReachEveryEnumeration guards the two places
+// that write out machine.Config's field list by hand — the point's cfg
+// line (Point.Encode / DecodePoint, which the cache key hashes) and the
+// stream header (Stream.Encode). It walks the struct by reflection, so a
+// field added to Config and forgotten in one of them fails here instead
+// of silently aliasing cache entries or dropping off the wire. A field
+// deliberately left out of an enumeration is named below, with the
+// reason.
 func TestMachineConfigFieldsReachEveryEnumeration(t *testing.T) {
 	// Read by nothing (machine.Config.Shards says why it still exists):
-	// must be absent from all three enumerations.
+	// must be absent from the key and both enumerations.
 	inert := map[string]bool{"Shards": true}
 	// Not in a conformance stream: no corpus pair sets either.
 	notInStream := map[string]bool{"MemPagesPerNode": true, "Quantum": true}
@@ -43,7 +43,7 @@ func TestMachineConfigFieldsReachEveryEnumeration(t *testing.T) {
 		case reflect.Uint64:
 			f.SetUint(max(2*f.Uint(), 2))
 		default:
-			t.Fatalf("machine.Config.%s has kind %s: teach this test (and the three enumerations) to carry it", name, f.Kind())
+			t.Fatalf("machine.Config.%s has kind %s: teach this test (and both enumerations) to carry it", name, f.Kind())
 		}
 		want := f.Interface()
 		field := func(c machine.Config) any { return reflect.ValueOf(c).Field(i).Interface() }
@@ -53,7 +53,7 @@ func TestMachineConfigFieldsReachEveryEnumeration(t *testing.T) {
 			t.Fatalf("%s = %v: %v", name, want, err)
 		}
 		if changed := key != baseKey; changed == inert[name] {
-			t.Errorf("%s = %v: cache key changed = %v, want %v (harness.machineKey)", name, want, changed, !inert[name])
+			t.Errorf("%s = %v: cache key changed = %v, want %v (harness.PointKey via Point.Encode)", name, want, changed, !inert[name])
 		}
 
 		decoded, err := harness.DecodePoint(pt.Encode())

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 
-	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stats"
@@ -97,10 +96,7 @@ func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
 	cacheKB := 4
 	mcfg := MachineConfig(scale, cacheKB<<10)
 	sp.Apply(&mcfg)
-	ocfg := ocean.Small()
-	if scale != ScalePaper {
-		ocfg.N = 66
-	}
+	ocfg := OceanConfig(scale, SetSmall)
 
 	var aps []ablationPoint
 	for _, c := range []struct {
@@ -126,8 +122,8 @@ func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
 // AblationStacheBudget sweeps the per-node stache-page budget to expose
 // the FIFO page-replacement machinery (§3: "replacements are rare" with
 // ample memory; a tight budget makes them common). budget=0 is exactly
-// the plain Stache run — the zero key field is dropped, so it shares a
-// cache entry with other sweeps' runs.
+// the plain Stache run, and its canonical encoding has no budget line,
+// so it shares a cache entry with other sweeps' runs.
 func AblationStacheBudget(scale Scale, sp SimParams) ([]AblationRow, error) {
 	ecfg := EM3DConfig(scale, SetSmall)
 	mcfg := MachineConfig(scale, 0)

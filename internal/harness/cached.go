@@ -4,12 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/tempest-sim/tempest/internal/apps"
-	"github.com/tempest-sim/tempest/internal/apps/appbt"
-	"github.com/tempest-sim/tempest/internal/apps/barnes"
-	"github.com/tempest-sim/tempest/internal/apps/em3d"
-	"github.com/tempest-sim/tempest/internal/apps/mp3d"
-	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -49,102 +43,15 @@ func NewCacheParams(dir string, verify float64) (CacheParams, error) {
 	return CacheParams{Cache: c, Verify: verify}, nil
 }
 
-// machineKey contributes the machine configuration's semantic fields to
-// a key: everything that changes simulated behaviour — node count, cache
-// geometry, latencies, the contention knobs, DRAM budget, quantum, seed.
-// The one inert field is not among them (TestShardsFieldIsInert).
-func machineKey(b *resultcache.KeyBuilder, cfg machine.Config) {
-	cfg = cfg.Normalized()
-	b.Int("m.nodes", int64(cfg.Nodes))
-	b.Int("m.cache_bytes", int64(cfg.CacheSize))
-	b.Int("m.ways", int64(cfg.CacheWays))
-	b.Int("m.block", int64(cfg.BlockSize))
-	b.Int("m.tlb", int64(cfg.TLBEntries))
-	b.Uint("m.local_miss", uint64(cfg.LocalMissCycles))
-	b.Uint("m.tlb_miss", uint64(cfg.TLBMissCycles))
-	b.Uint("m.net_latency", uint64(cfg.NetLatency))
-	b.Uint("m.barrier_latency", uint64(cfg.BarrierLatency))
-	b.Int("m.link_bw", int64(cfg.LinkBytesPerCycle))
-	b.Uint("m.occupancy", uint64(cfg.OccupancyCycles))
-	b.Int("m.mem_pages", int64(cfg.MemPagesPerNode))
-	b.Uint("m.quantum", uint64(cfg.Quantum))
-	b.Uint("m.seed", cfg.Seed)
-}
-
-// em3dKey contributes an em3d workload's parameters.
-func em3dKey(c em3d.Config) []resultcache.Field {
-	return []resultcache.Field{
-		resultcache.FInt("app.total_nodes", int64(c.TotalNodes)),
-		resultcache.FInt("app.degree", int64(c.Degree)),
-		resultcache.FInt("app.pct_remote", int64(c.PctRemote)),
-		resultcache.FInt("app.remote_reuse", int64(c.RemoteReuse)),
-		resultcache.FInt("app.iters", int64(c.Iters)),
-		resultcache.FUint("app.seed", c.Seed),
-	}
-}
-
-// appKeyFields extracts a benchmark instance's workload parameters for
-// the key. Every app type must be listed: silently keying an unknown
-// app on its name alone would alias different workloads, so this
-// errors instead.
-func appKeyFields(app apps.App) ([]resultcache.Field, error) {
-	switch a := app.(type) {
-	case *appbt.App:
-		c := a.Config()
-		return []resultcache.Field{
-			resultcache.FInt("app.n", int64(c.N)),
-			resultcache.FInt("app.iters", int64(c.Iters)),
-		}, nil
-	case *barnes.App:
-		c := a.Config()
-		return []resultcache.Field{
-			resultcache.FInt("app.bodies", int64(c.Bodies)),
-			resultcache.FInt("app.iters", int64(c.Iters)),
-			resultcache.FFloat("app.theta", c.Theta),
-			resultcache.FUint("app.seed", c.Seed),
-		}, nil
-	case *mp3d.App:
-		c := a.Config()
-		return []resultcache.Field{
-			resultcache.FInt("app.mols", int64(c.Mols)),
-			resultcache.FInt("app.cells", int64(c.Cells)),
-			resultcache.FInt("app.steps", int64(c.Steps)),
-			resultcache.FUint("app.seed", c.Seed),
-		}, nil
-	case *ocean.App:
-		c := a.Config()
-		return []resultcache.Field{
-			resultcache.FInt("app.n", int64(c.N)),
-			resultcache.FInt("app.iters", int64(c.Iters)),
-			resultcache.FBool("app.owner_placed", c.OwnerPlaced),
-		}, nil
-	case *em3d.App:
-		return em3dKey(a.Config()), nil
-	}
-	return nil, fmt.Errorf("harness: no cache key mapping for app %q (%T)", app.Name(), app)
-}
-
-// runKey digests one run's full input.
-func runKey(code string, cfg machine.Config, system System, appName string, appFields, extra []resultcache.Field) resultcache.Key {
-	b := resultcache.NewKey()
-	b.Str("code", code)
-	b.Str("system", string(system))
-	b.Str("app", appName)
-	machineKey(b, cfg)
-	b.Add(appFields)
-	b.Add(extra)
-	return b.Sum()
-}
-
 // entryFromResult converts a run into its cached form. Counters under
 // the engine. prefix are stripped: they describe how this host ran the
 // simulation (dispatch hosting), not what was simulated.
-func entryFromResult(key resultcache.Key, code string, system System, appName string, res machine.Result) *resultcache.Entry {
+func entryFromResult(key resultcache.Key, code string, pt Point, res machine.Result) *resultcache.Entry {
 	e := &resultcache.Entry{
 		Key:      key,
 		Code:     code,
-		System:   string(system),
-		App:      appName,
+		System:   string(pt.System),
+		App:      pt.appName(),
 		Cycles:   uint64(res.Cycles),
 		ROI:      uint64(res.ROICycles),
 		Counters: make(map[string]uint64),
@@ -182,43 +89,44 @@ func resultFromEntry(e *resultcache.Entry) RunResult {
 func ResultFromEntry(e *resultcache.Entry) RunResult { return resultFromEntry(e) }
 
 // cachedRun is the memoization funnel every cached sweep point goes
-// through: look the key up, serve hits (re-simulating the configured
-// verification fraction and failing loudly on divergence), simulate
-// and store misses. Damaged entries fall back to simulation — the cache
-// counts them; they never fail a sweep. cp must be enabled
+// through: look the point's key up, serve hits (re-simulating the
+// configured verification fraction and failing loudly on divergence),
+// simulate and store misses. Damaged entries fall back to simulation —
+// the cache counts them; they never fail a sweep. cp must be enabled
 // (RunPointEntry simulates cacheless points itself).
-func cachedRun(cp CacheParams, cfg machine.Config, system System, appName string,
-	appFields, extra []resultcache.Field, simulate func() (RunResult, error)) (RunResult, *resultcache.Entry, error) {
+func cachedRun(cp CacheParams, pt Point) (RunResult, *resultcache.Entry, error) {
 	// Entries outlive the process, so their keys must pin the code.
 	code, err := resultcache.CodeDigest()
 	if err != nil {
 		return RunResult{}, nil, fmt.Errorf("harness: the result cache needs a code digest: %w", err)
 	}
-	key := runKey(code, cfg, system, appName, appFields, extra)
+	key, err := PointKey(code, pt)
+	if err != nil {
+		return RunResult{}, nil, err
+	}
 	// A Get error is a structured *resultcache.Error for a damaged entry
 	// (the corrupt counter has already ticked) or a read failure; either
 	// way the fall-back is the same: simulate.
 	cached, _ := cp.Cache.Get(key)
 	if cached != nil {
 		if cp.Cache.ShouldVerify(key, cp.Verify) {
-			rr, err := simulate()
+			rr, err := pt.Simulate()
 			if err != nil {
 				return RunResult{}, nil, fmt.Errorf("harness: cache verify re-simulation: %w", err)
 			}
-			fresh := entryFromResult(key, code, system, appName, rr.Res)
-			if err := resultcache.CheckMatch(cached, fresh); err != nil {
-				return RunResult{}, nil, fmt.Errorf("harness: %s on %s: cached result %s does not match re-simulation: %w",
-					appName, system, key, err)
+			if err := resultcache.CheckMatch(cached, entryFromResult(key, code, pt, rr.Res)); err != nil {
+				return RunResult{}, nil, fmt.Errorf("harness: %s: cached result %s does not match re-simulation: %w",
+					pt.Label(), key, err)
 			}
 			cp.Cache.NoteVerified()
 		}
 		return resultFromEntry(cached), cached, nil
 	}
-	rr, err := simulate()
+	rr, err := pt.Simulate()
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	e := entryFromResult(key, code, system, appName, rr.Res)
+	e := entryFromResult(key, code, pt, rr.Res)
 	cp.Cache.Put(e)
 	return rr, e, nil
 }

@@ -114,26 +114,18 @@ func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
 // returns the point's cache entry — a fleet worker sends the entry over
 // the wire, so the entry exists even when the point ran cacheless.
 func RunPointEntry(cp CacheParams, pt Point) (PointResult, *resultcache.Entry, error) {
-	if err := pt.Validate(); err != nil {
-		return PointResult{}, nil, err
+	if !pt.NoCache && cp.enabled() {
+		rr, entry, err := cachedRun(cp, pt)
+		return PointResult{RunResult: rr}, entry, err
 	}
-	name, appFields, extra, err := pt.keyParts()
+	code := CodeID()
+	key, err := PointKey(code, pt)
 	if err != nil {
 		return PointResult{}, nil, err
 	}
-	if pt.NoCache || !cp.enabled() {
-		rr, err := pt.Simulate()
-		if err != nil {
-			return PointResult{}, nil, err
-		}
-		code := CodeID()
-		entry := entryFromResult(runKey(code, pt.Cfg, pt.System, name, appFields, extra),
-			code, pt.System, name, rr.Res)
-		return PointResult{RunResult: rr}, entry, nil
-	}
-	rr, entry, err := cachedRun(cp, pt.Cfg, pt.System, name, appFields, extra, pt.Simulate)
+	rr, err := pt.Simulate()
 	if err != nil {
 		return PointResult{}, nil, err
 	}
-	return PointResult{RunResult: rr}, entry, nil
+	return PointResult{RunResult: rr}, entryFromResult(key, code, pt, rr.Res), nil
 }

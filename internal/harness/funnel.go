@@ -84,7 +84,7 @@ func (pt Point) install() (in installed, err error) {
 
 // makeApp builds the point's application instance. The update and
 // check-in apps drive their protocol directly and take its handle from
-// in; every other app ignores it (keyParts passes the zero value).
+// in; every other app ignores it.
 func (pt Point) makeApp(in installed) (apps.App, error) {
 	switch {
 	case pt.System == SysUpdate:

@@ -123,14 +123,7 @@ func MakeApp(name string, scale Scale, set DataSet) (apps.App, error) {
 		}
 		return mp3d.New(c), nil
 	case "ocean":
-		c := ocean.Small()
-		if large {
-			c = ocean.Large()
-		}
-		if !paper {
-			c.N = map[bool]int{false: 66, true: 192}[large]
-		}
-		return ocean.New(c), nil
+		return ocean.New(OceanConfig(scale, set)), nil
 	case "em3d":
 		return em3d.New(EM3DConfig(scale, set)), nil
 	}
@@ -150,6 +143,19 @@ func EM3DConfig(scale Scale, set DataSet) em3d.Config {
 		} else {
 			c.TotalNodes, c.Degree = 8000, 5
 		}
+	}
+	return c
+}
+
+// OceanConfig returns the ocean configuration for a scale and data set
+// (the placement ablation varies it).
+func OceanConfig(scale Scale, set DataSet) ocean.Config {
+	c := ocean.Small()
+	if set == SetLarge {
+		c = ocean.Large()
+	}
+	if scale != ScalePaper {
+		c.N = map[bool]int{false: 66, true: 192}[set == SetLarge]
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 
@@ -38,9 +39,9 @@ type Point struct {
 	// Stache protocol variants (SysStache only). CheckIn runs the em3d
 	// check-in app (requires EM3D); StacheMaxPages bounds the per-node
 	// stache page budget; StacheMigratory enables the migratory-sharing
-	// extension. Each is a cache-key field; zero values key identically
-	// to a plain run (the KeyBuilder drops them), which is exactly the
-	// historical sharing: budget=0 is the plain Stache run.
+	// extension. Each reaches the key through the point's encoding,
+	// which omits a zero value, so budget=0 keys like the plain Stache
+	// run it is.
 	CheckIn         bool
 	StacheMaxPages  int
 	StacheMigratory bool
@@ -138,49 +139,46 @@ func (pt Point) Validate() error {
 	return nil
 }
 
-// keyParts resolves the cache-key ingredients: the app name, the app's
-// workload fields, and the variant extras. Zero-valued extras are
-// dropped by the key builder, so a plain point keys identically whether
-// the variant fields are listed or not — byte-for-byte the same keys
-// every pre-executor sweep computed.
-func (pt Point) keyParts() (appName string, appFields, extra []resultcache.Field, err error) {
-	switch {
-	case pt.System == SysUpdate:
-		return "em3d-update", em3dKey(*pt.EM3D), nil, nil
-	case pt.CheckIn:
-		appName = "em3d-checkin"
-		appFields = em3dKey(*pt.EM3D)
-	default:
-		app, err := pt.makeApp(installed{})
-		if err != nil {
-			return "", nil, nil, err
-		}
-		appName = app.Name()
-		if appFields, err = appKeyFields(app); err != nil {
-			return "", nil, nil, err
+// canonical is the point spelled one way per simulation, the form
+// PointKey hashes: the machine configuration with its defaults applied,
+// a by-name em3d or ocean point resolved to its explicit workload config
+// (whose name, scale and set are then redundant), and the execution
+// directive NoCache cleared. The inert Shards, Group and WitnessKB never
+// reach the encoding.
+func (pt Point) canonical() Point {
+	pt.Cfg = pt.Cfg.Normalized()
+	pt.NoCache = false
+	if pt.EM3D == nil && pt.Ocean == nil {
+		switch pt.Bench {
+		case "em3d":
+			c := EM3DConfig(pt.Scale, pt.Set)
+			pt.EM3D = &c
+		case "ocean":
+			c := OceanConfig(pt.Scale, pt.Set)
+			pt.Ocean = &c
 		}
 	}
-	extra = []resultcache.Field{
-		resultcache.FBool("app.checkin", pt.CheckIn),
-		resultcache.FInt("stache.max_pages", int64(pt.StacheMaxPages)),
-		resultcache.FBool("stache.migratory", pt.StacheMigratory),
+	if pt.EM3D != nil || pt.Ocean != nil {
+		pt.Bench, pt.Scale, pt.Set = "", "", ""
 	}
-	return appName, appFields, extra, nil
+	return pt
 }
 
-// PointKey computes the point's content address under a code digest —
-// the same key the cachedRun funnel uses, exported so a fleet
-// coordinator can verify a remote result's entry against an
-// independently computed key.
+// PointKey computes the point's content address under a code digest:
+// the sha256 of the digest and the point's canonical encoding. It is the
+// one key derivation — the cache funnel files entries under it and a
+// fleet coordinator verifies a remote result's entry against it — and
+// it validates the point first.
 func PointKey(code string, pt Point) (resultcache.Key, error) {
 	if err := pt.Validate(); err != nil {
 		return resultcache.Key{}, err
 	}
-	name, appFields, extra, err := pt.keyParts()
-	if err != nil {
-		return resultcache.Key{}, err
-	}
-	return runKey(code, pt.Cfg, pt.System, name, appFields, extra), nil
+	h := sha256.New()
+	h.Write([]byte(code + "\n"))
+	h.Write(pt.canonical().Encode())
+	var k resultcache.Key
+	h.Sum(k[:0])
+	return k, nil
 }
 
 // CodeID resolves the code digest used for fleet handshakes and point
@@ -199,10 +197,11 @@ func CodeID() string {
 // misreading it.
 const pointMagic = "tempest-point v3"
 
-// Encode renders the point's canonical byte form: header, fixed-order
-// lines (optional ones omitted when zero), and a trailing sha256 line —
-// the same checksummed shape as a result-cache entry, so a corrupted
-// lease payload is caught before any simulation runs.
+// Encode renders the point's byte form: header, fixed-order lines
+// (optional ones omitted when zero), and a trailing sha256 line — the
+// same checksummed shape as a result-cache entry, so a corrupted lease
+// payload is caught before any simulation runs. The encoding of
+// canonical() is what PointKey hashes.
 func (pt Point) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", pointMagic)

@@ -14,6 +14,7 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
+	"github.com/tempest-sim/tempest/internal/resultcache"
 	"github.com/tempest-sim/tempest/internal/sim"
 )
 
@@ -190,42 +191,107 @@ func TestPointValidate(t *testing.T) {
 	}
 }
 
-// TestPointKeyVariantCompat pins the key-compatibility invariant the
-// cache depends on: a point with zero-valued variant knobs keys
-// identically to the plain run (the key builder drops zero fields), and
-// an explicit workload config keys identically to the equivalent
-// bench/scale/set naming — so entries recorded by any sweep serve every
-// other, exactly as before the executor refactor.
+// TestPointKeyVariantCompat pins what the one key derivation, the hash
+// of the point's canonical encoding, sees. Spellings of one simulation
+// key alike, so entries recorded by any sweep serve every other: a
+// by-name em3d or ocean point and its explicit config, a zero machine
+// field and its Table 2 default, and a point with or without the
+// execution directive and the inert fields. Every workload field, every
+// Stache variant and the code digest move the key.
 func TestPointKeyVariantCompat(t *testing.T) {
-	cfg := MachineConfig(ScaleReduced, 0)
-	plain := Point{Cfg: cfg, System: SysStache, Bench: "em3d", Scale: ScaleReduced, Set: SetSmall}
-	ecfg := EM3DConfig(ScaleReduced, SetSmall)
-	explicit := Point{Cfg: cfg, System: SysStache, EM3D: &ecfg}
-	budget0 := plain
-	budget0.StacheMaxPages = 0
-	const code = "testcode"
-	k1, err := PointKey(code, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, pt := range map[string]Point{"explicit-config": explicit, "budget-0": budget0} {
-		k2, err := PointKey(code, pt)
+	key := func(code string, pt Point) resultcache.Key {
+		t.Helper()
+		k, err := PointKey(code, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k1 != k2 {
-			t.Errorf("%s point keys differently from the plain run: %s vs %s", name, k1, k2)
+		return k
+	}
+	cfg := MachineConfig(ScaleReduced, 4<<10)
+	for _, scale := range []Scale{ScaleReduced, ScalePaper} {
+		for _, set := range []DataSet{SetSmall, SetLarge} {
+			ecfg, ocfg := EM3DConfig(scale, set), OceanConfig(scale, set)
+			for bench, explicit := range map[string]Point{
+				"em3d":  {Cfg: cfg, System: SysDirNNB, EM3D: &ecfg},
+				"ocean": {Cfg: cfg, System: SysDirNNB, Ocean: &ocfg},
+			} {
+				byName := Point{Cfg: cfg, System: SysDirNNB, Bench: bench, Scale: scale, Set: set}
+				if key("code", byName) != key("code", explicit) {
+					t.Errorf("%s %s/%s by name keys unlike its explicit config", bench, scale, set)
+				}
+			}
 		}
 	}
-	mig := plain
-	mig.StacheMigratory = true
-	if k3, _ := PointKey(code, mig); k3 == k1 {
-		t.Error("migratory point keys identically to the plain run")
+
+	ecfg, ocfg := em3d.Tiny(), ocean.Tiny()
+	base := Point{Cfg: machine.DefaultConfig(), System: SysStache, EM3D: &ecfg}
+	baseKey := key("code", base)
+	if key("other", base) == baseKey {
+		t.Error("the code digest does not move the key")
 	}
-	budget := plain
-	budget.StacheMaxPages = 4
-	if k4, _ := PointKey(code, budget); k4 == k1 {
-		t.Error("budget point keys identically to the plain run")
+	for name, mutate := range map[string]func(*Point){
+		"NoCache":   func(p *Point) { p.NoCache = true },
+		"Shards":    func(p *Point) { p.Cfg.Shards = 4 },
+		"Group":     func(p *Point) { p.Group = "fig3/em3d" },
+		"WitnessKB": func(p *Point) { p.WitnessKB = []int{16, 64} },
+		// A by-name selection beside an explicit config names nothing.
+		"bench beside EM3D": func(p *Point) { p.Bench, p.Scale, p.Set = "ocean", ScalePaper, SetLarge },
+	} {
+		pt := base
+		mutate(&pt)
+		if key("code", pt) != baseKey {
+			t.Errorf("%s moved the key", name)
+		}
+	}
+	def := reflect.ValueOf(base.Cfg)
+	for i := 0; i < def.NumField(); i++ {
+		if def.Field(i).IsZero() {
+			continue
+		}
+		pt := base
+		reflect.ValueOf(&pt.Cfg).Elem().Field(i).SetZero()
+		if key("code", pt) != baseKey {
+			t.Errorf("a zero machine.Config.%s keys unlike its Table 2 default", def.Type().Field(i).Name)
+		}
+	}
+
+	// moves requires bumping each field of the workload config w, which
+	// pt runs, to move pt's key.
+	moves := func(pt Point, w any) {
+		t.Helper()
+		before := key("code", pt)
+		v := reflect.ValueOf(w).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f, was := v.Field(i), v.Field(i).Interface()
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("%s.%s has kind %s: teach this test to move it", v.Type(), v.Type().Field(i).Name, f.Kind())
+			}
+			if key("code", pt) == before {
+				t.Errorf("%s.%s does not move the key", v.Type(), v.Type().Field(i).Name)
+			}
+			f.Set(reflect.ValueOf(was))
+		}
+	}
+	moves(base, &ecfg)
+	moves(Point{Cfg: base.Cfg, System: SysStache, Ocean: &ocfg}, &ocfg)
+
+	for name, mutate := range map[string]func(*Point){
+		"CheckIn":         func(p *Point) { p.CheckIn = true },
+		"StacheMaxPages":  func(p *Point) { p.StacheMaxPages = 4 },
+		"StacheMigratory": func(p *Point) { p.StacheMigratory = true },
+	} {
+		pt := base
+		mutate(&pt)
+		if key("code", pt) == baseKey {
+			t.Errorf("Stache variant %s does not move the key", name)
+		}
 	}
 }
 

@@ -390,6 +390,29 @@ func TestInjectionPortQueueing(t *testing.T) {
 	})
 }
 
+// TestInjectionPortOccupancyRoundsUp: a payload that is not a multiple
+// of the link bandwidth holds its port for the ceiling, not the floor.
+// 12 B at 8 B/cycle serialises for 2 cycles, so a second same-cycle send
+// from the node queues 2 cycles behind the first.
+func TestInjectionPortOccupancyRoundsUp(t *testing.T) {
+	runWith(t, func(eng *sim.Engine) (*Network, func(*sim.Context)) {
+		n := New(eng, Config{Nodes: 2, Latency: 11, LinkBytesPerCycle: 8})
+		return n, func(c *sim.Context) {
+			n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest, Args: []uint64{1}, Handler: 1}) // 12 B → 2 cycles
+			n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest, Args: []uint64{2}, Handler: 2}) // queues 2 cycles
+			c.Sleep(50)
+			ep := n.Endpoint(1)
+			first, second := ep.Dequeue(), ep.Dequeue()
+			if first.DeliveredAt != 13 || second.DeliveredAt != 15 {
+				t.Errorf("delivered at %d/%d, want 13/15", first.DeliveredAt, second.DeliveredAt)
+			}
+			if q := n.Stats().VNets[VNetRequest].QueueingCycles; q != 2 {
+				t.Errorf("queueing cycles = %d, want 2", q)
+			}
+		}
+	})
+}
+
 // TestEjectionPortContention: two nodes send to the same destination in
 // the same cycle. The heads arrive together and contend for one ejection
 // port; the stable event key (origin 0 before origin 1 at equal time)

@@ -13,7 +13,7 @@ import (
 // from id.
 func entryForKey(id int) *Entry {
 	e := sampleEntry()
-	e.Key = NewKey().Int("test.id", int64(id)).Sum()
+	e.Key = keyOf("test.id", fmt.Sprint(id))
 	e.Cycles = uint64(1000 + id)
 	return e
 }
@@ -172,7 +172,7 @@ func TestCacheMisfiledEntryIsCorrupt(t *testing.T) {
 	e := entryForKey(8)
 	c.Put(e)
 	// File a valid entry under a different key's path.
-	other := NewKey().Str("other", "slot").Sum()
+	other := keyOf("other", "slot")
 	src := diskPath(dir, e.Key)
 	dst := diskPath(dir, other)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -197,7 +197,7 @@ func TestCacheMisfiledEntryIsCorrupt(t *testing.T) {
 
 func TestShouldVerify(t *testing.T) {
 	c := newCache(t)
-	k := NewKey().Str("a", "b").Sum()
+	k := keyOf("a", "b")
 	if c.ShouldVerify(k, 0) {
 		t.Error("fraction 0 selected a key")
 	}
@@ -217,7 +217,7 @@ func TestShouldVerify(t *testing.T) {
 	const n = 2000
 	selected := 0
 	for i := 0; i < n; i++ {
-		if c.ShouldVerify(NewKey().Int("i", int64(i)).Sum(), 0.5) {
+		if c.ShouldVerify(keyOf("i", fmt.Sprint(i)), 0.5) {
 			selected++
 		}
 	}
@@ -233,7 +233,7 @@ func TestCountersSnapshot(t *testing.T) {
 	if _, err := c.Get(e.Key); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(NewKey().Str("missing", "x").Sum()); err != nil {
+	if _, err := c.Get(keyOf("missing", "x")); err != nil {
 		t.Fatal(err)
 	}
 	c.NoteVerified()

@@ -21,7 +21,7 @@ func sampleEntry() *Entry {
 	net.VNets[1] = network.VNetStats{Packets: 118, PayloadBytes: 9000, MaxQueueDepth: 2}
 	net.LocalSends = 31
 	return &Entry{
-		Key:    NewKey().Str("system", "typhoon-stache").Str("app", "ocean").Int("m.nodes", 8).Sum(),
+		Key:    keyOf("typhoon-stache", "ocean", "8"),
 		Code:   "0123456789abcdef",
 		System: "typhoon-stache",
 		App:    "ocean",
@@ -73,7 +73,7 @@ func TestEntryRoundTrip(t *testing.T) {
 
 func TestEntryRoundTripMinimal(t *testing.T) {
 	e := &Entry{
-		Key:      NewKey().Sum(),
+		Key:      keyOf(),
 		Code:     "in-memory",
 		System:   "dirnnb",
 		App:      "appbt",
@@ -193,7 +193,7 @@ func TestCheckMatch(t *testing.T) {
 	}
 	// Origin, Key, and Code are provenance, not results.
 	other := sampleEntry()
-	other.Key, other.Origin, other.Code = NewKey().Str("x", "y").Sum(), "witness:4K", "ffffffffffffffff"
+	other.Key, other.Origin, other.Code = keyOf("x", "y"), "witness:4K", "ffffffffffffffff"
 	if err := CheckMatch(other, sampleEntry()); err != nil {
 		t.Fatalf("provenance-only difference reported as divergence: %v", err)
 	}

@@ -1,19 +1,16 @@
 package resultcache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strconv"
 )
 
-// A Key is the content address of one simulation result: the sha256 of
-// the canonicalized run input (machine configuration, target system,
-// application parameters, and the code digest of the simulator
-// sources). Two runs with the same key are the same pure function
-// applied to the same inputs, so their results are interchangeable.
+// A Key is the content address of one simulation result: a sha256 over
+// the code digest of the simulator sources and the run's canonical input.
+// The harness derives it (harness.PointKey hashes the sweep point's
+// canonical encoding); this package only files and finds entries by it.
+// Two runs with the same key are the same pure function applied to the
+// same inputs, so their results are interchangeable.
 type Key [32]byte
 
 // String renders the key as lowercase hex — the on-disk file name.
@@ -34,116 +31,4 @@ func ParseKey(s string) (Key, error) {
 	}
 	copy(k[:], raw)
 	return k, nil
-}
-
-// Field is one named input of a run key — an application or protocol
-// parameter a call site contributes beyond the machine configuration.
-type Field struct{ Name, Value string }
-
-// FStr, FInt, FUint, FBool, and FFloat build key fields. Zero values
-// are canonicalized away by the KeyBuilder, so constructing them is
-// always safe.
-func FStr(name, v string) Field       { return Field{name, v} }
-func FInt(name string, v int64) Field { return Field{name, strconv.FormatInt(v, 10)} }
-func FUint(name string, v uint64) Field {
-	return Field{name, strconv.FormatUint(v, 10)}
-}
-func FBool(name string, v bool) Field {
-	if v {
-		return Field{name, "1"}
-	}
-	return Field{name, ""}
-}
-func FFloat(name string, v float64) Field {
-	return Field{name, strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
-// KeyBuilder collects named fields and digests them into a Key
-// independent of insertion order. Canonicalization rules:
-//
-//   - fields are hashed in sorted name order, so call-site ordering
-//     never matters;
-//   - zero values (empty string, 0, false, 0.0, and the string "0" or
-//     "false" produced by the F helpers) are dropped, so a knob added
-//     later at its default value does not invalidate existing keys
-//     (default-value invariance);
-//   - names and values are length-prefixed in the hash, so no
-//     (name, value) boundary ambiguity exists.
-//
-// Setting the same name twice keeps the last value.
-type KeyBuilder struct {
-	fields map[string]string
-}
-
-// NewKey returns an empty builder.
-func NewKey() *KeyBuilder { return &KeyBuilder{fields: make(map[string]string)} }
-
-// zeroValue reports whether v is a canonical zero the builder drops.
-func zeroValue(v string) bool {
-	switch v {
-	case "", "0", "false":
-		return true
-	}
-	return false
-}
-
-// Set records one field; zero values are dropped (and clear any earlier
-// non-zero value of the same name, keeping last-write-wins exact).
-func (b *KeyBuilder) Set(name, value string) *KeyBuilder {
-	if zeroValue(value) {
-		delete(b.fields, name)
-		return b
-	}
-	b.fields[name] = value
-	return b
-}
-
-// Str, Int, Uint, Bool, and Float are typed conveniences over Set.
-func (b *KeyBuilder) Str(name, v string) *KeyBuilder { return b.Set(name, v) }
-func (b *KeyBuilder) Int(name string, v int64) *KeyBuilder {
-	return b.Set(name, strconv.FormatInt(v, 10))
-}
-func (b *KeyBuilder) Uint(name string, v uint64) *KeyBuilder {
-	return b.Set(name, strconv.FormatUint(v, 10))
-}
-func (b *KeyBuilder) Bool(name string, v bool) *KeyBuilder {
-	if v {
-		return b.Set(name, "1")
-	}
-	return b.Set(name, "")
-}
-func (b *KeyBuilder) Float(name string, v float64) *KeyBuilder {
-	return b.Set(name, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// Add records a slice of pre-built fields.
-func (b *KeyBuilder) Add(fields []Field) *KeyBuilder {
-	for _, f := range fields {
-		b.Set(f.Name, f.Value)
-	}
-	return b
-}
-
-// Sum digests the canonical field set.
-func (b *KeyBuilder) Sum() Key {
-	names := make([]string, 0, len(b.fields))
-	for name := range b.fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	h.Write([]byte("tempest-resultcache-key v1\n"))
-	var lenBuf [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(s))
-	}
-	for _, name := range names {
-		writeStr(name)
-		writeStr(b.fields[name])
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k
 }

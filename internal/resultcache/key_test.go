@@ -1,88 +1,17 @@
 package resultcache
 
 import (
+	"crypto/sha256"
 	"strings"
 	"testing"
 )
 
-func TestKeyOrderInvariance(t *testing.T) {
-	a := NewKey().Str("system", "dirnnb").Int("m.nodes", 8).Float("app.theta", 1.0).Sum()
-	b := NewKey().Float("app.theta", 1.0).Str("system", "dirnnb").Int("m.nodes", 8).Sum()
-	if a != b {
-		t.Errorf("insertion order changed the key: %s vs %s", a, b)
-	}
-}
-
-func TestKeyDefaultValueInvariance(t *testing.T) {
-	// A knob recorded at its zero value must hash identically to the
-	// knob never being mentioned — that is what lets a newly added
-	// parameter leave old cache entries valid.
-	bare := NewKey().Str("system", "dirnnb").Sum()
-	padded := NewKey().Str("system", "dirnnb").
-		Int("m.link_bw", 0).
-		Uint("m.occupancy", 0).
-		Bool("app.checkin", false).
-		Float("app.theta", 0).
-		Str("app.mode", "").
-		Sum()
-	if bare != padded {
-		t.Errorf("zero-valued fields changed the key: %s vs %s", bare, padded)
-	}
-	// The Add([]Field) path must canonicalize the same way.
-	added := NewKey().Add([]Field{
-		FStr("system", "dirnnb"),
-		FInt("m.link_bw", 0),
-		FBool("app.checkin", false),
-	}).Sum()
-	if bare != added {
-		t.Errorf("Add with zero fields changed the key: %s vs %s", bare, added)
-	}
-}
-
-func TestKeyDistinctInputsDiffer(t *testing.T) {
-	base := NewKey().Str("system", "dirnnb").Int("m.nodes", 8).Sum()
-	for name, k := range map[string]Key{
-		"value-changed": NewKey().Str("system", "dirnnb").Int("m.nodes", 32).Sum(),
-		"name-changed":  NewKey().Str("system2", "dirnnb").Int("m.nodes", 8).Sum(),
-		"field-added":   NewKey().Str("system", "dirnnb").Int("m.nodes", 8).Bool("x", true).Sum(),
-		"field-dropped": NewKey().Str("system", "dirnnb").Sum(),
-	} {
-		if k == base {
-			t.Errorf("%s: key did not change", name)
-		}
-	}
-}
-
-func TestKeyBoundaryNonAmbiguity(t *testing.T) {
-	// Length-prefixed hashing: shifting bytes between a name and its
-	// value, or between adjacent fields, must change the key.
-	pairs := [][2]Key{
-		{NewKey().Str("ab", "c").Sum(), NewKey().Str("a", "bc").Sum()},
-		{NewKey().Str("a", "b").Str("c", "d").Sum(), NewKey().Str("a", "bc").Str("", "d").Sum()},
-		{NewKey().Str("a", "b c d").Sum(), NewKey().Str("a", "b").Str("c", "d").Sum()},
-	}
-	for i, p := range pairs {
-		if p[0] == p[1] {
-			t.Errorf("pair %d: distinct field boundaries collide on %s", i, p[0])
-		}
-	}
-}
-
-func TestKeyLastWriteWins(t *testing.T) {
-	twice := NewKey().Int("m.nodes", 8).Int("m.nodes", 32).Sum()
-	once := NewKey().Int("m.nodes", 32).Sum()
-	if twice != once {
-		t.Errorf("second Set did not win: %s vs %s", twice, once)
-	}
-	// Re-setting to the zero value clears the earlier write entirely.
-	cleared := NewKey().Int("m.nodes", 8).Int("m.nodes", 0).Sum()
-	if cleared != NewKey().Sum() {
-		t.Errorf("zero re-set did not clear the field: %s", cleared)
-	}
-}
+// keyOf is a test key: the sha256 of its parts, one per line. The cache
+// files entries under whatever key its caller derives.
+func keyOf(parts ...string) Key { return sha256.Sum256([]byte(strings.Join(parts, "\n"))) }
 
 func TestParseKeyRoundTrip(t *testing.T) {
-	k := NewKey().Str("system", "dirnnb").Sum()
+	k := keyOf("system", "dirnnb")
 	s := k.String()
 	if len(s) != 64 || strings.ToLower(s) != s {
 		t.Fatalf("String() = %q, want 64 lowercase hex chars", s)
@@ -103,23 +32,5 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		if _, err := ParseKey(bad); err == nil {
 			t.Errorf("%s: ParseKey(%q) succeeded, want error", name, bad)
 		}
-	}
-}
-
-func TestFieldHelpers(t *testing.T) {
-	if f := FBool("x", false); f.Value != "" {
-		t.Errorf("FBool(false) = %q, want zero value", f.Value)
-	}
-	if f := FBool("x", true); f.Value != "1" {
-		t.Errorf("FBool(true) = %q, want \"1\"", f.Value)
-	}
-	if f := FFloat("x", 1.75); f.Value != "1.75" {
-		t.Errorf("FFloat(1.75) = %q", f.Value)
-	}
-	if f := FInt("x", -3); f.Value != "-3" {
-		t.Errorf("FInt(-3) = %q", f.Value)
-	}
-	if f := FUint("x", 18446744073709551615); f.Value != "18446744073709551615" {
-		t.Errorf("FUint(max) = %q", f.Value)
 	}
 }

@@ -1,9 +1,10 @@
 // Package resultcache is a content-addressed store for simulation
 // results. Every run in this repo is bit-deterministic at any worker
 // count, so a simulation's output is a pure function of
-// its canonicalized input (machine configuration, system, application
+// its canonical input (machine configuration, system, application
 // parameters, and a digest of the simulator sources); that function is
-// safe to memoize. A cache is one directory of versioned, checksummed
+// safe to memoize. The caller hashes that input into a Key
+// (harness.PointKey). A cache is one directory of versioned, checksummed
 // entry files, shared by every process (and every fleet worker) pointed
 // at it, with structured errors (never panics) for damaged entries, and
 // hit/miss/store telemetry (Stats).
