@@ -10,7 +10,10 @@
 # from here; `make profile-hit`, `profile-miss`, `profile-contended` and
 # `profile-large` put one of its simulating workloads under the CPU and
 # allocation profilers. Read the allocation profile by object count with
-# `go tool pprof -sample_index=alloc_objects harness.test mem-miss.prof`.
+# `go tool pprof -sample_index=alloc_objects harness.test mem-miss.prof`,
+# and by size class (bytes per class, where an object one byte past a
+# class boundary costs the whole next class) with
+# `go tool pprof -sample_index=alloc_space -tags harness.test mem-miss.prof`.
 
 GO ?= go
 

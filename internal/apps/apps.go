@@ -247,16 +247,19 @@ type Backdoor struct {
 	// pages is the overlay, indexed by a shared page's distance from
 	// vm.SharedBase; a page gets its array at the first write into it.
 	pages []*overlayPage
+	// written marks, per page of pages, the words the replay has
+	// written. It lives beside the pages, not in them, so that an
+	// overlay page is exactly one 4 KiB size class.
+	written []writtenBits
 }
 
 const wordsPerPage = mem.PageSize / 8
 
-// overlayPage holds the replayed value of every aligned word of one
-// page, and which of them the replay has written.
-type overlayPage struct {
-	vals    [wordsPerPage]uint64
-	written [wordsPerPage / 64]uint64
-}
+// overlayPage holds the replayed value of every aligned word of one page.
+type overlayPage [wordsPerPage]uint64
+
+// writtenBits has one bit per word of an overlay page.
+type writtenBits [wordsPerPage / 64]uint64
 
 // NewBackdoor returns an empty-overlay backdoor for m.
 func NewBackdoor(m *machine.Machine) *Backdoor { return &Backdoor{M: m} }
@@ -272,10 +275,8 @@ func overlayIndex(va mem.VA) (page, word uint64) {
 
 // ReadU64 implements MemIO.
 func (b *Backdoor) ReadU64(va mem.VA) uint64 {
-	if i, w := overlayIndex(va); i < uint64(len(b.pages)) && b.pages[i] != nil {
-		if pg := b.pages[i]; pg.written[w/64]>>(w%64)&1 != 0 {
-			return pg.vals[w]
-		}
+	if i, w := overlayIndex(va); i < uint64(len(b.pages)) && b.written[i][w/64]>>(w%64)&1 != 0 {
+		return b.pages[i][w]
 	}
 	return ReadBackU64(b.M, va)
 }
@@ -286,13 +287,13 @@ func (b *Backdoor) WriteU64(va mem.VA, v uint64) {
 	if i >= uint64(len(b.pages)) {
 		b.M.VM.Home(va) // panics unless va is allocated shared memory
 		b.pages = slices.Grow(b.pages, int(i)+1-len(b.pages))[:i+1]
+		b.written = slices.Grow(b.written, int(i)+1-len(b.written))[:i+1]
 	}
 	if b.pages[i] == nil {
 		b.pages[i] = new(overlayPage)
 	}
-	pg := b.pages[i]
-	pg.vals[w] = v
-	pg.written[w/64] |= 1 << (w % 64)
+	b.pages[i][w] = v
+	b.written[i][w/64] |= 1 << (w % 64)
 }
 
 // ReadF64 implements MemIO.

@@ -288,7 +288,7 @@ func TestVerifyNamesTheFirstWrongWord(t *testing.T) {
 }
 
 // TestBackdoorOverlayAcrossPages: the overlay is one value array per
-// page with a written-bitmap. Words on both sides of page boundaries,
+// page beside a per-page written-bitmap. Words on both sides of page boundaries,
 // written in an order that grows the page table backwards and forwards,
 // must read back what was written; their unwritten neighbours — in a
 // page the overlay holds and in pages it never saw — must still read the

@@ -295,6 +295,29 @@ func TestPointKeyVariantCompat(t *testing.T) {
 	}
 }
 
+// TestPointKeyQuantumDefault: a machine run at Quantum 0 runs at
+// sim.DefaultQuantum, so the two spellings of that one simulation key
+// alike, and a different quantum keys apart.
+func TestPointKeyQuantumDefault(t *testing.T) {
+	ecfg := em3d.Tiny()
+	key := func(q sim.Time) resultcache.Key {
+		t.Helper()
+		pt := Point{Cfg: MachineConfig(ScaleReduced, 4<<10), System: SysStache, EM3D: &ecfg}
+		pt.Cfg.Quantum = q
+		k, err := PointKey("code", pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if key(0) != key(sim.DefaultQuantum) {
+		t.Errorf("Quantum 0 keys unlike Quantum %d, the quantum it runs at", sim.DefaultQuantum)
+	}
+	if key(11) == key(0) {
+		t.Error("Quantum 11 keys like the default")
+	}
+}
+
 // TestRunAllAggregatesSlowSecondFailure is the satellite-1 contract: a
 // second, slower failure with a distinct error is joined into the
 // returned error instead of being silently dropped.

@@ -60,7 +60,8 @@ type Config struct {
 	// MemPagesPerNode bounds each node's DRAM in 4 KB frames. Zero means
 	// unbounded. Stache replacement only triggers under a bound.
 	MemPagesPerNode int
-	// Quantum is the scheduler run-ahead bound; zero keeps the default.
+	// Quantum is the scheduler run-ahead bound; zero means
+	// sim.DefaultQuantum.
 	Quantum sim.Time
 	// Seed drives random cache replacement.
 	Seed uint64
@@ -113,6 +114,9 @@ func (c *Config) applyDefaults() {
 	}
 	if c.BarrierLatency == 0 {
 		c.BarrierLatency = d.BarrierLatency
+	}
+	if c.Quantum == 0 {
+		c.Quantum = sim.DefaultQuantum // what sim.WithQuantum(0) runs at
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed

@@ -65,17 +65,20 @@ const maxPointers = 6
 
 // sharerSet is the paper's hybrid sharer representation: a count and six
 // one-byte pointers, and past six sharers a bit vector. It is 16 bytes
-// and holds no pointer; a blockDir is 56, and a home page's directory,
-// allocated on first use, carries 128 of those at 32-byte blocks.
+// and holds no pointer; a blockDir is 32, so a home page's directory,
+// allocated on first use, is 128 of those at 32-byte blocks: exactly one
+// 4 KiB object.
 type sharerSet struct {
 	n    int8 // pointers in use, or -1 once the set has overflowed
 	ptrs [maxPointers]uint8
 	vec  uint64 // the bit vector, valid only while n is -1
 }
 
-// A node number must fit a one-byte pointer and a bit of vec.
+// A node number must fit a one-byte pointer, an int8 node field and a
+// bit of a one-word set.
 const (
 	_ = uint8(machine.MaxNodes - 1)
+	_ = int8(machine.MaxNodes - 1)
 	_ = uint64(1) << (machine.MaxNodes - 1)
 )
 
@@ -156,11 +159,47 @@ func (s *sharerSet) each(visit func(node int)) {
 // clear empties the set.
 func (s *sharerSet) clear() { s.n = 0 }
 
-// blockDir is one block's home directory entry.
+// nodeMask is a set of nodes as one word, bit n for node n. A Busy
+// entry's awaited nodes are one: nothing sends in its order, so it needs
+// no pointers.
+type nodeMask uint64
+
+func (m nodeMask) has(node int) bool { return m&(1<<node) != 0 }
+func (m *nodeMask) add(node int)     { *m |= 1 << node }
+func (m *nodeMask) remove(node int)  { *m &^= 1 << node }
+func (m nodeMask) count() int        { return bits.OnesCount64(uint64(m)) }
+func (m *nodeMask) clear()           { *m = 0 }
+
+// each calls visit on every member in ascending node order.
+func (m nodeMask) each(visit func(node int)) {
+	for w := uint64(m); w != 0; w &= w - 1 {
+		visit(bits.TrailingZeros64(w))
+	}
+}
+
+// dirFlags are a blockDir's one-bit fields, packed in one byte.
+type dirFlags uint8
+
+const (
+	// flagMigratory: the block migrates, and reads are granted
+	// exclusively (WithMigratory).
+	flagMigratory dirFlags = 1 << iota
+	// flagPendDirty: an acknowledgement or writeback of the Busy
+	// transaction carried modified data.
+	flagPendDirty
+	// flagPendUpgrade: the Busy transaction's requester asked for an
+	// upgrade.
+	flagPendUpgrade
+)
+
+// blockDir is one block's home directory entry: 32 bytes, so a home
+// page's 128 entries fill one 4 KiB size class. Node fields are int8,
+// -1 for none (machine.MaxNodes is 64).
 type blockDir struct {
-	state   dirState
-	owner   int16 // remote owner when dirExclusive
-	sharers sharerSet
+	state dirState
+	flags dirFlags
+	pend  pendKind // Busy-transaction kind
+	owner int8     // remote owner when dirExclusive
 
 	// Migratory-sharing detection (Cox/Fowler-style, enabled by
 	// WithMigratory): lastGetS remembers the most recent read requester;
@@ -168,16 +207,25 @@ type blockDir struct {
 	// migratory, after which reads are granted exclusively. A migratory
 	// recall that returns clean data demotes the block back to
 	// read-sharing.
-	migratory bool
-	lastGetS  int16
-	pendDirty bool
+	lastGetS int8
 
 	// Busy-transaction state.
-	pend        pendKind
-	pendReq     int16 // remote requester (pendRemote*), -1 for the home CPU
-	pendOwner   int16 // downgraded ex-owner to keep as a sharer, -1 if none
-	pendUpgrade bool  // requester asked for an upgrade
-	waiting     sharerSet
+	pendReq   int8 // remote requester (pendRemote*), -1 for the home CPU
+	pendOwner int8 // downgraded ex-owner to keep as a sharer, -1 if none
+
+	sharers sharerSet
+	waiting nodeMask // nodes whose acknowledgement the Busy entry awaits
+}
+
+func (d *blockDir) has(f dirFlags) bool { return d.flags&f != 0 }
+
+// set sets or clears flag f and leaves the others.
+func (d *blockDir) set(f dirFlags, on bool) {
+	if on {
+		d.flags |= f
+	} else {
+		d.flags &^= f
+	}
 }
 
 // homeDir is the per-home-page directory vector the Stache allocation

@@ -234,8 +234,8 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 	ns := st.per[np.Node()]
 	ns.hot.getS++
 	d, _, synth := st.dirAt(np, va)
-	d.lastGetS = int16(r)
-	if st.migratory && d.migratory && d.state != dirBusy {
+	d.lastGetS = int8(r)
+	if st.migratory && d.has(flagMigratory) && d.state != dirBusy {
 		// The block migrates: grant the reader an exclusive copy so its
 		// expected write needs no second round trip.
 		ns.hot.migratoryGrants++
@@ -278,10 +278,10 @@ func (st *Protocol) serveExclusive(np *typhoon.NP, pkt *network.Packet, upgrade 
 	va := mem.VA(pkt.Args[0])
 	r := pkt.Src
 	d, _, synth := st.dirAt(np, va)
-	if st.migratory && upgrade && int16(r) == d.lastGetS &&
+	if st.migratory && upgrade && int8(r) == d.lastGetS &&
 		d.state == dirShared && d.sharers.count() == 1 && d.sharers.has(r) {
 		// Read-then-write by the sole reader: the migratory pattern.
-		d.migratory = true
+		d.set(flagMigratory, true)
 	}
 	st.grantWrite(np, va, d, synth, r, upgrade)
 }
@@ -304,9 +304,9 @@ func (st *Protocol) grantWrite(np *typhoon.NP, va mem.VA, d *blockDir, synth mem
 		// Invalidate the other sharers, then grant.
 		d.state = dirBusy
 		d.pend = pendRemoteWrite
-		d.pendReq = int16(r)
-		d.pendUpgrade = upgrade && wasSharer
-		d.pendDirty = false
+		d.pendReq = int8(r)
+		d.set(flagPendUpgrade, upgrade && wasSharer)
+		d.set(flagPendDirty, false)
 		st.invalidateSharers(np, va, d)
 		// The home's own copy dies now.
 		np.Invalidate(va)
@@ -328,7 +328,7 @@ func (st *Protocol) grantExclusive(np *typhoon.NP, va mem.VA, d *blockDir, synth
 	}
 	np.Invalidate(va)
 	d.state = dirExclusive
-	d.owner = int16(r)
+	d.owner = int8(r)
 	d.sharers.clear()
 	np.MemRef(synth, true)
 	np.Charge(costHomeRespExtra)
@@ -354,12 +354,12 @@ func (st *Protocol) startRecall(np *typhoon.NP, va mem.VA, d *blockDir, synth me
 	owner := int(d.owner)
 	d.state = dirBusy
 	d.pend = kind
-	d.pendReq = int16(req)
-	d.pendUpgrade = upgrade
-	d.pendDirty = false
+	d.pendReq = int8(req)
+	d.set(flagPendUpgrade, upgrade)
+	d.set(flagPendDirty, false)
 	d.pendOwner = -1
 	if inval == invalDowngrade {
-		d.pendOwner = int16(owner) // keeps a read-only copy
+		d.pendOwner = int8(owner) // keeps a read-only copy
 	}
 	d.owner = -1
 	d.waiting.clear()
@@ -376,7 +376,7 @@ func (st *Protocol) startHomeInvalidate(np *typhoon.NP, va mem.VA, d *blockDir, 
 	d.state = dirBusy
 	d.pend = pendHomeWrite
 	d.pendReq = -1
-	d.pendDirty = false
+	d.set(flagPendDirty, false)
 	st.invalidateSharers(np, va, d)
 	np.MemRef(synth, true)
 	np.Charge(costHomeRespExtra)
@@ -419,7 +419,7 @@ func (st *Protocol) handleInvalAck(np *typhoon.NP, pkt *network.Packet) {
 	d.waiting.remove(src)
 	if had {
 		np.ForceWriteBlock(va, pkt.Data)
-		d.pendDirty = true
+		d.set(flagPendDirty, true)
 	}
 	np.MemRef(synth, true)
 	np.Charge(costAckExtra)
@@ -452,14 +452,14 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		d.state = dirExclusive
 		d.owner = d.pendReq
 		d.sharers.clear()
-		if st.migratory && d.migratory && !d.pendDirty && !d.pendUpgrade {
+		if st.migratory && d.has(flagMigratory) && !d.has(flagPendDirty) && !d.has(flagPendUpgrade) {
 			// A migratory recall that came back clean means the block
 			// is actually read-shared: stop migrating it.
-			d.migratory = false
+			d.set(flagMigratory, false)
 		}
 		np.MemRef(synth, true)
 		np.Charge(costHomeRespExtra)
-		if d.pendUpgrade {
+		if d.has(flagPendUpgrade) {
 			np.SendReply(r, HUpgAck, []uint64{uint64(va)}, nil)
 		} else {
 			data := np.ForceReadBlockScratch(va)
@@ -559,7 +559,7 @@ func (st *Protocol) handleWbDirty(np *typhoon.NP, pkt *network.Packet) {
 		// The writeback crossed our invalidation; it carries the data
 		// and stands in for the acknowledgement. The writer dropped its
 		// copy, so it must not be re-added as a sharer.
-		if d.pendOwner == int16(src) {
+		if d.pendOwner == int8(src) {
 			d.pendOwner = -1
 		}
 		d.waiting.remove(src)
@@ -596,7 +596,7 @@ func (st *Protocol) handleWbClean(np *typhoon.NP, pkt *network.Packet) {
 			case d.state == dirBusy && d.waiting.has(src):
 				// Clean drop doubles as the acknowledgement; the home
 				// copy is already current.
-				if d.pendOwner == int16(src) {
+				if d.pendOwner == int8(src) {
 					d.pendOwner = -1
 				}
 				d.waiting.remove(src)

@@ -35,9 +35,11 @@ func (st *Protocol) StateDigest() uint64 {
 			d.Word(uint64(va))
 			for bi := range st.m.Mems[home].BlocksPerPage() {
 				b := dir.block(bi)
-				d.Word(uint64(b.state)<<32 | uint64(uint16(b.owner))<<16 | uint64(b.pend)<<8 |
-					boolBit(b.migratory)<<1 | boolBit(b.pendUpgrade))
-				d.Word(uint64(uint16(b.pendReq))<<16 | uint64(uint16(b.pendOwner)))
+				// Node fields hash sign-extended to 16 bits (none, -1, is
+				// 0xffff); the corpus footers pin these words.
+				d.Word(uint64(b.state)<<32 | uint64(uint16(int16(b.owner)))<<16 | uint64(b.pend)<<8 |
+					boolBit(b.has(flagMigratory))<<1 | boolBit(b.has(flagPendUpgrade)))
+				d.Word(uint64(uint16(int16(b.pendReq)))<<16 | uint64(uint16(int16(b.pendOwner))))
 				word := func(s int) { d.Word(uint64(s) + 1) }
 				b.sharers.each(word)
 				d.Word(^uint64(0)) // sharer/waiter separator

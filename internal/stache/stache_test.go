@@ -377,14 +377,14 @@ func TestDeterministicRuns(t *testing.T) {
 
 // TestDirectoryEntrySize: a home page's directory holds one blockDir per
 // block (128 at 32-byte blocks), so the sharer set keeps the paper's
-// one-byte pointers, and its overflow vector is one inline word, not a
-// pointer to one.
+// one-byte pointers, its overflow vector is one inline word, not a
+// pointer to one, and an entry is 32 bytes: 128 fill one 4 KiB object.
 func TestDirectoryEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(sharerSet{}); got != 16 {
 		t.Errorf("unsafe.Sizeof(sharerSet{}) = %d, want 16", got)
 	}
-	if got := unsafe.Sizeof(blockDir{}); got != 56 {
-		t.Errorf("unsafe.Sizeof(blockDir{}) = %d, want 56", got)
+	if got := unsafe.Sizeof(blockDir{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(blockDir{}) = %d, want 32", got)
 	}
 	typ := reflect.TypeOf(sharerSet{})
 	for i := range typ.NumField() {

@@ -88,8 +88,8 @@ func (np *NP) fragDataHandler(pkt *network.Packet) {
 		return
 	}
 	delete(np.frags, key)
-	h, ok := np.sys.handlers[fb.handler]
-	if !ok {
+	h := np.sys.handler(fb.handler)
+	if h == nil {
 		panic(fmt.Sprintf("typhoon: np%d reassembled message for unregistered handler %d", np.node, fb.handler))
 	}
 	h(np, &network.Packet{

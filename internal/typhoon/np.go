@@ -122,8 +122,8 @@ func (np *NP) postFault(f Fault) {
 // Every handler runs to completion. The agent core has already synced
 // the NP's clock to the delivery time and frees the packet afterwards.
 func (np *NP) DispatchMessage(c *sim.Context, pkt *network.Packet) {
-	h, ok := np.sys.handlers[pkt.Handler]
-	if !ok {
+	h := np.sys.handler(pkt.Handler)
+	if h == nil {
 		panic(fmt.Sprintf("typhoon: np%d received message for unregistered handler %d", np.node, pkt.Handler))
 	}
 	np.hot.dispatches++
@@ -171,8 +171,8 @@ func (np *NP) HasIdle() bool { return len(np.bulk) > 0 }
 func (np *NP) RunIdle(c *sim.Context) { np.runBulkChunk(c) }
 
 func (np *NP) runFault(c *sim.Context, f Fault) {
-	ops, ok := np.sys.modes[f.Mode]
-	if !ok || ops.BlockFault == nil {
+	ops := np.sys.pageMode(f.Mode)
+	if ops == nil || ops.BlockFault == nil {
 		panic(fmt.Sprintf("typhoon: np%d has no block-fault handler for mode %d (va %#x)", np.node, f.Mode, f.VA))
 	}
 	np.hot.dispatches++

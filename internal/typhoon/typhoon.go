@@ -13,6 +13,7 @@ package typhoon
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/tempest-sim/tempest/internal/agent"
 	"github.com/tempest-sim/tempest/internal/cache"
@@ -78,6 +79,11 @@ const (
 	// HandlerUserBase is the first message-handler ID available to
 	// protocol libraries.
 	HandlerUserBase uint32 = 16
+	// maxHandlerID and maxPageMode bound the IDs a protocol registers:
+	// the dispatch tables are slices indexed by ID, grown to the largest
+	// one registered.
+	maxHandlerID = 255
+	maxPageMode  = 255
 )
 
 // Handler is a user-level message handler running on the NP. Handlers run
@@ -151,9 +157,11 @@ type System struct {
 	software SoftwareConfig
 	onCPU    bool
 
-	nps      []*NP
-	handlers map[uint32]Handler
-	modes    map[int]PageModeOps
+	nps []*NP
+	// handlers and modes are the dispatch tables, indexed by handler ID
+	// and page mode; a nil entry is unregistered.
+	handlers []Handler
+	modes    []*PageModeOps
 
 	// fragSeqs[src] numbers fragment streams per source node (reassembly
 	// is keyed by {src, stream}, so per-source numbering is exact), which
@@ -181,8 +189,6 @@ func newSystem(m *machine.Machine, proto Protocol, software SoftwareConfig, onCP
 		proto:    proto,
 		software: software,
 		onCPU:    onCPU,
-		handlers: make(map[uint32]Handler),
-		modes:    make(map[int]PageModeOps),
 		fragSeqs: make([]uint64, m.Cfg.Nodes),
 	}
 	m.PerRefOverhead = software.CheckOverhead
@@ -201,6 +207,7 @@ func newSystem(m *machine.Machine, proto Protocol, software SoftwareConfig, onCP
 		}
 		s.nps = append(s.nps, np)
 	}
+	s.handlers = make([]Handler, HandlerUserBase)
 	s.handlers[hBulkData] = (*NP).bulkDataHandler
 	s.handlers[hBulkDone] = (*NP).bulkDoneHandler
 	s.handlers[hFragStart] = (*NP).fragStartHandler
@@ -249,10 +256,24 @@ func (s *System) RegisterHandler(id uint32, h Handler) {
 	if id < HandlerUserBase {
 		panic(fmt.Sprintf("typhoon: handler id %d is reserved", id))
 	}
-	if _, dup := s.handlers[id]; dup {
+	if id > maxHandlerID {
+		panic(fmt.Sprintf("typhoon: handler id %d exceeds %d", id, maxHandlerID))
+	}
+	if s.HasHandler(id) {
 		panic(fmt.Sprintf("typhoon: handler id %d registered twice", id))
 	}
+	if int(id) >= len(s.handlers) {
+		s.handlers = slices.Grow(s.handlers, int(id)+1-len(s.handlers))[:id+1]
+	}
 	s.handlers[id] = h
+}
+
+// handler returns the handler registered under id, or nil.
+func (s *System) handler(id uint32) Handler {
+	if int(id) < len(s.handlers) {
+		return s.handlers[id]
+	}
+	return nil
 }
 
 // WrapHandler replaces an already-registered message handler with
@@ -263,8 +284,8 @@ func (s *System) RegisterHandler(id uint32, h Handler) {
 // must be called before Engine.Run: the handler table is read by every
 // node once messages flow. Wrapping an unregistered ID panics.
 func (s *System) WrapHandler(id uint32, wrap func(Handler) Handler) {
-	h, ok := s.handlers[id]
-	if !ok {
+	h := s.handler(id)
+	if h == nil {
 		panic(fmt.Sprintf("typhoon: WrapHandler on unregistered handler id %d", id))
 	}
 	s.handlers[id] = wrap(h)
@@ -273,20 +294,31 @@ func (s *System) WrapHandler(id uint32, wrap func(Handler) Handler) {
 // HasHandler reports whether a message handler is registered under id —
 // the guard a WrapHandler caller needs when instrumenting a handler that
 // only some protocols install.
-func (s *System) HasHandler(id uint32) bool {
-	_, ok := s.handlers[id]
-	return ok
-}
+func (s *System) HasHandler(id uint32) bool { return s.handler(id) != nil }
 
 // RegisterPageMode installs the fault handlers for a page mode.
 func (s *System) RegisterPageMode(mode int, ops PageModeOps) {
 	if mode == vm.ModePrivate {
 		panic("typhoon: cannot override the private page mode")
 	}
-	if _, dup := s.modes[mode]; dup {
+	if mode < 0 || mode > maxPageMode {
+		panic(fmt.Sprintf("typhoon: page mode %d outside [0, %d]", mode, maxPageMode))
+	}
+	if s.pageMode(mode) != nil {
 		panic(fmt.Sprintf("typhoon: page mode %d registered twice", mode))
 	}
-	s.modes[mode] = ops
+	if mode >= len(s.modes) {
+		s.modes = slices.Grow(s.modes, mode+1-len(s.modes))[:mode+1]
+	}
+	s.modes[mode] = &ops
+}
+
+// pageMode returns the operations registered for mode, or nil.
+func (s *System) pageMode(mode int) *PageModeOps {
+	if uint(mode) < uint(len(s.modes)) {
+		return s.modes[mode]
+	}
+	return nil
 }
 
 // SetupSegment implements machine.MemSystem by delegating to the
@@ -304,8 +336,8 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 		panic(fmt.Sprintf("typhoon: %#x not in any shared segment", va))
 	}
 	mode := seg.Mode
-	ops, ok := s.modes[mode]
-	if !ok || ops.PageFault == nil {
+	ops := s.pageMode(mode)
+	if ops == nil || ops.PageFault == nil {
 		panic(fmt.Sprintf("typhoon: no page-fault handler for mode %d (va %#x)", mode, va))
 	}
 	s.nps[p.ID()].hot.pageFaults++

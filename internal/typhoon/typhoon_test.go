@@ -466,3 +466,59 @@ func TestSecondPendingFaultPanics(t *testing.T) {
 	}()
 	np.postFault(Fault{Proc: p, VA: 0x2040})
 }
+
+// TestDispatchTableBounds: the handler and page-mode tables are slices
+// indexed by ID, so registration bounds the ID; every refusal panics
+// with a message naming the ID, and an ID past the table reads as
+// unregistered.
+func TestDispatchTableBounds(t *testing.T) {
+	nop := func(np *NP, pkt *network.Packet) {}
+	for _, tc := range []struct {
+		name string
+		do   func(sys *System)
+		want string
+	}{
+		{"reserved", func(sys *System) { sys.RegisterHandler(2, nop) }, "typhoon: handler id 2 is reserved"},
+		{"duplicate", func(sys *System) { sys.RegisterHandler(20, nop); sys.RegisterHandler(20, nop) },
+			"typhoon: handler id 20 registered twice"},
+		{"past the bound", func(sys *System) { sys.RegisterHandler(maxHandlerID+1, nop) },
+			"typhoon: handler id 256 exceeds 255"},
+		{"wrap unregistered", func(sys *System) { sys.WrapHandler(20, func(h Handler) Handler { return h }) },
+			"typhoon: WrapHandler on unregistered handler id 20"},
+		{"wrap past the table", func(sys *System) { sys.WrapHandler(1000, func(h Handler) Handler { return h }) },
+			"typhoon: WrapHandler on unregistered handler id 1000"},
+		{"private mode", func(sys *System) { sys.RegisterPageMode(vm.ModePrivate, PageModeOps{}) },
+			"typhoon: cannot override the private page mode"},
+		{"duplicate mode", func(sys *System) { sys.RegisterPageMode(vm.ModeUser, PageModeOps{}) },
+			"typhoon: page mode 1 registered twice"},
+		{"mode past the bound", func(sys *System) { sys.RegisterPageMode(maxPageMode+1, PageModeOps{}) },
+			"typhoon: page mode 256 outside [0, 255]"},
+		{"negative mode", func(sys *System) { sys.RegisterPageMode(-1, PageModeOps{}) },
+			"typhoon: page mode -1 outside [0, 255]"},
+	} {
+		m := machine.New(machine.Config{Nodes: 1, CacheSize: 4096, Seed: 1})
+		sys := New(m, &nullProto{})
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.do(sys)
+		}()
+	}
+
+	m, sys := newNull(t, 2)
+	sys.RegisterHandler(maxHandlerID, func(np *NP, pkt *network.Packet) {})
+	if !sys.HasHandler(maxHandlerID) || sys.HasHandler(maxHandlerID-1) || sys.HasHandler(1<<20) {
+		t.Error("HasHandler does not read the table")
+	}
+	_, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 0 {
+			sys.Send(p, network.VNetRequest, 1, 1<<20, nil, nil)
+		}
+	})
+	if want := "typhoon: np1 received message for unregistered handler 1048576"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run = %v, want an error containing %q", err, want)
+	}
+}

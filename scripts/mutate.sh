@@ -113,6 +113,15 @@ mutation stache-dir-not-kept internal/stache/handlers.go \
 mutation stache-overflow-descending internal/stache/dir.go \
     $'for w := s.vec; w != 0; w &= w - 1 {\n\t\t\tvisit(bits.TrailingZeros64(w))' \
     $'for w := s.vec; w != 0; w &^= 1 << (63 - bits.LeadingZeros64(w)) {\n\t\t\tvisit(63 - bits.LeadingZeros64(w))'
+# A home directory entry's packed fields: an acknowledgement taken from a
+# node the Busy entry does not await, and a flag write that clears the
+# entry's other flags.
+mutation stache-waiting-any-src internal/stache/handlers.go \
+    'if d.state != dirBusy || !d.waiting.has(src) {' \
+    'if d.state != dirBusy {'
+mutation stache-flag-clobber internal/stache/dir.go \
+    'd.flags |= f' \
+    'd.flags = f'
 # The recorder's own placement: an agent's KNetDeliver follows the
 # dispatch it records.
 mutation agent-deliver-before-dispatch "$agent" \
