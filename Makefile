@@ -2,10 +2,10 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the six binaries' command lines, the two digest
-# gates (ideal and contended machine), the cache and fleet gates, and the
-# fuzz targets' committed seed corpora. The conformance corpus is a
-# golden file under `go test` (internal/conform), so the race leg runs it.
+# a smoke pass over the six binaries' command lines, the contended-machine
+# digest gate, the cache and fleet gates, and the fuzz targets' committed
+# seed corpora. The conformance corpus is a golden file under `go test`
+# (internal/conform), so the race leg runs it.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
 # from here; `make profile-hit`, `profile-miss`, `profile-contended` and
 # `profile-large` put one of its simulating workloads under the CPU and
@@ -55,12 +55,13 @@ bench-smoke:
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
-# digest-check runs the bench sweep and compares its output digest to
-# the committed goldens — any drift means simulated results changed.
-# One golden pins the contention-free machine; the contended golden pins
-# the 4 B/cycle, 20-cycle-occupancy configuration. Two runs.
+# digest-check runs the bench sweep on the 4 B/cycle, 20-cycle-occupancy
+# machine and compares its output digest to the committed one — any drift
+# means simulated results changed. The contention-free machine needs no
+# leg here: testdata/bench.digest is the sha256 of the Figure 3 and 4
+# golden bodies (TestBenchDigestIsGoldensHash), which TestGoldenFigure3/4
+# pin in the race leg, and cache-check's cold sweep checks it again.
 digest-check:
-	$(GO) run ./cmd/bench -check testdata/bench.digest
 	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
 
 # cache-check is the result-cache gate: a cold sweep against the pinned

@@ -59,10 +59,7 @@ func (t *tableProtocol) Attach(sys *tempest.TyphoonSystem) {
 			p.Compute(100)
 			node := p.ID()
 			m := sys.M
-			pa, err := m.Mems[node].AllocFrame(tempest.TagInvalid)
-			if err != nil {
-				panic(err)
-			}
+			pa := m.Mems[node].AllocFrame(tempest.TagInvalid)
 			frame := m.Mems[node].Frame(pa)
 			frame.Mode = modeTableRemote
 			frame.Home = m.VM.Home(va)
@@ -110,10 +107,7 @@ func (t *tableProtocol) SetupSegment(seg *tempest.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + tempest.VA(i*tempest.PageSize)
 		home := m.VM.Home(va)
-		pa, err := m.Mems[home].AllocFrame(tempest.TagReadWrite)
-		if err != nil {
-			panic(err)
-		}
+		pa := m.Mems[home].AllocFrame(tempest.TagReadWrite)
 		frame := m.Mems[home].Frame(pa)
 		frame.Mode = modeTableHome
 		frame.Home = home

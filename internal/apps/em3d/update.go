@@ -128,10 +128,7 @@ func (u *UpdateProtocol) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := u.m.VM.Home(va)
-		pa, err := u.m.Mems[home].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			panic(fmt.Sprintf("em3d-update: home %d out of frames: %v", home, err))
-		}
+		pa := u.m.Mems[home].AllocFrame(mem.TagReadWrite)
 		frame := u.m.Mems[home].Frame(pa)
 		frame.Mode = ModeUpdateHome
 		frame.Home = home
@@ -173,10 +170,7 @@ func (u *UpdateProtocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.
 	if home == node {
 		panic(fmt.Sprintf("em3d-update: node %d faulted on its own home page %#x", node, va))
 	}
-	pa, err := u.m.Mems[node].AllocFrame(mem.TagInvalid)
-	if err != nil {
-		panic(fmt.Sprintf("em3d-update: node %d out of frames: %v", node, err))
-	}
+	pa := u.m.Mems[node].AllocFrame(mem.TagInvalid)
 	frame := u.m.Mems[node].Frame(pa)
 	frame.Mode = ModeUpdateRemote
 	frame.Home = home

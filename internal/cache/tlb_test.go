@@ -129,7 +129,7 @@ func newTLBRig(tb testing.TB, capacity int) *tlbRig {
 	pages := 2*capacity + 3
 	mems := make([]*mem.Memory, node+1)
 	for i := range mems {
-		mems[i] = mem.New(i, mem.Config{MaxFrames: pages/2 + 1})
+		mems[i] = mem.New(i, mem.Config{})
 	}
 	sys := vm.NewSystem(mems)
 	seg := sys.AllocShared("tlb", uint64(pages)*mem.PageSize, vm.OnNode{Node: node}, vm.ModeUser)
@@ -164,9 +164,11 @@ func (r *tlbRig) op(kind, arg int) {
 	case 5:
 		r.cpu.Flush()
 		clear(r.cpuRef.valid)
-	case 6: // map or remap vpn to a fresh frame, or to a live one when none is free
-		pa, err := r.m.AllocFrame(mem.TagReadWrite)
-		if err != nil {
+	case 6: // map or remap vpn to a fresh frame, or to a live one when all r.frames are in use
+		var pa mem.PA
+		if r.m.FramesInUse() < r.frames {
+			pa = r.m.AllocFrame(mem.TagReadWrite)
+		} else {
 			pa = r.liveFrame(arg)
 		}
 		r.pt.Map(vpn, vm.PTE{PA: pa, Writable: true, Mode: vm.ModeUser})

@@ -21,8 +21,8 @@ func TestMachineConfigFieldsReachEveryEnumeration(t *testing.T) {
 	// Read by nothing (machine.Config.Shards says why it still exists):
 	// must be absent from the key and both enumerations.
 	inert := map[string]bool{"Shards": true}
-	// Not in a conformance stream: no corpus pair sets either.
-	notInStream := map[string]bool{"MemPagesPerNode": true, "Quantum": true}
+	// Not in a conformance stream: no corpus pair sets it.
+	notInStream := map[string]bool{"Quantum": true}
 
 	base := Pair{App: "em3d", System: harness.SysStache}.Point()
 	baseKey, err := harness.PointKey("code", base)

@@ -36,8 +36,8 @@ type Stream struct {
 	System   string // harness.System name
 	Workload string // "tiny" (the only committed scale)
 	// Header: the machine configuration the run was recorded under. The
-	// stream carries every field but MemPagesPerNode, Quantum (no corpus
-	// pair sets either) and the one inert field.
+	// stream carries every field but Quantum (no corpus pair sets it) and
+	// the one inert field.
 	Cfg machine.Config
 
 	// Events is the recorded event stream in its canonical order:

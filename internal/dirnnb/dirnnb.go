@@ -223,11 +223,7 @@ func (s *System) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := s.m.VM.Home(va)
-		pa, err := s.m.Mems[home].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			panic(&Error{Op: "alloc-frame", Node: home, VA: va, Msg: err.Error()})
-		}
-		pte := vm.PTE{PA: pa, Writable: true, Mode: seg.Mode}
+		pte := vm.PTE{PA: s.m.Mems[home].AllocFrame(mem.TagReadWrite), Writable: true, Mode: seg.Mode}
 		for n := 0; n < s.m.Cfg.Nodes; n++ {
 			s.m.VM.Table(n).Map(va.VPN(), pte)
 		}

@@ -62,10 +62,10 @@ func TestExecutorContract(t *testing.T) {
 		{"fail-fast", func(t *testing.T, exec harness.Executor) {
 			invalid, unbuildable := tinyPoint(112), tinyPoint(115)
 			invalid.Cfg.BlockSize = 48
-			unbuildable.Cfg.MemPagesPerNode = 1
+			unbuildable.EM3D = &em3d.Config{}
 			for bad, want := range map[*harness.Point]string{
 				&invalid:     "harness: point " + invalid.Label() + ": block size 48 is not a power of two in [8, 4096]",
-				&unbuildable: "harness: " + unbuildable.Label() + ": setup: stache: home 0 out of frames: mem: out of physical frames",
+				&unbuildable: "harness: " + unbuildable.Label() + ": setup: apps: bad DistArray geometry 0 x 8 on 4 nodes",
 			} {
 				pts := []harness.Point{tinyPoint(111), *bad, tinyPoint(113), tinyPoint(114)}
 				got, err := exec.Submit(context.Background(), harness.Batch{Points: pts})

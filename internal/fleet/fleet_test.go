@@ -511,12 +511,12 @@ func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 
 // TestFleetSetupFailureFailsLeaseNotWorker is the twin for a point that
 // is fine on its face — it passes submit and is leased — but cannot be
-// set up (a DRAM budget its home pages do not fit): the worker answers
+// set up (an em3d graph of no nodes): the worker answers
 // the lease with a fail naming the point and the phase, and is still
 // there to run the next lease.
 func TestFleetSetupFailureFailsLeaseNotWorker(t *testing.T) {
 	bad := tinyPoint(44)
-	bad.Cfg.MemPagesPerNode = 1
+	bad.EM3D = &em3d.Config{}
 	co := newTestCoordinator(t, fastOpts())
 	startWorker(t, co, WorkerOptions{})
 	_, err := co.Submit(context.Background(), harness.Batch{Points: []harness.Point{bad}})

@@ -16,7 +16,7 @@ func sampleMsgs() []Msg {
 		{Verb: "hello", Args: []string{Proto, "worker", "abc123"}},
 		{Verb: "welcome", Args: []string{"abc123"}},
 		{Verb: "reject", Payload: []byte("no thanks")},
-		{Verb: "lease", Args: []string{"1", "0"}, Payload: []byte("tempest-point v3\n")},
+		{Verb: "lease", Args: []string{"1", "0"}, Payload: []byte("tempest-point v4\n")},
 		{Verb: "heartbeat", Args: []string{"7"}},
 		{Verb: "result", Args: []string{"1"}, Payload: []byte("abc")},
 		{Verb: "fail", Args: []string{"2"}, Payload: []byte("oops")},

@@ -27,7 +27,7 @@ func (p ContentionPoint) String() string {
 	return fmt.Sprintf("bw=%s occ=%d", bw, p.OccupancyCycles)
 }
 
-// ContentionPoints is the default sweep grid: the ideal machine, link
+// ContentionPoints is the sweep grid: the ideal machine, link
 // bandwidth alone (8 then 4 bytes/cycle — an 80-byte data packet
 // serialises for 10 or 20 cycles against the 11-cycle wire), agent
 // occupancy alone (20 cycles, on the order of DirNNB's Table 2
@@ -58,22 +58,22 @@ type ContentionCell struct {
 	DirAgentWait, TyphAgentWait uint64
 }
 
-// ContentionOptions selects the sweep's extent; the embedded SimParams
+// ContentionOptions selects the sweep's scale; the embedded SimParams
 // is its execution policy (its two contention knobs are overridden per
 // point by the grid). The contention knobs are cache-key fields, so
 // every sweep point has its own entry.
 type ContentionOptions struct {
 	Scale Scale
-	// Apps are the benchmarks to sweep; nil = em3d and ocean (the two
-	// with the hottest home nodes in the Figure 3 suite).
-	Apps []string
-	// Points are the contention configurations; nil = ContentionPoints.
-	Points []ContentionPoint
-	// CacheKB is the CPU cache size; <= 0 means 4 (the most
-	// traffic-intensive Figure 3 point, where contention bites hardest).
-	CacheKB int
 	SimParams
 }
+
+// contentionApps are the swept benchmarks: the two with the hottest home
+// nodes in the Figure 3 suite. contentionCacheKB is the CPU cache size,
+// the most traffic-intensive Figure 3 point, where contention bites
+// hardest.
+var contentionApps = []string{"em3d", "ocean"}
+
+const contentionCacheKB = 4
 
 // ContentionSweep reruns a Figure-3-style comparison across contention
 // configurations: how do the Typhoon-vs-DirNNB ratios shift once link
@@ -81,23 +81,11 @@ type ContentionOptions struct {
 // free? Each (app, point, system) is one job on the RunAll pool; cells
 // are returned in (app, point) order.
 func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
-	names := opts.Apps
-	if names == nil {
-		names = []string{"em3d", "ocean"}
-	}
-	points := opts.Points
-	if points == nil {
-		points = ContentionPoints
-	}
-	cacheKB := opts.CacheKB
-	if cacheKB <= 0 {
-		cacheKB = 4
-	}
 	var pts []Point
-	for _, name := range names {
-		for _, pt := range points {
+	for _, name := range contentionApps {
+		for _, pt := range ContentionPoints {
 			for _, sys := range []System{SysDirNNB, SysStache} {
-				cfg := MachineConfig(opts.Scale, cacheKB<<10)
+				cfg := MachineConfig(opts.Scale, contentionCacheKB<<10)
 				sp := opts.SimParams
 				sp.LinkBytesPerCycle, sp.OccupancyCycles = pt.LinkBytesPerCycle, pt.OccupancyCycles
 				sp.Apply(&cfg)
@@ -118,8 +106,8 @@ func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
 	}
 	var cells []ContentionCell
 	i := 0
-	for _, name := range names {
-		for _, pt := range points {
+	for _, name := range contentionApps {
+		for _, pt := range ContentionPoints {
 			dir, typh := results[i], results[i+1]
 			i += 2
 			cells = append(cells, ContentionCell{

@@ -9,7 +9,6 @@ import (
 
 	"github.com/tempest-sim/tempest/internal/apps/em3d"
 	"github.com/tempest-sim/tempest/internal/apps/ocean"
-	"github.com/tempest-sim/tempest/internal/dirnnb"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -17,7 +16,7 @@ import (
 
 // setupFailureSystems are the Typhoon-based ways to run tiny em3d: the
 // systems whose set-up failures used to leave RunPointEntry as string
-// panics while DirNNB (TestDirNNBSetupErrorSurfaced) returned an error.
+// panics.
 func setupFailureSystems() map[string]Point {
 	ecfg := em3d.Tiny()
 	cfg := machine.DefaultConfig()
@@ -33,16 +32,13 @@ func setupFailureSystems() map[string]Point {
 }
 
 // setupFailureCases are wire-legal mutations of a runnable point that no
-// machine can be set up for: DRAM budgets the workload does not fit,
-// impossible cache/block/TLB geometry, degenerate workloads.
+// machine can be set up for: impossible cache/block/TLB geometry,
+// degenerate workloads.
 func setupFailureCases() map[string]func(*Point) {
 	cases := map[string]func(*Point){
 		"tlb=-1":        func(pt *Point) { pt.Cfg.TLBEntries = -1 },
 		"em3d-zero":     func(pt *Point) { pt.EM3D = &em3d.Config{} },
 		"em3d-negative": func(pt *Point) { c := *pt.EM3D; c.Degree = -3; pt.EM3D = &c },
-	}
-	for _, n := range []int{1, 2, 4} {
-		cases[fmt.Sprintf("mempages=%d", n)] = func(pt *Point) { pt.Cfg.MemPagesPerNode = n }
 	}
 	for _, n := range []int{48, -32, 8192} {
 		cases[fmt.Sprintf("block=%d", n)] = func(pt *Point) { pt.Cfg.BlockSize = n }
@@ -216,25 +212,5 @@ func TestEventPanicFailsThePoint(t *testing.T) {
 	label := Point{Cfg: cfg, System: SysDirNNB, Bench: "bad-send"}.Label()
 	if want := "harness: " + label + ": sim: event at cycle "; !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("err = %q, want prefix %q", err, want)
-	}
-}
-
-// TestDirNNBSetupErrorSurfaced drives DirNNB out of frames at segment
-// setup and asserts Run reports a structured *dirnnb.Error instead of
-// crashing the sweep.
-func TestDirNNBSetupErrorSurfaced(t *testing.T) {
-	a, err := MakeApp("ocean", ScaleReduced, SetSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MachineConfig(ScaleReduced, 16<<10)
-	cfg.MemPagesPerNode = 1 // far too small for ocean's grids
-	_, err = Run(cfg, SysDirNNB, a)
-	var derr *dirnnb.Error
-	if !errors.As(err, &derr) {
-		t.Fatalf("err = %v, want *dirnnb.Error", err)
-	}
-	if derr.Op != "alloc-frame" {
-		t.Errorf("Op = %q, want alloc-frame", derr.Op)
 	}
 }

@@ -12,13 +12,14 @@ import (
 // like any other unknown line.
 func retiredObservedPayload() []byte {
 	return withSum([]byte(pointMagic + "\n" +
-		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1\n" +
+		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 1\n" +
 		"system dirnnb\nbench ocean\nocean 18 2 false\nnocache true\nobserved true\n"))
 }
 
 // shardsTokenPayload is a well-formed point whose cfg line ends in the
 // shard count that v3 dropped: under the v2 magic it is what a v2 sender
-// encodes, under the current magic its 15th token is trailing data.
+// encodes, under the current magic its 14th and 15th tokens are trailing
+// data.
 func shardsTokenPayload(magic string) []byte {
 	return withSum([]byte(magic + "\n" +
 		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1 2\n" +
@@ -39,6 +40,7 @@ func FuzzDecodePoint(f *testing.F) {
 	f.Add(retiredObservedPayload())
 	f.Add(shardsTokenPayload("tempest-point v2")) // testdata: retired-v2-magic
 	f.Add(shardsTokenPayload(pointMagic))         // testdata: retired-shards-token
+	f.Add(v3Payload())                            // testdata: retired-v3-magic
 	for _, base := range setupFailureSystems() {
 		for _, mutate := range setupFailureCases() {
 			pt := base

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/tempest-sim/tempest/internal/apps/appbt"
@@ -54,25 +53,6 @@ func MeasureRefetch(cfg machine.Config, system System) (sim.Time, error) {
 		return 0, err
 	}
 	return total / rounds, nil
-}
-
-// RefetchProbe is one MeasureRefetch point: a machine configuration
-// paired with a target system.
-type RefetchProbe struct {
-	Config machine.Config
-	System System
-}
-
-// MeasureRefetchAll measures every probe on the RunAll pool (workers
-// <= 0 = all cores) and returns the latencies in probe order.
-func MeasureRefetchAll(probes []RefetchProbe, workers int) ([]sim.Time, error) {
-	var jobs []Job[sim.Time]
-	for _, pr := range probes {
-		jobs = append(jobs, func(context.Context) (sim.Time, error) {
-			return MeasureRefetch(pr.Config, pr.System)
-		})
-	}
-	return RunAll(jobs, workers)
 }
 
 // describe renders an app's Table 3 row for tests and reports.

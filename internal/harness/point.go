@@ -93,9 +93,9 @@ func (pt Point) stacheVariant() bool {
 // machine is built, so a fleet coordinator can refuse them at submit
 // time: a machine configuration machine.Config.Validate refuses, an
 // unknown system, scale or data set, and contradictory app or variant
-// selections. What only building the machine can discover — a DRAM
-// budget the workload does not fit, a degenerate workload geometry —
-// is the funnel's set-up phase's to report (Point.setup).
+// selections. What only building the machine can discover — a
+// degenerate workload geometry — is the funnel's set-up phase's to
+// report (Point.setup).
 func (pt Point) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("harness: point %s: %s", pt.Label(), fmt.Sprintf(format, args...))
@@ -195,7 +195,7 @@ func CodeID() string {
 // pointMagic is the wire-format header; bumping the version makes every
 // older coordinator/worker pairing reject the payload instead of
 // misreading it.
-const pointMagic = "tempest-point v3"
+const pointMagic = "tempest-point v4"
 
 // Encode renders the point's byte form: header, fixed-order lines
 // (optional ones omitted when zero), and a trailing sha256 line — the
@@ -205,10 +205,10 @@ const pointMagic = "tempest-point v3"
 func (pt Point) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", pointMagic)
-	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
+	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
 		pt.Cfg.Nodes, pt.Cfg.CacheSize, pt.Cfg.CacheWays, pt.Cfg.BlockSize, pt.Cfg.TLBEntries,
 		pt.Cfg.LocalMissCycles, pt.Cfg.TLBMissCycles, pt.Cfg.NetLatency, pt.Cfg.BarrierLatency,
-		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.MemPagesPerNode, pt.Cfg.Quantum,
+		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.Quantum,
 		pt.Cfg.Seed)
 	fmt.Fprintf(&b, "system %s\n", pt.System)
 	if pt.Bench != "" {
@@ -256,7 +256,7 @@ func DecodePoint(data []byte) (Point, error) {
 	r.Line("cfg")
 	c.Nodes, c.CacheSize, c.CacheWays, c.BlockSize, c.TLBEntries = r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
 	c.LocalMissCycles, c.TLBMissCycles, c.NetLatency, c.BarrierLatency = cycles(), cycles(), cycles(), cycles()
-	c.LinkBytesPerCycle, c.OccupancyCycles, c.MemPagesPerNode, c.Quantum = r.Int(), cycles(), r.Int(), cycles()
+	c.LinkBytesPerCycle, c.OccupancyCycles, c.Quantum = r.Int(), cycles(), cycles()
 	c.Seed = r.Uint()
 	pt.System = System(r.Line("system").Rest())
 	if r.Optional("bench") {

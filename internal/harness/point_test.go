@@ -105,14 +105,23 @@ func v1Payload() []byte {
 		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
 }
 
+// v3Payload is a well-formed point as a v3 sender encodes it: a 14-field
+// cfg line whose 12th field is the per-node DRAM budget v4 dropped.
+func v3Payload() []byte {
+	return withSum([]byte("tempest-point v3\n" +
+		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 0 1\n" +
+		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
+}
+
 // TestDecodePointV1IsVersionSkew feeds the decoder a well-formed point
 // as a v1 sender encodes it (17-field cfg line with the two mode
-// booleans) and as a v2 sender does (15 fields, the shard count last): a
-// worker or coordinator left on an old format must be told so, not
-// handed a field-count parse error. The v2 cfg line under the current
-// magic is a parse error, and names its line.
+// booleans), as a v2 sender does (15 fields, the shard count last) and
+// as a v3 sender does (14 fields, the DRAM budget 12th): a worker or
+// coordinator left on an old format must be told so, not handed a
+// field-count parse error. The v2 cfg line under the current magic is a
+// parse error, and names its line.
 func TestDecodePointV1IsVersionSkew(t *testing.T) {
-	for name, payload := range map[string][]byte{"v1": v1Payload(), "v2": shardsTokenPayload("tempest-point v2")} {
+	for name, payload := range map[string][]byte{"v1": v1Payload(), "v2": shardsTokenPayload("tempest-point v2"), "v3": v3Payload()} {
 		_, err := DecodePoint(payload)
 		if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
 			t.Fatalf("%s payload: err = %v, want a version-skew error naming %q", name, err, pointMagic)
@@ -133,7 +142,6 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 		Bench: "ocean", Scale: ScaleReduced, Set: SetSmall, NoCache: true}
 	for name, mutate := range map[string]func(*machine.Config){
 		"block size 48":    func(c *machine.Config) { c.BlockSize = 48 },
-		"negative DRAM":    func(c *machine.Config) { c.MemPagesPerNode = -1 },
 		"negative nodes":   func(c *machine.Config) { c.Nodes = -4 },
 		"negative link bw": func(c *machine.Config) { c.LinkBytesPerCycle = -1 },
 		// A cycle count of 2^64−1 is −1 on wrapped arithmetic: it used to

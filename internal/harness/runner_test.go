@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/tempest-sim/tempest/internal/sim"
 )
 
 func TestRunAllOrdersResultsByJobIndex(t *testing.T) {
@@ -161,12 +163,17 @@ func TestParallelDeterminism(t *testing.T) {
 	})
 	t.Run("refetch", func(t *testing.T) {
 		mcfg := MachineConfig(ScaleReduced, 4<<10)
-		probes := []RefetchProbe{{mcfg, SysDirNNB}, {mcfg, SysStache}}
-		a, err := MeasureRefetchAll(probes, 1)
-		if err != nil {
-			t.Fatal(err)
+		var a []sim.Time
+		var jobs []Job[sim.Time]
+		for _, sys := range []System{SysDirNNB, SysStache} {
+			lat, err := MeasureRefetch(mcfg, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a = append(a, lat)
+			jobs = append(jobs, func(context.Context) (sim.Time, error) { return MeasureRefetch(mcfg, sys) })
 		}
-		b, err := MeasureRefetchAll(probes, 2)
+		b, err := RunAll(jobs, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

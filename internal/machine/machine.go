@@ -19,7 +19,7 @@ import (
 )
 
 // Config carries the Table 2 simulation parameters common to both target
-// systems, plus simulator housekeeping (quantum, seed, DRAM budget).
+// systems, plus simulator housekeeping (quantum, seed).
 type Config struct {
 	// Nodes is the number of processing nodes (the paper simulates 32).
 	Nodes int
@@ -57,9 +57,6 @@ type Config struct {
 	// legacy unbounded-concurrency behaviour.
 	OccupancyCycles sim.Time
 
-	// MemPagesPerNode bounds each node's DRAM in 4 KB frames. Zero means
-	// unbounded. Stache replacement only triggers under a bound.
-	MemPagesPerNode int
 	// Quantum is the scheduler run-ahead bound; zero means
 	// sim.DefaultQuantum.
 	Quantum sim.Time
@@ -190,8 +187,6 @@ func (c Config) Validate() error {
 			c.CacheSize, c.CacheWays, bs, c.CacheSize/bs/c.CacheWays)
 	case c.TLBEntries < 1 || c.TLBEntries > MaxTLBEntries:
 		return fmt.Errorf("%d TLB entries outside [1, %d]", c.TLBEntries, MaxTLBEntries)
-	case c.MemPagesPerNode < 0:
-		return fmt.Errorf("negative DRAM budget of %d pages per node", c.MemPagesPerNode)
 	}
 	return nil
 }
@@ -279,10 +274,7 @@ func New(cfg Config) *Machine {
 	}
 	m.stalls = make([]sim.Time, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		m.Mems = append(m.Mems, mem.New(i, mem.Config{
-			BlockSize: cfg.BlockSize,
-			MaxFrames: cfg.MemPagesPerNode,
-		}))
+		m.Mems = append(m.Mems, mem.New(i, mem.Config{BlockSize: cfg.BlockSize}))
 	}
 	m.VM = vm.NewSystem(m.Mems)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -323,11 +315,7 @@ func (m *Machine) AllocShared(name string, size uint64, place vm.Placement, mode
 
 // AllocPrivate reserves node-private memory mapped from the node's DRAM.
 func (m *Machine) AllocPrivate(node int, size uint64) mem.VA {
-	va, err := m.VM.AllocPrivate(node, size)
-	if err != nil {
-		panic(fmt.Sprintf("machine: %v", err))
-	}
-	return va
+	return m.VM.AllocPrivate(node, size)
 }
 
 // StealCycles charges n cycles of protocol work against node's compute

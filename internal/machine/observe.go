@@ -6,8 +6,6 @@ import "github.com/tempest-sim/tempest/internal/mem"
 const (
 	obsRead uint8 = iota
 	obsWrite
-	obsTouchRead
-	obsTouchWrite
 )
 
 // Observation is a processor's application-visible memory history,

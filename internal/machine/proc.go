@@ -241,19 +241,6 @@ func (p *Proc) ReadF64(va mem.VA) float64 { return math.Float64frombits(p.access
 // WriteF64 performs a tag-checked float64 store.
 func (p *Proc) WriteF64(va mem.VA, v float64) { p.access(va, true, math.Float64bits(v)) }
 
-// Touch performs a tag-checked reference without transferring data; apps
-// use it where only the coherence traffic of an access matters.
-func (p *Proc) Touch(va mem.VA, write bool) {
-	p.resolve(va, write)
-	if p.obs != nil {
-		kind := obsTouchRead
-		if write {
-			kind = obsTouchWrite
-		}
-		p.obs.note(kind, va, 0)
-	}
-}
-
 func (p *Proc) foldCounters(c *stats.Counters) {
 	c.Add("cpu.loads", p.Stats.Loads)
 	c.Add("cpu.stores", p.Stats.Stores)

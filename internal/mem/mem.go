@@ -89,10 +89,12 @@ func (t Tag) String() string {
 	return fmt.Sprintf("Tag(%d)", uint8(t))
 }
 
-// PermitsRead reports whether a tag-checked load may complete.
+// PermitsRead reports whether a tag-checked load may complete (Table 1:
+// read).
 func (t Tag) PermitsRead() bool { return t == TagReadOnly || t == TagReadWrite }
 
-// PermitsWrite reports whether a tag-checked store may complete.
+// PermitsWrite reports whether a tag-checked store may complete (Table 1:
+// write).
 func (t Tag) PermitsWrite() bool { return t == TagReadWrite }
 
 // Frame is one physical page: real data bytes plus one access tag per
@@ -139,12 +141,11 @@ func (f *Frame) WriteU64(pa PA, v uint64) {
 	binary.LittleEndian.PutUint64(f.Data[off:off+8], v)
 }
 
-// Memory is one node's DRAM: a bounded pool of frames addressed by
-// physical page number.
+// Memory is one node's DRAM: a pool of frames addressed by physical page
+// number.
 type Memory struct {
 	node      int
 	blockSize int
-	maxFrames int
 
 	// frames is indexed by frame number (offset / PageSize); offsets are
 	// handed out densely from zero, so it is as long as the high-water
@@ -160,9 +161,6 @@ type Config struct {
 	// BlockSize is the coherence-block size in bytes; it must be a power
 	// of two in [8, PageSize]. Zero means DefaultBlockSize.
 	BlockSize int
-	// MaxFrames bounds how many frames the node can hold (its DRAM
-	// size in pages). Zero means effectively unbounded.
-	MaxFrames int
 }
 
 // New returns an empty memory for the given node.
@@ -174,15 +172,7 @@ func New(node int, cfg Config) *Memory {
 	if bs < 8 || bs > PageSize || bs&(bs-1) != 0 {
 		panic(fmt.Sprintf("mem: invalid block size %d", bs))
 	}
-	max := cfg.MaxFrames
-	if max == 0 {
-		max = math.MaxInt
-	}
-	return &Memory{
-		node:      node,
-		blockSize: bs,
-		maxFrames: max,
-	}
+	return &Memory{node: node, blockSize: bs}
 }
 
 // Node returns the node ID this memory belongs to.
@@ -197,25 +187,15 @@ func (m *Memory) BlocksPerPage() int { return PageSize / m.blockSize }
 // FramesInUse returns the number of allocated frames.
 func (m *Memory) FramesInUse() int { return m.inUse }
 
-// MaxFrames returns the frame budget.
-func (m *Memory) MaxFrames() int { return m.maxFrames }
-
 // BlockBase returns the block-aligned base of a physical address.
 func (m *Memory) BlockBase(pa PA) PA { return pa &^ PA(m.blockSize-1) }
 
 // BlockIndex returns the index of pa's block within its page.
 func (m *Memory) BlockIndex(pa PA) int { return int(pa.PageOffset()) / m.blockSize }
 
-// ErrOutOfFrames is returned when a node's DRAM budget is exhausted; a
-// protocol reacts by replacing a page (Stache's FIFO replacement).
-var ErrOutOfFrames = fmt.Errorf("mem: out of physical frames")
-
 // AllocFrame allocates a zeroed frame with every block tagged
 // initialTag and returns its physical base address.
-func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
-	if m.inUse >= m.maxFrames {
-		return 0, ErrOutOfFrames
-	}
+func (m *Memory) AllocFrame(initialTag Tag) PA {
 	var off uint64
 	if n := len(m.freeOffs); n > 0 {
 		off = m.freeOffs[n-1]
@@ -236,7 +216,7 @@ func (m *Memory) AllocFrame(initialTag Tag) (PA, error) {
 	}
 	m.frames[off/PageSize] = f
 	m.inUse++
-	return MakePA(m.node, off), nil
+	return MakePA(m.node, off)
 }
 
 // FreeFrame releases a frame back to the pool. A frame some page table
@@ -294,18 +274,6 @@ func (m *Memory) SetPageTags(pa PA, t Tag) {
 	for i := range f.Tags {
 		f.Tags[i] = t
 	}
-}
-
-// CheckRead reports whether a tag-checked load of pa faults (Table 1:
-// read).
-func (m *Memory) CheckRead(pa PA) (faults bool) {
-	return !m.Tag(pa).PermitsRead()
-}
-
-// CheckWrite reports whether a tag-checked store to pa faults (Table 1:
-// write).
-func (m *Memory) CheckWrite(pa PA) (faults bool) {
-	return !m.Tag(pa).PermitsWrite()
 }
 
 // ReadU64 performs a force-read of the 8-byte word at pa (Table 1:

@@ -237,9 +237,6 @@ type Endpoint struct {
 // Node returns the endpoint's node ID.
 func (e *Endpoint) Node() int { return e.node }
 
-// Pending returns the number of queued packets across both networks.
-func (e *Endpoint) Pending() int { return e.queues[VNetRequest].n + e.queues[VNetReply].n }
-
 // PendingOn returns the number of queued packets on one network.
 func (e *Endpoint) PendingOn(v VNet) int { return e.queues[v].n }
 

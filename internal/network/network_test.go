@@ -66,8 +66,8 @@ func TestReplyNetworkHasPriority(t *testing.T) {
 			n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetReply, Handler: 2})
 			c.Sleep(20)
 			ep := n.Endpoint(1)
-			if ep.Pending() != 2 {
-				t.Fatalf("pending = %d, want 2", ep.Pending())
+			if req, rep := ep.PendingOn(VNetRequest), ep.PendingOn(VNetReply); req != 1 || rep != 1 {
+				t.Fatalf("pending = %d request, %d reply; want 1 and 1", req, rep)
 			}
 			first := ep.Dequeue()
 			second := ep.Dequeue()

@@ -163,18 +163,11 @@ func (e *Engine) SpawnDaemon(name string, body func(*Context)) *Context {
 	return c
 }
 
-// SpawnStepper creates a stepper context: step is invoked inline by the
-// scheduler, runs to completion, and returns false to idle the context
-// under the given park reason until the next Unpark.
-func (e *Engine) SpawnStepper(name string, step Step, idleReason string) *Context {
-	c := e.spawn(name, false)
-	c.step = step
-	c.idleReason = idleReason
-	return c
-}
-
-// SpawnStepperDaemon is SpawnStepper for a daemon context (the NP
-// dispatch loop: torn down at quiescence, loses scheduling ties).
+// SpawnStepperDaemon creates a stepper daemon context (the NP dispatch
+// loop): step is invoked inline by the scheduler, runs to completion, and
+// returns false to idle the context under the given park reason until the
+// next Unpark. Like every daemon it is torn down at quiescence and loses
+// scheduling ties.
 func (e *Engine) SpawnStepperDaemon(name string, step Step, idleReason string) *Context {
 	c := e.spawn(name, true)
 	c.step = step

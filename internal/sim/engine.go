@@ -18,8 +18,8 @@
 // coroutine of its own (iter.Pull), created at its first dispatch:
 // dispatching it is one coroutine switch into the body and suspending one
 // switch back, a direct hand-off between two goroutines that never goes
-// through the Go scheduler. A stepper context (SpawnStepper,
-// SpawnStepperDaemon) is a run-to-completion dispatch loop — the WWT
+// through the Go scheduler. A stepper context (SpawnStepperDaemon) is a
+// run-to-completion dispatch loop — the WWT
 // lineage's "protocol handlers are events, not threads" — that the
 // scheduler invokes inline as a function call, with no switch at all.
 //
@@ -273,12 +273,6 @@ func (e *Engine) eventTime(t Time) Time {
 // AfterEvent schedules ev to fire delta cycles after the current global
 // time.
 func (e *Engine) AfterEvent(delta Time, ev Event) { e.AtEvent(e.Now()+delta, ev) }
-
-// AfterEventFrom schedules ev delta cycles after the current global time
-// on behalf of origin.
-func (e *Engine) AfterEventFrom(delta Time, origin int, ev Event) {
-	e.AtEventFrom(e.Now()+delta, origin, ev)
-}
 
 // At schedules fn to run at absolute simulated time t.
 func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcEvent(fn)) }

@@ -260,7 +260,7 @@ func TestTypedPanicReachesRunCaller(t *testing.T) {
 			e.Spawn("bomb", func(c *Context) { c.Advance(3); panic(&protocolError{block: 7}) })
 		},
 		"stepper": func(e *Engine) {
-			e.SpawnStepper("bomb", func(c *Context) bool { c.Advance(3); panic(&protocolError{block: 7}) }, "idle")
+			e.SpawnStepperDaemon("bomb", func(c *Context) bool { c.Advance(3); panic(&protocolError{block: 7}) }, "idle")
 		},
 	}
 	for name, fn := range spawn {

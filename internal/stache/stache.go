@@ -113,7 +113,7 @@ type Protocol struct {
 	m   *machine.Machine
 	bs  int
 
-	maxPages  int // per-node stache page budget; 0 = bounded only by DRAM
+	maxPages  int // per-node stache page budget; 0 = unbounded
 	migratory bool
 
 	per []*nodeState
@@ -218,10 +218,7 @@ func (st *Protocol) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := st.m.VM.Home(va)
-		pa, err := st.m.Mems[home].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			panic(fmt.Sprintf("stache: home %d out of frames: %v", home, err))
-		}
+		pa := st.m.Mems[home].AllocFrame(mem.TagReadWrite)
 		frame := st.m.Mems[home].Frame(pa)
 		frame.Mode = homeMode
 		frame.Home = home
@@ -259,14 +256,7 @@ func (st *Protocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, w
 	if st.maxPages > 0 && len(st.per[node].fifo) >= st.maxPages {
 		st.replacePage(p)
 	}
-	pa, err := st.m.Mems[node].AllocFrame(mem.TagInvalid)
-	if err == mem.ErrOutOfFrames {
-		st.replacePage(p)
-		pa, err = st.m.Mems[node].AllocFrame(mem.TagInvalid)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("stache: node %d cannot allocate a stache page: %v", node, err))
-	}
+	pa := st.m.Mems[node].AllocFrame(mem.TagInvalid)
 	mode := st.remoteModeFor(seg.Mode)
 	frame := st.m.Mems[node].Frame(pa)
 	frame.Mode = mode
@@ -282,9 +272,6 @@ func (st *Protocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, w
 func (st *Protocol) replacePage(p *machine.Proc) {
 	node := p.ID()
 	ns := st.per[node]
-	if len(ns.fifo) == 0 {
-		panic(fmt.Sprintf("stache: node %d out of frames with no stache pages to replace", node))
-	}
 	victim := ns.fifo[0]
 	copy(ns.fifo, ns.fifo[1:])
 	ns.fifo = ns.fifo[:len(ns.fifo)-1]

@@ -253,7 +253,11 @@ func TestContendedBlockNacksAndConverges(t *testing.T) {
 		// Everyone hammers the same block with writes, unsynchronised.
 		for i := 0; i < 10; i++ {
 			p.WriteU64(seg.At(8*uint64(p.ID())), uint64(i))
-			p.Touch(seg.At(0), i%2 == 0)
+			if i%2 == 0 {
+				p.WriteU64(seg.At(0), uint64(i))
+			} else {
+				p.ReadU64(seg.At(0))
+			}
 		}
 		p.Barrier()
 	})
@@ -285,6 +289,40 @@ func TestPageReplacementWritesBackAndRefetches(t *testing.T) {
 	}
 	if res.Counters.Get("stache.wb_dirty_blocks") == 0 {
 		t.Error("no dirty writebacks recorded")
+	}
+}
+
+// TestPageBudgetBoundsResidentPages pins WithMaxPages as a bound, not
+// only a trigger: three nodes each write one word of every page of an
+// eight-page segment homed on node 0, one page per barrier phase, under
+// a three-page budget. At every barrier release no node may hold more
+// frames than the budget (a non-home node's frames are its stache pages),
+// and some node must have reached it, so the bound is exercised.
+func TestPageBudgetBoundsResidentPages(t *testing.T) {
+	const nodes, pages, budget = 4, 8, 3
+	m, st := newM(t, nodes, WithMaxPages(budget))
+	seg := m.AllocShared("big", pages*mem.PageSize, vm.OnNode{Node: 0}, 0)
+	peak, releases := 0, 0
+	m.Bar.OnRelease(func(epoch uint64, at sim.Time) {
+		releases++
+		for n := 1; n < nodes; n++ {
+			held := m.Mems[n].FramesInUse()
+			if held > budget {
+				t.Errorf("barrier epoch %d (cycle %d): node %d holds %d stache pages, budget %d", epoch, at, n, held, budget)
+			}
+			peak = max(peak, held)
+		}
+	})
+	run(t, m, st, func(p *machine.Proc) {
+		for pg := 0; pg < pages; pg++ {
+			if p.ID() != 0 {
+				p.WriteU64(seg.At(uint64(pg*mem.PageSize+8*p.ID())), uint64(pg))
+			}
+			p.Barrier()
+		}
+	})
+	if releases != pages || peak != budget {
+		t.Errorf("%d barrier releases with a peak of %d pages on a node; want %d releases reaching the budget %d", releases, peak, pages, budget)
 	}
 }
 

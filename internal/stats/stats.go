@@ -27,9 +27,6 @@ func (c *Counters) Add(name string, n uint64) {
 	c.m[name] += n
 }
 
-// Inc increments a counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
 // Get returns a counter's value (zero if never touched).
 func (c *Counters) Get(name string) uint64 { return c.m[name] }
 

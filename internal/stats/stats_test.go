@@ -11,7 +11,7 @@ import (
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Inc("a")
+	c.Add("a", 1)
 	c.Add("a", 2)
 	c.Add("b", 5)
 	if c.Get("a") != 3 || c.Get("b") != 5 || c.Get("missing") != 0 {
@@ -130,13 +130,13 @@ func TestTableRenderWideRow(t *testing.T) {
 }
 
 // TestCountersZeroValue pins that the zero value of Counters is usable:
-// Add, Inc, Merge, Get, Names, and Snapshot all work without NewCounters.
+// Add, Merge, Get, Names, and Snapshot all work without NewCounters.
 func TestCountersZeroValue(t *testing.T) {
 	var c Counters
 	if c.Get("x") != 0 {
 		t.Fatal("Get on zero value")
 	}
-	c.Inc("x")
+	c.Add("x", 1)
 	c.Add("x", 2)
 	if c.Get("x") != 3 {
 		t.Fatalf("x = %d, want 3", c.Get("x"))

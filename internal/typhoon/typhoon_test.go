@@ -39,10 +39,7 @@ func (n *nullProto) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := m.VM.Home(va)
-		pa, err := m.Mems[home].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			panic(err)
-		}
+		pa := m.Mems[home].AllocFrame(mem.TagReadWrite)
 		m.Mems[home].Frame(pa).Home = home
 		for node := 0; node < m.Cfg.Nodes; node++ {
 			if node == home {

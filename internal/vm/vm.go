@@ -313,7 +313,7 @@ func (s *System) SegmentOf(va mem.VA) *Segment {
 // AllocPrivate reserves size bytes of node-private address space and maps
 // frames for it from the node's memory, tagged ReadWrite with
 // ModePrivate. Private pages have no coherence semantics.
-func (s *System) AllocPrivate(node int, size uint64) (mem.VA, error) {
+func (s *System) AllocPrivate(node int, size uint64) mem.VA {
 	if size == 0 {
 		panic("vm: zero-size private allocation")
 	}
@@ -322,13 +322,10 @@ func (s *System) AllocPrivate(node int, size uint64) (mem.VA, error) {
 	pages := int((size + mem.PageSize - 1) / mem.PageSize)
 	pt.priv = append(pt.priv, make([]Record, pages)...)
 	for i := 0; i < pages; i++ {
-		pa, err := s.mems[node].AllocFrame(mem.TagReadWrite)
-		if err != nil {
-			return 0, fmt.Errorf("vm: private alloc on node %d: %w", node, err)
-		}
+		pa := s.mems[node].AllocFrame(mem.TagReadWrite)
 		pt.Map(base.VPN()+uint64(i), PTE{PA: pa, Writable: true, Mode: ModePrivate})
 	}
-	return base, nil
+	return base
 }
 
 // Translate resolves va on node, returning the physical address and PTE.

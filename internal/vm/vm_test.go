@@ -110,16 +110,13 @@ func TestHomeOfUnallocatedPanics(t *testing.T) {
 
 func TestPageTableMapUnmap(t *testing.T) {
 	s, mems := newSystem(2)
-	priv, err := s.AllocPrivate(1, 3*mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	priv := s.AllocPrivate(1, 3*mem.PageSize)
 	seg := s.AllocShared("a", 8*mem.PageSize, nil, ModeUser)
 	pt := s.Table(1)
 	if pt.Mapped() != 3 {
 		t.Fatalf("Mapped = %d after a 3-page private allocation", pt.Mapped())
 	}
-	pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+	pa := mems[0].AllocFrame(mem.TagReadWrite)
 	pte := PTE{PA: pa, Writable: true, Mode: 5}
 	mapAndCheck := func(vpn uint64, wantMapped int) {
 		t.Helper()
@@ -175,9 +172,7 @@ func TestPageTableMapUnmap(t *testing.T) {
 // by growing a table to wherever the VPN points.
 func TestMapOutsideReservedRangesPanics(t *testing.T) {
 	s, _ := newSystem(2)
-	if _, err := s.AllocPrivate(0, mem.PageSize); err != nil {
-		t.Fatal(err)
-	}
+	s.AllocPrivate(0, mem.PageSize)
 	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
 	for name, tc := range map[string]struct {
 		node int
@@ -211,7 +206,7 @@ func TestMapOutsideReservedRangesPanics(t *testing.T) {
 func TestMapOfUnallocatedPAPanics(t *testing.T) {
 	s, mems := newSystem(2)
 	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
-	freed, _ := mems[1].AllocFrame(mem.TagReadWrite)
+	freed := mems[1].AllocFrame(mem.TagReadWrite)
 	mems[1].FreeFrame(freed)
 	vpn := seg.Base.VPN() + 1
 	for name, pa := range map[string]mem.PA{
@@ -239,8 +234,8 @@ func TestMapOfUnallocatedPAPanics(t *testing.T) {
 func TestFreeFrameOfMappedFramePanics(t *testing.T) {
 	s, mems := newSystem(2)
 	seg := s.AllocShared("a", 2*mem.PageSize, nil, ModeUser)
-	pa, _ := mems[1].AllocFrame(mem.TagReadWrite)
-	other, _ := mems[1].AllocFrame(mem.TagReadWrite)
+	pa := mems[1].AllocFrame(mem.TagReadWrite)
+	other := mems[1].AllocFrame(mem.TagReadWrite)
 	v0, v1 := seg.Base.VPN(), seg.Base.VPN()+1
 	s.Table(0).Map(v0, PTE{PA: pa})
 	s.Table(1).Map(v0, PTE{PA: pa})
@@ -279,7 +274,7 @@ func TestRecordKeepsTLBHints(t *testing.T) {
 	r := pt.Record(v)
 	r.CPUHint, r.NPHint = 3, 5
 	s.AllocShared("b", 64*mem.PageSize, nil, ModeUser) // grows the table: r is stale from here
-	pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+	pa := mems[0].AllocFrame(mem.TagReadWrite)
 	pt.Map(v, PTE{PA: pa, Writable: true, Mode: 7})
 	if r := pt.Record(v); r.CPUHint != 3 || r.NPHint != 5 || !r.Mapped() || r.Frame() != mems[0].Frame(pa) ||
 		r.PTE() != (PTE{PA: pa, Writable: true, Mode: 7}) {
@@ -340,10 +335,7 @@ func TestSegmentOf(t *testing.T) {
 			t.Errorf("SegmentOf(%#x), one byte past %q, = segment %q, want nil", seg.End(), seg.Name, got.Name)
 		}
 	}
-	priv, err := s.AllocPrivate(0, mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	priv := s.AllocPrivate(0, mem.PageSize)
 	if got := s.SegmentOf(priv); got != nil {
 		t.Errorf("SegmentOf(private %#x) = segment %q, want nil", priv, got.Name)
 	}
@@ -351,10 +343,7 @@ func TestSegmentOf(t *testing.T) {
 
 func TestTranslate(t *testing.T) {
 	s, _ := newSystem(2)
-	base, err := s.AllocPrivate(0, 2*mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := s.AllocPrivate(0, 2*mem.PageSize)
 	pa, pte, ok := s.Translate(0, base+100)
 	if !ok {
 		t.Fatal("private page not mapped")
@@ -376,8 +365,8 @@ func TestTranslate(t *testing.T) {
 func TestPrivateAllocsDisjoint(t *testing.T) {
 	s, mems := newSystem(2)
 	m := mems[0]
-	a, _ := s.AllocPrivate(0, mem.PageSize)
-	b, _ := s.AllocPrivate(0, 10)
+	a := s.AllocPrivate(0, mem.PageSize)
+	b := s.AllocPrivate(0, 10)
 	if b < a+mem.PageSize {
 		t.Fatalf("allocations overlap: %#x then %#x", a, b)
 	}
@@ -387,14 +376,6 @@ func TestPrivateAllocsDisjoint(t *testing.T) {
 		t.Fatal("write to b clobbered a")
 	}
 }
-
-func TestPrivateAllocOutOfFrames(t *testing.T) {
-	s := NewSystem([]*mem.Memory{mem.New(0, mem.Config{MaxFrames: 1})})
-	if _, err := s.AllocPrivate(0, 2*mem.PageSize); err == nil {
-		t.Fatal("expected out-of-frames error")
-	}
-}
-
 func mustPA(t *testing.T, s *System, node int, va mem.VA) mem.PA {
 	t.Helper()
 	pa, _, ok := s.Translate(node, va)
@@ -448,16 +429,13 @@ func TestAllocationProperty(t *testing.T) {
 // with a private page every eighth lookup.
 func BenchmarkPageTableLookup(b *testing.B) {
 	s, mems := newSystem(1)
-	priv, err := s.AllocPrivate(0, mem.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
+	priv := s.AllocPrivate(0, mem.PageSize)
 	seg := s.AllocShared("a", 256*mem.PageSize, nil, ModeUser)
 	pt := s.Table(0)
 	vpns := make([]uint64, 256)
 	for i := range vpns {
 		vpns[i] = seg.Base.VPN() + uint64(i)
-		pa, _ := mems[0].AllocFrame(mem.TagReadWrite)
+		pa := mems[0].AllocFrame(mem.TagReadWrite)
 		pt.Map(vpns[i], PTE{PA: pa, Writable: true, Mode: ModeUser})
 		if i%8 == 7 {
 			vpns[i] = priv.VPN()

@@ -122,6 +122,10 @@ mutation stache-waiting-any-src internal/stache/handlers.go \
 mutation stache-flag-clobber internal/stache/dir.go \
     'd.flags |= f' \
     'd.flags = f'
+# Stache's page budget, its only replacement trigger, overrun by a page.
+mutation stache-budget-over-by-one internal/stache/stache.go \
+    'len(st.per[node].fifo) >= st.maxPages' \
+    'len(st.per[node].fifo) > st.maxPages'
 # The recorder's own placement: an agent's KNetDeliver follows the
 # dispatch it records.
 mutation agent-deliver-before-dispatch "$agent" \
