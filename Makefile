@@ -6,6 +6,8 @@
 # digest gate, the cache and fleet gates, and the fuzz targets' committed
 # seed corpora. The conformance corpus is a golden file under `go test`
 # (internal/conform), so the race leg runs it.
+# `make repin` re-pins every behaviour fence after an intended change;
+# it stays outside `make ci` because it writes tracked files.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
 # from here; `make profile-hit`, `profile-miss`, `profile-contended` and
 # `profile-large` put one of its simulating workloads under the CPU and
@@ -17,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
 
 ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds
 
@@ -63,6 +65,23 @@ cli-smoke:
 # pin in the race leg, and cache-check's cold sweep checks it again.
 digest-check:
 	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
+
+# repin rewrites every behaviour fence from this tree, in order: the
+# Figure 3/4 goldens (logging each bar that moved by more than 0.01, the
+# list CHANGES.md reports), testdata/bench.digest and EXPERIMENTS.md's
+# reduced Figure 3 table (written by the tests that check them, from the
+# new goldens), the conformance corpus, the contended digest, and
+# benchmark/expected.json (-update-expected refuses unless the sweep
+# matches bench.digest). On a tree whose behaviour did not change it
+# rewrites every file byte for byte. The contended digest goes to a
+# temporary file first, so a failed or interrupted sweep never leaves it
+# empty or truncated.
+repin:
+	$(GO) test ./internal/harness -run Golden -update -v
+	$(GO) test ./internal/conform -run TestReRecordMatchesCorpus -update
+	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 > testdata/bench_contended.digest.tmp
+	mv testdata/bench_contended.digest.tmp testdata/bench_contended.digest
+	$(GO) run ./benchmark -update-expected
 
 # cache-check is the result-cache gate: a cold sweep against the pinned
 # digest populates a fresh cache directory; the warm re-run must produce

@@ -146,7 +146,7 @@ func main() {
 	}
 	want := strings.TrimSpace(string(raw))
 	if sum != want {
-		fmt.Fprintf(os.Stderr, "bench: DIGEST MISMATCH\n  golden %s (%s)\n  got    %s\nSimulated results changed. If intentional, regenerate the golden file.\n",
+		fmt.Fprintf(os.Stderr, "bench: DIGEST MISMATCH\n  golden %s (%s)\n  got    %s\nSimulated results changed. If intentional, re-pin every fence with `make repin`.\n",
 			want, *check, sum)
 		os.Exit(1)
 	}

@@ -22,9 +22,9 @@
 //     and CompareObservations) asserting that every protocol exposes
 //     identical application-visible memory semantics.
 //
-// A deliberate behaviour change re-records with
-// `go test ./internal/conform -run TestReRecordMatchesCorpus -update`
-// and commits the diff, which shows exactly which messages moved.
+// A deliberate behaviour change re-pins every fence with `make repin`,
+// which re-records the corpus, and commits the diff: it shows exactly
+// which messages moved.
 package conform
 
 import (

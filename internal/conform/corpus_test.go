@@ -13,7 +13,7 @@ import (
 )
 
 // The committed corpus is a golden file. After a deliberate behaviour
-// change, re-record it with:
+// change, `make repin` re-records it, with every other fence, by running
 //
 //	go test ./internal/conform -run TestReRecordMatchesCorpus -update
 
@@ -30,7 +30,7 @@ func readTrace(t *testing.T, p Pair) []byte {
 	t.Helper()
 	data, err := os.ReadFile(tracePath(p))
 	if err != nil {
-		t.Fatalf("%v (re-record with -update)", err)
+		t.Fatalf("%v (re-record with `make repin`)", err)
 	}
 	return data
 }
@@ -86,7 +86,7 @@ func TestReRecordMatchesCorpus(t *testing.T) {
 				return
 			}
 			if err := compareStreams(readTrace(t, p), got); err != nil {
-				t.Fatalf("%s: %v\nThe simulated message schedule changed. If that is intended, re-record with -update.",
+				t.Fatalf("%s: %v\nThe simulated message schedule changed. If that is intended, re-pin every fence with `make repin`.",
 					tracePath(p), err)
 			}
 		})

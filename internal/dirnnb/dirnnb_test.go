@@ -70,11 +70,14 @@ func TestRemoteCleanReadMissLatency(t *testing.T) {
 	})
 }
 
-// TestRemoteMissParksOnce holds a remote miss to one context switch: the
-// park for the reply. Every RemoteIssue charge below crosses the
-// 64-cycle quantum (34 RemoteFill after the previous wake, 10 compute,
-// 1 instruction, then 23 issue = 68), so a miss that yields on the
-// charge pays two switches.
+// TestRemoteMissParksOnce holds a remote miss to one context switch
+// beyond the quantum yields its run-ahead forces: the park for the
+// reply. Between one miss's wake and the next one's issue the processor
+// charges RemoteFill, 10 compute cycles and 1 instruction, each through
+// a yielding Advance; the RemoteIssue charge after them must not yield,
+// whatever the quantum. At 64 cycles the three charges force no yield
+// and a yielding issue charge (34+10+1+23 = 68) would pay a second
+// switch per miss.
 func TestRemoteMissParksOnce(t *testing.T) {
 	const reads = 100
 	m, _ := newM(t, 2)
@@ -92,9 +95,18 @@ func TestRemoteMissParksOnce(t *testing.T) {
 	if misses != reads {
 		t.Fatalf("%d remote misses, want %d", misses, reads)
 	}
-	// The slack covers each processor's first dispatch (102 in all here).
-	if sw := res.Counters.Get("engine.goroutine_switches"); sw > misses+4 {
-		t.Errorf("%d context switches for %d remote misses; want at most %d", sw, misses, misses+4)
+	var yields uint64 // forced by the charges between a wake and the next issue
+	var since sim.Time
+	for _, c := range []sim.Time{RemoteFill, 10, 1} {
+		if since += c; since >= m.Cfg.Quantum {
+			yields, since = yields+1, 0
+		}
+	}
+	// The slack covers each processor's first dispatch (102 in all at
+	// quantum 64).
+	if sw, bound := res.Counters.Get("engine.goroutine_switches"), misses*(1+yields)+4; sw > bound {
+		t.Errorf("%d context switches for %d remote misses at quantum %d; want at most %d",
+			sw, misses, m.Cfg.Quantum, bound)
 	}
 }
 
