@@ -2,10 +2,13 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the six binaries' command lines, the contended-machine
-# digest gate, the cache and fleet gates, and the fuzz targets' committed
-# seed corpora. The conformance corpus is a golden file under `go test`
-# (internal/conform), so the race leg runs it.
+# a smoke pass over the five binaries' command lines, the contended-machine
+# digest gate, the cache gate, and the fuzz targets' committed seed
+# corpora. The conformance corpus is a golden file under `go test`
+# (internal/conform), so the race leg runs it. Sweeps run in one process
+# on -j workers: no binary links internal/fleet, which stays only for the
+# benchmark's fleet_warm workload, with DecodePoint and its fuzz seeds;
+# its own tests run in the race leg.
 # `make repin` re-pins every behaviour fence after an intended change;
 # it stays outside `make ci` because it writes tracked files.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
@@ -19,9 +22,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin cache-check fleet-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin cache-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
 
-ci: vet build race bench-smoke cli-smoke digest-check cache-check fleet-check fuzz-seeds
+ci: vet build race bench-smoke cli-smoke digest-check cache-check fuzz-seeds
 
 # vet also fails on any file gofmt would rewrite, naming it, and on any
 # reference hit-path helper the compiler stops inlining (inline_check.sh).
@@ -48,12 +51,13 @@ microbench:
 bench-smoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 
-# cli-smoke builds all six binaries once, runs one real simulation
+# cli-smoke builds all five binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse), and gives every sweep binary one bad
 # shared flag — typhoon-sim also a cache whose set count is not a power
 # of two, bench the removed sharding flag, fig3 and bench the removed
-# -no-dedup: each must exit 2 and name the flag (or the rule) on stderr.
+# -no-dedup, every sweep binary the removed -fleet: each must exit 2 and
+# name the flag (or the rule) on stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
@@ -94,15 +98,6 @@ cache-check:
 	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest -expect-cached
 	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest -expect-cached -cache-verify 1.0
 	rm -rf .cache-check.tmp
-
-# fleet-check is the distributed-sweep gate: the reduced bench sweep as
-# a client (-fleet) of a fleet coordinator and two local workers over a
-# unix socket, with one worker killed mid-run, must reproduce the
-# committed digest — lease reassignment, result verification, and the
-# client's own point scheduling all on the hook. A local run on the
-# workers' shared -cache-dir must then be served whole from it.
-fleet-check:
-	bash scripts/fleet_check.sh
 
 # profile runs the bench sweep under the CPU and allocation profilers;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

@@ -13,13 +13,12 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
 )
 
 func main() {
 	only := flag.String("only", "", "run a single ablation: blocksize, placement, budget, netlatency, migratory, em3d, software, contention")
-	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
 	flag.Parse()
 
 	fail := func(err error) {

@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
 )
 
@@ -39,7 +38,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the sweep to this file")
 	// -j defaults to 1 to isolate simulator speed from host cores; the
 	// contention flags change the digest.
-	shared := fleet.Register(flag.CommandLine, fleet.Defaults{Jobs: 1, Scale: harness.ScaleReduced})
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{Jobs: 1, Scale: harness.ScaleReduced})
 	flag.Parse()
 
 	fail := func(err error) {

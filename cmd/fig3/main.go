@@ -15,14 +15,13 @@ import (
 	"os"
 	"strings"
 
-	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
 )
 
 func main() {
 	appsFlag := flag.String("apps", "", "comma-separated benchmark subset (default: all five)")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
 	flag.Parse()
 
 	fail := func(err error) {

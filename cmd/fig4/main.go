@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
 )
 
@@ -20,7 +19,7 @@ func main() {
 	setFlag := flag.String("set", "large", "data set: small or large (the paper uses large)")
 	pctsFlag := flag.String("pcts", "", "comma-separated remote-edge percentages (default 0..50 step 10)")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
 	flag.Parse()
 
 	fail := func(err error) {

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/tempest-sim/tempest/internal/fleet"
 	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/stats"
 )
@@ -29,7 +28,7 @@ func main() {
 	cacheKB := flag.Int("cache", 0, "CPU cache size in KB (0 = Table 2 default)")
 	nodes := flag.Int("nodes", 0, "node count (0 = scale default)")
 	counters := flag.Bool("counters", false, "dump all event counters")
-	shared := fleet.Register(flag.CommandLine, fleet.Defaults{})
+	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
 	flag.Parse()
 
 	fail := func(err error) {
@@ -54,7 +53,7 @@ func main() {
 	scale, sys := shared.Scale, harness.System(*system)
 
 	// One point per named app, validated as a point: the same rules the
-	// sweeps and the fleet apply, not a private copy of them.
+	// sweeps apply, not a private copy of them.
 	mcfg := harness.MachineConfig(scale, *cacheKB<<10)
 	if *nodes > 0 {
 		mcfg.Nodes = *nodes

@@ -9,29 +9,24 @@ import (
 	"github.com/tempest-sim/tempest/internal/harness"
 )
 
-// Client is the harness.Executor that leases a batch's points to a
-// remote coordinator (-fleet addr). Every returned entry is re-verified
-// locally against the point's canonical key before it becomes a result
-// — the client does not have to trust the coordinator any more than
-// the coordinator trusts its workers.
+// Client leases a batch's points to a remote coordinator. Every
+// returned entry is re-verified locally against the point's canonical
+// key before it becomes a result — the client does not have to trust
+// the coordinator any more than the coordinator trusts its workers.
 type Client struct {
 	Addr string
-	// DialTimeout bounds how long Submit retries the initial dial —
-	// sweep binaries routinely start alongside the coordinator they
-	// target. 0 means the 10-second default; negative means a single
+	// DialTimeout bounds how long Submit retries the initial dial — a
+	// client may start alongside the coordinator it targets. 0 means the 10-second default; negative means a single
 	// dial attempt.
 	DialTimeout time.Duration
-	// Logf, when non-nil, receives client lifecycle events.
-	Logf func(format string, args ...any)
 }
 
-var _ harness.Executor = (*Client)(nil)
-
-// Submit implements harness.Executor. The client is to the coordinator
-// what the coordinator is to a worker, minus the one-at-a-time rule: it
-// schedules the batch's points itself (harness.RunPoints, so progress
-// and fail-fast are the local pool's), and a point runs by sending its
-// lease and waiting for the answer that carries its id.
+// Submit runs the batch on the coordinator at Addr. The client is to
+// the coordinator what the coordinator is to a worker, minus the
+// one-at-a-time rule: it schedules the batch's points itself
+// (harness.RunPoints, so progress and fail-fast are the local pool's),
+// and a point runs by sending its lease and waiting for the answer that
+// carries its id.
 func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {
 	dialTmo := cl.DialTimeout
 	if dialTmo == 0 {
@@ -57,9 +52,6 @@ func (cl *Client) Submit(ctx context.Context, batch harness.Batch) ([]harness.Po
 	code := harness.CodeID()
 	if err := hello(send, br, "client", code, cl.Addr); err != nil {
 		return nil, err
-	}
-	if cl.Logf != nil {
-		cl.Logf("fleet: leasing %d points to %s", len(batch.Points), cl.Addr)
 	}
 
 	// One reader hands each answer to the point waiting on its id. An

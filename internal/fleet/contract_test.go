@@ -12,7 +12,12 @@ import (
 	"github.com/tempest-sim/tempest/internal/machine"
 )
 
-// TestExecutorContract runs one table of harness.Executor's promises
+// executor is the one method the three batch runners share.
+type executor interface {
+	Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error)
+}
+
+// TestExecutorContract runs one table of the batch runners' promises
 // against all three backends — the in-process pool, a coordinator with
 // two workers, and a client leasing to such a coordinator over a unix
 // socket — so none can drift from the contract the sweeps rely on (all
@@ -20,17 +25,17 @@ import (
 func TestExecutorContract(t *testing.T) {
 	backends := []struct {
 		name string
-		new  func(t *testing.T) harness.Executor
+		new  func(t *testing.T) executor
 	}{
-		{"local", func(t *testing.T) harness.Executor {
+		{"local", func(t *testing.T) executor {
 			return harness.LocalExecutor{Workers: 2, Cache: dirCache(t, t.TempDir())}
 		}},
-		{"coordinator", func(t *testing.T) harness.Executor {
+		{"coordinator", func(t *testing.T) executor {
 			co := newTestCoordinator(t, fastOpts())
 			startWorkers(t, co, 2)
 			return co
 		}},
-		{"client", func(t *testing.T) harness.Executor {
+		{"client", func(t *testing.T) executor {
 			co := newTestCoordinator(t, fastOpts())
 			startWorkers(t, co, 2)
 			return &Client{Addr: serveOnSocket(t, co), DialTimeout: -1}
@@ -38,9 +43,9 @@ func TestExecutorContract(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func(t *testing.T, exec harness.Executor)
+		run  func(t *testing.T, exec executor)
 	}{
-		{"index-slots", func(t *testing.T, exec harness.Executor) {
+		{"index-slots", func(t *testing.T, exec executor) {
 			// Distinct points of very different lengths, so completion
 			// order is not submission order.
 			pts := []harness.Point{tinyPoint(101), tinyPoint(102), tinyPoint(103), tinyPoint(104)}
@@ -59,7 +64,7 @@ func TestExecutorContract(t *testing.T) {
 				sameRun(t, pt.Label(), got[i].RunResult, want)
 			}
 		}},
-		{"fail-fast", func(t *testing.T, exec harness.Executor) {
+		{"fail-fast", func(t *testing.T, exec executor) {
 			invalid, unbuildable := tinyPoint(112), tinyPoint(115)
 			invalid.Cfg.BlockSize = 48
 			unbuildable.EM3D = &em3d.Config{}
@@ -78,7 +83,7 @@ func TestExecutorContract(t *testing.T) {
 				}
 			}
 		}},
-		{"progress", func(t *testing.T, exec harness.Executor) {
+		{"progress", func(t *testing.T, exec executor) {
 			pts := []harness.Point{tinyPoint(121), tinyPoint(122), tinyPoint(123)}
 			var mu sync.Mutex
 			var calls []int
@@ -102,7 +107,7 @@ func TestExecutorContract(t *testing.T) {
 				t.Errorf("progress calls = %d, want %d", len(calls), len(pts))
 			}
 		}},
-		{"timeout", func(t *testing.T, exec harness.Executor) {
+		{"timeout", func(t *testing.T, exec executor) {
 			ecfg := em3d.Tiny()
 			ecfg.Iters = 100000 // long enough to trip a 1ms budget reliably
 			cfg := machine.DefaultConfig()
@@ -132,7 +137,7 @@ func TestExecutorContract(t *testing.T) {
 // fleet's "fleet: run …" framing from the other two. The scheduler adds
 // no name of its own: an error that opens "harness: <label>: " names the
 // point nowhere else.
-func checkPointError(t *testing.T, exec harness.Executor, err error, pt harness.Point, want string) {
+func checkPointError(t *testing.T, exec executor, err error, pt harness.Point, want string) {
 	t.Helper()
 	msg := err.Error()
 	if _, local := exec.(harness.LocalExecutor); local && msg != want || !strings.HasSuffix(msg, want) {

@@ -80,8 +80,8 @@ type task struct {
 	done     chan struct{}
 }
 
-// Coordinator leases sweep points to workers and implements
-// harness.Executor, so any sweep runs on a fleet by setting its Exec.
+// Coordinator leases sweep points to workers; its Submit runs a batch
+// as harness.LocalExecutor's does, slotted by index and failing fast.
 // All submissions — local Submit calls and remote clients' leases —
 // share one task table: identical concurrent points dedup to one lease.
 // The table holds unsettled tasks only (all but NoCache points by key in
@@ -125,8 +125,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	}
 }
 
-var _ harness.Executor = (*Coordinator)(nil)
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opts.Logf != nil {
 		c.opts.Logf(format, args...)
@@ -148,9 +146,9 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Submit implements harness.Executor: the batch's points are leased to
-// the connected workers, honouring the executor contract — results
-// slotted by index, first failure fails the batch. Points wait on
+// Submit leases the batch's points to the connected workers, honouring
+// harness.LocalExecutor's contract — results slotted by index, first
+// failure fails the batch. Points wait on
 // remote workers, not on local cores, so all of them are in flight at
 // once.
 func (c *Coordinator) Submit(ctx context.Context, batch harness.Batch) ([]harness.PointResult, error) {

@@ -7,9 +7,10 @@
 // deduplicates double-completions (first valid result per point key
 // wins), and verifies every remote result against the result cache's
 // canonical key/digest machinery before accepting it, as the client
-// does again. Coordinator and Client implement harness.Executor, so
-// every sweep runs on a fleet exactly as it runs on the in-process
-// pool — bit-identically, by the repo's determinism guarantee.
+// does again. Coordinator and Client run a batch exactly as
+// harness.LocalExecutor does — bit-identically, by the repo's
+// determinism guarantee. No binary links this package: it stays for
+// the benchmark's fleet_warm workload.
 package fleet
 
 import "fmt"

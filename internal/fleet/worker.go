@@ -19,10 +19,6 @@ type WorkerOptions struct {
 	// HeartbeatEvery is the heartbeat period while a lease runs (default
 	// 1s; keep it well under the coordinator's lease TTL).
 	HeartbeatEvery time.Duration
-	// OnLease, when non-nil, is called with the connection's 1-based
-	// lease ordinal before the point runs — the fault-injection hook (a
-	// test or -die-after-leases kills the worker from here).
-	OnLease func(n int)
 	// Logf, when non-nil, receives worker lifecycle events.
 	Logf func(format string, args ...any)
 }
@@ -56,7 +52,7 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opts WorkerOptions)
 	}
 	logf("fleet: worker ready (code %.12s)", code)
 
-	for leaseN := 1; ; leaseN++ {
+	for {
 		m, err := ReadMsg(br)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -76,9 +72,6 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, opts WorkerOptions)
 		tmoMS, err := leaseTimeout(m)
 		if err != nil {
 			return err
-		}
-		if opts.OnLease != nil {
-			opts.OnLease(leaseN)
 		}
 		send(answerTo(m, func(pt harness.Point) (*resultcache.Entry, error) {
 			logf("fleet: running lease %s: %s", m.Args[0], pt.Label())

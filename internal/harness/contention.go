@@ -78,7 +78,7 @@ const contentionCacheKB = 4
 // ContentionSweep reruns a Figure-3-style comparison across contention
 // configurations: how do the Typhoon-vs-DirNNB ratios shift once link
 // bandwidth and directory/NP occupancy are charged instead of assumed
-// free? Each (app, point, system) is one job on the RunAll pool; cells
+// free? Each (app, point, system) is one job on the worker pool; cells
 // are returned in (app, point) order.
 func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
 	var pts []Point

@@ -10,8 +10,7 @@ import (
 
 // Batch is one sweep submission: an ordered list of points plus the
 // execution policy that applies to each of them. Results come back in
-// point order regardless of backend or completion order — the same
-// determinism contract RunAll has always had.
+// point order regardless of completion order.
 type Batch struct {
 	Points []Point
 	// Progress, when non-nil, is called after each point completes with
@@ -31,19 +30,10 @@ type PointResult struct {
 	Origin string
 }
 
-// Executor runs a batch of sweep points. Implementations must preserve
-// two invariants the sweeps rely on: results are returned slotted by
-// point index, and the first point failure fails the whole batch rather
-// than returning partial results. The in-process pool (LocalExecutor)
-// and the fleet coordinator/client (internal/fleet) are the two
-// backends; both produce bit-identical results for the same batch.
-type Executor interface {
-	Submit(ctx context.Context, batch Batch) ([]PointResult, error)
-}
-
-// LocalExecutor runs points on an in-process worker pool — the
-// historical RunAll behaviour behind the Executor interface, one pool
-// job per point.
+// LocalExecutor runs a batch's points on the in-process worker pool,
+// one pool job per point. It keeps the two invariants the sweeps rely
+// on: results are returned slotted by point index, and the first point
+// failure fails the whole batch rather than returning partial results.
 type LocalExecutor struct {
 	// Workers sizes the pool; <= 0 uses all cores.
 	Workers int
@@ -52,7 +42,7 @@ type LocalExecutor struct {
 	Cache CacheParams
 }
 
-// Submit implements Executor.
+// Submit runs the batch and returns its results in point order.
 func (ex LocalExecutor) Submit(ctx context.Context, batch Batch) ([]PointResult, error) {
 	return RunPoints(ctx, batch, ex.Workers, func(_ context.Context, pt Point) (PointResult, error) {
 		return RunWithTimeout(pt, batch.PointTimeout, func() (PointResult, error) {
@@ -61,18 +51,19 @@ func (ex LocalExecutor) Submit(ctx context.Context, batch Batch) ([]PointResult,
 	})
 }
 
-// RunPoints is the scheduler behind every Executor: it owns the two
-// invariants of the contract so a backend supplies only how one point
-// runs. Each point is one job on the RunAll pool (up to workers at once,
-// <= 0 = all cores), which brings fail-fast cancellation of the context
-// run sees and the joined error of every distinct failure. It adds no
-// label of its own: every point error already names its point. Results
-// are slotted by point index and batch.Progress calls are serialized.
+// RunPoints is the scheduler behind LocalExecutor and internal/fleet's
+// Submit methods: it owns the two invariants so a caller supplies only
+// how one point runs. Each point is one job on the worker pool (up to
+// workers at once, <= 0 = all cores), which brings fail-fast
+// cancellation of the context run sees and the joined error of every
+// distinct failure. It adds no label of its own: every point error
+// already names its point. Results are slotted by point index and
+// batch.Progress calls are serialized.
 func RunPoints[R any](ctx context.Context, batch Batch, workers int,
 	run func(ctx context.Context, pt Point) (R, error)) ([]R, error) {
 	var mu sync.Mutex
 	done := 0
-	jobs := make([]Job[R], len(batch.Points))
+	jobs := make([]job[R], len(batch.Points))
 	for i := range jobs {
 		jobs[i] = func(jctx context.Context) (R, error) {
 			r, err := run(jctx, batch.Points[i])
@@ -85,17 +76,12 @@ func RunPoints[R any](ctx context.Context, batch Batch, workers int,
 			return r, err
 		}
 	}
-	return runPool(ctx, jobs, workers, nil)
+	return runPool(ctx, jobs, workers)
 }
 
-// SubmitPoints runs a sweep's points on its configured executor,
-// defaulting to the in-process pool.
+// SubmitPoints runs a sweep's points on the in-process pool.
 func SubmitPoints(sp SimParams, points []Point) ([]PointResult, error) {
-	exec := sp.Exec
-	if exec == nil {
-		exec = LocalExecutor{Workers: sp.Workers, Cache: sp.Cache}
-	}
-	return exec.Submit(context.Background(), Batch{
+	return LocalExecutor{Workers: sp.Workers, Cache: sp.Cache}.Submit(context.Background(), Batch{
 		Points:       points,
 		Progress:     sp.Progress,
 		PointTimeout: sp.PointTimeout,

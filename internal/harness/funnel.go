@@ -138,7 +138,7 @@ func (pt Point) run(app apps.App) (RunResult, error) {
 }
 
 // Simulate runs the point and verifies the result — the execution path
-// every executor backend funnels into.
+// every sweep point funnels into.
 func (pt Point) Simulate() (RunResult, error) {
 	if err := pt.Validate(); err != nil {
 		return RunResult{}, err

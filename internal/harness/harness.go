@@ -175,14 +175,13 @@ func MachineConfig(scale Scale, cacheBytes int) machine.Config {
 
 // SimParams is the one sweep-policy struct: the simulator-level knobs
 // every sweep threads into machine.Config (the contention model) plus
-// how the sweep's points are executed (pool size, cache, backend,
-// timeout, progress). The zero value — infinite bandwidth, no agent
+// how the sweep's points are executed (pool size, cache, timeout,
+// progress). The zero value — infinite bandwidth, no agent
 // occupancy, a worker pool on all cores, no cache — is the machine
 // under which every pinned golden was produced. Results are
 // bit-identical at every Workers value for any contention setting.
 type SimParams struct {
 	// Workers sizes the in-process worker pool; <= 0 uses all cores.
-	// Ignored when Exec is set.
 	Workers int
 	// Inert: kept because benchmark/ names the field; the PR that retires the `sharded` workload deletes it.
 	Shards int
@@ -195,9 +194,6 @@ type SimParams struct {
 	// Cache threads the result cache through the sweep (zero value =
 	// no caching).
 	Cache CacheParams
-	// Exec, when non-nil, runs sweep points on that backend (e.g. a
-	// fleet coordinator or client) instead of the in-process pool.
-	Exec Executor
 	// PointTimeout, when > 0, bounds each sweep point's wall-clock run;
 	// a point that exceeds it fails the sweep with a structured
 	// *PointTimeoutError naming the point.

@@ -326,14 +326,14 @@ func TestPointKeyQuantumDefault(t *testing.T) {
 	}
 }
 
-// TestRunAllAggregatesSlowSecondFailure is the satellite-1 contract: a
-// second, slower failure with a distinct error is joined into the
-// returned error instead of being silently dropped.
+// TestRunAllAggregatesSlowSecondFailure: a second, slower failure with
+// a distinct error is joined into the pool's returned error instead of
+// being silently dropped.
 func TestRunAllAggregatesSlowSecondFailure(t *testing.T) {
 	first := errors.New("first failure")
 	second := errors.New("second slow failure")
 	started := make(chan struct{})
-	jobs := []Job[int]{
+	jobs := []job[int]{
 		func(_ context.Context) (int, error) {
 			<-started // fail only once the slow job is in flight
 			return 0, first
@@ -345,15 +345,15 @@ func TestRunAllAggregatesSlowSecondFailure(t *testing.T) {
 			return 0, second // ...and still fail late with a distinct error
 		},
 	}
-	_, err := RunAll(jobs, 2)
+	_, err := runPool(context.Background(), jobs, 2)
 	if !errors.Is(err, first) {
 		t.Fatalf("first failure lost: %v", err)
 	}
 	if !errors.Is(err, second) {
 		t.Fatalf("slow second failure lost: %v", err)
 	}
-	if !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "job 1") {
-		t.Errorf("joined error should name both jobs: %v", err)
+	if err.Error() != "first failure\nsecond slow failure" {
+		t.Errorf("joined error %q, want both jobs' own texts, lowest index first", err)
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 // on a CM-5). Every simulated machine is a self-contained deterministic
 // object — no package-level mutable state anywhere in the simulator —
 // so independent (app, system, config) points can run concurrently on
-// worker goroutines without changing any result. RunAll is the worker
+// worker goroutines without changing any result. runPool is the worker
 // pool the sweeps share; results are slotted by job index, never by
 // completion order, so parallel output is bit-identical to serial.
 
-// Job is one unit of work for RunAll: typically one simulated machine
+// job is one unit of work for runPool: typically one simulated machine
 // run. The context is cancelled when another job has already failed;
 // jobs may check it to stop early, but need not (a running simulation
 // is never interrupted mid-flight).
-type Job[T any] func(ctx context.Context) (T, error)
+type job[T any] func(ctx context.Context) (T, error)
 
 // PointTimeoutError reports a sweep point that exceeded the configured
 // per-point timeout. The abandoned simulation keeps running on its own
@@ -39,21 +39,14 @@ func (e *PointTimeoutError) Error() string {
 	return fmt.Sprintf("%s: no result within the %v point timeout (simulation abandoned)", e.Point, e.Timeout)
 }
 
-// RunAll executes every job on a pool of workers goroutines (<= 0 uses
-// all cores) and returns the results in job order. On the first error
-// the pool stops handing out new jobs (fail-fast via context
-// cancellation), waits for in-flight jobs, and returns the error of the
-// lowest-indexed job that failed, wrapped with its index; distinct
+// runPool executes every job on a pool of workers goroutines (<= 0
+// uses all cores) and returns the results in job order. On the first
+// error, or when parent is cancelled, the pool stops handing out new
+// jobs (fail-fast via context cancellation), waits for in-flight jobs,
+// and returns the error of the lowest-indexed job that failed; distinct
 // errors from other in-flight jobs are aggregated via errors.Join, so a
 // slow second failure is never silently dropped.
-func RunAll[T any](jobs []Job[T], workers int) ([]T, error) {
-	return runPool(context.Background(), jobs, workers, func(i int) string { return fmt.Sprintf("job %d", i) })
-}
-
-// runPool is RunAll under a caller's context (cancelling it stops the
-// pool like a job failure does). label names job i in errors; nil adds
-// no name, for jobs whose errors already carry one.
-func runPool[T any](parent context.Context, jobs []Job[T], workers int, label func(int) string) ([]T, error) {
+func runPool[T any](parent context.Context, jobs []job[T], workers int) ([]T, error) {
 	n := len(jobs)
 	results := make([]T, n)
 	if workers <= 0 {
@@ -111,7 +104,7 @@ func runPool[T any](parent context.Context, jobs []Job[T], workers int, label fu
 	}
 	wg.Wait()
 	if len(errs) > 0 {
-		return nil, joinJobErrors(errs, label)
+		return nil, joinJobErrors(errs)
 	}
 	if err := parent.Err(); err != nil {
 		return nil, err
@@ -123,8 +116,8 @@ func runPool[T any](parent context.Context, jobs []Job[T], workers int, label fu
 // timeout (<= 0 = none). On timeout f's goroutine is abandoned — a
 // machine run cannot be interrupted; it finishes and discards its result
 // into the buffered channel — and the caller gets a *PointTimeoutError
-// naming the point. Both executor backends bound a point here: the
-// local pool around RunPoint, a fleet worker around its lease.
+// naming the point. The local pool bounds a point here around RunPoint,
+// a fleet worker around its lease.
 func RunWithTimeout[T any](pt Point, timeout time.Duration, f func() (T, error)) (T, error) {
 	if timeout <= 0 {
 		return f()
@@ -154,7 +147,7 @@ func RunWithTimeout[T any](pt Point, timeout time.Duration, f func() (T, error))
 // and later failures with distinct messages join it rather than being
 // dropped. Cancellation fallout — a job that merely observed the
 // shared context dying — is omitted when any real failure exists.
-func joinJobErrors(errs map[int]error, label func(int) string) error {
+func joinJobErrors(errs map[int]error) error {
 	idxs := make([]int, 0, len(errs))
 	for i := range errs {
 		idxs = append(idxs, i)
@@ -177,11 +170,7 @@ func joinJobErrors(errs map[int]error, label func(int) string) error {
 			continue
 		}
 		seen[msg] = true
-		err := errs[i]
-		if label != nil {
-			err = fmt.Errorf("harness: %s: %w", label(i), err)
-		}
-		joined = append(joined, err)
+		joined = append(joined, errs[i])
 	}
 	if len(joined) == 1 {
 		return joined[0]

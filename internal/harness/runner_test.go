@@ -13,12 +13,12 @@ import (
 
 func TestRunAllOrdersResultsByJobIndex(t *testing.T) {
 	const n = 100
-	jobs := make([]Job[int], n)
+	jobs := make([]job[int], n)
 	for i := range jobs {
 		jobs[i] = func(context.Context) (int, error) { return i * i, nil }
 	}
 	for _, workers := range []int{0, 1, 3, 7, n + 5} {
-		got, err := RunAll(jobs, workers)
+		got, err := runPool(context.Background(), jobs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestRunAllOrdersResultsByJobIndex(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	got, err := RunAll([]Job[int]{}, 4)
+	got, err := runPool(context.Background(), []job[int]{}, 4)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty jobs: got %v, %v", got, err)
 	}
@@ -39,7 +39,7 @@ func TestRunAllEmpty(t *testing.T) {
 
 func TestRunAllFailFast(t *testing.T) {
 	boom := errors.New("boom")
-	jobs := make([]Job[int], 20)
+	jobs := make([]job[int], 20)
 	var started int // guarded by the pool's serial execution (workers=1)
 	for i := range jobs {
 		jobs[i] = func(context.Context) (int, error) {
@@ -50,12 +50,9 @@ func TestRunAllFailFast(t *testing.T) {
 			return i, nil
 		}
 	}
-	_, err := RunAll(jobs, 1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if !strings.Contains(err.Error(), "job 3") {
-		t.Errorf("error should name the failing job: %v", err)
+	_, err := runPool(context.Background(), jobs, 1)
+	if err != boom {
+		t.Fatalf("err = %v, want job 3's own error, unwrapped", err)
 	}
 	// Fail-fast: with one worker, no job after the failure starts except
 	// at most those already fed into the pipeline.
@@ -69,7 +66,7 @@ func TestRunAllCancelsContextOnFailure(t *testing.T) {
 	// it is in flight when job 0 fails, observes cancellation instead of
 	// blocking forever.
 	var ran, sawCancel bool
-	jobs := []Job[int]{
+	jobs := []job[int]{
 		func(context.Context) (int, error) { return 0, errors.New("first fails") },
 		func(ctx context.Context) (int, error) {
 			ran = true
@@ -78,7 +75,7 @@ func TestRunAllCancelsContextOnFailure(t *testing.T) {
 			return 0, ctx.Err()
 		},
 	}
-	if _, err := RunAll(jobs, 2); err == nil {
+	if _, err := runPool(context.Background(), jobs, 2); err == nil {
 		t.Fatal("expected error")
 	}
 	if ran && !sawCancel {
@@ -164,7 +161,7 @@ func TestParallelDeterminism(t *testing.T) {
 	t.Run("refetch", func(t *testing.T) {
 		mcfg := MachineConfig(ScaleReduced, 4<<10)
 		var a []sim.Time
-		var jobs []Job[sim.Time]
+		var jobs []job[sim.Time]
 		for _, sys := range []System{SysDirNNB, SysStache} {
 			lat, err := MeasureRefetch(mcfg, sys)
 			if err != nil {
@@ -173,7 +170,7 @@ func TestParallelDeterminism(t *testing.T) {
 			a = append(a, lat)
 			jobs = append(jobs, func(context.Context) (sim.Time, error) { return MeasureRefetch(mcfg, sys) })
 		}
-		b, err := RunAll(jobs, 2)
+		b, err := runPool(context.Background(), jobs, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,12 +260,12 @@ func TestParseScaleAndDataSet(t *testing.T) {
 	}
 }
 
-func ExampleRunAll() {
-	jobs := []Job[string]{
+func Example_runPool() {
+	jobs := []job[string]{
 		func(context.Context) (string, error) { return "first", nil },
 		func(context.Context) (string, error) { return "second", nil },
 	}
-	out, _ := RunAll(jobs, 2)
+	out, _ := runPool(context.Background(), jobs, 2)
 	fmt.Println(out[0], out[1])
 	// Output: first second
 }

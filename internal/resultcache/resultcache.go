@@ -45,7 +45,7 @@ func (s Stats) String() string {
 }
 
 // Cache is a handle on one cache directory. All methods are safe for
-// concurrent use; RunAll workers share one Cache per sweep. Every Get
+// concurrent use; pool workers share one Cache per sweep. Every Get
 // reads the entry file: the handle holds telemetry, not entries.
 type Cache struct {
 	dir string

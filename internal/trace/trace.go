@@ -114,8 +114,8 @@ func (e Event) String() string {
 //
 // A Tracer belongs to exactly one simulated machine and is read after
 // Run: Events, NodeEvents, Dropped and Dump must not run while the
-// machine does. When the harness runs machines in parallel
-// (harness.RunAll), attach a separate Tracer to each machine.
+// machine does. When machines run in parallel (the harness's -j
+// worker pool), attach a separate Tracer to each machine.
 type Tracer struct {
 	// Max bounds the total number of retained events; zero means 1<<20.
 	Max int

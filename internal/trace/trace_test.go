@@ -1,12 +1,11 @@
 package trace_test
 
 import (
-	"context"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
-	"github.com/tempest-sim/tempest/internal/harness"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -233,10 +232,9 @@ func TestTraceDroppedAccounting(t *testing.T) {
 	}
 }
 
-// TestTracerPerMachineParallel runs several traced machines concurrently
-// on the harness worker pool, one Tracer per machine (a Tracer must
-// never be shared across concurrently running machines — see the type
-// comment). Each machine's trace and Dropped() accounting must be
+// TestTracerPerMachineParallel runs several traced machines concurrently,
+// one goroutine and one Tracer per machine (a Tracer must never be
+// shared across concurrently running machines — see the type comment). Each machine's trace and Dropped() accounting must be
 // bit-identical to a serial run of the same configuration.
 func TestTracerPerMachineParallel(t *testing.T) {
 	const maxEvents = 4 // tight: every machine drops events
@@ -272,18 +270,22 @@ func TestTracerPerMachineParallel(t *testing.T) {
 		serial[i] = shape{ev, dr}
 	}
 
-	var jobs []harness.Job[shape]
-	for _, s := range seeds {
-		jobs = append(jobs, func(context.Context) (shape, error) {
+	parallel := make([]shape, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			ev, dr, err := runOne(s)
-			return shape{ev, dr}, err
-		})
+			parallel[i], errs[i] = shape{ev, dr}, err
+		}()
 	}
-	parallel, err := harness.RunAll(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	for i := range seeds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
 		if parallel[i] != serial[i] {
 			t.Errorf("seed %d: parallel trace %+v != serial %+v", seeds[i], parallel[i], serial[i])
 		}

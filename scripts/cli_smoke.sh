@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# cli-smoke: the command-line gate for the six binaries.
+# cli-smoke: the command-line gate for the five binaries.
 #
 # Builds each binary once, runs one real simulation through the shared
 # flag block, then hands every sweep binary one bad shared flag and
 # requires exit status 2 with the flag's name on stderr — the validation
-# lives in one place (internal/fleet/flags.go), and this checks every
+# lives in one place (internal/harness/flags.go), and this checks every
 # binary is actually wired to it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for b in fig3 fig4 ablations typhoon-sim bench fleet; do
+for b in fig3 fig4 ablations typhoon-sim bench; do
     go build -o "$tmp/$b" "./cmd/$b"
 done
 
@@ -43,9 +43,8 @@ refuse -cache-verify fig4 -cache-verify 1.5
 refuse -cache-verify fig4 -cache-verify NaN
 refuse -scale ablations -scale huge
 refuse -occupancy typhoon-sim -occupancy -20
-refuse -cache-dir bench -fleet "$tmp/none.sock" -cache-dir "$tmp/cache"
 refuse -cache-dir fig3 -cache-verify 0.5
-refuse -j fleet worker -addr "$tmp/none.sock" -j -3
+refuse -j fig3 -j -3
 refuse -nodes typhoon-sim -nodes -3
 # A sharer set is one 64-bit word, so the machine stops at 64 nodes.
 refuse "65 nodes outside \[1, 64\]" typhoon-sim -nodes 65
@@ -56,11 +55,14 @@ refuse "flag provided but not defined: -shards" bench -shards 2
 # So is the removed Figure 3 witness-dedup bypass.
 refuse "flag provided but not defined: -no-dedup" fig3 -no-dedup
 refuse "flag provided but not defined: -no-dedup" bench -no-dedup
-# So are the removed cache switch, embedded coordinator and coordinator cache.
+# So are the removed cache switch and embedded coordinator.
 refuse "flag provided but not defined: -no-cache" fig4 -no-cache
 refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
-refuse "flag provided but not defined: -cache-dir" fleet coordinator -addr "$tmp/f.sock" -cache-dir "$tmp/cache"
+# Sweeps run in one process: no sweep binary is a fleet client.
+for b in fig3 fig4 ablations typhoon-sim bench; do
+    refuse "flag provided but not defined: -fleet" "$b" -fleet "$tmp/f.sock"
+done
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 6 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, 65 nodes, the five removed flags and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 5 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, 65 nodes, the five removed flags (-fleet on every sweep binary) and the removed firsttouch ablation refused with exit 2"
