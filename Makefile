@@ -2,13 +2,15 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the five binaries' command lines, the contended-machine
-# digest gate, the cache gate, and the fuzz targets' committed seed
-# corpora. The conformance corpus is a golden file under `go test`
+# a smoke pass over the five binaries' command lines, the digest gate
+# (the ideal and the contended machine), and the fuzz targets' committed
+# seed corpora. The conformance corpus is a golden file under `go test`
 # (internal/conform), so the race leg runs it. Sweeps run in one process
-# on -j workers: no binary links internal/fleet, which stays only for the
-# benchmark's fleet_warm workload, with DecodePoint and its fuzz seeds;
-# its own tests run in the race leg.
+# on -j workers and no binary reads or writes a result cache: no binary
+# links internal/fleet, which stays only for the benchmark's fleet_warm
+# workload, with DecodePoint and its fuzz seeds, and internal/resultcache
+# stays only for cache_warm and fleet_warm; their own tests run in the
+# race leg.
 # `make repin` re-pins every behaviour fence after an intended change;
 # it stays outside `make ci` because it writes tracked files.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
@@ -22,9 +24,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin cache-check profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
 
-ci: vet build race bench-smoke cli-smoke digest-check cache-check fuzz-seeds
+ci: vet build race bench-smoke cli-smoke digest-check fuzz-seeds
 
 # vet also fails on any file gofmt would rewrite, naming it, and on any
 # reference hit-path helper the compiler stops inlining (inline_check.sh).
@@ -56,18 +58,21 @@ bench-smoke:
 # typhoon-sim used to refuse), and gives every sweep binary one bad
 # shared flag — typhoon-sim also a cache whose set count is not a power
 # of two, bench the removed sharding flag, fig3 and bench the removed
-# -no-dedup, every sweep binary the removed -fleet: each must exit 2 and
+# -no-dedup, every sweep binary the removed -fleet, -cache-dir and
+# -cache-verify, bench the removed -expect-cached: each must exit 2 and
 # name the flag (or the rule) on stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
 
-# digest-check runs the bench sweep on the 4 B/cycle, 20-cycle-occupancy
-# machine and compares its output digest to the committed one — any drift
-# means simulated results changed. The contention-free machine needs no
-# leg here: testdata/bench.digest is the sha256 of the Figure 3 and 4
-# golden bodies (TestBenchDigestIsGoldensHash), which TestGoldenFigure3/4
-# pin in the race leg, and cache-check's cold sweep checks it again.
+# digest-check runs the bench sweep twice, on the paper's contention-free
+# machine and on the 4 B/cycle, 20-cycle-occupancy machine, and compares
+# each output digest to the committed one — any drift means simulated
+# results changed. testdata/bench.digest is also the sha256 of the
+# Figure 3 and 4 golden bodies (TestBenchDigestIsGoldensHash), which
+# TestGoldenFigure3/4 pin in the race leg; the ideal leg checks that the
+# binary's own rendering still produces it.
 digest-check:
+	$(GO) run ./cmd/bench -check testdata/bench.digest
 	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
 
 # repin rewrites every behaviour fence from this tree, in order: the
@@ -86,18 +91,6 @@ repin:
 	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 > testdata/bench_contended.digest.tmp
 	mv testdata/bench_contended.digest.tmp testdata/bench_contended.digest
 	$(GO) run ./benchmark -update-expected
-
-# cache-check is the result-cache gate: a cold sweep against the pinned
-# digest populates a fresh cache directory; the warm re-run must produce
-# the same digest without simulating anything (-expect-cached fails on
-# any miss or store); a second warm run re-simulates every hit
-# (-cache-verify 1.0) and fails on the first divergence.
-cache-check:
-	rm -rf .cache-check.tmp
-	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest
-	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest -expect-cached
-	$(GO) run ./cmd/bench -cache-dir .cache-check.tmp -check testdata/bench.digest -expect-cached -cache-verify 1.0
-	rm -rf .cache-check.tmp
 
 # profile runs the bench sweep under the CPU and allocation profilers;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

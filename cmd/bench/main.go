@@ -32,7 +32,6 @@ import (
 )
 
 func main() {
-	expectCached := flag.Bool("expect-cached", false, "fail unless every simulation was served from the cache (requires -cache-dir; the CI warm-run assertion)")
 	check := flag.String("check", "", "golden digest file: compare the sweep's digest to it, exit 1 on mismatch")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the sweep to this file")
@@ -45,14 +44,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
 	}
-	sp, done, err := shared.Resolve()
+	sp, err := shared.Resolve()
 	if err != nil {
 		fail(err)
-	}
-	defer done()
-	cache := sp.Cache.Cache
-	if *expectCached && cache == nil {
-		fail(fmt.Errorf("-expect-cached needs -cache-dir"))
 	}
 
 	if *cpuprofile != "" {
@@ -112,15 +106,6 @@ func main() {
 
 	digest := sha256.Sum256([]byte(rendered.String()))
 	sum := hex.EncodeToString(digest[:])
-
-	// Cache activity never changes the digest — hits reconstruct
-	// bit-identical results; the flag block reports the counts on exit.
-	if *expectCached {
-		if cs := cache.Stats(); cs.Misses > 0 || cs.Stores > 0 || cs.Corrupt > 0 {
-			fmt.Fprintf(os.Stderr, "bench: EXPECTED FULLY CACHED RUN but saw %s\n", cs)
-			os.Exit(1)
-		}
-	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -39,11 +39,10 @@ func main() {
 			apps = append(apps, name)
 		}
 	}
-	sp, done, err := shared.Resolve()
+	sp, err := shared.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	defer done()
 	opts := harness.Fig3Options{
 		Scale:     shared.Scale,
 		Apps:      apps,

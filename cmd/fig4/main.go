@@ -43,11 +43,10 @@ func main() {
 			pcts = append(pcts, v)
 		}
 	}
-	sp, done, err := shared.Resolve()
+	sp, err := shared.Resolve()
 	if err != nil {
 		fail(err)
 	}
-	defer done()
 	opts := harness.Fig4Options{Scale: shared.Scale, Set: set, Pcts: pcts, SimParams: sp}
 	if *progress {
 		opts.Progress = func(done, total int) {

@@ -20,7 +20,7 @@ import (
 
 // CoordinatorOptions configures a Coordinator. A coordinator keeps no
 // result cache: every point is leased, and the worker that simulates it
-// serves it from, or stores it in, its own -cache-dir.
+// serves it from, or stores it in, its own cache directory.
 type CoordinatorOptions struct {
 	// LeaseTTL bounds how long a lease may go without a heartbeat before
 	// its point is re-queued (default 10s). It also sets the re-lease

@@ -31,11 +31,11 @@ func tinyPoint(seed uint64) harness.Point {
 // dirCache opens a result cache on dir.
 func dirCache(t *testing.T, dir string) harness.CacheParams {
 	t.Helper()
-	cp, err := harness.NewCacheParams(dir, 0)
+	c, err := resultcache.New(resultcache.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp
+	return harness.CacheParams{Cache: c}
 }
 
 // fastOpts is a coordinator tuned for test-speed fault handling.
@@ -568,7 +568,7 @@ func TestFleetHandshakeRejects(t *testing.T) {
 
 // TestFleetWorkerCacheServesRepeatLeases: the coordinator keeps no
 // cache, so a resubmitted batch is leased again, and the worker answers
-// it from its -cache-dir. That directory is the one place the results
+// it from its cache directory. That directory is the one place the results
 // live: a local pool pointed at it is served without simulating.
 func TestFleetWorkerCacheServesRepeatLeases(t *testing.T) {
 	pts := []harness.Point{tinyPoint(51), tinyPoint(52)}

@@ -13,8 +13,8 @@ import (
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
 	// Cache is the worker's result cache (zero value = simulate every
-	// lease). Workers sharing one -cache-dir share one store, and a local
-	// sweep pointed at it is served by whatever the fleet simulated.
+	// lease). Workers sharing one cache directory share one store, and a
+	// local pool pointed at it is served by whatever the fleet simulated.
 	Cache harness.CacheParams
 	// HeartbeatEvery is the heartbeat period while a lease runs (default
 	// 1s; keep it well under the coordinator's lease TTL).

@@ -19,11 +19,10 @@ type AblationRow struct {
 }
 
 // Every ablation takes the sweep's SimParams (link bandwidth and agent
-// occupancy applied to every system, plus the
-// pool/cache/executor/timeout policy); each configuration is one
-// independent sweep point, and the row order is fixed by the sweep
-// definition regardless of completion order. Rows are bit-identical
-// at every worker count.
+// occupancy applied to every system, plus the pool and timeout
+// policy); each configuration is one independent sweep point, and the
+// row order is fixed by the sweep definition regardless of completion
+// order. Rows are bit-identical at every worker count.
 
 // ablationPoint pairs a sweep point with its presentation: the row
 // label and the counters the row reports.
@@ -33,25 +32,132 @@ type ablationPoint struct {
 	extra func(RunResult) map[string]uint64
 }
 
-// runAblation submits an ablation's points and folds the results into
-// rows.
-func runAblation(sp SimParams, aps []ablationPoint) ([]AblationRow, error) {
+// A part is one table's share of a batch: its points, and the fold of
+// their results, which arrive in point order.
+type part struct {
+	points []Point
+	fold   func([]PointResult) error
+}
+
+// runParts runs every part's points as one SubmitPoints batch, so a
+// point that several parts name simulates once, then folds each part's
+// results in part order. A single ablation or the contention sweep on
+// its own is the one-part case.
+func runParts(sp SimParams, parts ...part) error {
+	var points []Point
+	for _, p := range parts {
+		points = append(points, p.points...)
+	}
+	results, err := SubmitPoints(sp, points)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err := p.fold(results[:len(p.points)]); err != nil {
+			return err
+		}
+		results = results[len(p.points):]
+	}
+	return nil
+}
+
+// ablationPart folds an ablation's results into its rows and hands them
+// to use.
+func ablationPart(aps []ablationPoint, use func([]AblationRow) error) part {
 	points := make([]Point, len(aps))
 	for i := range aps {
 		points[i] = aps[i].pt
 	}
-	results, err := SubmitPoints(sp, points)
-	if err != nil {
-		return nil, err
+	return part{points: points, fold: func(results []PointResult) error {
+		rows := make([]AblationRow, len(aps))
+		for i, ap := range aps {
+			rows[i] = AblationRow{Label: ap.label, Cycles: results[i].Res.ROICycles}
+			if ap.extra != nil {
+				rows[i].Extra = ap.extra(results[i].RunResult)
+			}
+		}
+		return use(rows)
+	}}
+}
+
+// runAblation runs one ablation's points and returns its rows.
+func runAblation(sp SimParams, aps []ablationPoint) (rows []AblationRow, err error) {
+	err = runParts(sp, ablationPart(aps, func(r []AblationRow) error {
+		rows = r
+		return nil
+	}))
+	return rows, err
+}
+
+// ablationSweeps is the catalogue RunAblations runs, in order: each
+// sweep's -only key and its part of the batch, which renders the sweep's
+// table to w. The contention sweep sets its own link bandwidth and agent
+// occupancy per point, so it ignores sp's.
+var ablationSweeps = []struct {
+	key  string
+	part func(w io.Writer, scale Scale, sp SimParams) part
+}{
+	{"blocksize", ablationTable("Coherence-block size (Typhoon/Stache, EM3D small)", blockSizePoints)},
+	{"placement", ablationTable("Data placement (Ocean small, 4 KB caches)", placementPoints)},
+	{"budget", ablationTable("Stache page budget (EM3D small)", stacheBudgetPoints)},
+	{"netlatency", ablationTable("Network latency sensitivity (Ocean small, 4 KB caches)", netLatencyPoints)},
+	{"migratory", ablationTable("Migratory-sharing extension (MP3D small)", migratoryPoints)},
+	{"em3d", ablationTable("EM3D protocol chain at 30% remote edges (paper section 4)",
+		func(sc Scale, sp SimParams) []ablationPoint { return em3dProtocolPoints(sc, 30, sp) })},
+	{"software", ablationTable("Software Tempest (Blizzard) vs. Typhoon hardware", softwareTempestPoints)},
+	{"contention", func(w io.Writer, scale Scale, sp SimParams) part {
+		return contentionPart(scale, sp, func(cells []ContentionCell) error {
+			return endTable(w, RenderContention(w, cells))
+		})
+	}},
+}
+
+// ablationTable is an ablation's catalogue entry: its points, whose rows
+// render under title.
+func ablationTable(title string, points func(Scale, SimParams) []ablationPoint) func(io.Writer, Scale, SimParams) part {
+	return func(w io.Writer, scale Scale, sp SimParams) part {
+		return ablationPart(points(scale, sp), func(rows []AblationRow) error {
+			return endTable(w, RenderAblation(w, title, rows))
+		})
 	}
-	rows := make([]AblationRow, len(aps))
-	for i, ap := range aps {
-		rows[i] = AblationRow{Label: ap.label, Cycles: results[i].Res.ROICycles}
-		if ap.extra != nil {
-			rows[i].Extra = ap.extra(results[i].RunResult)
+}
+
+// endTable ends a rendered table with a blank line, unless rendering it
+// failed with err.
+func endTable(w io.Writer, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w)
+	return err
+}
+
+// AblationKeys lists the keys RunAblations accepts, in run order.
+func AblationKeys() []string {
+	var keys []string
+	for _, a := range ablationSweeps {
+		keys = append(keys, a.key)
+	}
+	return keys
+}
+
+// RunAblations runs the catalogue's sweeps — only the one named by only,
+// one of AblationKeys, unless it is "" — as one batch, so a point
+// several sweeps share simulates once, and renders each sweep's table to
+// w in AblationKeys order, each followed by a blank line.
+func RunAblations(w io.Writer, scale Scale, sp SimParams, only string) error {
+	return runParts(sp, ablationParts(w, scale, sp, only)...)
+}
+
+// ablationParts is RunAblations' batch: the selected sweeps' parts.
+func ablationParts(w io.Writer, scale Scale, sp SimParams, only string) []part {
+	var parts []part
+	for _, a := range ablationSweeps {
+		if only == "" || only == a.key {
+			parts = append(parts, a.part(w, scale, sp))
 		}
 	}
-	return rows, nil
+	return parts
 }
 
 // netMsgs counts a run's remote network messages (packets minus
@@ -69,6 +175,10 @@ func netMsgs(res machine.Result) uint64 {
 // larger blocks amortise handler overhead against false sharing and
 // wasted transfer.
 func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, blockSizePoints(scale, sp))
+}
+
+func blockSizePoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, bs := range []int{32, 64, 128} {
 		cfg := MachineConfig(scale, 0)
@@ -82,7 +192,7 @@ func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
 			},
 		})
 	}
-	return runAblation(sp, aps)
+	return aps
 }
 
 // AblationPlacement quantifies paper §6's discussion that careful data
@@ -93,6 +203,10 @@ func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
 // placement (§6 cites Stenstrom et al.): each grid page lands on the
 // node that initialises it, its owner.
 func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, placementPoints(scale, sp))
+}
+
+func placementPoints(scale Scale, sp SimParams) []ablationPoint {
 	cacheKB := 4
 	mcfg := MachineConfig(scale, cacheKB<<10)
 	sp.Apply(&mcfg)
@@ -116,15 +230,19 @@ func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
 			label: c.label,
 		})
 	}
-	return runAblation(sp, aps)
+	return aps
 }
 
 // AblationStacheBudget sweeps the per-node stache-page budget to expose
 // the FIFO page-replacement machinery (§3: "replacements are rare" with
 // ample memory; a tight budget makes them common). budget=0 is exactly
-// the plain Stache run, and its canonical encoding has no budget line,
-// so it shares a cache entry with other sweeps' runs.
+// the plain Stache run: its canonical encoding has no budget line, so in
+// RunAblations' batch it is one simulation with blocksize's 32-byte row.
 func AblationStacheBudget(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, stacheBudgetPoints(scale, sp))
+}
+
+func stacheBudgetPoints(scale Scale, sp SimParams) []ablationPoint {
 	ecfg := EM3DConfig(scale, SetSmall)
 	mcfg := MachineConfig(scale, 0)
 	sp.Apply(&mcfg)
@@ -142,13 +260,17 @@ func AblationStacheBudget(scale Scale, sp SimParams) ([]AblationRow, error) {
 			},
 		})
 	}
-	return runAblation(sp, aps)
+	return aps
 }
 
 // AblationNetLatency sweeps the network latency (Table 2's 11 cycles is
 // "probably optimistic for future systems" and deliberately favours
 // DirNNB; this quantifies the sensitivity the paper mentions).
 func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, netLatencyPoints(scale, sp))
+}
+
+func netLatencyPoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, lat := range []sim.Time{11, 44, 88} {
 		for _, sys := range []System{SysDirNNB, SysStache} {
@@ -161,7 +283,7 @@ func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
 			})
 		}
 	}
-	return runAblation(sp, aps)
+	return aps
 }
 
 // RenderAblation prints an ablation sweep, each row's notes in name
@@ -184,6 +306,10 @@ func RenderAblation(w io.Writer, title string, rows []AblationRow) error {
 // three by replacing the invalidation round trip, and the custom update
 // protocol reaches the minimum of one.
 func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, em3dProtocolPoints(scale, pctRemote, sp))
+}
+
+func em3dProtocolPoints(scale Scale, pctRemote int, sp SimParams) []ablationPoint {
 	ecfg := EM3DConfig(scale, SetSmall)
 	ecfg.PctRemote = pctRemote
 	mcfg := MachineConfig(scale, 0)
@@ -192,25 +318,27 @@ func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams) ([]Ablation
 	msgExtra := func(rr RunResult) map[string]uint64 {
 		return map[string]uint64{"net-messages": netMsgs(rr.Res)}
 	}
-	aps := []ablationPoint{
+	return []ablationPoint{
 		// DirNNB (hardware messages are not modeled as packets; report cycles).
 		{pt: Point{Cfg: mcfg, System: SysDirNNB, EM3D: &ecfg}, label: "dirnnb"},
 		{pt: Point{Cfg: mcfg, System: SysStache, EM3D: &ecfg}, label: "typhoon-stache", extra: msgExtra},
-		// The check-in app is a distinct program and carries its own key
-		// field; the plain variant shares its entry with any other sweep.
+		// The check-in app is a distinct program, with its own line in the
+		// point's encoding.
 		{pt: Point{Cfg: mcfg, System: SysStache, EM3D: &ecfg, CheckIn: true}, label: "typhoon-stache+checkin", extra: msgExtra},
 		// Custom update protocol.
 		{pt: Point{Cfg: mcfg, System: SysUpdate, EM3D: &ecfg}, label: "typhoon-update", extra: msgExtra},
 	}
-	return runAblation(sp, aps)
 }
 
 // AblationMigratory measures the migratory-sharing optimisation (a
 // user-level protocol-policy extension, off by default) on MP3D, whose
 // scattered read-modify-writes are the pattern it targets. mig=false
-// drops the key field — the plain run shares its entry with any other
-// Stache/mp3d sweep at this configuration.
+// is the plain Stache run: its encoding has no migratory line.
 func AblationMigratory(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, migratoryPoints(scale, sp))
+}
+
+func migratoryPoints(scale Scale, sp SimParams) []ablationPoint {
 	mcfg := MachineConfig(scale, 64<<10)
 	sp.Apply(&mcfg)
 	var aps []ablationPoint
@@ -230,7 +358,7 @@ func AblationMigratory(scale Scale, sp SimParams) ([]AblationRow, error) {
 			},
 		})
 	}
-	return runAblation(sp, aps)
+	return aps
 }
 
 // AblationSoftwareTempest runs the same benchmark and the same
@@ -239,6 +367,10 @@ func AblationMigratory(scale Scale, sp SimParams) ([]AblationRow, error) {
 // machines", later published as Blizzard), quantifying what Typhoon's
 // custom hardware buys.
 func AblationSoftwareTempest(scale Scale, sp SimParams) ([]AblationRow, error) {
+	return runAblation(sp, softwareTempestPoints(scale, sp))
+}
+
+func softwareTempestPoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, name := range []string{"ocean", "em3d"} {
 		for _, software := range []bool{false, true} {
@@ -254,5 +386,5 @@ func AblationSoftwareTempest(scale Scale, sp SimParams) ([]AblationRow, error) {
 			})
 		}
 	}
-	return runAblation(sp, aps)
+	return aps
 }

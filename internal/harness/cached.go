@@ -10,38 +10,17 @@ import (
 	"github.com/tempest-sim/tempest/internal/stats"
 )
 
-// CacheParams threads the result cache through a sweep. The zero value
-// disables caching entirely (every point simulates).
+// CacheParams threads a result cache through an executor. The zero
+// value disables caching entirely (every point simulates). No binary
+// opens a cache: the benchmark's cache_warm and fleet_warm workloads
+// and the fleet's workers are its only users.
 type CacheParams struct {
 	// Cache is the cache directory's handle, nil for no caching.
 	Cache *resultcache.Cache
-	// Verify is the fraction of cache hits to re-simulate and compare
-	// ([0, 1]); a mismatch fails the sweep loudly.
-	Verify float64
 }
 
 // enabled reports whether lookups should happen at all.
 func (cp CacheParams) enabled() bool { return cp.Cache != nil }
-
-// NewCacheParams validates and builds the -cache-dir/-cache-verify
-// pair every simulating binary exposes. Without a directory there is no
-// cache, so there is nothing to verify either.
-func NewCacheParams(dir string, verify float64) (CacheParams, error) {
-	if !(verify >= 0 && verify <= 1) { // NaN fails both comparisons
-		return CacheParams{}, fmt.Errorf("-cache-verify %v: fraction must be in [0, 1]", verify)
-	}
-	if dir == "" {
-		if verify > 0 {
-			return CacheParams{}, fmt.Errorf("-cache-verify %v needs -cache-dir (there is no cache to verify)", verify)
-		}
-		return CacheParams{}, nil
-	}
-	c, err := resultcache.New(resultcache.Options{Dir: dir})
-	if err != nil {
-		return CacheParams{}, err
-	}
-	return CacheParams{Cache: c, Verify: verify}, nil
-}
 
 // entryFromResult converts a run into its cached form. Counters under
 // the engine. prefix are stripped: they describe how this host ran the
@@ -66,10 +45,11 @@ func entryFromResult(key resultcache.Key, code string, pt Point, res machine.Res
 	return e
 }
 
-// resultFromEntry reconstructs a RunResult from a cached entry. The
-// engine.* counters a fresh run would carry are absent — by design;
-// they never describe simulated behaviour.
-func resultFromEntry(e *resultcache.Entry) RunResult {
+// ResultFromEntry reconstructs a run result from a cache entry: a hit,
+// or a fleet result shipped over the wire once verified against the
+// point's canonical key. The engine.* counters a fresh run would carry
+// are absent — by design; they never describe simulated behaviour.
+func ResultFromEntry(e *resultcache.Entry) RunResult {
 	ctr := stats.NewCounters()
 	for name, v := range e.Counters {
 		ctr.Add(name, v)
@@ -83,17 +63,11 @@ func resultFromEntry(e *resultcache.Entry) RunResult {
 	return RunResult{System: System(e.System), App: e.App, Res: res}
 }
 
-// ResultFromEntry reconstructs a run result from a cache entry — the
-// fleet backends rebuild sweep results from entries shipped over the
-// wire, after verifying them against the point's canonical key.
-func ResultFromEntry(e *resultcache.Entry) RunResult { return resultFromEntry(e) }
-
-// cachedRun is the memoization funnel every cached sweep point goes
-// through: look the point's key up, serve hits (re-simulating the
-// configured verification fraction and failing loudly on divergence),
-// simulate and store misses. Damaged entries fall back to simulation —
-// the cache counts them; they never fail a sweep. cp must be enabled
-// (RunPointEntry simulates cacheless points itself).
+// cachedRun is the memoization funnel every cached point goes through:
+// look the point's key up, serve hits, simulate and store misses.
+// Damaged entries fall back to simulation — the cache counts them; they
+// never fail a sweep. cp must be enabled (RunPoint and RunPointEntry
+// simulate cacheless points themselves).
 func cachedRun(cp CacheParams, pt Point) (RunResult, *resultcache.Entry, error) {
 	// Entries outlive the process, so their keys must pin the code.
 	code, err := resultcache.CodeDigest()
@@ -107,20 +81,8 @@ func cachedRun(cp CacheParams, pt Point) (RunResult, *resultcache.Entry, error) 
 	// A Get error is a structured *resultcache.Error for a damaged entry
 	// (the corrupt counter has already ticked) or a read failure; either
 	// way the fall-back is the same: simulate.
-	cached, _ := cp.Cache.Get(key)
-	if cached != nil {
-		if cp.Cache.ShouldVerify(key, cp.Verify) {
-			rr, err := pt.Simulate()
-			if err != nil {
-				return RunResult{}, nil, fmt.Errorf("harness: cache verify re-simulation: %w", err)
-			}
-			if err := resultcache.CheckMatch(cached, entryFromResult(key, code, pt, rr.Res)); err != nil {
-				return RunResult{}, nil, fmt.Errorf("harness: %s: cached result %s does not match re-simulation: %w",
-					pt.Label(), key, err)
-			}
-			cp.Cache.NoteVerified()
-		}
-		return resultFromEntry(cached), cached, nil
+	if cached, _ := cp.Cache.Get(key); cached != nil {
+		return ResultFromEntry(cached), cached, nil
 	}
 	rr, err := pt.Simulate()
 	if err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,13 +13,16 @@ import (
 )
 
 // dirCache opens a cache on a fresh directory for one test.
-func dirCache(t *testing.T) CacheParams {
+func dirCache(t *testing.T) CacheParams { return cacheOn(t, t.TempDir()) }
+
+// cacheOn opens a cache on dir.
+func cacheOn(t *testing.T, dir string) CacheParams {
 	t.Helper()
-	cp, err := NewCacheParams(t.TempDir(), 0)
+	c, err := resultcache.New(resultcache.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp
+	return CacheParams{Cache: c}
 }
 
 // stripEngine drops the engine.* counters (dispatch hosting, window
@@ -76,64 +78,12 @@ func findEntryFile(t *testing.T, dir string) string {
 	return matches[0]
 }
 
-func TestCacheVerifyPassAndMismatch(t *testing.T) {
-	dir := t.TempDir()
-	warm := func(verify float64) (CacheParams, RunResult, error) {
-		cp, err := NewCacheParams(dir, verify)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, rerr := RunPoint(cp, oceanPoint())
-		return cp, pr.RunResult, rerr
-	}
-	if _, _, err := warm(0); err != nil {
-		t.Fatal(err)
-	}
-
-	// A clean warm run at verify fraction 1.0 re-simulates the hit,
-	// matches, and counts it.
-	cp, _, err := warm(1.0)
-	if err != nil {
-		t.Fatalf("verified warm run: %v", err)
-	}
-	if s := cp.Cache.Stats(); s.Hits != 1 || s.Verified != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 verified", s)
-	}
-
-	// Doctor the stored entry — valid format, wrong result — and the
-	// verify pass must fail the run loudly.
-	path := findEntryFile(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := resultcache.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Cycles++
-	if err := os.WriteFile(path, e.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = warm(1.0)
-	if err == nil || !strings.Contains(err.Error(), "does not match re-simulation") {
-		t.Fatalf("doctored entry passed verification: %v", err)
-	}
-	if !strings.Contains(err.Error(), "cycles diverge") {
-		t.Errorf("mismatch error %q does not name the divergence", err)
-	}
-}
-
 // TestCacheDamagedEntrySimulates is the harness-level fallback: a
 // damaged on-disk entry must not fail the run — it re-simulates, counts
 // cache.corrupt, and overwrites the damage.
 func TestCacheDamagedEntrySimulates(t *testing.T) {
 	dir := t.TempDir()
-	cp1, err := NewCacheParams(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunPoint(cp1, oceanPoint())
+	want, err := RunPoint(cacheOn(t, dir), oceanPoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +96,7 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp2, err := NewCacheParams(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp2 := cacheOn(t, dir)
 	got, err := RunPoint(cp2, oceanPoint())
 	if err != nil {
 		t.Fatalf("damaged entry failed the run: %v", err)
@@ -163,25 +110,5 @@ func TestCacheDamagedEntrySimulates(t *testing.T) {
 	// The overwritten entry is whole again.
 	if fixed, err := os.ReadFile(path); err != nil || !bytes.Equal(fixed, data) {
 		t.Errorf("damaged entry not repaired: err %v, equal %v", err, bytes.Equal(fixed, data))
-	}
-}
-
-func TestNewCacheParamsValidation(t *testing.T) {
-	if cp, err := NewCacheParams("", 0); err != nil || cp.Cache != nil {
-		t.Errorf("no flags: (%+v, %v), want no cache", cp, err)
-	}
-	for name, tc := range map[string]struct {
-		dir    string
-		verify float64
-		want   string
-	}{
-		"verify-without-dir": {"", 0.5, "-cache-verify 0.5 needs -cache-dir"},
-		"verify-negative":    {t.TempDir(), -0.1, "-cache-verify -0.1: fraction must be in [0, 1]"},
-		"verify-above-one":   {t.TempDir(), 1.5, "-cache-verify 1.5: fraction must be in [0, 1]"},
-		"verify-nan":         {t.TempDir(), math.NaN(), "-cache-verify NaN: fraction must be in [0, 1]"},
-	} {
-		if _, err := NewCacheParams(tc.dir, tc.verify); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
-		}
 	}
 }

@@ -60,8 +60,8 @@ type ContentionCell struct {
 
 // ContentionOptions selects the sweep's scale; the embedded SimParams
 // is its execution policy (its two contention knobs are overridden per
-// point by the grid). The contention knobs are cache-key fields, so
-// every sweep point has its own entry.
+// point by the grid). The knobs are part of each point, so only the
+// ideal column can be one simulation with another sweep's point.
 type ContentionOptions struct {
 	Scale Scale
 	SimParams
@@ -80,22 +80,28 @@ const contentionCacheKB = 4
 // bandwidth and directory/NP occupancy are charged instead of assumed
 // free? Each (app, point, system) is one job on the worker pool; cells
 // are returned in (app, point) order.
-func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
+func ContentionSweep(opts ContentionOptions) (cells []ContentionCell, err error) {
+	err = runParts(opts.SimParams, contentionPart(opts.Scale, opts.SimParams, func(c []ContentionCell) error {
+		cells = c
+		return nil
+	}))
+	return cells, err
+}
+
+// contentionPart is the contention sweep's share of a batch: its grid
+// of points, folded into cells that are handed to use.
+func contentionPart(scale Scale, sp SimParams, use func([]ContentionCell) error) part {
 	var pts []Point
 	for _, name := range contentionApps {
 		for _, pt := range ContentionPoints {
 			for _, sys := range []System{SysDirNNB, SysStache} {
-				cfg := MachineConfig(opts.Scale, contentionCacheKB<<10)
-				sp := opts.SimParams
-				sp.LinkBytesPerCycle, sp.OccupancyCycles = pt.LinkBytesPerCycle, pt.OccupancyCycles
-				sp.Apply(&cfg)
-				pts = append(pts, Point{Cfg: cfg, System: sys, Bench: name, Scale: opts.Scale, Set: SetSmall})
+				cfg := MachineConfig(scale, contentionCacheKB<<10)
+				knobs := sp
+				knobs.LinkBytesPerCycle, knobs.OccupancyCycles = pt.LinkBytesPerCycle, pt.OccupancyCycles
+				knobs.Apply(&cfg)
+				pts = append(pts, Point{Cfg: cfg, System: sys, Bench: name, Scale: scale, Set: SetSmall})
 			}
 		}
-	}
-	results, err := SubmitPoints(opts.SimParams, pts)
-	if err != nil {
-		return nil, err
 	}
 	netQueue := func(rr PointResult) uint64 {
 		var q uint64
@@ -104,26 +110,28 @@ func ContentionSweep(opts ContentionOptions) ([]ContentionCell, error) {
 		}
 		return q
 	}
-	var cells []ContentionCell
-	i := 0
-	for _, name := range contentionApps {
-		for _, pt := range ContentionPoints {
-			dir, typh := results[i], results[i+1]
-			i += 2
-			cells = append(cells, ContentionCell{
-				App:           name,
-				Point:         pt,
-				DirNNB:        dir.Res.ROICycles,
-				Typhoon:       typh.Res.ROICycles,
-				Relative:      float64(typh.Res.ROICycles) / float64(dir.Res.ROICycles),
-				DirNetQueue:   netQueue(dir),
-				TyphNetQueue:  netQueue(typh),
-				DirAgentWait:  dir.Res.Counters.Get("dirnnb.occ_wait_cycles"),
-				TyphAgentWait: typh.Res.Counters.Get("np.occ_wait_cycles"),
-			})
+	return part{points: pts, fold: func(results []PointResult) error {
+		var cells []ContentionCell
+		i := 0
+		for _, name := range contentionApps {
+			for _, pt := range ContentionPoints {
+				dir, typh := results[i], results[i+1]
+				i += 2
+				cells = append(cells, ContentionCell{
+					App:           name,
+					Point:         pt,
+					DirNNB:        dir.Res.ROICycles,
+					Typhoon:       typh.Res.ROICycles,
+					Relative:      float64(typh.Res.ROICycles) / float64(dir.Res.ROICycles),
+					DirNetQueue:   netQueue(dir),
+					TyphNetQueue:  netQueue(typh),
+					DirAgentWait:  dir.Res.Counters.Get("dirnnb.occ_wait_cycles"),
+					TyphAgentWait: typh.Res.Counters.Get("np.occ_wait_cycles"),
+				})
+			}
 		}
-	}
-	return cells, nil
+		return use(cells)
+	}}
 }
 
 // RenderContention prints the contention sweep, one row per (app, point),

@@ -79,26 +79,60 @@ func RunPoints[R any](ctx context.Context, batch Batch, workers int,
 	return runPool(ctx, jobs, workers)
 }
 
-// SubmitPoints runs a sweep's points on the in-process pool.
+// SubmitPoints runs a sweep's points on the in-process pool. Points
+// with equal canonical encodings (the spelling PointKey hashes) are one
+// simulation: the first of them runs, every one gets its result, and
+// Progress counts distinct simulations.
 func SubmitPoints(sp SimParams, points []Point) ([]PointResult, error) {
-	return LocalExecutor{Workers: sp.Workers, Cache: sp.Cache}.Submit(context.Background(), Batch{
-		Points:       points,
+	distinct, slot := distinctPoints(points)
+	results, err := LocalExecutor{Workers: sp.Workers}.Submit(context.Background(), Batch{
+		Points:       distinct,
 		Progress:     sp.Progress,
 		PointTimeout: sp.PointTimeout,
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PointResult, len(points))
+	for i, j := range slot {
+		out[i] = results[j]
+	}
+	return out, nil
 }
 
-// RunPoint executes one point through the cache funnel (RunPointEntry)
-// and drops the entry.
+// distinctPoints maps a batch onto the simulations it spells: distinct
+// holds the first point of each canonical encoding, in batch order, and
+// slot[i] indexes points[i]'s simulation in distinct.
+func distinctPoints(points []Point) (distinct []Point, slot []int) {
+	slot = make([]int, len(points))
+	first := make(map[string]int, len(points))
+	for i, pt := range points {
+		enc := string(pt.canonical().Encode())
+		j, seen := first[enc]
+		if !seen {
+			j = len(distinct)
+			first[enc] = j
+			distinct = append(distinct, pt)
+		}
+		slot[i] = j
+	}
+	return distinct, slot
+}
+
+// RunPoint executes one point: through the cache funnel when cp is
+// enabled and the point allows it, otherwise by simulating it.
 func RunPoint(cp CacheParams, pt Point) (PointResult, error) {
-	pr, _, err := RunPointEntry(cp, pt)
-	return pr, err
+	if pt.NoCache || !cp.enabled() {
+		rr, err := pt.Simulate()
+		return PointResult{RunResult: rr}, err
+	}
+	rr, _, err := cachedRun(cp, pt)
+	return PointResult{RunResult: rr}, err
 }
 
-// RunPointEntry is the cache funnel: NoCache (and cache-disabled) points
-// simulate directly, everything else memoizes through cachedRun. It also
-// returns the point's cache entry — a fleet worker sends the entry over
-// the wire, so the entry exists even when the point ran cacheless.
+// RunPointEntry is RunPoint that also returns the point's cache entry —
+// a fleet worker sends the entry over the wire, so the entry exists even
+// when the point ran cacheless.
 func RunPointEntry(cp CacheParams, pt Point) (PointResult, *resultcache.Entry, error) {
 	if !pt.NoCache && cp.enabled() {
 		rr, entry, err := cachedRun(cp, pt)

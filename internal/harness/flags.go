@@ -3,7 +3,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -21,16 +20,13 @@ type FlagDefaults struct {
 }
 
 // Flags is the flag block every sweep binary shares: the workload
-// scale, the sweep's execution policy (SimParams) and the result cache
-// behind it. RegisterFlags installs the flags; Resolve validates them
-// once, in one place, and hands back the policy.
+// scale and the sweep's execution policy (SimParams). RegisterFlags
+// installs the flags; Resolve validates them once, in one place, and
+// hands back the policy.
 type Flags struct {
-	fs           *flag.FlagSet
 	scale        *string
 	jobs, linkBW *int
 	occupancy    *int64
-	cacheDir     *string
-	cacheVerify  *float64
 	pointTimeout *time.Duration
 
 	// Scale is the validated workload scale, set by Resolve.
@@ -40,28 +36,23 @@ type Flags struct {
 // RegisterFlags installs the shared block on fs (flag.CommandLine from
 // main).
 func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
-	f := &Flags{fs: fs, Scale: d.Scale}
+	f := &Flags{Scale: d.Scale}
 	if d.Scale == "" {
 		f.scale = fs.String("scale", string(ScaleReduced), "workload scale: reduced or paper")
 	}
 	f.jobs = fs.Int("j", d.Jobs, "parallel simulations (0 = all cores); results are identical at every value")
 	f.linkBW = fs.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)")
 	f.occupancy = fs.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
-	f.cacheDir = fs.String("cache-dir", "", "result-cache directory (\"\" = no cache: every point simulates)")
-	f.cacheVerify = fs.Float64("cache-verify", 0, "fraction of cache hits to re-simulate and compare [0, 1], with -cache-dir; a mismatch fails the run")
 	f.pointTimeout = fs.Duration("point-timeout", 0,
 		"per-point wall-clock limit (0 = none); a point exceeding it fails the sweep with an error naming the point")
 	return f
 }
 
 // Resolve validates the parsed flags — every error names its flag — and
-// resolves them into the sweep policy: pool size, contention knobs,
-// result cache and point timeout. The returned function reports the
-// cache's statistics, as one line prefixed with the program's name on
-// the flag set's output (stderr unless redirected); call it when the
-// sweep finishes.
-func (f *Flags) Resolve() (SimParams, func(), error) {
-	fail := func(err error) (SimParams, func(), error) { return SimParams{}, nil, err }
+// resolves them into the sweep policy: pool size, contention knobs and
+// point timeout.
+func (f *Flags) Resolve() (SimParams, error) {
+	fail := func(err error) (SimParams, error) { return SimParams{}, err }
 	if f.scale != nil {
 		scale, err := ParseScale(*f.scale)
 		if err != nil {
@@ -81,20 +72,10 @@ func (f *Flags) Resolve() (SimParams, func(), error) {
 	if *f.pointTimeout < 0 {
 		return fail(fmt.Errorf("-point-timeout %v: limit must be >= 0 (0 = none)", *f.pointTimeout))
 	}
-	cp, err := NewCacheParams(*f.cacheDir, *f.cacheVerify)
-	if err != nil {
-		return fail(err)
-	}
-	sp := SimParams{
+	return SimParams{
 		Workers:           *f.jobs,
 		LinkBytesPerCycle: *f.linkBW,
 		OccupancyCycles:   sim.Time(*f.occupancy),
-		Cache:             cp,
 		PointTimeout:      *f.pointTimeout,
-	}
-	return sp, func() {
-		if cp.Cache != nil {
-			fmt.Fprintf(f.fs.Output(), "%s: cache %s: %s\n", filepath.Base(f.fs.Name()), *f.cacheDir, cp.Cache.Stats())
-		}
 	}, nil
 }

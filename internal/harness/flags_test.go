@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"flag"
 	"io"
 	"strings"
@@ -10,22 +9,20 @@ import (
 )
 
 // parse registers the shared block on a fresh flag set and parses args.
-func parse(t *testing.T, d FlagDefaults, args ...string) (*Flags, *bytes.Buffer) {
+func parse(t *testing.T, d FlagDefaults, args ...string) *Flags {
 	t.Helper()
-	fs := flag.NewFlagSet("/tmp/go-build/exe/sweep", flag.ContinueOnError)
-	var out bytes.Buffer
-	fs.SetOutput(&out)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	f := RegisterFlags(fs, d)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return f, &out
+	return f
 }
 
 // TestSharedFlagsRejectBadValues is the one validation table for the
-// flag block every sweep binary shares: each out-of-range value, and a
-// -cache-verify without -cache-dir, is refused, and the error names the
-// flag to fix.
+// flag block every sweep binary shares: each out-of-range value is
+// refused, and the error names the flag to fix.
 func TestSharedFlagsRejectBadValues(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -36,12 +33,9 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 		{[]string{"-link-bw", "-1"}, []string{"-link-bw -1"}},
 		{[]string{"-occupancy", "-20"}, []string{"-occupancy -20"}},
 		{[]string{"-point-timeout", "-1s"}, []string{"-point-timeout -1s"}},
-		{[]string{"-cache-verify", "1.5"}, []string{"-cache-verify 1.5"}},
-		{[]string{"-cache-verify", "-0.1"}, []string{"-cache-verify -0.1"}},
-		{[]string{"-cache-verify", "0.5"}, []string{"-cache-verify 0.5 needs -cache-dir"}},
 	} {
-		f, _ := parse(t, FlagDefaults{}, tc.args...)
-		_, _, err := f.Resolve()
+		f := parse(t, FlagDefaults{}, tc.args...)
+		_, err := f.Resolve()
 		if err == nil {
 			t.Errorf("%v: accepted, want an error", tc.args)
 			continue
@@ -52,9 +46,9 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 			}
 		}
 	}
-	// The removed cache switch, embedded-coordinator flag and fleet
+	// The removed cache switches, embedded-coordinator flag and fleet
 	// client flag are undefined, not ignored.
-	for _, name := range []string{"-no-cache", "-workers-addr", "-fleet"} {
+	for _, name := range []string{"-no-cache", "-cache-dir", "-cache-verify", "-workers-addr", "-fleet"} {
 		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		RegisterFlags(fs, FlagDefaults{})
@@ -64,33 +58,27 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 	}
 }
 
-// TestSharedFlagsResolve pins what a valid command line resolves to, the
-// per-binary defaults, and the closing report.
+// TestSharedFlagsResolve pins what a valid command line resolves to and
+// the per-binary defaults.
 func TestSharedFlagsResolve(t *testing.T) {
-	f, _ := parse(t, FlagDefaults{})
-	sp, done, err := f.Resolve()
+	f := parse(t, FlagDefaults{})
+	sp, err := f.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	done()
-	if f.Scale != ScaleReduced || sp.Workers != 0 || sp.Cache.Cache != nil {
-		t.Errorf("defaults: scale %q, %+v; want reduced, all cores, no cache", f.Scale, sp)
+	if f.Scale != ScaleReduced || sp.Workers != 0 {
+		t.Errorf("defaults: scale %q, %+v; want reduced, all cores", f.Scale, sp)
 	}
 
-	dir := t.TempDir()
-	f, out := parse(t, FlagDefaults{}, "-scale", "paper", "-j", "3", "-link-bw", "4", "-occupancy", "20",
-		"-cache-dir", dir, "-cache-verify", "0.25", "-point-timeout", "90s")
-	sp, done, err = f.Resolve()
+	f = parse(t, FlagDefaults{}, "-scale", "paper", "-j", "3", "-link-bw", "4", "-occupancy", "20",
+		"-point-timeout", "90s")
+	sp, err = f.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Scale != ScalePaper || sp.Workers != 3 || sp.LinkBytesPerCycle != 4 || sp.OccupancyCycles != 20 ||
-		sp.PointTimeout != 90*time.Second || sp.Cache.Verify != 0.25 || sp.Cache.Cache == nil {
+		sp.PointTimeout != 90*time.Second {
 		t.Errorf("resolved scale %q, %+v", f.Scale, sp)
-	}
-	done()
-	if got := out.String(); !strings.HasPrefix(got, "sweep: cache "+dir+": ") {
-		t.Errorf("closing report %q, want the program-prefixed cache-stats line", got)
 	}
 
 	// cmd/bench: -j defaults to 1, the scale is pinned and -scale absent.
@@ -102,9 +90,7 @@ func TestSharedFlagsResolve(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if sp, done, err = f.Resolve(); err != nil || sp.Workers != 1 || f.Scale != ScaleReduced {
+	if sp, err = f.Resolve(); err != nil || sp.Workers != 1 || f.Scale != ScaleReduced {
 		t.Errorf("bench defaults: workers %d scale %q err %v", sp.Workers, f.Scale, err)
-	} else {
-		done()
 	}
 }

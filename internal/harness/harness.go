@@ -175,11 +175,11 @@ func MachineConfig(scale Scale, cacheBytes int) machine.Config {
 
 // SimParams is the one sweep-policy struct: the simulator-level knobs
 // every sweep threads into machine.Config (the contention model) plus
-// how the sweep's points are executed (pool size, cache, timeout,
-// progress). The zero value — infinite bandwidth, no agent
-// occupancy, a worker pool on all cores, no cache — is the machine
-// under which every pinned golden was produced. Results are
-// bit-identical at every Workers value for any contention setting.
+// how the sweep's points are executed (pool size, timeout, progress).
+// The zero value — infinite bandwidth, no agent occupancy, a worker
+// pool on all cores — is the machine under which every pinned golden
+// was produced. Results are bit-identical at every Workers value for
+// any contention setting.
 type SimParams struct {
 	// Workers sizes the in-process worker pool; <= 0 uses all cores.
 	Workers int
@@ -191,14 +191,11 @@ type SimParams struct {
 	// OccupancyCycles is machine.Config.OccupancyCycles: protocol-agent
 	// service occupancy per message (0 = unbounded concurrency).
 	OccupancyCycles sim.Time
-	// Cache threads the result cache through the sweep (zero value =
-	// no caching).
-	Cache CacheParams
 	// PointTimeout, when > 0, bounds each sweep point's wall-clock run;
 	// a point that exceeds it fails the sweep with a structured
 	// *PointTimeoutError naming the point.
 	PointTimeout time.Duration
-	// Progress, when non-nil, is called after each sweep point
+	// Progress, when non-nil, is called after each distinct simulation
 	// completes with the number done so far and the total.
 	Progress func(done, total int)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -257,6 +258,27 @@ func TestAblationMigratory(t *testing.T) {
 	if mig.Extra["upgrades"] >= plain.Extra["upgrades"] {
 		t.Errorf("migratory should cut upgrade requests: %d vs %d",
 			mig.Extra["upgrades"], plain.Extra["upgrades"])
+	}
+}
+
+// TestRunAblationsSimulatesEachPointOnce: the sweeps name 47 points,
+// and 5 of them twice — ocean small/4K on DirNNB and on Stache in
+// placement, netlatency and the contention grid, and em3d small on
+// Stache at the default cache in blocksize and budget. RunAblations
+// submits them as one batch, which simulates the 42 distinct ones
+// (TestSubmitPointsSimulatesEqualPointsOnce: one job per distinct
+// point).
+func TestRunAblationsSimulatesEachPointOnce(t *testing.T) {
+	var points []Point
+	for _, p := range ablationParts(io.Discard, ScaleReduced, SimParams{}, "") {
+		points = append(points, p.points...)
+	}
+	distinct, _ := distinctPoints(points)
+	if len(points) != 47 || len(distinct) != 42 {
+		t.Errorf("the ablations batch names %d points and simulates %d, want 47 and 42", len(points), len(distinct))
+	}
+	if got := len(ablationParts(io.Discard, ScaleReduced, SimParams{}, "budget")); got != 1 {
+		t.Errorf("-only budget selects %d sweeps, want 1", got)
 	}
 }
 

@@ -179,47 +179,36 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 	})
 	t.Run("result-cache", func(t *testing.T) {
-		// The result cache is a pure memoization layer: a sweep with it, a
-		// sweep without it, and a second sweep served entirely from the
-		// warm cache must all render bit-identical cells.
-		base := Fig3Options{
-			Scale:     ScaleReduced,
-			Apps:      []string{"appbt"},
-			Configs:   []Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}},
-			SimParams: SimParams{Workers: 4},
+		// The result cache is a pure memoization layer: a pool with it, a
+		// pool without it, and a second pool served entirely from the warm
+		// cache must all return bit-identical results (the engine.*
+		// counters, which describe the host, aside).
+		pts := Fig3Points(ScaleReduced, []string{"appbt"},
+			[]Fig3Config{{SetSmall, 4}, {SetSmall, 16}, {SetSmall, 64}}, SimParams{}, false)
+		submit := func(cp CacheParams) []PointResult {
+			t.Helper()
+			results, err := LocalExecutor{Workers: 4, Cache: cp}.Submit(context.Background(), Batch{Points: pts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return results
 		}
 		cp := dirCache(t)
-		cached := base
-		cached.Cache = cp
-		a, err := Figure3(cached)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Figure3(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("cache on != cache off:\n%+v\n%+v", a, b)
-		}
-		c, err := Figure3(cached) // warm
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, c) {
-			t.Errorf("warm cache != cold sweep:\n%+v\n%+v", a, c)
+		cold, uncached, warm := submit(cp), submit(CacheParams{}), submit(cp)
+		for i := range pts {
+			want := stripEngine(uncached[i].RunResult)
+			if got := stripEngine(cold[i].RunResult); !reflect.DeepEqual(got, want) {
+				t.Errorf("point %d: cache on != cache off:\n%+v\n%+v", i, got, want)
+			}
+			if !reflect.DeepEqual(warm[i].RunResult, want) {
+				t.Errorf("point %d: warm cache != uncached run:\n%+v\n%+v", i, warm[i].RunResult, want)
+			}
+			if warm[i].Origin != "" {
+				t.Errorf("point %d: origin %q, want none", i, warm[i].Origin)
+			}
 		}
 		if s := cp.Cache.Stats(); s.Misses != 6 || s.Stores != 6 || s.Hits != 6 {
 			t.Errorf("stats = %+v, want 6 cold misses, 6 stores, 6 warm hits", s)
-		}
-		results, err := SubmitPoints(cached.SimParams, Fig3Points(ScaleReduced, base.Apps, base.Configs, base.SimParams, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
-			if r.Origin != "" {
-				t.Errorf("point %d: origin %q, want none", i, r.Origin)
-			}
 		}
 	})
 }
@@ -268,4 +257,31 @@ func Example_runPool() {
 	out, _ := runPool(context.Background(), jobs, 2)
 	fmt.Println(out[0], out[1])
 	// Output: first second
+}
+
+// TestSubmitPointsSimulatesEqualPointsOnce: two spellings of one
+// simulation — ocean by name, and by its explicit config with NoCache
+// set — are one job of the batch, and both slots get its result.
+func TestSubmitPointsSimulatesEqualPointsOnce(t *testing.T) {
+	cfg := MachineConfig(ScaleReduced, 4<<10)
+	ocfg := OceanConfig(ScaleReduced, SetSmall)
+	pts := []Point{
+		{Cfg: cfg, System: SysStache, Bench: "ocean", Scale: ScaleReduced, Set: SetSmall},
+		{Cfg: cfg, System: SysDirNNB, Bench: "ocean", Scale: ScaleReduced, Set: SetSmall},
+		{Cfg: cfg, System: SysStache, Ocean: &ocfg, NoCache: true},
+	}
+	var done, total int
+	results, err := SubmitPoints(SimParams{Workers: 2, Progress: func(d, n int) { done, total = d, n }}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done != 2 || total != 2 {
+		t.Errorf("progress ended at %d/%d, want 2/2 distinct simulations", done, total)
+	}
+	if len(results) != len(pts) || !reflect.DeepEqual(results[0], results[2]) {
+		t.Errorf("equal points got different results:\n%+v\n%+v", results[0], results[2])
+	}
+	if results[1].System != SysDirNNB {
+		t.Errorf("slot 1 holds %s, want the dirnnb point's result", results[1].System)
+	}
 }

@@ -195,37 +195,6 @@ func TestCacheMisfiledEntryIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestShouldVerify(t *testing.T) {
-	c := newCache(t)
-	k := keyOf("a", "b")
-	if c.ShouldVerify(k, 0) {
-		t.Error("fraction 0 selected a key")
-	}
-	if !c.ShouldVerify(k, 1) {
-		t.Error("fraction 1 skipped a key")
-	}
-	// Deterministic: the same key gives the same answer every time.
-	first := c.ShouldVerify(k, 0.5)
-	for i := 0; i < 10; i++ {
-		if c.ShouldVerify(k, 0.5) != first {
-			t.Fatal("ShouldVerify is not deterministic")
-		}
-	}
-	// Roughly proportional: the hash threshold should select about
-	// fraction*n of n distinct keys. Bounds are loose (±10 points on
-	// 2000 keys) — this is a sanity check, not a statistics suite.
-	const n = 2000
-	selected := 0
-	for i := 0; i < n; i++ {
-		if c.ShouldVerify(keyOf("i", fmt.Sprint(i)), 0.5) {
-			selected++
-		}
-	}
-	if selected < n*4/10 || selected > n*6/10 {
-		t.Errorf("fraction 0.5 selected %d of %d keys", selected, n)
-	}
-}
-
 func TestCountersSnapshot(t *testing.T) {
 	c := newCache(t)
 	e := entryForKey(10)
@@ -236,11 +205,10 @@ func TestCountersSnapshot(t *testing.T) {
 	if _, err := c.Get(keyOf("missing", "x")); err != nil {
 		t.Fatal(err)
 	}
-	c.NoteVerified()
-	if got, want := c.Stats(), (Stats{Hits: 1, Misses: 1, Stores: 1, Verified: 1}); got != want {
+	if got, want := c.Stats(), (Stats{Hits: 1, Misses: 1, Stores: 1}); got != want {
 		t.Errorf("Stats() = %+v, want %+v", got, want)
 	}
-	wantStr := "1 hits, 1 misses, 1 stores, 1 verified, 0 corrupt"
+	wantStr := "1 hits, 1 misses, 1 stores, 0 corrupt"
 	if got := c.Stats().String(); got != wantStr {
 		t.Errorf("Stats.String() = %q, want %q", got, wantStr)
 	}

@@ -124,33 +124,3 @@ func decode(data []byte, path string) (*Entry, error) {
 	}
 	return e, nil
 }
-
-// CheckMatch compares a cached entry against a freshly simulated one
-// (same key) and returns a structured verify *Error naming the first
-// divergence — the -cache-verify failure path. Provenance (Origin) and
-// the code digest are not compared: the key already pins the code.
-func CheckMatch(cached, fresh *Entry) error {
-	fail := func(format string, args ...any) error {
-		return &Error{Op: "verify", Msg: fmt.Sprintf(format, args...)}
-	}
-	if cached.Cycles != fresh.Cycles {
-		return fail("cycles diverge: cached %d, re-simulated %d", cached.Cycles, fresh.Cycles)
-	}
-	if cached.ROI != fresh.ROI {
-		return fail("ROI cycles diverge: cached %d, re-simulated %d", cached.ROI, fresh.ROI)
-	}
-	for name, v := range cached.Counters {
-		if fv, ok := fresh.Counters[name]; !ok || fv != v {
-			return fail("counter %s diverges: cached %d, re-simulated %d", name, v, fresh.Counters[name])
-		}
-	}
-	for name, v := range fresh.Counters {
-		if _, ok := cached.Counters[name]; !ok {
-			return fail("counter %s present only in re-simulation (%d)", name, v)
-		}
-	}
-	if cached.Net != fresh.Net {
-		return fail("network stats diverge: cached %+v, re-simulated %+v", cached.Net, fresh.Net)
-	}
-	return nil
-}

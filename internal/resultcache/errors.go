@@ -3,16 +3,12 @@ package resultcache
 import "fmt"
 
 // Error is a structured result-cache failure — a corrupted, truncated,
-// or version-skewed on-disk entry, an I/O failure on the cache
-// directory, or a verification mismatch between a cached entry and its
-// re-simulation. Cache lookups return (not panic) an *Error so the
-// harness can fall back to simulation and count the event; only a
-// verification mismatch is fatal to a sweep, and then deliberately so.
-// The same structured-error contract as *network.Error and
-// *dirnnb.Error.
+// or version-skewed on-disk entry, or an I/O failure on the cache
+// directory. Cache lookups return (not panic) an *Error so the harness
+// can fall back to simulation and count the event. The same
+// structured-error contract as *network.Error and *dirnnb.Error.
 type Error struct {
-	// Op names the failing operation: "decode", "read", "write", or
-	// "verify".
+	// Op names the failing operation: "decode", "read" or "write".
 	Op string
 	// Path is the on-disk entry involved, when there is one.
 	Path string

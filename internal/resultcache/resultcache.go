@@ -11,8 +11,6 @@
 package resultcache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,15 +27,14 @@ type Options struct {
 // Stats is a snapshot of cache telemetry.
 type Stats struct {
 	// Hits and Misses count Get outcomes; Stores counts successful
-	// Puts. Verified counts hits re-simulated by -cache-verify that
-	// matched. Corrupt counts damaged entries that fell back to
+	// Puts. Corrupt counts damaged entries that fell back to
 	// simulation. Errors counts disk I/O failures on writes (reads that
 	// fail to find an entry are misses, not errors).
-	Hits, Misses, Stores, Verified, Corrupt, Errors uint64
+	Hits, Misses, Stores, Corrupt, Errors uint64
 }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("%d hits, %d misses, %d stores, %d verified, %d corrupt", s.Hits, s.Misses, s.Stores, s.Verified, s.Corrupt)
+	out := fmt.Sprintf("%d hits, %d misses, %d stores, %d corrupt", s.Hits, s.Misses, s.Stores, s.Corrupt)
 	if s.Errors > 0 {
 		out += fmt.Sprintf(", %d write errors", s.Errors)
 	}
@@ -142,26 +139,6 @@ func (c *Cache) write(e *Entry) error {
 	}
 	return nil
 }
-
-// ShouldVerify deterministically selects whether a hit on k is in the
-// re-simulation sample for the given fraction. The choice is a pure
-// function of the key (a hash threshold, no randomness), so the same
-// sweep verifies the same points on every run.
-func (c *Cache) ShouldVerify(k Key, fraction float64) bool {
-	if fraction <= 0 {
-		return false
-	}
-	if fraction >= 1 {
-		return true
-	}
-	h := sha256.Sum256(append([]byte("tempest-resultcache-verify\n"), k[:]...))
-	const span = 1_000_000
-	v := binary.LittleEndian.Uint64(h[:8]) % span
-	return v < uint64(fraction*span)
-}
-
-// NoteVerified records one hit that was re-simulated and matched.
-func (c *Cache) NoteVerified() { c.count(&c.stats.Verified) }
 
 // Stats returns a telemetry snapshot.
 func (c *Cache) Stats() Stats {

@@ -16,15 +16,9 @@ for b in fig3 fig4 ablations typhoon-sim bench; do
     go build -o "$tmp/$b" "./cmd/$b"
 done
 
-# With -counters and -cache-dir the cache's numbers are printed once, as
-# the flag block's stderr line, not again as a counter table.
-"$tmp/typhoon-sim" -app ocean -system blizzard -j 1 -counters -cache-dir "$tmp/cache" >"$tmp/run" 2>&1
+# One real simulation through the shared flag block.
+"$tmp/typhoon-sim" -app ocean -system blizzard -j 1 -counters >"$tmp/run" 2>&1
 grep -q "verified against sequential reference: ok" "$tmp/run"
-if [ "$(grep -cE '[0-9]+ hits|cache\.hits' "$tmp/run")" -ne 1 ]; then
-    echo "cli-smoke: typhoon-sim -counters -cache-dir must print the cache statistics exactly once; got:" >&2
-    cat "$tmp/run" >&2
-    exit 1
-fi
 
 # refuse <flag-name> <binary> <args...>: exit 2, flag named on stderr.
 refuse() {
@@ -38,12 +32,8 @@ refuse() {
     fi
 }
 refuse -link-bw fig3 -link-bw -1
-refuse -cache-verify fig4 -cache-verify 1.5
-# NaN fails both halves of a range test; it must still be refused.
-refuse -cache-verify fig4 -cache-verify NaN
 refuse -scale ablations -scale huge
 refuse -occupancy typhoon-sim -occupancy -20
-refuse -cache-dir fig3 -cache-verify 0.5
 refuse -j fig3 -j -3
 refuse -nodes typhoon-sim -nodes -3
 # A sharer set is one 64-bit word, so the machine stops at 64 nodes.
@@ -58,11 +48,15 @@ refuse "flag provided but not defined: -no-dedup" bench -no-dedup
 # So are the removed cache switch and embedded coordinator.
 refuse "flag provided but not defined: -no-cache" fig4 -no-cache
 refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
-# Sweeps run in one process: no sweep binary is a fleet client.
+# Sweeps run in one process, and no binary reads or writes a result
+# cache: no sweep binary is a fleet client or takes a cache directory.
 for b in fig3 fig4 ablations typhoon-sim bench; do
     refuse "flag provided but not defined: -fleet" "$b" -fleet "$tmp/f.sock"
+    refuse "flag provided but not defined: -cache-dir" "$b" -cache-dir "$tmp/cache"
+    refuse "flag provided but not defined: -cache-verify" "$b" -cache-verify 1
 done
+refuse "flag provided but not defined: -expect-cached" bench -expect-cached
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 5 binaries built, blizzard run verified with its cache statistics printed once, bad shared flags (a NaN -cache-verify among them), a 96-set cache, 65 nodes, the five removed flags (-fleet on every sweep binary) and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 5 binaries built, blizzard run verified, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"
