@@ -44,7 +44,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# microbench runs the per-figure/table Go benchmarks.
+# microbench runs every Go benchmark: Tables 1-3, simulator throughput
+# and the layer microbenchmarks. The figures and ablations are printed by
+# cmd/fig3, cmd/fig4 and cmd/ablations, not benchmarked.
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
@@ -55,8 +57,9 @@ bench-smoke:
 
 # cli-smoke builds all five binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
-# typhoon-sim used to refuse), and gives every sweep binary one bad
-# shared flag — typhoon-sim also a cache whose set count is not a power
+# typhoon-sim used to refuse) and one ablation sweep (ablations -only
+# em3d, the only way to regenerate that table), and gives every sweep
+# binary one bad shared flag — typhoon-sim also a cache whose set count is not a power
 # of two, bench the removed sharding flag, fig3 and bench the removed
 # -no-dedup, every sweep binary the removed -fleet, -cache-dir and
 # -cache-verify, bench the removed -expect-cached: each must exit 2 and

@@ -31,10 +31,7 @@ const (
 
 // Config tunes the software implementation's costs; zero values select
 // the defaults.
-type Config struct {
-	CheckOverhead    sim.Time
-	DispatchOverhead sim.Time
-}
+type Config = typhoon.SoftwareConfig
 
 // New attaches a software Tempest system running the given (unmodified)
 // protocol to m.
@@ -45,10 +42,7 @@ func New(m *machine.Machine, proto typhoon.Protocol, cfg Config) *typhoon.System
 	if cfg.DispatchOverhead == 0 {
 		cfg.DispatchOverhead = DefaultDispatchOverhead
 	}
-	return typhoon.NewSoftware(m, proto, typhoon.SoftwareConfig{
-		CheckOverhead:    cfg.CheckOverhead,
-		DispatchOverhead: cfg.DispatchOverhead,
-	})
+	return typhoon.NewSoftware(m, proto, cfg)
 }
 
 // NewStache attaches a software Tempest system running Stache — the

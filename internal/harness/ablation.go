@@ -80,15 +80,6 @@ func ablationPart(aps []ablationPoint, use func([]AblationRow) error) part {
 	}}
 }
 
-// runAblation runs one ablation's points and returns its rows.
-func runAblation(sp SimParams, aps []ablationPoint) (rows []AblationRow, err error) {
-	err = runParts(sp, ablationPart(aps, func(r []AblationRow) error {
-		rows = r
-		return nil
-	}))
-	return rows, err
-}
-
 // ablationSweeps is the catalogue RunAblations runs, in order: each
 // sweep's -only key and its part of the batch, which renders the sweep's
 // table to w. The contention sweep sets its own link bandwidth and agent
@@ -102,8 +93,9 @@ var ablationSweeps = []struct {
 	{"budget", ablationTable("Stache page budget (EM3D small)", stacheBudgetPoints)},
 	{"netlatency", ablationTable("Network latency sensitivity (Ocean small, 4 KB caches)", netLatencyPoints)},
 	{"migratory", ablationTable("Migratory-sharing extension (MP3D small)", migratoryPoints)},
-	{"em3d", ablationTable("EM3D protocol chain at 30% remote edges (paper section 4)",
-		func(sc Scale, sp SimParams) []ablationPoint { return em3dProtocolPoints(sc, 30, sp) })},
+	{"em3d", ablationTable(
+		fmt.Sprintf("EM3D protocol chain at %d%% remote edges (paper section 4)", em3dChainPctRemote),
+		em3dProtocolPoints)},
 	{"software", ablationTable("Software Tempest (Blizzard) vs. Typhoon hardware", softwareTempestPoints)},
 	{"contention", func(w io.Writer, scale Scale, sp SimParams) part {
 		return contentionPart(scale, sp, func(cells []ContentionCell) error {
@@ -170,14 +162,10 @@ func netMsgs(res machine.Result) uint64 {
 	return msgs - res.Net.LocalSends
 }
 
-// AblationBlockSize sweeps the coherence-block size on Typhoon/Stache
+// blockSizePoints sweeps the coherence-block size on Typhoon/Stache
 // (the paper fixes 32 bytes but defines blocks as 32-128 bytes, §2.4):
 // larger blocks amortise handler overhead against false sharing and
 // wasted transfer.
-func AblationBlockSize(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, blockSizePoints(scale, sp))
-}
-
 func blockSizePoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, bs := range []int{32, 64, 128} {
@@ -195,17 +183,13 @@ func blockSizePoints(scale Scale, sp SimParams) []ablationPoint {
 	return aps
 }
 
-// AblationPlacement quantifies paper §6's discussion that careful data
+// placementPoints quantifies paper §6's discussion that careful data
 // placement recovers much of DirNNB's disadvantage: Ocean under DirNNB
 // with the naive round-robin placement of a shared malloc versus
 // owner-aligned bands, against Typhoon/Stache which needs no placement.
 // The owner-placed DirNNB row is also the steady state of first-touch
 // placement (§6 cites Stenstrom et al.): each grid page lands on the
 // node that initialises it, its owner.
-func AblationPlacement(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, placementPoints(scale, sp))
-}
-
 func placementPoints(scale Scale, sp SimParams) []ablationPoint {
 	cacheKB := 4
 	mcfg := MachineConfig(scale, cacheKB<<10)
@@ -233,15 +217,11 @@ func placementPoints(scale Scale, sp SimParams) []ablationPoint {
 	return aps
 }
 
-// AblationStacheBudget sweeps the per-node stache-page budget to expose
+// stacheBudgetPoints sweeps the per-node stache-page budget to expose
 // the FIFO page-replacement machinery (§3: "replacements are rare" with
 // ample memory; a tight budget makes them common). budget=0 is exactly
 // the plain Stache run: its canonical encoding has no budget line, so in
 // RunAblations' batch it is one simulation with blocksize's 32-byte row.
-func AblationStacheBudget(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, stacheBudgetPoints(scale, sp))
-}
-
 func stacheBudgetPoints(scale Scale, sp SimParams) []ablationPoint {
 	ecfg := EM3DConfig(scale, SetSmall)
 	mcfg := MachineConfig(scale, 0)
@@ -263,13 +243,9 @@ func stacheBudgetPoints(scale Scale, sp SimParams) []ablationPoint {
 	return aps
 }
 
-// AblationNetLatency sweeps the network latency (Table 2's 11 cycles is
+// netLatencyPoints sweeps the network latency (Table 2's 11 cycles is
 // "probably optimistic for future systems" and deliberately favours
 // DirNNB; this quantifies the sensitivity the paper mentions).
-func AblationNetLatency(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, netLatencyPoints(scale, sp))
-}
-
 func netLatencyPoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, lat := range []sim.Time{11, 44, 88} {
@@ -300,18 +276,18 @@ func RenderAblation(w io.Writer, title string, rows []AblationRow) error {
 	return t.Render(w)
 }
 
-// AblationEM3DProtocols reproduces the paper §4 argument chain at one
-// remote-edge fraction: transparent shared memory needs four messages
-// per remote datum per iteration, check-in annotations cut that to
-// three by replacing the invalidation round trip, and the custom update
-// protocol reaches the minimum of one.
-func AblationEM3DProtocols(scale Scale, pctRemote int, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, em3dProtocolPoints(scale, pctRemote, sp))
-}
+// em3dChainPctRemote is the remote-edge percentage of the EM3D protocol
+// chain, which its table title names.
+const em3dChainPctRemote = 30
 
-func em3dProtocolPoints(scale Scale, pctRemote int, sp SimParams) []ablationPoint {
+// em3dProtocolPoints reproduces the paper §4 argument chain at
+// em3dChainPctRemote: transparent shared memory needs four messages per
+// remote datum per iteration, check-in annotations cut that to three by
+// replacing the invalidation round trip, and the custom update protocol
+// reaches the minimum of one.
+func em3dProtocolPoints(scale Scale, sp SimParams) []ablationPoint {
 	ecfg := EM3DConfig(scale, SetSmall)
-	ecfg.PctRemote = pctRemote
+	ecfg.PctRemote = em3dChainPctRemote
 	mcfg := MachineConfig(scale, 0)
 	sp.Apply(&mcfg)
 
@@ -330,14 +306,10 @@ func em3dProtocolPoints(scale Scale, pctRemote int, sp SimParams) []ablationPoin
 	}
 }
 
-// AblationMigratory measures the migratory-sharing optimisation (a
+// migratoryPoints measures the migratory-sharing optimisation (a
 // user-level protocol-policy extension, off by default) on MP3D, whose
 // scattered read-modify-writes are the pattern it targets. mig=false
 // is the plain Stache run: its encoding has no migratory line.
-func AblationMigratory(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, migratoryPoints(scale, sp))
-}
-
 func migratoryPoints(scale Scale, sp SimParams) []ablationPoint {
 	mcfg := MachineConfig(scale, 64<<10)
 	sp.Apply(&mcfg)
@@ -361,15 +333,11 @@ func migratoryPoints(scale Scale, sp SimParams) []ablationPoint {
 	return aps
 }
 
-// AblationSoftwareTempest runs the same benchmark and the same
+// softwareTempestPoints runs the same benchmark and the same
 // unmodified Stache library on Typhoon and on the software Tempest
 // implementation (the paper's announced "native version for existing
 // machines", later published as Blizzard), quantifying what Typhoon's
 // custom hardware buys.
-func AblationSoftwareTempest(scale Scale, sp SimParams) ([]AblationRow, error) {
-	return runAblation(sp, softwareTempestPoints(scale, sp))
-}
-
 func softwareTempestPoints(scale Scale, sp SimParams) []ablationPoint {
 	var aps []ablationPoint
 	for _, name := range []string{"ocean", "em3d"} {

@@ -58,15 +58,6 @@ type ContentionCell struct {
 	DirAgentWait, TyphAgentWait uint64
 }
 
-// ContentionOptions selects the sweep's scale; the embedded SimParams
-// is its execution policy (its two contention knobs are overridden per
-// point by the grid). The knobs are part of each point, so only the
-// ideal column can be one simulation with another sweep's point.
-type ContentionOptions struct {
-	Scale Scale
-	SimParams
-}
-
 // contentionApps are the swept benchmarks: the two with the hottest home
 // nodes in the Figure 3 suite. contentionCacheKB is the CPU cache size,
 // the most traffic-intensive Figure 3 point, where contention bites
@@ -75,21 +66,13 @@ var contentionApps = []string{"em3d", "ocean"}
 
 const contentionCacheKB = 4
 
-// ContentionSweep reruns a Figure-3-style comparison across contention
-// configurations: how do the Typhoon-vs-DirNNB ratios shift once link
-// bandwidth and directory/NP occupancy are charged instead of assumed
-// free? Each (app, point, system) is one job on the worker pool; cells
-// are returned in (app, point) order.
-func ContentionSweep(opts ContentionOptions) (cells []ContentionCell, err error) {
-	err = runParts(opts.SimParams, contentionPart(opts.Scale, opts.SimParams, func(c []ContentionCell) error {
-		cells = c
-		return nil
-	}))
-	return cells, err
-}
-
-// contentionPart is the contention sweep's share of a batch: its grid
-// of points, folded into cells that are handed to use.
+// contentionPart is the contention sweep's share of a batch: a
+// Figure-3-style comparison rerun across the ContentionPoints grid, to
+// show how the Typhoon-vs-DirNNB ratios shift once link bandwidth and
+// agent occupancy are charged instead of assumed free. Each (app, point,
+// system) is one point, whose two contention knobs replace sp's, so only
+// the ideal column can be one simulation with another sweep's point. The
+// fold hands use the cells in (app, point) order.
 func contentionPart(scale Scale, sp SimParams, use func([]ContentionCell) error) part {
 	var pts []Point
 	for _, name := range contentionApps {

@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/tempest-sim/tempest/internal/sim"
 )
 
 // TestFigure3Shape checks the paper's Figure 3 claims on the reduced
@@ -131,14 +134,25 @@ func TestTable3PaperSizes(t *testing.T) {
 	check("em3d", SetLarge, "192000 nodes, degree 15")
 }
 
+// ablationRows runs one sweep's points as a one-part batch, as
+// RunAblations would under its -only key, and returns the sweep's rows.
+func ablationRows(t *testing.T, sp SimParams, points func(Scale, SimParams) []ablationPoint) []AblationRow {
+	t.Helper()
+	var rows []AblationRow
+	if err := runParts(sp, ablationPart(points(ScaleReduced, sp), func(r []AblationRow) error {
+		rows = r
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestAblationBlockSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationBlockSize(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, blockSizePoints)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -153,10 +167,7 @@ func TestAblationPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationPlacement(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, placementPoints)
 	byLabel := map[string]AblationRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
@@ -180,10 +191,7 @@ func TestAblationStacheBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationStacheBudget(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, stacheBudgetPoints)
 	if rows[0].Extra["replacements"] != 0 {
 		t.Errorf("unbounded budget replaced %d pages", rows[0].Extra["replacements"])
 	}
@@ -204,10 +212,7 @@ func TestAblationNetLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationNetLatency(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, netLatencyPoints)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -221,10 +226,7 @@ func TestAblationEM3DProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationEM3DProtocols(ScaleReduced, 30, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, em3dProtocolPoints)
 	byLabel := map[string]AblationRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
@@ -244,10 +246,7 @@ func TestAblationMigratory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationMigratory(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, migratoryPoints)
 	plain, mig := rows[0], rows[1]
 	if mig.Extra["migratory-grants"] == 0 {
 		t.Fatal("migratory detection never fired on mp3d")
@@ -282,6 +281,66 @@ func TestRunAblationsSimulatesEachPointOnce(t *testing.T) {
 	}
 }
 
+// TestContentionPartFold checks the contention sweep's fold, which no
+// pinned table covers: the cells' order, their ratios, that each app's
+// ideal row is its Figure 3 small/4K bar, and that each queueing column
+// reads the counter its contention knob drives — a renamed counter would
+// print zeros.
+func TestContentionPartFold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var cells []ContentionCell
+	cp := contentionPart(ScaleReduced, SimParams{}, func(c []ContentionCell) error {
+		cells = c
+		return nil
+	})
+	if catalogue := ablationParts(io.Discard, ScaleReduced, SimParams{}, "contention"); len(catalogue) != 1 ||
+		!reflect.DeepEqual(catalogue[0].points, cp.points) {
+		t.Fatal("the catalogue's contention part runs other points than contentionPart")
+	}
+	if err := runParts(SimParams{}, cp); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(contentionApps) * len(ContentionPoints); len(cells) != want {
+		t.Fatalf("%d cells, want %d", len(cells), want)
+	}
+	fig3 := map[string][2]sim.Time{}
+	for _, line := range strings.Split(string(goldenBody(t, "figure3")), "\n") {
+		if f := strings.Fields(line); len(f) == 5 && f[1] == "small/4K" {
+			dir, _ := strconv.ParseUint(f[2], 10, 64)
+			typh, _ := strconv.ParseUint(f[3], 10, 64)
+			fig3[f[0]] = [2]sim.Time{sim.Time(dir), sim.Time(typh)}
+		}
+	}
+	for i, c := range cells {
+		app, pt := contentionApps[i/len(ContentionPoints)], ContentionPoints[i%len(ContentionPoints)]
+		if c.App != app || c.Point != pt {
+			t.Fatalf("cell %d is %s %v, want %s %v", i, c.App, c.Point, app, pt)
+		}
+		if want := float64(c.Typhoon) / float64(c.DirNNB); c.Relative != want {
+			t.Errorf("%s %v: relative %v, want %v", app, pt, c.Relative, want)
+		}
+		if pt == (ContentionPoint{}) {
+			if got, want := [2]sim.Time{c.DirNNB, c.Typhoon}, fig3[app]; got != want {
+				t.Errorf("%s ideal: DirNNB/Typhoon cycles %v, want Figure 3's small/4K bar %v", app, got, want)
+			}
+		}
+		if pt.LinkBytesPerCycle == 0 && (c.DirNetQueue != 0 || c.TyphNetQueue != 0) {
+			t.Errorf("%s %v: net queue %d/%d at infinite bandwidth, want 0/0", app, pt, c.DirNetQueue, c.TyphNetQueue)
+		}
+		if pt.OccupancyCycles == 0 && (c.DirAgentWait != 0 || c.TyphAgentWait != 0) {
+			t.Errorf("%s %v: agent wait %d/%d at zero occupancy, want 0/0", app, pt, c.DirAgentWait, c.TyphAgentWait)
+		}
+		if pt.OccupancyCycles > 0 && (c.DirAgentWait == 0 || c.TyphAgentWait == 0) {
+			t.Errorf("%s %v: agent wait %d/%d, want both non-zero", app, pt, c.DirAgentWait, c.TyphAgentWait)
+		}
+		if pt == (ContentionPoint{4, 20}) && c.DirNetQueue == 0 {
+			t.Errorf("%s %v: DirNNB net queue is 0, want non-zero", app, pt)
+		}
+	}
+}
+
 // TestRenderAblationNotesInNameOrder: a row's notes come from a map
 // (the migratory sweep has two keys per row), so rendering must sort
 // them or one sweep prints differently from run to run.
@@ -308,10 +367,7 @@ func TestAblationSoftwareTempest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := AblationSoftwareTempest(ScaleReduced, SimParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, SimParams{}, softwareTempestPoints)
 	byLabel := map[string]AblationRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r

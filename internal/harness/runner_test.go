@@ -136,23 +136,15 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Skip("short mode")
 		}
 		for _, tc := range []struct {
-			name string
-			run  func(workers int) ([]AblationRow, error)
+			name   string
+			points func(Scale, SimParams) []ablationPoint
 		}{
-			{"blocksize", func(w int) ([]AblationRow, error) { return AblationBlockSize(ScaleReduced, SimParams{Workers: w}) }},
-			{"em3d-protocols", func(w int) ([]AblationRow, error) {
-				return AblationEM3DProtocols(ScaleReduced, 30, SimParams{Workers: w})
-			}},
-			{"netlatency", func(w int) ([]AblationRow, error) { return AblationNetLatency(ScaleReduced, SimParams{Workers: w}) }},
+			{"blocksize", blockSizePoints},
+			{"em3d-protocols", em3dProtocolPoints},
+			{"netlatency", netLatencyPoints},
 		} {
-			a, err := tc.run(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tc.run(4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := ablationRows(t, SimParams{Workers: 1}, tc.points)
+			b := ablationRows(t, SimParams{Workers: 4}, tc.points)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s parallel != serial:\n%+v\n%+v", tc.name, a, b)
 			}

@@ -256,11 +256,10 @@ func (e *Endpoint) Dequeue() *Packet {
 
 // Network connects n endpoints with fixed latency.
 type Network struct {
-	eng          *sim.Engine
-	latency      sim.Time
-	localLatency sim.Time
-	linkBW       int // bytes per cycle per port; 0 = infinite bandwidth
-	endpoints    []*Endpoint
+	eng       *sim.Engine
+	latency   sim.Time
+	linkBW    int // bytes per cycle per port; 0 = infinite bandwidth
+	endpoints []*Endpoint
 
 	// Tracer, when non-nil, is the run's one recorder: the network emits
 	// KNetSend as each packet is injected and KNetArrive as it is
@@ -278,9 +277,6 @@ type Config struct {
 	Nodes int
 	// Latency is the end-to-end packet latency in cycles (Table 2: 11).
 	Latency sim.Time
-	// LocalLatency is the CPU-to-own-NP short-circuit latency (paper
-	// §5.1: the CPU can send directly to its local NP). Zero means 1.
-	LocalLatency sim.Time
 	// LinkBytesPerCycle is the per-port link bandwidth of the contention
 	// model: a packet occupies its injection and ejection ports for
 	// ceil(PayloadBytes/LinkBytesPerCycle) cycles each. Zero models
@@ -296,15 +292,10 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.LinkBytesPerCycle < 0 {
 		panic(fmt.Sprintf("network: negative link bandwidth %d", cfg.LinkBytesPerCycle))
 	}
-	ll := cfg.LocalLatency
-	if ll == 0 {
-		ll = 1
-	}
 	n := &Network{
-		eng:          eng,
-		latency:      cfg.Latency,
-		localLatency: ll,
-		linkBW:       cfg.LinkBytesPerCycle,
+		eng:     eng,
+		latency: cfg.Latency,
+		linkBW:  cfg.LinkBytesPerCycle,
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n.endpoints = append(n.endpoints, &Endpoint{node: i, net: n})
@@ -357,6 +348,11 @@ func (n *Network) Free(p *Packet) {
 	p.next = n.free
 	n.free = p
 }
+
+// localLatency is the CPU-to-own-NP short-circuit latency (paper §5.1:
+// the CPU can send directly to its local NP): a node-local packet is
+// delivered one cycle after it is sent.
+const localLatency sim.Time = 1
 
 // maxSendDelay bounds SendAfter's extra. sim.Time is unsigned, so
 // negative delay arithmetic in a caller does not produce a value below
@@ -413,7 +409,7 @@ func (n *Network) SendAfter(p *Packet, extra sim.Time) {
 	lat := n.latency
 	local := p.Src == p.Dst
 	if local {
-		lat = n.localLatency
+		lat = localLatency
 		n.stats.LocalSends++
 	}
 	n.stats.VNets[p.VNet].Packets++

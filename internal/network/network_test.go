@@ -44,7 +44,7 @@ func TestDeliveryAfterLatency(t *testing.T) {
 func TestLocalShortCircuit(t *testing.T) {
 	var deliveredAt sim.Time
 	runWith(t, func(eng *sim.Engine) (*Network, func(*sim.Context)) {
-		n := New(eng, Config{Nodes: 2, Latency: 11, LocalLatency: 1})
+		n := New(eng, Config{Nodes: 2, Latency: 11})
 		n.Endpoint(0).Notify = func(at sim.Time) { deliveredAt = at }
 		return n, func(c *sim.Context) {
 			c.Advance(10)

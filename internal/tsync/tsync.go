@@ -16,16 +16,20 @@ import (
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
-// DefaultHandlerBase is where tsync registers its four message handlers
-// unless configured otherwise; protocols below it (Stache uses 16-26,
-// the EM3D update protocol 27-31) stay clear.
-const DefaultHandlerBase uint32 = 48
+// tsync's message handler IDs; the protocols' IDs (Stache uses 16-26,
+// the EM3D update protocol 27-31) stay below them.
+const (
+	hAcquire uint32 = 48 + iota
+	hGrant
+	hRelease
+	hFetchAdd
+	hFetchAddReply
+)
 
 // Manager serves a fixed set of locks and counters, each homed on
 // lockID % nodes (respectively counterID % nodes).
 type Manager struct {
-	sys  *typhoon.System
-	base uint32
+	sys *typhoon.System
 
 	locks    []lockState
 	counters []uint64
@@ -45,26 +49,20 @@ type lockState struct {
 // New registers a manager for nLocks locks and nCounters counters on
 // sys. Call before the machine runs.
 func New(sys *typhoon.System, nLocks, nCounters int) *Manager {
-	return NewAt(sys, nLocks, nCounters, DefaultHandlerBase)
-}
-
-// NewAt is New with an explicit handler-ID base (four consecutive IDs).
-func NewAt(sys *typhoon.System, nLocks, nCounters int, base uint32) *Manager {
 	nodes := sys.M.Cfg.Nodes
 	m := &Manager{
 		sys:      sys,
-		base:     base,
 		locks:    make([]lockState, nLocks),
 		counters: make([]uint64, nCounters),
 		granted:  make([]bool, nodes),
 		fetched:  make([]uint64, nodes),
 		waiter:   make([]*machine.Proc, nodes),
 	}
-	sys.RegisterHandler(base+0, m.handleAcquire)
-	sys.RegisterHandler(base+1, m.handleGrant)
-	sys.RegisterHandler(base+2, m.handleRelease)
-	sys.RegisterHandler(base+3, m.handleFetchAdd)
-	sys.RegisterHandler(base+4, m.handleFetchAddReply)
+	sys.RegisterHandler(hAcquire, m.handleAcquire)
+	sys.RegisterHandler(hGrant, m.handleGrant)
+	sys.RegisterHandler(hRelease, m.handleRelease)
+	sys.RegisterHandler(hFetchAdd, m.handleFetchAdd)
+	sys.RegisterHandler(hFetchAddReply, m.handleFetchAddReply)
 	return m
 }
 
@@ -79,7 +77,7 @@ func (m *Manager) Acquire(p *machine.Proc, id int) {
 	node := p.ID()
 	m.granted[node] = false
 	m.waiter[node] = p
-	m.sys.Send(p, network.VNetRequest, m.lockHome(id), m.base+0,
+	m.sys.Send(p, network.VNetRequest, m.lockHome(id), hAcquire,
 		[]uint64{uint64(id), uint64(node)}, nil)
 	for !m.granted[node] {
 		p.Ctx.Park("lock %d", id)
@@ -89,7 +87,7 @@ func (m *Manager) Acquire(p *machine.Proc, id int) {
 
 // Release returns lock id; the home NP hands it to the next waiter.
 func (m *Manager) Release(p *machine.Proc, id int) {
-	m.sys.Send(p, network.VNetRequest, m.lockHome(id), m.base+2,
+	m.sys.Send(p, network.VNetRequest, m.lockHome(id), hRelease,
 		[]uint64{uint64(id)}, nil)
 }
 
@@ -102,7 +100,7 @@ func (m *Manager) FetchAdd(p *machine.Proc, id int, delta uint64) uint64 {
 	node := p.ID()
 	m.granted[node] = false
 	m.waiter[node] = p
-	m.sys.Send(p, network.VNetRequest, m.lockHome(id), m.base+3,
+	m.sys.Send(p, network.VNetRequest, m.lockHome(id), hFetchAdd,
 		[]uint64{uint64(id), uint64(node), delta}, nil)
 	for !m.granted[node] {
 		p.Ctx.Park("fetch-add %d", id)
@@ -123,7 +121,7 @@ func (m *Manager) handleAcquire(np *typhoon.NP, pkt *network.Packet) {
 		return
 	}
 	l.held = true
-	np.SendReply(requester, m.base+1, []uint64{uint64(id)}, nil)
+	np.SendReply(requester, hGrant, []uint64{uint64(id)}, nil)
 }
 
 func (m *Manager) handleRelease(np *typhoon.NP, pkt *network.Packet) {
@@ -140,7 +138,7 @@ func (m *Manager) handleRelease(np *typhoon.NP, pkt *network.Packet) {
 	next := int(l.queue[0])
 	copy(l.queue, l.queue[1:])
 	l.queue = l.queue[:len(l.queue)-1]
-	np.SendReply(next, m.base+1, []uint64{uint64(id)}, nil)
+	np.SendReply(next, hGrant, []uint64{uint64(id)}, nil)
 }
 
 func (m *Manager) handleFetchAdd(np *typhoon.NP, pkt *network.Packet) {
@@ -150,7 +148,7 @@ func (m *Manager) handleFetchAdd(np *typhoon.NP, pkt *network.Packet) {
 	np.Charge(6)
 	old := m.counters[id]
 	m.counters[id] += delta
-	np.SendReply(requester, m.base+4, []uint64{old}, nil)
+	np.SendReply(requester, hFetchAddReply, []uint64{old}, nil)
 }
 
 // --- NP handlers (requester side) ---

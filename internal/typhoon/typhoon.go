@@ -135,6 +135,7 @@ type Protocol interface {
 // §2 announces, realised later as Blizzard): no custom hardware, so
 // access checks run inline before every shared reference and protocol
 // handlers execute on the node's main processor, stealing its cycles.
+// internal/blizzard names it Config and owns its defaults.
 type SoftwareConfig struct {
 	// CheckOverhead is charged on every shared reference, hit or miss —
 	// the inline tag test a binary rewriter inserts.

@@ -2,7 +2,7 @@
 # cli-smoke: the command-line gate for the five binaries.
 #
 # Builds each binary once, runs one real simulation through the shared
-# flag block, then hands every sweep binary one bad shared flag and
+# flag block and one ablation sweep (the EM3D protocol chain), then hands every sweep binary one bad shared flag and
 # requires exit status 2 with the flag's name on stderr — the validation
 # lives in one place (internal/harness/flags.go), and this checks every
 # binary is actually wired to it.
@@ -19,6 +19,10 @@ done
 # One real simulation through the shared flag block.
 "$tmp/typhoon-sim" -app ocean -system blizzard -j 1 -counters >"$tmp/run" 2>&1
 grep -q "verified against sequential reference: ok" "$tmp/run"
+
+# ablations is the one way to regenerate the ablation tables: one sweep.
+"$tmp/ablations" -only em3d -j 1 >"$tmp/ablation"
+grep -q "EM3D protocol chain" "$tmp/ablation"
 
 # refuse <flag-name> <binary> <args...>: exit 2, flag named on stderr.
 refuse() {
@@ -59,4 +63,4 @@ refuse "flag provided but not defined: -expect-cached" bench -expect-cached
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 5 binaries built, blizzard run verified, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 5 binaries built, blizzard run verified, em3d ablation printed, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"
