@@ -58,7 +58,8 @@ bench-smoke:
 # cli-smoke builds all five binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse) and one ablation sweep (ablations -only
-# em3d, the only way to regenerate that table), and gives every sweep
+# em3d, the only way to regenerate that table), runs the four examples
+# (each exits non-zero on a wrong answer), and gives every sweep
 # binary one bad shared flag — typhoon-sim also a cache whose set count is not a power
 # of two, bench the removed sharding flag, fig3 and bench the removed
 # -no-dedup, every sweep binary the removed -fleet, -cache-dir and

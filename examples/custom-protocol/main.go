@@ -8,7 +8,10 @@
 // per block. The custom protocol knows the table is written once and
 // read whole, so its block-fault handler fetches the entire page in one
 // exchange and tags every block ReadOnly — a page-grain "bulk fill"
-// protocol in ~80 lines of user-level handler code.
+// protocol in ~75 lines of user-level handler code. It uses one Tempest
+// mechanism from each family: pages installed with MapFrame (user-level
+// VM management), active messages, page-grain force reads and writes
+// (bulk data), and tags set from the NP (fine-grain access control).
 //
 //	go run ./examples/custom-protocol
 package main
@@ -50,20 +53,15 @@ func (t *tableProtocol) Attach(sys *tempest.TyphoonSystem) {
 	t.pending = make([]tempest.VA, sys.M.Cfg.Nodes)
 
 	sys.RegisterPageMode(modeTableHome, tempest.PageModeOps{
-		// A remote node touched an unmapped table page: map a local
-		// copy with every block Invalid, then let the access retry.
+		// A remote node touched an unmapped table page: install a
+		// local copy with every block Invalid, then let the access
+		// retry (it takes a block fault under modeTableRemote).
 		PageFault: func(sys *tempest.TyphoonSystem, p *tempest.Proc, va tempest.VA, write bool) {
 			if write {
 				panic("table pages are read-only for consumers")
 			}
 			p.Compute(100)
-			node := p.ID()
-			m := sys.M
-			pa := m.Mems[node].AllocFrame(tempest.TagInvalid)
-			frame := m.Mems[node].Frame(pa)
-			frame.Mode = modeTableRemote
-			frame.Home = m.VM.Home(va)
-			m.VM.Table(node).MapPage(va, pa, modeTableRemote)
+			sys.MapFrame(p.ID(), va, tempest.TagInvalid, modeTableRemote)
 		},
 		BlockFault: func(np *tempest.NP, f tempest.BlockFault) {
 			panic("home table pages are always ReadWrite at the home")
@@ -103,15 +101,10 @@ func (t *tableProtocol) SetupSegment(seg *tempest.Segment) {
 		t.Stache.SetupSegment(seg)
 		return
 	}
-	m := t.sys.M
+	// Every table page lives at its home, writable, under our mode.
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + tempest.VA(i*tempest.PageSize)
-		home := m.VM.Home(va)
-		pa := m.Mems[home].AllocFrame(tempest.TagReadWrite)
-		frame := m.Mems[home].Frame(pa)
-		frame.Mode = modeTableHome
-		frame.Home = home
-		m.VM.Table(home).MapPage(va, pa, modeTableHome)
+		t.sys.MapFrame(t.sys.M.VM.Home(va), va, tempest.TagReadWrite, modeTableHome)
 	}
 }
 

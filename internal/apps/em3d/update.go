@@ -128,15 +128,11 @@ func (u *UpdateProtocol) SetupSegment(seg *vm.Segment) {
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
 		home := u.m.VM.Home(va)
-		pa := u.m.Mems[home].AllocFrame(mem.TagReadWrite)
-		frame := u.m.Mems[home].Frame(pa)
-		frame.Mode = ModeUpdateHome
-		frame.Home = home
+		frame := u.sys.MapFrame(home, va, mem.TagReadWrite, ModeUpdateHome)
 		frame.User = &updPage{
 			baseVA:  va,
 			sharers: make([][]int16, u.m.Mems[home].BlocksPerPage()),
 		}
-		u.m.VM.Table(home).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: ModeUpdateHome})
 		un := u.per[home]
 		un.homePages[seg.Base] = append(un.homePages[seg.Base], va)
 	}
@@ -166,15 +162,10 @@ func (u *UpdateProtocol) segState(node int, segBase mem.VA) *updSegState {
 func (u *UpdateProtocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, write bool) {
 	node := p.ID()
 	p.Compute(100)
-	home := u.m.VM.Home(va)
-	if home == node {
+	if u.m.VM.Home(va) == node {
 		panic(fmt.Sprintf("em3d-update: node %d faulted on its own home page %#x", node, va))
 	}
-	pa := u.m.Mems[node].AllocFrame(mem.TagInvalid)
-	frame := u.m.Mems[node].Frame(pa)
-	frame.Mode = ModeUpdateRemote
-	frame.Home = home
-	u.m.VM.Table(node).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: ModeUpdateRemote})
+	u.sys.MapFrame(node, va, mem.TagInvalid, ModeUpdateRemote)
 }
 
 // remoteFault requests a copy of the block from the home; writes to
@@ -210,7 +201,7 @@ func (u *UpdateProtocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 	segBase := u.segBaseOf(va)
 	epoch := u.per[np.Node()].flushEpoch[segBase]
 	data := np.ForceReadBlockScratch(va)
-	np.MemRef(mem.MakePA(np.Node(), uint64(1)<<39|(uint64(va)&((1<<38)-1))), true)
+	np.MemRef(mem.MakePA(np.Node(), uint64(1)<<39|(uint64(va)&((1<<38)-1))))
 	np.Charge(10)
 	np.SendReply(pkt.Src, hUpdData, []uint64{uint64(va), uint64(epoch)}, data)
 }

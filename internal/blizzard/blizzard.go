@@ -15,41 +15,27 @@ package blizzard
 
 import (
 	"github.com/tempest-sim/tempest/internal/machine"
-	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/stache"
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
-// Default software-Tempest costs. CheckOverhead models the inline
-// tag-test sequence a binary rewriter inserts before each shared load or
-// store; DispatchOverhead models trap/poll entry and exit on a commodity
-// processor, versus Typhoon's hardware-assisted dispatch.
-const (
-	DefaultCheckOverhead    sim.Time = 3
-	DefaultDispatchOverhead sim.Time = 50
-)
-
-// Config tunes the software implementation's costs; zero values select
-// the defaults.
-type Config = typhoon.SoftwareConfig
+// Config is empty: software Tempest's costs are the constants
+// typhoon.SoftwareCheckCycles and typhoon.SoftwareDispatchCycles.
+// NewStache accepts and ignores it, and the type stays only because the
+// repo benchmark's probes name it.
+type Config struct{}
 
 // New attaches a software Tempest system running the given (unmodified)
 // protocol to m.
-func New(m *machine.Machine, proto typhoon.Protocol, cfg Config) *typhoon.System {
-	if cfg.CheckOverhead == 0 {
-		cfg.CheckOverhead = DefaultCheckOverhead
-	}
-	if cfg.DispatchOverhead == 0 {
-		cfg.DispatchOverhead = DefaultDispatchOverhead
-	}
-	return typhoon.NewSoftware(m, proto, cfg)
+func New(m *machine.Machine, proto typhoon.Protocol) *typhoon.System {
+	return typhoon.NewSoftware(m, proto)
 }
 
 // NewStache attaches a software Tempest system running Stache — the
 // Blizzard configuration the differential and conformance suites compare
 // against Typhoon-Stache and DirNNB. Returning the protocol as well lets
 // callers reach its invariant checks and state digest.
-func NewStache(m *machine.Machine, cfg Config) (*typhoon.System, *stache.Protocol) {
+func NewStache(m *machine.Machine, _ Config) (*typhoon.System, *stache.Protocol) {
 	st := stache.New()
-	return New(m, st, cfg), st
+	return New(m, st), st
 }

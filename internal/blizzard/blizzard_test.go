@@ -17,7 +17,7 @@ func newBlizzard(t *testing.T, nodes int) (*machine.Machine, *stache.Protocol) {
 	t.Helper()
 	m := machine.New(machine.Config{Nodes: nodes, CacheSize: 4096, Seed: 1})
 	st := stache.New()
-	New(m, st, Config{})
+	New(m, st)
 	return m, st
 }
 
@@ -69,8 +69,8 @@ func TestInlineCheckOverheadCharged(t *testing.T) {
 		t0 = p.Ctx.Time()
 		p.ReadU64(priv) // private hit: 1 cycle, unchecked
 		privHit := p.Ctx.Time() - t0
-		if sharedHit != 1+DefaultCheckOverhead {
-			t.Errorf("shared hit cost %d, want %d", sharedHit, 1+DefaultCheckOverhead)
+		if sharedHit != 1+typhoon.SoftwareCheckCycles {
+			t.Errorf("shared hit cost %d, want %d", sharedHit, 1+typhoon.SoftwareCheckCycles)
 		}
 		if privHit != 1 {
 			t.Errorf("private hit cost %d, want 1", privHit)
@@ -101,7 +101,7 @@ func TestHandlerCyclesStolenFromCPU(t *testing.T) {
 	}
 	// Local miss (29) + 1 + check overhead alone is 33; the stolen GETS
 	// handler plus dispatch overhead must push it well past that.
-	if homeCost <= 33+DefaultDispatchOverhead {
+	if homeCost <= 33+typhoon.SoftwareDispatchCycles {
 		t.Errorf("home reference cost %d; handler cycles not stolen", homeCost)
 	}
 }
@@ -114,7 +114,7 @@ func TestSoftwareSlowerThanTyphoon(t *testing.T) {
 		m := machine.New(machine.Config{Nodes: 4, CacheSize: 4096, Seed: 1})
 		st := stache.New()
 		if software {
-			New(m, st, Config{})
+			New(m, st)
 		} else {
 			typhoon.New(m, st)
 		}
@@ -147,7 +147,7 @@ func TestSoftwareSlowerThanTyphoon(t *testing.T) {
 func TestCustomProtocolPortable(t *testing.T) {
 	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096, Seed: 1})
 	st := stache.New(stache.WithMigratory())
-	sys := New(m, st, Config{CheckOverhead: 2, DispatchOverhead: 30})
+	sys := New(m, st)
 	if sys == nil {
 		t.Fatal("nil system")
 	}

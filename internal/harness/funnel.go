@@ -145,15 +145,3 @@ func (pt Point) Simulate() (RunResult, error) {
 	}
 	return pt.run(nil)
 }
-
-// Run executes a caller-supplied app on system and verifies the result:
-// the funnel's entry for programs that are not sweep points. The update
-// protocol's app needs its protocol handle, so SysUpdate runs only as a
-// Point.
-func Run(cfg machine.Config, system System, app apps.App) (RunResult, error) {
-	pt := Point{Cfg: cfg, System: system, Bench: app.Name()}
-	if system == SysUpdate {
-		return RunResult{}, fmt.Errorf("harness: %s: %s runs only as a Point (its app needs the protocol handle)", pt.Label(), system)
-	}
-	return pt.run(app)
-}

@@ -171,7 +171,7 @@ func (a *badSendApp) Verify(*machine.Machine) error { return nil }
 // for setup-time panics.
 func TestNetworkErrorSurfaced(t *testing.T) {
 	cfg := MachineConfig(ScaleReduced, 16<<10)
-	_, err := Run(cfg, SysDirNNB, &badSendApp{})
+	_, err := Point{Cfg: cfg, System: SysDirNNB, Bench: "bad-send"}.run(&badSendApp{})
 	var nerr *network.Error
 	if !errors.As(err, &nerr) {
 		t.Fatalf("err = %v, want *network.Error", err)
@@ -204,7 +204,7 @@ func (a *badDeliveryApp) Body(p *machine.Proc) {
 // now, labelled like every other, with the cause still structured.
 func TestEventPanicFailsThePoint(t *testing.T) {
 	cfg := MachineConfig(ScaleReduced, 16<<10)
-	_, err := Run(cfg, SysDirNNB, &badDeliveryApp{})
+	_, err := Point{Cfg: cfg, System: SysDirNNB, Bench: "bad-send"}.run(&badDeliveryApp{})
 	var nerr *network.Error
 	if !errors.As(err, &nerr) || nerr.Op != "deliver" {
 		t.Fatalf("err = %v, want the endpoint's *network.Error", err)

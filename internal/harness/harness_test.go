@@ -2,12 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/tempest-sim/tempest/internal/apps/appbt"
+	"github.com/tempest-sim/tempest/internal/apps/barnes"
+	"github.com/tempest-sim/tempest/internal/apps/em3d"
+	"github.com/tempest-sim/tempest/internal/apps/mp3d"
+	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/sim"
 )
 
@@ -379,4 +385,24 @@ func TestAblationSoftwareTempest(t *testing.T) {
 			t.Errorf("%s software/typhoon ratio %.2f outside plausible (1.05, 10]", name, sw/hw)
 		}
 	}
+}
+
+// describe renders an app's Table 3 row for TestTable3PaperSizes.
+func describe(a interface{ Name() string }) string {
+	switch app := a.(type) {
+	case *appbt.App:
+		n := app.Config().N
+		return fmt.Sprintf("%dx%dx%d", n, n, n)
+	case *barnes.App:
+		return fmt.Sprintf("%d bodies", app.Config().Bodies)
+	case *mp3d.App:
+		return fmt.Sprintf("%d mols", app.Config().Mols)
+	case *ocean.App:
+		n := app.Config().N
+		return fmt.Sprintf("%dx%d grid", n, n)
+	case *em3d.App:
+		c := app.Config()
+		return fmt.Sprintf("%d nodes, degree %d", c.TotalNodes, c.Degree)
+	}
+	return "unknown"
 }

@@ -1,13 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
-	"github.com/tempest-sim/tempest/internal/apps/appbt"
-	"github.com/tempest-sim/tempest/internal/apps/barnes"
-	"github.com/tempest-sim/tempest/internal/apps/em3d"
-	"github.com/tempest-sim/tempest/internal/apps/mp3d"
-	"github.com/tempest-sim/tempest/internal/apps/ocean"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/sim"
@@ -53,24 +46,4 @@ func MeasureRefetch(cfg machine.Config, system System) (sim.Time, error) {
 		return 0, err
 	}
 	return total / rounds, nil
-}
-
-// describe renders an app's Table 3 row for tests and reports.
-func describe(a interface{ Name() string }) string {
-	switch app := a.(type) {
-	case *appbt.App:
-		n := app.Config().N
-		return fmt.Sprintf("%dx%dx%d", n, n, n)
-	case *barnes.App:
-		return fmt.Sprintf("%d bodies", app.Config().Bodies)
-	case *mp3d.App:
-		return fmt.Sprintf("%d mols", app.Config().Mols)
-	case *ocean.App:
-		n := app.Config().N
-		return fmt.Sprintf("%dx%d grid", n, n)
-	case *em3d.App:
-		c := app.Config()
-		return fmt.Sprintf("%d nodes, degree %d", c.TotalNodes, c.Degree)
-	}
-	return "unknown"
 }

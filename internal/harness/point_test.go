@@ -396,7 +396,7 @@ func TestLocalExecutorMatchesDirectRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(pt.Cfg, pt.System, app)
+		want, err := Point{Cfg: pt.Cfg, System: pt.System, Bench: app.Name()}.run(app)
 		if err != nil {
 			t.Fatal(err)
 		}

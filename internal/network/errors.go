@@ -8,7 +8,7 @@ import "fmt"
 // produced by negative arithmetic that wrapped to a huge unsigned value
 // (e.g. bad -link-bw math in a config sweep). Send panics with an
 // *Error; the engine's context and event recovery wraps (not flattens)
-// error values, so harness.Run can errors.As the failure out of the run
+// error values, so the harness can errors.As the failure out of the run
 // error and report it per sweep point instead of crashing a whole sweep
 // — the same contract as *dirnnb.Error.
 type Error struct {

@@ -50,11 +50,7 @@ func (st *Protocol) handleCheckIn(np *typhoon.NP, pkt *network.Packet) {
 		st.per[np.Node()].hot.checkins++
 		st.per[np.Node()].hot.wbCleanBlocks++
 		ns.wbOutstanding[va] = true
-		bi := int(va.PageOffset()) / st.bs
-		masks := make([]uint64, bi/64+1)
-		masks[bi/64] = 1 << (bi % 64)
-		np.Charge(4)
-		np.SendRequest(home, HWbClean, append([]uint64{uint64(va.PageBase())}, masks...), nil)
+		st.dropClean(np, va)
 	default:
 		// Invalid or Busy (a fault or prefetch in flight): leave it be.
 		np.Charge(2)

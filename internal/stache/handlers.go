@@ -9,12 +9,9 @@ import (
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
-// Virtual-network aliases: coherence requests ride the low-priority
-// network, data and acknowledgements the high-priority one (§5.1).
-const (
-	netRequest = network.VNetRequest
-	netReply   = network.VNetReply
-)
+// netRequest is the low-priority network coherence requests ride; data
+// and acknowledgements take the high-priority one (§5.1).
+const netRequest = network.VNetRequest
 
 // dirAt resolves the home-side directory entry for a block-aligned va on
 // np's node, charging one NP data-cache reference for the lookup. A home
@@ -36,7 +33,7 @@ func (st *Protocol) dirAt(np *typhoon.NP, va mem.VA) (*blockDir, *mem.Frame, mem
 	}
 	bi := int(va.PageOffset()) / st.bs
 	synth := dirAddr(np.Node(), pa.FrameBase().Offset(), bi)
-	np.MemRef(synth, false)
+	np.MemRef(synth)
 	return &hd.blocks[bi], frame, synth
 }
 
@@ -248,11 +245,11 @@ func (st *Protocol) handleGetS(np *typhoon.NP, pkt *network.Packet) {
 		np.SetTag(va, mem.TagReadOnly)
 		d.state = dirShared
 		d.sharers.add(r)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		st.replyData(np, r, va, HDataRO)
 	case dirShared:
 		d.sharers.add(r)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		st.replyData(np, r, va, HDataRO)
 	case dirExclusive:
 		st.startRecall(np, va, d, synth, pendRemoteRead, r, false, invalDowngrade)
@@ -310,7 +307,7 @@ func (st *Protocol) grantWrite(np *typhoon.NP, va mem.VA, d *blockDir, synth mem
 		st.invalidateSharers(np, va, d)
 		// The home's own copy dies now.
 		np.Invalidate(va)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		np.Charge(costHomeRespExtra)
 	case dirExclusive:
 		st.startRecall(np, va, d, synth, pendRemoteWrite, r, upgrade, invalKill)
@@ -330,7 +327,7 @@ func (st *Protocol) grantExclusive(np *typhoon.NP, va mem.VA, d *blockDir, synth
 	d.state = dirExclusive
 	d.owner = int8(r)
 	d.sharers.clear()
-	np.MemRef(synth, true)
+	np.MemRef(synth)
 	np.Charge(costHomeRespExtra)
 	if upgAck {
 		np.SendReply(r, HUpgAck, []uint64{uint64(va)}, nil)
@@ -364,7 +361,7 @@ func (st *Protocol) startRecall(np *typhoon.NP, va mem.VA, d *blockDir, synth me
 	d.owner = -1
 	d.waiting.clear()
 	d.waiting.add(owner)
-	np.MemRef(synth, true)
+	np.MemRef(synth)
 	st.per[np.Node()].hot.invalsSent++
 	np.Charge(costHomeRespExtra)
 	np.SendRequest(owner, HInval, []uint64{uint64(va), inval}, nil)
@@ -378,7 +375,7 @@ func (st *Protocol) startHomeInvalidate(np *typhoon.NP, va mem.VA, d *blockDir, 
 	d.pendReq = -1
 	d.set(flagPendDirty, false)
 	st.invalidateSharers(np, va, d)
-	np.MemRef(synth, true)
+	np.MemRef(synth)
 	np.Charge(costHomeRespExtra)
 }
 
@@ -421,7 +418,7 @@ func (st *Protocol) handleInvalAck(np *typhoon.NP, pkt *network.Packet) {
 		np.ForceWriteBlock(va, pkt.Data)
 		d.set(flagPendDirty, true)
 	}
-	np.MemRef(synth, true)
+	np.MemRef(synth)
 	np.Charge(costAckExtra)
 	if d.waiting.count() == 0 {
 		st.completePend(np, va, d, synth)
@@ -445,7 +442,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		}
 		d.sharers.add(r)
 		np.SetTag(va, mem.TagReadOnly)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		st.replyData(np, r, va, HDataRO)
 	case pendRemoteWrite:
 		r := int(d.pendReq)
@@ -457,7 +454,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 			// is actually read-shared: stop migrating it.
 			d.set(flagMigratory, false)
 		}
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		np.Charge(costHomeRespExtra)
 		if d.has(flagPendUpgrade) {
 			np.SendReply(r, HUpgAck, []uint64{uint64(va)}, nil)
@@ -472,7 +469,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 			d.sharers.add(int(d.pendOwner))
 		}
 		np.SetTag(va, mem.TagReadOnly)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		np.Charge(costDataArriveExtra)
 		np.Resume(np.Proc())
 	case pendHomeWrite:
@@ -480,7 +477,7 @@ func (st *Protocol) completePend(np *typhoon.NP, va mem.VA, d *blockDir, synth m
 		d.owner = -1
 		d.sharers.clear()
 		np.SetTag(va, mem.TagReadWrite)
-		np.MemRef(synth, true)
+		np.MemRef(synth)
 		np.Charge(costDataArriveExtra)
 		np.Resume(np.Proc())
 	default:
@@ -552,7 +549,7 @@ func (st *Protocol) handleWbDirty(np *typhoon.NP, pkt *network.Packet) {
 	if current {
 		np.ForceWriteBlock(va, pkt.Data)
 	}
-	np.MemRef(synth, true)
+	np.MemRef(synth)
 	np.Charge(costWbExtra)
 	switch {
 	case d.state == dirBusy && d.waiting.has(src):
@@ -600,13 +597,13 @@ func (st *Protocol) handleWbClean(np *typhoon.NP, pkt *network.Packet) {
 					d.pendOwner = -1
 				}
 				d.waiting.remove(src)
-				np.MemRef(synth, true)
+				np.MemRef(synth)
 				if d.waiting.count() == 0 {
 					st.completePend(np, va, d, synth)
 				}
 			case d.state == dirShared:
 				d.sharers.remove(src)
-				np.MemRef(synth, true)
+				np.MemRef(synth)
 				if d.sharers.count() == 0 {
 					d.state = dirIdle
 				}
@@ -616,26 +613,37 @@ func (st *Protocol) handleWbClean(np *typhoon.NP, pkt *network.Packet) {
 				d.owner = -1
 				d.state = dirIdle
 				np.SetTag(va, mem.TagReadWrite)
-				np.MemRef(synth, true)
+				np.MemRef(synth)
 			}
 		}
 	}
 }
 
 // consumeOrphan drops one orphaned reply for va and tells the home this
-// node holds no copy (a one-block clean drop; the orphaned requester
-// never observed the data, so the home copy is current).
+// node holds no copy (the orphaned requester never observed the data,
+// so the home copy is current) — unless a newer request for the block
+// has left this node. The home then serves that request before any drop
+// sent now, and re-grants the residency the drop would take back.
 func (st *Protocol) consumeOrphan(np *typhoon.NP, va mem.VA, ns *nodeState) {
 	ns.orphans[va]--
 	if ns.orphans[va] == 0 {
 		delete(ns.orphans, va)
 	}
-	home := st.m.VM.Home(va)
+	if ns.pendingValid && ns.pendingVA == va || ns.prefetching[va] {
+		np.Charge(1)
+		return
+	}
+	st.dropClean(np, va)
+}
+
+// dropClean sends va's home a one-block clean drop: this node holds no
+// copy of the block it was granted.
+func (st *Protocol) dropClean(np *typhoon.NP, va mem.VA) {
 	bi := int(va.PageOffset()) / st.bs
 	masks := make([]uint64, bi/64+1)
 	masks[bi/64] = 1 << (bi % 64)
 	np.Charge(4)
-	np.SendRequest(home, HWbClean, append([]uint64{uint64(va.PageBase())}, masks...), nil)
+	np.SendRequest(st.m.VM.Home(va), HWbClean, append([]uint64{uint64(va.PageBase())}, masks...), nil)
 }
 
 // nack tells the requester to retry later.

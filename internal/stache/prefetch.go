@@ -50,9 +50,9 @@ func (st *Protocol) handlePrefetch(np *typhoon.NP, pkt *network.Packet) {
 }
 
 // prefetchFill completes a data reply that has no matching demand fault:
-// it belongs to an outstanding prefetch (or to a prefetch whose page was
-// replaced while the data was in flight, in which case the residency is
-// dropped back at the home).
+// it belongs to an outstanding prefetch. The prefetched block is Busy
+// until this reply, and replacePage orphans every Busy block's prefetch,
+// so the page is still mapped here.
 func (st *Protocol) prefetchFill(np *typhoon.NP, pkt *network.Packet, tag mem.Tag) bool {
 	va := mem.VA(pkt.Args[0])
 	ns := st.per[np.Node()]
@@ -61,22 +61,9 @@ func (st *Protocol) prefetchFill(np *typhoon.NP, pkt *network.Packet, tag mem.Ta
 	}
 	delete(ns.prefetching, va)
 	delete(ns.wbOutstanding, va)
-	_, pte, ok := np.Translate(va)
-	if !ok || pte.Mode != ModeRemote {
-		// The page was replaced while the prefetch was in flight; tell
-		// the home we hold nothing (a one-block clean drop).
-		home := st.m.VM.Home(va)
-		bi := int(va.PageOffset()) / st.bs
-		masks := make([]uint64, bi/64+1)
-		masks[bi/64] = 1 << (bi % 64)
-		ns.wbOutstanding[va] = true
-		np.Charge(4)
-		np.SendRequest(home, HWbClean, append([]uint64{uint64(va.PageBase())}, masks...), nil)
-		return true
-	}
 	np.ForceWriteBlock(va, pkt.Data)
 	np.SetTag(va, tag)
 	np.Charge(costDataArriveExtra)
-	st.per[np.Node()].hot.prefetchFills++
+	ns.hot.prefetchFills++
 	return true
 }

@@ -207,31 +207,13 @@ func (st *Protocol) System() *typhoon.System { return st.sys }
 // allocates the frame, maps the page at the shared virtual address with
 // every block ReadWrite, and records the home binding in the distributed
 // mapping table (§3). The per-block directory waits for the first
-// handler that consults it (dirAt). Pages of custom segments (mode >=
-// ModeNextFree) get the same home-page structure under their own mode
-// so layered protocols can override the fault handlers.
+// handler that consults it (dirAt). Protocols layered above Stache set
+// up their own segments' pages.
 func (st *Protocol) SetupSegment(seg *vm.Segment) {
-	homeMode := ModeHome
-	if seg.Mode >= ModeNextFree {
-		homeMode = seg.Mode
-	}
 	for i := 0; i < seg.Pages(); i++ {
 		va := seg.Base + mem.VA(i*mem.PageSize)
-		home := st.m.VM.Home(va)
-		pa := st.m.Mems[home].AllocFrame(mem.TagReadWrite)
-		frame := st.m.Mems[home].Frame(pa)
-		frame.Mode = homeMode
-		frame.Home = home
-		st.m.VM.Table(home).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: homeMode})
+		st.sys.MapFrame(st.m.VM.Home(va), va, mem.TagReadWrite, ModeHome)
 	}
-}
-
-// remoteModeFor returns the page mode stache pages of this segment use.
-func (st *Protocol) remoteModeFor(segMode int) int {
-	if segMode >= ModeNextFree {
-		return segMode + 1
-	}
-	return ModeRemote
 }
 
 // BlockBase returns va rounded down to its coherence block.
@@ -245,23 +227,13 @@ func (st *Protocol) pageFault(sys *typhoon.System, p *machine.Proc, va mem.VA, w
 	node := p.ID()
 	st.per[node].hot.pageFaults++
 	p.Compute(costPageFault)
-	home := st.m.VM.Home(va)
-	if home == node {
+	if st.m.VM.Home(va) == node {
 		panic(fmt.Sprintf("stache: node %d page-faulted on its own home page %#x", node, va))
-	}
-	seg := st.m.VM.SegmentOf(va)
-	if seg == nil {
-		panic(fmt.Sprintf("stache: %#x not in any shared segment", va))
 	}
 	if st.maxPages > 0 && len(st.per[node].fifo) >= st.maxPages {
 		st.replacePage(p)
 	}
-	pa := st.m.Mems[node].AllocFrame(mem.TagInvalid)
-	mode := st.remoteModeFor(seg.Mode)
-	frame := st.m.Mems[node].Frame(pa)
-	frame.Mode = mode
-	frame.Home = home
-	st.m.VM.Table(node).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: mode})
+	st.sys.MapFrame(node, va, mem.TagInvalid, ModeRemote)
 	st.per[node].fifo = append(st.per[node].fifo, va.PageBase())
 }
 

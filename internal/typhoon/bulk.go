@@ -162,13 +162,20 @@ func (np *NP) bulkDoneHandler(pkt *network.Packet) {
 // CPU writes the destination register, data words, and end-of-message
 // marker across the MBus to the NP's separate CPU send queue (§5.1).
 func (s *System) Send(p *machine.Proc, vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
-	p.Ctx.Advance(SendCost(len(args), len(data)))
+	s.send(p.Ctx, p.ID(), vnet, dst, handler, args, data)
+}
+
+// send is the one send path under the CPU's and the NP's: it charges
+// c, the sending context, SendCost and hands the packet to the network,
+// fragmenting it when it exceeds the twenty-word packet limit.
+func (s *System) send(c *sim.Context, src int, vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
+	c.Advance(SendCost(len(args), len(data)))
 	pkt := &network.Packet{
-		Src: p.ID(), Dst: dst, VNet: vnet,
+		Src: src, Dst: dst, VNet: vnet,
 		Handler: handler, Args: args, Data: data,
 	}
 	if pkt.PayloadBytes() > network.MaxPayloadBytes {
-		s.sendFragmented(p.Ctx.Advance, p.ID(), vnet, dst, handler, args, data)
+		s.sendFragmented(c, src, vnet, dst, handler, args, data)
 		return
 	}
 	s.M.Net.Send(pkt)

@@ -36,10 +36,9 @@ type fragKey struct {
 
 // sendFragmented splits an oversized message. The header carries the
 // real handler, a stream ID, the argument words, and the total data
-// length; each fragment carries the stream ID and up to fragChunk bytes.
-// advance charges the sending context (the NP's clock, or the CPU's for
-// processor-initiated sends).
-func (s *System) sendFragmented(advance func(sim.Time), src int, vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
+// length; each fragment carries the stream ID and up to fragChunk bytes,
+// and c, the sending context, pays its block transfer.
+func (s *System) sendFragmented(c *sim.Context, src int, vnet network.VNet, dst int, handler uint32, args []uint64, data []byte) {
 	s.fragSeqs[src]++
 	stream := s.fragSeqs[src]
 	head := append([]uint64{uint64(handler), uint64(len(data)), stream}, args...)
@@ -51,7 +50,7 @@ func (s *System) sendFragmented(advance func(sim.Time), src int, vnet network.VN
 		if end > len(data) {
 			end = len(data)
 		}
-		advance(BlockXferCycles * sim.Time((end-off+31)/32))
+		c.Advance(BlockXferCycles * sim.Time((end-off+31)/32))
 		s.M.Net.Send(&network.Packet{
 			Src: src, Dst: dst, VNet: vnet, Handler: hFragData,
 			Args: []uint64{stream}, Data: data[off:end],

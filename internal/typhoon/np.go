@@ -131,7 +131,7 @@ func (np *NP) DispatchMessage(c *sim.Context, pkt *network.Packet) {
 	if tr := np.sys.M.Net.Tracer; tr != nil {
 		tr.Emit(trace.Event{T: c.Time(), Node: np.node, Kind: trace.KMsgRecv, Aux: uint64(pkt.Handler)})
 	}
-	c.Advance(DispatchCycles + np.sys.software.DispatchOverhead)
+	c.Advance(DispatchCycles + np.sys.dispatchOverhead)
 	t0 := c.Time()
 	c.BeginNoBlock() // handlers run to completion: a Park in one is a bug
 	h(np, pkt)
@@ -149,7 +149,7 @@ func (np *NP) stealFromCPU(c *sim.Context, t0 sim.Time) {
 	// A pending quantum yield precedes publishing the stolen cycles;
 	// a resume's yield waits for the step boundary, after them.
 	c.Sync()
-	np.sys.M.StealCycles(np.node, c.Time()-t0+np.sys.software.DispatchOverhead)
+	np.sys.M.StealCycles(np.node, c.Time()-t0+SoftwareDispatchCycles)
 }
 
 // HasUrgent implements agent.Work: a logged block access fault outranks
@@ -178,7 +178,7 @@ func (np *NP) runFault(c *sim.Context, f Fault) {
 	np.hot.dispatches++
 	np.hot.faultHandlers++
 	c.SyncTo(f.PostedAt)
-	c.Advance(DispatchCycles + np.sys.software.DispatchOverhead)
+	c.Advance(DispatchCycles + np.sys.dispatchOverhead)
 	t0 := c.Time()
 	c.BeginNoBlock()
 	ops.BlockFault(np, f)
@@ -196,15 +196,10 @@ func (np *NP) Charge(n int) {
 
 // MemRef times one handler data-structure reference (directory state,
 // per-page bookkeeping) through the NP data cache: one cycle on a hit,
-// a local memory access on a miss.
-func (np *NP) MemRef(addr mem.PA, write bool) {
-	hit, upgrade := np.dcache.Probe(addr, write)
-	if hit {
-		np.ctx.Advance(1)
-		return
-	}
-	if upgrade {
-		np.dcache.Upgrade(addr)
+// a local memory access on a miss. The cache fills every line
+// Exclusive, so a write costs what a read does.
+func (np *NP) MemRef(addr mem.PA) {
+	if np.dcache.Hit(addr, false) {
 		np.ctx.Advance(1)
 		return
 	}
@@ -340,21 +335,11 @@ func (np *NP) ForceWriteU64(va mem.VA, v uint64) {
 	np.Mem().WriteU64(pa, v)
 }
 
-// ForceReadBlock copies va's whole block into a fresh buffer using the
-// block-transfer unit.
-func (np *NP) ForceReadBlock(va mem.VA) []byte {
-	pa := np.mustTranslate(va)
-	np.ctx.Advance(BlockXferCycles)
-	buf := make([]byte, np.Mem().BlockSize())
-	np.Mem().ReadBlock(pa, buf)
-	return buf
-}
-
-// ForceReadBlockScratch is ForceReadBlock into the NP's block staging
-// buffer: same timing, no allocation. The returned slice is valid only
-// until the next scratch read on this NP — use it for read-and-send
-// (Network.Send copies on send), not for data a handler holds across
-// another block read.
+// ForceReadBlockScratch copies va's whole block, regardless of tags,
+// into the NP's block staging buffer through the block-transfer unit.
+// The returned slice is valid only until the next scratch read on this
+// NP — use it for read-and-send (Network.Send copies on send), not for
+// data a handler holds across another block read.
 func (np *NP) ForceReadBlockScratch(va mem.VA) []byte {
 	pa := np.mustTranslate(va)
 	np.ctx.Advance(BlockXferCycles)
@@ -391,16 +376,7 @@ func (np *NP) Send(vnet network.VNet, dst int, handler uint32, args []uint64, da
 	if tr := np.sys.M.Net.Tracer; tr != nil {
 		tr.Emit(trace.Event{T: np.ctx.Time(), Node: np.node, Kind: trace.KMsgSend, Aux: uint64(handler)})
 	}
-	np.ctx.Advance(SendCost(len(args), len(data)))
-	pkt := &network.Packet{
-		Src: np.node, Dst: dst, VNet: vnet,
-		Handler: handler, Args: args, Data: data,
-	}
-	if pkt.PayloadBytes() > network.MaxPayloadBytes {
-		np.sys.sendFragmented(np.ctx.Advance, np.node, vnet, dst, handler, args, data)
-		return
-	}
-	np.sys.M.Net.Send(pkt)
+	np.sys.send(np.ctx, np.node, vnet, dst, handler, args, data)
 }
 
 // SendRequest sends on the low-priority request network.

@@ -54,6 +54,16 @@ const (
 	// tag already permits the write: the NP lets it pass.
 	UpgradeGrantCycles sim.Time = 5
 
+	// SoftwareCheckCycles and SoftwareDispatchCycles are software
+	// Tempest's costs (NewSoftware; the "native version for existing
+	// machines" the paper's §2 announces, realised later as Blizzard).
+	// With no custom hardware, the inline tag test a binary rewriter
+	// inserts runs before every shared reference, hit or miss, and each
+	// handler dispatch pays trap or poll entry and exit on the main
+	// processor instead of Typhoon's hardware-assisted dispatch.
+	SoftwareCheckCycles    sim.Time = 3
+	SoftwareDispatchCycles sim.Time = 50
+
 	// NPCacheSize and NPCacheWays describe the NP data cache (Table 2:
 	// 16 KB, 2-way). Handler data structures (directories, per-page
 	// state) are timed through it.
@@ -130,33 +140,17 @@ type Protocol interface {
 	SetupSegment(seg *vm.Segment)
 }
 
-// SoftwareConfig sets the costs of a software Tempest implementation
-// (NewSoftware; the "native version for existing machines" the paper's
-// §2 announces, realised later as Blizzard): no custom hardware, so
-// access checks run inline before every shared reference and protocol
-// handlers execute on the node's main processor, stealing its cycles.
-// internal/blizzard names it Config and owns its defaults.
-type SoftwareConfig struct {
-	// CheckOverhead is charged on every shared reference, hit or miss —
-	// the inline tag test a binary rewriter inserts.
-	CheckOverhead sim.Time
-	// DispatchOverhead is the extra cost per handler dispatch (interrupt
-	// or poll entry/exit on the main processor, versus Typhoon's
-	// hardware-assisted dispatch).
-	DispatchOverhead sim.Time
-}
-
 // System is the Typhoon memory system: one NP per node plus the handler
 // and page-mode registries shared by all nodes (every node runs the same
 // program image).
 type System struct {
 	M     *machine.Machine
 	proto Protocol
-	// software holds software Tempest's costs and onCPU marks it:
-	// handlers run on the compute processor and steal its cycles. Both
-	// are zero on hardware Typhoon.
-	software SoftwareConfig
-	onCPU    bool
+	// onCPU marks software Tempest: handlers run on the compute
+	// processor and steal its cycles, and dispatchOverhead is
+	// SoftwareDispatchCycles. Both are zero on hardware Typhoon.
+	onCPU            bool
+	dispatchOverhead sim.Time
 
 	nps []*NP
 	// handlers and modes are the dispatch tables, indexed by handler ID
@@ -175,24 +169,27 @@ var _ machine.MemSystem = (*System)(nil)
 // New attaches a Typhoon memory system running the given protocol to m:
 // the hardware NP, handlers dispatched off the compute processor.
 func New(m *machine.Machine, proto Protocol) *System {
-	return newSystem(m, proto, SoftwareConfig{}, false)
+	return newSystem(m, proto, false)
 }
 
 // NewSoftware attaches a software Tempest implementation running the
-// given (unmodified) protocol to m, at cfg's costs.
-func NewSoftware(m *machine.Machine, proto Protocol, cfg SoftwareConfig) *System {
-	return newSystem(m, proto, cfg, true)
+// given (unmodified) protocol to m: every shared reference pays
+// SoftwareCheckCycles, every handler dispatch SoftwareDispatchCycles.
+func NewSoftware(m *machine.Machine, proto Protocol) *System {
+	return newSystem(m, proto, true)
 }
 
-func newSystem(m *machine.Machine, proto Protocol, software SoftwareConfig, onCPU bool) *System {
+func newSystem(m *machine.Machine, proto Protocol, onCPU bool) *System {
 	s := &System{
 		M:        m,
 		proto:    proto,
-		software: software,
 		onCPU:    onCPU,
 		fragSeqs: make([]uint64, m.Cfg.Nodes),
 	}
-	m.PerRefOverhead = software.CheckOverhead
+	if onCPU {
+		s.dispatchOverhead = SoftwareDispatchCycles
+		m.PerRefOverhead = SoftwareCheckCycles
+	}
 	for i := 0; i < m.Cfg.Nodes; i++ {
 		np := &NP{
 			sys:      s,
@@ -244,9 +241,6 @@ func (s *System) Counters() *stats.Counters {
 	}
 	return c
 }
-
-// Protocol returns the attached protocol.
-func (s *System) Protocol() Protocol { return s.proto }
 
 // NP returns node's network-interface processor.
 func (s *System) NP(node int) *NP { return s.nps[node] }
@@ -320,6 +314,21 @@ func (s *System) pageMode(mode int) *PageModeOps {
 		return s.modes[mode]
 	}
 	return nil
+}
+
+// MapFrame installs a page on node, the one page install every protocol
+// shares (user-level virtual-memory management, §2.3): it allocates a
+// frame with every block tagged tag, records mode and va's home in the
+// frame, and maps va's page writable under mode. The returned frame
+// carries the protocol's per-page state (User).
+func (s *System) MapFrame(node int, va mem.VA, tag mem.Tag, mode int) *mem.Frame {
+	m := s.M.Mems[node]
+	pa := m.AllocFrame(tag)
+	f := m.Frame(pa)
+	f.Mode = mode
+	f.Home = s.M.VM.Home(va)
+	s.M.VM.Table(node).Map(va.VPN(), vm.PTE{PA: pa, Writable: true, Mode: mode})
+	return f
 }
 
 // SetupSegment implements machine.MemSystem by delegating to the

@@ -170,6 +170,56 @@ func TestBulkTransferMovesData(t *testing.T) {
 	}
 }
 
+// TestBulkTransferChunksAtPageBoundaries moves 2×4096+40 bytes from 8
+// bytes before a page boundary on node 0 to 24 bytes into a page on node
+// 1, so each of runBulkChunk's three clamps cuts a chunk: the source page
+// boundary (the first chunk, 8 bytes), the destination page boundary (a
+// 32-byte chunk once the destination reaches 32 bytes short of a page)
+// and the partial last chunk (32 bytes).
+func TestBulkTransferChunksAtPageBoundaries(t *testing.T) {
+	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096, Seed: 1})
+	sys := New(m, &nullProto{})
+	const n = 2*mem.PageSize + 40
+	srcVA := m.AllocPrivate(0, 4*mem.PageSize) + mem.PageSize - 8
+	dstBase := m.AllocPrivate(1, 4*mem.PageSize)
+	dstVA := dstBase + 24
+	word := func(node int, va mem.VA) uint64 {
+		pa, _, _ := m.VM.Translate(node, va)
+		return m.Mems[node].ReadU64(pa)
+	}
+	for i := 0; i < n; i += 8 {
+		pa, _, _ := m.VM.Translate(0, srcVA+mem.VA(i))
+		m.Mems[0].WriteU64(pa, uint64(i)*3+1)
+	}
+	res, err := m.Run(func(p *machine.Proc) {
+		if p.ID() == 0 {
+			sys.BulkTransfer(p, 1, srcVA, dstVA, n).Wait(p)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 8 {
+		if got := word(1, dstVA+mem.VA(i)); got != uint64(i)*3+1 {
+			t.Fatalf("dst[%d] = %d, want %d", i, got, uint64(i)*3+1)
+		}
+	}
+	for va := dstBase; va < dstVA; va += 8 {
+		if got := word(1, va); got != 0 {
+			t.Errorf("%d bytes before the destination hold %d", dstVA-va, got)
+		}
+	}
+	if got := word(1, dstVA+n); got != 0 {
+		t.Errorf("the word after the destination holds %d", got)
+	}
+	// One 8-byte chunk to the source boundary; then, per 4096 bytes, 63
+	// full chunks, a 32-byte chunk to the destination boundary and a
+	// 32-byte chunk to the next source boundary; then the last 32 bytes.
+	if got, want := res.Counters.Get("np.bulk_packets"), uint64(1+2*(63+2)+1); got != want {
+		t.Errorf("np.bulk_packets = %d, want %d", got, want)
+	}
+}
+
 func TestBulkTransferOverlapsComputation(t *testing.T) {
 	m := machine.New(machine.Config{Nodes: 2, CacheSize: 4096, Seed: 1})
 	sys := New(m, &nullProto{})
@@ -339,7 +389,7 @@ func TestTagOpsFromHandler(t *testing.T) {
 		if got := np.ForceReadU64(va); got != 777 {
 			t.Errorf("force round trip = %d", got)
 		}
-		blk := np.ForceReadBlock(va)
+		blk := np.ForceReadBlockScratch(va)
 		np.ForceWriteBlock(va, blk)
 		np.Invalidate(va)
 		observed = append(observed, np.ReadTag(va))
@@ -400,13 +450,13 @@ func TestNPMemRefCacheBehaviour(t *testing.T) {
 	sys.RegisterHandler(hRef, func(np *NP, pkt *network.Packet) {
 		addr := mem.MakePA(0, uint64(1)<<38)
 		t0 := np.Time()
-		np.MemRef(addr, false) // cold: local miss
+		np.MemRef(addr) // cold: local miss
 		costs = append(costs, np.Time()-t0)
 		t0 = np.Time()
-		np.MemRef(addr, false) // warm read hit
+		np.MemRef(addr) // warm read hit
 		costs = append(costs, np.Time()-t0)
 		t0 = np.Time()
-		np.MemRef(addr, true) // write hit (exclusive fill)
+		np.MemRef(addr) // a write hits too: every line fills Exclusive
 		costs = append(costs, np.Time()-t0)
 	})
 	if _, err := m.Run(func(p *machine.Proc) {

@@ -248,9 +248,6 @@ func NewSystem(mems []*mem.Memory) *System {
 	return s
 }
 
-// Nodes returns the node count.
-func (s *System) Nodes() int { return s.nodes }
-
 // Table returns node's page table.
 func (s *System) Table(node int) *PageTable { return s.tables[node] }
 
@@ -336,10 +333,4 @@ func (s *System) Translate(node int, va mem.VA) (mem.PA, PTE, bool) {
 		return 0, PTE{}, false
 	}
 	return pte.PA.FrameBase() + mem.PA(va.PageOffset()), pte, true
-}
-
-// MapPage installs a writable translation for va's page with the given
-// mode — the common protocol-handler idiom.
-func (pt *PageTable) MapPage(va mem.VA, pa mem.PA, mode int) {
-	pt.Map(va.VPN(), PTE{PA: pa.FrameBase(), Writable: true, Mode: mode})
 }

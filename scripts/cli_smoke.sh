@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# cli-smoke: the command-line gate for the five binaries.
+# cli-smoke: the command-line gate for the five binaries and the four
+# examples.
 #
 # Builds each binary once, runs one real simulation through the shared
 # flag block and one ablation sweep (the EM3D protocol chain), then hands every sweep binary one bad shared flag and
 # requires exit status 2 with the flag's name on stderr — the validation
 # lives in one place (internal/harness/flags.go), and this checks every
-# binary is actually wired to it.
+# binary is actually wired to it. Each example runs once: it exits
+# non-zero on a wrong answer, and is the only program that calls some of
+# the Tempest API (page-grain force accesses, Stache.Prefetch,
+# BulkTransfer).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +27,22 @@ grep -q "verified against sequential reference: ok" "$tmp/run"
 # ablations is the one way to regenerate the ablation tables: one sweep.
 "$tmp/ablations" -only em3d -j 1 >"$tmp/ablation"
 grep -q "EM3D protocol chain" "$tmp/ablation"
+
+# example <name> <line>: the example exits 0 and prints the stable line.
+example() {
+    local status=0
+    go build -o "$tmp/$1" "./examples/$1"
+    "$tmp/$1" >"$tmp/example" 2>&1 || status=$?
+    if [ "$status" -ne 0 ] || ! grep -q -- "$2" "$tmp/example"; then
+        echo "cli-smoke: example $1 exited $status, want 0 and a \"$2\" line; got:" >&2
+        cat "$tmp/example" >&2
+        exit 1
+    fi
+}
+example quickstart "ran 64x64 stencil"
+example custom-protocol "custom protocol speedup"
+example msgpass "bulk packets streamed by the NP"
+example workqueue "with prefetch:"
 
 # refuse <flag-name> <binary> <args...>: exit 2, flag named on stderr.
 refuse() {
@@ -63,4 +83,4 @@ refuse "flag provided but not defined: -expect-cached" bench -expect-cached
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 5 binaries built, blizzard run verified, em3d ablation printed, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 5 binaries built, blizzard run verified, em3d ablation printed, 4 examples run, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"

@@ -46,8 +46,8 @@ mutation reply-lat+1 "$net" \
     'lat := n.latency' \
     'lat := n.latency + sim.Time(p.VNet)'
 mutation local-lat+1 "$net" \
-    'lat = n.localLatency' \
-    'lat = n.localLatency + 1'
+    'lat = localLatency' \
+    'lat = localLatency + 1'
 mutation occ-from-end "$agent" \
     'if end := start + co.occ;' \
     'if end := c.Time() + co.occ;'
@@ -126,6 +126,16 @@ mutation stache-flag-clobber internal/stache/dir.go \
 mutation stache-budget-over-by-one internal/stache/stache.go \
     'len(st.per[node].fifo) >= st.maxPages' \
     'len(st.per[node].fifo) > st.maxPages'
+# Stache's orphaned prefetch, which no fenced run reaches (only the unit
+# column, TestPrefetchSurvivesPageReplacement, can catch these): a
+# replacement that does not count the orphan, and an orphan consumed
+# without handing the home its residency back.
+mutation stache-orphan-not-counted internal/stache/stache.go \
+    $'\t\t\tst.per[node].orphans[blockVA]++\n' \
+    ''
+mutation stache-orphan-keeps-residency internal/stache/handlers.go \
+    $'\tst.dropClean(np, va)\n' \
+    ''
 # The recorder's own placement: an agent's KNetDeliver follows the
 # dispatch it records.
 mutation agent-deliver-before-dispatch "$agent" \

@@ -17,6 +17,9 @@
 //   - DirNNB: a conventional all-hardware directory cache-coherence
 //     machine, the paper's baseline.
 //
+// NewBlizzardStache builds a third: software Tempest (later published as
+// Blizzard), the same protocol libraries on nodes with no NP.
+//
 // Programs are written as SPMD bodies against Proc, whose loads, stores,
 // barriers, and message operations all charge simulated cycles. Runs are
 // deterministic: the same configuration always produces bit-identical
@@ -100,7 +103,10 @@ type (
 )
 
 // Typhoon extension surface, for building custom user-level protocols on
-// the Tempest interface (the paper's §4).
+// the Tempest interface (the paper's §4). A protocol installs its pages
+// with TyphoonSystem.MapFrame, sends active messages with NP.Send (or
+// TyphoonSystem.Send from a processor), and sets tags, moves blocks and
+// resumes threads from its NP handlers.
 type (
 	// TyphoonSystem exposes the Tempest mechanisms and registries.
 	TyphoonSystem = typhoon.System
@@ -176,18 +182,15 @@ func NewDirNNB(cfg Config) *Machine {
 	return m
 }
 
-// BlizzardConfig tunes the software Tempest implementation's costs; the
-// zero value selects the defaults.
-type BlizzardConfig = blizzard.Config
-
 // NewBlizzardStache builds a software Tempest machine (no NP hardware:
 // inline access checks plus handlers on the main processor — the
 // paper's §2 "native version for existing machines", later published as
-// Blizzard) running the unmodified Stache library.
-func NewBlizzardStache(cfg Config, bcfg BlizzardConfig, opts ...StacheOption) (*Machine, *Stache) {
+// Blizzard) running the unmodified Stache library. Its costs are fixed:
+// 3 cycles per shared reference and 50 per handler dispatch.
+func NewBlizzardStache(cfg Config, opts ...StacheOption) (*Machine, *Stache) {
 	m := machine.New(cfg)
 	st := stache.New(opts...)
-	blizzard.New(m, st, bcfg)
+	blizzard.New(m, st)
 	return m, st
 }
 

@@ -16,11 +16,12 @@ func smallCfg(nodes int) tempest.Config {
 }
 
 // TestPublicAPIQuickstart runs the package-documentation example shape
-// end to end on both systems.
+// end to end on every system.
 func TestPublicAPIQuickstart(t *testing.T) {
 	build := []func() *tempest.Machine{
 		func() *tempest.Machine { return tempest.NewDirNNB(smallCfg(4)) },
 		func() *tempest.Machine { m, _ := tempest.NewTyphoonStache(smallCfg(4)); return m },
+		func() *tempest.Machine { m, _ := tempest.NewBlizzardStache(smallCfg(4)); return m },
 	}
 	for _, mk := range build {
 		m := mk()
