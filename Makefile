@@ -2,15 +2,16 @@
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
 # depend on -race staying green), a one-iteration benchmark smoke pass,
-# a smoke pass over the five binaries' command lines, the digest gate
-# (the ideal and the contended machine), and the fuzz targets' committed
-# seed corpora. The conformance corpus is a golden file under `go test`
-# (internal/conform), so the race leg runs it. Sweeps run in one process
-# on -j workers and no binary reads or writes a result cache: no binary
-# links internal/fleet, which stays only for the benchmark's fleet_warm
-# workload, with DecodePoint and its fuzz seeds, and internal/resultcache
-# stays only for cache_warm and fleet_warm; their own tests run in the
-# race leg.
+# and a smoke pass over the four binaries' command lines. Each pinned
+# result is checked once, by a test the race leg runs: the Figure 3/4
+# goldens (and testdata/bench.digest, their hash) and the contended
+# digest in internal/harness, the conformance corpus in internal/conform,
+# and the fuzz targets' committed seed corpora in their packages.
+# Sweeps run in one process on -j workers and no binary reads or writes
+# a result cache: no binary links internal/fleet, which stays only for
+# the benchmark's fleet_warm workload, with DecodePoint and its fuzz
+# seeds, and internal/resultcache stays only for cache_warm and
+# fleet_warm; their own tests run in the race leg.
 # `make repin` re-pins every behaviour fence after an intended change;
 # it stays outside `make ci` because it writes tracked files.
 # Performance is measured with `go run ./benchmark` (BENCHMARK.json), not
@@ -24,9 +25,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke digest-check repin profile profile-hit profile-miss profile-contended profile-large fuzz-seeds fuzz-burst loc
+.PHONY: ci vet build test race microbench bench-smoke cli-smoke repin profile-hit profile-miss profile-contended profile-large fuzz-burst loc
 
-ci: vet build race bench-smoke cli-smoke digest-check fuzz-seeds
+ci: vet build race bench-smoke cli-smoke
 
 # vet also fails on any file gofmt would rewrite, naming it, and on any
 # reference hit-path helper the compiler stops inlining (inline_check.sh).
@@ -55,57 +56,37 @@ microbench:
 bench-smoke:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
 
-# cli-smoke builds all five binaries once, runs one real simulation
+# cli-smoke builds all four binaries once, runs one real simulation
 # through the shared flag block (on the system a private switch in
 # typhoon-sim used to refuse) and one ablation sweep (ablations -only
 # em3d, the only way to regenerate that table), runs the four examples
 # (each exits non-zero on a wrong answer), and gives every sweep
-# binary one bad shared flag — typhoon-sim also a cache whose set count is not a power
-# of two, bench the removed sharding flag, fig3 and bench the removed
-# -no-dedup, every sweep binary the removed -fleet, -cache-dir and
-# -cache-verify, bench the removed -expect-cached: each must exit 2 and
-# name the flag (or the rule) on stderr.
+# binary one bad shared flag — typhoon-sim also a cache whose set count
+# is not a power of two, fig3 the removed -no-dedup, fig4 the removed
+# -no-cache, every binary the removed -fleet, -cache-dir and
+# -cache-verify: each must exit 2 and name the flag (or the rule) on
+# stderr.
 cli-smoke:
 	bash scripts/cli_smoke.sh
-
-# digest-check runs the bench sweep twice, on the paper's contention-free
-# machine and on the 4 B/cycle, 20-cycle-occupancy machine, and compares
-# each output digest to the committed one — any drift means simulated
-# results changed. testdata/bench.digest is also the sha256 of the
-# Figure 3 and 4 golden bodies (TestBenchDigestIsGoldensHash), which
-# TestGoldenFigure3/4 pin in the race leg; the ideal leg checks that the
-# binary's own rendering still produces it.
-digest-check:
-	$(GO) run ./cmd/bench -check testdata/bench.digest
-	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest
 
 # repin rewrites every behaviour fence from this tree, in order: the
 # Figure 3/4 goldens (logging each bar that moved by more than 0.01, the
 # list CHANGES.md reports), testdata/bench.digest and EXPERIMENTS.md's
 # reduced Figure 3 table (written by the tests that check them, from the
-# new goldens), the conformance corpus, the contended digest, and
-# benchmark/expected.json (-update-expected refuses unless the sweep
-# matches bench.digest). On a tree whose behaviour did not change it
-# rewrites every file byte for byte. The contended digest goes to a
-# temporary file first, so a failed or interrupted sweep never leaves it
-# empty or truncated.
+# new goldens) and the contended digest (TestContendedDigest), then the
+# conformance corpus, then benchmark/expected.json (-update-expected
+# refuses unless the sweep matches bench.digest). On a tree whose
+# behaviour did not change it rewrites every file byte for byte. Each
+# test writes its file only once its sweep has succeeded, so a failed
+# sweep never leaves a pin empty.
 repin:
-	$(GO) test ./internal/harness -run Golden -update -v
+	$(GO) test ./internal/harness -run 'Golden|ContendedDigest' -update -v
 	$(GO) test ./internal/conform -run TestReRecordMatchesCorpus -update
-	$(GO) run ./cmd/bench -link-bw 4 -occupancy 20 > testdata/bench_contended.digest.tmp
-	mv testdata/bench_contended.digest.tmp testdata/bench_contended.digest
 	$(GO) run ./benchmark -update-expected
 
-# profile runs the bench sweep under the CPU and allocation profilers;
-# inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.
-profile:
-	$(GO) run ./cmd/bench -check testdata/bench.digest -cpuprofile cpu.prof -memprofile mem.prof
-	@echo "profiles written: cpu.prof mem.prof (go tool pprof <file>)"
-
 # profile-hit / profile-miss / profile-contended / profile-large profile
-# one workload instead of the whole sweep: the point sets of the repo
-# benchmark's hit_path, miss_path, miss_path_contended and fig_large
-# (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath /
+# one workload each: the point sets of the repo benchmark's hit_path,
+# miss_path, miss_path_contended and fig_large (internal/harness BenchmarkPointsHitPath / BenchmarkPointsMissPath /
 # BenchmarkPointsMissPathContended / BenchmarkPointsFigLarge), on one
 # processor as the benchmark runs them, writing cpu-<set>.prof and
 # mem-<set>.prof. Inspect with `go tool pprof harness.test cpu-hit.prof`.
@@ -117,11 +98,6 @@ profile-contended:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsMissPathContended$$' -benchtime 20x -cpuprofile cpu-contended.prof -memprofile mem-contended.prof ./internal/harness
 profile-large:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'PointsFigLarge$$' -benchtime 10x -cpuprofile cpu-large.prof -memprofile mem-large.prof ./internal/harness
-
-# fuzz-seeds executes the committed seed corpora of the fuzz targets as
-# ordinary tests (no fuzzing engine; deterministic).
-fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/sim/ ./internal/cache/ ./internal/typhoon/ ./internal/stats/ ./internal/resultcache/ ./internal/fleet/ ./internal/harness/ ./internal/wiretext/
 
 # fuzz-burst runs the fuzzing engine for ten seconds on each of the three
 # text-format decoders, on the reader under them, on the scheduler's

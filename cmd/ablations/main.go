@@ -22,7 +22,7 @@ import (
 func main() {
 	keys := harness.AblationKeys()
 	only := flag.String("only", "", "run a single ablation: "+strings.Join(keys, ", "))
-	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
+	shared := harness.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {

@@ -21,7 +21,7 @@ import (
 func main() {
 	appsFlag := flag.String("apps", "", "comma-separated benchmark subset (default: all five)")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
+	shared := harness.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {

@@ -19,7 +19,7 @@ func main() {
 	setFlag := flag.String("set", "large", "data set: small or large (the paper uses large)")
 	pctsFlag := flag.String("pcts", "", "comma-separated remote-edge percentages (default 0..50 step 10)")
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
-	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
+	shared := harness.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {

@@ -28,7 +28,7 @@ func main() {
 	cacheKB := flag.Int("cache", 0, "CPU cache size in KB (0 = Table 2 default)")
 	nodes := flag.Int("nodes", 0, "node count (0 = scale default)")
 	counters := flag.Bool("counters", false, "dump all event counters")
-	shared := harness.RegisterFlags(flag.CommandLine, harness.FlagDefaults{})
+	shared := harness.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {

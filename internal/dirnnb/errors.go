@@ -9,10 +9,12 @@ import (
 // Error is a structured DirNNB failure — a user-reachable condition (a
 // page fault, which means an access outside the shared segments or to
 // an unmapped shared page) or a protocol violation (a message the
-// directory cannot accept). Protocol code panics with an *Error; the
-// engine's context recovery wraps (not flattens) error values, so
-// harness.Run can errors.As the failure out of the run error and report
-// it per sweep point instead of crashing a whole sweep.
+// directory cannot accept). Protocol code panics with an *Error, and
+// both recoveries wrap it (%w) rather than flatten it: during set-up,
+// the harness's Point.setup recover turns the panic into the point's
+// error; during the run, the engine's panicError wraps it into the error
+// Engine.Run returns. Either way errors.As finds the *Error, and a sweep
+// reports it per point instead of crashing.
 type Error struct {
 	// Op names the failing operation or handler: "page-fault"; "ack" (an
 	// ack for a txn id not in flight: unknown, or already completed),

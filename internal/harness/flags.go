@@ -8,17 +8,6 @@ import (
 	"github.com/tempest-sim/tempest/internal/sim"
 )
 
-// FlagDefaults are the per-binary defaults of the shared flag block.
-type FlagDefaults struct {
-	// Jobs is -j's default: 0 (all cores) for the sweep binaries, 1 for
-	// cmd/bench, which isolates simulator speed from host cores.
-	Jobs int
-	// Scale, when set, pins the workload scale and leaves -scale
-	// unregistered (cmd/bench's digests are defined at the reduced
-	// scale).
-	Scale Scale
-}
-
 // Flags is the flag block every sweep binary shares: the workload
 // scale and the sweep's execution policy (SimParams). RegisterFlags
 // installs the flags; Resolve validates them once, in one place, and
@@ -35,17 +24,15 @@ type Flags struct {
 
 // RegisterFlags installs the shared block on fs (flag.CommandLine from
 // main).
-func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
-	f := &Flags{Scale: d.Scale}
-	if d.Scale == "" {
-		f.scale = fs.String("scale", string(ScaleReduced), "workload scale: reduced or paper")
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	return &Flags{
+		scale:     fs.String("scale", string(ScaleReduced), "workload scale: reduced or paper"),
+		jobs:      fs.Int("j", 0, "parallel simulations (0 = all cores); results are identical at every value"),
+		linkBW:    fs.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)"),
+		occupancy: fs.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)"),
+		pointTimeout: fs.Duration("point-timeout", 0,
+			"per-point wall-clock limit (0 = none); a point exceeding it fails the sweep with an error naming the point"),
 	}
-	f.jobs = fs.Int("j", d.Jobs, "parallel simulations (0 = all cores); results are identical at every value")
-	f.linkBW = fs.Int("link-bw", 0, "link bandwidth in bytes/cycle (0 = infinite, the paper's model)")
-	f.occupancy = fs.Int64("occupancy", 0, "protocol-agent occupancy in cycles per message (0 = unbounded concurrency)")
-	f.pointTimeout = fs.Duration("point-timeout", 0,
-		"per-point wall-clock limit (0 = none); a point exceeding it fails the sweep with an error naming the point")
-	return f
 }
 
 // Resolve validates the parsed flags — every error names its flag — and
@@ -53,13 +40,11 @@ func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
 // point timeout.
 func (f *Flags) Resolve() (SimParams, error) {
 	fail := func(err error) (SimParams, error) { return SimParams{}, err }
-	if f.scale != nil {
-		scale, err := ParseScale(*f.scale)
-		if err != nil {
-			return fail(fmt.Errorf("-scale: %w", err))
-		}
-		f.Scale = scale
+	scale, err := ParseScale(*f.scale)
+	if err != nil {
+		return fail(fmt.Errorf("-scale: %w", err))
 	}
+	f.Scale = scale
 	if *f.jobs < 0 {
 		return fail(fmt.Errorf("-j %d: worker count must be >= 0 (0 = all cores)", *f.jobs))
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // parse registers the shared block on a fresh flag set and parses args.
-func parse(t *testing.T, d FlagDefaults, args ...string) *Flags {
+func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := RegisterFlags(fs, d)
+	f := RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 		{[]string{"-occupancy", "-20"}, []string{"-occupancy -20"}},
 		{[]string{"-point-timeout", "-1s"}, []string{"-point-timeout -1s"}},
 	} {
-		f := parse(t, FlagDefaults{}, tc.args...)
+		f := parse(t, tc.args...)
 		_, err := f.Resolve()
 		if err == nil {
 			t.Errorf("%v: accepted, want an error", tc.args)
@@ -46,12 +46,13 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 			}
 		}
 	}
-	// The removed cache switches, embedded-coordinator flag and fleet
-	// client flag are undefined, not ignored.
-	for _, name := range []string{"-no-cache", "-cache-dir", "-cache-verify", "-workers-addr", "-fleet"} {
+	// The removed cache switches, embedded-coordinator flag, fleet
+	// client flag, sharding flag and cached-sweep assertion are
+	// undefined, not ignored.
+	for _, name := range []string{"-no-cache", "-cache-dir", "-cache-verify", "-workers-addr", "-fleet", "-shards", "-expect-cached"} {
 		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		RegisterFlags(fs, FlagDefaults{})
+		RegisterFlags(fs)
 		if err := fs.Parse([]string{name, "x"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
 			t.Errorf("%s: parse error %v, want it undefined", name, err)
 		}
@@ -59,9 +60,9 @@ func TestSharedFlagsRejectBadValues(t *testing.T) {
 }
 
 // TestSharedFlagsResolve pins what a valid command line resolves to and
-// the per-binary defaults.
+// the defaults.
 func TestSharedFlagsResolve(t *testing.T) {
-	f := parse(t, FlagDefaults{})
+	f := parse(t)
 	sp, err := f.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestSharedFlagsResolve(t *testing.T) {
 		t.Errorf("defaults: scale %q, %+v; want reduced, all cores", f.Scale, sp)
 	}
 
-	f = parse(t, FlagDefaults{}, "-scale", "paper", "-j", "3", "-link-bw", "4", "-occupancy", "20",
+	f = parse(t, "-scale", "paper", "-j", "3", "-link-bw", "4", "-occupancy", "20",
 		"-point-timeout", "90s")
 	sp, err = f.Resolve()
 	if err != nil {
@@ -79,18 +80,5 @@ func TestSharedFlagsResolve(t *testing.T) {
 	if f.Scale != ScalePaper || sp.Workers != 3 || sp.LinkBytesPerCycle != 4 || sp.OccupancyCycles != 20 ||
 		sp.PointTimeout != 90*time.Second {
 		t.Errorf("resolved scale %q, %+v", f.Scale, sp)
-	}
-
-	// cmd/bench: -j defaults to 1, the scale is pinned and -scale absent.
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	f = RegisterFlags(fs, FlagDefaults{Jobs: 1, Scale: ScaleReduced})
-	if fs.Lookup("scale") != nil {
-		t.Error("a pinned scale still registered -scale")
-	}
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if sp, err = f.Resolve(); err != nil || sp.Workers != 1 || f.Scale != ScaleReduced {
-		t.Errorf("bench defaults: workers %d scale %q err %v", sp.Workers, f.Scale, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"hash"
 	"math"
 	"os"
 	"path/filepath"
@@ -23,14 +24,16 @@ import (
 //
 //	make repin
 //
-// whose first step is `go test ./internal/harness -run Golden -update -v`.
-// That selects the four tests below, in source order: the two golden
+// whose first step is
+// `go test ./internal/harness -run 'Golden|ContendedDigest' -update -v`.
+// That selects the five tests below, in source order: the two golden
 // tests rewrite their files and log each bar that moved, then
 // TestBenchDigestIsGoldensHash and TestExperimentsFigure3IsGolden read
 // the new goldens from disk and rewrite testdata/bench.digest and
-// EXPERIMENTS.md's reduced Figure 3 table.
+// EXPERIMENTS.md's reduced Figure 3 table, and TestContendedDigest
+// rewrites testdata/bench_contended.digest.
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files, bench.digest and EXPERIMENTS.md's table from current output")
+var updateGolden = flag.Bool("update", false, "rewrite golden files, both bench digests and EXPERIMENTS.md's table from current output")
 
 // repinHint closes every mismatch message of a pin these tests check.
 const repinHint = "If the change is intended, re-pin every fence with `make repin`."
@@ -188,18 +191,26 @@ func TestGoldenFigure4(t *testing.T) {
 	checkGolden(t, "figure4", buf.Bytes())
 }
 
-// TestBenchDigestIsGoldensHash: cmd/bench's ideal-machine digest is the
-// sha256 of the reduced Figure 3 table followed by the reduced Figure 4
-// table — exactly the two golden bodies. The two pins therefore agree
-// by construction. Under -update it writes testdata/bench.digest from
+// TestBenchDigestIsGoldensHash: the ideal-machine digest,
+// testdata/bench.digest, is the sha256 of the reduced Figure 3 table
+// followed by the reduced Figure 4 table — exactly the two golden
+// bodies, so the goldens pin it. Under -update it writes the file from
 // the goldens on disk, which TestGoldenFigure3/4 have just rewritten.
 func TestBenchDigestIsGoldensHash(t *testing.T) {
 	h := sha256.New()
 	for _, name := range []string{"figure3", "figure4"} {
 		h.Write(goldenBody(t, name))
 	}
+	checkDigest(t, "bench.digest", "sha256 of the golden bodies", h)
+}
+
+// checkDigest compares the hex sha256 in h, the hash of what, with the
+// one testdata/<file> at the repository root pins; under -update it
+// writes the file instead.
+func checkDigest(t *testing.T, file, what string, h hash.Hash) {
+	t.Helper()
 	got := hex.EncodeToString(h.Sum(nil))
-	path := filepath.Join("..", "..", "testdata", "bench.digest")
+	path := filepath.Join("..", "..", "testdata", file)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -211,7 +222,7 @@ func TestBenchDigestIsGoldensHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := string(bytes.TrimSpace(raw)); got != want {
-		t.Errorf("sha256 of the golden bodies is %s, testdata/bench.digest pins %s. %s", got, want, repinHint)
+		t.Errorf("%s is %s, testdata/%s pins %s. %s", what, got, file, want, repinHint)
 	}
 }
 
@@ -271,6 +282,36 @@ func trimLines(b []byte) []byte {
 		lines[i] = bytes.TrimRight(l, " ")
 	}
 	return bytes.Join(lines, []byte("\n"))
+}
+
+// TestContendedDigest pins the reduced Figure 3 and Figure 4 sweeps on
+// the contended machine (4 B/cycle links, 20-cycle agent occupancy): the
+// sha256 of the two tables, rendered in that order, must equal
+// testdata/bench_contended.digest. The goldens pin the same sweeps on
+// the paper's contention-free machine; this pin is the only one that
+// runs port queueing and agent occupancy over whole figures. Under
+// -update it rewrites the file from the current output.
+func TestContendedDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second sweep; skipped with -short")
+	}
+	sp := SimParams{LinkBytesPerCycle: 4, OccupancyCycles: 20}
+	cells, err := Figure3(Fig3Options{Scale: ScaleReduced, SimParams: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := Figure4(Fig4Options{Scale: ScaleReduced, Set: SetSmall, Pcts: []int{0, 20, 50}, SimParams: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := RenderFigure3(h, cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderFigure4(h, pts); err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, "bench_contended.digest", "sha256 of the contended sweep's tables", h)
 }
 
 // TestMovedBars: the moved-bar report a golden mismatch prints names a

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cli-smoke: the command-line gate for the five binaries and the four
+# cli-smoke: the command-line gate for the four binaries and the four
 # examples.
 #
 # Builds each binary once, runs one real simulation through the shared
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for b in fig3 fig4 ablations typhoon-sim bench; do
+for b in fig3 fig4 ablations typhoon-sim; do
     go build -o "$tmp/$b" "./cmd/$b"
 done
 
@@ -64,23 +64,19 @@ refuse -nodes typhoon-sim -nodes -3
 refuse "65 nodes outside \[1, 64\]" typhoon-sim -nodes 65
 # 12 KB of 4-way 32-byte blocks is 96 sets; the cache indexes by shift and mask.
 refuse "power of two" typhoon-sim -cache 12
-# The removed sharded-execution flag is an undefined flag, not an ignored one.
-refuse "flag provided but not defined: -shards" bench -shards 2
-# So is the removed Figure 3 witness-dedup bypass.
+# The removed Figure 3 witness-dedup bypass is an undefined flag, not an
+# ignored one.
 refuse "flag provided but not defined: -no-dedup" fig3 -no-dedup
-refuse "flag provided but not defined: -no-dedup" bench -no-dedup
-# So are the removed cache switch and embedded coordinator.
+# So is the removed cache switch.
 refuse "flag provided but not defined: -no-cache" fig4 -no-cache
-refuse "flag provided but not defined: -workers-addr" bench -workers-addr "$tmp/f.sock"
 # Sweeps run in one process, and no binary reads or writes a result
 # cache: no sweep binary is a fleet client or takes a cache directory.
-for b in fig3 fig4 ablations typhoon-sim bench; do
+for b in fig3 fig4 ablations typhoon-sim; do
     refuse "flag provided but not defined: -fleet" "$b" -fleet "$tmp/f.sock"
     refuse "flag provided but not defined: -cache-dir" "$b" -cache-dir "$tmp/cache"
     refuse "flag provided but not defined: -cache-verify" "$b" -cache-verify 1
 done
-refuse "flag provided but not defined: -expect-cached" bench -expect-cached
 # The removed first-touch ablation is an unknown -only value.
 refuse "unknown ablation" ablations -only firsttouch
 
-echo "cli-smoke: 5 binaries built, blizzard run verified, em3d ablation printed, 4 examples run, bad shared flags, a 96-set cache, 65 nodes, the eight removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"
+echo "cli-smoke: 4 binaries built, blizzard run verified, em3d ablation printed, 4 examples run, bad shared flags, a 96-set cache, 65 nodes, the five removed flags (-fleet, -cache-dir and -cache-verify on every sweep binary) and the removed firsttouch ablation refused with exit 2"

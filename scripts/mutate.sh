@@ -15,15 +15,15 @@
 #
 # Usage: bash scripts/mutate.sh [mutation...]
 # With names, only those rows run (after the baseline). Not part of
-# `make ci`: the whole table takes ~25 minutes on two cores.
+# `make ci`: the whole table takes ~6 minutes on two cores with a warm
+# build cache.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fence_names=(conform ideal contended goldens diff unit)
+fence_names=(conform contended goldens diff unit)
 fence_cmds=(
     "go test -count=1 ./internal/conform"
-    "go run ./cmd/bench -check testdata/bench.digest"
-    "go run ./cmd/bench -link-bw 4 -occupancy 20 -check testdata/bench_contended.digest"
+    "go test -count=1 -run '^TestContendedDigest\$' ./internal/harness"
     "go test -count=1 -run '^TestGolden' ./internal/harness"
     "go test -count=1 -run '^TestDifferentialMatrix\$' ./internal/conform"
     "go test -count=1 ./internal/network ./internal/agent ./internal/machine ./internal/dirnnb ./internal/stache ./internal/typhoon ./internal/blizzard ./internal/sim ./internal/apps ./internal/apps/em3d"
