@@ -1,12 +1,15 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, build, the full test suite under the race detector
 # (the parallel harness runner and the engine's coroutine hand-offs
-# depend on -race staying green), a one-iteration benchmark smoke pass,
-# and a smoke pass over the four binaries' command lines. Each pinned
-# result is checked once, by a test the race leg runs: the Figure 3/4
-# goldens (and testdata/bench.digest, their hash) and the contended
-# digest in internal/harness, the conformance corpus in internal/conform,
-# and the fuzz targets' committed seed corpora in their packages.
+# depend on -race staying green), the whole-figure fences without it, a
+# one-iteration benchmark smoke pass, and a smoke pass over the four
+# binaries' command lines. Each pinned result is checked at least once:
+# the Figure 3 golden and the contended digest (internal/harness) in the
+# non-race fences leg, since each takes over 10 s under -race and skips
+# itself there; the Figure 4 golden, testdata/bench.digest (the goldens'
+# hash), the conformance corpus in internal/conform and the fuzz
+# targets' committed seed corpora in the race leg, and Figure 4 again in
+# the fences leg, which selects by name.
 # Sweeps run in one process on -j workers and no binary reads or writes
 # a result cache: no binary links internal/fleet, which stays only for
 # the benchmark's fleet_warm workload, with DecodePoint and its fuzz
@@ -25,9 +28,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race microbench bench-smoke cli-smoke repin profile-hit profile-miss profile-contended profile-large fuzz-burst loc
+.PHONY: ci vet build test race fences microbench bench-smoke cli-smoke repin profile-hit profile-miss profile-contended profile-large fuzz-burst loc
 
-ci: vet build race bench-smoke cli-smoke
+ci: vet build race fences bench-smoke cli-smoke
 
 # vet also fails on any file gofmt would rewrite, naming it, and on any
 # reference hit-path helper the compiler stops inlining (inline_check.sh).
@@ -44,6 +47,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fences runs the whole-figure sweeps without the race detector: the
+# Figure 3/4 goldens and the contended digest. TestGoldenFigure3 and
+# TestContendedDigest skip themselves under -race, where each took over
+# 10 s on the critical path of the race leg.
+fences:
+	$(GO) test -count=1 -run 'Golden|ContendedDigest' ./internal/harness
 
 # microbench runs every Go benchmark: Tables 1-3, simulator throughput
 # and the layer microbenchmarks. The figures and ablations are printed by

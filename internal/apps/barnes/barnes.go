@@ -18,27 +18,29 @@ import (
 	"github.com/tempest-sim/tempest/internal/mem"
 )
 
+// theta is the opening criterion: a cell is used whole when
+// size < theta * distance. It is typed so theta*theta rounds as the
+// float64 product does at run time.
+const theta float64 = 0.7
+
 // Config describes one Barnes instance.
 type Config struct {
 	// Bodies is the body count (Table 3: 2048 / 8192).
 	Bodies int
 	// Iters is the number of time steps.
 	Iters int
-	// Theta is the opening criterion (cell used whole when
-	// size < Theta * distance).
-	Theta float64
 	// Seed drives the initial distribution.
 	Seed uint64
 }
 
 // Small returns the Table 3 small data set.
-func Small() Config { return Config{Bodies: 2048, Iters: 2, Theta: 0.7, Seed: 1} }
+func Small() Config { return Config{Bodies: 2048, Iters: 2, Seed: 1} }
 
 // Large returns the Table 3 large data set.
-func Large() Config { return Config{Bodies: 8192, Iters: 2, Theta: 0.7, Seed: 1} }
+func Large() Config { return Config{Bodies: 8192, Iters: 2, Seed: 1} }
 
 // Tiny returns a reduced instance for tests.
-func Tiny() Config { return Config{Bodies: 64, Iters: 2, Theta: 0.7, Seed: 1} }
+func Tiny() Config { return Config{Bodies: 64, Iters: 2, Seed: 1} }
 
 // Body record layout (8 words): x, y, z, vx, vy, vz, mass, pad.
 const bodyWords = 8
@@ -280,7 +282,7 @@ func (a *App) insert(io apps.MemIO, next *int, root, body int, x, y, z, m float6
 func (a *App) forceKernel(io apps.MemIO, proc, root int) {
 	const dt = 0.05
 	const eps2 = 0.05
-	theta2 := a.cfg.Theta * a.cfg.Theta
+	theta2 := theta * theta
 	stack := make([]int, 0, 64)
 	for k := 0; k < a.per; k++ {
 		g := proc*a.per + k

@@ -17,6 +17,13 @@ import (
 	"github.com/tempest-sim/tempest/internal/machine"
 )
 
+// remoteReuse is how many remote edges share each distinct remote target
+// value on average (several local nodes read the same remote neighbour in
+// the original's clustered graphs); it is the number of DISTINCT remote
+// values — which grows linearly with the remote-edge fraction at
+// constant reuse — that drives communication.
+const remoteReuse = 3
+
 // Config describes one EM3D instance.
 type Config struct {
 	// TotalNodes is the total graph size, E plus H (Table 3: 64,000
@@ -27,13 +34,6 @@ type Config struct {
 	// PctRemote is the percentage of edges whose target lives on a
 	// different processor (Figure 4 sweeps 0-50).
 	PctRemote int
-	// RemoteReuse is how many remote edges share each distinct remote
-	// target value on average (several local nodes read the same remote
-	// neighbour in the original's clustered graphs); it is the number of
-	// DISTINCT remote values — which grows linearly with the remote-edge
-	// fraction at constant reuse — that drives communication. Zero
-	// selects 3.
-	RemoteReuse int
 	// Iters is the number of relaxation iterations.
 	Iters int
 	// Seed drives graph construction.
@@ -122,20 +122,16 @@ func (a *App) setup(m *machine.Machine, valMode int) {
 // table, and the state each processor's weights are replayed from.
 func (a *App) build(rng *apps.Rand) ([][]int32, []edgeGen) {
 	P := a.nodes
-	reuse := a.cfg.RemoteReuse
-	if reuse <= 0 {
-		reuse = 3
-	}
 	adj := make([][]int32, P)
 	gen := make([]edgeGen, P)
 	for p := 0; p < P; p++ {
 		// Each processor's remote targets come from a pool of distinct
-		// values on other processors, sized so each is shared by ~reuse
-		// edges: the count of distinct remote values — the quantity
-		// that drives communication — grows linearly with the
+		// values on other processors, sized so each is shared by
+		// ~remoteReuse edges: the count of distinct remote values — the
+		// quantity that drives communication — grows linearly with the
 		// remote-edge fraction. One processor has no other to draw from.
 		expRemote := a.per * a.cfg.Degree * a.cfg.PctRemote / 100
-		poolSize := expRemote / reuse
+		poolSize := expRemote / remoteReuse
 		if expRemote > 0 && poolSize == 0 {
 			poolSize = 1
 		}

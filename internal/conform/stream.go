@@ -72,13 +72,13 @@ func (s *Stream) Encode() []byte {
 	c := &s.Cfg
 	fmt.Fprintf(&b, "nodes %d\n", c.Nodes)
 	fmt.Fprintf(&b, "cache %d\n", c.CacheSize)
-	fmt.Fprintf(&b, "ways %d\n", c.CacheWays)
+	fmt.Fprintf(&b, "ways %d\n", machine.CacheWays)
 	fmt.Fprintf(&b, "block %d\n", c.BlockSize)
-	fmt.Fprintf(&b, "tlb %d\n", c.TLBEntries)
-	fmt.Fprintf(&b, "localmiss %d\n", c.LocalMissCycles)
-	fmt.Fprintf(&b, "tlbmiss %d\n", c.TLBMissCycles)
+	fmt.Fprintf(&b, "tlb %d\n", machine.TLBEntries)
+	fmt.Fprintf(&b, "localmiss %d\n", machine.LocalMissCycles)
+	fmt.Fprintf(&b, "tlbmiss %d\n", machine.TLBMissCycles)
 	fmt.Fprintf(&b, "netlat %d\n", c.NetLatency)
-	fmt.Fprintf(&b, "barlat %d\n", c.BarrierLatency)
+	fmt.Fprintf(&b, "barlat %d\n", machine.BarrierLatency)
 	fmt.Fprintf(&b, "linkbw %d\n", c.LinkBytesPerCycle)
 	fmt.Fprintf(&b, "occupancy %d\n", c.OccupancyCycles)
 	fmt.Fprintf(&b, "seed %d\n", c.Seed)

@@ -490,7 +490,7 @@ func (ns *nodeState) closeTxn(i int) {
 func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, write, upgrade bool) cache.LineState {
 	// Private pages bypass the directory entirely.
 	if pte.Mode == vm.ModePrivate {
-		p.Ctx.Advance(s.m.Cfg.LocalMissCycles)
+		p.Ctx.Advance(machine.LocalMissCycles)
 		s.nodes[p.ID()].hot.privateMisses++
 		return cache.LineExclusive
 	}
@@ -510,9 +510,9 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 			// (A home-local coherence target is impossible here — the
 			// only local cache is the requester's own.)
 			if !out.hadCoher && !upgrade {
-				p.Ctx.Advance(cfg.LocalMissCycles) // pure local miss
+				p.Ctx.Advance(machine.LocalMissCycles) // pure local miss
 			} else {
-				p.Ctx.Advance(cfg.LocalMissCycles + out.dirOp)
+				p.Ctx.Advance(machine.LocalMissCycles + out.dirOp)
 			}
 			return out.fill
 		}
@@ -528,7 +528,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 			panic(&Error{Op: "miss", Node: req, VA: mem.VA(blockVA),
 				Msg: fmt.Sprintf("woke from a local miss on block %#x without a fill", uint64(block))})
 		}
-		p.Ctx.Advance(cfg.LocalMissCycles + out.dirOp)
+		p.Ctx.Advance(machine.LocalMissCycles + out.dirOp)
 		return ns.fill
 	}
 

@@ -495,7 +495,6 @@ func TestFleetBadMachineConfigRefusedAtSubmit(t *testing.T) {
 	for want, mutate := range map[string]func(*machine.Config){
 		"block size 48 is not a power of two":  func(c *machine.Config) { c.BlockSize = 48 },
 		"network latency of 4294967297 cycles": func(c *machine.Config) { c.NetLatency = machine.MaxCycles + 1 },
-		"1099511627776 TLB entries outside":    func(c *machine.Config) { c.TLBEntries = 1 << 40 },
 	} {
 		pt := tinyPoint(43)
 		mutate(&pt.Cfg)

@@ -32,26 +32,26 @@ func setupFailureSystems() map[string]Point {
 }
 
 // setupFailureCases are wire-legal mutations of a runnable point that no
-// machine can be set up for: impossible cache/block/TLB geometry,
-// degenerate workloads.
+// machine can be set up for: a row for each rule machine.Config.Validate
+// holds the wire's machine fields to (node and cache bounds, link
+// bandwidth, cycle bound, block and cache geometry), and degenerate
+// workloads.
 func setupFailureCases() map[string]func(*Point) {
 	cases := map[string]func(*Point){
-		"tlb=-1":        func(pt *Point) { pt.Cfg.TLBEntries = -1 },
-		"em3d-zero":     func(pt *Point) { pt.EM3D = &em3d.Config{} },
-		"em3d-negative": func(pt *Point) { c := *pt.EM3D; c.Degree = -3; pt.EM3D = &c },
+		"nodes=65":          func(pt *Point) { pt.Cfg.Nodes = machine.MaxNodes + 1 },
+		"linkbw=-1":         func(pt *Point) { pt.Cfg.LinkBytesPerCycle = -1 },
+		"netlat=4294967297": func(pt *Point) { pt.Cfg.NetLatency = machine.MaxCycles + 1 },
+		"em3d-zero":         func(pt *Point) { pt.EM3D = &em3d.Config{} },
+		"em3d-negative":     func(pt *Point) { c := *pt.EM3D; c.Degree = -3; pt.EM3D = &c },
 	}
 	for _, n := range []int{48, -32, 8192} {
 		cases[fmt.Sprintf("block=%d", n)] = func(pt *Point) { pt.Cfg.BlockSize = n }
 	}
-	for _, n := range []int{-1, 100} {
+	for _, n := range []int{-1, 100, 2 * machine.MaxCacheBytes} {
 		cases[fmt.Sprintf("cache=%d", n)] = func(pt *Point) { pt.Cfg.CacheSize = n }
 	}
-	for _, n := range []int{-1, 3} {
-		cases[fmt.Sprintf("ways=%d", n)] = func(pt *Point) { pt.Cfg.CacheWays = n }
-	}
-	// Sizes that divide evenly into 96 sets, which no shift and mask index.
+	// A size that divides evenly into 96 sets, which no shift and mask index.
 	cases["cache=12288"] = func(pt *Point) { pt.Cfg.CacheSize = 12288 }
-	cases["ways=3,cache=9216"] = func(pt *Point) { pt.Cfg.CacheWays, pt.Cfg.CacheSize = 3, 9216 }
 	return cases
 }
 
@@ -84,8 +84,7 @@ func TestSetupFailuresAreErrors(t *testing.T) {
 	}
 	// The cases whose wording is the user's only explanation of a rule.
 	wantSuffix := map[string]string{
-		"cache=12288":       "makes 96 sets, which is not a power of two",
-		"ways=3,cache=9216": "makes 96 sets, which is not a power of two",
+		"cache=12288": "makes 96 sets, which is not a power of two",
 	}
 	for sysName, base := range setupFailureSystems() {
 		for name, mutate := range setupFailureCases() {

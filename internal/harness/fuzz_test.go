@@ -12,13 +12,13 @@ import (
 // like any other unknown line.
 func retiredObservedPayload() []byte {
 	return withSum([]byte(pointMagic + "\n" +
-		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 1\n" +
+		"cfg 4 8192 32 11 0 0 0 1\n" +
 		"system dirnnb\nbench ocean\nocean 18 2 false\nnocache true\nobserved true\n"))
 }
 
 // shardsTokenPayload is a well-formed point whose cfg line ends in the
 // shard count that v3 dropped: under the v2 magic it is what a v2 sender
-// encodes, under the current magic its 14th and 15th tokens are trailing
+// encodes, under the current magic every token past the 8th is trailing
 // data.
 func shardsTokenPayload(magic string) []byte {
 	return withSum([]byte(magic + "\n" +
@@ -41,6 +41,7 @@ func FuzzDecodePoint(f *testing.F) {
 	f.Add(shardsTokenPayload("tempest-point v2")) // testdata: retired-v2-magic
 	f.Add(shardsTokenPayload(pointMagic))         // testdata: retired-shards-token
 	f.Add(v3Payload())                            // testdata: retired-v3-magic
+	f.Add(v4Payload())                            // testdata: retired-v4-magic
 	for _, base := range setupFailureSystems() {
 		for _, mutate := range setupFailureCases() {
 			pt := base

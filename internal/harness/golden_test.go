@@ -157,10 +157,22 @@ func moved(was, now string) bool {
 	return math.Abs(x-y) > 0.01+1e-9
 }
 
+// skipUnderRace skips a fence whose sweep takes over 10 s under the race
+// detector (a few seconds without it). `make ci` runs it once, in its
+// non-race fences leg; the race leg keeps the shorter sweeps, such as
+// TestGoldenFigure4, that race the parallel runner.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("over 10 s under -race; make ci runs it in its non-race fences leg")
+	}
+}
+
 func TestGoldenFigure3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep; skipped with -short")
 	}
+	skipUnderRace(t)
 	cells, err := Figure3(Fig3Options{Scale: ScaleReduced})
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +307,7 @@ func TestContendedDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep; skipped with -short")
 	}
+	skipUnderRace(t)
 	sp := SimParams{LinkBytesPerCycle: 4, OccupancyCycles: 20}
 	cells, err := Figure3(Fig3Options{Scale: ScaleReduced, SimParams: sp})
 	if err != nil {

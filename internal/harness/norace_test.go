@@ -1,0 +1,6 @@
+//go:build !race
+
+package harness
+
+// raceDetector is true in a test binary built with -race.
+const raceDetector = false

@@ -195,7 +195,7 @@ func CodeID() string {
 // pointMagic is the wire-format header; bumping the version makes every
 // older coordinator/worker pairing reject the payload instead of
 // misreading it.
-const pointMagic = "tempest-point v4"
+const pointMagic = "tempest-point v5"
 
 // Encode renders the point's byte form: header, fixed-order lines
 // (optional ones omitted when zero), and a trailing sha256 line — the
@@ -205,11 +205,9 @@ const pointMagic = "tempest-point v4"
 func (pt Point) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", pointMagic)
-	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
-		pt.Cfg.Nodes, pt.Cfg.CacheSize, pt.Cfg.CacheWays, pt.Cfg.BlockSize, pt.Cfg.TLBEntries,
-		pt.Cfg.LocalMissCycles, pt.Cfg.TLBMissCycles, pt.Cfg.NetLatency, pt.Cfg.BarrierLatency,
-		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.Quantum,
-		pt.Cfg.Seed)
+	fmt.Fprintf(&b, "cfg %d %d %d %d %d %d %d %d\n",
+		pt.Cfg.Nodes, pt.Cfg.CacheSize, pt.Cfg.BlockSize, pt.Cfg.NetLatency,
+		pt.Cfg.LinkBytesPerCycle, pt.Cfg.OccupancyCycles, pt.Cfg.Quantum, pt.Cfg.Seed)
 	fmt.Fprintf(&b, "system %s\n", pt.System)
 	if pt.Bench != "" {
 		fmt.Fprintf(&b, "bench %s\n", pt.Bench)
@@ -221,8 +219,7 @@ func (pt Point) Encode() []byte {
 		fmt.Fprintf(&b, "set %s\n", pt.Set)
 	}
 	if c := pt.EM3D; c != nil {
-		fmt.Fprintf(&b, "em3d %d %d %d %d %d %d\n",
-			c.TotalNodes, c.Degree, c.PctRemote, c.RemoteReuse, c.Iters, c.Seed)
+		fmt.Fprintf(&b, "em3d %d %d %d %d %d\n", c.TotalNodes, c.Degree, c.PctRemote, c.Iters, c.Seed)
 	}
 	if c := pt.Ocean; c != nil {
 		fmt.Fprintf(&b, "ocean %d %d %s\n", c.N, c.Iters, strconv.FormatBool(c.OwnerPlaced))
@@ -254,10 +251,8 @@ func DecodePoint(data []byte) (Point, error) {
 	cycles := func() sim.Time { return sim.Time(r.Uint()) }
 	c := &pt.Cfg
 	r.Line("cfg")
-	c.Nodes, c.CacheSize, c.CacheWays, c.BlockSize, c.TLBEntries = r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
-	c.LocalMissCycles, c.TLBMissCycles, c.NetLatency, c.BarrierLatency = cycles(), cycles(), cycles(), cycles()
-	c.LinkBytesPerCycle, c.OccupancyCycles, c.Quantum = r.Int(), cycles(), cycles()
-	c.Seed = r.Uint()
+	c.Nodes, c.CacheSize, c.BlockSize, c.NetLatency = r.Int(), r.Int(), r.Int(), cycles()
+	c.LinkBytesPerCycle, c.OccupancyCycles, c.Quantum, c.Seed = r.Int(), cycles(), cycles(), r.Uint()
 	pt.System = System(r.Line("system").Rest())
 	if r.Optional("bench") {
 		pt.Bench = r.Rest()
@@ -269,8 +264,7 @@ func DecodePoint(data []byte) (Point, error) {
 		pt.Set = DataSet(r.Rest())
 	}
 	if r.Optional("em3d") {
-		pt.EM3D = &em3d.Config{TotalNodes: r.Int(), Degree: r.Int(), PctRemote: r.Int(),
-			RemoteReuse: r.Int(), Iters: r.Int(), Seed: r.Uint()}
+		pt.EM3D = &em3d.Config{TotalNodes: r.Int(), Degree: r.Int(), PctRemote: r.Int(), Iters: r.Int(), Seed: r.Uint()}
 	}
 	if r.Optional("ocean") {
 		pt.Ocean = &ocean.Config{N: r.Int(), Iters: r.Int(), OwnerPlaced: r.Bool()}

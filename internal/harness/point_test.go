@@ -113,15 +113,27 @@ func v3Payload() []byte {
 		"system typhoon-stache\nbench ocean\nscale reduced\nset small\n"))
 }
 
+// v4Payload is a well-formed point as a v4 sender encodes it: a 13-field
+// cfg line carrying the ways, TLB entries, local miss, TLB miss and
+// barrier latency v5 made constants, and a 6-field em3d line whose 4th
+// field is the remote reuse v5 made a constant.
+func v4Payload() []byte {
+	return withSum([]byte("tempest-point v4\n" +
+		"cfg 4 8192 4 32 64 29 25 11 11 0 0 0 1\n" +
+		"system typhoon-stache\nem3d 512 4 30 0 3 1\n"))
+}
+
 // TestDecodePointV1IsVersionSkew feeds the decoder a well-formed point
 // as a v1 sender encodes it (17-field cfg line with the two mode
-// booleans), as a v2 sender does (15 fields, the shard count last) and
-// as a v3 sender does (14 fields, the DRAM budget 12th): a worker or
+// booleans), as a v2 sender does (15 fields, the shard count last), as
+// a v3 sender does (14 fields, the DRAM budget 12th) and as a v4 sender
+// does (13 fields, five of them Table 2 constants): a worker or
 // coordinator left on an old format must be told so, not handed a
 // field-count parse error. The v2 cfg line under the current magic is a
 // parse error, and names its line.
 func TestDecodePointV1IsVersionSkew(t *testing.T) {
-	for name, payload := range map[string][]byte{"v1": v1Payload(), "v2": shardsTokenPayload("tempest-point v2"), "v3": v3Payload()} {
+	for name, payload := range map[string][]byte{"v1": v1Payload(), "v2": shardsTokenPayload("tempest-point v2"),
+		"v3": v3Payload(), "v4": v4Payload()} {
 		_, err := DecodePoint(payload)
 		if err == nil || !strings.Contains(err.Error(), "version skew") || !strings.Contains(err.Error(), pointMagic) {
 			t.Fatalf("%s payload: err = %v, want a version-skew error naming %q", name, err, pointMagic)
@@ -147,17 +159,13 @@ func TestRunPointRejectsBadMachineConfig(t *testing.T) {
 		// A cycle count of 2^64−1 is −1 on wrapped arithmetic: it used to
 		// run to a verified result (or the engine's deadlock report) when
 		// built in process, and to fail decode when sent over the wire.
-		"wrapped local miss":      func(c *machine.Config) { c.LocalMissCycles = ^sim.Time(0) },
-		"wrapped tlb miss":        func(c *machine.Config) { c.TLBMissCycles = ^sim.Time(0) },
 		"wrapped net latency":     func(c *machine.Config) { c.NetLatency = ^sim.Time(0) },
-		"wrapped barrier latency": func(c *machine.Config) { c.BarrierLatency = ^sim.Time(0) },
 		"wrapped occupancy":       func(c *machine.Config) { c.OccupancyCycles = ^sim.Time(0) },
 		"quantum above the bound": func(c *machine.Config) { c.Quantum = machine.MaxCycles + 1 },
 		// Geometry machine.New allocates from: these used to reach make,
 		// where a refusal is an OOM kill, not a panic setup recovers.
-		"a trillion nodes":       func(c *machine.Config) { c.Nodes = 1 << 40 },
-		"a petabyte cache":       func(c *machine.Config) { c.CacheSize = 1 << 50 },
-		"a trillion TLB entries": func(c *machine.Config) { c.TLBEntries = 1 << 40 },
+		"a trillion nodes": func(c *machine.Config) { c.Nodes = 1 << 40 },
+		"a petabyte cache": func(c *machine.Config) { c.CacheSize = 1 << 50 },
 	} {
 		pt := good
 		mutate(&pt.Cfg)

@@ -16,11 +16,11 @@ import (
 // simulator does. The second measurement cycles over twice as many pages
 // as the TLB holds, so every reference is a TLB miss and a FIFO
 // replacement on top of the cache hit: that path must not allocate
-// either.
+// either. The cache has a set for each of those pages' lines.
 func TestAllocFreeCacheHit(t *testing.T) {
-	const tlbEntries = 4
-	m, _ := newFlat(Config{Nodes: 1, CacheSize: 4096, TLBEntries: tlbEntries, Seed: 1, Quantum: MaxCycles})
-	va := m.AllocPrivate(0, 2*tlbEntries*mem.PageSize)
+	const pages = 2 * TLBEntries
+	m, _ := newFlat(Config{Nodes: 1, CacheSize: pages * CacheWays * 32, Seed: 1, Quantum: MaxCycles})
+	va := m.AllocPrivate(0, pages*mem.PageSize)
 
 	var allocs, thrashAllocs float64
 	var tlbMisses uint64
@@ -36,12 +36,12 @@ func TestAllocFreeCacheHit(t *testing.T) {
 
 		// One line per page, each in its own cache set.
 		page := func(i int) mem.VA { return va + mem.VA(i*mem.PageSize+i*32) }
-		for i := 0; i < 2*tlbEntries; i++ {
+		for i := 0; i < pages; i++ {
 			p.WriteU64(page(i), uint64(i))
 		}
 		before := p.Stats
 		thrashAllocs = testing.AllocsPerRun(50, func() {
-			for i := 0; i < 2*tlbEntries; i++ {
+			for i := 0; i < pages; i++ {
 				p.ReadU64(page(i))
 			}
 		})
@@ -59,7 +59,7 @@ func TestAllocFreeCacheHit(t *testing.T) {
 		t.Errorf("cache-hit reference allocates %.1f times per run, want 0", allocs)
 	}
 	if thrashAllocs != 0 {
-		t.Errorf("cache hits with a TLB replacement each allocate %.1f times per %d references, want 0", thrashAllocs, 2*tlbEntries)
+		t.Errorf("cache hits with a TLB replacement each allocate %.1f times per %d references, want 0", thrashAllocs, pages)
 	}
 }
 

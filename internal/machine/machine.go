@@ -18,29 +18,34 @@ import (
 	"github.com/tempest-sim/tempest/internal/vm"
 )
 
-// Config carries the Table 2 simulation parameters common to both target
-// systems, plus simulator housekeeping (quantum, seed).
+// The Table 2 "Common" parameters no experiment varies. Every machine
+// has them; they are not settings.
+const (
+	// CacheWays is the CPU cache associativity (4-way).
+	CacheWays = 4
+	// TLBEntries is the CPU (and NP) TLB capacity.
+	TLBEntries = 64
+	// LocalMissCycles is a cache miss satisfied from local DRAM.
+	LocalMissCycles sim.Time = 29
+	// TLBMissCycles is the TLB refill penalty.
+	TLBMissCycles sim.Time = 25
+	// BarrierLatency is the hardware barrier latency.
+	BarrierLatency sim.Time = 11
+)
+
+// Config carries the Table 2 simulation parameters some experiment
+// varies (node count, cache and block size, network latency), the
+// contention knobs, and simulator housekeeping (quantum, seed).
 type Config struct {
 	// Nodes is the number of processing nodes (the paper simulates 32).
 	Nodes int
 	// CacheSize is the CPU cache capacity in bytes (Figure 3 sweeps 4 KB
 	// to 256 KB).
 	CacheSize int
-	// CacheWays is the CPU cache associativity (Table 2: 4-way).
-	CacheWays int
 	// BlockSize is the coherence-block and cache-line size (Table 2: 32).
 	BlockSize int
-	// TLBEntries is the CPU (and NP) TLB capacity (Table 2: 64).
-	TLBEntries int
-
-	// LocalMissCycles is a cache miss satisfied from local DRAM (29).
-	LocalMissCycles sim.Time
-	// TLBMissCycles is the TLB refill penalty (25).
-	TLBMissCycles sim.Time
-	// NetLatency is the end-to-end network latency (11).
+	// NetLatency is the end-to-end network latency (Table 2: 11).
 	NetLatency sim.Time
-	// BarrierLatency is the hardware barrier latency (11).
-	BarrierLatency sim.Time
 
 	// LinkBytesPerCycle enables the network contention model: finite
 	// per-port link bandwidth in bytes per cycle (packets serialise
@@ -66,20 +71,15 @@ type Config struct {
 	Shards int
 }
 
-// DefaultConfig returns the Table 2 parameters: 32 nodes, 256 KB 4-way
-// CPU caches, 32-byte blocks, 64-entry TLBs, 29/25/11/11-cycle latencies.
+// DefaultConfig returns the Table 2 parameters: 32 nodes, 256 KB CPU
+// caches, 32-byte blocks, an 11-cycle network.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:           32,
-		CacheSize:       256 << 10,
-		CacheWays:       4,
-		BlockSize:       32,
-		TLBEntries:      64,
-		LocalMissCycles: 29,
-		TLBMissCycles:   25,
-		NetLatency:      11,
-		BarrierLatency:  11,
-		Seed:            1,
+		Nodes:      32,
+		CacheSize:  256 << 10,
+		BlockSize:  32,
+		NetLatency: 11,
+		Seed:       1,
 	}
 }
 
@@ -91,26 +91,11 @@ func (c *Config) applyDefaults() {
 	if c.CacheSize == 0 {
 		c.CacheSize = d.CacheSize
 	}
-	if c.CacheWays == 0 {
-		c.CacheWays = d.CacheWays
-	}
 	if c.BlockSize == 0 {
 		c.BlockSize = d.BlockSize
 	}
-	if c.TLBEntries == 0 {
-		c.TLBEntries = d.TLBEntries
-	}
-	if c.LocalMissCycles == 0 {
-		c.LocalMissCycles = d.LocalMissCycles
-	}
-	if c.TLBMissCycles == 0 {
-		c.TLBMissCycles = d.TLBMissCycles
-	}
 	if c.NetLatency == 0 {
 		c.NetLatency = d.NetLatency
-	}
-	if c.BarrierLatency == 0 {
-		c.BarrierLatency = d.BarrierLatency
 	}
 	if c.Quantum == 0 {
 		c.Quantum = sim.DefaultQuantum // what sim.WithQuantum(0) runs at
@@ -134,27 +119,24 @@ func (c Config) Normalized() Config {
 // wrapped arithmetic, and a run on it still verifies.
 const MaxCycles sim.Time = 1 << 32
 
-// MaxNodes, MaxCacheBytes and MaxTLBEntries bound the geometry New
-// allocates from: per node, one cache line word per block of
-// CacheSize and a few words per TLB entry (three TLBs on a Typhoon
-// node). Configurations arrive over the wire, and an allocation the
-// host cannot satisfy is a kill no recover turns into an error reply.
-// MaxNodes is twice the paper's 32 nodes and is also the width of one
-// word: a DirNNB or Stache sharer set is a single uint64 bit vector. The
-// other two are 16× and 64× what the paper and any committed sweep use
-// (256 KB, 64 entries). A machine at all three bounds costs the host
-// about 70 MB at the default block size, four times that at the
-// smallest.
+// MaxNodes and MaxCacheBytes bound the geometry New allocates from: per
+// node, one cache line word per block of CacheSize. Configurations
+// arrive over the wire, and an allocation the host cannot satisfy is a
+// kill no recover turns into an error reply. MaxNodes is twice the
+// paper's 32 nodes and is also the width of one word: a DirNNB or
+// Stache sharer set is a single uint64 bit vector. MaxCacheBytes is 16×
+// what the paper and any committed sweep use (256 KB). A machine at both
+// bounds costs the host about 65 MB at the default block size, four
+// times that at the smallest.
 const (
 	MaxNodes      = 64
 	MaxCacheBytes = 4 << 20
-	MaxTLBEntries = 1 << 12
 )
 
 // Validate reports why New would refuse the configuration (defaults
 // applied first): the node count, the contention knobs, the upper
 // bounds on cycle counts and on the geometry New allocates from, and the
-// cache, block and TLB geometry the per-node components insist on.
+// cache and block geometry the per-node components insist on.
 // Configurations arrive over the wire (harness.Point), so callers ask
 // here instead of finding out from a panic.
 func (c Config) Validate() error {
@@ -163,9 +145,7 @@ func (c Config) Validate() error {
 		name string
 		v    sim.Time
 	}{
-		{"local miss", c.LocalMissCycles}, {"TLB miss", c.TLBMissCycles},
-		{"network latency", c.NetLatency}, {"barrier latency", c.BarrierLatency},
-		{"occupancy", c.OccupancyCycles}, {"quantum", c.Quantum},
+		{"network latency", c.NetLatency}, {"occupancy", c.OccupancyCycles}, {"quantum", c.Quantum},
 	} {
 		if f.v > MaxCycles {
 			return fmt.Errorf("%s of %d cycles exceeds %d", f.name, f.v, MaxCycles)
@@ -178,15 +158,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("negative link bandwidth %d", c.LinkBytesPerCycle)
 	case bs < 8 || bs > mem.PageSize || bs&(bs-1) != 0:
 		return fmt.Errorf("block size %d is not a power of two in [8, %d]", bs, mem.PageSize)
-	case c.CacheSize < 1 || c.CacheWays < 1 || c.CacheSize%bs != 0 || c.CacheSize/bs%c.CacheWays != 0:
-		return fmt.Errorf("cache size %d not divisible into %d-way sets of %d-byte blocks", c.CacheSize, c.CacheWays, bs)
+	case c.CacheSize < 1 || c.CacheSize%bs != 0 || c.CacheSize/bs%CacheWays != 0:
+		return fmt.Errorf("cache size %d not divisible into %d-way sets of %d-byte blocks", c.CacheSize, CacheWays, bs)
 	case c.CacheSize > MaxCacheBytes:
 		return fmt.Errorf("cache size %d exceeds %d bytes", c.CacheSize, MaxCacheBytes)
-	case bits.OnesCount(uint(c.CacheSize/bs/c.CacheWays)) != 1:
+	case bits.OnesCount(uint(c.CacheSize/bs/CacheWays)) != 1:
 		return fmt.Errorf("cache size %d in %d-way sets of %d-byte blocks makes %d sets, which is not a power of two",
-			c.CacheSize, c.CacheWays, bs, c.CacheSize/bs/c.CacheWays)
-	case c.TLBEntries < 1 || c.TLBEntries > MaxTLBEntries:
-		return fmt.Errorf("%d TLB entries outside [1, %d]", c.TLBEntries, MaxTLBEntries)
+			c.CacheSize, CacheWays, bs, c.CacheSize/bs/CacheWays)
 	}
 	return nil
 }
@@ -270,7 +248,7 @@ func New(cfg Config) *Machine {
 		Cfg: cfg,
 		Eng: eng,
 		Net: network.New(eng, netCfg),
-		Bar: sim.NewBarrier(eng, cfg.Nodes, cfg.BarrierLatency),
+		Bar: sim.NewBarrier(eng, cfg.Nodes, BarrierLatency),
 	}
 	m.stalls = make([]sim.Time, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -278,8 +256,8 @@ func New(cfg Config) *Machine {
 	}
 	m.VM = vm.NewSystem(m.Mems)
 	for i := 0; i < cfg.Nodes; i++ {
-		m.Caches = append(m.Caches, cache.New(cfg.CacheSize, cfg.CacheWays, cfg.BlockSize, cfg.Seed+uint64(i)*0x9E37))
-		m.TLBs = append(m.TLBs, cache.NewTLB(cfg.TLBEntries))
+		m.Caches = append(m.Caches, cache.New(cfg.CacheSize, CacheWays, cfg.BlockSize, cfg.Seed+uint64(i)*0x9E37))
+		m.TLBs = append(m.TLBs, cache.NewTLB(TLBEntries))
 		m.Procs = append(m.Procs, &Proc{
 			m: m, node: i,
 			tlb: m.TLBs[i], cc: m.Caches[i], pt: m.VM.Table(i),

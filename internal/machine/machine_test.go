@@ -41,13 +41,14 @@ func (s *flatSys) PageFault(p *Proc, va mem.VA, write bool) {
 	panic("flatSys: page fault")
 }
 func (s *flatSys) ServiceMiss(p *Proc, va mem.VA, pa mem.PA, pte vm.PTE, write, upgrade bool) cache.LineState {
-	p.Ctx.Advance(s.m.Cfg.LocalMissCycles)
+	p.Ctx.Advance(LocalMissCycles)
 	s.c.Add("flat.misses", 1)
 	return cache.LineExclusive
 }
 func (s *flatSys) Evicted(p *Proc, victim mem.PA, state cache.LineState) {}
 
-// TestTable2Defaults pins the paper's Table 2 simulation parameters.
+// TestTable2Defaults pins the paper's Table 2 simulation parameters: the
+// constants and the defaults of the fields some experiment varies.
 func TestTable2Defaults(t *testing.T) {
 	cfg := DefaultConfig()
 	checks := []struct {
@@ -56,14 +57,14 @@ func TestTable2Defaults(t *testing.T) {
 		want uint64
 	}{
 		{"nodes", uint64(cfg.Nodes), 32},
-		{"cache ways", uint64(cfg.CacheWays), 4},
+		{"cache ways", CacheWays, 4},
 		{"block size", uint64(cfg.BlockSize), 32},
-		{"TLB entries", uint64(cfg.TLBEntries), 64},
+		{"TLB entries", TLBEntries, 64},
 		{"page size", uint64(mem.PageSize), 4096},
-		{"local miss", uint64(cfg.LocalMissCycles), 29},
-		{"TLB miss", uint64(cfg.TLBMissCycles), 25},
+		{"local miss", uint64(LocalMissCycles), 29},
+		{"TLB miss", uint64(TLBMissCycles), 25},
 		{"network latency", uint64(cfg.NetLatency), 11},
-		{"barrier latency", uint64(cfg.BarrierLatency), 11},
+		{"barrier latency", uint64(BarrierLatency), 11},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -213,10 +214,7 @@ func (s *retrySys) ServiceMiss(p *Proc, va mem.VA, pa mem.PA, pte vm.PTE, write,
 // MaxCycles and accepted at it.
 func TestValidateBoundsCycleFields(t *testing.T) {
 	fields := map[string]func(*Config) *sim.Time{
-		"LocalMissCycles": func(c *Config) *sim.Time { return &c.LocalMissCycles },
-		"TLBMissCycles":   func(c *Config) *sim.Time { return &c.TLBMissCycles },
 		"NetLatency":      func(c *Config) *sim.Time { return &c.NetLatency },
-		"BarrierLatency":  func(c *Config) *sim.Time { return &c.BarrierLatency },
 		"OccupancyCycles": func(c *Config) *sim.Time { return &c.OccupancyCycles },
 		"Quantum":         func(c *Config) *sim.Time { return &c.Quantum },
 	}
@@ -234,8 +232,8 @@ func TestValidateBoundsCycleFields(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsGeometry: New sizes allocations from Nodes,
-// CacheSize and TLBEntries, and all three arrive over the wire. Each is
+// TestValidateBoundsGeometry: New sizes allocations from Nodes and
+// CacheSize, and both arrive over the wire. Each is
 // accepted at its bound and refused above it by an error naming the
 // field — before New gets to ask the host for the memory.
 func TestValidateBoundsGeometry(t *testing.T) {
@@ -246,7 +244,6 @@ func TestValidateBoundsGeometry(t *testing.T) {
 	}{
 		{"nodes", func(c *Config) *int { return &c.Nodes }, MaxNodes},
 		{"cache size", func(c *Config) *int { return &c.CacheSize }, MaxCacheBytes},
-		{"TLB entries", func(c *Config) *int { return &c.TLBEntries }, MaxTLBEntries},
 	} {
 		for _, tc := range []struct {
 			v  int
@@ -267,26 +264,23 @@ func TestValidateBoundsGeometry(t *testing.T) {
 
 // TestValidateWantsPowerOfTwoSets: the cache finds a set by shift and
 // mask, so a geometry whose set count is not a power of two is refused
-// here, by an error naming the three numbers and the count they make —
-// whatever the associativity.
+// here, by an error naming the three numbers and the count they make.
 func TestValidateWantsPowerOfTwoSets(t *testing.T) {
 	for _, tc := range []struct {
-		size, ways, block int
-		want              string // "" = accepted
+		size, block int
+		want        string // "" = accepted
 	}{
-		{12 << 10, 4, 32, "cache size 12288 in 4-way sets of 32-byte blocks makes 96 sets, which is not a power of two"},
-		{9216, 3, 32, "cache size 9216 in 3-way sets of 32-byte blocks makes 96 sets, which is not a power of two"},
-		{3072, 3, 32, ""}, // 32 sets of three ways
-		{4096, 4, 1024, ""},
-		{64 << 10, 4, 32, ""},
+		{12 << 10, 32, "cache size 12288 in 4-way sets of 32-byte blocks makes 96 sets, which is not a power of two"},
+		{4096, 1024, ""},
+		{64 << 10, 32, ""},
 	} {
 		cfg := DefaultConfig()
-		cfg.CacheSize, cfg.CacheWays, cfg.BlockSize = tc.size, tc.ways, tc.block
+		cfg.CacheSize, cfg.BlockSize = tc.size, tc.block
 		switch err := cfg.Validate(); {
 		case tc.want == "" && err != nil:
-			t.Errorf("%d/%d/%d: Validate() = %v, want accepted", tc.size, tc.ways, tc.block, err)
+			t.Errorf("%d/%d: Validate() = %v, want accepted", tc.size, tc.block, err)
 		case tc.want != "" && (err == nil || err.Error() != tc.want):
-			t.Errorf("%d/%d/%d: Validate() = %v, want %q", tc.size, tc.ways, tc.block, err, tc.want)
+			t.Errorf("%d/%d: Validate() = %v, want %q", tc.size, tc.block, err, tc.want)
 		}
 	}
 }

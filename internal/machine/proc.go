@@ -174,7 +174,6 @@ func (p *Proc) resolve(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 	} else {
 		p.Stats.Loads++
 	}
-	cfg := &p.m.Cfg
 	vpn := va.VPN()
 	for attempt := 0; ; attempt++ {
 		if attempt == maxRetries {
@@ -184,7 +183,7 @@ func (p *Proc) resolve(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 		rec := p.pt.Record(vpn)
 		if !p.tlb.Lookup(vpn, &rec.CPUHint) {
 			p.Stats.TLBMisses++
-			p.Ctx.Advance(cfg.TLBMissCycles)
+			p.Ctx.Advance(TLBMissCycles)
 			rec = p.pt.Record(vpn) // the refill may yield, and records move on reservation
 		}
 		if !rec.Mapped() || write && !rec.Writable() {

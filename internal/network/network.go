@@ -2,7 +2,14 @@
 // machines: a CM-5-style network (paper §5) with two independent virtual
 // networks for deadlock avoidance, a fixed end-to-end latency (Table 2:
 // 11 cycles), a bounded packet payload (twenty 32-bit words), and
-// in-order per-sender delivery into per-node receive queues.
+// delivery into per-node receive queues.
+//
+// The ordering rule is narrow: packets that one context sends with Send
+// to one destination on one virtual network arrive in send order.
+// Nothing wider holds. A later Send on the same pair overtakes a
+// SendAfter with a positive delay, and two contexts of one node, whose
+// clocks differ by up to the scheduler's quantum, can reorder their
+// sends (TestOrderingExceptions pins both).
 //
 // Link contention is modeled when Config.LinkBytesPerCycle is non-zero:
 // each endpoint owns one injection and one ejection port per virtual

@@ -81,25 +81,95 @@ func TestReplyNetworkHasPriority(t *testing.T) {
 	})
 }
 
+// TestInOrderDeliveryPerSender states the network's ordering rule:
+// packets that one context sends with Send to one destination on one
+// virtual network arrive in send order — whether sent in one cycle or
+// apart, long behind short, at infinite and at finite bandwidth, across
+// the wire and to the sender's own node.
 func TestInOrderDeliveryPerSender(t *testing.T) {
+	for _, bw := range []int{0, 4} {
+		for _, dst := range []int{1, 0} {
+			for _, vn := range []VNet{VNetRequest, VNetReply} {
+				runWith(t, func(eng *sim.Engine) (*Network, func(*sim.Context)) {
+					n := New(eng, Config{Nodes: 2, Latency: 11, LinkBytesPerCycle: bw})
+					return n, func(c *sim.Context) {
+						for i := uint32(0); i < 10; i++ {
+							p := &Packet{Src: 0, Dst: dst, VNet: vn, Handler: i}
+							if i%2 == 0 {
+								p.Data = make([]byte, 64) // a long packet, then a short one
+							}
+							n.Send(p)
+							if i%3 == 2 {
+								c.Advance(1)
+								c.Yield()
+							}
+						}
+						c.Sleep(300)
+						ep := n.Endpoint(dst)
+						for i := uint32(0); i < 10; i++ {
+							if p := ep.Dequeue(); p == nil || p.Handler != i {
+								t.Fatalf("bw=%d dst=%d %s: packet %d out of order: %+v", bw, dst, vn, i, p)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOrderingExceptions pins the two orders the network does not keep,
+// so a change to either is seen. ROADMAP.md item 1 (DirNNB keeps
+// single-writer) is the change meant to flip them; it then turns these
+// assertions round and widens the package doc's rule.
+func TestOrderingExceptions(t *testing.T) {
+	// One context, one pair: a Send issued after a delayed SendAfter
+	// arrives first.
 	runWith(t, func(eng *sim.Engine) (*Network, func(*sim.Context)) {
 		n := New(eng, Config{Nodes: 2, Latency: 11})
 		return n, func(c *sim.Context) {
-			for i := uint32(0); i < 10; i++ {
-				n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest, Handler: i})
-				c.Advance(1)
-				c.Yield()
-			}
-			c.Sleep(30)
-			ep := n.Endpoint(1)
-			for i := uint32(0); i < 10; i++ {
-				p := ep.Dequeue()
-				if p == nil || p.Handler != i {
-					t.Fatalf("packet %d out of order: %+v", i, p)
-				}
+			n.SendAfter(&Packet{Src: 0, Dst: 1, VNet: VNetReply, Handler: 0}, 20)
+			n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetReply, Handler: 1})
+			c.Sleep(100)
+			if got := arrivals(n.Endpoint(1)); got != [2]uint32{1, 0} {
+				t.Errorf("SendAfter (0) then Send (1) arrived as %v; want the Send first", got)
 			}
 		}
 	})
+
+	// Two contexts of node 0, as its CPU and its NP: the first to send in
+	// host order has run 30 cycles ahead inside its quantum, so the
+	// second, sending at cycle 0, arrives first.
+	eng := sim.NewEngine()
+	n := New(eng, Config{Nodes: 2, Latency: 11})
+	var issued uint32
+	send := func() {
+		n.Send(&Packet{Src: 0, Dst: 1, VNet: VNetRequest, Handler: issued})
+		issued++
+	}
+	eng.Spawn("ahead", func(c *sim.Context) {
+		c.Advance(30)
+		send()
+	})
+	eng.Spawn("behind", func(c *sim.Context) { send() })
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := arrivals(n.Endpoint(1)); got != [2]uint32{1, 0} {
+		t.Errorf("sends issued 0 (at cycle 30), 1 (at cycle 0) arrived as %v; want 1 first", got)
+	}
+}
+
+// arrivals dequeues two packets from ep and returns their handlers in
+// arrival order; a missing packet reads as handler 99.
+func arrivals(ep *Endpoint) (got [2]uint32) {
+	for i := range got {
+		got[i] = 99
+		if p := ep.Dequeue(); p != nil {
+			got[i] = p.Handler
+		}
+	}
+	return got
 }
 
 func TestPayloadLimitEnforced(t *testing.T) {

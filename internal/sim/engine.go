@@ -80,11 +80,12 @@ import (
 type Time uint64
 
 // DefaultQuantum bounds how far a context may run ahead of its last yield
-// before it is forced back through the scheduler. It is a few network
-// latencies (Table 2: 11 cycles) so a compute processor cannot starve
-// its node's NP of overlap opportunities (prefetch, bulk transfer)
-// for long; a larger quantum would trade that fidelity for fewer context
-// switches, the same trade execution-driven simulators make.
+// before it is forced back through the scheduler. It exceeds the
+// 11-cycle network latency (Table 2), the lookahead the Wisconsin Wind
+// Tunnel bounds its quantum by, so a context can run past a message it
+// would have seen at a smaller quantum: results depend on the quantum
+// (Stache cycles at reduced scale move by up to 6.4% between 64 and 11,
+// DESIGN.md §6). A smaller quantum costs more context switches.
 const DefaultQuantum Time = 64
 
 // Event is a scheduled occurrence. Fire runs on the scheduler with the

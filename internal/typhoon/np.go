@@ -204,7 +204,7 @@ func (np *NP) MemRef(addr mem.PA) {
 		return
 	}
 	np.dcache.Fill(addr, cache.LineExclusive)
-	np.ctx.Advance(np.sys.M.Cfg.LocalMissCycles)
+	np.ctx.Advance(machine.LocalMissCycles)
 }
 
 // Translate resolves va through the NP's TLB and the node's page table,
@@ -216,7 +216,7 @@ func (np *NP) Translate(va mem.VA) (mem.PA, vm.PTE, bool) {
 	rec := np.pt.Record(va.VPN())
 	if !np.tlb.Lookup(va.VPN(), &rec.NPHint) {
 		np.hot.tlbMisses++
-		np.ctx.Advance(np.sys.M.Cfg.TLBMissCycles)
+		np.ctx.Advance(machine.TLBMissCycles)
 		rec = np.pt.Record(va.VPN()) // the refill may yield, and records move on reservation
 	}
 	if !rec.Mapped() {
@@ -281,7 +281,7 @@ func (np *NP) DowngradeCPU(va mem.VA) {
 
 func (np *NP) chargeTagOp(pa mem.PA) {
 	if !np.rtlbLookup(pa) {
-		np.ctx.Advance(np.sys.M.Cfg.TLBMissCycles)
+		np.ctx.Advance(machine.TLBMissCycles)
 	}
 	np.ctx.Advance(TagOpCycles)
 }

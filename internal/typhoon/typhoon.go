@@ -195,8 +195,8 @@ func newSystem(m *machine.Machine, proto Protocol, onCPU bool) *System {
 			sys:      s,
 			node:     i,
 			ep:       m.Net.Endpoint(i),
-			tlb:      cache.NewTLB(m.Cfg.TLBEntries),
-			rtlb:     cache.NewTLB(m.Cfg.TLBEntries),
+			tlb:      cache.NewTLB(machine.TLBEntries),
+			rtlb:     cache.NewTLB(machine.TLBEntries),
 			pt:       m.VM.Table(i),
 			dcache:   cache.New(NPCacheSize, NPCacheWays, m.Cfg.BlockSize, m.Cfg.Seed+0xD00D+uint64(i)),
 			bulkDone: make(map[int][]*bulkTransfer),
@@ -368,7 +368,7 @@ func (s *System) PageFault(p *machine.Proc, va mem.VA, write bool) {
 func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, write, upgrade bool) cache.LineState {
 	cfg := &s.M.Cfg
 	if pte.Mode == vm.ModePrivate {
-		p.Ctx.Advance(cfg.LocalMissCycles)
+		p.Ctx.Advance(machine.LocalMissCycles)
 		return cache.LineExclusive
 	}
 	if pa.Node() != p.ID() {
@@ -378,7 +378,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 	// RTLB lookup: a miss nacks the transaction with relinquish-and-retry
 	// while the entry is fetched (§5.4); the requester eats the latency.
 	if !np.rtlbLookup(pa) {
-		p.Ctx.Advance(cfg.TLBMissCycles)
+		p.Ctx.Advance(machine.TLBMissCycles)
 	}
 	tag := s.M.Mems[p.ID()].Tag(pa)
 	permitted := tag.PermitsRead() && !write || tag.PermitsWrite()
@@ -392,7 +392,7 @@ func (s *System) ServiceMiss(p *machine.Proc, va mem.VA, pa mem.PA, pte vm.PTE, 
 			p.Ctx.AdvanceAtomic(UpgradeGrantCycles)
 			return cache.LineExclusive
 		}
-		p.Ctx.AdvanceAtomic(cfg.LocalMissCycles)
+		p.Ctx.AdvanceAtomic(machine.LocalMissCycles)
 		if tag == mem.TagReadWrite {
 			// Memory responds; the CPU acquires an owned copy.
 			return cache.LineExclusive

@@ -160,6 +160,15 @@ mutation atglobal-floor-recip internal/apps/apps.go \
 mutation em3d-replay-drift internal/apps/em3d/em3d.go \
     $'\t\tgen[p] = edgeGen{rng: *rng, pool: pool}\n' \
     $'\t\tgen[p] = edgeGen{rng: *rng, pool: pool}\n\t\tgen[p].rng.Next()\n'
+# Table 2 constants and a workload constant no point can set: the TLB
+# refill charged one cycle more, and EM3D's remote pool sized for four
+# edges per distinct remote value instead of three.
+mutation tlbmiss+1 internal/machine/machine.go \
+    'TLBMissCycles sim.Time = 25' \
+    'TLBMissCycles sim.Time = 26'
+mutation em3d-reuse+1 internal/apps/em3d/em3d.go \
+    'const remoteReuse = 3' \
+    'const remoteReuse = 4'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
