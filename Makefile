@@ -9,7 +9,10 @@
 # itself there; the Figure 4 golden, testdata/bench.digest (the goldens'
 # hash), the conformance corpus in internal/conform and the fuzz
 # targets' committed seed corpora in the race leg, and Figure 4 again in
-# the fences leg, which selects by name.
+# the fences leg, which selects by name. The harness's other multi-second
+# sweeps (TestRunPhaseAllocatesOnlyAtSetUp, TestContentionPartFold and
+# the figure4, ablations and result-cache legs of TestParallelDeterminism)
+# also skip themselves under -race and run in the fences leg.
 # Sweeps run in one process on -j workers and no binary reads or writes
 # a result cache: no binary links internal/fleet, which stays only for
 # the benchmark's fleet_warm workload, with DecodePoint and its fuzz
@@ -49,11 +52,14 @@ race:
 	$(GO) test -race ./...
 
 # fences runs the whole-figure sweeps without the race detector: the
-# Figure 3/4 goldens and the contended digest. TestGoldenFigure3 and
-# TestContendedDigest skip themselves under -race, where each took over
-# 10 s on the critical path of the race leg.
+# Figure 3/4 goldens, the contended digest, and the sweeps that skip
+# themselves under -race (TestGoldenFigure3 and TestContendedDigest took
+# over 10 s each on the race leg's critical path, TestParallelDeterminism's
+# figure4/ablations/result-cache legs, TestRunPhaseAllocatesOnlyAtSetUp
+# and TestContentionPartFold 5-20 s). TestParallelDeterminism runs whole
+# here; its figure3 and refetch legs also run under -race.
 fences:
-	$(GO) test -count=1 -run 'Golden|ContendedDigest' ./internal/harness
+	$(GO) test -count=1 -run 'Golden|ContendedDigest|ParallelDeterminism|RunPhaseAllocatesOnlyAtSetUp|ContentionPartFold' ./internal/harness
 
 # microbench runs every Go benchmark: Tables 1-3, simulator throughput
 # and the layer microbenchmarks. The figures and ablations are printed by

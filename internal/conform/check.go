@@ -88,3 +88,44 @@ func CheckTagMachine(s *Stream) error {
 	}
 	return nil
 }
+
+// CheckDifferential demands that the streams of one app, each recorded
+// under a different system, show the program the same shared memory:
+// equal final coherent-memory digests and equal observation rows (each
+// node's order-sensitive hash over every data operation, and its
+// operation count). Timing differs wildly across the systems — that is
+// the paper's point — but for a data-race-free program what memory
+// holds and what each processor observed must not. Every stream is
+// compared with the first; the error names the app, the node and the
+// two systems.
+func CheckDifferential(streams []*Stream) error {
+	if len(streams) == 0 {
+		return nil
+	}
+	ref := streams[0]
+	for _, s := range streams[1:] {
+		if s.App != ref.App {
+			return fmt.Errorf("conform: differential: comparing different apps %q and %q", ref.App, s.App)
+		}
+		if s.MemDigest != ref.MemDigest {
+			return fmt.Errorf("conform: differential %s: final shared memory differs between %s (%.12s) and %s (%.12s)",
+				ref.App, ref.System, ref.MemDigest, s.System, s.MemDigest)
+		}
+		if len(s.Obs) != len(ref.Obs) {
+			return fmt.Errorf("conform: differential %s: %d nodes under %s but %d under %s",
+				ref.App, len(ref.Obs), ref.System, len(s.Obs), s.System)
+		}
+		for i, want := range ref.Obs {
+			got := s.Obs[i]
+			if got.Ops != want.Ops {
+				return fmt.Errorf("conform: differential %s: node %d performed %d data ops under %s but %d under %s",
+					ref.App, want.Node, want.Ops, ref.System, got.Ops, s.System)
+			}
+			if got.Hash != want.Hash {
+				return fmt.Errorf("conform: differential %s: node %d observation history diverges between %s and %s (%#x vs %#x)",
+					ref.App, want.Node, ref.System, s.System, want.Hash, got.Hash)
+			}
+		}
+	}
+	return nil
+}

@@ -2,7 +2,7 @@
 // changes that mutate the message layer underneath every protocol
 // (contention models, scheduler reworks) or one protocol's handlers.
 //
-// It has two legs:
+// It has one recording per corpus pair and three checks over it:
 //
 //   - Record: a committed corpus (testdata/traces/ at the repo root)
 //     holds one recorded message trace per corpus pair at a small
@@ -13,14 +13,20 @@
 //     with its issue time and delay, every arrival, every dispatch with
 //     its start time and service cycles — plus the run's
 //     application-visible outcome (counters, observation hashes, memory
-//     and protocol-state digests) in the footer. The corpus is a golden file: the package
-//     tests re-record every pair, run the MSI transition checker
-//     (CheckTagMachine) over the fresh stream, and compare its encoding
-//     with the committed file byte for byte.
+//     and protocol-state digests) in the footer. The corpus is a golden
+//     file: the package tests re-record every pair and compare its
+//     encoding with the committed file byte for byte.
 //
-//   - Differential: a matrix (RunDifferential, over harness.RunObserved
-//     and CompareObservations) asserting that every protocol exposes
-//     identical application-visible memory semantics.
+//   - Tag machine: CheckTagMachine walks each fresh stream's per-block
+//     tag history against the MSI transition rules.
+//
+//   - Differential: CheckDifferential compares the fresh recordings of
+//     one app across its systems, asserting that every protocol
+//     exposes identical application-visible memory semantics: the same
+//     per-processor observations and the same final shared memory.
+//
+// The tests simulate each pair once and run every check on that one
+// recording.
 //
 // A deliberate behaviour change re-pins every fence with `make repin`,
 // which re-records the corpus, and commits the diff: it shows exactly
@@ -78,11 +84,10 @@ func (p Pair) Config() machine.Config {
 	return cfg
 }
 
-// Point is the sweep point a pair records and diffs: Config running the
-// committed tiny workload — big enough to
-// exercise misses, invalidations, writebacks, and update traffic on
-// every node, small enough that a recorded trace stays a few hundred
-// kilobytes.
+// Point is the sweep point a pair records: Config running the
+// committed tiny workload — big enough to exercise misses,
+// invalidations, writebacks, and update traffic on every node, small
+// enough that a recorded trace stays a few hundred kilobytes.
 func (p Pair) Point() harness.Point {
 	pt := harness.Point{Cfg: p.Config(), System: p.System, Bench: p.App}
 	switch p.App {
@@ -97,19 +102,22 @@ func (p Pair) Point() harness.Point {
 }
 
 // CorpusPairs lists the committed corpus: every protocol × app pair of
-// the differential matrix under the ideal network, plus one hardware
-// and one user-level protocol re-recorded under contention (port
-// queueing and agent occupancy, which the ideal network never exercises).
+// the differential matrix under the ideal network — the hardware
+// directory, Typhoon running Stache, the software Tempest (Blizzard)
+// running the same unmodified Stache and, for em3d, the
+// application-specific update protocol — plus one hardware and one
+// user-level protocol re-recorded under contention (port queueing and
+// agent occupancy, which the ideal network never exercises).
 func CorpusPairs() []Pair {
-	var out []Pair
-	for _, app := range harness.DiffApps {
-		for _, sys := range harness.DiffSystemsFor(app) {
-			out = append(out, Pair{App: app, System: sys})
-		}
+	return []Pair{
+		{App: "em3d", System: harness.SysDirNNB},
+		{App: "em3d", System: harness.SysStache},
+		{App: "em3d", System: harness.SysBlizzard},
+		{App: "em3d", System: harness.SysUpdate},
+		{App: "ocean", System: harness.SysDirNNB},
+		{App: "ocean", System: harness.SysStache},
+		{App: "ocean", System: harness.SysBlizzard},
+		{App: "em3d", System: harness.SysDirNNB, Contended: true},
+		{App: "em3d", System: harness.SysStache, Contended: true},
 	}
-	out = append(out,
-		Pair{App: "em3d", System: harness.SysDirNNB, Contended: true},
-		Pair{App: "em3d", System: harness.SysStache, Contended: true},
-	)
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/tempest-sim/tempest/internal/harness"
+	"github.com/tempest-sim/tempest/internal/mem"
 	"github.com/tempest-sim/tempest/internal/network"
 	"github.com/tempest-sim/tempest/internal/stache"
 	"github.com/tempest-sim/tempest/internal/trace"
@@ -67,11 +68,7 @@ func TestCorpusCompareNamesTamperedLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines[at] = fmt.Sprintf("%10d", cycle+1) + lines[at][10:]
-	got, err := recordChecked(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = compareStreams([]byte(strings.Join(lines, "\n")), got)
+	err = compareStreams([]byte(strings.Join(lines, "\n")), recordedBytes(t, p))
 	wantErr(t, err, fmt.Sprintf("line %d:\n  want: %s", at+1, lines[at]))
 }
 
@@ -84,32 +81,29 @@ func TestCorpusCompareCatchesMissingEnd(t *testing.T) {
 	if !ok {
 		t.Fatal(`committed stream does not close with an "end" line`)
 	}
-	got, err := recordChecked(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErr(t, compareStreams(want, got), "diverge in length")
+	wantErr(t, compareStreams(want, recordedBytes(t, p)), "diverge in length")
 }
 
 // TestTagCheckerCatchesIllegalTransition feeds the checker a tag
 // history no MSI walk allows (ReadOnly retagged ReadOnly) and a block
 // left pending at end of run.
 func TestTagCheckerCatchesIllegalTransition(t *testing.T) {
-	s, err := Record(Pair{App: "ocean", System: harness.SysStache}, harness.DiffOptions{})
+	shared, err := recorded(Pair{App: "ocean", System: harness.SysStache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := s.Events
-	i := findKind(t, s, trace.KTagChange, 60)
+	s := *shared // the tampered copy; the shared recording stays intact
+	events := s.Events
+	i := findKind(t, &s, trace.KTagChange, 60)
 	// Duplicate a tag event immediately after itself: a self-loop,
 	// illegal from every state.
-	s.Events = slices.Insert(slices.Clone(recorded), i+1, recorded[i])
-	wantErr(t, CheckTagMachine(s), "illegal tag transition")
+	s.Events = slices.Insert(slices.Clone(events), i+1, events[i])
+	wantErr(t, CheckTagMachine(&s), "illegal tag transition")
 
-	s.Events = slices.Clone(recorded)
+	s.Events = slices.Clone(events)
 	s.Events[i].Aux = 3 // mem.TagBusy; depending on the block's history this is
 	// either an illegal edge or an unresolved transaction at end of run
-	if err := CheckTagMachine(s); err == nil {
+	if err := CheckTagMachine(&s); err == nil {
 		t.Fatal("forced Busy tag went undetected")
 	}
 }
@@ -134,30 +128,37 @@ func TestRecheckCatchesInjectedBug(t *testing.T) {
 	wantErr(t, compareStreams(readTrace(t, p), got.Encode()), "diverge")
 }
 
-// TestDifferentialCatchesInjectedBug corrupts the data Stache's home
-// sends to read requesters — the classic wrong-data coherence bug — and
-// runs the matrix: the protocols no longer agree on what the program
-// observed, and the comparison must say so. SkipVerify keeps the
-// application's own answer check out of the way, so it is the
-// differential layer doing the catching.
+// TestDifferentialCatchesInjectedBug flips one byte of a home copy just
+// before Stache serves its first read grant — the classic wrong-data
+// coherence bug — and compares the recording with the hardware
+// directory's. Every copy granted afterwards carries the flipped byte,
+// so home and copies still agree and Stache's CheckInvariants sees
+// nothing; SkipVerify keeps the application's own answer check out of
+// the way. The systems no longer agree on what the program observed,
+// and the differential comparison must be what says so.
 func TestDifferentialCatchesInjectedBug(t *testing.T) {
-	opt := harness.DiffOptions{
+	ref, err := recorded(Pair{App: "em3d", System: harness.SysDirNNB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	bad, err := Record(Pair{App: "em3d", System: harness.SysStache}, harness.DiffOptions{
 		SkipVerify: true,
 		Mutate: func(sys *typhoon.System) {
-			if !sys.HasHandler(stache.HDataRO) {
-				return
-			}
-			sys.WrapHandler(stache.HDataRO, func(h typhoon.Handler) typhoon.Handler {
+			sys.WrapHandler(stache.HGetS, func(h typhoon.Handler) typhoon.Handler {
 				return func(np *typhoon.NP, pkt *network.Packet) {
-					if len(pkt.Data) > 0 {
-						pkt.Data[len(pkt.Data)-1] ^= 0xFF
+					if !flipped {
+						flipped = true
+						va := mem.VA(pkt.Args[0])
+						np.ForceWriteU64(va, np.ForceReadU64(va)^0xFF)
 					}
 					h(np, pkt)
 				}
 			})
 		},
+	})
+	if err != nil {
+		t.Fatalf("the injected bug must pass the run's own checks: %v", err)
 	}
-	if err := RunDifferential("em3d", opt); err == nil {
-		t.Fatal("corrupted data replies went undetected by the differential matrix")
-	}
+	wantErr(t, CheckDifferential([]*Stream{ref, bad}), "conform: differential em3d:")
 }

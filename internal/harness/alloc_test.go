@@ -79,6 +79,7 @@ func TestRunPhaseAllocatesOnlyAtSetUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64 simulations; skipped with -short")
 	}
+	skipUnderRace(t)
 	// The slack is for pool high-water marks: a packet pool, a run queue,
 	// a transaction list or a home's overflow vectors that reach a new
 	// peak in a later iteration grow once.

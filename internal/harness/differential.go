@@ -9,46 +9,25 @@ import (
 	"github.com/tempest-sim/tempest/internal/apps"
 	"github.com/tempest-sim/tempest/internal/machine"
 	"github.com/tempest-sim/tempest/internal/mem"
-	"github.com/tempest-sim/tempest/internal/sim"
 	"github.com/tempest-sim/tempest/internal/trace"
 	"github.com/tempest-sim/tempest/internal/typhoon"
 )
 
-// The differential harness runs the same program under every protocol
-// and asserts identical application-visible memory semantics. Two
-// signals define "identical":
+// The observed run is what a conformance recording (internal/conform)
+// runs: the funnel with a tracer, per-processor observation and the
+// post-run digests attached. Its application-visible outcome is two
+// signals, which the conformance suite compares across protocols:
 //
 //   - Observations: every processor's program-order (address, value,
-//     read/write) history, hashed (machine.Observation) and checkpointed
-//     at each barrier release. For a data-race-free program the history
-//     is protocol-independent, and at the k-th release each processor
-//     has performed exactly its first k phases' operations — so the
-//     checkpoint rows are comparable protocol-to-protocol whenever the
-//     barrier structure matches (EM3D-update's fuzzy barrier elides
-//     hardware barriers, so for it only the final row is compared).
+//     read/write) history, folded into an order-sensitive hash
+//     (machine.Observation) with its operation count. For a
+//     data-race-free program the history is protocol-independent.
 //   - Memory: the coherent post-run contents of every shared segment,
 //     digested word-by-word (the home copy, or the owner's when a
 //     protocol holds the block dirty remotely).
 //
 // The timing of the systems differs wildly — that is the paper's point —
 // but the memory semantics must not.
-
-// DiffApps are the applications the differential matrix runs: one graph
-// kernel with irregular remote traffic and one stencil with regular
-// neighbour sharing.
-var DiffApps = []string{"em3d", "ocean"}
-
-// DiffSystemsFor lists the systems the differential matrix compares for
-// an application: the hardware directory, Typhoon running Stache, the
-// software Tempest (Blizzard) running the same unmodified Stache, and —
-// for em3d — the application-specific update protocol.
-func DiffSystemsFor(app string) []System {
-	out := []System{SysDirNNB, SysStache, SysBlizzard}
-	if app == "em3d" {
-		out = append(out, SysUpdate)
-	}
-	return out
-}
 
 // DiffOptions tunes one observed run.
 type DiffOptions struct {
@@ -67,13 +46,8 @@ type DiffOptions struct {
 	Tracer *trace.Tracer
 }
 
-// DiffObservation is one observed run of the matrix.
+// DiffObservation is one observed run.
 type DiffObservation struct {
-	System System
-	App    string
-	// Epochs holds one row per barrier release: each processor's
-	// observation hash at that instant.
-	Epochs [][]uint64
 	// FinalProcs/FinalOps are the per-processor observation hashes and
 	// operation counts after Run.
 	FinalProcs []uint64
@@ -92,10 +66,9 @@ type DiffObservation struct {
 	Res         machine.Result
 }
 
-// RunObserved is the funnel with the differential harness's
-// instruments attached: it runs the point with observation enabled and
-// per-barrier checkpoints, verifying the result (unless opt.SkipVerify)
-// and returning the observation. The machine config is used as given.
+// RunObserved is the funnel with the observed run's instruments
+// attached: it runs the point with observation enabled, verifying the
+// result (unless opt.SkipVerify) and returning the observation. The machine config is used as given.
 func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 	if err := pt.Validate(); err != nil {
 		return DiffObservation{}, err
@@ -117,17 +90,7 @@ func RunObserved(pt Point, opt DiffOptions) (DiffObservation, error) {
 		return DiffObservation{}, err
 	}
 	m.EnableObservation()
-	obs := DiffObservation{System: pt.System, App: pt.workload()}
-	// The release callback runs with every participant parked at the
-	// barrier, so reading each processor's observation here is the
-	// deterministic machine-wide checkpoint.
-	m.Bar.OnRelease(func(epoch uint64, at sim.Time) {
-		row := make([]uint64, len(m.Procs))
-		for i, p := range m.Procs {
-			row[i], _ = p.Observation()
-		}
-		obs.Epochs = append(obs.Epochs, row)
-	})
+	var obs DiffObservation
 	if obs.Res, err = pt.execute(in, app, opt.SkipVerify); err != nil {
 		return DiffObservation{}, err
 	}
@@ -173,53 +136,4 @@ func SharedMemoryDigest(m *machine.Machine) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// CompareObservations checks a set of observed runs of the same app for
-// identical application-visible memory semantics: equal final
-// per-processor observation histories, equal coherent memory, and equal
-// per-epoch checkpoints among runs with the same barrier structure. The
-// error names the first diverging pair precisely enough to debug from.
-func CompareObservations(results []DiffObservation) error {
-	if len(results) < 2 {
-		return nil
-	}
-	ref := results[0]
-	for _, r := range results[1:] {
-		if r.App != ref.App {
-			return fmt.Errorf("differential: comparing different apps %q and %q", ref.App, r.App)
-		}
-		if r.MemDigest != ref.MemDigest {
-			return fmt.Errorf("differential: %s: final shared memory differs between %s (%s) and %s (%s)",
-				ref.App, ref.System, ref.MemDigest[:12], r.System, r.MemDigest[:12])
-		}
-		if len(r.FinalProcs) != len(ref.FinalProcs) {
-			return fmt.Errorf("differential: %s: node count differs between %s and %s", ref.App, ref.System, r.System)
-		}
-		for i := range ref.FinalProcs {
-			if r.FinalOps[i] != ref.FinalOps[i] {
-				return fmt.Errorf("differential: %s: node %d performed %d data ops under %s but %d under %s",
-					ref.App, i, ref.FinalOps[i], ref.System, r.FinalOps[i], r.System)
-			}
-			if r.FinalProcs[i] != ref.FinalProcs[i] {
-				return fmt.Errorf("differential: %s: node %d observation history diverges between %s and %s (%#x vs %#x)",
-					ref.App, i, ref.System, r.System, ref.FinalProcs[i], r.FinalProcs[i])
-			}
-		}
-		// Epoch-by-epoch comparison only makes sense when the hardware
-		// barrier structure matches (the update protocol's fuzzy barrier
-		// runs fewer hardware barriers than plain em3d).
-		if len(r.Epochs) != len(ref.Epochs) {
-			continue
-		}
-		for e := range ref.Epochs {
-			for i := range ref.Epochs[e] {
-				if r.Epochs[e][i] != ref.Epochs[e][i] {
-					return fmt.Errorf("differential: %s: barrier epoch %d node %d diverges between %s and %s",
-						ref.App, e, i, ref.System, r.System)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -157,14 +157,15 @@ func moved(was, now string) bool {
 	return math.Abs(x-y) > 0.01+1e-9
 }
 
-// skipUnderRace skips a fence whose sweep takes over 10 s under the race
-// detector (a few seconds without it). `make ci` runs it once, in its
-// non-race fences leg; the race leg keeps the shorter sweeps, such as
-// TestGoldenFigure4, that race the parallel runner.
+// skipUnderRace skips a test whose sweep takes 5 s or more under the
+// race detector (a few seconds without it). `make ci` runs it once, in
+// its non-race fences leg; the race leg keeps the shorter sweeps, such
+// as TestGoldenFigure4 and TestParallelDeterminism/figure3, that race
+// the parallel runner.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceDetector {
-		t.Skip("over 10 s under -race; make ci runs it in its non-race fences leg")
+		t.Skip("a multi-second sweep under -race; make ci runs it in its non-race fences leg")
 	}
 }
 

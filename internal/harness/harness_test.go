@@ -296,6 +296,7 @@ func TestContentionPartFold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	skipUnderRace(t)
 	var cells []ContentionCell
 	cp := contentionPart(ScaleReduced, SimParams{}, func(c []ContentionCell) error {
 		cells = c

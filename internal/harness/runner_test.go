@@ -114,6 +114,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if testing.Short() {
 			t.Skip("short mode")
 		}
+		skipUnderRace(t)
 		base := Fig4Options{Scale: ScaleReduced, Set: SetSmall, Pcts: []int{0, 30}}
 		serial := base
 		serial.Workers = 1
@@ -135,6 +136,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if testing.Short() {
 			t.Skip("short mode")
 		}
+		skipUnderRace(t)
 		for _, tc := range []struct {
 			name   string
 			points func(Scale, SimParams) []ablationPoint
@@ -171,6 +173,7 @@ func TestParallelDeterminism(t *testing.T) {
 		}
 	})
 	t.Run("result-cache", func(t *testing.T) {
+		skipUnderRace(t)
 		// The result cache is a pure memoization layer: a pool with it, a
 		// pool without it, and a second pool served entirely from the warm
 		// cache must all return bit-identical results (the engine.*

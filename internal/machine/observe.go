@@ -12,9 +12,9 @@ const (
 // folded into a running hash: every tag-checked data operation the
 // program performs (address, value, read/write) in program order. Two
 // runs of the same data-race-free program under different protocols must
-// produce identical per-processor observations — the differential
-// harness's definition of "identical application-visible memory
-// semantics". The hash is order-sensitive (splitmix-style chaining), so
+// produce identical per-processor observations — the conformance
+// suite's definition (conform.CheckDifferential) of "identical
+// application-visible memory semantics". The hash is order-sensitive (splitmix-style chaining), so
 // a reordered or altered read value changes it.
 type Observation struct {
 	hash uint64

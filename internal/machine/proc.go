@@ -156,7 +156,7 @@ func (p *Proc) access(va mem.VA, write bool, v uint64) uint64 {
 // probe, and — on a miss or upgrade — the pluggable memory system. It
 // returns the physical address the reference resolved to and the frame
 // holding it. access calls it for every reference its hit check does
-// not complete, Touch for every reference.
+// not complete.
 func (p *Proc) resolve(va mem.VA, write bool) (mem.PA, *mem.Frame) {
 	p.Ctx.Advance(1)
 	if st := p.m.stalls[p.node]; st > 0 {

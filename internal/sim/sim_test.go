@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSingleContextRunsToCompletion(t *testing.T) {
@@ -534,6 +535,24 @@ func TestBarrierReleaseProperty(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine() once the count has
+// held still for several consecutive checks (giving up after a second).
+// A goroutine an earlier test left, such as a finished test's own, can
+// still be exiting when the next test starts; a baseline that counts it
+// reads as one goroutine "leaked" backwards after Run.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestNoGoroutineLeakAfterRun: an engine owns no goroutine outside Run.
 // Contexts get their coroutines at first dispatch, and Run stops every
 // coroutine it started before it returns, so the count is back where it
@@ -598,7 +617,7 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) {
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			fn(t, NewEngine())
 			if after := runtime.NumGoroutine(); after != before {
 				t.Errorf("goroutines: %d before, %d after", before, after)

@@ -206,7 +206,7 @@ func TestStepperHostChoiceInvariance(t *testing.T) {
 func TestTwoHostsResumedInEitherOrder(t *testing.T) {
 	for _, wakeAt := range [][2]Time{{20, 40}, {40, 20}} {
 		t.Run(fmt.Sprintf("a@%d,b@%d", wakeAt[0], wakeAt[1]), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			e := NewEngine()
 			var log []string
 			for node, name := range []string{"a", "b"} {
